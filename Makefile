@@ -7,7 +7,7 @@ BENCHTIME ?= 100ms
 BENCHPKGS ?= . ./internal/nn ./internal/cache
 FUZZTIME ?= 5s
 
-.PHONY: build test race cover fmt vet lint leaktest bench bench-compare fuzz-short chaos trace-smoke obsd-smoke ci
+.PHONY: build test race cover fmt vet lint leaktest bench bench-compare benchmark benchmark-ab fuzz-short chaos trace-smoke obsd-smoke ci
 
 build:
 	$(GO) build ./...
@@ -109,5 +109,60 @@ bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) $(BENCHPKGS) | tee BENCH_new.txt
 	$(GO) run ./cmd/bench2json -o BENCH_new.json < BENCH_new.txt
 	$(GO) run ./cmd/bench2json -compare BENCH_live.json BENCH_new.json -max-regress $(MAX_REGRESS)
+
+# The repo's benchmark (benchmark/README.md, BENCHMARK.json): every
+# workload, or WORKLOAD=<name>, at SEED.
+WORKLOAD ?= all
+SEED ?= 1
+benchmark:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED)
+
+# Same-machine A/B of the working tree (head) against BASE, the form a
+# claimed gain is measured in: BASE is checked out into a git worktree,
+# both benchmarks are built, and every workload (or WORKLOAD=<name>) is
+# run PAIRS times on each side, one run of AB_SECONDS after another,
+# alternating which side goes first; pair i runs both sides at seed
+# SEED+i-1. The runs are gathered into $(AB_DIR)/base/result.json and
+# $(AB_DIR)/head/result.json (needs jq; each is stamped with the commit
+# its side was built from, because go's own VCS stamp reads the
+# enclosing repository, not the worktree), the per-pair updates_per_s
+# and wall_s are listed, and `benchmark compare` has the last word and
+# sets the exit status.
+PAIRS ?= 10
+AB_SECONDS ?= 20
+AB_DIR ?= .bench_ab
+AB_MERGE = reduce .[] as $$f (null; if . == null then $$f else reduce ($$f.workloads | to_entries[]) as $$w (.; \
+	if .workloads[$$w.key] then .workloads[$$w.key].runs += $$w.value.runs else .workloads[$$w.key] = $$w.value end) end)
+AB_PAIRS = map(.workloads) as [$$a, $$b] | $$a | keys_unsorted[] | . as $$w | range($$a[$$w].runs | length) | . as $$i \
+	| [$$w, $$a[$$w].runs[$$i].seed, ($$a[$$w].runs[$$i].metrics | .updates_per_s, .wall_s), ($$b[$$w].runs[$$i].metrics | .updates_per_s, .wall_s)] | @tsv
+benchmark-ab:
+	@test -n "$(BASE)" || { echo "usage: make benchmark-ab BASE=<ref> [WORKLOAD=name] [SEED=1] [PAIRS=10] [AB_SECONDS=20]"; exit 2; }
+	-git worktree remove --force $(AB_DIR)/worktree 2>/dev/null
+	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)/bin && git worktree prune
+	git worktree add --detach $(AB_DIR)/worktree $(BASE)
+	cd $(AB_DIR)/worktree && $(GO) build -o ../bin/base ./benchmark
+	$(GO) build -o $(AB_DIR)/bin/head ./benchmark
+	git worktree remove --force $(AB_DIR)/worktree
+	@set -e; workloads="$(WORKLOAD)"; \
+	if [ "$$workloads" = all ]; then workloads="$$(jq -r '.workloads[].name' BENCHMARK.json)"; fi; \
+	for w in $$workloads; do for i in $$(seq 1 $(PAIRS)); do \
+		order="base head"; if [ $$((i % 2)) = 0 ]; then order="head base"; fi; \
+		for side in $$order; do \
+			echo "== $$w pair $$i/$(PAIRS): $$side"; \
+			out=$(AB_DIR)/$$side/runs/$$w-$$i; mkdir -p $$out; \
+			$(AB_DIR)/bin/$$side --workload $$w --seed $$(($(SEED) + i - 1)) --seconds $(AB_SECONDS) --out $$out > $$out/stdout.txt \
+				|| { cat $$out/stdout.txt; exit 1; }; \
+			grep -E 'output hash|^    (updates_per_s|wall_s|alloc_mb) ' $$out/stdout.txt; \
+		done; \
+	done; done; \
+	base=$$(git rev-parse "$(BASE)^{commit}"); head=$$(git rev-parse HEAD)$$(git diff --quiet HEAD || echo +uncommitted); \
+	for side in base head; do \
+		commit=$$base; if [ $$side = head ]; then commit=$$head; fi; \
+		jq -s --arg commit "$$commit" '$(AB_MERGE) | .provenance.commit = $$commit' \
+			$$(ls -v $(AB_DIR)/$$side/runs/*/result.json) > $(AB_DIR)/$$side/result.json; \
+	done
+	@printf 'workload\tseed\tbase updates_per_s\tbase wall_s\thead updates_per_s\thead wall_s\n'
+	@jq -rs '$(AB_PAIRS)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
+	$(AB_DIR)/bin/head compare $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 
 ci: build fmt vet lint race leaktest cover

@@ -295,3 +295,22 @@ func TestAlgoInterfaces(t *testing.T) {
 }
 
 func almost(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)) }
+
+// TestActAllocations bounds the per-step allocations of the actor's hot
+// call by what they were before the policy's layers kept their matrix
+// views (6 on a continuous task, 8 on a discrete one): the action, the
+// copied parameter row and the distribution's scratch remain.
+func TestActAllocations(t *testing.T) {
+	for name, limit := range map[string]float64{"hopper": 6, "cartpole": 8} {
+		e, err := env.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewModelHidden(e, 64, 1)
+		obs, r := e.Reset(rng.New(2)), rng.New(3)
+		m.Act(obs, r)
+		if n := testing.AllocsPerRun(100, func() { m.Act(obs, r) }); n > limit {
+			t.Errorf("%s: %v allocations per Act, at most %v before", name, n, limit)
+		}
+	}
+}

@@ -137,8 +137,8 @@ func (im *IMPACT) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra,
 				st.ValueLoss += diff * diff
 				dV.Set(row, 0, 2*h.VFCoeff*diff*invN)
 			}
-			m.Policy.Backward(dParams)
-			m.Critic.Backward(dV)
+			m.Policy.BackwardParams(dParams)
+			m.Critic.BackwardParams(dV)
 		}
 	}
 	st.finalize()

@@ -22,6 +22,8 @@ type Model struct {
 	Policy *nn.Network
 	Critic *nn.Network
 	Dist   policy.Distribution
+
+	obs tensor.Mat // the 1 x ObsDim header Act and ActGreedy hand the policy
 }
 
 // NewModel builds the paper's architecture for e (Table II): a 2x256
@@ -124,17 +126,20 @@ func (m *Model) Values(b *replay.Batch) []float64 {
 
 // ActGreedy returns the mode action for one observation (evaluation).
 func (m *Model) ActGreedy(obs []float64) []float64 {
-	in := tensor.MatFrom(1, len(obs), obs)
-	params := m.Policy.Forward(in)
-	return m.Dist.Mode(params.Row(0))
+	return m.Dist.Mode(m.forwardOne(obs))
+}
+
+// forwardOne runs the policy on one observation and returns its
+// distribution parameter row, which the policy's last layer owns.
+func (m *Model) forwardOne(obs []float64) []float64 {
+	m.obs = tensor.Mat{Rows: 1, Cols: len(obs), Data: obs}
+	return m.Policy.Forward(&m.obs).Row(0)
 }
 
 // Act samples an action for one observation, returning the action, its
 // log-probability and the distribution parameter row (copied).
 func (m *Model) Act(obs []float64, r *rng.RNG) (action []float64, logProb float64, params []float64) {
-	in := tensor.MatFrom(1, len(obs), obs)
-	out := m.Policy.Forward(in)
-	row := out.Row(0)
+	row := m.forwardOne(obs)
 	params = make([]float64, len(row))
 	copy(params, row)
 	action = m.Dist.Sample(params, r)

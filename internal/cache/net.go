@@ -339,13 +339,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := s.handle(bw, f); err != nil {
 			return
 		}
+		// Counted before the reply leaves: a client that has its answer
+		// must find the op in the registry. The latency keeps covering
+		// handle + flush.
+		if s.m != nil {
+			s.m.ops.With(opName(f.op)).Inc()
+		}
 		if err := bw.Flush(); err != nil {
 			return
 		}
 		if s.m != nil {
-			op := opName(f.op)
-			s.m.ops.With(op).Inc()
-			s.m.opSeconds.With(op).Observe(time.Since(start).Seconds())
+			s.m.opSeconds.With(opName(f.op)).Observe(time.Since(start).Seconds())
 		}
 	}
 }

@@ -113,6 +113,12 @@ func TestServerAndClientInstrumentation(t *testing.T) {
 	if p, ok := snap.Find("cache_server_ops_total", map[string]string{"op": "get"}); !ok || p.Value != 2 {
 		t.Fatalf("server get count: %+v ok=%v", p, ok)
 	}
+	// The latency is observed after the reply is flushed (it covers the
+	// flush), so it is read once Close has drained the handlers.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
 	h, ok := snap.FindHistogram("cache_server_op_seconds", map[string]string{"op": "get"})
 	if !ok || h.Count != 2 {
 		t.Fatalf("server op latency histogram: %+v ok=%v", h, ok)

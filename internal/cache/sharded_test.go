@@ -379,7 +379,10 @@ func startRecordingProxy(t *testing.T, backend string) (string, *recordingProxy)
 				done := make(chan struct{}, 2)
 				go func() { _, _ = io.Copy(conn, up); done <- struct{}{} }()
 				go func() {
-					_, _ = io.Copy(io.MultiWriter(up, synced{p}), conn)
+					// Record before forwarding: once the server has a
+					// request its reply can reach the client, and the
+					// test read the recording, ahead of a later append.
+					_, _ = io.Copy(io.MultiWriter(synced{p}, up), conn)
 					done <- struct{}{}
 				}()
 				<-done

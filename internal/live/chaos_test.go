@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"stellaris/internal/cache"
+	"stellaris/internal/obs"
 )
 
 // chaosTrain runs Train with the cache behind a FaultProxy injecting
@@ -90,12 +91,23 @@ func ratename(rate float64) string {
 func TestLiveTrainQuietProxyNoRecoveryCounters(t *testing.T) {
 	// Control: a zero-fault proxy must leave every resilience counter
 	// at zero, proving the counters measure faults rather than noise.
+	// Backpressure sheds are flow control, not recovery: an async run
+	// drops a trajectory whenever an actor outpaces the learners, fault
+	// or no fault, so Report.DroppedPayloads (which includes them) says
+	// nothing here and the per-reason counters are read instead.
 	opt := tinyOpts()
 	opt.Updates = 2
+	opt.Obs = obs.NewRegistry()
 	rep, _ := chaosTrain(t, 0, opt)
-	if rep.CacheRetries != 0 || rep.CacheReconnects != 0 || rep.CacheTimeouts != 0 ||
-		rep.StaleWeightReuses != 0 || rep.DroppedPayloads != 0 {
-		t.Fatalf("quiet run reported recovery work: %+v", rep)
+	if rep.CacheRetries != 0 || rep.CacheReconnects != 0 || rep.CacheTimeouts != 0 || rep.StaleWeightReuses != 0 {
+		t.Fatalf("quiet run reported recovery work: retries %d, reconnects %d, timeouts %d, stale reuses %d",
+			rep.CacheRetries, rep.CacheReconnects, rep.CacheTimeouts, rep.StaleWeightReuses)
+	}
+	for _, reason := range []string{dropPutFailed, dropDecodeFailed, dropNoWeights} {
+		p, ok := rep.Obs.Find("live_dropped_payloads_total", map[string]string{"reason": reason})
+		if !ok || p.Value != 0 {
+			t.Fatalf("quiet run: live_dropped_payloads_total{reason=%q} = %+v (found %v), want 0", reason, p, ok)
+		}
 	}
 }
 

@@ -47,6 +47,9 @@ func (t *Tanh) Backward(dOut *tensor.Mat) *tensor.Mat {
 	return dIn
 }
 
+// BackwardParams implements Layer: nothing to learn.
+func (t *Tanh) BackwardParams(*tensor.Mat) {}
+
 // ReLU is the rectified-linear activation used by the paper's Atari CNN
 // trunks (Table II).
 type ReLU struct {
@@ -98,3 +101,6 @@ func (r *ReLU) Backward(dOut *tensor.Mat) *tensor.Mat {
 	}
 	return dIn
 }
+
+// BackwardParams implements Layer: nothing to learn.
+func (r *ReLU) BackwardParams(*tensor.Mat) {}

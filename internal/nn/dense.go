@@ -14,10 +14,11 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
+	w      tensor.Mat  // W.Data viewed as an Out x In matrix
 	lastIn *tensor.Mat // cached for backward
 	out    *tensor.Mat // reused forward output buffer
 	dIn    *tensor.Mat // reused buffer
-	dW     []float64   // reused gradient scratch
+	dW     *tensor.Mat // reused gradient scratch
 }
 
 // NewDense creates a dense layer with Xavier-uniform weights, the
@@ -29,6 +30,7 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 		W:   newParam(fmt.Sprintf("dense%dx%d.W", out, in), out*in),
 		B:   newParam(fmt.Sprintf("dense%dx%d.b", out, in), out),
 	}
+	d.w = tensor.Mat{Rows: out, Cols: in, Data: d.W.Data}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.W.Data {
 		d.W.Data[i] = (2*r.Float64() - 1) * limit
@@ -67,28 +69,26 @@ func (d *Dense) Forward(in *tensor.Mat) *tensor.Mat {
 	}
 	d.lastIn = in
 	out := ensureMat(&d.out, in.Rows, d.Out)
-	w := tensor.MatFrom(d.Out, d.In, d.W.Data)
-	tensor.MatMulABT(out, in, w)
+	tensor.MatMulABT(out, in, &d.w)
 	tensor.AddBiasRows(out, d.B.Data)
 	return out
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(dOut *tensor.Mat) *tensor.Mat {
+	d.BackwardParams(dOut)
+	dIn := ensureMat(&d.dIn, dOut.Rows, d.In)
+	tensor.MatMul(dIn, dOut, &d.w) // dIn = dOut * W
+	return dIn
+}
+
+// BackwardParams implements Layer: dW += dOutᵀ * in ; db += colsum(dOut).
+func (d *Dense) BackwardParams(dOut *tensor.Mat) {
 	if d.lastIn == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	// dW += dOutᵀ * in ; db += colsum(dOut) ; dIn = dOut * W
-	if cap(d.dW) < d.Out*d.In {
-		d.dW = make([]float64, d.Out*d.In)
-	}
-	dW := tensor.MatFrom(d.Out, d.In, d.dW[:d.Out*d.In])
-	tensor.MatMulATB(dW, dOut, d.lastIn) // zeroes dW first
+	dW := ensureMat(&d.dW, d.Out, d.In)
+	tensor.MatMulATB(dW, dOut, d.lastIn) // overwrites dW
 	tensor.Axpy(1, dW.Data, d.W.Grad)
 	tensor.SumRows(d.B.Grad, dOut)
-
-	dIn := ensureMat(&d.dIn, dOut.Rows, d.In)
-	w := tensor.MatFrom(d.Out, d.In, d.W.Data)
-	tensor.MatMul(dIn, dOut, w) // zeroes dIn first
-	return dIn
 }

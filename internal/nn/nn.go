@@ -62,6 +62,11 @@ type Layer interface {
 	// Backward consumes dL/dOut and returns dL/dIn, accumulating
 	// parameter gradients into Params().Grad.
 	Backward(dOut *tensor.Mat) *tensor.Mat
+	// BackwardParams is Backward without dL/dIn: it accumulates the same
+	// parameter gradients, bit for bit, and skips the work only the
+	// input gradient needs. A network's first layer is called this way
+	// when nobody reads the gradient with respect to the batch.
+	BackwardParams(dOut *tensor.Mat)
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []*Param
 	// OutDim returns the per-sample output width given input width in.
@@ -110,6 +115,20 @@ func (n *Network) Backward(dOut *tensor.Mat) *tensor.Mat {
 		d = n.Layers[i].Backward(d)
 	}
 	return d
+}
+
+// BackwardParams is Backward for callers that discard dL/dIn, as every
+// learner does: the first layer is asked for its parameter gradients
+// only. Every Param.Grad ends bit-identical to Backward's.
+func (n *Network) BackwardParams(dOut *tensor.Mat) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	d := dOut
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		d = n.Layers[i].Backward(d)
+	}
+	n.Layers[0].BackwardParams(d)
 }
 
 // Params returns all learnable parameters in layer order.

@@ -271,3 +271,65 @@ func TestForwardShapePanics(t *testing.T) {
 	}()
 	n.Forward(tensor.NewMat(1, 4))
 }
+
+// TestBackwardParamsBitEqualToBackward holds the learner path to the
+// full backward pass: skipping layer 0's dL/dIn must leave every
+// Param.Grad with the same bits, over accumulating passes, for the MLP
+// and for the CNN (whose first layer is the costly one to skip).
+func TestBackwardParamsBitEqualToBackward(t *testing.T) {
+	nets := map[string]func() *Network{
+		"mlp": func() *Network { return WithHead(MLPTrunk(11, 24, rng.New(5)), 3, 0.01, rng.New(6)) },
+		"cnn": func() *Network { return WithHead(CNNTrunk(3, 20, 20, rng.New(7)), 4, 0.01, rng.New(8)) },
+	}
+	for name, build := range nets {
+		full, learner := build(), build()
+		r := rng.New(9)
+		for pass := 0; pass < 3; pass++ {
+			in := randIn(r, 5+pass, full.InDim())
+			dOut := randIn(r, in.Rows, full.OutDim())
+			full.Forward(in)
+			if dIn := full.Backward(dOut); dIn.Rows != in.Rows || dIn.Cols != in.Cols {
+				t.Fatalf("%s: Backward returned %dx%d for a %dx%d input", name, dIn.Rows, dIn.Cols, in.Rows, in.Cols)
+			}
+			learner.Forward(in)
+			learner.BackwardParams(dOut)
+		}
+		want, got := full.FlattenGrads(), learner.FlattenGrads()
+		nonzero := 0
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: gradient %d = %v after BackwardParams, %v after Backward", name, i, got[i], want[i])
+			}
+			if want[i] != 0 {
+				nonzero++
+			}
+		}
+		if nonzero < len(want)/2 {
+			t.Fatalf("%s: only %d of %d gradients are nonzero; the comparison is vacuous", name, nonzero, len(want))
+		}
+	}
+}
+
+// TestSteadyStatePassesDoNotAllocate pins the buffer-reuse contract of
+// the two layers that own scratch space: once a batch shape has been
+// seen, Forward + Backward allocate nothing, matrix headers included.
+func TestSteadyStatePassesDoNotAllocate(t *testing.T) {
+	r := rng.New(10)
+	shape := tensor.ConvShape{InC: 3, InH: 20, InW: 20, OutC: 16, KH: 8, KW: 8, Stride: 4}
+	for _, tc := range []struct {
+		l     Layer
+		inDim int
+	}{{NewDense(11, 64, r), 11}, {NewConv2D(shape, r), shape.InSize()}} {
+		l, inDim := tc.l, tc.inDim
+		in := randIn(r, 8, inDim)
+		dOut := randIn(r, 8, l.OutDim(inDim))
+		pass := func() {
+			l.Forward(in)
+			l.Backward(dOut)
+		}
+		pass()
+		if n := testing.AllocsPerRun(20, pass); n != 0 {
+			t.Errorf("%s: %v allocations per steady-state Forward+Backward, want 0", l.Name(), n)
+		}
+	}
+}

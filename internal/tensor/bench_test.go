@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"stellaris/internal/rng"
@@ -64,5 +65,46 @@ func BenchmarkDot4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Dot(x, y)
+	}
+}
+
+func benchKernel(b *testing.B, kernel func(dst, x, y *Mat), dst, x, y *Mat) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernel(dst, x, y)
+	}
+}
+
+// The three kernels at the shapes of kernelShapes, so that `go test
+// -bench MatMul` here and the benchmark ladder's tensor.matmul_us /
+// matmul_abt_us / matmul_atb_us read the same products.
+func BenchmarkMatMul(b *testing.B) {
+	r := rng.New(1)
+	for _, s := range kernelShapes {
+		m, k, n := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%d·%d", m, k, n), func(b *testing.B) {
+			benchKernel(b, MatMul, NewMat(m, n), randMat(r, m, k), randMat(r, k, n))
+		})
+	}
+}
+
+func BenchmarkMatMulATB(b *testing.B) {
+	r := rng.New(1)
+	for _, s := range kernelShapes {
+		m, k, n := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%d·%d", m, k, n), func(b *testing.B) {
+			benchKernel(b, MatMulATB, NewMat(k, n), randMat(r, m, k), randMat(r, m, n))
+		})
+	}
+}
+
+func BenchmarkMatMulABT(b *testing.B) {
+	r := rng.New(1)
+	for _, s := range kernelShapes {
+		m, k, n := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%d·%d", m, k, n), func(b *testing.B) {
+			benchKernel(b, MatMulABT, NewMat(m, n), randMat(r, m, k), randMat(r, n, k))
+		})
 	}
 }

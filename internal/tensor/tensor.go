@@ -4,8 +4,40 @@
 //
 // The package is deliberately small and allocation-aware rather than
 // general: every hot loop in DRL gradient computation reduces to matmul,
-// matvec, axpy and elementwise maps over contiguous slices, which the Go
-// compiler vectorizes reasonably well.
+// matvec, axpy and elementwise maps over contiguous slices.
+//
+// # Kernels
+//
+// The gc compiler does not vectorize, so a scalar loop is bound by how
+// its floating-point operations depend on each other and by the loads
+// and stores around them. The three matrix products are therefore tiled
+// over independent outputs, in plain Go:
+//
+//   - MatMulABT computes a 3 x 2 block of dot products per pass over k
+//     (six add chains in flight, five loads per six multiply-adds where
+//     a lone Dot has one chain and two loads per multiply-add), 1 x 4
+//     for leftover rows and for batch-1 inputs.
+//   - MatMul and MatMulATB add four scaled rows of b to a dst row per
+//     pass, so the row is loaded and stored once per four k-steps;
+//     MatMulATB walks k in chunks so that b streams through once.
+//
+// Operands are re-sliced to one common length before the inner loops,
+// which lets the compiler drop their bounds checks.
+//
+// Tiling never changes the order of a sum: every output element is still
+// accumulated from zero over k = 0, 1, 2, … with one rounding per
+// multiply and one per add, and zero coefficients are still skipped where
+// they were. The results are bit-identical to the scalar triple loops
+// these kernels replaced, and that is a contract, not a tolerance: the
+// committed results/*.txt, the lockstep weight hashes and the DES output
+// hashes were all computed through those loops, and a kernel that
+// reassociates a sum moves every one of them. The scalar loops live on
+// in kernel_test.go, where a property test compares them with the
+// kernels by math.Float64bits over every tile remainder. On ports whose
+// compiler fuses x*y + z into one rounding (arm64, ppc64le, s390x,
+// GOAMD64=v3) a kernel and its reference stay identical only if both
+// fuse the same products; should they ever differ there, write the
+// products as float64(x*y), which forbids the fusion.
 package tensor
 
 import (
@@ -66,22 +98,15 @@ func MatMul(dst, a, b *Mat) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
-	// ikj loop order: streams over b and dst rows for cache friendliness.
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range brow {
-				drow[j] += aik * brow[j]
-			}
-		}
+		addScaledRows(dst.Row(i), a.Row(i), 1, b.Data, b.Rows)
 	}
 }
+
+// atbChunk is how many rows of a and b MatMulATB consumes per sweep over
+// dst: b's chunk stays cached while every dst row takes its share of it,
+// and dst is re-read once per chunk rather than once per row.
+const atbChunk = 32
 
 // MatMulATB computes dst = aᵀ * b (a is k x m, b is k x n, dst is m x n).
 // Used by backward passes to accumulate weight gradients.
@@ -91,34 +116,130 @@ func MatMulATB(dst, a, b *Mat) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, aki := range arow {
-			if aki == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j := range brow {
-				drow[j] += aki * brow[j]
-			}
+	m, n := a.Cols, b.Cols
+	for k0 := 0; k0 < a.Rows; k0 += atbChunk {
+		k1 := min(k0+atbChunk, a.Rows)
+		ac, bc := a.Data[k0*m:k1*m], b.Data[k0*n:k1*n]
+		for i := 0; i < m; i++ {
+			addScaledRows(dst.Row(i), ac[i:], m, bc, k1-k0)
 		}
 	}
 }
 
+// addScaledRows computes d += Σ_k a[k*stride] * (row k of b) over b's
+// rows, each len(d) wide, in ascending k. Zero coefficients are skipped,
+// as the scalar loops this replaces did (which also keeps 0·Inf out of
+// d); the others are applied four rows per pass over d.
+func addScaledRows(d, a []float64, stride int, b []float64, rows int) {
+	n := len(d)
+	var off [4]int
+	var coef [4]float64
+	c := 0
+	for k := 0; k < rows; k++ {
+		v := a[k*stride]
+		if v == 0 {
+			continue
+		}
+		off[c], coef[c] = k*n, v
+		c++
+		if c == 4 {
+			axpy4(d, b[off[0]:off[0]+n], b[off[1]:off[1]+n], b[off[2]:off[2]+n], b[off[3]:off[3]+n],
+				coef[0], coef[1], coef[2], coef[3])
+			c = 0
+		}
+	}
+	for q := 0; q < c; q++ {
+		Axpy(coef[q], b[off[q]:off[q]+n], d)
+	}
+}
+
+// axpy4 computes d += a0*b0 + a1*b1 + a2*b2 + a3*b3 elementwise, adding
+// the four products to each d[j] one after another in that order: four
+// Axpy calls with one load and one store of d where they make four.
+func axpy4(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	for j, v := range d {
+		v += a0 * b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		d[j] = v
+	}
+}
+
 // MatMulABT computes dst = a * bᵀ (a is m x k, b is n x k, dst is m x n).
-// Used by backward passes to propagate deltas through dense layers.
+// Used by forward passes and to propagate deltas through dense layers.
 func MatMulABT(dst, a, b *Mat) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = Dot(arow, b.Row(j))
+	i := 0
+	for ; i+3 <= a.Rows; i += 3 {
+		dot3Rows(dst.Row(i), dst.Row(i+1), dst.Row(i+2), a.Row(i), a.Row(i+1), a.Row(i+2), b.Data)
+	}
+	for ; i < a.Rows; i++ {
+		dot1Row(dst.Row(i), a.Row(i), b.Data)
+	}
+}
+
+// dot3Rows fills three dst rows with the inner products of three rows of
+// a against every len(a0)-wide row of b: 3 x 2 accumulators per pass
+// over k (six independent add chains from five loads), 3 x 1 for an odd
+// last row of b.
+func dot3Rows(d0, d1, d2, a0, a1, a2, b []float64) {
+	k := len(a0)
+	a1, a2 = a1[:k], a2[:k]
+	j := 0
+	for ; j+2 <= len(d0); j += 2 {
+		b0, b1 := b[j*k : (j+1)*k][:k], b[(j+1)*k : (j+2)*k][:k]
+		var s00, s01, s10, s11, s20, s21 float64
+		for p, x0 := range a0 {
+			x1, x2 := a1[p], a2[p]
+			y0, y1 := b0[p], b1[p]
+			s00 += x0 * y0
+			s01 += x0 * y1
+			s10 += x1 * y0
+			s11 += x1 * y1
+			s20 += x2 * y0
+			s21 += x2 * y1
 		}
+		d0[j], d0[j+1] = s00, s01
+		d1[j], d1[j+1] = s10, s11
+		d2[j], d2[j+1] = s20, s21
+	}
+	if j < len(d0) {
+		b0 := b[j*k : (j+1)*k][:k]
+		var s0, s1, s2 float64
+		for p, x0 := range a0 {
+			y := b0[p]
+			s0 += x0 * y
+			s1 += a1[p] * y
+			s2 += a2[p] * y
+		}
+		d0[j], d1[j], d2[j] = s0, s1, s2
+	}
+}
+
+// dot1Row is the one-row form (a batch's last rows, and the whole of an
+// actor's batch-1 forward pass): 1 x 4 accumulators, then plain Dot.
+func dot1Row(d, a0, b []float64) {
+	k := len(a0)
+	j := 0
+	for ; j+4 <= len(d); j += 4 {
+		b0, b1 := b[j*k : (j+1)*k][:k], b[(j+1)*k : (j+2)*k][:k]
+		b2, b3 := b[(j+2)*k : (j+3)*k][:k], b[(j+3)*k : (j+4)*k][:k]
+		var s0, s1, s2, s3 float64
+		for p, x := range a0 {
+			s0 += x * b0[p]
+			s1 += x * b1[p]
+			s2 += x * b2[p]
+			s3 += x * b3[p]
+		}
+		d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(d); j++ {
+		d[j] = Dot(a0, b[j*k:(j+1)*k])
 	}
 }
 
