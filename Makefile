@@ -3,11 +3,9 @@
 
 GO ?= go
 COVERPROFILE ?= coverage.out
-BENCHTIME ?= 100ms
-BENCHPKGS ?= . ./internal/nn ./internal/cache
 FUZZTIME ?= 5s
 
-.PHONY: build test race cover fmt vet lint leaktest bench bench-compare benchmark benchmark-ab fuzz-short chaos trace-smoke obsd-smoke ci
+.PHONY: build test race cover fmt vet lint leaktest benchmark benchmark-ab fuzz-short chaos ci
 
 build:
 	$(GO) build ./...
@@ -65,50 +63,13 @@ chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' \
 		./internal/live ./internal/cache ./internal/ckpt
 
-# Causal-tracing smoke: short lockstep + DES runs must reconstruct at
-# least one fully linked trajectory→gradient→aggregation chain and
-# export schema-valid Chrome trace JSON (see DESIGN.md "Causal tracing
-# & flight recorder").
-trace-smoke:
-	$(GO) test -race -count=1 -run 'TraceSmoke|TraceDES' ./internal/live ./internal/core
-
-# Fleet telemetry smoke (DESIGN.md §12): the stellaris-obsd daemon
-# end-to-end against a live cache server (discovery → scrape → dash),
-# the collector's DES virtual-clock suite, the frozen-fixture tolerant
-# decode, and the heartbeat lifecycle tests — race-enabled and
-# leaktest-checked. The full-cluster fleet drill
-# (TestChaosFleetTelemetry) rides in `make chaos` via the TestChaos*
-# naming convention.
-obsd-smoke:
-	$(GO) test -race -count=1 -run 'TestObsd|TestParseFlags|TestDefaultRules|TestSim|TestHeartbeat|TestReadInstances|TestTolerantDecode' \
-		./cmd/stellaris-obsd ./internal/obs/fleet ./internal/cache
-
 # Short live fuzz of the cache wire codec and framing. The checked-in
 # corpus under internal/cache/testdata/fuzz replays on every plain
 # `go test`; this target additionally explores new inputs for
 # FUZZTIME per fuzz target (go's -fuzz accepts one target at a time).
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzBinCodecRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/cache
-
-# Quick benchmark sweep over the hot-path packages. BENCH_live.txt is
-# benchstat-compatible; BENCH_live.json is the same results as JSON (via
-# cmd/bench2json). Raise BENCHTIME for stabler numbers.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) $(BENCHPKGS) | tee BENCH_live.txt
-	$(GO) run ./cmd/bench2json -o BENCH_live.json < BENCH_live.txt
-
-# Allocation-regression gate: rerun the sweep into BENCH_new.json (the
-# committed BENCH_live.json baseline is never overwritten) and fail if
-# any benchmark's B/op or allocs/op grew more than MAX_REGRESS vs the
-# baseline. ns/op deltas are printed but informational — CI wall time
-# is too noisy to gate on.
-MAX_REGRESS ?= 20%
-bench-compare:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) $(BENCHPKGS) | tee BENCH_new.txt
-	$(GO) run ./cmd/bench2json -o BENCH_new.json < BENCH_new.txt
-	$(GO) run ./cmd/bench2json -compare BENCH_live.json BENCH_new.json -max-regress $(MAX_REGRESS)
 
 # The repo's benchmark (benchmark/README.md, BENCHMARK.json): every
 # workload, or WORKLOAD=<name>, at SEED.

@@ -58,14 +58,7 @@ func main() {
 	flag.BoolVar(&cfg.HPC, "hpc", false, "use HPC-cluster instance types")
 	flag.Float64Var(&cfg.LearningRate, "lr", 0, "learning-rate override (0 = Table III)")
 	flag.BoolVar(&cfg.TrackKL, "track-kl", false, "record per-update policy KL")
-	codecName := flag.String("codec", "", "cache payload codec: binary (default) or gob (pre-binary interop)")
 	flag.Parse()
-
-	codec, err := cache.ParseCodec(*codecName)
-	if err != nil {
-		fatal(err)
-	}
-	cache.SetDefaultCodec(codec)
 
 	if *listEnvs {
 		for _, n := range env.Names() {

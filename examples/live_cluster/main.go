@@ -91,7 +91,6 @@ func main() {
 	flag.IntVar(&opt.RestartBudget, "restart-budget", 8, "worker restarts allowed before the run fails")
 	flag.StringVar(&opt.FlightDir, "flight-dir", "", "write flight-recorder crash dumps here (empty = -checkpoint-dir)")
 	flag.Float64Var(&opt.ChaosPanicRate, "chaos-panic", 0, "probability a learner iteration panics (supervision drill)")
-	flag.StringVar(&opt.Codec, "codec", "", "cache payload codec: binary (default, enables delta weight broadcast) or gob (pre-binary interop)")
 	flag.Float64Var(&chaos, "chaos", 0, "fault-injection rate (0 disables; 0.05 = 5% drops/delays per chunk)")
 	flag.IntVar(&shards, "shards", 0, "self-host a sharded cache cluster with this many shards (0 = single cache; incompatible with -cache and -chaos)")
 	flag.BoolVar(&shardFollowers, "shard-followers", false, "give every self-hosted shard a replicating follower (enables failover)")

@@ -5,20 +5,15 @@ package cache
 // per-op frame and syscall cost that dominates small-payload traffic
 // (actors flushing trajectories, learners assembling batches).
 //
-// Protocol extension (see DESIGN.md §10): op 'p' carries a PutN blob
+// On the wire (see DESIGN.md §10): op 'p' carries a PutN blob
 // and op 'g' a GetN request in the frame's value field; the key field
 // is unused. Blobs are big-endian like the rest of the frame layer.
 //
 //	PutN request blob:  u32 count, then count × [u32 keyLen][key][u32 valLen][val]
 //	GetN request blob:  u32 count, then count × [u32 keyLen][key]
 //	GetN response blob: u32 count, then count × [u8 found][u32 valLen][val]
-//
-// Batch ops (and op 'V', the feature hello) are negotiated: a client
-// that reaches an old server falls back to per-key loops, so mixed
-// deployments keep working.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -289,37 +284,18 @@ func parseGetNResp(b []byte, want int) ([][]byte, error) {
 
 // ---- Client ----
 
-// PutN implements Batcher over the network: one 'p' round trip on a
-// negotiated connection, a per-key loop against legacy servers.
+// PutN implements Batcher over the network: one 'p' round trip (a
+// batch of one goes out as the plain 'P' it is equivalent to).
 func (c *Client) PutN(kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	if len(kvs) == 1 || !c.modern() {
-		for _, kv := range kvs {
-			if err := c.Put(kv.Key, kv.Val); err != nil {
-				return err
-			}
-		}
-		return nil
+	if len(kvs) == 1 {
+		return c.Put(kvs[0].Key, kvs[0].Val)
 	}
 	blob := appendPutNBlob(grabFrame(putNBlobSize(kvs)), kvs)
 	status, payload, err := c.roundTrip('p', "", blob)
 	Recycle(blob)
-	if err == nil && status == '!' && legacyUnknownOp(payload) {
-		// The server at this address stopped speaking batch ops (bounced
-		// onto an old build mid-run); remember and fall back. Only the
-		// "unknown op" answer means legacy — a modern server's batch
-		// validation also answers '!', and retrying THAT per-key would
-		// misfile a bad batch as a protocol downgrade.
-		c.peer.Store(peerLegacy)
-		for _, kv := range kvs {
-			if err := c.Put(kv.Key, kv.Val); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if err := respErr(status, payload, err, "(putn)"); err != nil {
 		return err
 	}
@@ -329,23 +305,23 @@ func (c *Client) PutN(kvs []KV) error {
 	return nil
 }
 
-// GetN implements Batcher over the network: one 'g' round trip on a
-// negotiated connection, a per-key loop against legacy servers.
-// Missing keys yield nil entries.
+// GetN implements Batcher over the network: one 'g' round trip (a
+// batch of one goes out as the plain 'G' it is equivalent to). Missing
+// keys yield nil entries.
 func (c *Client) GetN(keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if len(keys) == 1 || !c.modern() {
-		return c.getNLoop(keys)
+	if len(keys) == 1 {
+		v, err := c.Get(keys[0])
+		if err != nil && !errors.As(err, new(ErrNotFound)) {
+			return nil, err
+		}
+		return [][]byte{v}, nil
 	}
 	blob := appendGetNReq(grabFrame(getNReqSize(keys)), keys)
 	status, payload, err := c.roundTrip('g', "", blob)
 	Recycle(blob)
-	if err == nil && status == '!' && legacyUnknownOp(payload) {
-		c.peer.Store(peerLegacy)
-		return c.getNLoop(keys)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -362,28 +338,4 @@ func (c *Client) GetN(keys []string) ([][]byte, error) {
 		}
 	}
 	return vals, nil
-}
-
-// legacyUnknownOp reports whether a '!' payload is a legacy server's
-// unknown-op answer (Server.handle's default arm, and the shape old
-// builds produced) as opposed to a modern server rejecting this
-// specific request (parse failure, empty-key validation).
-func legacyUnknownOp(payload []byte) bool {
-	return bytes.HasPrefix(payload, []byte("unknown op"))
-}
-
-func (c *Client) getNLoop(keys []string) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		v, err := c.Get(k)
-		if err != nil {
-			var nf ErrNotFound
-			if errors.As(err, &nf) {
-				continue
-			}
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }

@@ -51,12 +51,6 @@ const (
 	tlvTagMeta = 1
 )
 
-// IsBinaryPayload reports whether b carries the binary codec magic.
-// Decoders use it to sniff binary frames apart from legacy gob ones.
-func IsBinaryPayload(b []byte) bool {
-	return len(b) >= binHeader && string(b[:4]) == binMagic
-}
-
 // ---- frame buffer pool ----
 
 var framePool sync.Pool
@@ -216,7 +210,7 @@ func (r *binReader) finish() error {
 // lineage meta (zero when absent).
 func openBin(b []byte) (byte, *binReader, lineage.Meta, error) {
 	var meta lineage.Meta
-	if !IsBinaryPayload(b) {
+	if len(b) < binHeader || string(b[:4]) != binMagic {
 		return 0, nil, meta, fmt.Errorf("cache: bincodec: missing %q magic", binMagic)
 	}
 	kind := b[4]
@@ -256,7 +250,11 @@ func openBin(b []byte) (byte, *binReader, lineage.Meta, error) {
 
 // ---- weights ----
 
-func appendWeightsBin(w *WeightsMsg) []byte {
+// EncodeWeights encodes a weight message. The buffer may be returned to
+// the frame pool with Recycle once handed off. The error is always nil:
+// the signature is the uniform encode-then-put shape callers share with
+// EncodeDelta, which can fail.
+func EncodeWeights(w *WeightsMsg) ([]byte, error) {
 	body := 8 + 4 + 8*len(w.Weights)
 	tlv := metaTLVSize(&w.Trace)
 	tlvOff := 0
@@ -270,10 +268,11 @@ func appendWeightsBin(w *WeightsMsg) []byte {
 	if tlv > 0 {
 		buf = appendMetaTLV(buf, &w.Trace)
 	}
-	return buf
+	return buf, nil
 }
 
-func decodeWeightsBin(b []byte) (*WeightsMsg, error) {
+// DecodeWeights decodes and validates a weight payload.
+func DecodeWeights(b []byte) (*WeightsMsg, error) {
 	kind, r, meta, err := openBin(b)
 	if err != nil {
 		return nil, err
@@ -292,7 +291,8 @@ func decodeWeightsBin(b []byte) (*WeightsMsg, error) {
 
 // ---- gradients ----
 
-func appendGradBin(g *GradMsg) []byte {
+// EncodeGrad encodes a gradient message (see EncodeWeights).
+func EncodeGrad(g *GradMsg) ([]byte, error) {
 	body := 4*8 + 4*8 + 4 + 8*len(g.Grad)
 	tlv := metaTLVSize(&g.Trace)
 	tlvOff := 0
@@ -313,10 +313,11 @@ func appendGradBin(g *GradMsg) []byte {
 	if tlv > 0 {
 		buf = appendMetaTLV(buf, &g.Trace)
 	}
-	return buf
+	return buf, nil
 }
 
-func decodeGradBin(b []byte) (*GradMsg, error) {
+// DecodeGrad decodes and validates a gradient payload.
+func DecodeGrad(b []byte) (*GradMsg, error) {
 	kind, r, meta, err := openBin(b)
 	if err != nil {
 		return nil, err
@@ -360,7 +361,8 @@ func trajDims(t *replay.Trajectory) (obsDim, actDim, dpDim int, homogeneous bool
 	return obsDim, actDim, dpDim, true
 }
 
-func appendTrajectoryBin(t *replay.Trajectory) []byte {
+// EncodeTrajectory encodes a trajectory (see EncodeWeights).
+func EncodeTrajectory(t *replay.Trajectory) ([]byte, error) {
 	n := len(t.Steps)
 	obsDim, actDim, dpDim, homo := trajDims(t)
 
@@ -439,14 +441,15 @@ func appendTrajectoryBin(t *replay.Trajectory) []byte {
 	if tlv > 0 {
 		buf = appendMetaTLV(buf, &t.Trace)
 	}
-	return buf
+	return buf, nil
 }
 
 // minStepWire is the smallest possible heterogeneous step record:
 // three empty slabs plus reward, done, logprob.
 const minStepWire = 4 + 4 + 8 + 1 + 8 + 4
 
-func decodeTrajectoryBin(b []byte) (*replay.Trajectory, error) {
+// DecodeTrajectory decodes and validates a trajectory payload.
+func DecodeTrajectory(b []byte) (*replay.Trajectory, error) {
 	kind, r, meta, err := openBin(b)
 	if err != nil {
 		return nil, err

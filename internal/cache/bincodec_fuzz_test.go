@@ -2,15 +2,15 @@ package cache
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"stellaris/internal/obs/lineage"
 	"stellaris/internal/replay"
 )
 
-// FuzzBinCodecRoundTrip targets the binary payload codec (bincodec.go,
-// delta.go) specifically, complementing FuzzCodecRoundTrip which runs
-// whatever codec is the default:
+// FuzzBinCodecRoundTrip targets the payload codec (bincodec.go,
+// delta.go):
 //
 //  1. Adversarial decode — raw fuzz bytes, and the same bytes grafted
 //     behind each valid binary header (so inputs reach past the magic
@@ -20,7 +20,8 @@ import (
 //  2. Structured round trip — a DeltaMsg and a Trajectory derived from
 //     the input must survive encode → decode bit-for-bit, in both the
 //     sparse and dense delta representations and both trajectory
-//     layouts (homogeneous column slabs and heterogeneous records).
+//     layouts (homogeneous column slabs and heterogeneous records); so
+//     must a WeightsMsg and a GradMsg built on the same floats.
 //
 // Guarded by testing.Short so `make race` stays fast; `make
 // fuzz-short` explores new inputs.
@@ -34,7 +35,7 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SLB1"))             // magic only, truncated header
 	f.Add([]byte("SLB1\x05\x01\x00")) // unknown kind, short
-	if b, err := EncodeWeightsWith(CodecBinary, &WeightsMsg{
+	if b, err := EncodeWeights(&WeightsMsg{
 		Version: 9, Weights: []float64{1, -2.5, math.Pi},
 		Trace: lineage.Meta{ID: "w/9", Kind: lineage.KindWeights, Origin: "param"},
 	}); err == nil {
@@ -43,13 +44,13 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 		corrupt[len(corrupt)/2] ^= 0x20
 		f.Add(corrupt)
 	}
-	if b, err := EncodeGradWith(CodecBinary, &GradMsg{
+	if b, err := EncodeGrad(&GradMsg{
 		LearnerID: 2, BornVersion: 4, Grad: []float64{0.5}, Samples: 8,
 		MeanRatio: 1.0, MinRatio: 0.9, KL: 0.01, Entropy: 1.1,
 	}); err == nil {
 		f.Add(b)
 	}
-	if b, err := EncodeTrajectoryWith(CodecBinary, &replay.Trajectory{
+	if b, err := EncodeTrajectory(&replay.Trajectory{
 		ActorID: 1, PolicyVersion: 3,
 		Steps: []replay.Step{
 			{Obs: []float64{1, 2}, Action: []float64{0}, Reward: 1, Done: true, LogProb: -0.5, DistParams: []float64{0.3}},
@@ -124,13 +125,13 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 		// layouts: homogeneous dims (column slabs) when the input length
 		// is even, ragged dims (per-step records) otherwise.
 		traj := trajFromBytes(data)
-		tb, err := EncodeTrajectoryWith(CodecBinary, traj)
+		tb, err := EncodeTrajectory(traj)
 		if err != nil {
-			t.Fatalf("EncodeTrajectoryWith: %v", err)
+			t.Fatalf("EncodeTrajectory: %v", err)
 		}
 		tr2, err := DecodeTrajectory(tb)
 		if err != nil {
-			t.Fatalf("DecodeTrajectory(EncodeTrajectoryWith): %v", err)
+			t.Fatalf("DecodeTrajectory(EncodeTrajectory): %v", err)
 		}
 		if tr2.ActorID != traj.ActorID || tr2.PolicyVersion != traj.PolicyVersion ||
 			len(tr2.Steps) != len(traj.Steps) || !float64sEqual(tr2.EpisodeReturns, traj.EpisodeReturns) {
@@ -143,6 +144,22 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 				!sameFloat(a.LogProb, b.LogProb) || !float64sEqual(a.DistParams, b.DistParams) {
 				t.Fatalf("step %d mismatch: %+v != %+v", i, b, a)
 			}
+		}
+
+		// 4. So do a weight vector and a gradient carrying the same floats.
+		w := &WeightsMsg{Version: len(data), Weights: base}
+		wb, _ := EncodeWeights(w)
+		if w2, err := DecodeWeights(wb); err != nil || w2.Version != w.Version || !float64sEqual(w2.Weights, w.Weights) {
+			t.Fatalf("weights round trip: %+v != %+v (%v)", w2, w, err)
+		}
+		g := &GradMsg{
+			LearnerID: len(data) % 5, BornVersion: len(data) % 13, Samples: len(base), Truncated: len(data) % 3,
+			MeanRatio: float64(len(data)) / 16, MinRatio: 0.25, KL: 1.0 / 256, Entropy: 1.5, Grad: base,
+		}
+		gb, _ := EncodeGrad(g)
+		g2, err := DecodeGrad(gb)
+		if err != nil || !float64sEqual(g2.Grad, g.Grad) || !reflect.DeepEqual(g2, g) {
+			t.Fatalf("grad round trip: %+v != %+v (%v)", g2, g, err)
 		}
 	})
 }

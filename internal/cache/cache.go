@@ -7,7 +7,8 @@
 // store used by the simulator, and Client, a TCP client speaking a
 // small length-prefixed protocol to the standalone server in
 // cmd/stellaris-cached (the Redis stand-in). Values are opaque byte
-// slices; the Codec helpers gob-encode the structured payloads.
+// slices; the Encode*/Decode* helpers in bincodec.go carry the
+// structured payloads.
 package cache
 
 import (

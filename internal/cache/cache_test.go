@@ -165,8 +165,25 @@ func TestCodecTrajectory(t *testing.T) {
 	}
 }
 
+// TestDecodeGarbage: anything that is not a well-formed SLB1 payload is
+// an error from every decoder, never a panic — including the gob
+// encoding of a WeightsMsg{7, [1 2]} frozen from a build that still
+// spoke it.
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := DecodeWeights([]byte("not gob")); err == nil {
-		t.Fatal("garbage decoded")
+	for name, in := range map[string][]byte{
+		"text":             []byte("not SLB1"),
+		"gob":              []byte("0\x7f\x03\x01\x01\nWeightsMsg\x01\xff\x80\x00\x01\x02\x01\aVersion\x01\x04\x00\x01\aWeights\x01\xff\x82\x00\x00\x00\x17\xff\x81\x02\x01\x01\t[]float64\x01\xff\x82\x00\x01\b\x00\x00\v\xff\x80\x01\x0e\x01\x02\xfe\xf0?@\x00"),
+		"empty":            nil,
+		"truncated header": []byte("SLB1\x01\x01\x00"),
+	} {
+		if w, err := DecodeWeights(in); err == nil {
+			t.Errorf("%s: DecodeWeights accepted it: %+v", name, w)
+		}
+		if g, err := DecodeGrad(in); err == nil {
+			t.Errorf("%s: DecodeGrad accepted it: %+v", name, g)
+		}
+		if tr, err := DecodeTrajectory(in); err == nil {
+			t.Errorf("%s: DecodeTrajectory accepted it: %+v", name, tr)
+		}
 	}
 }

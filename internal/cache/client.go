@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stellaris/internal/obs"
@@ -40,15 +39,12 @@ func (e *TransportError) Error() string {
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // Conn is the client-side surface live workers program against: the
-// Cache ops plus batching, payload-codec negotiation, fault-tolerance
-// stats and lifecycle. Implemented by *Client (one server) and
-// *ShardedClient (a cluster of them).
+// Cache ops plus batching, fault-tolerance stats and lifecycle.
+// Implemented by *Client (one server) and *ShardedClient (a cluster of
+// them).
 type Conn interface {
 	Cache
 	Batcher
-	// PayloadCodec returns the encoder callers should use for payloads
-	// sent through this connection.
-	PayloadCodec() Codec
 	// Stats returns the fault-tolerance counters accumulated so far.
 	Stats() ClientStats
 	// Close releases the connection(s).
@@ -90,12 +86,6 @@ type DialOptions struct {
 	// driving this client ("actor/0#1").
 	Lineage     *lineage.Store
 	LineageName string
-	// PayloadCodec is the encoder the caller intends to use for payloads
-	// sent through this client. CodecBinary (the zero value) is
-	// downgraded to CodecGob when the server turns out to be a legacy
-	// build (see Client.PayloadCodec); CodecGob forces the legacy
-	// encoding unconditionally.
-	PayloadCodec Codec
 	// RetryBudget, when set, is a token bucket every retry (not first
 	// attempt) must draw from before sleeping its backoff. Share one
 	// budget across a worker fleet to bound GLOBAL retry pressure
@@ -188,11 +178,6 @@ type Client struct {
 	bw     *bufio.Writer
 	jitter *rng.RNG
 	closed bool
-	// peer caches the feature hello's outcome: whether the server
-	// speaks the negotiated extensions (batch ops, delta weights,
-	// binary payload deployment). Reset to unknown on every reconnect,
-	// since a chaos bounce can replace the server with an older build.
-	peer atomic.Int32 // peerUnknown / peerModern / peerLegacy
 
 	// Per-client fault-tolerance counters backing Stats (obs primitives
 	// so the same values can feed exposition).
@@ -233,54 +218,6 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	}
 	c.attach(conn)
 	return c, nil
-}
-
-// Feature-hello outcomes cached in Client.peer.
-const (
-	peerUnknown int32 = iota
-	peerModern
-	peerLegacy
-)
-
-// helloIfNeeded lazily runs the feature hello (op 'V'): a modern server
-// acknowledges it, an old one answers '!' unknown op — which leaves the
-// connection usable and marks the peer legacy. Transport failures leave
-// the state unknown (the operation that needed the answer is about to
-// fail on the same dead connection anyway).
-func (c *Client) helloIfNeeded() int32 {
-	if s := c.peer.Load(); s != peerUnknown {
-		return s
-	}
-	status, _, err := c.roundTrip('V', "codec", []byte(c.opts.PayloadCodec.String()))
-	if err != nil {
-		return peerUnknown
-	}
-	s := peerLegacy
-	if status == '+' {
-		s = peerModern
-	}
-	c.peer.Store(s)
-	return s
-}
-
-// modern reports whether the server speaks the extended protocol
-// (batch ops, delta weights). Unknown — hello unanswerable — is
-// treated as modern: the extended ops carry their own '!'-fallback, so
-// optimism costs one downgrade round trip at worst.
-func (c *Client) modern() bool { return c.helloIfNeeded() != peerLegacy }
-
-// PayloadCodec returns the encoder callers should use for payloads sent
-// through this client: the configured codec, downgraded to gob when the
-// server (and therefore, presumably, the deployment's other clients)
-// predates the binary codec.
-func (c *Client) PayloadCodec() Codec {
-	if c.opts.PayloadCodec == CodecGob {
-		return CodecGob
-	}
-	if c.helloIfNeeded() == peerLegacy {
-		return CodecGob
-	}
-	return CodecBinary
 }
 
 // attach installs conn as the client's live connection. Callers hold
@@ -415,9 +352,6 @@ func (c *Client) attempt(op byte, key string, value []byte) (byte, []byte, error
 		case c.conn == nil:
 			c.attach(conn)
 			c.event(&c.reconnects, "reconnect")
-			// Forget the feature hello: the server behind this address may
-			// have been replaced by a different build since we last spoke.
-			c.peer.Store(peerUnknown)
 			c.mu.Unlock()
 		default:
 			// A concurrent operation reconnected while we dialed; keep

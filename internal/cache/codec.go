@@ -1,78 +1,22 @@
 package cache
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sync/atomic"
-
-	"stellaris/internal/obs/lineage"
-	"stellaris/internal/replay"
-)
+import "stellaris/internal/obs/lineage"
 
 // The cache stores three structured payload families, mirroring the
 // paper's Redis usage: trajectory sample batches (actors → learners),
 // gradients (learners → parameter function), and policy weight vectors
-// (parameter function → everyone). The default codec is the hand-rolled
-// binary format in bincodec.go; gob — which plays the role Pickle plays
-// in the paper's implementation — remains as a fallback for
-// interoperating with old builds. Decoders sniff the payload magic, so
-// both formats decode regardless of the configured encoder.
-
-// Codec selects the wire encoding for cache payloads.
-type Codec int
-
-const (
-	// CodecBinary is the hand-rolled binary format (default).
-	CodecBinary Codec = iota
-	// CodecGob is the legacy gob encoding, kept for cross-version
-	// interop with pre-binary builds.
-	CodecGob
-)
-
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("Codec(%d)", int(c))
-	}
-}
-
-// ParseCodec maps a -codec flag value to a Codec. The empty string
-// selects the default (binary).
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return 0, fmt.Errorf("cache: unknown codec %q (want binary or gob)", s)
-	}
-}
-
-// defaultCodec is the process-wide encoder used by the plain Encode*
-// functions; cmd binaries set it from their -codec flag.
-var defaultCodec atomic.Int32
-
-// SetDefaultCodec changes the process-wide default encoder.
-func SetDefaultCodec(c Codec) { defaultCodec.Store(int32(c)) }
-
-// DefaultCodec returns the process-wide default encoder.
-func DefaultCodec() Codec { return Codec(defaultCodec.Load()) }
+// (parameter function → everyone). All of them travel in the binary
+// SLB1 format of bincodec.go, which plays the role Pickle plays in the
+// paper's implementation; a payload without the SLB1 magic is rejected
+// exactly as a corrupt one is.
 
 // WeightsMsg is a versioned policy weight vector.
 type WeightsMsg struct {
 	Version int
 	Weights []float64
-	// Trace is the causal-tracing context (see internal/obs/lineage).
-	// gob tolerates the field's absence in either direction, so payloads
-	// encoded by pre-tracing builds still decode and old decoders skip
-	// it — the wire protocol itself is unchanged.
+	// Trace is the causal-tracing context (see internal/obs/lineage). It
+	// rides in the payload's optional TLV section, so an untraced message
+	// spends no bytes on it.
 	Trace lineage.Meta
 }
 
@@ -94,100 +38,6 @@ type GradMsg struct {
 	// truncation cap during this gradient's computation — carried so the
 	// parameter side can attribute truncated-by-IS lineage hops.
 	Truncated int
-	// Trace is the causal-tracing context (backward compatible; see
-	// WeightsMsg.Trace).
+	// Trace is the causal-tracing context (see WeightsMsg.Trace).
 	Trace lineage.Meta
-}
-
-// EncodeTrajectory encodes a trajectory with the default codec.
-// Binary-encoded buffers may be returned to the frame pool with
-// Recycle once handed off.
-func EncodeTrajectory(t *replay.Trajectory) ([]byte, error) {
-	return EncodeTrajectoryWith(DefaultCodec(), t)
-}
-
-// EncodeTrajectoryWith encodes a trajectory with an explicit codec.
-func EncodeTrajectoryWith(c Codec, t *replay.Trajectory) ([]byte, error) {
-	if c == CodecGob {
-		return encode(t)
-	}
-	return appendTrajectoryBin(t), nil
-}
-
-// DecodeTrajectory decodes a trajectory payload in either wire format,
-// sniffing the binary magic.
-func DecodeTrajectory(b []byte) (*replay.Trajectory, error) {
-	if IsBinaryPayload(b) {
-		return decodeTrajectoryBin(b)
-	}
-	var t replay.Trajectory
-	if err := decode(b, &t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// EncodeWeights encodes a weight message with the default codec.
-func EncodeWeights(w *WeightsMsg) ([]byte, error) {
-	return EncodeWeightsWith(DefaultCodec(), w)
-}
-
-// EncodeWeightsWith encodes a weight message with an explicit codec.
-func EncodeWeightsWith(c Codec, w *WeightsMsg) ([]byte, error) {
-	if c == CodecGob {
-		return encode(w)
-	}
-	return appendWeightsBin(w), nil
-}
-
-// DecodeWeights decodes a weight payload in either wire format.
-func DecodeWeights(b []byte) (*WeightsMsg, error) {
-	if IsBinaryPayload(b) {
-		return decodeWeightsBin(b)
-	}
-	var w WeightsMsg
-	if err := decode(b, &w); err != nil {
-		return nil, err
-	}
-	return &w, nil
-}
-
-// EncodeGrad encodes a gradient message with the default codec.
-func EncodeGrad(g *GradMsg) ([]byte, error) {
-	return EncodeGradWith(DefaultCodec(), g)
-}
-
-// EncodeGradWith encodes a gradient message with an explicit codec.
-func EncodeGradWith(c Codec, g *GradMsg) ([]byte, error) {
-	if c == CodecGob {
-		return encode(g)
-	}
-	return appendGradBin(g), nil
-}
-
-// DecodeGrad decodes a gradient payload in either wire format.
-func DecodeGrad(b []byte) (*GradMsg, error) {
-	if IsBinaryPayload(b) {
-		return decodeGradBin(b)
-	}
-	var g GradMsg
-	if err := decode(b, &g); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
-
-func encode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("cache: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decode(b []byte, v interface{}) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("cache: decode: %w", err)
-	}
-	return nil
 }

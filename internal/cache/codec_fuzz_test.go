@@ -5,133 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
-
-	"stellaris/internal/replay"
 )
 
-// FuzzCodecRoundTrip drives the gob wire codec from both directions
-// with one input:
-//
-//  1. Adversarial decode — the raw fuzz bytes are fed to every Decode*
-//     entry point, which must reject garbage with an error, never
-//     panic. This is the path a corrupted cache payload takes (the
-//     chaos proxy produces exactly these inputs at runtime).
-//  2. Structured round trip — the same bytes deterministically seed a
-//     WeightsMsg/GradMsg/Trajectory, which must survive
-//     encode → decode bit-for-bit.
-//
-// The seed corpus below plus the checked-in files under
-// testdata/fuzz/FuzzCodecRoundTrip replay on every plain `go test`
-// run; `make fuzz-short` additionally explores new inputs for a few
-// seconds. Guarded by testing.Short so `make race` stays fast.
-func FuzzCodecRoundTrip(f *testing.F) {
-	if testing.Short() {
-		f.Skip("codec fuzz corpus replay skipped in -short")
-	}
-
-	// Deterministic seeds: empty, truncated header, a valid encoding of
-	// each payload family, and a flipped-byte corruption of one.
-	f.Add([]byte{})
-	f.Add([]byte{0x03, 0xff})
-	if b, err := EncodeWeights(&WeightsMsg{Version: 7, Weights: []float64{0.5, -1.25, math.Pi}}); err == nil {
-		f.Add(b)
-		corrupt := append([]byte(nil), b...)
-		corrupt[len(corrupt)/2] ^= 0x40
-		f.Add(corrupt)
-	}
-	if b, err := EncodeGrad(&GradMsg{LearnerID: 3, BornVersion: 11, Grad: []float64{1, 2, 3}, Samples: 64, MeanRatio: 1.01, MinRatio: 0.4, KL: 0.02, Entropy: 1.3}); err == nil {
-		f.Add(b)
-	}
-	if b, err := EncodeTrajectory(&replay.Trajectory{
-		ActorID: 1, PolicyVersion: 5,
-		Steps:          []replay.Step{{Obs: []float64{1, 0}, Action: []float64{1}, Reward: 0.5, LogProb: -0.7, DistParams: []float64{0.1, 0.9}}},
-		EpisodeReturns: []float64{12.5},
-	}); err == nil {
-		f.Add(b)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// 1. Decoders must never panic on arbitrary bytes.
-		if w, err := DecodeWeights(data); err == nil && w == nil {
-			t.Fatal("DecodeWeights: nil message without error")
-		}
-		if g, err := DecodeGrad(data); err == nil && g == nil {
-			t.Fatal("DecodeGrad: nil message without error")
-		}
-		if tr, err := DecodeTrajectory(data); err == nil && tr == nil {
-			t.Fatal("DecodeTrajectory: nil trajectory without error")
-		}
-
-		// 2. Messages derived from the input must round-trip exactly.
-		w := weightsFromBytes(data)
-		wb, err := EncodeWeights(w)
-		if err != nil {
-			t.Fatalf("EncodeWeights(%+v): %v", w, err)
-		}
-		w2, err := DecodeWeights(wb)
-		if err != nil {
-			t.Fatalf("DecodeWeights(EncodeWeights): %v", err)
-		}
-		if w2.Version != w.Version || !float64sEqual(w2.Weights, w.Weights) {
-			t.Fatalf("weights round trip mismatch: %+v != %+v", w2, w)
-		}
-
-		g := gradFromBytes(data)
-		gb, err := EncodeGrad(g)
-		if err != nil {
-			t.Fatalf("EncodeGrad: %v", err)
-		}
-		g2, err := DecodeGrad(gb)
-		if err != nil {
-			t.Fatalf("DecodeGrad(EncodeGrad): %v", err)
-		}
-		if g2.LearnerID != g.LearnerID || g2.BornVersion != g.BornVersion ||
-			g2.Samples != g.Samples || !sameFloat(g2.MeanRatio, g.MeanRatio) ||
-			!sameFloat(g2.MinRatio, g.MinRatio) || !sameFloat(g2.KL, g.KL) ||
-			!sameFloat(g2.Entropy, g.Entropy) || !float64sEqual(g2.Grad, g.Grad) {
-			t.Fatalf("grad round trip mismatch: %+v != %+v", g2, g)
-		}
-	})
-}
-
-// weightsFromBytes deterministically builds a WeightsMsg from fuzz
-// input: first byte is the version, the rest become weights.
-func weightsFromBytes(data []byte) *WeightsMsg {
-	w := &WeightsMsg{}
-	if len(data) > 0 {
-		w.Version = int(data[0])
-		data = data[1:]
-	}
-	w.Weights = floatsFromBytes(data, 256)
-	return w
-}
-
-// gradFromBytes deterministically builds a GradMsg from fuzz input.
-func gradFromBytes(data []byte) *GradMsg {
-	g := &GradMsg{}
-	take := func() byte {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return b
-	}
-	g.LearnerID = int(take())
-	g.BornVersion = int(take())
-	g.Samples = int(take())
-	g.MeanRatio = float64(take()) / 16
-	g.MinRatio = float64(take()) / 16
-	g.KL = float64(take()) / 256
-	g.Entropy = float64(take()) / 32
-	g.Grad = floatsFromBytes(data, 256)
-	return g
-}
-
-// floatsFromBytes packs data into float64 words, replacing NaN (gob
-// round-trips NaN but NaN != NaN makes comparison ambiguous) with a
-// fixed finite value. Capped so a huge fuzz input cannot balloon the
-// encode.
+// floatsFromBytes packs data into float64 words, replacing NaN (it
+// round-trips, but NaN != NaN makes comparison ambiguous) with a fixed
+// finite value. Capped so a huge fuzz input cannot balloon the encode.
 func floatsFromBytes(data []byte, max int) []float64 {
 	n := len(data) / 8
 	if n > max {

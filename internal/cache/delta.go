@@ -7,8 +7,9 @@ package cache
 // the newest version. Subscribers (actors, learners) poll the head: an
 // unchanged head skips the fetch entirely, a short gap is closed by
 // fetching the missing deltas in one batched round trip, and anything
-// else — missing head (legacy publisher), broken chain, pruned deltas,
-// length change — falls back to the full snapshot. See DESIGN.md §10.3.
+// else — missing head (a failover onto state that lost it), broken
+// chain, pruned deltas, length change — falls back to the full snapshot.
+// See DESIGN.md §10.3.
 //
 // Delta values are the NEW float64 bit patterns at the changed indices
 // (never arithmetic differences), so a reconstruction is bit-identical
@@ -26,8 +27,8 @@ import (
 )
 
 const (
-	// KeyWeightsLatest holds the most recent full weight snapshot. Legacy
-	// readers that know nothing about deltas keep reading only this key.
+	// KeyWeightsLatest holds the most recent full weight snapshot; the
+	// lockstep pipeline publishes and reads only this key.
 	KeyWeightsLatest = "weights/latest"
 	// KeyWeightsHead is the head pointer: a WeightsMsg with an empty
 	// weight slab whose Version names the newest published version.
@@ -114,9 +115,8 @@ func (d *DeltaMsg) Apply(w []float64) error {
 	return nil
 }
 
-// EncodeDelta encodes d in the binary codec (deltas have no gob form:
-// they only exist on negotiated binary connections). The buffer may be
-// returned to the frame pool with Recycle once handed off.
+// EncodeDelta encodes d. The buffer may be returned to the frame pool
+// with Recycle once handed off.
 func EncodeDelta(d *DeltaMsg) ([]byte, error) {
 	if !d.Dense() && len(d.Indices) != len(d.Values) {
 		return nil, fmt.Errorf("cache: sparse delta has %d indices but %d values", len(d.Indices), len(d.Values))
@@ -154,7 +154,7 @@ func EncodeDelta(d *DeltaMsg) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeDelta decodes a binary delta payload.
+// DecodeDelta decodes and validates a delta payload.
 func DecodeDelta(b []byte) (*DeltaMsg, error) {
 	kind, r, meta, err := openBin(b)
 	if err != nil {
@@ -210,9 +210,9 @@ func DecodeDelta(b []byte) (*DeltaMsg, error) {
 type WeightsPublisher struct {
 	C Cache
 	// SnapshotEvery is the full-snapshot period; the default 1 refreshes
-	// "weights/latest" on every publish, so legacy full-fetch readers
-	// never see stale weights. Larger values trade reader staleness
-	// bounds for publisher bandwidth.
+	// "weights/latest" on every publish, so a subscriber that has to
+	// full-fetch never sees stale weights. Larger values trade that
+	// staleness bound for publisher bandwidth.
 	SnapshotEvery int
 	// History is how many trailing deltas stay in the cache (default 64);
 	// subscribers further behind than this full-fetch instead.
@@ -237,9 +237,9 @@ func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta)
 
 	var kvs []KV
 	var frames [][]byte
-	// Delta first, snapshot second, head last: per-key fallback against
-	// a legacy server preserves slice order, and a batched put lands
-	// under one lock — either way the head never leads its data.
+	// Delta first, snapshot second, head last: BatchPut's per-key loop
+	// over a non-Batcher cache preserves slice order, and a batched put
+	// lands under one lock — either way the head never leads its data.
 	wroteDelta := false
 	if p.hasPrev && p.prevVer == version-1 && len(p.prev) == len(w) {
 		d, err := BuildDelta(version, version-1, p.prev, w)
@@ -302,10 +302,10 @@ func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta)
 // WeightsSub incrementally tracks the published weight vector: Fetch
 // reads the head pointer and, when the subscriber is within MaxChain
 // versions, closes the gap with one batched delta fetch instead of
-// re-downloading the full vector. A missing head (legacy publisher or
-// gob mode), a broken or pruned chain, or any decode failure falls back
-// to the full snapshot. Not safe for concurrent use (each worker owns
-// one).
+// re-downloading the full vector. A missing head (a shard failed over
+// onto state holding the snapshot but not the pointer), a broken or
+// pruned chain, or any decode failure falls back to the full snapshot.
+// Not safe for concurrent use (each worker owns one).
 type WeightsSub struct {
 	C Cache
 	// MaxChain bounds how many deltas one Fetch will chase (default 32);
@@ -371,7 +371,8 @@ func (s *WeightsSub) Fetch() ([]float64, int, error) {
 	if err != nil {
 		var nf ErrNotFound
 		if errors.As(err, &nf) {
-			// Legacy publisher: no head pointer, only "weights/latest".
+			// No head pointer (lost in a failover, or not yet replicated):
+			// "weights/latest" alone still names a valid policy.
 			return s.fetchFull(0, maxChain)
 		}
 		return nil, 0, err

@@ -206,9 +206,10 @@ func TestSubscriberFallsBackOnBrokenChain(t *testing.T) {
 	}
 }
 
-// TestSubscriberHandlesLegacyPublisher checks a subscriber against a
-// publisher that only writes "weights/latest" (old build or gob mode).
-func TestSubscriberHandlesLegacyPublisher(t *testing.T) {
+// TestSubscriberFullFetchesWithoutHead checks a subscriber against a
+// store holding "weights/latest" but no head pointer — what a failover
+// onto state that lost the head leaves behind.
+func TestSubscriberFullFetchesWithoutHead(t *testing.T) {
 	mem := NewMemCache()
 	b, err := EncodeWeights(&WeightsMsg{Version: 7, Weights: []float64{4, 5}})
 	if err != nil {
@@ -220,7 +221,7 @@ func TestSubscriberHandlesLegacyPublisher(t *testing.T) {
 	sub := &WeightsSub{C: mem}
 	got, ver, err := sub.Fetch()
 	if err != nil || ver != 7 || len(got) != 2 {
-		t.Fatalf("legacy fetch: v%d %v err=%v", ver, got, err)
+		t.Fatalf("headless fetch: v%d %v err=%v", ver, got, err)
 	}
 }
 

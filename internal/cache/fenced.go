@@ -14,10 +14,6 @@ package cache
 // cluster starts at term zero and stays there until the first
 // promotion, so the 1-shard lockstep path never pays (or emits) a
 // single envelope byte.
-//
-// Legacy servers that do not speak the 'T' envelope answer '!' unknown
-// op; the client falls back to the plain op, since fencing cannot be
-// enforced against a build that predates it.
 
 import (
 	"encoding/binary"
@@ -38,23 +34,29 @@ func (e *ErrFenced) Error() string {
 	return "cache: write fenced by newer shard term " + strconv.FormatInt(e.Term, 10) + "; refresh topology"
 }
 
-// fencedValue wraps an inner write op in the 'T' envelope:
-// [u64 term][u8 innerOp][inner value].
-func fencedValue(term int64, inner byte, val []byte) []byte {
-	out := make([]byte, 0, 9+len(val))
-	out = binary.BigEndian.AppendUint64(out, uint64(term))
-	out = append(out, inner)
-	return append(out, val...)
+// fencedEnvelope starts a 'T' envelope — [u64 term][u8 innerOp] — on a
+// pooled frame with room for valLen more bytes; the caller appends the
+// inner op's value and hands the result to Client.fenced.
+func fencedEnvelope(term int64, inner byte, valLen int) []byte {
+	env := grabFrame(9 + valLen)
+	env = binary.BigEndian.AppendUint64(env, uint64(term))
+	return append(env, inner)
 }
 
-// fencedRespErr is respErr plus the envelope's extra outcome: an 'F'
-// status becomes *ErrFenced carrying the server's term.
-func fencedRespErr(status byte, payload []byte, err error, key string) error {
+// fenced sends one finished envelope and returns the inner op's reply
+// payload. The frame goes back to the pool as soon as roundTrip (which
+// writes it out on every attempt) has returned. An 'F' status becomes
+// *ErrFenced carrying the server's term; a server that cannot fence
+// fails the write like any other '!' answer — it is never retried as a
+// plain, unfenced op.
+func (c *Client) fenced(key string, env []byte) ([]byte, error) {
+	status, payload, err := c.roundTrip('T', key, env)
+	Recycle(env)
 	if err == nil && status == 'F' {
 		t, _ := strconv.ParseInt(string(payload), 10, 64)
-		return &ErrFenced{Term: t}
+		return nil, &ErrFenced{Term: t}
 	}
-	return respErr(status, payload, err, key)
+	return payload, respErr(status, payload, err, key)
 }
 
 // PutFenced is Put stamped with the caller's believed shard term.
@@ -62,11 +64,7 @@ func (c *Client) PutFenced(term int64, key string, val []byte) error {
 	if term == 0 {
 		return c.Put(key, val)
 	}
-	status, payload, err := c.roundTrip('T', key, fencedValue(term, 'P', val))
-	if err == nil && status == '!' && legacyUnknownOp(payload) {
-		return c.Put(key, val)
-	}
-	if err := fencedRespErr(status, payload, err, key); err != nil {
+	if _, err := c.fenced(key, append(fencedEnvelope(term, 'P', len(val)), val...)); err != nil {
 		return err
 	}
 	c.lineageHop(lineage.HopPut, key)
@@ -78,11 +76,8 @@ func (c *Client) DeleteFenced(term int64, key string) error {
 	if term == 0 {
 		return c.Delete(key)
 	}
-	status, payload, err := c.roundTrip('T', key, fencedValue(term, 'D', nil))
-	if err == nil && status == '!' && legacyUnknownOp(payload) {
-		return c.Delete(key)
-	}
-	return fencedRespErr(status, payload, err, key)
+	_, err := c.fenced(key, fencedEnvelope(term, 'D', 0))
+	return err
 }
 
 // IncrFenced is Incr stamped with the caller's believed shard term. It
@@ -91,11 +86,8 @@ func (c *Client) IncrFenced(term int64, key string) (int64, error) {
 	if term == 0 {
 		return c.Incr(key)
 	}
-	status, payload, err := c.roundTrip('T', key, fencedValue(term, 'I', nil))
-	if err == nil && status == '!' && legacyUnknownOp(payload) {
-		return c.Incr(key)
-	}
-	if err := fencedRespErr(status, payload, err, key); err != nil {
+	payload, err := c.fenced(key, fencedEnvelope(term, 'I', 0))
+	if err != nil {
 		return 0, err
 	}
 	return strconv.ParseInt(string(payload), 10, 64)
@@ -109,22 +101,8 @@ func (c *Client) PutNFenced(term int64, kvs []KV) error {
 	if term == 0 || len(kvs) == 0 {
 		return c.PutN(kvs)
 	}
-	if !c.modern() {
-		// A legacy server enforces no terms; the negotiated fallback is
-		// the plain batch path (which itself degrades to per-key puts).
-		return c.PutN(kvs)
-	}
-	env := grabFrame(9 + putNBlobSize(kvs))
-	env = binary.BigEndian.AppendUint64(env, uint64(term))
-	env = append(env, 'p')
-	env = appendPutNBlob(env, kvs)
-	status, payload, err := c.roundTrip('T', "", env)
-	Recycle(env)
-	if err == nil && status == '!' && legacyUnknownOp(payload) {
-		c.peer.Store(peerLegacy)
-		return c.PutN(kvs)
-	}
-	if err := fencedRespErr(status, payload, err, "(putn)"); err != nil {
+	env := appendPutNBlob(fencedEnvelope(term, 'p', putNBlobSize(kvs)), kvs)
+	if _, err := c.fenced("", env); err != nil {
 		return err
 	}
 	for _, kv := range kvs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -52,161 +53,175 @@ func startFencedPair(t *testing.T, shardID int) *fencedPair {
 // pre-promotion topology. B's write to the deposed-but-reachable
 // leader must be refused with `fenced`, forcing B onto the refreshed
 // topology — so the final key state exists ONLY in the promoted
-// leader's history, under both payload codecs.
+// leader's history.
 func TestSplitBrainFencedWrite(t *testing.T) {
-	for _, codec := range []Codec{CodecGob, CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
-			leaktest.Check(t)
-			p := startFencedPair(t, 0)
+	leaktest.Check(t)
+	p := startFencedPair(t, 0)
 
-			topoV1 := &cluster.Topology{Version: 1, Shards: []cluster.Shard{
-				{ID: 0, Addr: p.leaderAddr, Follower: p.followerAddr, Term: 1},
-			}}
-			dopts := DialOptions{
-				OpTimeout: 2 * time.Second, Attempts: 2,
-				BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-				PayloadCodec: codec,
-			}
-			a, err := DialSharded(topoV1, dopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			b, err := DialSharded(topoV1, dopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			if err := a.PublishTopology(topoV1); err != nil {
-				t.Fatal(err)
-			}
+	topoV1 := &cluster.Topology{Version: 1, Shards: []cluster.Shard{
+		{ID: 0, Addr: p.leaderAddr, Follower: p.followerAddr, Term: 1},
+	}}
+	dopts := DialOptions{
+		OpTimeout: 2 * time.Second, Attempts: 2,
+		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
+	}
+	a, err := DialSharded(topoV1, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := DialSharded(topoV1, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.PublishTopology(topoV1); err != nil {
+		t.Fatal(err)
+	}
 
-			// Both clients write happily under term 1.
-			if err := b.Put("traj/pre", []byte("shared")); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, 2*time.Second, func() error {
-				if _, err := p.followerStore.Get("traj/pre"); err != nil {
-					return fmt.Errorf("follower not caught up: %w", err)
-				}
-				return nil
-			})
+	// Both clients write happily under term 1.
+	if err := b.Put("traj/pre", []byte("shared")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() error {
+		if _, err := p.followerStore.Get("traj/pre"); err != nil {
+			return fmt.Errorf("follower not caught up: %w", err)
+		}
+		return nil
+	})
 
-			// A promotes the follower: term 2, leader/follower swapped. The
-			// broadcast teaches BOTH servers the new term — the deposed
-			// leader via its (new) follower position.
-			topoV2 := &cluster.Topology{Version: 2, Shards: []cluster.Shard{
-				{ID: 0, Addr: p.followerAddr, Follower: p.leaderAddr, Term: 2},
-			}}
-			p.rep.Promote()
-			if err := a.PublishTopology(topoV2); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, 2*time.Second, func() error {
-				if got := p.leader.Term(); got != 2 {
-					return fmt.Errorf("deposed leader term %d, want 2", got)
-				}
-				if got := p.follower.Term(); got != 2 {
-					return fmt.Errorf("promoted follower term %d, want 2", got)
-				}
-				return nil
-			})
+	// A promotes the follower: term 2, leader/follower swapped. The
+	// broadcast teaches BOTH servers the new term — the deposed
+	// leader via its (new) follower position.
+	topoV2 := &cluster.Topology{Version: 2, Shards: []cluster.Shard{
+		{ID: 0, Addr: p.followerAddr, Follower: p.leaderAddr, Term: 2},
+	}}
+	p.rep.Promote()
+	if err := a.PublishTopology(topoV2); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() error {
+		if got := p.leader.Term(); got != 2 {
+			return fmt.Errorf("deposed leader term %d, want 2", got)
+		}
+		if got := p.follower.Term(); got != 2 {
+			return fmt.Errorf("promoted follower term %d, want 2", got)
+		}
+		return nil
+	})
 
-			// The race: A writes through the new topology, then stale B —
-			// still aimed at the old leader with term 1 — writes the same
-			// key. B must be fenced off the old leader and land on the
-			// promoted one.
-			if err := a.Put("traj/x", []byte("promoted")); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Put("traj/x", []byte("stale-view")); err != nil {
-				t.Fatalf("stale client write should succeed after refresh, got %v", err)
-			}
+	// The race: A writes through the new topology, then stale B —
+	// still aimed at the old leader with term 1 — writes the same
+	// key. B must be fenced off the old leader and land on the
+	// promoted one.
+	if err := a.Put("traj/x", []byte("promoted")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put("traj/x", []byte("stale-view")); err != nil {
+		t.Fatalf("stale client write should succeed after refresh, got %v", err)
+	}
 
-			// The deposed leader never saw either write.
-			if _, err := p.leaderStore.Get("traj/x"); err == nil {
-				t.Fatal("split brain: deposed leader accepted a post-promotion write")
-			}
-			got, err := p.followerStore.Get("traj/x")
-			if err != nil {
-				t.Fatalf("promoted leader missing the key: %v", err)
-			}
-			if !bytes.Equal(got, []byte("stale-view")) {
-				t.Fatalf("promoted leader has %q, want the refreshed client's write", got)
-			}
+	// The deposed leader never saw either write.
+	if _, err := p.leaderStore.Get("traj/x"); err == nil {
+		t.Fatal("split brain: deposed leader accepted a post-promotion write")
+	}
+	got, err := p.followerStore.Get("traj/x")
+	if err != nil {
+		t.Fatalf("promoted leader missing the key: %v", err)
+	}
+	if !bytes.Equal(got, []byte("stale-view")) {
+		t.Fatalf("promoted leader has %q, want the refreshed client's write", got)
+	}
 
-			bs := b.ShardedStats()
-			if bs.FencedWrites < 1 {
-				t.Fatalf("FencedWrites = %d, want >= 1", bs.FencedWrites)
-			}
-			if bs.TopologyVersion != 2 {
-				t.Fatalf("stale client still on topology version %d", bs.TopologyVersion)
-			}
-			// Batched writes from a re-staled view are fenced identically.
-			raw, err := DialWith(p.followerAddr, dopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer raw.Close()
-			if err := raw.PutNFenced(1, []KV{{Key: "traj/y", Val: []byte("v")}}); err == nil {
-				t.Fatal("term-1 batch accepted by a term-2 server")
-			} else if fe := new(ErrFenced); !errors.As(err, &fe) || fe.Term != 2 {
-				t.Fatalf("want ErrFenced{Term: 2}, got %v", err)
-			}
-			if err := raw.PutFenced(1, "traj/z", []byte("v")); !errors.As(err, new(*ErrFenced)) {
-				t.Fatalf("want ErrFenced from stale single put, got %v", err)
-			}
-			// Equal term passes; zero term (fencing disarmed) also passes —
-			// the plain-op path must never be fenced.
-			if err := raw.PutFenced(2, "traj/ok", []byte("v")); err != nil {
-				t.Fatalf("current-term write refused: %v", err)
-			}
-			if err := raw.Put("traj/plain", []byte("v")); err != nil {
-				t.Fatalf("plain write refused: %v", err)
-			}
-		})
+	bs := b.ShardedStats()
+	if bs.FencedWrites < 1 {
+		t.Fatalf("FencedWrites = %d, want >= 1", bs.FencedWrites)
+	}
+	if bs.TopologyVersion != 2 {
+		t.Fatalf("stale client still on topology version %d", bs.TopologyVersion)
+	}
+	// Batched writes from a re-staled view are fenced identically.
+	raw, err := DialWith(p.followerAddr, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := raw.PutNFenced(1, []KV{{Key: "traj/y", Val: []byte("v")}}); err == nil {
+		t.Fatal("term-1 batch accepted by a term-2 server")
+	} else if fe := new(ErrFenced); !errors.As(err, &fe) || fe.Term != 2 {
+		t.Fatalf("want ErrFenced{Term: 2}, got %v", err)
+	}
+	if err := raw.PutFenced(1, "traj/z", []byte("v")); !errors.As(err, new(*ErrFenced)) {
+		t.Fatalf("want ErrFenced from stale single put, got %v", err)
+	}
+	// Equal term passes; zero term (fencing disarmed) also passes —
+	// the plain-op path must never be fenced.
+	if err := raw.PutFenced(2, "traj/ok", []byte("v")); err != nil {
+		t.Fatalf("current-term write refused: %v", err)
+	}
+	if err := raw.Put("traj/plain", []byte("v")); err != nil {
+		t.Fatalf("plain write refused: %v", err)
+	}
+	// Incr and Delete ride the same envelope.
+	if _, err := raw.IncrFenced(1, "ctr"); !errors.As(err, new(*ErrFenced)) {
+		t.Fatalf("want ErrFenced from stale incr, got %v", err)
+	}
+	if n, err := raw.IncrFenced(2, "ctr"); err != nil || n != 1 {
+		t.Fatalf("current-term incr: %d, %v", n, err)
+	}
+	if err := raw.DeleteFenced(1, "traj/ok"); !errors.As(err, new(*ErrFenced)) {
+		t.Fatalf("want ErrFenced from stale delete, got %v", err)
+	}
+	if err := raw.DeleteFenced(2, "traj/ok"); err != nil {
+		t.Fatalf("current-term delete refused: %v", err)
+	}
+	// A newer stamp is adopted by the server (how a promoted follower's
+	// first write arms fencing without the topology doc) and from then on
+	// fences the term that was current a moment ago.
+	if err := raw.PutFenced(5, "traj/ok", []byte("v")); err != nil {
+		t.Fatalf("newer-term write refused: %v", err)
+	}
+	if err, fe := raw.PutFenced(2, "traj/ok", []byte("v")), new(ErrFenced); !errors.As(err, &fe) || fe.Term != 5 {
+		t.Fatalf("want ErrFenced{Term: 5} after the ratchet, got %v", err)
 	}
 }
 
-// TestFencedEnvelopeAgainstLegacyServer proves the downgrade path: a
-// server that does not speak the 'T' envelope answers unknown-op and
-// the client transparently falls back to the plain write.
-func TestFencedEnvelopeAgainstLegacyServer(t *testing.T) {
-	leaktest.Check(t)
+// TestFencedWriteFailsClosedOnUnknownOp: against a server that answers
+// '!' unknown op to the 'T' envelope, a stamped write is an error and
+// the key stays unwritten — it is never resent as a plain, unfenced op.
+func TestFencedWriteFailsClosedOnUnknownOp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
 	store := NewMemCache()
-	srv, addr := startLeader(t, store)
-	defer srv.Close()
-	// A real legacy build would reject 'T' at the dispatch switch; the
-	// modern server only fences when a newer term is known, so term 1
-	// against a term-0 server behaves identically to the legacy fallback:
-	// the write lands.
-	cl, err := Dial(addr)
+	go func() { // serves one connection until the client hangs up
+		conn, err := ln.Accept()
+		for err == nil {
+			var fr frame
+			if fr, err = readFrame(conn); err != nil {
+				conn.Close()
+			} else if fr.op == 'P' {
+				_ = store.Put(fr.key, fr.value)
+				err = writeResp(conn, '+', nil)
+			} else {
+				err = writeResp(conn, '!', []byte(fmt.Sprintf("unknown op %q", fr.op)))
+			}
+		}
+	}()
+	cl, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.PutFenced(1, "traj/k", []byte("v")); err != nil {
-		t.Fatal(err)
+	if err := cl.PutFenced(1, "traj/k", []byte("v")); err == nil {
+		t.Error("PutFenced succeeded against a server that cannot fence")
 	}
-	if v, err := store.Get("traj/k"); err != nil || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("fenced put did not land: %v %q", err, v)
+	if err := cl.PutNFenced(1, []KV{{Key: "traj/a", Val: []byte("v")}, {Key: "traj/b", Val: []byte("v")}}); err == nil {
+		t.Error("PutNFenced succeeded against a server that cannot fence")
 	}
-	// The envelope ratcheted the server's term: older stamps now fence.
-	if err := cl.DeleteFenced(0, "traj/k"); err != nil {
-		t.Fatalf("zero-term (plain) delete refused: %v", err)
-	}
-	if _, err := cl.IncrFenced(1, "ctr"); err != nil {
-		t.Fatal(err)
-	}
-	cl2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	if err := cl2.PutFenced(3, "traj/k2", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.PutFenced(1, "traj/k3", []byte("v")); !errors.As(err, new(*ErrFenced)) {
-		t.Fatalf("want ErrFenced after term ratchet, got %v", err)
+	if keys, _ := store.Keys(""); len(keys) != 0 {
+		t.Fatalf("unfenced writes landed: %v", keys)
 	}
 }

@@ -22,11 +22,9 @@ import (
 // responses are       [u32 frameLen][u8 status][payload].
 // Ops: 'P' put, 'G' get, 'D' delete, 'I' incr, 'K' keys, 'L' len,
 // 'p' batched put, 'g' batched get (blobs in the value field; see
-// batch.go), 'V' feature hello (see DESIGN.md §10.4 — old servers
-// answer '!' unknown op, which clients treat as a legacy downgrade),
-// 'R' replication subscribe (hijacks the connection into a one-way
-// stream of '+' frames carrying AOF records; see replica.go and
-// DESIGN.md §11.2), 'T' term-fenced write envelope
+// batch.go), 'R' replication subscribe (hijacks the connection into a
+// one-way stream of '+' frames carrying AOF records; see replica.go
+// and DESIGN.md §11.2), 'T' term-fenced write envelope
 // (value = [u64 term][u8 innerOp][inner value]; the inner op is one of
 // 'P', 'D', 'I', 'p' and is rejected with status 'F' when the carried
 // term is older than the newest this server has learned — see
@@ -74,7 +72,7 @@ func readFrame(r io.Reader) (frame, error) {
 	}
 	op := body[0]
 	keyLen := binary.BigEndian.Uint32(body[1:5])
-	if 5+keyLen > total {
+	if keyLen > total-5 { // not 5+keyLen > total: that sum wraps for keyLen near 2^32
 		return frame{}, fmt.Errorf("cache: bad key length %d in frame %d", keyLen, total)
 	}
 	return frame{
@@ -187,8 +185,6 @@ func opName(op byte) string {
 		return "putn"
 	case 'g':
 		return "getn"
-	case 'V':
-		return "hello"
 	case 'R':
 		return "replicate"
 	case 'T':
@@ -456,11 +452,6 @@ func (s *Server) handle(w io.Writer, f frame) error {
 		}
 		s.advanceTerm(reqTerm)
 		return s.handle(w, frame{op: inner, key: f.key, value: f.value[9:]})
-	case 'V':
-		// Feature hello: acknowledge and advertise what this build
-		// speaks. The request value names the client's payload codec;
-		// the server is payload-opaque, so it only echoes capabilities.
-		return writeResp(w, '+', []byte("codec=binary features=batch,delta"))
 	default:
 		return writeResp(w, '!', []byte(fmt.Sprintf("unknown op %q", f.op)))
 	}

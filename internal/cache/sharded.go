@@ -758,13 +758,6 @@ func (sc *ShardedClient) getAny(key string) ([]byte, error) {
 
 // ---- Conn plumbing ----
 
-// PayloadCodec implements Conn by delegating to shard 0: the cluster is
-// deployed as one unit, so one shard's build answers for all.
-func (sc *ShardedClient) PayloadCodec() Codec {
-	cli, _ := sc.slots[0].client()
-	return cli.PayloadCodec()
-}
-
 // Stats implements Conn, aggregating the per-shard clients' counters.
 // Clients replaced by failover stop contributing their history, so the
 // aggregate can briefly dip; ShardedStats().Failovers records that the

@@ -439,9 +439,6 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		if err := c.Delete("traj/1"); err != nil {
 			return err
 		}
-		if c.PayloadCodec() != CodecBinary {
-			return fmt.Errorf("codec downgraded unexpectedly")
-		}
 		// The reserved topology key rides the same wire ops on one shard.
 		if err := c.Put(cluster.TopologyKey, []byte(`{"version":1,"shards":[{"id":0,"addr":"x"}]}`)); err != nil {
 			return err
@@ -478,7 +475,17 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 	if !bytes.Equal(single, sharded) {
 		t.Fatalf("wire streams differ: single %d bytes, sharded %d bytes", len(single), len(sharded))
 	}
-	if len(single) == 0 {
-		t.Fatal("proxy captured nothing")
+	// One protocol generation: a fresh connection opens with the script's
+	// first op, and no frame anywhere is a feature hello ('V').
+	var ops []byte
+	for r := bytes.NewReader(single); r.Len() > 0; {
+		fr, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("captured stream does not parse as frames after ops %q: %v", ops, err)
+		}
+		ops = append(ops, fr.op)
+	}
+	if want := "PGpgIKLDPG"; string(ops) != want {
+		t.Fatalf("ops on the wire %q, want %q", ops, want)
 	}
 }

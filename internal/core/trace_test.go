@@ -9,7 +9,7 @@ import (
 	"stellaris/internal/obs/lineage"
 )
 
-// TestTraceDESChain is the `make trace-smoke` acceptance test for the
+// TestTraceDESChain is the causal-tracing acceptance test for the
 // DES side: a simulated run on the virtual clock must reconstruct at
 // least one fully linked trajectory→gradient→weights chain whose hops
 // carry monotone virtual timestamps and per-invocation dollar costs.

@@ -15,7 +15,7 @@ import (
 // silently escaped the gate. The set is now *derived* from the
 // cache.Conn interface: every method a connection-like implementation
 // must provide is a potential network round trip (with retries and
-// backoff), except the local accessors PayloadCodec, Stats and Close.
+// backoff), except the local accessors Stats and Close.
 //
 // The full blocking vocabulary:
 //
@@ -35,9 +35,8 @@ import (
 // nonBlockingConnMethods are the cache.Conn members that are local
 // accessors, not round trips.
 var nonBlockingConnMethods = map[string]bool{
-	"PayloadCodec": true,
-	"Stats":        true,
-	"Close":        true,
+	"Stats": true,
+	"Close": true,
 }
 
 // fallbackCacheMethods is used when the analyzed cache package has no

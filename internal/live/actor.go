@@ -8,6 +8,7 @@ import (
 	"stellaris/internal/algo"
 	"stellaris/internal/cache"
 	"stellaris/internal/env"
+	"stellaris/internal/obs"
 	"stellaris/internal/obs/lineage"
 	"stellaris/internal/replay"
 	"stellaris/internal/rng"
@@ -30,12 +31,14 @@ type actor struct {
 	// parameter worker may have advanced mid-rollout.
 	version *atomic.Int64
 	state   *runState
+	// iterSeconds is this actor's live_iteration_seconds child (nil when
+	// un-instrumented).
+	iterSeconds *obs.Histogram
 
-	// sub, when set (async mode on the binary codec), tracks the weight
-	// vector incrementally via the delta broadcast; nil falls back to
-	// plain full fetches (lockstep, gob mode, tests). With a sub, the
-	// stale-fallback copy is the sub's cache; lastW/lastVer serve the
-	// plain path only.
+	// sub, when set (async mode), tracks the weight vector incrementally
+	// via the delta broadcast; nil falls back to plain full fetches
+	// (lockstep, tests). With a sub, the stale-fallback copy is the sub's
+	// cache; lastW/lastVer serve the plain path only.
 	sub *cache.WeightsSub
 
 	frame       []float64
@@ -60,9 +63,9 @@ type actor struct {
 // publish the trajectory to the cache. ok reports whether a trajectory
 // landed; a non-nil error is fatal to the run.
 func (a *actor) iterate() (note trajNote, ok bool, err error) {
-	if a.state.m != nil {
+	if h := a.iterSeconds; h != nil {
 		start := time.Now()
-		defer func() { a.state.m.iter("actor", a.id, time.Since(start)) }()
+		defer func() { h.Observe(time.Since(start).Seconds()) }()
 	}
 	w, ver, err := a.fetchWeights()
 	if err != nil {
@@ -133,7 +136,7 @@ func (a *actor) iterate() (note trajNote, ok bool, err error) {
 		Trace: key, Kind: lineage.KindTrajectory, Hop: lineage.HopProduced,
 		Actor: a.name, Ref: lineage.WeightsID(ver),
 	})
-	b, err := cache.EncodeTrajectoryWith(payloadCodec(a.cli), traj)
+	b, err := cache.EncodeTrajectory(traj)
 	if err != nil {
 		return trajNote{}, false, err
 	}

@@ -62,16 +62,15 @@ func (r *run) runAsync() error {
 				}
 				act := &actor{
 					id: id, opt: opt, cli: cli, env: e,
-					model:     algo.NewModelHidden(e, opt.Hidden, opt.Seed),
-					rng:       workerRNG,
-					version:   &r.version,
-					state:     r.st,
-					onEpisode: r.noteEpisode,
-					lin:       r.lin,
-					name:      name,
-				}
-				if r.codec == cache.CodecBinary {
-					act.sub = r.trackSub(&cache.WeightsSub{C: cli})
+					model:       algo.NewModelHidden(e, opt.Hidden, opt.Seed),
+					rng:         workerRNG,
+					version:     &r.version,
+					state:       r.st,
+					iterSeconds: r.m.iterHist("actor", id),
+					onEpisode:   r.noteEpisode,
+					lin:         r.lin,
+					name:        name,
+					sub:         r.trackSub(&cache.WeightsSub{C: cli}),
 				}
 				ready()
 				for !r.stop.Load() {
@@ -198,15 +197,10 @@ func (r *run) learnerBody(id int, name string, workerRNG, chaos *rng.RNG, seq *i
 	}
 	defer cli.Close()
 	model := algo.NewModelHidden(r.template, opt.Hidden, opt.Seed)
-	// On the binary codec the learner tracks weights through the delta
-	// subscriber; in gob mode it full-fetches and keeps its own stale
-	// copy, matching a pre-binary build.
-	var wsub *cache.WeightsSub
-	if r.codec == cache.CodecBinary {
-		wsub = r.trackSub(&cache.WeightsSub{C: cli})
-	}
-	var lastW []float64
-	lastBorn := 0
+	// The learner tracks weights through the delta subscriber, whose
+	// cached vector doubles as the stale-fallback copy.
+	wsub := r.trackSub(&cache.WeightsSub{C: cli})
+	iterSeconds := r.m.iterHist("learner", id)
 	staleStreak := 0
 	ready()
 	for !r.stop.Load() {
@@ -223,13 +217,7 @@ func (r *run) learnerBody(id int, name string, workerRNG, chaos *rng.RNG, seq *i
 			continue
 		}
 		iterStart := time.Now()
-		var w []float64
-		var born int
-		if wsub != nil {
-			w, born, err = wsub.Fetch()
-		} else {
-			w, born, err = getWeights(cli)
-		}
+		w, born, err := wsub.Fetch()
 		if err != nil {
 			staleStreak++
 			if staleStreak > opt.MaxStaleFallbacks {
@@ -237,12 +225,7 @@ func (r *run) learnerBody(id int, name string, workerRNG, chaos *rng.RNG, seq *i
 			}
 			r.st.staleReuse()
 			var ok bool
-			if wsub != nil {
-				w, born, ok = wsub.Cached()
-			} else {
-				w, born, ok = lastW, lastBorn, lastW != nil
-			}
-			if !ok {
+			if w, born, ok = wsub.Cached(); !ok {
 				// No weights ever fetched: shed the batch after a
 				// bounded wait rather than compute garbage.
 				r.st.drop(dropNoWeights)
@@ -250,9 +233,6 @@ func (r *run) learnerBody(id int, name string, workerRNG, chaos *rng.RNG, seq *i
 				continue
 			}
 		} else {
-			if wsub == nil {
-				lastW, lastBorn = w, born
-			}
 			staleStreak = 0
 		}
 		if err := model.SetWeights(w); err != nil {
@@ -297,7 +277,7 @@ func (r *run) learnerBody(id int, name string, workerRNG, chaos *rng.RNG, seq *i
 		g := r.alg.Compute(model, batch, r.tracker.View(), algo.Extra{}, workerRNG.Split(uint64(*seq)))
 		*seq++
 		r.recordGradProduced(gkey, name, born, g.Stats.Truncated)
-		gb, err := cache.EncodeGradWith(payloadCodec(cli), &cache.GradMsg{
+		gb, err := cache.EncodeGrad(&cache.GradMsg{
 			LearnerID: id, BornVersion: born, Grad: g.Data,
 			Samples: g.Stats.Samples, MeanRatio: g.Stats.MeanRatio,
 			MinRatio: g.Stats.MinRatio, KL: g.Stats.KL, Entropy: g.Stats.Entropy,
@@ -319,7 +299,9 @@ func (r *run) learnerBody(id int, name string, workerRNG, chaos *rng.RNG, seq *i
 			r.recordShed(gkey, lineage.KindGradient, name, dropPutFailed)
 			continue
 		}
-		r.m.iter("learner", id, time.Since(iterStart))
+		if iterSeconds != nil {
+			iterSeconds.Observe(time.Since(iterStart).Seconds())
+		}
 		select {
 		case gradCh <- gradNote{
 			key: gkey, bornVersion: born,
@@ -341,6 +323,7 @@ func (r *run) learnerBody(id int, name string, workerRNG, chaos *rng.RNG, seq *i
 // updates (and once at completion) so a killed process can resume.
 func (r *run) paramLoop(gradCh chan gradNote) {
 	opt := r.opt
+	iterSeconds := r.m.iterHist("param", 0)
 	for !r.stop.Load() {
 		var note gradNote
 		select {
@@ -414,7 +397,7 @@ func (r *run) paramLoop(gradCh chan gradNote) {
 			r.m.staleness.Observe(comb.MeanStaleness)
 			r.m.updates.Inc()
 			span.End()
-			r.m.iter("param", 0, time.Since(iterStart))
+			iterSeconds.Observe(time.Since(iterStart).Seconds())
 		}
 		if int(nv) >= opt.Updates {
 			// Final checkpoint regardless of the interval: a later Resume

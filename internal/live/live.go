@@ -47,11 +47,6 @@ type Options struct {
 	// behaves — byte for byte on the wire — like a single server, so
 	// Lockstep determinism carries over unchanged.
 	Cluster *cluster.Topology
-	// Codec selects the payload wire encoding: "binary" (the default)
-	// or "gob", the legacy encoding kept for interoperating with old
-	// builds. Gob mode also disables the delta weight broadcast, so its
-	// cache traffic matches a pre-binary build exactly.
-	Codec string
 	// Env names the environment; FrameSize/Hidden as in core.Config.
 	Env       string
 	FrameSize int
@@ -192,9 +187,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Algo != "ppo" && o.Algo != "impact" {
 		return o, fmt.Errorf("live: unknown algo %q", o.Algo)
-	}
-	if _, err := cache.ParseCodec(o.Codec); err != nil {
-		return o, err
 	}
 	if o.Cluster != nil {
 		if o.CacheAddr != "" {
@@ -433,9 +425,9 @@ func (p *clientPool) shardedStats() cache.ShardedStats {
 	return sum
 }
 
-// publishWeights stores the run's current weight vector under version,
-// through the delta publisher when the run has one (async mode on the
-// binary codec) or the legacy single-key put otherwise.
+// publishWeights stores the run's current weight vector under version:
+// through the delta publisher in async mode, as lockstep's single-key
+// put otherwise.
 func (r *run) publishWeights(version int) error {
 	if r.pub != nil {
 		return r.pub.Publish(version, r.weights, lineage.Meta{
@@ -464,8 +456,8 @@ func (r *run) publishWeightsPersistent(version int) error {
 
 // putWeights stores a versioned weight vector under "weights/latest",
 // stamped with the synthetic per-version trace identity. The lockstep
-// pipeline and tests use this legacy single-key path directly; the
-// async pipeline publishes delta chains through cache.WeightsPublisher.
+// pipeline and tests use this single-key path directly; the async
+// pipeline publishes delta chains through cache.WeightsPublisher.
 func putWeights(c cache.Cache, version int, w []float64) error {
 	b, err := cache.EncodeWeights(&cache.WeightsMsg{
 		Version: version, Weights: w,
@@ -493,14 +485,4 @@ func getWeights(c cache.Cache) ([]float64, int, error) {
 		return nil, 0, err
 	}
 	return msg.Weights, msg.Version, nil
-}
-
-// payloadCodec selects the payload encoding for a cache handle: the
-// negotiated per-connection codec for network clients, the process-wide
-// default otherwise (MemCache in tests).
-func payloadCodec(c cache.Cache) cache.Codec {
-	if p, ok := c.(interface{ PayloadCodec() cache.Codec }); ok {
-		return p.PayloadCodec()
-	}
-	return cache.DefaultCodec()
 }

@@ -90,38 +90,9 @@ func TestLiveTrainExternalCache(t *testing.T) {
 	}
 }
 
-// TestLiveTrainGobCodec drives the full async pipeline — actors,
-// learners, parameter worker — over an external cache server with the
-// payload codec pinned to the gob fallback. This is the rolling-
-// upgrade configuration: no delta broadcast, no binary frames, cache
-// traffic an old build could read.
-func TestLiveTrainGobCodec(t *testing.T) {
-	srv := cache.NewServer(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	opt := tinyOpts()
-	opt.CacheAddr = addr
-	opt.Codec = "gob"
-	rep, err := Train(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Updates < 4 {
-		t.Fatalf("gob-codec run completed %d updates, want >= 4", rep.Updates)
-	}
-	if rep.Episodes == 0 {
-		t.Fatal("gob-codec run completed no episodes")
-	}
-}
-
-// TestLiveTrainBinaryDeltaBroadcast pins that the default binary-codec
-// async path actually exercises the delta weight broadcast: the head
-// pointer and at least one delta key must exist in the cache after a
-// run.
+// TestLiveTrainBinaryDeltaBroadcast pins that the async path actually
+// exercises the delta weight broadcast: the head pointer and at least
+// one delta key must exist in the cache after a run.
 func TestLiveTrainBinaryDeltaBroadcast(t *testing.T) {
 	srv := cache.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -137,7 +108,7 @@ func TestLiveTrainBinaryDeltaBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Updates < 4 {
-		t.Fatalf("binary-codec run completed %d updates", rep.Updates)
+		t.Fatalf("run completed %d updates", rep.Updates)
 	}
 	cli, err := cache.Dial(addr)
 	if err != nil {
@@ -145,19 +116,11 @@ func TestLiveTrainBinaryDeltaBroadcast(t *testing.T) {
 	}
 	defer cli.Close()
 	if _, err := cli.Get(cache.KeyWeightsHead); err != nil {
-		t.Fatalf("no weights head pointer after binary run: %v", err)
+		t.Fatalf("no weights head pointer after the run: %v", err)
 	}
 	keys, err := cli.Keys("weights.delta/")
 	if err != nil || len(keys) == 0 {
-		t.Fatalf("no delta keys after binary run: %v %v", keys, err)
-	}
-}
-
-func TestLiveCodecValidation(t *testing.T) {
-	opt := tinyOpts()
-	opt.Codec = "msgpack"
-	if _, err := Train(opt); err == nil {
-		t.Fatal("unknown codec accepted")
+		t.Fatalf("no delta keys after the run: %v %v", keys, err)
 	}
 }
 

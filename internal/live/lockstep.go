@@ -45,12 +45,13 @@ func (r *run) runLockstep(loaded *ckpt.Checkpoint) error {
 		}
 		actors[i] = &actor{
 			id: i, opt: opt, cli: r.paramCli, env: e,
-			model:     algo.NewModelHidden(r.template, opt.Hidden, opt.Seed),
-			version:   &r.version,
-			state:     r.st,
-			onEpisode: r.noteEpisode,
-			lin:       r.lin,
-			name:      workerName("actor", i, 0),
+			model:       algo.NewModelHidden(r.template, opt.Hidden, opt.Seed),
+			version:     &r.version,
+			state:       r.st,
+			iterSeconds: r.m.iterHist("actor", i),
+			onEpisode:   r.noteEpisode,
+			lin:         r.lin,
+			name:        workerName("actor", i, 0),
 		}
 	}
 	lmodels := make([]*algo.Model, opt.Learners)

@@ -91,12 +91,14 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 	return m
 }
 
-// iter records one worker-loop latency.
-func (m *liveMetrics) iter(role string, worker int, d time.Duration) {
+// iterHist resolves one worker's live_iteration_seconds child. Workers
+// call it once at start-up and observe on the result, keeping the label
+// lookup off the per-iteration path; nil when the run is un-instrumented.
+func (m *liveMetrics) iterHist(role string, worker int) *obs.Histogram {
 	if m == nil {
-		return
+		return nil
 	}
-	m.iterSeconds.With(role, strconv.Itoa(worker)).Observe(d.Seconds())
+	return m.iterSeconds.With(role, strconv.Itoa(worker))
 }
 
 // runState bundles the counters every worker shares. It exists so the

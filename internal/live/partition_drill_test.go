@@ -193,7 +193,9 @@ func TestChaosBrownoutEvacuation(t *testing.T) {
 	reg := obs.NewRegistry()
 	opt := tinyOpts()
 	opt.Cluster = lc.topo
-	opt.Updates = 4
+	// Enough updates that the brownout lands MID-RUN: the parameter worker's
+	// own client still sees a full detector window of slow head writes.
+	opt.Updates = 16
 	opt.ActorSteps = 16
 	opt.BatchSize = 32
 	opt.CacheOpTimeout = 2 * time.Second

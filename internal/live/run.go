@@ -61,11 +61,9 @@ type run struct {
 	hb     *cache.Heartbeat
 	hbConn cache.Conn
 
-	// codec is Options.Codec parsed; pub is the delta weight publisher
-	// (nil in gob mode and in lockstep, which keep the legacy single-key
-	// "weights/latest" publish path).
-	codec cache.Codec
-	pub   *cache.WeightsPublisher
+	// pub is the delta weight publisher (nil in lockstep, which keeps the
+	// single-key "weights/latest" publish path).
+	pub *cache.WeightsPublisher
 
 	template env.Env
 	root     *rng.RNG
@@ -117,11 +115,6 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		errCh: make(chan error, opt.Actors+opt.Learners+2),
 		start: time.Now(),
 	}
-	codec, err := cache.ParseCodec(opt.Codec)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.codec = codec
 
 	// Causal tracing rides on the obs registry: the lineage store shares
 	// its clock (so SetClock swaps propagate), feeds the lineage_*
@@ -160,13 +153,12 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 	var dialSeq atomic.Uint64
 	r.dial = func(name string) (cache.Conn, error) {
 		dopts := cache.DialOptions{
-			OpTimeout:    opt.CacheOpTimeout,
-			Attempts:     opt.CacheAttempts,
-			Seed:         opt.Seed + dialSeq.Add(1),
-			Obs:          opt.Obs,
-			Lineage:      r.lin,
-			LineageName:  name,
-			PayloadCodec: r.codec,
+			OpTimeout:   opt.CacheOpTimeout,
+			Attempts:    opt.CacheAttempts,
+			Seed:        opt.Seed + dialSeq.Add(1),
+			Obs:         opt.Obs,
+			Lineage:     r.lin,
+			LineageName: name,
 		}
 		// The robustness knobs stay off in Lockstep: hedging, evacuation,
 		// breaker trips, and budget denials all depend on wall-clock
@@ -236,10 +228,10 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		r.close()
 		return nil, nil, err
 	}
-	// Delta weight broadcast rides the binary codec; gob mode keeps the
-	// legacy single-key publish, and lockstep keeps it for its replayable
-	// fixed-interleaving wire schedule.
-	if r.codec == cache.CodecBinary && !opt.Lockstep {
+	// Async mode broadcasts weights as delta chains; lockstep keeps the
+	// single-key publish for its replayable fixed-interleaving wire
+	// schedule.
+	if !opt.Lockstep {
 		r.pub = &cache.WeightsPublisher{C: r.paramCli}
 	}
 

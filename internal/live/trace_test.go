@@ -97,7 +97,7 @@ func validateChromeJSON(t *testing.T, raw []byte) {
 	}
 }
 
-// TestTraceSmokeLockstep is the `make trace-smoke` acceptance test for
+// TestTraceSmokeLockstep is the causal-tracing acceptance test for
 // the deterministic mode: a short lockstep run must yield at least one
 // fully linked trajectory→gradient→weights chain with monotone
 // timestamps, and serve it as loadable Chrome trace JSON.

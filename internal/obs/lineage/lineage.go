@@ -70,10 +70,9 @@ const (
 	HopGap = "gap"
 )
 
-// Meta is the compact trace context attached to every wire payload.
-// gob tolerates the field's absence in either direction, so payloads
-// from pre-tracing builds still decode (Meta stays zero) and old
-// decoders skip it.
+// Meta is the compact trace context attached to every wire payload. It
+// travels in the payload's optional TLV section (wire.go): a zero Meta
+// is simply not sent, and a payload without the section decodes to one.
 type Meta struct {
 	// ID is the trace identifier — by convention the artifact's cache
 	// key ("traj/<actor>/<seq>", "grad/<learner>/<seq>") or the

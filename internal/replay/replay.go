@@ -39,10 +39,8 @@ type Trajectory struct {
 	// completed within this trajectory (the paper's "episodic reward"
 	// metric).
 	EpisodeReturns []float64
-	// Trace is the causal-tracing context carried across the wire. gob
-	// tolerates its absence in either direction, so payloads from
-	// pre-tracing builds decode (Trace stays zero) and old decoders skip
-	// it.
+	// Trace is the causal-tracing context carried across the wire, in
+	// the payload's optional TLV section (zero when absent).
 	Trace lineage.Meta
 }
 

@@ -1,6 +1,7 @@
 package stellaris_test
 
 import (
+	"os"
 	"testing"
 
 	"stellaris"
@@ -51,7 +52,7 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/ck.gob"
+	path := t.TempDir() + "/ck.bin"
 	if err := stellaris.SaveWeights(path, 7, res.FinalWeights); err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +79,24 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 }
 
 func TestLoadWeightsMissingFile(t *testing.T) {
-	if _, _, err := stellaris.LoadWeights("/nonexistent/ck.gob"); err == nil {
+	if _, _, err := stellaris.LoadWeights("/nonexistent/ck.bin"); err == nil {
 		t.Fatal("missing checkpoint accepted")
+	}
+	// Nor is a file that is not an SLB1 weights payload: the gob encoding
+	// an early build wrote (frozen here: WeightsMsg{7, [1 2]}), an empty
+	// file, a truncated header — each an error, never a panic.
+	for name, content := range map[string]string{
+		"gob":              "0\x7f\x03\x01\x01\nWeightsMsg\x01\xff\x80\x00\x01\x02\x01\aVersion\x01\x04\x00\x01\aWeights\x01\xff\x82\x00\x00\x00\x17\xff\x81\x02\x01\x01\t[]float64\x01\xff\x82\x00\x01\b\x00\x00\v\xff\x80\x01\x0e\x01\x02\xfe\xf0?@\x00",
+		"empty":            "",
+		"truncated header": "SLB1\x01\x01\x00",
+	} {
+		path := t.TempDir() + "/ck.bin"
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v, w, err := stellaris.LoadWeights(path); err == nil {
+			t.Errorf("%s: accepted as version %d with %d weights", name, v, len(w))
+		}
 	}
 }
 
