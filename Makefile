@@ -5,7 +5,7 @@ GO ?= go
 COVERPROFILE ?= coverage.out
 FUZZTIME ?= 5s
 
-.PHONY: build test race cover fmt vet lint leaktest benchmark benchmark-ab fuzz-short chaos ci
+.PHONY: build test race stable cover fmt vet lint leaktest benchmark benchmark-ab fuzz-short chaos ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,14 @@ test:
 # are gated behind testing.Short().
 race:
 	$(GO) test -race -short ./...
+
+# Stability pass: the short suite STABLE_COUNT times over (about 12 s of
+# test time per pass, five minutes at the default on two cores), so a
+# test that fails one run in twenty is found by a machine instead of by
+# whichever PR happens to trip over it.
+STABLE_COUNT ?= 20
+stable:
+	$(GO) test -count=$(STABLE_COUNT) -short ./...
 
 cover:
 	$(GO) test -coverprofile=$(COVERPROFILE) -covermode=atomic ./...
@@ -126,4 +134,4 @@ benchmark-ab:
 	@jq -rs '$(AB_PAIRS)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 	$(AB_DIR)/bin/head compare $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 
-ci: build fmt vet lint race leaktest cover
+ci: build fmt vet lint race leaktest cover stable

@@ -146,3 +146,44 @@ func (m *Model) Act(obs []float64, r *rng.RNG) (action []float64, logProb float6
 	logProb = m.Dist.LogProb(params, action)
 	return action, logProb, params
 }
+
+// Episode is one actor's position in its environment between sampling
+// bursts: the observation the next action is chosen from (nil starts a
+// fresh episode) and the return accumulated so far.
+type Episode struct {
+	Obs    []float64
+	Return float64
+}
+
+// Rollout samples steps transitions from e under m, resuming ep and
+// leaving it where the burst stopped. It is the one actor loop of the
+// repo (the DES trainer and the live actor both call it), so every
+// random draw comes off r in one order: the reset of a fresh episode,
+// then per step the action sample, then the reset after a terminal
+// step. onEpisode, when set, receives each finished episode's return.
+// The caller stamps identity (ActorID, PolicyVersion, Trace).
+func (m *Model) Rollout(e env.Env, r *rng.RNG, ep *Episode, steps int, onEpisode func(ret float64)) *replay.Trajectory {
+	if ep.Obs == nil {
+		ep.Obs, ep.Return = e.Reset(r), 0
+	}
+	traj := &replay.Trajectory{}
+	for i := 0; i < steps; i++ {
+		action, lp, dp := m.Act(ep.Obs, r)
+		next, rew, done := e.Step(action)
+		traj.Steps = append(traj.Steps, replay.Step{
+			Obs: ep.Obs, Action: action, Reward: rew, Done: done,
+			LogProb: lp, DistParams: dp,
+		})
+		ep.Return += rew
+		if done {
+			traj.EpisodeReturns = append(traj.EpisodeReturns, ep.Return)
+			if onEpisode != nil {
+				onEpisode(ep.Return)
+			}
+			ep.Obs, ep.Return = e.Reset(r), 0
+		} else {
+			ep.Obs = next
+		}
+	}
+	return traj
+}

@@ -98,17 +98,14 @@ type DialOptions struct {
 	// clients.
 
 	// DegradeLatency arms gray-failure detection: once a shard's
-	// latency EWMA crosses it (or its windowed error rate crosses
-	// DegradeErrorRate) with a full observation window, the shard is
+	// latency EWMA crosses it (or its windowed transport-error rate
+	// crosses one half) with a full observation window, the shard is
 	// treated as failed — evacuated onto its follower — even though it
 	// still answers. Zero disables detection entirely.
 	DegradeLatency time.Duration
 	// DegradeWindow is the sliding outcome window size backing the
 	// error rate and the warm-up grace (default 16 ops).
 	DegradeWindow int
-	// DegradeErrorRate is the windowed transport-error rate that also
-	// counts as degraded (default 0.5).
-	DegradeErrorRate float64
 	// HedgeReads additionally races reads on a suspect shard — latency
 	// EWMA past HALF of DegradeLatency, i.e. before the evacuation
 	// threshold — against its follower, returning the first answer:

@@ -2,9 +2,9 @@ package cache
 
 // Delta weight broadcast. The parameter worker publishes each new
 // policy version as a diff against the previous one under
-// "weights.delta/<v>", plus periodic full snapshots under
-// "weights/latest" and a tiny head pointer under "weights/head" naming
-// the newest version. Subscribers (actors, learners) poll the head: an
+// "weights.delta/<v>", plus the full snapshot under "weights/latest"
+// and a tiny head pointer under "weights/head" naming the newest
+// version. Subscribers (actors, learners) poll the head: an
 // unchanged head skips the fetch entirely, a short gap is closed by
 // fetching the missing deltas in one batched round trip, and anything
 // else — missing head (a failover onto state that lost it), broken
@@ -36,6 +36,13 @@ const (
 	// weightsDeltaPrefix prefixes per-version delta keys; the delta under
 	// WeightsDeltaKey(v) takes a version v-1 vector to version v.
 	weightsDeltaPrefix = "weights.delta/"
+
+	// deltaHistory is how many trailing deltas stay in the cache;
+	// subscribers further behind than this full-fetch instead.
+	deltaHistory = 64
+	// maxDeltaChain bounds how many deltas one Fetch will chase; beyond
+	// it the full snapshot is cheaper.
+	maxDeltaChain = 32
 )
 
 // WeightsDeltaKey returns the cache key of the delta producing version v.
@@ -203,20 +210,13 @@ func DecodeDelta(b []byte) (*DeltaMsg, error) {
 
 // WeightsPublisher publishes versioned weight vectors as delta chains:
 // every Publish writes the delta from the previous published version,
-// a full snapshot every SnapshotEvery versions, and finally the head
-// pointer — all in one batched put, so a reader never observes a head
-// that points past the data backing it. Old deltas beyond History are
-// pruned. Not safe for concurrent use (the parameter worker owns it).
+// the full snapshot (so a subscriber that has to full-fetch never sees
+// stale weights), and finally the head pointer — all in one batched
+// put, so a reader never observes a head that points past the data
+// backing it. Deltas older than deltaHistory versions are pruned. Not
+// safe for concurrent use (the parameter worker owns it).
 type WeightsPublisher struct {
 	C Cache
-	// SnapshotEvery is the full-snapshot period; the default 1 refreshes
-	// "weights/latest" on every publish, so a subscriber that has to
-	// full-fetch never sees stale weights. Larger values trade that
-	// staleness bound for publisher bandwidth.
-	SnapshotEvery int
-	// History is how many trailing deltas stay in the cache (default 64);
-	// subscribers further behind than this full-fetch instead.
-	History int
 
 	prev    []float64
 	prevVer int
@@ -226,21 +226,11 @@ type WeightsPublisher struct {
 // Publish stores version's weight vector. trace stamps the snapshot and
 // delta payloads (the head pointer is an untraced internal key).
 func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta) error {
-	snapEvery := p.SnapshotEvery
-	if snapEvery <= 0 {
-		snapEvery = 1
-	}
-	history := p.History
-	if history <= 0 {
-		history = 64
-	}
-
 	var kvs []KV
 	var frames [][]byte
 	// Delta first, snapshot second, head last: BatchPut's per-key loop
 	// over a non-Batcher cache preserves slice order, and a batched put
 	// lands under one lock — either way the head never leads its data.
-	wroteDelta := false
 	if p.hasPrev && p.prevVer == version-1 && len(p.prev) == len(w) {
 		d, err := BuildDelta(version, version-1, p.prev, w)
 		if err != nil {
@@ -253,22 +243,16 @@ func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta)
 		}
 		kvs = append(kvs, KV{Key: WeightsDeltaKey(version), Val: db})
 		frames = append(frames, db)
-		wroteDelta = true
 	}
-	// A publish that emitted no delta (first publish, version gap after
-	// a failed publish or restart, vector resize) MUST snapshot: the
-	// head is about to advance, and without a delta the snapshot is the
-	// only data that can back it. Skipping it here used to strand
-	// subscribers thrashing on full fetches of a snapshot that never
-	// reached the head's version.
-	if version%snapEvery == 0 || !wroteDelta {
-		sb, err := EncodeWeights(&WeightsMsg{Version: version, Weights: w, Trace: trace})
-		if err != nil {
-			return err
-		}
-		kvs = append(kvs, KV{Key: KeyWeightsLatest, Val: sb})
-		frames = append(frames, sb)
+	// The snapshot goes out on every publish. It is also the only data
+	// that can back the head when there is no delta (first publish,
+	// version gap after a failed publish or restart, vector resize).
+	sb, err := EncodeWeights(&WeightsMsg{Version: version, Weights: w, Trace: trace})
+	if err != nil {
+		return err
 	}
+	kvs = append(kvs, KV{Key: KeyWeightsLatest, Val: sb})
+	frames = append(frames, sb)
 	hb, err := EncodeWeights(&WeightsMsg{Version: version})
 	if err != nil {
 		return err
@@ -282,7 +266,8 @@ func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta)
 	}
 	if err != nil {
 		// A partial publish may have landed; drop the delta base so the
-		// next attempt re-snapshots instead of chaining onto uncertainty.
+		// next attempt ships the snapshot alone instead of chaining onto
+		// uncertainty.
 		p.hasPrev = false
 		return err
 	}
@@ -293,24 +278,21 @@ func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta)
 	copy(p.prev, w)
 	p.prevVer = version
 	p.hasPrev = true
-	_ = p.C.Delete(WeightsDeltaKey(version - history))
+	_ = p.C.Delete(WeightsDeltaKey(version - deltaHistory))
 	return nil
 }
 
 // ---- subscriber ----
 
 // WeightsSub incrementally tracks the published weight vector: Fetch
-// reads the head pointer and, when the subscriber is within MaxChain
-// versions, closes the gap with one batched delta fetch instead of
-// re-downloading the full vector. A missing head (a shard failed over
+// reads the head pointer and, when the subscriber is within
+// maxDeltaChain versions, closes the gap with one batched delta fetch
+// instead of re-downloading the full vector. A missing head (a shard failed over
 // onto state holding the snapshot but not the pointer), a broken or
 // pruned chain, or any decode failure falls back to the full snapshot.
 // Not safe for concurrent use (each worker owns one).
 type WeightsSub struct {
 	C Cache
-	// MaxChain bounds how many deltas one Fetch will chase (default 32);
-	// beyond it the full snapshot is cheaper.
-	MaxChain int
 
 	w   []float64
 	ver int
@@ -363,23 +345,19 @@ func (s *WeightsSub) Reset() { s.w, s.ver, s.ok = nil, 0, false }
 // returned slice is owned by the subscriber: callers must copy it if
 // they mutate or retain it past the next Fetch.
 func (s *WeightsSub) Fetch() ([]float64, int, error) {
-	maxChain := s.MaxChain
-	if maxChain <= 0 {
-		maxChain = 32
-	}
 	head, err := s.C.Get(KeyWeightsHead)
 	if err != nil {
 		var nf ErrNotFound
 		if errors.As(err, &nf) {
 			// No head pointer (lost in a failover, or not yet replicated):
 			// "weights/latest" alone still names a valid policy.
-			return s.fetchFull(0, maxChain)
+			return s.fetchFull()
 		}
 		return nil, 0, err
 	}
 	hm, err := DecodeWeights(head)
 	if err != nil {
-		return s.fetchFull(0, maxChain)
+		return s.fetchFull()
 	}
 	hv := hm.Version
 	if s.ok && hv == s.ver {
@@ -397,11 +375,11 @@ func (s *WeightsSub) Fetch() ([]float64, int, error) {
 		s.regressions.Add(1)
 		s.Reset()
 	}
-	if s.ok && hv > s.ver && hv-s.ver <= maxChain && s.applyChain(hv) {
+	if s.ok && hv > s.ver && hv-s.ver <= maxDeltaChain && s.applyChain(hv) {
 		s.deltaHits.Add(1)
 		return s.w, s.ver, nil
 	}
-	return s.fetchFull(hv, maxChain)
+	return s.fetchFull()
 }
 
 // applyChain fetches the deltas (s.ver, hv] in one batched round trip
@@ -434,10 +412,11 @@ func (s *WeightsSub) applyChain(hv int) bool {
 	return true
 }
 
-// fetchFull downloads the full snapshot, then — when the head pointer
-// hv is ahead of it — tops up with the trailing deltas, accepting the
-// snapshot's version if the chain cannot be closed.
-func (s *WeightsSub) fetchFull(hv, maxChain int) ([]float64, int, error) {
+// fetchFull downloads the full snapshot and adopts its version. Every
+// publish refreshes the snapshot, so it trails the head only for the
+// moment a sharded batch is landing — and then the next Fetch closes
+// the gap with the chain.
+func (s *WeightsSub) fetchFull() ([]float64, int, error) {
 	raw, err := s.C.Get(KeyWeightsLatest)
 	if err != nil {
 		return nil, 0, err
@@ -450,10 +429,5 @@ func (s *WeightsSub) fetchFull(hv, maxChain int) ([]float64, int, error) {
 	s.ver = msg.Version
 	s.ok = true
 	s.fullFetches.Add(1)
-	if hv > s.ver && hv-s.ver <= maxChain {
-		// Best effort: a snapshot older than the head (SnapshotEvery > 1)
-		// is still a valid policy if the top-up chain has gaps.
-		s.applyChain(hv)
-	}
 	return s.w, s.ver, nil
 }

@@ -225,59 +225,28 @@ func TestSubscriberFullFetchesWithoutHead(t *testing.T) {
 	}
 }
 
-// TestPublisherPrunesHistory checks old deltas fall out of the cache.
+// TestPublisherPrunesHistory checks deltas older than deltaHistory
+// versions fall out of the cache.
 func TestPublisherPrunesHistory(t *testing.T) {
 	mem := NewMemCache()
-	pub := &WeightsPublisher{C: mem, History: 2}
+	pub := &WeightsPublisher{C: mem}
 	w := []float64{0}
-	for v := 0; v <= 4; v++ {
+	last := deltaHistory + 2
+	for v := 0; v <= last; v++ {
 		w[0] = float64(v)
 		if err := pub.Publish(v, w, lineage.Meta{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := mem.Get(WeightsDeltaKey(1)); err == nil {
-		t.Fatal("delta 1 should have been pruned with History=2")
+		t.Fatalf("delta 1 should have been pruned %d versions on", last)
 	}
-	if _, err := mem.Get(WeightsDeltaKey(4)); err != nil {
-		t.Fatalf("delta 4 should survive: %v", err)
+	if _, err := mem.Get(WeightsDeltaKey(last - deltaHistory + 1)); err != nil {
+		t.Fatalf("delta %d is inside the history and should survive: %v", last-deltaHistory+1, err)
 	}
-}
-
-// TestPublisherSnapshotEvery checks a sparse snapshot cadence still
-// converges readers through the top-up path.
-func TestPublisherSnapshotEvery(t *testing.T) {
-	mem := NewMemCache()
-	pub := &WeightsPublisher{C: mem, SnapshotEvery: 4}
-	w := []float64{0, 0}
-	for v := 0; v <= 5; v++ {
-		w[0] = float64(v)
-		if err := pub.Publish(v, w, lineage.Meta{}); err != nil {
-			t.Fatal(err)
-		}
+	if n, _ := mem.Keys(weightsDeltaPrefix); len(n) != deltaHistory {
+		t.Fatalf("%d deltas in the cache, want %d", len(n), deltaHistory)
 	}
-	// Snapshot was last refreshed at v4; head is at v5.
-	msg, err := DecodeWeights(mustGet(t, mem, KeyWeightsLatest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Version != 4 {
-		t.Fatalf("snapshot cadence: latest at v%d, want v4", msg.Version)
-	}
-	sub := &WeightsSub{C: mem}
-	got, ver, err := sub.Fetch()
-	if err != nil || ver != 5 || got[0] != 5 {
-		t.Fatalf("top-up fetch: v%d %v err=%v", ver, got, err)
-	}
-}
-
-func mustGet(t *testing.T, c Cache, key string) []byte {
-	t.Helper()
-	v, err := c.Get(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }
 
 // TestDeltaOverNetwork runs publisher and subscriber through the TCP

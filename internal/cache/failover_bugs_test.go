@@ -11,20 +11,18 @@ import (
 )
 
 // TestPublisherVersionGapStillBacksHead: a publish that emits no delta
-// (version gap after a failed publish/restart, or a vector resize) used
-// to advance the head with neither delta nor snapshot behind it when
-// version%SnapshotEvery != 0 — subscribers then thrashed on full
-// fetches of a snapshot stuck at an older version. Any deltaless
-// publish must force a snapshot.
+// (version gap after a failed publish/restart, or a vector resize)
+// must still put a snapshot behind the head it advances — otherwise
+// subscribers thrash on full fetches of a snapshot stuck at an older
+// version.
 func TestPublisherVersionGapStillBacksHead(t *testing.T) {
 	mem := NewMemCache()
-	pub := &WeightsPublisher{C: mem, SnapshotEvery: 4}
+	pub := &WeightsPublisher{C: mem}
 	if err := pub.Publish(1, []float64{1, 1}, lineage.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	// Version gap: 2 was never published (lost to a crash between
-	// publisher restarts), so 3 has no delta base — and 3%4 != 0, so the
-	// pre-fix code wrote only the head.
+	// publisher restarts), so 3 has no delta base.
 	if err := pub.Publish(3, []float64{3, 3}, lineage.Meta{}); err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,9 @@ const (
 	// defaultDegradeWindow is the sliding outcome window when
 	// DialOptions.DegradeWindow is unset.
 	defaultDegradeWindow = 16
-	// defaultDegradeErrorRate is the error-rate degradation threshold
-	// when DialOptions.DegradeErrorRate is unset.
-	defaultDegradeErrorRate = 0.5
+	// degradeErrorRate is the windowed transport-error rate that counts
+	// as degraded whatever the latency says.
+	degradeErrorRate = 0.5
 )
 
 // shardHealth scores one shard from the client's vantage point: a

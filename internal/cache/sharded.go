@@ -251,12 +251,8 @@ func (sc *ShardedClient) healthLevel(slot *shardSlot) int {
 	if !filled {
 		return healthOK
 	}
-	rate := sc.opts.DegradeErrorRate
-	if rate <= 0 {
-		rate = defaultDegradeErrorRate
-	}
 	switch {
-	case ewma >= sc.opts.DegradeLatency || errRate >= rate:
+	case ewma >= sc.opts.DegradeLatency || errRate >= degradeErrorRate:
 		return healthDegraded
 	case ewma >= sc.opts.DegradeLatency/2:
 		return healthSuspect

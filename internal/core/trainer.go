@@ -113,8 +113,7 @@ type Trainer struct {
 
 	envs       []env.Env
 	actorRngs  []*rng.RNG
-	actorObs   [][]float64
-	actorEpRet []float64
+	actorEp    []algo.Episode
 	learnerRng *rng.RNG
 	timeRng    *rng.RNG
 
@@ -185,8 +184,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	root := rng.New(cfg.Seed)
 	t.envs = make([]env.Env, cfg.NumActors)
 	t.actorRngs = make([]*rng.RNG, cfg.NumActors)
-	t.actorObs = make([][]float64, cfg.NumActors)
-	t.actorEpRet = make([]float64, cfg.NumActors)
+	t.actorEp = make([]algo.Episode, cfg.NumActors)
 	for i := range t.envs {
 		e, err := env.NewSized(cfg.Env, cfg.FrameSize)
 		if err != nil {
@@ -535,32 +533,8 @@ func (t *Trainer) sampleTrajectory(id int) *replay.Trajectory {
 		t.fail(err)
 		return &replay.Trajectory{ActorID: id}
 	}
-	e := t.envs[id]
-	r := t.actorRngs[id]
-	obs := t.actorObs[id]
-	if obs == nil {
-		obs = e.Reset(r)
-		t.actorEpRet[id] = 0
-	}
-	traj := &replay.Trajectory{ActorID: id}
-	for i := 0; i < t.cfg.ActorSteps; i++ {
-		action, lp, dp := t.work.Act(obs, r)
-		next, rew, done := e.Step(action)
-		traj.Steps = append(traj.Steps, replay.Step{
-			Obs: obs, Action: action, Reward: rew, Done: done,
-			LogProb: lp, DistParams: dp,
-		})
-		t.actorEpRet[id] += rew
-		if done {
-			traj.EpisodeReturns = append(traj.EpisodeReturns, t.actorEpRet[id])
-			t.recordEpisode(t.actorEpRet[id])
-			t.actorEpRet[id] = 0
-			obs = e.Reset(r)
-		} else {
-			obs = next
-		}
-	}
-	t.actorObs[id] = obs
+	traj := t.work.Rollout(t.envs[id], t.actorRngs[id], &t.actorEp[id], t.cfg.ActorSteps, t.recordEpisode)
+	traj.ActorID = id
 	return traj
 }
 

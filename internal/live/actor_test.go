@@ -1,36 +1,45 @@
 package live
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"stellaris/internal/algo"
 	"stellaris/internal/cache"
 	"stellaris/internal/env"
+	"stellaris/internal/istrunc"
 	"stellaris/internal/rng"
 )
+
+// newTestRun is the bare run the stage constructors need: options,
+// shared counters, algorithm and IS tracker, no cache and no pipeline.
+func newTestRun(t *testing.T, opt Options) *run {
+	t.Helper()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	template, err := env.NewSized(opt.Env, opt.FrameSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &run{
+		opt: opt, st: &runState{}, template: template,
+		alg:     algo.NewPPO(template.ActionSpace().Continuous),
+		tracker: istrunc.New(opt.Rho, true),
+	}
+}
 
 // newTestActor builds an actor over an in-process MemCache so iterate
 // can run without the Train pipeline.
 func newTestActor(t *testing.T, c cache.Cache, globalVersion int64) *actor {
 	t.Helper()
-	opt, err := Options{ActorSteps: 8, MaxStaleFallbacks: 2}.withDefaults()
+	r := newTestRun(t, Options{ActorSteps: 8, MaxStaleFallbacks: 2, Hidden: 16})
+	r.version.Store(globalVersion)
+	a, err := r.newActor(0, workerName("actor", 0, 0), c, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := env.NewSized(opt.Env, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var global atomic.Int64
-	global.Store(globalVersion)
-	return &actor{
-		id: 0, opt: opt, cli: c, env: e,
-		model:   algo.NewModelHidden(e, 16, opt.Seed),
-		rng:     rng.New(7),
-		version: &global,
-		state:   &runState{},
-	}
+	return a
 }
 
 // TestActorStampsFetchedVersion is the regression test for the headline

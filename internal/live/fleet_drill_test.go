@@ -227,9 +227,25 @@ func TestChaosFleetTelemetry(t *testing.T) {
 	// Phase 3 — the workers time out, promote the follower and publish
 	// the bumped topology; the collector adopts it, serving follows the
 	// new leader, and the alert resolves under the same trace.
+	//
+	// The run can finish — and its traffic stop — before the collector
+	// has scraped the promoted follower under the adopted topology; the
+	// serving rate would then sit at zero and the alert never resolve.
+	// So the test keeps victim-shard traffic flowing itself: plain reads
+	// straight at the victim's follower (never fenced, and invisible to
+	// fleet_shard_serving until the topology names that server leader).
+	fcli, err := cache.Dial(lc.topo.Shards[victim].Follower)
+	if err != nil {
+		waitTrain()
+		t.Fatal(err)
+	}
+	defer fcli.Close()
 	var resolved fleet.AlertEvent
 	deadline = time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) && resolved.Trace == "" {
+		for i := 0; i < 4; i++ {
+			_, _ = fcli.Get(cache.KeyWeightsHead)
+		}
 		for _, ev := range col.Tick() {
 			if ev.Rule == "shard-unserved" && ev.State == fleet.StateResolved {
 				resolved = ev

@@ -83,9 +83,9 @@ type Options struct {
 	MaxStaleFallbacks int
 
 	// Cache robustness knobs (DESIGN.md §11). All default to off, and
-	// all are ignored under Lockstep: the deterministic schedule must
-	// stay a pure function of the options, and hedging/evacuation/budget
-	// denial each depend on wall-clock racing.
+	// withDefaults zeroes them under Lockstep: the deterministic schedule
+	// must stay a pure function of the options, and hedging, evacuation,
+	// breaker trips and budget denial each depend on wall-clock racing.
 	//
 	// CacheDegradeLatency arms the sharded client's gray-failure
 	// detector: a shard whose latency EWMA crosses this threshold (or
@@ -161,21 +161,11 @@ type Options struct {
 	// Obs receives the run's metrics (live_* families, cache client
 	// events, and — for an in-process server — cache_server_*) and
 	// policy-update spans. Families accumulate, so a Registry should
-	// observe exactly one run. Nil disables instrumentation.
+	// observe exactly one run. Nil disables instrumentation. A caller
+	// that serves the registry over HTTP owns that endpoint, and so is
+	// also the one to announce it to the fleet collector
+	// (cache.StartHeartbeat, DESIGN.md §12.1).
 	Obs *obs.Registry
-
-	// ObsID, when set, self-registers the run into the cache tier's
-	// fleet registry (sys/obs/instances/, DESIGN.md §12) so a running
-	// stellaris-obsd discovers it as a scrape target. ObsHTTPAddr is the
-	// obs endpoint advertised in the registration — the caller owns
-	// actually serving Options.Obs there (typically obs.Serve). Ignored
-	// under Lockstep: the deterministic wire schedule must stay a pure
-	// function of the options, and a heartbeat ticker is wall-clock
-	// traffic.
-	ObsID       string
-	ObsHTTPAddr string
-	// HeartbeatEvery is the re-registration interval (default 1s).
-	HeartbeatEvery time.Duration
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -231,6 +221,10 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MaxStaleFallbacks <= 0 {
 		o.MaxStaleFallbacks = 50
+	}
+	if o.Lockstep {
+		o.CacheDegradeLatency, o.CacheDegradeWindow, o.CacheHedgeReads = 0, 0, false
+		o.CacheBreakerThreshold, o.CacheRetryRate, o.CacheRetryBurst = 0, 0, 0
 	}
 	if o.CacheRetryRate > 0 && o.CacheRetryBurst <= 0 {
 		if o.CacheRetryBurst = int(math.Ceil(o.CacheRetryRate)); o.CacheRetryBurst < 1 {
@@ -341,11 +335,7 @@ type trajNote struct {
 
 // gradNote tells the parameter worker a gradient landed in the cache.
 type gradNote struct {
-	key         string
-	bornVersion int
-	meanRatio   float64
-	kl          float64
-	samples     int
+	key string
 }
 
 // Train runs the live pipeline to completion (or resumes it from a
@@ -427,7 +417,12 @@ func (p *clientPool) shardedStats() cache.ShardedStats {
 
 // publishWeights stores the run's current weight vector under version:
 // through the delta publisher in async mode, as lockstep's single-key
-// put otherwise.
+// put otherwise. This is the one stage the two schedules do not share,
+// on purpose: every dense publish through WeightsPublisher ships the
+// vector twice (delta + snapshot), and routing lockstep through it was
+// measured at 66.3 → 46.4 updates/s and 702 → 805 MB on lockstep_fat.
+// That doubling is the publisher's to fix (ROADMAP item 1); until then
+// lockstep keeps the plain put, and weightView the matching plain get.
 func (r *run) publishWeights(version int) error {
 	if r.pub != nil {
 		return r.pub.Publish(version, r.weights, lineage.Meta{
@@ -456,8 +451,8 @@ func (r *run) publishWeightsPersistent(version int) error {
 
 // putWeights stores a versioned weight vector under "weights/latest",
 // stamped with the synthetic per-version trace identity. The lockstep
-// pipeline and tests use this single-key path directly; the async
-// pipeline publishes delta chains through cache.WeightsPublisher.
+// schedule and tests use this single-key path; the async schedule
+// publishes delta chains through cache.WeightsPublisher.
 func putWeights(c cache.Cache, version int, w []float64) error {
 	b, err := cache.EncodeWeights(&cache.WeightsMsg{
 		Version: version, Weights: w,

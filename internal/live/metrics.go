@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"stellaris/internal/obs"
+	"stellaris/internal/obs/lineage"
 )
 
 // Shed-load drop reasons (the label values of
 // live_dropped_payloads_total). Every branch that abandons a trajectory
-// or gradient must go through runState.drop with one of these so the
+// or gradient must go through runState.shed with one of these so the
 // aggregate Report.DroppedPayloads and the per-reason counters agree.
 const (
 	dropPutFailed    = "put-failed"    // cache Put exhausted its retries
@@ -102,12 +103,14 @@ func (m *liveMetrics) iterHist(role string, worker int) *obs.Histogram {
 }
 
 // runState bundles the counters every worker shares. It exists so the
-// actor/learner shed paths count drops exactly once in both the Report
-// aggregate and the labeled registry family.
+// shed paths (runState.shed, stage.go) count drops exactly once in the
+// Report aggregate, the labeled registry family and the lineage store
+// (lin; nil when tracing is off).
 type runState struct {
 	staleReuses atomic.Int64
 	dropped     atomic.Int64
 	m           *liveMetrics
+	lin         *lineage.Store
 }
 
 // drop records one shed payload under reason.

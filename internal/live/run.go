@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,9 +43,12 @@ type run struct {
 	pool     *clientPool
 	dial     func(name string) (cache.Conn, error)
 	paramCli cache.Conn
+	// paramIter is the parameter step's live_iteration_seconds child (nil
+	// when un-instrumented).
+	paramIter *obs.Histogram
 
 	// budget is the retry token bucket shared by every worker connection
-	// (nil unless Options.CacheRetryRate is set outside Lockstep).
+	// (nil unless Options.CacheRetryRate is set).
 	budget *cache.RetryBudget
 
 	// subs registers every delta weight subscriber the workers open so
@@ -54,12 +56,6 @@ type run struct {
 	// into the Report after the pipeline drains.
 	subMu sync.Mutex
 	subs  []*cache.WeightsSub
-
-	// hb is the run's fleet self-registration (nil unless Options.ObsID
-	// is set outside Lockstep); hbConn is its dedicated connection so
-	// registration writes never contend with the parameter hot path.
-	hb     *cache.Heartbeat
-	hbConn cache.Conn
 
 	// pub is the delta weight publisher (nil in lockstep, which keeps the
 	// single-key "weights/latest" publish path).
@@ -108,12 +104,13 @@ type run struct {
 func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 	m := newLiveMetrics(opt.Obs)
 	r := &run{
-		opt:   opt,
-		m:     m,
-		st:    &runState{m: m},
-		pool:  &clientPool{},
-		errCh: make(chan error, opt.Actors+opt.Learners+2),
-		start: time.Now(),
+		opt:       opt,
+		m:         m,
+		st:        &runState{m: m},
+		pool:      &clientPool{},
+		paramIter: m.iterHist("param", 0),
+		errCh:     make(chan error, opt.Actors+opt.Learners+2),
+		start:     time.Now(),
 	}
 
 	// Causal tracing rides on the obs registry: the lineage store shares
@@ -123,6 +120,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		r.lin = lineage.New(opt.Obs.Now, lineage.Options{
 			Hooks: obs.LineageHooks(opt.Obs, obs.LatencyBuckets),
 		})
+		r.st.lin = r.lin
 		opt.Obs.SetTraceSource(r.lin)
 		opt.Obs.SetInfo("config_fingerprint", r.fingerprint().Hash())
 		opt.Obs.SetInfo("mode", map[bool]string{true: "lockstep", false: "async"}[opt.Lockstep])
@@ -147,7 +145,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 	// connection shares the run's retry/deadline policy and is registered
 	// so its fault-tolerance counters can be folded into the Report; name
 	// labels the connection's lineage hops with the owning worker.
-	if opt.CacheRetryRate > 0 && !opt.Lockstep {
+	if opt.CacheRetryRate > 0 {
 		r.budget = cache.NewRetryBudget(opt.CacheRetryRate, opt.CacheRetryBurst)
 	}
 	var dialSeq atomic.Uint64
@@ -159,16 +157,12 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 			Obs:         opt.Obs,
 			Lineage:     r.lin,
 			LineageName: name,
-		}
-		// The robustness knobs stay off in Lockstep: hedging, evacuation,
-		// breaker trips, and budget denials all depend on wall-clock
-		// racing, and the deterministic schedule must not.
-		if !opt.Lockstep {
-			dopts.RetryBudget = r.budget
-			dopts.DegradeLatency = opt.CacheDegradeLatency
-			dopts.DegradeWindow = opt.CacheDegradeWindow
-			dopts.HedgeReads = opt.CacheHedgeReads
-			dopts.BreakerThreshold = opt.CacheBreakerThreshold
+			// All zero under Lockstep (withDefaults).
+			RetryBudget:      r.budget,
+			DegradeLatency:   opt.CacheDegradeLatency,
+			DegradeWindow:    opt.CacheDegradeWindow,
+			HedgeReads:       opt.CacheHedgeReads,
+			BreakerThreshold: opt.CacheBreakerThreshold,
 		}
 		if opt.Cluster != nil {
 			sc, err := cache.DialSharded(opt.Cluster, dopts)
@@ -256,19 +250,6 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		return nil, nil, err
 	}
 
-	// Fleet self-registration (DESIGN.md §12): announce this run as a
-	// scrape target on a dedicated connection. Best-effort by design —
-	// a broken registration must never take down training.
-	if opt.ObsID != "" && !opt.Lockstep {
-		hbConn, err := r.dial("heartbeat")
-		if err == nil {
-			r.hbConn = hbConn
-			r.hb = cache.StartHeartbeat(hbConn, cache.Instance{
-				ID: opt.ObsID, Role: "train", Addr: opt.ObsHTTPAddr,
-				Shard: -1, PID: os.Getpid(),
-			}, opt.HeartbeatEvery)
-		}
-	}
 	return r, loaded, nil
 }
 
@@ -276,10 +257,6 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 // in-process server). Worker clients close with their goroutines; the
 // pool keeps references only for post-close counter reads.
 func (r *run) close() {
-	if r.hb != nil {
-		r.hb.Stop()
-		_ = r.hbConn.Close()
-	}
 	if r.paramCli != nil {
 		_ = r.paramCli.Close()
 	}
@@ -498,21 +475,6 @@ func (r *run) applyCheckpoint(c *ckpt.Checkpoint) error {
 		r.m.ckptLoads.Inc()
 	}
 	return nil
-}
-
-// maybeCheckpoint writes a checkpoint when the update counter has moved
-// CheckpointEvery past the last one (or the run just completed, in
-// async mode). Called from the thread that owns the training state.
-func (r *run) maybeCheckpoint(mode ckpt.Mode, actors, learners []ckpt.WorkerState) {
-	if !r.ckptEnabled() {
-		return
-	}
-	v := r.version.Load()
-	if v-r.lastCkpt < int64(r.opt.CheckpointEvery) {
-		return
-	}
-	r.writeCheckpoint(r.buildCheckpoint(mode, actors, learners))
-	r.lastCkpt = v
 }
 
 // buildReport assembles the run summary after the pipeline has drained.

@@ -3,6 +3,8 @@ package live
 import (
 	"fmt"
 	"time"
+
+	"stellaris/internal/rng"
 )
 
 // supervise runs one worker body under crash supervision: panics are
@@ -79,6 +81,18 @@ func runGuarded(body func(ready func()) error, ready func()) (err error, panicke
 		}
 	}()
 	return body(ready), false
+}
+
+// injectPanic is the fault-injection point at the top of every
+// supervised iteration: the tests' deterministic panicHook, and — for
+// workers that pass their chaos stream — the seeded ChaosPanicRate drill.
+func (r *run) injectPanic(role string, id int, chaos *rng.RNG) {
+	if hook := r.opt.panicHook; hook != nil && hook(role, id) {
+		panic(fmt.Sprintf("injected %s %d panic", role, id))
+	}
+	if chaos != nil && r.opt.ChaosPanicRate > 0 && chaos.Float64() < r.opt.ChaosPanicRate {
+		panic(fmt.Sprintf("chaos %s %d panic", role, id))
+	}
 }
 
 // countRestart records one supervisor restart for the role.

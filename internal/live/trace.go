@@ -111,14 +111,3 @@ func (r *run) recordConsumed(trajKey, gkey, actor string) {
 		Actor: actor, Ref: gkey,
 	})
 }
-
-// recordShed marks an artifact abandoned on a shed-load path; reason is
-// one of the drop* constants so lineage and metrics use one vocabulary.
-func (r *run) recordShed(key, kind, actor, reason string) {
-	if r.lin == nil {
-		return
-	}
-	r.lin.Record(lineage.Event{
-		Trace: key, Kind: kind, Hop: lineage.HopShed, Actor: actor, Detail: reason,
-	})
-}

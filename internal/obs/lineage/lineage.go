@@ -3,7 +3,7 @@
 // system exchanges (a trajectory, a gradient, a weight publish) carries
 // a compact trace context (Meta) through the cache wire protocol, and
 // every hop in its life — produced, put, fetched, consumed, aggregated,
-// truncated-by-IS, shed, dropped-as-stale — is recorded as an Event in
+// truncated-by-IS, shed — is recorded as an Event in
 // a Store. The Store can reconstruct any artifact's timeline, follow
 // its causal chain downstream (trajectory → gradient → weights), and
 // render everything as Chrome trace-event JSON loadable in Perfetto.
@@ -61,9 +61,6 @@ const (
 	// HopShed: the artifact was abandoned on a shed-load path (put
 	// retries exhausted, corrupt decode, backpressure).
 	HopShed = "shed"
-	// HopDroppedStale: the artifact was discarded because it was too
-	// stale to be worth training on (the data loader's batch drop).
-	HopDroppedStale = "dropped-as-stale"
 	// HopGap: synthesized during reconstruction where the record is
 	// incomplete — an evicted or never-seen trace, or a parent link
 	// pointing outside the store. Never recorded by instrumentation.
