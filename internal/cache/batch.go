@@ -74,16 +74,23 @@ func BatchGet(c Cache, keys []string) ([][]byte, error) {
 
 // ---- MemCache ----
 
-// PutN implements Batcher under a single lock acquisition.
+// PutN implements Batcher under a single lock acquisition. The copies
+// are made before the lock is taken: they are the slow part and need
+// nothing the lock protects.
 func (c *MemCache) PutN(kvs []KV) error {
+	owned := make([][]byte, len(kvs))
+	for i, kv := range kvs {
+		v := kv.Val // a plain variable, so make+copy compiles to one unzeroed allocation
+		cp := make([]byte, len(v))
+		copy(cp, v)
+		owned[i] = cp
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var firstErr error
-	for _, kv := range kvs {
-		cp := make([]byte, len(kv.Val))
-		copy(cp, kv.Val)
-		c.data[kv.Key] = cp
-		if err := c.logLocked(aofPut, kv.Key, cp); err != nil && firstErr == nil {
+	for i, kv := range kvs {
+		c.data[kv.Key] = owned[i]
+		if err := c.logLocked(aofPut, kv.Key, owned[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -92,17 +99,32 @@ func (c *MemCache) PutN(kvs []KV) error {
 
 // GetN implements Batcher under a single lock acquisition.
 func (c *MemCache) GetN(keys []string) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i, k := range keys {
-		if v, ok := c.data[k]; ok {
+	out := c.viewN(keys)
+	for i, v := range out {
+		if v != nil {
 			cp := make([]byte, len(v))
 			copy(cp, v)
 			out[i] = cp
 		}
 	}
 	return out, nil
+}
+
+// viewN is GetN without the copies: the stored slices themselves (see
+// view), nil for a missing key and only for a missing key.
+func (c *MemCache) viewN(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for i, k := range keys {
+		if v, ok := c.data[k]; ok {
+			if v == nil {
+				v = []byte{} // stored empty (a nil Put, a recovered empty value): found
+			}
+			out[i] = v
+		}
+	}
+	return out
 }
 
 // ---- wire blobs ----
@@ -119,17 +141,6 @@ func putNBlobSize(kvs []KV) int {
 		n += 8 + len(kv.Key) + len(kv.Val)
 	}
 	return n
-}
-
-func appendPutNBlob(b []byte, kvs []KV) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(kvs)))
-	for _, kv := range kvs {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(kv.Key)))
-		b = append(b, kv.Key...)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(kv.Val)))
-		b = append(b, kv.Val...)
-	}
-	return b
 }
 
 // blobCursor reads length-prefixed fields out of a batch blob with the
@@ -241,21 +252,12 @@ func getNRespSize(vals [][]byte) int {
 	return n
 }
 
-func appendGetNResp(b []byte, vals [][]byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(vals)))
-	for _, v := range vals {
-		if v == nil {
-			b = append(b, 0)
-			b = binary.BigEndian.AppendUint32(b, 0)
-			continue
-		}
-		b = append(b, 1)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
-		b = append(b, v...)
-	}
-	return b
-}
-
+// parseGetNResp splits a GetN response blob into its entries. The
+// entries alias b — the buffer readResp allocated for this one response
+// and nobody else holds — each with its capacity clipped to its length,
+// so they are as independently retainable as Get's result without a
+// copy apiece. A key that was found with an empty value yields a
+// non-nil empty entry; only a missing key yields nil.
 func parseGetNResp(b []byte, want int) ([][]byte, error) {
 	cur := &blobCursor{b: b}
 	n := cur.count("getn response count", minGetNRspRec)
@@ -267,11 +269,7 @@ func parseGetNResp(b []byte, want int) ([][]byte, error) {
 		found := cur.u8("found flag")
 		val := cur.bytes(cur.u32("value length"), "value")
 		if found != 0 {
-			// Detach from the response buffer so entries are independently
-			// retainable, matching Get's contract.
-			cp := make([]byte, len(val))
-			copy(cp, val)
-			out = append(out, cp)
+			out = append(out, val[:len(val):len(val)])
 		} else {
 			out = append(out, nil)
 		}
@@ -293,9 +291,7 @@ func (c *Client) PutN(kvs []KV) error {
 	if len(kvs) == 1 {
 		return c.Put(kvs[0].Key, kvs[0].Val)
 	}
-	blob := appendPutNBlob(grabFrame(putNBlobSize(kvs)), kvs)
-	status, payload, err := c.roundTrip('p', "", blob)
-	Recycle(blob)
+	status, payload, err := c.roundTrip(request{op: 'p', kvs: kvs})
 	if err := respErr(status, payload, err, "(putn)"); err != nil {
 		return err
 	}
@@ -320,7 +316,7 @@ func (c *Client) GetN(keys []string) ([][]byte, error) {
 		return [][]byte{v}, nil
 	}
 	blob := appendGetNReq(grabFrame(getNReqSize(keys)), keys)
-	status, payload, err := c.roundTrip('g', "", blob)
+	status, payload, err := c.roundTrip(request{op: 'g', val: blob})
 	Recycle(blob)
 	if err != nil {
 		return nil, err

@@ -68,7 +68,10 @@ func grabFrame(n int) []byte {
 // Callers may recycle a buffer as soon as the bytes have been handed
 // off (Client.Put writes before returning; MemCache.Put copies), and
 // must not touch it afterwards. Recycling buffers the codec did not
-// produce is harmless.
+// produce is harmless — with one exception, which is the server-side
+// rule: memory handed to a store (MemCache.putOwned — a request frame's
+// tail on the server, a record's frame on a follower) is shared with
+// every later reader of that key and is never pooled.
 func Recycle(b []byte) {
 	if cap(b) == 0 {
 		return

@@ -57,6 +57,14 @@ type Cache interface {
 // to disk (see persist.go); the zero-dir form is purely in-memory.
 // Replication streams (replica.go) observe mutations through taps
 // registered with attachTap.
+//
+// Invariant: a stored value is immutable. A key is overwritten by
+// replacing its slice in the map, never by writing into it, so the
+// slice a reader obtained under the lock stays valid and unchanged
+// after the lock is released. The server's responses (view), the
+// replication taps and snapshots, and the follower's store all share
+// stored slices on that guarantee; the public Put/PutN/Get/GetN keep
+// it by copying in and out, so callers own what they pass and receive.
 type MemCache struct {
 	mu       sync.RWMutex
 	data     map[string][]byte
@@ -79,24 +87,37 @@ func NewMemCache() *MemCache {
 func (c *MemCache) Put(key string, val []byte) error {
 	cp := make([]byte, len(val))
 	copy(cp, val)
+	return c.putOwned(key, cp)
+}
+
+// putOwned stores val itself rather than a copy: the caller gives the
+// slice up and must never write to, pool or reuse its memory again
+// (see the immutability invariant on MemCache).
+func (c *MemCache) putOwned(key string, val []byte) error {
 	c.mu.Lock()
-	c.data[key] = cp
-	err := c.logLocked(aofPut, key, cp)
+	c.data[key] = val
+	err := c.logLocked(aofPut, key, val)
 	c.mu.Unlock()
 	return err
 }
 
 // Get implements Cache.
 func (c *MemCache) Get(key string) ([]byte, error) {
-	c.mu.RLock()
-	v, ok := c.data[key]
-	c.mu.RUnlock()
+	v, ok := c.view(key)
 	if !ok {
 		return nil, ErrNotFound{Key: key}
 	}
 	cp := make([]byte, len(v))
 	copy(cp, v)
 	return cp, nil
+}
+
+// view returns the stored slice itself, for readers that only read it.
+func (c *MemCache) view(key string) ([]byte, bool) {
+	c.mu.RLock()
+	v, ok := c.data[key]
+	c.mu.RUnlock()
+	return v, ok
 }
 
 // Delete implements Cache. Both the value and any Incr counter under
@@ -147,11 +168,10 @@ func (c *MemCache) Len() (int, error) {
 // replication full-sync needs, since replaying relative Incrs against
 // an unknown base is not. Journaled as aofCounterSet when persistent.
 func (c *MemCache) setCounter(key string, v int64) error {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(v))
+	buf := binary.BigEndian.AppendUint64(nil, uint64(v)) // kept by any tap it is sent to
 	c.mu.Lock()
 	c.counters[key] = v
-	err := c.logLocked(aofCounterSet, key, buf[:])
+	err := c.logLocked(aofCounterSet, key, buf)
 	c.mu.Unlock()
 	return err
 }
@@ -177,12 +197,21 @@ func (c *MemCache) resetForSync() error {
 
 // ---- replication taps ----
 
-// tap feeds encoded mutation records to one replication stream. Sends
-// happen under c.mu, in mutation order; a full channel marks the tap
-// dead and closes it, forcing the slow follower to reconnect and
-// full-resync rather than silently diverge.
+// tapRec is one mutation on its way to a follower. val is the stored
+// slice itself (immutable, see MemCache), not a copy; the stream
+// goroutine frames and checksums the record outside the store's lock.
+type tapRec struct {
+	op  byte
+	key string
+	val []byte
+}
+
+// tap feeds mutation records to one replication stream. Sends happen
+// under c.mu, in mutation order; a full channel marks the tap dead and
+// closes it, forcing the slow follower to reconnect and full-resync
+// rather than silently diverge.
 type tap struct {
-	ch   chan []byte
+	ch   chan tapRec
 	dead bool
 }
 
@@ -191,25 +220,27 @@ type tap struct {
 // burst, while a wedged one is cut loose quickly.
 const replTapBuffer = 1024
 
-// attachTap atomically snapshots the store as a sequence of encoded
-// records (reset, every value, every counter as an absolute set) and
-// registers a live tap that will observe every mutation after the
-// snapshot. The handoff happens under one lock acquisition, so no
-// mutation is lost or duplicated between snapshot and stream.
-func (c *MemCache) attachTap() (snapshot [][]byte, t *tap) {
+// attachTap atomically snapshots the store as a sequence of records
+// (reset, every value, every counter as an absolute set) and registers
+// a live tap that will observe every mutation after the snapshot. The
+// handoff happens under one lock acquisition, so no mutation is lost or
+// duplicated between snapshot and stream — and it is short: the
+// snapshot shares the stored slices, so attaching costs O(keys) under
+// the lock, not O(bytes).
+func (c *MemCache) attachTap() (snapshot []tapRec, t *tap) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snapshot = make([][]byte, 0, 1+len(c.data)+len(c.counters))
-	snapshot = append(snapshot, appendRecord(nil, aofReset, "", nil))
+	snapshot = make([]tapRec, 0, 1+len(c.data)+len(c.counters))
+	snapshot = append(snapshot, tapRec{op: aofReset})
 	for k, v := range c.data {
-		snapshot = append(snapshot, appendRecord(nil, aofPut, k, v))
+		snapshot = append(snapshot, tapRec{op: aofPut, key: k, val: v})
 	}
-	var buf [8]byte
+	sets := make([]byte, 0, 8*len(c.counters))
 	for k, v := range c.counters {
-		binary.BigEndian.PutUint64(buf[:], uint64(v))
-		snapshot = append(snapshot, appendRecord(nil, aofCounterSet, k, buf[:]))
+		sets = binary.BigEndian.AppendUint64(sets, uint64(v))
+		snapshot = append(snapshot, tapRec{op: aofCounterSet, key: k, val: sets[len(sets)-8:]})
 	}
-	t = &tap{ch: make(chan []byte, replTapBuffer)}
+	t = &tap{ch: make(chan tapRec, replTapBuffer)}
 	if c.taps == nil {
 		c.taps = make(map[*tap]struct{})
 	}
@@ -232,14 +263,11 @@ func (c *MemCache) detachTap(t *tap) {
 	}
 }
 
-// tapLocked fans one mutation record out to every live tap; called with
-// c.mu held (which is what makes close-after-overflow safe: no sender
-// can race the close). The record is encoded once and shared read-only.
+// tapLocked fans one mutation out to every live tap; called with c.mu
+// held (which is what makes close-after-overflow safe: no sender can
+// race the close). val is shared read-only, never copied.
 func (c *MemCache) tapLocked(op byte, key string, val []byte) {
-	if len(c.taps) == 0 {
-		return
-	}
-	rec := appendRecord(nil, op, key, val)
+	rec := tapRec{op: op, key: key, val: val}
 	for t := range c.taps {
 		if t.dead {
 			continue

@@ -172,7 +172,7 @@ type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	br     *bufio.Reader
-	bw     *bufio.Writer
+	fw     frameWriter // writes to conn; its staging buffer outlives reconnects
 	jitter *rng.RNG
 	closed bool
 
@@ -186,8 +186,28 @@ type Client struct {
 
 // clientMetrics is the client's view into a shared obs registry.
 type clientMetrics struct {
-	events    *obs.CounterVec   // cache_client_events_total{event}
-	opSeconds *obs.HistogramVec // cache_client_op_seconds{op}
+	events    *obs.CounterVec      // cache_client_events_total{event}
+	opSeconds perOp[obs.Histogram] // cache_client_op_seconds{op}
+}
+
+// request is one protocol request as the client states it; the frame
+// around it is built by frameWriter.request on every attempt, straight
+// into the connection's staging buffer, with the value left where the
+// caller has it.
+type request struct {
+	op   byte // the operation; for a fenced write, the one inside the envelope
+	key  string
+	term int64  // nonzero: send as a 'T' envelope stamped with this shard term
+	val  []byte // the value field, or
+	kvs  []KV   // the pairs of a 'p', gathered into the value field
+}
+
+// wireOp is the opcode the frame carries.
+func (r request) wireOp() byte {
+	if r.term != 0 {
+		return 'T'
+	}
+	return r.op
 }
 
 // Dial connects to a cache server with default DialOptions.
@@ -206,7 +226,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if opts.Obs != nil {
 		c.m = &clientMetrics{
 			events:    opts.Obs.CounterVec("cache_client_events_total", "fault-tolerance events across clients", "event"),
-			opSeconds: opts.Obs.HistogramVec("cache_client_op_seconds", "full round-trip latency (incl. retries) by opcode", obs.LatencyBuckets, "op"),
+			opSeconds: perOp[obs.Histogram]{with: opts.Obs.HistogramVec("cache_client_op_seconds", "full round-trip latency (incl. retries) by opcode", obs.LatencyBuckets, "op").With},
 		}
 	}
 	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
@@ -222,7 +242,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 func (c *Client) attach(conn net.Conn) {
 	c.conn = conn
 	c.br = bufio.NewReaderSize(conn, 1<<16)
-	c.bw = bufio.NewWriterSize(conn, 1<<16)
+	c.fw.w = conn
 }
 
 // dropConn poisons the current connection so the next attempt redials.
@@ -231,7 +251,7 @@ func (c *Client) dropConn() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 		c.conn = nil
-		c.br, c.bw = nil, nil
+		c.br, c.fw.w = nil, nil
 	}
 }
 
@@ -249,7 +269,7 @@ func (c *Client) Close() error {
 	if c.conn != nil {
 		err = c.conn.Close()
 		c.conn = nil
-		c.br, c.bw = nil, nil
+		c.br, c.fw.w = nil, nil
 	}
 	return err
 }
@@ -275,13 +295,10 @@ func (c *Client) event(counter *obs.Counter, name string) {
 // retry. Status-level outcomes ('-' not found, '!' server error) are
 // returned to the caller without retrying; only transport failures
 // (dial, write, deadline, short/garbled response) burn attempts.
-func (c *Client) roundTrip(op byte, key string, value []byte) (byte, []byte, error) {
-	var start time.Time
+func (c *Client) roundTrip(req request) (byte, []byte, error) {
 	if c.m != nil {
-		start = time.Now()
-		defer func() {
-			c.m.opSeconds.With(opName(op)).Observe(time.Since(start).Seconds())
-		}()
+		h, start := c.m.opSeconds.of(req.wireOp()), time.Now()
+		defer func() { h.Observe(time.Since(start).Seconds()) }()
 	}
 	var lastErr error
 	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
@@ -294,7 +311,7 @@ func (c *Client) roundTrip(op byte, key string, value []byte) (byte, []byte, err
 					c.m.events.With("retry-budget-exhausted").Inc()
 				}
 				return 0, nil, &TransportError{
-					Op: op, Key: key, Attempts: attempt,
+					Op: req.wireOp(), Key: req.key, Attempts: attempt,
 					Err: fmt.Errorf("retry budget exhausted: %w", lastErr),
 				}
 			}
@@ -308,7 +325,7 @@ func (c *Client) roundTrip(op byte, key string, value []byte) (byte, []byte, err
 			c.mu.Unlock()
 			time.Sleep(d)
 		}
-		status, payload, err := c.attempt(op, key, value)
+		status, payload, err := c.attempt(req)
 		if err == nil {
 			return status, payload, nil
 		}
@@ -317,7 +334,7 @@ func (c *Client) roundTrip(op byte, key string, value []byte) (byte, []byte, err
 		}
 		lastErr = err
 	}
-	return 0, nil, &TransportError{Op: op, Key: key, Attempts: c.opts.Attempts, Err: lastErr}
+	return 0, nil, &TransportError{Op: req.wireOp(), Key: req.key, Attempts: c.opts.Attempts, Err: lastErr}
 }
 
 // attempt performs a single reconnect-if-needed + exchange. The TCP
@@ -326,7 +343,7 @@ func (c *Client) roundTrip(op byte, key string, value []byte) (byte, []byte, err
 // — and Close — for up to the full dial timeout. Only the exchange
 // itself (one atomic request/response on the shared connection) runs
 // under the lock.
-func (c *Client) attempt(op byte, key string, value []byte) (byte, []byte, error) {
+func (c *Client) attempt(req request) (byte, []byte, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -368,7 +385,10 @@ func (c *Client) attempt(op byte, key string, value []byte) (byte, []byte, error
 		// report a transport error so the retry loop redials.
 		return 0, nil, errors.New("cache: connection lost before exchange")
 	}
-	status, payload, err := c.exchange(op, key, value)
+	// The lock IS the per-connection request/response serialisation —
+	// one exchange owns the socket from its first byte out to its last
+	// byte in — and the wait is bounded by OpTimeout.
+	status, payload, err := c.exchange(req) //lint:allow lockholdt c.mu serialises exchanges on the one connection; bounded by OpTimeout
 	if err == nil {
 		return status, payload, nil
 	}
@@ -383,18 +403,17 @@ func (c *Client) attempt(op byte, key string, value []byte) (byte, []byte, error
 	return 0, nil, err
 }
 
-// exchange writes one frame and reads one response on the live
+// exchange writes one frame — a single vectored write, the value sent
+// from the caller's slice — and reads one response on the live
 // connection. Callers hold c.mu and guarantee c.conn != nil.
-func (c *Client) exchange(op byte, key string, value []byte) (byte, []byte, error) {
+func (c *Client) exchange(req request) (byte, []byte, error) {
 	if c.opts.OpTimeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout)); err != nil {
 			return 0, nil, err
 		}
 	}
-	if err := writeFrame(c.bw, op, key, value); err != nil {
-		return 0, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	c.fw.request(req)
+	if err := c.fw.flush(); err != nil {
 		return 0, nil, err
 	}
 	return readResp(c.br)
@@ -439,7 +458,7 @@ func (c *Client) lineageHop(hop, key string) {
 
 // Put implements Cache.
 func (c *Client) Put(key string, val []byte) error {
-	status, payload, err := c.roundTrip('P', key, val)
+	status, payload, err := c.roundTrip(request{op: 'P', key: key, val: val})
 	if err := respErr(status, payload, err, key); err != nil {
 		return err
 	}
@@ -449,7 +468,7 @@ func (c *Client) Put(key string, val []byte) error {
 
 // Get implements Cache.
 func (c *Client) Get(key string) ([]byte, error) {
-	status, payload, err := c.roundTrip('G', key, nil)
+	status, payload, err := c.roundTrip(request{op: 'G', key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -465,7 +484,7 @@ func (c *Client) Get(key string) ([]byte, error) {
 
 // Delete implements Cache.
 func (c *Client) Delete(key string) error {
-	status, payload, err := c.roundTrip('D', key, nil)
+	status, payload, err := c.roundTrip(request{op: 'D', key: key})
 	return respErr(status, payload, err, key)
 }
 
@@ -473,7 +492,7 @@ func (c *Client) Delete(key string) error {
 // after a lost response re-applies the increment (at-least-once
 // semantics) — counters may overcount under transport faults.
 func (c *Client) Incr(key string) (int64, error) {
-	status, payload, err := c.roundTrip('I', key, nil)
+	status, payload, err := c.roundTrip(request{op: 'I', key: key})
 	if err != nil {
 		return 0, err
 	}
@@ -485,7 +504,7 @@ func (c *Client) Incr(key string) (int64, error) {
 
 // Keys implements Cache.
 func (c *Client) Keys(prefix string) ([]string, error) {
-	status, payload, err := c.roundTrip('K', prefix, nil)
+	status, payload, err := c.roundTrip(request{op: 'K', key: prefix})
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +519,7 @@ func (c *Client) Keys(prefix string) ([]string, error) {
 
 // Len implements Cache.
 func (c *Client) Len() (int, error) {
-	status, payload, err := c.roundTrip('L', "", nil)
+	status, payload, err := c.roundTrip(request{op: 'L'})
 	if err != nil {
 		return 0, err
 	}

@@ -49,8 +49,10 @@ func sameFloat(a, b float64) bool {
 
 // FuzzFrameDecode hammers the length-prefixed wire framing (net.go)
 // with raw bytes: readFrame/readResp must error on garbage, never
-// panic or over-allocate past the frame cap, and a frame they accept
-// must re-encode to the same bytes they consumed.
+// panic or over-allocate past the frame cap, a frame they accept must
+// re-encode to the same bytes they consumed, and a server must answer
+// it — whatever its value field holds, a batch blob or a fenced
+// envelope around one included — with one well-formed response.
 func FuzzFrameDecode(f *testing.F) {
 	if testing.Short() {
 		f.Skip("frame fuzz corpus replay skipped in -short")
@@ -62,6 +64,22 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(good.Bytes())
 	f.Add([]byte{0, 0, 0, 5, 'G', 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// A 'p' blob and a 'T'-wrapped one, each intact and with its last
+	// value length one past the end of the frame.
+	blob := appendPutNBlob(nil, []KV{{Key: "traj/0/1", Val: []byte("first")}, {Key: "traj/0/2", Val: []byte("second")}})
+	past := append([]byte(nil), blob...)
+	past[len(past)-len("second")-1]++
+	for _, b := range [][]byte{blob, past} {
+		for _, term := range []int64{0, 7} {
+			good.Reset()
+			fw := frameWriter{w: &good}
+			fw.request(request{op: 'p', term: term, val: b})
+			if err := fw.flush(); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(append([]byte(nil), good.Bytes()...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readFrame(bytes.NewReader(data))
 		if err == nil {
@@ -71,6 +89,17 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
 				t.Fatalf("frame re-encode mismatch:\n got %x\nwant %x", buf.Bytes(), data[:buf.Len()])
+			}
+			if fr.op != 'R' { // 'R' is not handled: it takes the connection over
+				buf.Reset()
+				fw := frameWriter{w: &buf}
+				NewServer(nil).handle(&fw, fr)
+				if err := fw.flush(); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := readResp(&buf); err != nil || buf.Len() != 0 {
+					t.Fatalf("op %q answered with a malformed response (%v, %d bytes over)", fr.op, err, buf.Len())
+				}
 			}
 		}
 		_, _, _ = readResp(bytes.NewReader(data))

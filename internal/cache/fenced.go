@@ -16,7 +16,6 @@ package cache
 // single envelope byte.
 
 import (
-	"encoding/binary"
 	"strconv"
 
 	"stellaris/internal/obs/lineage"
@@ -34,29 +33,19 @@ func (e *ErrFenced) Error() string {
 	return "cache: write fenced by newer shard term " + strconv.FormatInt(e.Term, 10) + "; refresh topology"
 }
 
-// fencedEnvelope starts a 'T' envelope — [u64 term][u8 innerOp] — on a
-// pooled frame with room for valLen more bytes; the caller appends the
-// inner op's value and hands the result to Client.fenced.
-func fencedEnvelope(term int64, inner byte, valLen int) []byte {
-	env := grabFrame(9 + valLen)
-	env = binary.BigEndian.AppendUint64(env, uint64(term))
-	return append(env, inner)
-}
-
-// fenced sends one finished envelope and returns the inner op's reply
-// payload. The frame goes back to the pool as soon as roundTrip (which
-// writes it out on every attempt) has returned. An 'F' status becomes
-// *ErrFenced carrying the server's term; a server that cannot fence
-// fails the write like any other '!' answer — it is never retried as a
-// plain, unfenced op.
-func (c *Client) fenced(key string, env []byte) ([]byte, error) {
-	status, payload, err := c.roundTrip('T', key, env)
-	Recycle(env)
+// fenced sends one write inside a 'T' envelope — req.term is nonzero,
+// so the frame carries [u64 term][u8 req.op] ahead of the inner op's
+// value — and returns the inner op's reply payload. An 'F' status
+// becomes *ErrFenced carrying the server's term; a server that cannot
+// fence fails the write like any other '!' answer — it is never retried
+// as a plain, unfenced op.
+func (c *Client) fenced(req request) ([]byte, error) {
+	status, payload, err := c.roundTrip(req)
 	if err == nil && status == 'F' {
 		t, _ := strconv.ParseInt(string(payload), 10, 64)
 		return nil, &ErrFenced{Term: t}
 	}
-	return payload, respErr(status, payload, err, key)
+	return payload, respErr(status, payload, err, req.key)
 }
 
 // PutFenced is Put stamped with the caller's believed shard term.
@@ -64,7 +53,7 @@ func (c *Client) PutFenced(term int64, key string, val []byte) error {
 	if term == 0 {
 		return c.Put(key, val)
 	}
-	if _, err := c.fenced(key, append(fencedEnvelope(term, 'P', len(val)), val...)); err != nil {
+	if _, err := c.fenced(request{op: 'P', key: key, term: term, val: val}); err != nil {
 		return err
 	}
 	c.lineageHop(lineage.HopPut, key)
@@ -76,7 +65,7 @@ func (c *Client) DeleteFenced(term int64, key string) error {
 	if term == 0 {
 		return c.Delete(key)
 	}
-	_, err := c.fenced(key, fencedEnvelope(term, 'D', 0))
+	_, err := c.fenced(request{op: 'D', key: key, term: term})
 	return err
 }
 
@@ -86,7 +75,7 @@ func (c *Client) IncrFenced(term int64, key string) (int64, error) {
 	if term == 0 {
 		return c.Incr(key)
 	}
-	payload, err := c.fenced(key, fencedEnvelope(term, 'I', 0))
+	payload, err := c.fenced(request{op: 'I', key: key, term: term})
 	if err != nil {
 		return 0, err
 	}
@@ -101,8 +90,7 @@ func (c *Client) PutNFenced(term int64, kvs []KV) error {
 	if term == 0 || len(kvs) == 0 {
 		return c.PutN(kvs)
 	}
-	env := appendPutNBlob(fencedEnvelope(term, 'p', putNBlobSize(kvs)), kvs)
-	if _, err := c.fenced("", env); err != nil {
+	if _, err := c.fenced(request{op: 'p', term: term, kvs: kvs}); err != nil {
 		return err
 	}
 	for _, kv := range kvs {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"strconv"
@@ -41,20 +42,135 @@ type frame struct {
 	value []byte
 }
 
-func writeFrame(w io.Writer, op byte, key string, value []byte) error {
-	total := 1 + 4 + len(key) + len(value)
-	var hdr [9]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(total))
-	hdr[4] = op
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(key)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// frameWriter puts whole protocol messages on one connection. The bytes
+// a message is framed with (length word, op or status, key, the fence
+// prefix, blob and record headers) are staged in hdr; a value is never
+// staged but sent from where it already lives — the caller's slice on a
+// client, the store's own slice on a server — so flush hands the kernel
+// the message (or a batch of replication records) in one vectored write
+// and no value is copied in user space on its way out. Not safe for
+// concurrent use: every connection has one writer at a time.
+type frameWriter struct {
+	w    io.Writer
+	sent *obs.Counter // bytes written; nil when the connection is not instrumented
+	hdr  []byte       // framing bytes of the pending messages, in wire order
+	cuts []cut        // where the pending values go between them
+	iov  [][]byte     // backing array of bufs, reused across flushes
+	bufs net.Buffers
+}
+
+// cut places val on the wire after hdr[:at].
+type cut struct {
+	at  int
+	val []byte
+}
+
+// value queues v behind the framing bytes staged so far. v must stay
+// unchanged until flush returns.
+func (w *frameWriter) value(v []byte) {
+	if len(v) > 0 {
+		w.cuts = append(w.cuts, cut{at: len(w.hdr), val: v})
 	}
-	if _, err := io.WriteString(w, key); err != nil {
-		return err
+}
+
+// request queues one request frame. A nonzero term wraps r.op in a 'T'
+// envelope; r.kvs, when set, is gathered into the value field in the
+// PutN blob layout (batch.go).
+func (w *frameWriter) request(r request) {
+	vlen := len(r.val)
+	if r.kvs != nil {
+		vlen = putNBlobSize(r.kvs)
 	}
-	_, err := w.Write(value)
+	if r.term != 0 {
+		vlen += 9
+	}
+	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(1+4+len(r.key)+vlen))
+	w.hdr = append(w.hdr, r.wireOp())
+	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(r.key)))
+	w.hdr = append(w.hdr, r.key...)
+	if r.term != 0 {
+		w.hdr = binary.BigEndian.AppendUint64(w.hdr, uint64(r.term))
+		w.hdr = append(w.hdr, r.op)
+	}
+	if r.kvs == nil {
+		w.value(r.val)
+		return
+	}
+	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(r.kvs)))
+	for _, kv := range r.kvs {
+		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(kv.Key)))
+		w.hdr = append(w.hdr, kv.Key...)
+		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(kv.Val)))
+		w.value(kv.Val)
+	}
+}
+
+// respHead stages the head of a response frame whose payload will be n
+// bytes.
+func (w *frameWriter) respHead(status byte, n int) {
+	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(1+n))
+	w.hdr = append(w.hdr, status)
+}
+
+// resp queues one response frame.
+func (w *frameWriter) resp(status byte, payload []byte) {
+	w.respHead(status, len(payload))
+	w.value(payload)
+}
+
+// errResp queues a '!' response carrying a formatted message.
+func (w *frameWriter) errResp(format string, args ...any) {
+	w.resp('!', []byte(fmt.Sprintf(format, args...)))
+}
+
+// getNResp queues a '+' response whose payload is the GetN response
+// blob (batch.go) for vals; a nil entry is a missing key.
+func (w *frameWriter) getNResp(vals [][]byte) {
+	w.respHead('+', getNRespSize(vals))
+	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(vals)))
+	for _, v := range vals {
+		found := byte(1)
+		if v == nil {
+			found = 0
+		}
+		w.hdr = append(w.hdr, found)
+		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(v)))
+		w.value(v)
+	}
+}
+
+// flush writes everything queued since the last flush, in one vectored
+// write when w.w is a TCP connection, and forgets it whatever the
+// outcome: after an error the connection is dropped, never resumed.
+func (w *frameWriter) flush() error {
+	iov, from := w.iov[:0], 0
+	for _, c := range w.cuts {
+		if c.at > from {
+			iov = append(iov, w.hdr[from:c.at])
+			from = c.at
+		}
+		iov = append(iov, c.val)
+	}
+	if from < len(w.hdr) {
+		iov = append(iov, w.hdr[from:])
+	}
+	w.iov, w.bufs = iov, iov
+	n, err := w.bufs.WriteTo(w.w)
+	if w.sent != nil {
+		w.sent.Add(n)
+	}
+	// Drop every reference to a value: the writer outlives the message.
+	clear(w.cuts)
+	clear(iov)
+	w.hdr, w.cuts = w.hdr[:0], w.cuts[:0]
 	return err
+}
+
+// writeFrame writes one plain request frame to w.
+func writeFrame(w io.Writer, op byte, key string, value []byte) error {
+	fw := frameWriter{w: w}
+	fw.request(request{op: op, key: key, val: value})
+	return fw.flush()
 }
 
 func readFrame(r io.Reader) (frame, error) {
@@ -80,17 +196,6 @@ func readFrame(r io.Reader) (frame, error) {
 		key:   string(body[5 : 5+keyLen]),
 		value: body[5+keyLen:],
 	}, nil
-}
-
-func writeResp(w io.Writer, status byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(1+len(payload)))
-	hdr[4] = status
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }
 
 func readResp(r io.Reader) (byte, []byte, error) {
@@ -125,11 +230,29 @@ type Server struct {
 
 // serverMetrics is the server's view into an obs registry.
 type serverMetrics struct {
-	ops       *obs.CounterVec   // cache_server_ops_total{op}
-	opSeconds *obs.HistogramVec // cache_server_op_seconds{op}
-	bytes     *obs.CounterVec   // cache_server_frame_bytes_total{dir}
-	conns     *obs.Counter      // cache_server_connections_total
-	active    *obs.Gauge        // cache_server_active_connections
+	ops       perOp[obs.Counter]   // cache_server_ops_total{op}
+	opSeconds perOp[obs.Histogram] // cache_server_op_seconds{op}
+	bytes     *obs.CounterVec      // cache_server_frame_bytes_total{dir}
+	conns     *obs.Counter         // cache_server_connections_total
+	active    *obs.Gauge           // cache_server_active_connections
+}
+
+// perOp resolves a labelled family's child once per opcode, the first
+// time the opcode is seen (so a family still lists only the ops that
+// happened). With builds a label key, takes the family's mutex and
+// looks a map up — too much to repeat on every request.
+type perOp[T any] struct {
+	with  func(...string) *T
+	child [256]atomic.Pointer[T]
+}
+
+func (p *perOp[T]) of(op byte) *T {
+	if c := p.child[op].Load(); c != nil {
+		return c
+	}
+	c := p.with(opName(op))
+	p.child[op].Store(c)
+	return c
 }
 
 // Instrument publishes the server's hot-path metrics (per-op counts and
@@ -137,8 +260,8 @@ type serverMetrics struct {
 // Call before Listen; a nil-instrumented server pays no timing cost.
 func (s *Server) Instrument(reg *obs.Registry) {
 	s.m = &serverMetrics{
-		ops:       reg.CounterVec("cache_server_ops_total", "requests handled by opcode", "op"),
-		opSeconds: reg.HistogramVec("cache_server_op_seconds", "request handling latency by opcode", obs.LatencyBuckets, "op"),
+		ops:       perOp[obs.Counter]{with: reg.CounterVec("cache_server_ops_total", "requests handled by opcode", "op").With},
+		opSeconds: perOp[obs.Histogram]{with: reg.HistogramVec("cache_server_op_seconds", "request handling latency by opcode", obs.LatencyBuckets, "op").With},
 		bytes:     reg.CounterVec("cache_server_frame_bytes_total", "protocol bytes by direction", "dir"),
 		conns:     reg.Counter("cache_server_connections_total", "connections accepted"),
 		active:    reg.Gauge("cache_server_active_connections", "connections currently open"),
@@ -192,19 +315,6 @@ func opName(op byte) string {
 	default:
 		return "unknown"
 	}
-}
-
-// countingWriter feeds written byte counts into a counter on the way to
-// the underlying writer.
-type countingWriter struct {
-	w io.Writer
-	n *obs.Counter
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
-	return n, err
 }
 
 // NewServer wraps store (nil allocates a fresh MemCache).
@@ -302,14 +412,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 1<<16)
-	var out io.Writer = conn
+	fw := &frameWriter{w: conn}
+	var in *obs.Counter
 	if s.m != nil {
 		s.m.conns.Inc()
 		s.m.active.Add(1)
 		defer s.m.active.Add(-1)
-		out = countingWriter{w: conn, n: s.m.bytes.With("out")}
+		in, fw.sent = s.m.bytes.With("in"), s.m.bytes.With("out")
 	}
-	bw := bufio.NewWriterSize(out, 1<<16)
 	for {
 		f, err := readFrame(br)
 		if err != nil {
@@ -320,76 +430,85 @@ func (s *Server) serveConn(conn net.Conn) {
 			// it is a one-way stream of '+' frames until either side
 			// drops. No further requests are read.
 			if s.m != nil {
-				s.m.ops.With(opName('R')).Inc()
+				s.m.ops.of('R').Inc()
 			}
-			s.streamReplication(conn, bw)
+			s.streamReplication(conn, fw)
 			return
 		}
 		var start time.Time
 		if s.m != nil {
 			// Request frame size: 4-byte length word + 1 op + 4 keyLen +
 			// key + value.
-			s.m.bytes.With("in").Add(int64(9 + len(f.key) + len(f.value)))
+			in.Add(int64(9 + len(f.key) + len(f.value)))
 			start = time.Now()
 		}
-		if err := s.handle(bw, f); err != nil {
-			return
-		}
+		s.handle(fw, f)
 		// Counted before the reply leaves: a client that has its answer
 		// must find the op in the registry. The latency keeps covering
-		// handle + flush.
+		// handle + the write.
 		if s.m != nil {
-			s.m.ops.With(opName(f.op)).Inc()
+			s.m.ops.of(f.op).Inc()
 		}
-		if err := bw.Flush(); err != nil {
+		if err := fw.flush(); err != nil {
 			return
 		}
 		if s.m != nil {
-			s.m.opSeconds.With(opName(f.op)).Observe(time.Since(start).Seconds())
+			s.m.opSeconds.of(f.op).Observe(time.Since(start).Seconds())
 		}
 	}
 }
 
-func (s *Server) handle(w io.Writer, f frame) error {
+// handle applies one request to the store and queues its response on w.
+//
+// Who owns a frame (DESIGN.md §10.1): f.value is the tail of a buffer
+// readFrame allocated for this request alone, so a put hands it to the
+// store as it is (putOwned) and nothing here may pool, reuse or write
+// to it afterwards; a get answers with the store's own slice (view),
+// which is immutable and therefore safe to leave queued on w after the
+// store's lock is gone.
+func (s *Server) handle(w *frameWriter, f frame) {
 	// Key-addressed ops require a key; 'K' (prefix scan) and 'L' (len)
 	// legitimately take an empty operand.
 	switch f.op {
 	case 'P', 'G', 'D', 'I':
 		if f.key == "" {
-			return writeResp(w, '!', []byte(fmt.Sprintf("empty key for op %q", f.op)))
+			w.errResp("empty key for op %q", f.op)
+			return
 		}
 	}
 	switch f.op {
 	case 'P':
-		_ = s.store.Put(f.key, f.value)
+		_ = s.store.putOwned(f.key, f.value)
 		if f.key == cluster.TopologyKey {
 			s.learnTopology(f.value)
 		}
 		s.lineageHop(lineage.HopPut, f.key)
-		return writeResp(w, '+', nil)
+		w.resp('+', nil)
 	case 'G':
-		v, err := s.store.Get(f.key)
-		if err != nil {
-			return writeResp(w, '-', nil)
+		v, ok := s.store.view(f.key)
+		if !ok {
+			w.resp('-', nil)
+			return
 		}
 		s.lineageHop(lineage.HopFetched, f.key)
-		return writeResp(w, '+', v)
+		w.resp('+', v)
 	case 'D':
 		_ = s.store.Delete(f.key)
-		return writeResp(w, '+', nil)
+		w.resp('+', nil)
 	case 'I':
 		v, _ := s.store.Incr(f.key)
-		return writeResp(w, '+', []byte(strconv.FormatInt(v, 10)))
+		w.resp('+', strconv.AppendInt(nil, v, 10))
 	case 'K':
 		keys, _ := s.store.Keys(f.key)
-		return writeResp(w, '+', []byte(strings.Join(keys, "\n")))
+		w.resp('+', []byte(strings.Join(keys, "\n")))
 	case 'L':
 		n, _ := s.store.Len()
-		return writeResp(w, '+', []byte(strconv.Itoa(n)))
+		w.resp('+', strconv.AppendInt(nil, int64(n), 10))
 	case 'p':
 		kvs, err := parsePutNBlob(f.value)
 		if err != nil {
-			return writeResp(w, '!', []byte(err.Error()))
+			w.errResp("%v", err)
+			return
 		}
 		// The batch path enforces the same empty-key invariant as single
 		// 'P' — rejecting the WHOLE batch, because applying a prefix of
@@ -397,34 +516,40 @@ func (s *Server) handle(w io.Writer, f frame) error {
 		// follower) holding a partial write the client believes failed.
 		for i, kv := range kvs {
 			if kv.Key == "" {
-				return writeResp(w, '!', []byte(fmt.Sprintf("empty key at index %d in batched put", i)))
+				w.errResp("empty key at index %d in batched put", i)
+				return
 			}
 		}
-		_ = s.store.PutN(kvs) // values are copied by PutN; blob aliasing is fine
+		// PutN copies each value out of the blob (before it takes the
+		// lock): handing the blob over instead would let one small key
+		// keep a whole batch's bytes alive.
+		_ = s.store.PutN(kvs)
 		for _, kv := range kvs {
 			if kv.Key == cluster.TopologyKey {
 				s.learnTopology(kv.Val)
 			}
 			s.lineageHop(lineage.HopPut, kv.Key)
 		}
-		return writeResp(w, '+', nil)
+		w.resp('+', nil)
 	case 'g':
 		keys, err := parseGetNReq(f.value)
 		if err != nil {
-			return writeResp(w, '!', []byte(err.Error()))
+			w.errResp("%v", err)
+			return
 		}
 		for i, k := range keys {
 			if k == "" {
-				return writeResp(w, '!', []byte(fmt.Sprintf("empty key at index %d in batched get", i)))
+				w.errResp("empty key at index %d in batched get", i)
+				return
 			}
 		}
-		vals, _ := s.store.GetN(keys)
+		vals := s.store.viewN(keys)
 		for i, v := range vals {
 			if v != nil {
 				s.lineageHop(lineage.HopFetched, keys[i])
 			}
 		}
-		return writeResp(w, '+', appendGetNResp(make([]byte, 0, getNRespSize(vals)), vals))
+		w.getNResp(vals)
 	case 'T':
 		// Term-fenced write envelope. The value carries the writer's
 		// believed term plus a nested write op; a term older than the
@@ -435,37 +560,77 @@ func (s *Server) handle(w io.Writer, f frame) error {
 		// is how a promoted follower's first stamped write arms fencing on
 		// a server that never saw the topology doc.
 		if len(f.value) < 9 {
-			return writeResp(w, '!', []byte("short fenced envelope"))
+			w.errResp("short fenced envelope")
+			return
 		}
 		reqTerm := int64(binary.BigEndian.Uint64(f.value[:8]))
 		inner := f.value[8]
 		switch inner {
 		case 'P', 'D', 'I', 'p':
 		default:
-			return writeResp(w, '!', []byte(fmt.Sprintf("op %q not allowed in fenced envelope", inner)))
+			w.errResp("op %q not allowed in fenced envelope", inner)
+			return
 		}
 		if reqTerm < 0 {
-			return writeResp(w, '!', []byte("negative term in fenced envelope"))
+			w.errResp("negative term in fenced envelope")
+			return
 		}
 		if cur := s.term.Load(); reqTerm < cur {
-			return writeResp(w, 'F', []byte(strconv.FormatInt(cur, 10)))
+			w.resp('F', strconv.AppendInt(nil, cur, 10))
+			return
 		}
 		s.advanceTerm(reqTerm)
-		return s.handle(w, frame{op: inner, key: f.key, value: f.value[9:]})
+		s.handle(w, frame{op: inner, key: f.key, value: f.value[9:]})
 	default:
-		return writeResp(w, '!', []byte(fmt.Sprintf("unknown op %q", f.op)))
+		w.errResp("unknown op %q", f.op)
 	}
 }
 
 // Replication stream tuning. The keepalive bounds how long a follower
 // waits before declaring a silent leader dead (followers read with a
 // deadline a few keepalives wide); the write timeout bounds how long a
-// wedged follower can stall the stream goroutine before being cut
-// loose.
+// wedged follower can stall the stream goroutine on ONE write before
+// being cut loose. A write carries whatever records are ready, up to
+// replBatchRecords of them and replBatchBytes of framed size — so the
+// timeout stays a bound on about that many bytes; a single record
+// larger than the byte bound travels alone, as every record did before
+// writes were batched.
 const (
 	replKeepalive    = 250 * time.Millisecond
 	replWriteTimeout = 2 * time.Second
+	replBatchRecords = 64
+	replBatchBytes   = 256 << 10
 )
+
+// replFrameSize is the size on the stream of r: a '+' response frame
+// around one AOF record.
+func replFrameSize(r tapRec) int { return 5 + recordSize(r.key, r.val) }
+
+// replBatchLen reports how many records from the front of recs share
+// the next write: as many as fit both batch bounds, and at least one.
+func replBatchLen(recs []tapRec) int {
+	n, size := 0, 0
+	for n < len(recs) && n < replBatchRecords {
+		size += replFrameSize(recs[n])
+		if n > 0 && size > replBatchBytes {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// record queues r as one replication frame. The record is framed and
+// checksummed here, by the stream goroutine, not under the store's
+// lock: the tap only passed the stored slice along.
+func (w *frameWriter) record(r tapRec) {
+	w.respHead('+', recordSize(r.key, r.val))
+	body := len(w.hdr) + 4
+	w.hdr = appendRecordHeader(w.hdr, r.op, r.key, len(r.val))
+	sum := crc32.Update(crc32.ChecksumIEEE(w.hdr[body:]), crc32.IEEETable, r.val)
+	w.value(r.val)
+	w.hdr = binary.BigEndian.AppendUint32(w.hdr, sum)
+}
 
 // streamReplication serves one follower: an atomic full-state snapshot
 // (reset + every key + every counter) followed by the live mutation
@@ -474,7 +639,7 @@ const (
 // timeout, tap overflow, server shutdown — just drops the connection;
 // the follower's reconnect triggers a fresh full sync, so no exit needs
 // to be distinguishable from another.
-func (s *Server) streamReplication(conn net.Conn, bw *bufio.Writer) {
+func (s *Server) streamReplication(conn net.Conn, w *frameWriter) {
 	snapshot, t := s.store.attachTap()
 	defer s.store.detachTap(t)
 
@@ -489,22 +654,32 @@ func (s *Server) streamReplication(conn net.Conn, bw *bufio.Writer) {
 		close(gone)
 	}()
 
-	send := func(rec []byte) error {
+	flush := func() error {
 		if err := conn.SetWriteDeadline(time.Now().Add(replWriteTimeout)); err != nil {
 			return err
 		}
-		if err := writeResp(bw, '+', rec); err != nil {
-			return err
-		}
-		return bw.Flush()
+		return w.flush()
 	}
-	for _, rec := range snapshot {
-		if err := send(rec); err != nil {
-			return
+	// send writes recs in order, as few writes as the batch bounds allow.
+	send := func(recs []tapRec) error {
+		for len(recs) > 0 {
+			n := replBatchLen(recs)
+			for _, r := range recs[:n] {
+				w.record(r)
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+			recs = recs[n:]
 		}
+		return nil
+	}
+	if err := send(snapshot); err != nil {
+		return
 	}
 	keepalive := time.NewTicker(replKeepalive)
 	defer keepalive.Stop()
+	ready := make([]tapRec, 0, replBatchRecords)
 	for {
 		select {
 		case rec, ok := <-t.ch:
@@ -513,11 +688,30 @@ func (s *Server) streamReplication(conn net.Conn, bw *bufio.Writer) {
 				// mutation rate. Drop it; resync on reconnect.
 				return
 			}
-			if err := send(rec); err != nil {
+			ready = append(ready[:0], rec)
+			// Take what else is ready without growing the slice. Its
+			// capacity is no batch bound: send applies both, through
+			// replBatchLen, and may split what was drained.
+		drain:
+			for len(ready) < cap(ready) {
+				select {
+				case rec, ok := <-t.ch:
+					if !ok {
+						return
+					}
+					ready = append(ready, rec)
+				default:
+					break drain
+				}
+			}
+			err := send(ready)
+			clear(ready)
+			if err != nil {
 				return
 			}
 		case <-keepalive.C:
-			if err := send(nil); err != nil {
+			w.resp('+', nil)
+			if err := flush(); err != nil {
 				return
 			}
 		case <-gone:

@@ -193,16 +193,24 @@ func (c *MemCache) logLocked(op byte, key string, val []byte) error {
 // and the replication stream's payload format (replica.go), so a
 // follower applies exactly what a crash recovery would replay.
 func appendRecord(b []byte, op byte, key string, val []byte) []byte {
-	blen := 1 + 4 + len(key) + 4 + len(val)
-	b = binary.BigEndian.AppendUint32(b, uint32(blen))
-	start := len(b)
+	start := len(b) + 4
+	b = append(appendRecordHeader(b, op, key, len(val)), val...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+}
+
+// appendRecordHeader appends everything of a record that precedes its
+// value; the replication stream sends the value from the store's own
+// slice (frameWriter.record) instead of copying it behind the header.
+func appendRecordHeader(b []byte, op byte, key string, valLen int) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(1+4+len(key)+4+valLen))
 	b = append(b, op)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(key)))
 	b = append(b, key...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(val)))
-	b = append(b, val...)
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+	return binary.BigEndian.AppendUint32(b, uint32(valLen))
 }
+
+// recordSize is the encoded size of a record.
+func recordSize(key string, val []byte) int { return 4 + 1 + 4 + len(key) + 4 + len(val) + 4 }
 
 // scanRecord parses the CRC-framed record at the start of b. It returns
 // the bytes consumed, or n == 0 when b does not start with a complete,
@@ -237,7 +245,7 @@ func scanRecord(b []byte) (op byte, key []byte, val []byte, n int) {
 }
 
 func (p *persister) append(op byte, key string, val []byte) error {
-	rec := appendRecord(make([]byte, 0, 4+1+4+len(key)+4+len(val)+4), op, key, val)
+	rec := appendRecord(make([]byte, 0, recordSize(key, val)), op, key, val)
 	if _, err := p.bw.Write(rec); err != nil {
 		return err
 	}

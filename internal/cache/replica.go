@@ -16,6 +16,7 @@ package cache
 // leader cannot reset the promoted store with a stale full sync.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,8 +67,10 @@ func (o ReplicaOptions) withDefaults() ReplicaOptions {
 // ReplicaStats counts replication progress. All fields are monotone and
 // safe to read concurrently.
 type ReplicaStats struct {
-	// FullSyncs counts snapshot transfers completed (one per successful
-	// connect — the first connect included).
+	// FullSyncs counts full syncs started: one per connect on which the
+	// subscribe request went out, the first connect included. The
+	// snapshot that follows may still be cut short; wait on the store's
+	// contents, not on this, to know a sync has landed.
 	FullSyncs int64
 	// Records counts mutation records applied, snapshot records included.
 	Records int64
@@ -227,11 +230,15 @@ func (r *Replica) syncOnce() error {
 		return err
 	}
 	r.fullSyncs.Inc()
+	// The leader batches records into one write; read them back in as
+	// few reads. A record larger than the buffer bypasses it (bufio
+	// reads straight into readResp's frame).
+	br := bufio.NewReaderSize(conn, 1<<16)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout)); err != nil {
 			return err
 		}
-		status, payload, err := readResp(conn)
+		status, payload, err := readResp(br)
 		if err != nil {
 			return err
 		}
@@ -258,13 +265,15 @@ func (r *Replica) syncOnce() error {
 // ApplyRecord applies one replicated mutation record to the follower's
 // store through the same mutation surface clients use, so a persistent
 // follower journals everything it mirrors and its own crash recovery
-// stays coherent.
+// stays coherent. It takes ownership of val: a put stores the slice
+// itself (for the stream, the frame the record arrived in), so the
+// caller must not touch it again.
 func (r *Replica) ApplyRecord(op byte, key string, val []byte) error {
 	switch op {
 	case aofReset:
 		return r.store.resetForSync()
 	case aofPut:
-		return r.store.Put(key, val)
+		return r.store.putOwned(key, val)
 	case aofDelete:
 		return r.store.Delete(key)
 	case aofIncr:

@@ -32,16 +32,14 @@ func flakyListener(t *testing.T, store *MemCache, reqsPerConn int) string {
 			go func() {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				bw := bufio.NewWriter(conn)
+				fw := &frameWriter{w: conn}
 				for i := 0; i < reqsPerConn; i++ {
 					f, err := readFrame(br)
 					if err != nil {
 						return
 					}
-					if err := srv.handle(bw, f); err != nil {
-						return
-					}
-					if err := bw.Flush(); err != nil {
+					srv.handle(fw, f)
+					if err := fw.flush(); err != nil {
 						return
 					}
 				}

@@ -26,6 +26,7 @@ import (
 //   - time.Sleep
 //   - sync.WaitGroup.Wait and sync.Cond.Wait
 //   - net.Conn Read/Write (any method named Read/Write declared in net)
+//     and net.Buffers.WriteTo (the vectored form of Write)
 //   - cache dials (Dial, DialWith, DialSharded)
 //   - cache.Conn-derived data ops on any cache-package receiver except
 //     MemCache (whose ops are short in-memory critical sections)
@@ -132,6 +133,9 @@ func blockingCall(p *Package, call *ast.CallExpr) (string, bool) {
 	case "net":
 		if name == "Read" || name == "Write" {
 			return "net connection " + name, true
+		}
+		if named := recvNamed(p, call); name == "WriteTo" && named != nil && named.Obj().Name() == "Buffers" {
+			return "net.Buffers.WriteTo (vectored write)", true
 		}
 		return "", false
 	}

@@ -4,6 +4,7 @@
 package lockhold
 
 import (
+	"net"
 	"sync"
 	"time"
 
@@ -85,6 +86,14 @@ func (b *box) fencedUnderLock() {
 	_, _ = b.ncl.IncrFenced(1, "k")  // want "blocking Client.IncrFenced call while holding b.mu"
 	b.mu.Unlock()
 	_ = b.ncl.PutFenced(1, "k", nil) // fine: after the unlock
+}
+
+func (b *box) vectoredWriteUnderLock(conn net.Conn, bufs net.Buffers) {
+	b.mu.Lock()
+	_, _ = bufs.WriteTo(conn) // want "net.Buffers.WriteTo (vectored write) while holding b.mu"
+	_, _ = conn.Write(nil)    // want "net connection Write while holding b.mu"
+	b.mu.Unlock()
+	_, _ = bufs.WriteTo(conn) // fine: after the unlock
 }
 
 func (b *box) memCacheIsFine() {
