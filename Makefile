@@ -14,9 +14,12 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the fast test set; the chaos/CNN long runners
-# are gated behind testing.Short().
+# are gated behind testing.Short(). internal/core runs at two widths:
+# its replica pool is GOMAXPROCS wide, so -cpu 1 is the one-replica
+# schedule and -cpu 4 the overlapping one.
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race -short $$($(GO) list ./... | grep -v '/internal/core$$')
+	$(GO) test -race -short -cpu 1,4 ./internal/core
 
 # Stability pass: the short suite STABLE_COUNT times over (about 12 s of
 # test time per pass, five minutes at the default on two cores), so a

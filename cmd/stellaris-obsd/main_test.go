@@ -48,6 +48,7 @@ func TestObsdSmoke(t *testing.T) {
 	// heartbeat.
 	wreg := obs.NewRegistry()
 	steps := wreg.Counter("live_updates_total", "updates")
+	steps.Inc() // before the daemon exists: its first scrape must not read 0
 	whs, err := obs.Serve("127.0.0.1:0", wreg)
 	if err != nil {
 		t.Fatal(err)

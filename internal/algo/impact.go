@@ -46,11 +46,7 @@ func (im *IMPACT) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra,
 	// log-probs for the surrogate. The target pass temporarily loads the
 	// target weights into the model — one model replica per learner
 	// function keeps this race-free.
-	idxAll := make([]int, n)
-	for i := range idxAll {
-		idxAll[i] = i
-	}
-	obsAll := batchMat(b.Obs, idxAll)
+	obsAll := m.gather(b.Obs, nil)
 
 	targetLP := make([]float64, n)
 	if extra.TargetWeights != nil {
@@ -68,7 +64,7 @@ func (im *IMPACT) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra,
 	}
 
 	m.ZeroGrad()
-	values := m.Values(b)
+	values := m.valuesOf(obsAll)
 	curOut := m.Policy.Forward(obsAll)
 	rhos := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -89,7 +85,7 @@ func (im *IMPACT) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra,
 
 	for iter := 0; iter < maxInt(h.SGDIters, 1); iter++ {
 		for _, idx := range replay.Minibatches(n, h.MinibatchSize, r) {
-			obs := batchMat(b.Obs, idx)
+			obs := m.gather(b.Obs, idx)
 			params := m.Policy.Forward(obs)
 			dParams := tensor.NewMat(len(idx), params.Cols)
 			vOut := m.Critic.Forward(obs)

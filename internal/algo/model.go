@@ -23,7 +23,8 @@ type Model struct {
 	Critic *nn.Network
 	Dist   policy.Distribution
 
-	obs tensor.Mat // the 1 x ObsDim header Act and ActGreedy hand the policy
+	obs   tensor.Mat // the 1 x ObsDim header Act and ActGreedy hand the policy
+	batch tensor.Mat // gather's scratch: a learner pass's observation rows
 }
 
 // NewModel builds the paper's architecture for e (Table II): a 2x256
@@ -70,8 +71,19 @@ func (m *Model) NumParams() int { return m.Policy.NumParams() + m.Critic.NumPara
 
 // Weights returns the combined flat weight vector (policy then critic).
 func (m *Model) Weights() []float64 {
-	w := m.Policy.FlattenParams()
-	return append(w, m.Critic.FlattenParams()...)
+	return m.flatten(func(p *nn.Param) []float64 { return p.Data })
+}
+
+// flatten concatenates one field of every parameter, policy then critic,
+// into a vector allocated once at its final size.
+func (m *Model) flatten(field func(*nn.Param) []float64) []float64 {
+	out := make([]float64, 0, m.NumParams())
+	for _, net := range [...]*nn.Network{m.Policy, m.Critic} {
+		for _, p := range net.Params() {
+			out = append(out, field(p)...)
+		}
+	}
+	return out
 }
 
 // SetWeights loads a combined flat weight vector.
@@ -88,8 +100,7 @@ func (m *Model) SetWeights(w []float64) error {
 
 // Grads returns the combined flat gradient vector (policy then critic).
 func (m *Model) Grads() []float64 {
-	g := m.Policy.FlattenGrads()
-	return append(g, m.Critic.FlattenGrads()...)
+	return m.flatten(func(p *nn.Param) []float64 { return p.Grad })
 }
 
 // ZeroGrad clears accumulated gradients in both networks.
@@ -98,26 +109,39 @@ func (m *Model) ZeroGrad() {
 	m.Critic.ZeroGrad()
 }
 
-// batchMat builds a tensor.Mat view over a batch's observation rows for
-// the given indices.
-func batchMat(obs [][]float64, idx []int) *tensor.Mat {
-	cols := len(obs[0])
-	m := tensor.NewMat(len(idx), cols)
-	for r, i := range idx {
-		copy(m.Row(r), obs[i])
+// gather copies the observation rows idx selects (every row, in order,
+// when idx is nil) into the model's scratch matrix and returns it. The
+// matrix is valid until the next gather: a learner pass forwards and
+// backpropagates one minibatch before it gathers the next.
+func (m *Model) gather(obs [][]float64, idx []int) *tensor.Mat {
+	rows, cols := len(idx), len(obs[0])
+	if idx == nil {
+		rows = len(obs)
 	}
-	return m
+	n := rows * cols
+	if cap(m.batch.Data) < n {
+		m.batch.Data = make([]float64, n)
+	}
+	m.batch = tensor.Mat{Rows: rows, Cols: cols, Data: m.batch.Data[:n]}
+	for r := 0; r < rows; r++ {
+		i := r
+		if idx != nil {
+			i = idx[r]
+		}
+		copy(m.batch.Row(r), obs[i])
+	}
+	return &m.batch
 }
 
 // Values runs the critic over all observations in b and returns V(s_t).
 func (m *Model) Values(b *replay.Batch) []float64 {
-	n := b.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	out := m.Critic.Forward(batchMat(b.Obs, idx))
-	v := make([]float64, n)
+	return m.valuesOf(m.gather(b.Obs, nil))
+}
+
+// valuesOf runs the critic over the rows of obs.
+func (m *Model) valuesOf(obs *tensor.Mat) []float64 {
+	out := m.Critic.Forward(obs)
+	v := make([]float64, obs.Rows)
 	for i := range v {
 		v[i] = out.At(i, 0)
 	}

@@ -58,7 +58,7 @@ func (p *PPO) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra, r *
 
 	for iter := 0; iter < maxInt(h.SGDIters, 1); iter++ {
 		for _, idx := range replay.Minibatches(n, h.MinibatchSize, r) {
-			obs := batchMat(b.Obs, idx)
+			obs := m.gather(b.Obs, idx)
 			params := m.Policy.Forward(obs)
 			dParams := tensor.NewMat(len(idx), params.Cols)
 			vOut := m.Critic.Forward(obs)

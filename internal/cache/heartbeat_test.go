@@ -15,6 +15,7 @@ func TestHeartbeatRegistersAndBeats(t *testing.T) {
 	hb := StartHeartbeat(mc, Instance{
 		ID: "w0", Role: "cached", Addr: "127.0.0.1:9100", CacheAddr: "127.0.0.1:7000", Shard: 0, PID: 42,
 	}, 5*time.Millisecond)
+	defer hb.Stop() // a failure below must not leak the loop into later tests
 
 	// Registration is synchronous: visible before StartHeartbeat returns.
 	b, err := mc.Get(InstanceKey("w0"))
@@ -29,20 +30,22 @@ func TestHeartbeatRegistersAndBeats(t *testing.T) {
 		t.Fatalf("TTLSec default = %v", in.TTLSec)
 	}
 
-	// The beat counter advances on its own.
+	// The beat counter advances on its own. beat() counts a beat just
+	// after its Put returns, so the stored Beat can lead Beats() by one
+	// for a moment: wait for both.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		b, _ = mc.Get(InstanceKey("w0"))
 		cur, _ := DecodeInstance(b)
-		if cur.Beat >= in.Beat+3 {
+		if cur.Beat >= in.Beat+3 && hb.Beats() >= 4 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("beat stuck at %d", cur.Beat)
+			t.Fatalf("beat stuck at %d, beats=%d", cur.Beat, hb.Beats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if hb.Beats() < 4 || hb.Errs() != 0 {
+	if hb.Errs() != 0 {
 		t.Fatalf("beats=%d errs=%d", hb.Beats(), hb.Errs())
 	}
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"stellaris/internal/algo"
 	"stellaris/internal/autoscale"
@@ -93,8 +95,24 @@ type pendingBatch struct {
 	srcs  []string // trace IDs of the batched trajectories
 }
 
-// Trainer runs one configuration to completion on a private DES. It is
-// single-goroutine by construction (the DES owns all state).
+// burst is one actor sampling burst running as a future.
+type burst struct {
+	done chan struct{}      // closed once traj is set
+	traj *replay.Trajectory // read only after <-done
+}
+
+// Trainer runs one configuration to completion on a private DES. One
+// goroutine — the caller of Run — owns every piece of DES state: clock,
+// platform, tracker, aggregator, lineage, recorder, master weights and
+// all RNG parents. The real math of a learner function or a sampling
+// burst is pure compute, so it runs beside the event loop as a future
+// (see start) and is joined when that invocation's virtual-time
+// completion event fires. The outputs cannot depend on how the futures
+// are scheduled: a future reads only what was fixed when it was
+// dispatched (its replica's weights, its private batch or its actor's
+// env/RNG/episode, its own RNG, the Truncation and Extra values), every
+// join sits at a virtual-time event, and finished episodes are recorded
+// in dispatch order (settleEpisodes), not in completion order.
 type Trainer struct {
 	cfg   Config
 	clock *simclock.Clock
@@ -102,10 +120,23 @@ type Trainer struct {
 	lat   *serverless.LatencyModel
 	kv    cache.Cache
 
-	alg     algo.Algorithm
-	work    *algo.Model // shared compute replica (sequential use only)
-	master  []float64
-	target  []float64 // IMPACT surrogate target network
+	alg algo.Algorithm
+	// Replica pool: a future takes a model for as long as it computes.
+	// Replicas are built on demand, at most cap(idle) of them (GOMAXPROCS
+	// at construction); with all of them busy the event loop waits for
+	// one, which is the only back-pressure on the futures.
+	newModel func() *algo.Model
+	idle     chan *algo.Model
+	built    int
+	inflight sync.WaitGroup // every future started and not yet finished
+	bursts   []*burst       // sampling bursts whose episodes are unrecorded, dispatch order
+	kl       *algo.Model    // the event loop's own model for the KL probe (TrackKL only)
+
+	master []float64
+	// target is IMPACT's surrogate target network. In-flight learners
+	// read the slice they were dispatched with, so a refresh replaces
+	// the slice and never writes into it.
+	target  []float64
 	opt     optim.Optimizer
 	aggPol  stale.Policy
 	tracker *istrunc.Tracker
@@ -149,6 +180,7 @@ type Trainer struct {
 	prof      *profile.Set
 
 	batchSize   int
+	trajBytes   int // wire size of one sampling burst's trajectory
 	targetEvery int
 	klCoef      float64 // adaptive KL coefficient (RLlib-style)
 	done        bool
@@ -204,8 +236,20 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	case "impact":
 		t.alg = algo.NewIMPACT(continuous)
 	}
-	t.work = algo.NewModelHidden(template, cfg.Hidden, cfg.Seed)
-	t.master = t.work.Weights()
+	t.newModel = func() *algo.Model { return algo.NewModelHidden(template, cfg.Hidden, cfg.Seed) }
+	t.idle = make(chan *algo.Model, runtime.GOMAXPROCS(0))
+	first := t.newModel()
+	t.idle <- first
+	t.built = 1
+	t.master = first.Weights()
+	// Sized from shapes: the submit latency is drawn when a burst is
+	// dispatched, before its trajectory exists. Per step: observation,
+	// action, behaviour distribution row, reward and log-probability.
+	actionDim := 1
+	if as := template.ActionSpace(); as.Continuous {
+		actionDim = as.Dim
+	}
+	t.trajBytes = 8 * (template.ObsDim() + actionDim + first.Dist.ParamDim() + 2) * cfg.ActorSteps
 	if cfg.InitWeights != nil {
 		if len(cfg.InitWeights) != len(t.master) {
 			return nil, fmt.Errorf("core: InitWeights length %d != model's %d",
@@ -315,6 +359,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 
 	// KL probe states (Fig. 3c) from a short random rollout.
 	if cfg.TrackKL {
+		t.kl = t.newModel()
 		pr := root.Split(4)
 		e, _ := env.NewSized(cfg.Env, cfg.FrameSize)
 		obs := e.Reset(pr)
@@ -362,6 +407,8 @@ func minI(a, b int) int {
 
 // Run executes the configured training and returns its result.
 func (t *Trainer) Run() (*Result, error) {
+	// No future outlives Run, whichever way it returns.
+	defer t.inflight.Wait()
 	// Publish the initial policy and pre-warm containers (§VII).
 	t.publishWeights(0)
 	t.plat.Prewarm("learner", t.cfg.LearnerSlots())
@@ -388,6 +435,7 @@ func (t *Trainer) Run() (*Result, error) {
 			t.cfg.MaxVirtualHours, t.version, t.cfg.Rounds)
 	}
 
+	t.settleEpisodes()
 	learnerStats := t.plat.PoolStats("learner")
 	res := &Result{
 		Config:             t.cfg,
@@ -459,29 +507,93 @@ func (t *Trainer) fail(err error) {
 	t.clock.Stop()
 }
 
+// ---- Compute futures ----
+
+// start runs compute on its own goroutine, on a pool replica loaded with
+// the current master weights, and returns the channel that is closed
+// when compute has returned and the replica is back in the pool. The
+// real math happens there; the DES charges its modeled duration
+// separately. compute must touch nothing the event loop can still
+// write. When the replica rejects the master weights the run fails and
+// start returns nil.
+func (t *Trainer) start(compute func(m *algo.Model)) (done chan struct{}) {
+	m := t.takeReplica()
+	if err := m.SetWeights(t.master); err != nil {
+		t.idle <- m
+		t.fail(err)
+		return nil
+	}
+	done = make(chan struct{})
+	t.inflight.Add(1)
+	go func() {
+		defer t.inflight.Done()
+		compute(m)
+		t.idle <- m
+		close(done)
+	}()
+	return done
+}
+
+// takeReplica returns an idle replica, building one while the pool is
+// below its size and otherwise waiting for a future to finish.
+func (t *Trainer) takeReplica() *algo.Model {
+	select {
+	case m := <-t.idle:
+		return m
+	default:
+	}
+	if t.built < cap(t.idle) {
+		t.built++
+		return t.newModel()
+	}
+	return <-t.idle
+}
+
+// settleEpisodes joins every sampling burst dispatched so far and
+// records its finished episodes, burst by burst in dispatch order —
+// the order an eager rollout at dispatch would have recorded them in.
+// It runs before every read of the episode count or the reward window.
+func (t *Trainer) settleEpisodes() {
+	for i, b := range t.bursts {
+		<-b.done
+		for _, ret := range b.traj.EpisodeReturns {
+			t.recordEpisode(ret)
+		}
+		t.bursts[i] = nil
+	}
+	t.bursts = t.bursts[:0]
+}
+
 // ---- Actors (workflow step 1) ----
 
 // scheduleActor starts one sampling burst for actor id: pull the latest
-// policy, collect ActorSteps transitions, submit the trajectory.
+// policy, collect ActorSteps transitions, submit the trajectory. The
+// environment interaction runs as a future under the master policy of
+// this moment; actor id's env, RNG and episode belong to that future
+// until it is joined, and every path that schedules id again joins it
+// first.
 func (t *Trainer) scheduleActor(id int) {
 	if t.done {
 		return
 	}
 	pulled := t.version
-	traj := t.sampleTrajectory(id)
-	traj.PolicyVersion = pulled
+	b := &burst{}
+	e, r, ep := t.envs[id], t.actorRngs[id], &t.actorEp[id]
+	b.done = t.start(func(m *algo.Model) {
+		b.traj = m.Rollout(e, r, ep, t.cfg.ActorSteps, nil)
+	})
+	if b.done == nil {
+		return
+	}
+	t.bursts = append(t.bursts, b)
 	tid := fmt.Sprintf("traj/%d/%d", id, t.trajSeq[id])
 	t.trajSeq[id]++
 	aname := fmt.Sprintf("actor/%d", id)
-	traj.Trace = lineage.Meta{
-		ID: tid, Kind: lineage.KindTrajectory,
-		Origin: aname, Parent: lineage.WeightsID(pulled),
-	}
 
 	params := len(t.master)
 	pull := t.lat.TransferTime(8*params, t.timeRng)
 	sample := t.lat.ActorTime(t.cfg.ActorSteps, params, t.timeRng)
-	submit := t.lat.TransferTime(t.trajBytes(traj), t.timeRng)
+	submit := t.lat.TransferTime(t.trajBytes, t.timeRng)
 	t.observe(CompPolicyPull, pull)
 	t.observe(CompActorSample, sample)
 	t.observe(CompDataLoad, submit)
@@ -499,8 +611,16 @@ func (t *Trainer) scheduleActor(id int) {
 				Actor: aname, Detail: "sampling invocation crashed",
 				CostUSD: inv.CostUSD,
 			})
+			<-b.done
 			t.scheduleActor(id)
 			return
+		}
+		<-b.done
+		traj := b.traj
+		traj.ActorID, traj.PolicyVersion = id, pulled
+		traj.Trace = lineage.Meta{
+			ID: tid, Kind: lineage.KindTrajectory,
+			Origin: aname, Parent: lineage.WeightsID(pulled),
 		}
 		t.lin.Record(lineage.Event{
 			Trace: tid, Kind: lineage.KindTrajectory, Hop: lineage.HopProduced,
@@ -523,27 +643,6 @@ func (t *Trainer) scheduleActor(id int) {
 		}
 		t.scheduleActor(id)
 	})
-}
-
-// sampleTrajectory performs the actual environment interaction under the
-// current master policy. Real compute happens here; the DES charges its
-// modeled duration separately.
-func (t *Trainer) sampleTrajectory(id int) *replay.Trajectory {
-	if err := t.work.SetWeights(t.master); err != nil {
-		t.fail(err)
-		return &replay.Trajectory{ActorID: id}
-	}
-	traj := t.work.Rollout(t.envs[id], t.actorRngs[id], &t.actorEp[id], t.cfg.ActorSteps, t.recordEpisode)
-	traj.ActorID = id
-	return traj
-}
-
-func (t *Trainer) trajBytes(traj *replay.Trajectory) int {
-	if len(traj.Steps) == 0 {
-		return 64
-	}
-	per := 8 * (len(traj.Steps[0].Obs) + len(traj.Steps[0].Action) + len(traj.Steps[0].DistParams) + 2)
-	return per * len(traj.Steps)
 }
 
 func (t *Trainer) recordEpisode(ret float64) {
@@ -609,9 +708,9 @@ func (t *Trainer) oldestOutstanding() (int, bool) {
 }
 
 // dispatchLearner invokes one serverless learner function over batch.
-// The gradient math runs now (against the current policy — the function
-// input pins the policy ID at invocation, §IV step 2); the result is
-// delivered when the function's modeled execution completes.
+// The gradient math starts now, as a future, against the current policy
+// (the function input pins the policy ID at invocation, §IV step 2);
+// it is joined when the function's modeled execution completes.
 func (t *Trainer) dispatchLearner(batch *replay.Batch, srcs []string) {
 	if t.done {
 		return
@@ -648,11 +747,14 @@ func (t *Trainer) dispatchLearner(batch *replay.Batch, srcs []string) {
 	}
 	extra.KLCoeff = t.klCoef
 	trunc := t.tracker.View()
-	if err := t.work.SetWeights(t.master); err != nil {
-		t.fail(err)
+	r := t.learnerRng.Split(uint64(id))
+	var g *algo.Grad
+	computed := t.start(func(m *algo.Model) {
+		g = t.alg.Compute(m, batch, trunc, extra, r)
+	})
+	if computed == nil {
 		return
 	}
-	g := t.alg.Compute(t.work, batch, trunc, extra, t.learnerRng.Split(uint64(id)))
 
 	params := len(t.master)
 	pull := t.lat.TransferTime(8*params, t.timeRng)
@@ -701,6 +803,7 @@ func (t *Trainer) dispatchLearner(batch *replay.Batch, srcs []string) {
 				return
 			}
 			delete(t.outstanding, id)
+			<-computed
 			t.lin.Record(lineage.Event{
 				Trace: gid, Kind: lineage.KindGradient, Hop: lineage.HopProduced,
 				Actor: lname, Ref: lineage.WeightsID(born), CostUSD: costUSD,
@@ -833,17 +936,18 @@ func (t *Trainer) applyUpdate(group []*stale.Entry, costUSD float64) {
 
 	if t.cfg.TrackKL {
 		newProbe := t.probeParams()
-		t.klTrace = append(t.klTrace, meanKL(t.work, prevProbe, newProbe))
+		t.klTrace = append(t.klTrace, meanKL(t.kl, prevProbe, newProbe))
 	}
 
 	if t.alg.NeedsTarget() && t.version%t.targetEvery == 0 {
-		copy(t.target, t.master)
+		t.target = append([]float64(nil), t.master...)
 	}
 	t.publishWeights(costUSD)
 
 	// A training round is UpdatesPerRound policy updates; close the
 	// round's CSV row at the boundary.
 	if t.version%t.cfg.UpdatesPerRound == 0 {
+		t.settleEpisodes()
 		now := t.clock.Now()
 		if t.m != nil {
 			// One span per round on the virtual timeline plus its duration
@@ -957,14 +1061,14 @@ type paramRow struct{ params []float64 }
 // probeParams evaluates the current policy's distribution parameters on
 // the probe states.
 func (t *Trainer) probeParams() []*paramRow {
-	if err := t.work.SetWeights(t.master); err != nil {
+	if err := t.kl.SetWeights(t.master); err != nil {
 		t.fail(err)
 		return nil
 	}
 	rows := make([]*paramRow, 0, len(t.probe))
 	for _, obs := range t.probe {
 		in := tensor.MatFrom(1, len(obs), obs)
-		out := t.work.Policy.Forward(in)
+		out := t.kl.Policy.Forward(in)
 		p := make([]float64, out.Cols)
 		copy(p, out.Row(0))
 		rows = append(rows, &paramRow{params: p})

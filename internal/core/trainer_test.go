@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stellaris/internal/autoscale"
+	"stellaris/internal/leaktest"
 )
 
 // tinyConfig is a fast CartPole training config for integration tests.
@@ -19,11 +20,7 @@ func tinyConfig() Config {
 
 func runCfg(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tr.Run()
+	res, err := runJoined(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +123,7 @@ func TestTrainerServerlessCheaperThanServerful(t *testing.T) {
 }
 
 func TestTrainerWallBudgetStops(t *testing.T) {
+	leaktest.Check(t)
 	cfg := tinyConfig()
 	cfg.Rounds = 1000
 	cfg.WallBudgetSec = 3
@@ -202,6 +200,7 @@ func TestTrainerImageEnv(t *testing.T) {
 }
 
 func TestTrainerInvalidEnv(t *testing.T) {
+	leaktest.Check(t)
 	cfg := tinyConfig()
 	cfg.Env = "not-an-env"
 	if _, err := NewTrainer(cfg); err == nil {
