@@ -5,7 +5,7 @@ GO ?= go
 COVERPROFILE ?= coverage.out
 FUZZTIME ?= 5s
 
-.PHONY: build test race stable cover fmt vet lint leaktest benchmark benchmark-ab fuzz-short chaos ci
+.PHONY: build test race stable cover fmt vet cross lint leaktest benchmark benchmark-ab fuzz-short chaos ci
 
 build:
 	$(GO) build ./...
@@ -74,13 +74,22 @@ chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' \
 		./internal/live ./internal/cache ./internal/ckpt
 
-# Short live fuzz of the cache wire codec and framing. The checked-in
-# corpus under internal/cache/testdata/fuzz replays on every plain
-# `go test`; this target additionally explores new inputs for
-# FUZZTIME per fuzz target (go's -fuzz accepts one target at a time).
+# Short live fuzz of the cache wire codec and framing, and of the tensor
+# kernels against their scalar reference. The checked-in corpora under
+# internal/cache/testdata/fuzz and internal/tensor/testdata/fuzz replay
+# on every plain `go test`; this target additionally explores new inputs
+# for FUZZTIME per fuzz target (go's -fuzz accepts one target at a time).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzBinCodecRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/tensor
+
+# The !amd64 twin of internal/tensor's assembly kernels, and everything
+# above it, built for a port that has none. Compiles from the local
+# GOROOT: no network, no emulator, nothing is run.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 # The repo's benchmark (benchmark/README.md, BENCHMARK.json): every
 # workload, or WORKLOAD=<name>, at SEED.
@@ -137,4 +146,4 @@ benchmark-ab:
 	@jq -rs '$(AB_PAIRS)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 	$(AB_DIR)/bin/head compare $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 
-ci: build fmt vet lint race leaktest cover stable
+ci: build fmt vet cross lint race leaktest cover stable

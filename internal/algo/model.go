@@ -190,7 +190,7 @@ func (m *Model) Rollout(e env.Env, r *rng.RNG, ep *Episode, steps int, onEpisode
 	if ep.Obs == nil {
 		ep.Obs, ep.Return = e.Reset(r), 0
 	}
-	traj := &replay.Trajectory{}
+	traj := &replay.Trajectory{Steps: make([]replay.Step, 0, steps)}
 	for i := 0; i < steps; i++ {
 		action, lp, dp := m.Act(ep.Obs, r)
 		next, rew, done := e.Step(action)

@@ -200,6 +200,15 @@ func (l *Loader) load(path string) (*Package, error) {
 		if e.IsDir() || !isSourceFile(e.Name()) {
 			continue
 		}
+		// One platform's files, as the compiler picks them (build
+		// constraints and _GOARCH suffixes): twins such as
+		// internal/tensor's kernel_amd64.go / kernel_noasm.go declare
+		// the same names.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", e.Name(), err)
+		} else if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse %s: %w", e.Name(), err)

@@ -68,43 +68,47 @@ func BenchmarkDot4096(b *testing.B) {
 	}
 }
 
-func benchKernel(b *testing.B, kernel func(dst, x, y *Mat), dst, x, y *Mat) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kernel(dst, x, y)
+// benchKernel times one product at every shape of kernelShapes, on the
+// assembly path (/avx2, skipped where the CPU has none) and on the Go
+// path (/go): `go test -bench MatMul` here is the kernel rung of the
+// benchmark ladder, A/B, on any box, and reads the same products as the
+// ladder's tensor.matmul_us / matmul_abt_us / matmul_atb_us. operands
+// builds dst, x, y for an m, k, n.
+func benchKernel(b *testing.B, kernel func(dst, x, y *Mat), operands func(r *rng.RNG, m, k, n int) (dst, x, y *Mat)) {
+	r := rng.New(1)
+	for _, s := range kernelShapes {
+		dst, x, y := operands(r, s[0], s[1], s[2])
+		for _, path := range []string{"avx2", "go"} {
+			b.Run(fmt.Sprintf("%dx%d·%d/%s", s[0], s[1], s[2], path), func(b *testing.B) {
+				if path == "avx2" && !useAVX2 {
+					b.Skip("no AVX2 on this CPU")
+				}
+				defer func(was bool) { useAVX2 = was }(useAVX2)
+				useAVX2 = path == "avx2"
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kernel(dst, x, y)
+				}
+			})
+		}
 	}
 }
 
-// The three kernels at the shapes of kernelShapes, so that `go test
-// -bench MatMul` here and the benchmark ladder's tensor.matmul_us /
-// matmul_abt_us / matmul_atb_us read the same products.
 func BenchmarkMatMul(b *testing.B) {
-	r := rng.New(1)
-	for _, s := range kernelShapes {
-		m, k, n := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%d·%d", m, k, n), func(b *testing.B) {
-			benchKernel(b, MatMul, NewMat(m, n), randMat(r, m, k), randMat(r, k, n))
-		})
-	}
+	benchKernel(b, MatMul, func(r *rng.RNG, m, k, n int) (dst, x, y *Mat) {
+		return NewMat(m, n), randMat(r, m, k), randMat(r, k, n)
+	})
 }
 
 func BenchmarkMatMulATB(b *testing.B) {
-	r := rng.New(1)
-	for _, s := range kernelShapes {
-		m, k, n := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%d·%d", m, k, n), func(b *testing.B) {
-			benchKernel(b, MatMulATB, NewMat(k, n), randMat(r, m, k), randMat(r, m, n))
-		})
-	}
+	benchKernel(b, MatMulATB, func(r *rng.RNG, m, k, n int) (dst, x, y *Mat) {
+		return NewMat(k, n), randMat(r, m, k), randMat(r, m, n)
+	})
 }
 
 func BenchmarkMatMulABT(b *testing.B) {
-	r := rng.New(1)
-	for _, s := range kernelShapes {
-		m, k, n := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%d·%d", m, k, n), func(b *testing.B) {
-			benchKernel(b, MatMulABT, NewMat(m, n), randMat(r, m, k), randMat(r, n, k))
-		})
-	}
+	benchKernel(b, MatMulABT, func(r *rng.RNG, m, k, n int) (dst, x, y *Mat) {
+		return NewMat(m, n), randMat(r, m, k), randMat(r, n, k)
+	})
 }

@@ -58,75 +58,175 @@ func refMatMulABT(dst, a, b *Mat) {
 }
 
 // kernelShapes are the m, k, n of the products the benchmark workloads
-// run: an actor's batch-1 forward, the async and DES trunk batches, and
-// one sample of the frame-20 CNN's first convolution.
-var kernelShapes = [][3]int{{1, 64, 64}, {128, 64, 64}, {512, 64, 64}, {16, 192, 16}}
-
-// sparseMat is randMat with about a third of the entries exactly zero
-// (what a ReLU leaves in a gradient), some of them negative zero.
-func sparseMat(r *rng.RNG, rows, cols int) *Mat {
-	m := randMat(r, rows, cols)
-	for i := range m.Data {
-		switch r.Intn(6) {
-		case 0:
-			m.Data[i] = 0
-		case 1:
-			m.Data[i] = math.Copysign(0, -1)
-		}
-	}
-	return m
+// run: an actor's batch-1 forward, the async and DES trunk batches, one
+// sample of the frame-20 CNN's first convolution, and the first and
+// last layers of the hopper policy (11 observations in, 6 distribution
+// parameters out), whose k and n are no multiple of 4.
+var kernelShapes = [][3]int{
+	{1, 64, 64}, {128, 64, 64}, {512, 64, 64}, {16, 192, 16},
+	{1, 11, 64}, {1, 64, 6}, {128, 11, 64},
 }
 
+// canary is what surrounds every operand of the kernel tests in its
+// backing array: a NaN no arithmetic produces, compared by bits.
+var canary = math.Float64frombits(0x7ff8dead0000beef)
+
+const guard = 8 // canary elements after an operand; 1…7 of them before it
+
+// guardedMat returns a rows x cols matrix that starts off elements into
+// a canary-filled array (odd offsets, so no row of it is 16- or 32-byte
+// aligned) and that array, for requireCanaries.
+func guardedMat(rows, cols, off int) (*Mat, []float64) {
+	back := make([]float64, off+rows*cols+guard)
+	for i := range back {
+		back[i] = canary
+	}
+	return MatFrom(rows, cols, back[off:off+rows*cols:off+rows*cols]), back
+}
+
+func requireCanaries(t *testing.T, what string, m, k, n int, back []float64, off, size int) {
+	t.Helper()
+	for i, v := range back {
+		if (i < off || i >= off+size) && math.Float64bits(v) != math.Float64bits(canary) {
+			t.Fatalf("%s %dx%dx%d: wrote %v at element %d of dst's backing array, outside [%d, %d)",
+				what, m, k, n, v, i, off, off+size)
+		}
+	}
+}
+
+// Value mixes of the kernel tests.
+const (
+	dense   = iota // normal deviates
+	sparse         // a third exact zeros of either sign: what a ReLU leaves in a gradient
+	special        // ±0, denormals, ±Inf and NaN among normal deviates
+	numMixes
+)
+
+var specials = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1030, -0x1p-1040, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, 1, -1,
+}
+
+func fillMix(r *rng.RNG, data []float64, mix int) {
+	for i := range data {
+		data[i] = r.NormFloat64()
+		switch {
+		case mix == sparse && r.Intn(6) == 0:
+			data[i] = 0
+		case mix == sparse && r.Intn(5) == 0:
+			data[i] = math.Copysign(0, -1)
+		case mix == special && r.Intn(4) == 0:
+			data[i] = specials[r.Intn(len(specials))]
+		}
+	}
+}
+
+// requireSameBits compares got with the scalar reference by bits, and by
+// NaN-ness where the reference is NaN (which NaN a product of two NaNs
+// is depends on operand order, which no kernel promises).
 func requireSameBits(t *testing.T, what string, m, k, n int, got, want *Mat) {
 	t.Helper()
-	for i := range want.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
 			t.Fatalf("%s %dx%dx%d: element %d = %v (%#x), reference %v (%#x)", what, m, k, n, i,
-				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+				g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }
 
-// TestKernelsBitIdenticalToScalarLoops holds the kernels' contract: the
-// same bits as the scalar reference on every tile remainder (each
-// dimension 1…19, so every m mod 3, n mod 2, n mod 4, nonzero-count mod 4
-// and a chunk boundary at 32 rows), with exact zeros in a (the reference
-// skips them), with a non-finite b under a zero coefficient, and on the
-// shapes the workloads run.
+// requireKernelsMatch runs the three products at one shape on operands
+// of the given mix, each a sub-slice at an odd offset (offs picks them)
+// of a larger array, and holds the results to the scalar loops' bits
+// and dst's surroundings to their canaries: the assembly may not store
+// outside its n, and the race detector would not see it if it did.
+func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
+	t.Helper()
+	off := func(i int) int { return 1 + 2*(offs>>(2*i)&3) }
+	got, back := guardedMat(m, n, off(0))
+	want := NewMat(m, n)
+	a, _ := guardedMat(m, k, off(1))
+	at, _ := guardedMat(k, m, off(2))
+	b, _ := guardedMat(k, n, off(3))
+	bt, _ := guardedMat(n, k, off(4))
+	for _, x := range []*Mat{got, a, at, b, bt} { // got starts dirty: kernels must overwrite
+		fillMix(r, x.Data, mix)
+	}
+	if mix == sparse && len(a.Data) > 0 && len(b.Data) > 0 {
+		// A non-finite b under a zero coefficient must stay out of dst.
+		a.Data[r.Intn(len(a.Data))], at.Data[r.Intn(len(at.Data))] = 0, 0
+		b.Data[r.Intn(len(b.Data))] = math.Inf(1)
+	}
+	for _, p := range []struct {
+		what        string
+		kernel, ref func(dst, a, b *Mat)
+		a, b        *Mat
+	}{
+		{"MatMul", MatMul, refMatMul, a, b},
+		{"MatMulATB", MatMulATB, refMatMulATB, at, b},
+		{"MatMulABT", MatMulABT, refMatMulABT, a, bt},
+	} {
+		p.kernel(got, p.a, p.b)
+		p.ref(want, p.a, p.b)
+		requireSameBits(t, p.what, m, k, n, got, want)
+		requireCanaries(t, p.what, m, k, n, back, off(0), m*n)
+	}
+}
+
+// bothKernelPaths runs f with useAVX2 as detected and again with it
+// forced off, so that assembly ≡ tiled Go ≡ scalar reference.
+func bothKernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("avx2", func(t *testing.T) {
+		if !useAVX2 {
+			t.Skip("no AVX2 on this CPU (or this GOARCH): the Go kernels are the only path here")
+		}
+		f(t)
+	})
+	t.Run("go", func(t *testing.T) {
+		defer func(was bool) { useAVX2 = was }(useAVX2)
+		useAVX2 = false
+		f(t)
+	})
+}
+
+// TestKernelsBitIdenticalToScalarLoops holds the kernels' contract on
+// both paths: the same bits as the scalar reference at every m, k, n in
+// 0…9 under every value mix (every k mod 4, n mod 4 and mod 8, m mod 3
+// and mod 4 tail, nonzero-count mod 4, and the empty products), at random
+// shapes up to 19 and three long thin ones (a chunk boundary at 32 rows),
+// and at the shapes the workloads run.
 func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
-	r := rng.New(14)
-	shapes := append([][3]int{}, kernelShapes...)
-	shapes = append(shapes, [3]int{70, 5, 3}, [3]int{3, 70, 5}, [3]int{5, 3, 70})
-	for len(shapes) < 320 {
-		shapes = append(shapes, [3]int{1 + r.Intn(19), 1 + r.Intn(19), 1 + r.Intn(19)})
-	}
-	for trial, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		gen := randMat
-		if trial%2 == 1 {
-			gen = sparseMat
+	bothKernelPaths(t, func(t *testing.T) {
+		r := rng.New(14)
+		for m := 0; m <= 9; m++ {
+			for k := 0; k <= 9; k++ {
+				for n := 0; n <= 9; n++ {
+					for mix := 0; mix < numMixes; mix++ {
+						requireKernelsMatch(t, r, m, k, n, mix, r.Intn(1<<10))
+					}
+				}
+			}
 		}
-		got, want := randMat(r, m, n), NewMat(m, n) // got starts dirty: kernels must overwrite
-
-		a, b := gen(r, m, k), randMat(r, k, n)
-		if trial%8 == 1 {
-			a.Data[r.Intn(len(a.Data))] = 0
-			b.Data[r.Intn(len(b.Data))] = math.Inf(1)
+		shapes := append([][3]int{}, kernelShapes...)
+		shapes = append(shapes, [3]int{70, 5, 3}, [3]int{3, 70, 5}, [3]int{5, 3, 70})
+		for len(shapes) < 320 {
+			shapes = append(shapes, [3]int{1 + r.Intn(19), 1 + r.Intn(19), 1 + r.Intn(19)})
 		}
-		MatMul(got, a, b)
-		refMatMul(want, a, b)
-		requireSameBits(t, "MatMul", m, k, n, got, want)
+		for trial, s := range shapes {
+			requireKernelsMatch(t, r, s[0], s[1], s[2], trial%numMixes, r.Intn(1<<10))
+		}
+	})
+}
 
-		at := gen(r, k, m)
-		MatMulATB(got, at, b)
-		refMatMulATB(want, at, b)
-		requireSameBits(t, "MatMulATB", m, k, n, got, want)
-
-		bt := gen(r, n, k)
-		MatMulABT(got, a, bt)
-		refMatMulABT(want, a, bt)
-		requireSameBits(t, "MatMulABT", m, k, n, got, want)
-	}
+// FuzzKernels is the same assertion with the shape, the operands'
+// offsets, the value mix and the values' seed taken from the fuzz input.
+func FuzzKernels(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint8(4), uint8(dense), uint16(0), uint64(1))
+	f.Fuzz(func(t *testing.T, m, k, n, mix uint8, offs uint16, seed uint64) {
+		bothKernelPaths(t, func(t *testing.T) {
+			requireKernelsMatch(t, rng.New(seed), int(m%48), int(k%80), int(n%48), int(mix%numMixes), int(offs))
+		})
+	})
 }
 
 func TestKernelsEmptyInnerDimension(t *testing.T) {

@@ -8,10 +8,25 @@
 //
 // # Kernels
 //
-// The gc compiler does not vectorize, so a scalar loop is bound by how
-// its floating-point operations depend on each other and by the loads
-// and stores around them. The three matrix products are therefore tiled
-// over independent outputs, in plain Go:
+// The three matrix products run on one rule: what may be computed in
+// parallel is the set of independent outputs, never the sum over k, and
+// a product and the add that consumes it stay two operations with two
+// roundings. Every output element is accumulated from zero over
+// k = 0, 1, 2, … exactly as a scalar triple loop would, zero
+// coefficients are skipped where the scalar loops skipped them, and the
+// results are bit-identical to those loops. That is a contract, not a
+// tolerance: the committed results/*.txt, the lockstep weight hashes and
+// the DES output hashes were all computed through those loops, and a
+// kernel that reassociates a sum or fuses a multiply-add moves every one
+// of them. The scalar loops live on in kernel_test.go, where a property
+// test and a fuzz target hold both paths below to them by
+// math.Float64bits, over every tile remainder, at unaligned offsets,
+// with canaries around dst and with ±0, denormals, ±Inf and NaN among
+// the operands.
+//
+// The portable path is plain Go, tiled over independent outputs because
+// gc does not vectorize and a scalar loop is bound by its dependent adds
+// and by the loads and stores around them:
 //
 //   - MatMulABT computes a 3 x 2 block of dot products per pass over k
 //     (six add chains in flight, five loads per six multiply-adds where
@@ -24,20 +39,26 @@
 // Operands are re-sliced to one common length before the inner loops,
 // which lets the compiler drop their bounds checks.
 //
-// Tiling never changes the order of a sum: every output element is still
-// accumulated from zero over k = 0, 1, 2, … with one rounding per
-// multiply and one per add, and zero coefficients are still skipped where
-// they were. The results are bit-identical to the scalar triple loops
-// these kernels replaced, and that is a contract, not a tolerance: the
-// committed results/*.txt, the lockstep weight hashes and the DES output
-// hashes were all computed through those loops, and a kernel that
-// reassociates a sum moves every one of them. The scalar loops live on
-// in kernel_test.go, where a property test compares them with the
-// kernels by math.Float64bits over every tile remainder. On ports whose
-// compiler fuses x*y + z into one rounding (arm64, ppc64le, s390x,
-// GOAMD64=v3) a kernel and its reference stay identical only if both
-// fuse the same products; should they ever differ there, write the
-// products as float64(x*y), which forbids the fusion.
+// On amd64 with AVX2 (detected once at init; there is no switch) the
+// innermost loops are the assembly of kernel_amd64.s, which puts four
+// independent outputs in the four lanes of a vector: VMULPD and VADDPD
+// are the scalar multiply and the scalar add done four times over, lane
+// by lane, so each output sees the operations of the Go loop in the
+// order of the Go loop. Axpy and the four-row pass under MatMul and
+// MatMulATB take 8, then 4, then 1 elements of the dst row per step;
+// MatMulABT computes 4 x 4 tiles (1 x 8 for one row) by transposing a
+// 4 x 4 block of b in registers, so that the lanes of an accumulator are
+// four dot products advancing through k together. Rows and columns left
+// over by the tiles go to the Go kernels. The assembly is handed only
+// pointers into slices Go has already sliced to their full extent, so a
+// wrong shape panics in Go.
+//
+// Neither path uses a fused multiply-add, and on amd64 gc never emits
+// one for x*y + z at any GOAMD64 level. On ports whose compiler does
+// fuse (arm64, ppc64le, s390x) only the Go path exists, and a kernel
+// and its reference stay identical only if both fuse the same products;
+// should they ever differ there, write the products as float64(x*y),
+// which forbids the fusion.
 package tensor
 
 import (
@@ -132,6 +153,10 @@ func MatMulATB(dst, a, b *Mat) {
 // d); the others are applied four rows per pass over d.
 func addScaledRows(d, a []float64, stride int, b []float64, rows int) {
 	n := len(d)
+	if n == 0 {
+		return
+	}
+	b = b[:rows*n] // every off+n below is inside it: the assembly gets no other proof
 	var off [4]int
 	var coef [4]float64
 	c := 0
@@ -143,8 +168,12 @@ func addScaledRows(d, a []float64, stride int, b []float64, rows int) {
 		off[c], coef[c] = k*n, v
 		c++
 		if c == 4 {
-			axpy4(d, b[off[0]:off[0]+n], b[off[1]:off[1]+n], b[off[2]:off[2]+n], b[off[3]:off[3]+n],
-				coef[0], coef[1], coef[2], coef[3])
+			if useAVX2 {
+				axpy4AVX2(&d[0], n, &b[0], &off, &coef)
+			} else {
+				axpy4(d, b[off[0]:off[0]+n], b[off[1]:off[1]+n], b[off[2]:off[2]+n], b[off[3]:off[3]+n],
+					coef[0], coef[1], coef[2], coef[3])
+			}
 			c = 0
 		}
 	}
@@ -156,6 +185,7 @@ func addScaledRows(d, a []float64, stride int, b []float64, rows int) {
 // axpy4 computes d += a0*b0 + a1*b1 + a2*b2 + a3*b3 elementwise, adding
 // the four products to each d[j] one after another in that order: four
 // Axpy calls with one load and one store of d where they make four.
+// axpy4AVX2 does the same to eight, four or one d[j] per step.
 func axpy4(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
 	for j, v := range d {
@@ -175,6 +205,20 @@ func MatMulABT(dst, a, b *Mat) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	i := 0
+	if m, k, n := a.Rows, a.Cols, b.Rows; useAVX2 && k > 0 && n >= 4 {
+		// 4 x 4 tiles in assembly; the n mod 4 columns left of each four
+		// rows go to the Go kernels, as do the m mod 4 rows below.
+		n4 := n &^ 3
+		bTile, bRest := b.Data[:n4*k], b.Data[n4*k:]
+		for ; i+4 <= m; i += 4 {
+			d, ar := dst.Data[i*n:(i+4)*n], a.Data[i*k:(i+4)*k]
+			dot4RowsAVX2(&d[0], n, &ar[0], &bTile[0], k, n4)
+			if n4 < n {
+				dot3Rows(d[n4:n], d[n+n4:2*n], d[2*n+n4:3*n], ar[:k], ar[k:2*k], ar[2*k:3*k], bRest)
+				dot1Row(d[3*n+n4:], ar[3*k:], bRest)
+			}
+		}
+	}
 	for ; i+3 <= a.Rows; i += 3 {
 		dot3Rows(dst.Row(i), dst.Row(i+1), dst.Row(i+2), a.Row(i), a.Row(i+1), a.Row(i+2), b.Data)
 	}
@@ -222,10 +266,16 @@ func dot3Rows(d0, d1, d2, a0, a1, a2, b []float64) {
 }
 
 // dot1Row is the one-row form (a batch's last rows, and the whole of an
-// actor's batch-1 forward pass): 1 x 4 accumulators, then plain Dot.
+// actor's batch-1 forward pass): 1 x 8 outputs per pass in assembly where
+// there is AVX2, then 1 x 4 accumulators, then plain Dot.
 func dot1Row(d, a0, b []float64) {
 	k := len(a0)
 	j := 0
+	if n8 := len(d) &^ 7; useAVX2 && k > 0 && n8 > 0 {
+		bb := b[:n8*k]
+		dot1RowAVX2(&d[0], &a0[0], &bb[0], k, n8)
+		j = n8
+	}
 	for ; j+4 <= len(d); j += 4 {
 		b0, b1 := b[j*k : (j+1)*k][:k], b[(j+1)*k : (j+2)*k][:k]
 		b2, b3 := b[(j+2)*k : (j+3)*k][:k], b[(j+3)*k : (j+4)*k][:k]
@@ -259,6 +309,10 @@ func Dot(a, b []float64) float64 {
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(x), len(y)))
+	}
+	if useAVX2 && len(x) > 0 {
+		axpyAVX2(&x[0], &y[0], len(x), alpha)
+		return
 	}
 	for i, xv := range x {
 		y[i] += alpha * xv
