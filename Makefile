@@ -5,7 +5,7 @@ GO ?= go
 COVERPROFILE ?= coverage.out
 FUZZTIME ?= 5s
 
-.PHONY: build test race stable cover fmt vet cross lint leaktest benchmark benchmark-ab fuzz-short chaos ci
+.PHONY: build test race stable cover fmt vet cross nofma lint leaktest benchmark benchmark-ab fuzz-short chaos ci
 
 build:
 	$(GO) build ./...
@@ -75,14 +75,16 @@ chaos:
 		./internal/live ./internal/cache ./internal/ckpt
 
 # Short live fuzz of the cache wire codec and framing, and of the tensor
-# kernels against their scalar reference. The checked-in corpora under
-# internal/cache/testdata/fuzz and internal/tensor/testdata/fuzz replay
-# on every plain `go test`; this target additionally explores new inputs
-# for FUZZTIME per fuzz target (go's -fuzz accepts one target at a time).
+# kernels against their references (the scalar loops, math.Tanh). The
+# checked-in corpora under internal/cache/testdata/fuzz and
+# internal/tensor/testdata/fuzz replay on every plain `go test`; this
+# target additionally explores new inputs for FUZZTIME per fuzz target
+# (go's -fuzz accepts one target at a time).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzBinCodecRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzTanh$$' -fuzztime $(FUZZTIME) ./internal/tensor
 
 # The !amd64 twin of internal/tensor's assembly kernels, and everything
 # above it, built for a port that has none. Compiles from the local
@@ -90,6 +92,15 @@ fuzz-short:
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+
+# The second amd64 host class (DESIGN.md §8): with GODEBUG=cpu.fma=off
+# math.Exp takes its non-FMA arm, as it does on a CPU without FMA, so
+# math.Tanh returns other bits for about one input in 280. The tanh
+# kernel must notice at init and stand down (internal/tensor asserts
+# that it has), and everything that pins outputs by tolerance or by
+# self-consistency must still pass on such a host.
+nofma:
+	GODEBUG=cpu.fma=off $(GO) test -short ./internal/tensor ./internal/nn ./internal/algo ./internal/core
 
 # The repo's benchmark (benchmark/README.md, BENCHMARK.json): every
 # workload, or WORKLOAD=<name>, at SEED.
@@ -146,4 +157,4 @@ benchmark-ab:
 	@jq -rs '$(AB_PAIRS)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 	$(AB_DIR)/bin/head compare $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 
-ci: build fmt vet cross lint race leaktest cover stable
+ci: build fmt vet cross nofma lint race leaktest cover stable

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"stellaris/internal/tensor"
-)
+import "stellaris/internal/tensor"
 
 // Tanh is the hyperbolic-tangent activation used by the paper's MuJoCo
 // MLP trunks (Table II).
@@ -28,9 +24,7 @@ func (t *Tanh) Params() []*Param { return nil }
 // Forward implements Layer.
 func (t *Tanh) Forward(in *tensor.Mat) *tensor.Mat {
 	out := ensureMat(&t.lastOut, in.Rows, in.Cols)
-	for i, v := range in.Data {
-		out.Data[i] = math.Tanh(v)
-	}
+	tensor.TanhInto(out.Data, in.Data)
 	return out
 }
 
@@ -40,9 +34,12 @@ func (t *Tanh) Backward(dOut *tensor.Mat) *tensor.Mat {
 		panic("nn: Tanh.Backward before Forward")
 	}
 	dIn := ensureMat(&t.dIn, dOut.Rows, dOut.Cols)
-	for i, g := range dOut.Data {
-		y := t.lastOut.Data[i]
-		dIn.Data[i] = g * (1 - y*y)
+	// One common length lets the compiler drop the bounds checks.
+	g := dOut.Data
+	y := t.lastOut.Data[:len(g)]
+	d := dIn.Data[:len(g)]
+	for i, gi := range g {
+		d[i] = gi * (1 - y[i]*y[i])
 	}
 	return dIn
 }
@@ -92,11 +89,14 @@ func (r *ReLU) Backward(dOut *tensor.Mat) *tensor.Mat {
 		panic("nn: ReLU.Backward before Forward")
 	}
 	dIn := ensureMat(&r.dIn, dOut.Rows, dOut.Cols)
-	for i, g := range dOut.Data {
-		if r.lastIn.Data[i] > 0 {
-			dIn.Data[i] = g
+	g := dOut.Data
+	x := r.lastIn.Data[:len(g)]
+	d := dIn.Data[:len(g)]
+	for i, gi := range g {
+		if x[i] > 0 {
+			d[i] = gi
 		} else {
-			dIn.Data[i] = 0
+			d[i] = 0
 		}
 	}
 	return dIn

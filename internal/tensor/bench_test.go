@@ -112,3 +112,36 @@ func BenchmarkMatMulABT(b *testing.B) {
 		return NewMat(m, n), randMat(r, m, k), randMat(r, n, k)
 	})
 }
+
+// BenchmarkTanh times TanhInto on one Act layer (64 values) and on one
+// 128 x 64 batch, with N(0, σ) inputs: σ = 0.2 is a fresh policy (all
+// rational arm), 1 a trained one (half the inputs reach math.Exp) and 3
+// mostly the exp arm. /avx2 is the kernel (skipped where it is not in
+// use), /go the math.Tanh loop; ns/elem is the activation rung, A/B, on
+// any box.
+func BenchmarkTanh(b *testing.B) {
+	r := rng.New(1)
+	for _, n := range []int{64, 8192} {
+		for _, sigma := range []float64{0.2, 1, 3} {
+			src, dst := make([]float64, n), make([]float64, n)
+			for i := range src {
+				src[i] = sigma * r.NormFloat64()
+			}
+			for _, path := range []string{"avx2", "go"} {
+				b.Run(fmt.Sprintf("%d/σ=%v/%s", n, sigma, path), func(b *testing.B) {
+					if path == "avx2" && !(useAVX2 && tanhOK) {
+						b.Skip("the tanh kernel is not in use here")
+					}
+					defer func(was bool) { useAVX2 = was }(useAVX2)
+					useAVX2 = path == "avx2"
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						TanhInto(dst, src)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+				})
+			}
+		}
+	}
+}

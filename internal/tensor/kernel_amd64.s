@@ -1,12 +1,15 @@
-// AVX2 micro-kernels under MatMul, MatMulATB and MatMulABT. See the
-// "Kernels" section of the package comment for the rule they obey: the
-// four lanes of a vector hold four independent outputs, every output is
-// still accumulated over k in ascending order, and a product and the add
-// that consumes it stay two instructions (VMULPD, VADDPD), each rounding
-// once, exactly as the Go loops in tensor.go do. No FMA, no horizontal
-// add. All loads and stores are unaligned-safe (VMOVUPD), and every
-// routine ends in VZEROUPPER so that the SSE code gc emits around it
-// never pays the AVX-SSE transition.
+// AVX2 micro-kernels under MatMul, MatMulATB, MatMulABT and TanhInto.
+// See the "Kernels" section of the package comment for the rule they
+// obey: the four lanes of a vector hold four independent outputs, and
+// each lane executes the instruction sequence of its scalar reference.
+// For the products that means every output is still accumulated over k
+// in ascending order, and a product and the add that consumes it stay
+// two instructions (VMULPD, VADDPD), each rounding once, exactly as the
+// Go loops in tensor.go do: no FMA, no horizontal add. tanhAVX2's
+// reference is math.Tanh, whose exp is assembly with FMAs in it, and it
+// has exactly those. All loads and stores are unaligned-safe (VMOVUPD),
+// and every routine ends in VZEROUPPER so that the SSE code gc emits
+// around it never pays the AVX-SSE transition.
 
 #include "textflag.h"
 
@@ -387,5 +390,175 @@ dot1_store:
 	ADDQ    R13, R12
 	SUBQ    $8, R9
 	JNE     dot1_pass
+	VZEROUPPER
+	RET
+
+// func hasFMA() bool
+//
+// Leaf 1 ECX bit 12. Only read where hasAVX2 has already answered yes,
+// which covers OSXSAVE and the YMM state FMA needs.
+TEXT ·hasFMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	SHRL $12, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+	RET
+
+// The constants of math/tanh.go and math/exp_amd64.s, written as those
+// files write them so that the assembler rounds them to the same bits,
+// each four times over to be a 256-bit memory operand.
+#define K4(off, v) \
+	DATA tanhk<>+off+0(SB)/8, v; \
+	DATA tanhk<>+off+8(SB)/8, v; \
+	DATA tanhk<>+off+16(SB)/8, v; \
+	DATA tanhk<>+off+24(SB)/8, v
+
+K4(0, $0x7FFFFFFFFFFFFFFF)                                     // Abs
+K4(32, $-9.64399179425052238628e-1)                            // tanhP[0]
+K4(64, $-9.92877231001918586564e1)                             // tanhP[1]
+K4(96, $-1.61468768441708447952e3)                             // tanhP[2]
+K4(128, $1.12811678491632931402e2)                             // tanhQ[0]
+K4(160, $2.23548839060100448583e3)                             // tanhQ[1]
+K4(192, $4.84406305325125486048e3)                             // tanhQ[2]
+K4(224, $0.625)
+K4(256, $0x404601e678fc457b)                                   // 0.5*MAXLOG, folded by gc
+K4(288, $90.0)                                                 // clamp on 2z, above MAXLOG
+K4(320, $1.4426950408889634073599246810018920)                 // LOG2E
+K4(352, $0.69314718055966295651160180568695068359375)          // LN2U
+K4(384, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+K4(416, $0.0625)
+K4(448, $2.4801587301587301587e-5)                             // exprodata+64
+K4(480, $1.9841269841269841270e-4)                             // +56
+K4(512, $1.3888888888888888889e-3)                             // +48
+K4(544, $8.3333333333333333333e-3)                             // +40
+K4(576, $4.1666666666666666667e-2)                             // +32
+K4(608, $1.6666666666666666667e-1)                             // +24
+K4(640, $0.5)                                                  // +0
+K4(672, $1.0)                                                  // +8
+K4(704, $2.0)                                                  // +16
+K4(736, $0x3FF)                                                // exponent bias
+GLOBL tanhk<>(SB), RODATA, $768
+
+#define ABSMASK tanhk<>+0(SB)
+#define P0      tanhk<>+32(SB)
+#define P1      tanhk<>+64(SB)
+#define P2      tanhk<>+96(SB)
+#define Q0      tanhk<>+128(SB)
+#define Q1      tanhk<>+160(SB)
+#define Q2      tanhk<>+192(SB)
+#define ARM     tanhk<>+224(SB)
+#define SAT     tanhk<>+256(SB)
+#define CLAMP   tanhk<>+288(SB)
+#define LOG2E   tanhk<>+320(SB)
+#define LN2U    tanhk<>+352(SB)
+#define LN2L    tanhk<>+384(SB)
+#define SIXTEENTH tanhk<>+416(SB)
+#define C8      tanhk<>+448(SB)
+#define C7      tanhk<>+480(SB)
+#define C6      tanhk<>+512(SB)
+#define C5      tanhk<>+544(SB)
+#define C4      tanhk<>+576(SB)
+#define C3      tanhk<>+608(SB)
+#define HALF    tanhk<>+640(SB)
+#define ONE     tanhk<>+672(SB)
+#define TWO     tanhk<>+704(SB)
+#define BIAS    tanhk<>+736(SB)
+
+// func tanhAVX2(dst, src *float64, n4 int)
+//
+// dst[i] = math.Tanh(src[i]) for i < n4, n4 a positive multiple of 4;
+// dst == src is allowed. Four inputs per pass, one per lane, and every
+// lane goes through all three arms of the switch in math/tanh.go, each
+// written with the instructions the scalar code executes for it, in its
+// order; the compares at the end keep the arm the switch would have
+// taken. Y0 = x, Y1 = z = |x|, Y13 = 2.0, Y14 = 1.0, Y15 = 0.0.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-24
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n4+16(FP), CX
+	XORQ    AX, AX
+	VMOVUPD TWO, Y13
+	VMOVUPD ONE, Y14
+	VXORPD  Y15, Y15, Y15
+
+tanh_loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VANDPD  ABSMASK, Y0, Y1
+
+	// default: s = x*x; x + x*s*((P0*s+P1)*s+P2)/(((s+Q0)*s+Q1)*s+Q2).
+	// gc fuses none of these, so neither does this. A NaN x ends up
+	// here and comes out as itself, quieted.
+	VMULPD Y0, Y0, Y2
+	VMULPD P0, Y2, Y3
+	VADDPD P1, Y3, Y3
+	VMULPD Y2, Y3, Y3
+	VADDPD P2, Y3, Y3
+	VADDPD Q0, Y2, Y4
+	VMULPD Y2, Y4, Y4
+	VADDPD Q1, Y4, Y4
+	VMULPD Y2, Y4, Y4
+	VADDPD Q2, Y4, Y4
+	VMULPD Y2, Y0, Y5
+	VMULPD Y3, Y5, Y5
+	VDIVPD Y4, Y5, Y5
+	VADDPD Y5, Y0, Y5
+
+	// z >= 0.625: s = Exp(2*z), the avxfma arm of math/exp_amd64.s with
+	// X0 = Y6, X1 = Y7, BX = X8. Lanes the select will discard are
+	// clamped (VMINPD returns its memory operand for a NaN) so that
+	// they stay finite; for the lanes kept, 2z is in [1.25, 88.03], the
+	// exponent is 2…127 and none of exp's early exits can be taken.
+	VADDPD       Y1, Y1, Y6
+	VMINPD       CLAMP, Y6, Y6
+	VMULPD       LOG2E, Y6, Y7
+	VCVTPD2DQY   Y7, X8
+	VCVTDQ2PD    X8, Y7
+	VFNMADD231PD LN2U, Y7, Y6
+	VFNMADD231PD LN2L, Y7, Y6
+	VMULPD       SIXTEENTH, Y6, Y6
+	VMOVUPD      C8, Y7
+	VFMADD213PD  C7, Y6, Y7
+	VFMADD213PD  C6, Y6, Y7
+	VFMADD213PD  C5, Y6, Y7
+	VFMADD213PD  C4, Y6, Y7
+	VFMADD213PD  C3, Y6, Y7
+	VFMADD213PD  HALF, Y6, Y7
+	VFMADD213PD  Y14, Y6, Y7
+	VMULPD       Y7, Y6, Y6
+	VADDPD       Y13, Y6, Y7
+	VMULPD       Y7, Y6, Y6
+	VADDPD       Y13, Y6, Y7
+	VMULPD       Y7, Y6, Y6
+	VADDPD       Y13, Y6, Y7
+	VMULPD       Y7, Y6, Y6
+	VADDPD       Y13, Y6, Y7
+	VFMADD213PD  Y14, Y7, Y6
+	VPMOVSXDQ    X8, Y8                 // ldexp: (BX + 0x3FF) << 52
+	VPADDQ       BIAS, Y8, Y8
+	VPSLLQ       $52, Y8, Y8
+	VMULPD       Y8, Y6, Y6
+
+	// z = 1 - 2/(s+1), negated where x < 0.
+	VADDPD Y14, Y6, Y6
+	VDIVPD Y6, Y13, Y6
+	VSUBPD Y6, Y14, Y6
+	VXORPD Y1, Y0, Y9                   // the sign bit of x
+	VORPD  Y9, Y6, Y6
+
+	// The switch, last case first so that the first case wins.
+	VCMPPD    $0x1D, ARM, Y1, Y10       // z >= 0.625
+	VBLENDVPD Y10, Y6, Y5, Y5
+	VCMPPD    $0x1E, SAT, Y1, Y10       // z > 0.5*MAXLOG: ±1
+	VORPD     Y9, Y14, Y11
+	VBLENDVPD Y10, Y11, Y5, Y5
+	VCMPPD    $0x00, Y15, Y0, Y10       // x == 0: x, which keeps -0
+	VBLENDVPD Y10, Y0, Y5, Y5
+
+	VMOVUPD Y5, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     tanh_loop
 	VZEROUPPER
 	RET

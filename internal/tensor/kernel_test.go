@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -176,9 +177,15 @@ func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 // bothKernelPaths runs f with useAVX2 as detected and again with it
 // forced off, so that assembly ≡ tiled Go ≡ scalar reference.
 func bothKernelPaths(t *testing.T, f func(t *testing.T)) {
+	bothPaths(t, useAVX2, "no AVX2 on this CPU (or this GOARCH): the Go kernels are the only path here", f)
+}
+
+// bothPaths is bothKernelPaths for a kernel that is in use only when
+// have is true; its avx2 leg skips, giving why, when it is not.
+func bothPaths(t *testing.T, have bool, why string, f func(t *testing.T)) {
 	t.Run("avx2", func(t *testing.T) {
-		if !useAVX2 {
-			t.Skip("no AVX2 on this CPU (or this GOARCH): the Go kernels are the only path here")
+		if !have {
+			t.Skip(why)
 		}
 		f(t)
 	})
@@ -239,4 +246,146 @@ func TestKernelsEmptyInnerDimension(t *testing.T) {
 			t.Fatalf("element %d = %v after an empty product, want 0", i, v)
 		}
 	}
+}
+
+// Value mixes of the tanh tests: the first two are what a policy's
+// pre-activations look like early and late in training, the next two
+// reach every arm of math.Tanh including saturation, and the last is
+// every float64 there is, NaNs of every payload among them.
+const (
+	tanhNarrow  = iota // N(0, 0.3)
+	tanhUnit           // N(0, 1)
+	tanhU5             // U(-5, 5)
+	tanhU50            // U(-50, 50)
+	tanhAnyBits        // uniformly random bit patterns
+	numTanhMixes
+)
+
+func fillTanhMix(r *rng.RNG, data []float64, mix int) {
+	for i := range data {
+		switch mix {
+		case tanhNarrow:
+			data[i] = 0.3 * r.NormFloat64()
+		case tanhUnit:
+			data[i] = r.NormFloat64()
+		case tanhU5:
+			data[i] = 10*r.Float64() - 5
+		case tanhU50:
+			data[i] = 100*r.Float64() - 50
+		default:
+			data[i] = math.Float64frombits(r.Uint64())
+		}
+	}
+}
+
+// tanhSpecials are both signs of every branch point of math.Tanh and of
+// both its float64 neighbours, and the values at the ends of the range.
+var tanhSpecials = func() []float64 {
+	const halfMaxLog = 0.5 * 8.8029691931113054295988e+01
+	s := []float64{
+		0, math.Inf(1), math.SmallestNonzeroFloat64, 1e-310, math.MaxFloat64, 709, 710,
+		math.Float64frombits(0x7ff8000000c0ffee), math.Float64frombits(0x7ff4000000000bad), // a quiet and a signalling NaN
+	}
+	for _, edge := range []float64{0.625, halfMaxLog} {
+		s = append(s, math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1)))
+	}
+	for _, v := range s {
+		s = append(s, -v)
+	}
+	return s
+}()
+
+// requireTanhBits holds got to math.Tanh of src bit for bit, NaN lanes
+// included: which NaN tanh returns for a NaN is part of what the
+// kernel reproduces.
+func requireTanhBits(t *testing.T, got, src []float64) {
+	t.Helper()
+	for i, x := range src {
+		if g, w := math.Float64bits(got[i]), math.Float64bits(math.Tanh(x)); g != w {
+			t.Fatalf("TanhInto, %d elements: element %d = tanh(%v (%#x)) = %#x, math.Tanh gives %#x",
+				len(src), i, x, math.Float64bits(x), g, w)
+		}
+	}
+}
+
+// requireTanhMatches runs TanhInto on n values of the given mix, src and
+// dst sub-slices at odd offsets of canary-filled arrays, then again in
+// place, and holds the results to math.Tanh's bits and both sides of
+// dst to their canaries.
+func requireTanhMatches(t *testing.T, r *rng.RNG, n, mix, offs int) {
+	t.Helper()
+	offDst, offSrc := 1+2*(offs&3), 1+2*(offs>>2&3)
+	dst, back := guardedMat(1, n, offDst)
+	src, srcBack := guardedMat(1, n, offSrc)
+	fillTanhMix(r, src.Data, mix)
+	fillTanhMix(r, dst.Data, mix) // dst starts dirty: the kernel must overwrite
+	want := append([]float64(nil), src.Data...)
+	TanhInto(dst.Data, src.Data)
+	requireTanhBits(t, dst.Data, want)
+	requireCanaries(t, "TanhInto", 1, 1, n, back, offDst, n)
+	for i, w := range want {
+		if math.Float64bits(src.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("TanhInto, %d elements: wrote %v over element %d of src", n, src.Data[i], i)
+		}
+	}
+	TanhInto(src.Data, src.Data)
+	requireTanhBits(t, src.Data, want)
+	requireCanaries(t, "TanhInto in place", 1, 1, n, srcBack, offSrc, n)
+}
+
+func bothTanhPaths(t *testing.T, f func(t *testing.T)) {
+	bothPaths(t, useAVX2 && tanhOK, fmt.Sprintf("the tanh kernel is not in use here (useAVX2 %v, tanhOK %v): math.Tanh is the only path",
+		useAVX2, tanhOK), f)
+}
+
+// TestTanhBitIdenticalToMath holds TanhInto's contract on both paths:
+// math.Tanh's bits over a million values of every mix, over the
+// specials in every lane, at every length around the kernel/tail split
+// with unaligned operands between canaries, and in place.
+func TestTanhBitIdenticalToMath(t *testing.T) {
+	bothTanhPaths(t, func(t *testing.T) {
+		r := rng.New(21)
+		src, dst := make([]float64, 1<<20), make([]float64, 1<<20)
+		for mix := 0; mix < numTanhMixes; mix++ {
+			fillTanhMix(r, src, mix)
+			TanhInto(dst, src)
+			requireTanhBits(t, dst, src)
+		}
+		for lane := 0; lane < 4; lane++ { // every special in every lane, and in the tail
+			in := tanhSpecials[lane:]
+			TanhInto(dst, in)
+			requireTanhBits(t, dst, in)
+		}
+		for _, span := range [][2]int{{0, 9}, {61, 67}} {
+			for n := span[0]; n <= span[1]; n++ {
+				for mix := 0; mix < numTanhMixes; mix++ {
+					for offs := 0; offs < 16; offs++ {
+						requireTanhMatches(t, r, n, mix, offs)
+					}
+				}
+			}
+		}
+	})
+}
+
+func TestTanhIntoShortDstPanics(t *testing.T) {
+	bothTanhPaths(t, func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("TanhInto with len(dst) < len(src) did not panic")
+			}
+		}()
+		TanhInto(make([]float64, 7, 8), make([]float64, 8))
+	})
+}
+
+// FuzzTanh is the same assertion with the length, the operands'
+// offsets, the value mix and the values' seed taken from the fuzz input.
+func FuzzTanh(f *testing.F) {
+	f.Add(uint16(8), uint8(0), uint8(tanhUnit), uint64(1))
+	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, seed uint64) {
+		bothTanhPaths(t, func(t *testing.T) {
+			requireTanhMatches(t, rng.New(seed), int(n%600), int(mix%numTanhMixes), int(offs))
+		})
+	})
 }

@@ -53,12 +53,42 @@
 // pointers into slices Go has already sliced to their full extent, so a
 // wrong shape panics in Go.
 //
-// Neither path uses a fused multiply-add, and on amd64 gc never emits
-// one for x*y + z at any GOAMD64 level. On ports whose compiler does
-// fuse (arm64, ppc64le, s390x) only the Go path exists, and a kernel
-// and its reference stay identical only if both fuse the same products;
-// should they ever differ there, write the products as float64(x*y),
-// which forbids the fusion.
+// TanhInto, the activation between the products, is the same idea
+// applied to a function call: a batch of pre-activations is that many
+// independent math.Tanh calls, and tanhAVX2 makes four at a time. Each
+// lane goes through all three arms of the switch in math/tanh.go — the
+// rational approximation, 1 - 2/(Exp(2z)+1) with math.Exp's amd64
+// assembly inlined, and ±1 — written with the instructions the scalar
+// code executes for that arm, in its order, on constants the assembler
+// rounds from the same literals; compares then keep, per lane, the arm
+// the switch would have taken. The reference is math.Tanh itself:
+// every host without the kernel, and the last len mod 4 elements on
+// every host, call it, and no Go port of it exists to drift.
+//
+// The rule, for all of it, is that each lane executes the reference's
+// own instruction sequence. For the three products the reference is a
+// Go loop, gc never fuses x*y + z on amd64 at any GOAMD64 level, and so
+// their kernels are a multiply then an add and never an FMA, on either
+// path. For tanh the reference is whatever math.Tanh executes on this
+// host, and math.Exp is assembly that takes an FMA arm where the CPU has
+// FMA (and Go's GODEBUG=cpu.fma=off does not forbid it) and a
+// multiply-add arm elsewhere; between 0.625 and 8 the two give tanh
+// different bits for about one input in 280. tanhAVX2 is a
+// transcription of the FMA arm only, and that the host's math.Tanh is
+// the function it transcribes is checked, not assumed: at init the
+// kernel runs on a fixed table — every branch point of tanh and its
+// neighbours, and sixteen inputs found to separate the two arms — and is
+// used only if every result has math.Tanh's bits. A host on the other
+// arm, or a toolchain that rewrites math.Exp or math.Tanh, thereby keeps
+// the scalar loop and its own bits;
+// TestTanhKernelStandsDownWithoutFMAExp holds the check to both answers.
+// Outputs are therefore reproducible per host class (amd64 with FMA,
+// amd64 without, each other port), as math.Tanh's always were.
+//
+// On ports whose compiler does fuse (arm64, ppc64le, s390x) only the Go
+// path exists, and a kernel and its reference stay identical only if
+// both fuse the same products; should they ever differ there, write the
+// products as float64(x*y), which forbids the fusion.
 package tensor
 
 import (
@@ -323,6 +353,24 @@ func Axpy(alpha float64, x, y []float64) {
 func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
+	}
+}
+
+// TanhInto sets dst[i] = math.Tanh(src[i]) for every i < len(src), to
+// the bit. dst may be src; a dst shorter than src panics.
+func TanhInto(dst, src []float64) {
+	if len(dst) < len(src) {
+		panic(fmt.Sprintf("tensor: TanhInto dst length %d < src length %d", len(dst), len(src)))
+	}
+	n4 := 0
+	if useAVX2 && tanhOK {
+		if n4 = len(src) &^ 3; n4 > 0 {
+			tanhAVX2(&dst[0], &src[0], n4)
+		}
+	}
+	dst = dst[:len(src)]
+	for i := n4; i < len(src); i++ {
+		dst[i] = math.Tanh(src[i])
 	}
 }
 
