@@ -110,16 +110,16 @@ benchmark:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED)
 
 # Same-machine A/B of the working tree (head) against BASE, the form a
-# claimed gain is measured in: BASE is checked out into a git worktree,
-# both benchmarks are built, and every workload (or WORKLOAD=<name>) is
-# run PAIRS times on each side, one run of AB_SECONDS after another,
+# claimed gain is measured in: BASE is checked out into a local clone
+# (not a git worktree: sandboxes refuse `git worktree add`), both
+# benchmarks are built, and every workload (or WORKLOAD=<name>) is run
+# PAIRS times on each side, one run of AB_SECONDS after another,
 # alternating which side goes first; pair i runs both sides at seed
 # SEED+i-1. The runs are gathered into $(AB_DIR)/base/result.json and
 # $(AB_DIR)/head/result.json (needs jq; each is stamped with the commit
-# its side was built from, because go's own VCS stamp reads the
-# enclosing repository, not the worktree), the per-pair updates_per_s
-# and wall_s are listed, and `benchmark compare` has the last word and
-# sets the exit status.
+# its side was built from), the per-pair updates_per_s and wall_s are
+# listed, and `benchmark compare` has the last word and sets the exit
+# status.
 PAIRS ?= 10
 AB_SECONDS ?= 20
 AB_DIR ?= .bench_ab
@@ -129,12 +129,12 @@ AB_PAIRS = map(.workloads) as [$$a, $$b] | $$a | keys_unsorted[] | . as $$w | ra
 	| [$$w, $$a[$$w].runs[$$i].seed, ($$a[$$w].runs[$$i].metrics | .updates_per_s, .wall_s), ($$b[$$w].runs[$$i].metrics | .updates_per_s, .wall_s)] | @tsv
 benchmark-ab:
 	@test -n "$(BASE)" || { echo "usage: make benchmark-ab BASE=<ref> [WORKLOAD=name] [SEED=1] [PAIRS=10] [AB_SECONDS=20]"; exit 2; }
-	-git worktree remove --force $(AB_DIR)/worktree 2>/dev/null
-	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)/bin && git worktree prune
-	git worktree add --detach $(AB_DIR)/worktree $(BASE)
+	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)/bin
+	git clone --quiet --local --no-checkout . $(AB_DIR)/worktree
+	git -C $(AB_DIR)/worktree checkout --quiet --detach $$(git rev-parse "$(BASE)^{commit}")
 	cd $(AB_DIR)/worktree && $(GO) build -o ../bin/base ./benchmark
 	$(GO) build -o $(AB_DIR)/bin/head ./benchmark
-	git worktree remove --force $(AB_DIR)/worktree
+	rm -rf $(AB_DIR)/worktree
 	@set -e; workloads="$(WORKLOAD)"; \
 	if [ "$$workloads" = all ]; then workloads="$$(jq -r '.workloads[].name' BENCHMARK.json)"; fi; \
 	for w in $$workloads; do for i in $$(seq 1 $(PAIRS)); do \

@@ -342,8 +342,8 @@ func main() {
 	}
 	fmt.Printf("live training: %d updates in %v across %d actors + %d learners\n",
 		rep.Updates, rep.Elapsed.Round(1e6), opt.Actors, opt.Learners)
-	fmt.Printf("episodes %d | mean return %.1f | mean staleness %.2f\n",
-		rep.Episodes, rep.MeanReturn, rep.MeanStaleness)
+	fmt.Printf("episodes %d | mean return %.1f | mean staleness %.2f | mean trajectory lag %.2f\n",
+		rep.Episodes, rep.MeanReturn, rep.MeanStaleness, rep.MeanTrajectoryLag)
 	fmt.Printf("resilience: %d retries, %d reconnects, %d timeouts, %d stale-weight reuses, %d shed payloads\n",
 		rep.CacheRetries, rep.CacheReconnects, rep.CacheTimeouts,
 		rep.StaleWeightReuses, rep.DroppedPayloads)

@@ -2,34 +2,47 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stellaris/internal/ckpt"
 	"stellaris/internal/obs/lineage"
 	"stellaris/internal/rng"
+	"stellaris/internal/stale"
 )
 
 // runAsync is the concurrent schedule over the shared stages (stage.go,
 // actor.go): supervised actor and learner goroutines feeding a parameter
 // worker through channels, everything exchanging payloads via the TCP
-// cache. Only goroutines, channels, supervision and the drain live
-// here. Actors and learners run under crash supervision (panics and
-// errors restart them within a budget); the parameter worker is the run
-// itself — if it dies the run fails, and recovery is the
+// cache. Only goroutines, channels, supervision, rollout admission and
+// the drain live here. Actors and learners run under crash supervision
+// (panics and errors restart them within a budget); the parameter worker
+// is the run itself — if it dies the run fails, and recovery is the
 // checkpoint/Resume path.
+//
+// The schedule decides WHEN a rollout starts: only while stale.Admit
+// holds for what is admitted and not yet taken by a learner (r.waiting).
+// A parked actor costs nothing and later rolls out under fresher weights;
+// and since r.waiting stays under what trajCh and batchCh hold together
+// (DESIGN.md §5), neither queue sheds: a sender at most waits for the
+// next receive. Only gradients (gradCh) and faults are still shed.
 func (r *run) runAsync() error {
 	opt := r.opt
+	// Every rollout is exactly ActorSteps long, so perBatch trajectories
+	// are what the loader's step count turns into one batch.
+	perBatch := (opt.BatchSize + opt.ActorSteps - 1) / opt.ActorSteps
 	trajCh := make(chan trajNote, 4*opt.Actors)
 	batchCh := make(chan []string, 2*opt.Learners)
 	gradCh := make(chan gradNote, 2*opt.Learners)
-
-	// The loader's sheds and the drain delete on a connection of their
-	// own: paramCli is the parameter hot path.
-	loaderCli, err := r.dial("loader")
-	if err != nil {
-		return err
+	// wake unparks actors: a token per rise in demand, one per actor at
+	// most. A token nobody was parked for costs one extra Admit check.
+	wake := make(chan struct{}, opt.Actors)
+	poke := func() {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
 	}
-	defer loaderCli.Close()
 
 	var wg sync.WaitGroup
 
@@ -62,21 +75,15 @@ func (r *run) runAsync() error {
 				}
 				ready()
 				for !r.stop.Load() {
-					r.injectPanic("actor", id, nil)
-					note, ok, err := act.iterate()
-					if err != nil {
-						return err
-					}
-					if !ok {
+					if !stale.Admit(int(r.waiting.Load()), int(r.idle.Load()), perBatch) {
+						select {
+						case <-wake:
+						case <-time.After(10 * time.Millisecond):
+						}
 						continue
 					}
-					select {
-					case trajCh <- note:
-					default:
-						// Loader backlogged: sampling throughput exceeding
-						// learner throughput is the overload case — shed
-						// load, and count it.
-						r.st.shed(cli, note.key, lineage.KindTrajectory, name, dropBackpressure)
+					if err := r.rollout(act, trajCh); err != nil {
+						return err
 					}
 				}
 				return nil
@@ -84,32 +91,13 @@ func (r *run) runAsync() error {
 		}(a, r.root.Split(uint64(100+a)))
 	}
 
-	// Reaper: deletes what the loader sheds, so that the loader — the one
-	// stage every batch passes through — never waits on the cache. Beside
-	// a bursty CPU neighbour on a 3-shard tier the quartile spread of
-	// updates/s read 13 % of the median this way and 18 % deleting inline
-	// (CHANGES.md, PR 16). Keys still queued at stop are left to the drain.
-	reapCh := make(chan string, cap(trajCh))
-	var unreaped []string
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := range reapCh {
-			if r.stop.Load() {
-				unreaped = append(unreaped, k)
-				continue
-			}
-			r.st.shed(loaderCli, k, lineage.KindTrajectory, "loader", dropBackpressure)
-		}
-	}()
-
 	// Data loader: batch trajectory keys by step count. pending is its
-	// partial batch, read by the drain once the loader has exited.
+	// partial batch — or the full one it held when the run stopped — read
+	// by the drain once the loader has exited.
 	var pending []string
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer close(reapCh)
 		steps := 0
 		for !r.stop.Load() {
 			var note trajNote
@@ -120,21 +108,8 @@ func (r *run) runAsync() error {
 			}
 			pending = append(pending, note.key)
 			steps += note.steps
-			if steps < opt.BatchSize {
-				continue
-			}
-			batch := pending
-			pending, steps = nil, 0
-			select {
-			case batchCh <- batch:
-			default:
-				// Learners saturated: shed the batch (off-policy data this
-				// stale would be discarded anyway), one drop per
-				// trajectory so the counter keeps counting payloads, not
-				// batches.
-				for _, k := range batch {
-					reapCh <- k
-				}
+			if steps >= opt.BatchSize && sendOrStop(&r.stop, batchCh, pending) {
+				pending, steps = nil, 0
 			}
 		}
 	}()
@@ -159,12 +134,21 @@ func (r *run) runAsync() error {
 				ready()
 				for !r.stop.Load() {
 					r.injectPanic("learner", id, chaos)
+					// Idle only while blocked here, and a batch leaves
+					// r.waiting when taken: dying with it strands no count.
 					var keys []string
+					r.idle.Add(1)
+					poke()
 					select {
 					case keys = <-batchCh:
 					case <-time.After(10 * time.Millisecond):
+					}
+					r.idle.Add(-1)
+					if keys == nil {
 						continue
 					}
+					r.waiting.Add(-int64(len(keys)))
+					poke()
 					note, ok, err := lrn.step(keys)
 					if err != nil {
 						return err
@@ -207,22 +191,55 @@ func (r *run) runAsync() error {
 	}
 
 	// Drain. Every worker has exited, so what is still queued (or sits in
-	// the loader's partial batch) will never be consumed: delete it
-	// rather than leave it behind in a cache that outlives the run.
-	pending = append(pending, unreaped...)
+	// the loader's hands) will never be consumed: delete it — on the
+	// parameter connection, idle by now — rather than leave it behind in a
+	// cache that outlives the run.
 	for len(batchCh) > 0 {
 		pending = append(pending, <-batchCh...)
 	}
 	for len(trajCh) > 0 {
 		pending = append(pending, (<-trajCh).key)
 	}
+	r.waiting.Add(-int64(len(pending)))
 	for len(gradCh) > 0 {
 		pending = append(pending, (<-gradCh).key)
 	}
 	for _, k := range pending {
-		_ = loaderCli.Delete(k)
+		_ = r.paramCli.Delete(k)
 	}
 	return nil
+}
+
+// rollout is one admitted actor iteration. Its slot in r.waiting passes
+// to the loader with the note; every other way out — error, no
+// trajectory, panic, stop — gives it back.
+func (r *run) rollout(act *actor, trajCh chan<- trajNote) error {
+	r.waiting.Add(1)
+	slot := int64(-1)
+	defer func() { r.waiting.Add(slot) }()
+	r.injectPanic("actor", act.id, nil)
+	note, ok, err := act.iterate()
+	if err != nil || !ok {
+		return err
+	}
+	if sendOrStop(&r.stop, trajCh, note) {
+		slot = 0
+	} else {
+		_ = act.cli.Delete(note.key) // a key still in hand is out of the drain's sight
+	}
+	return nil
+}
+
+// sendOrStop blocks until v is on ch or the run stops, and reports which.
+func sendOrStop[T any](stop *atomic.Bool, ch chan<- T, v T) bool {
+	for !stop.Load() {
+		select {
+		case ch <- v:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
 }
 
 // paramLoop feeds gradient notes to the parameter step, checkpoints

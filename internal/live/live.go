@@ -252,8 +252,13 @@ type Report struct {
 	Episodes      int
 	MeanReturn    float64
 	MeanStaleness float64
-	Elapsed       time.Duration
-	FinalWeights  []float64
+	// MeanTrajectoryLag is how many versions behind its learner's weights
+	// a consumed trajectory was sampled, averaged over every trajectory
+	// consumed: the staleness the data carries into Eq. 2, where
+	// MeanStaleness is what the gradients add (live_trajectory_lag).
+	MeanTrajectoryLag float64
+	Elapsed           time.Duration
+	FinalWeights      []float64
 
 	// Resilience counters, aggregated over every cache client the run
 	// opened plus the workers' graceful-degradation fallbacks. All stay

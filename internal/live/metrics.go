@@ -18,6 +18,7 @@ const (
 	dropDecodeFailed = "decode-failed" // payload corrupted in transit/storage
 	dropBackpressure = "backpressure"  // downstream queue full, load shed
 	dropNoWeights    = "no-weights"    // learner had no weights to train with
+	dropGetFailed    = "get-failed"    // cache Get exhausted its retries
 )
 
 // liveMetrics is the run's view into an obs registry. A nil *liveMetrics
@@ -29,6 +30,7 @@ type liveMetrics struct {
 	staleness     *obs.Histogram    // live_staleness
 	gradStaleness *obs.Histogram    // live_gradient_staleness
 	policyLag     *obs.Histogram    // live_actor_policy_lag
+	trajLag       *obs.Histogram    // live_trajectory_lag
 	drops         *obs.CounterVec   // live_dropped_payloads_total{reason}
 	staleReuse    *obs.Counter      // live_stale_weight_reuses_total
 	updates       *obs.Counter      // live_updates_total
@@ -59,6 +61,8 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 			"staleness of each aggregated gradient (versions)", obs.CountBuckets),
 		policyLag: reg.Histogram("live_actor_policy_lag",
 			"global version minus the version an actor fetched", obs.CountBuckets),
+		trajLag: reg.Histogram("live_trajectory_lag",
+			"learner's weights version minus the version a consumed trajectory was sampled under", obs.CountBuckets),
 		drops: reg.CounterVec("live_dropped_payloads_total",
 			"trajectories/gradients shed, by reason", "reason"),
 		staleReuse: reg.Counter("live_stale_weight_reuses_total",
@@ -81,10 +85,10 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 		flightDumps: reg.CounterVec("live_flight_dumps_total",
 			"flight-recorder postmortem dumps, by trigger (panic-restart, fail)", "reason"),
 	}
-	// Pre-create the reason children so every exposition shows all four
+	// Pre-create the reason children so every exposition shows all five
 	// counters (zero included) — dashboards can tell "no drops" from
 	// "not instrumented". Same for the supervisor's two roles.
-	for _, reason := range []string{dropPutFailed, dropDecodeFailed, dropBackpressure, dropNoWeights} {
+	for _, reason := range []string{dropPutFailed, dropDecodeFailed, dropBackpressure, dropNoWeights, dropGetFailed} {
 		m.drops.With(reason)
 	}
 	m.restarts.With("actor")
@@ -107,10 +111,11 @@ func (m *liveMetrics) iterHist(role string, worker int) *obs.Histogram {
 // Report aggregate, the labeled registry family and the lineage store
 // (lin; nil when tracing is off).
 type runState struct {
-	staleReuses atomic.Int64
-	dropped     atomic.Int64
-	m           *liveMetrics
-	lin         *lineage.Store
+	staleReuses  atomic.Int64
+	dropped      atomic.Int64
+	lagSum, lagN atomic.Int64 // Report.MeanTrajectoryLag, summed by the learners
+	m            *liveMetrics
+	lin          *lineage.Store
 }
 
 // drop records one shed payload under reason.

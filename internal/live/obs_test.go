@@ -60,6 +60,15 @@ func TestLiveTrainObsExposition(t *testing.T) {
 		t.Fatalf("histogram mean %v != Report.MeanStaleness %v", h.Mean, rep.MeanStaleness)
 	}
 
+	// Likewise the consumed-trajectory lag and Report.MeanTrajectoryLag.
+	lag, ok := rep.Obs.FindHistogram("live_trajectory_lag", nil)
+	if !ok || lag.Count == 0 {
+		t.Fatalf("live_trajectory_lag histogram: %+v ok=%v", lag, ok)
+	}
+	if math.Abs(lag.Mean-rep.MeanTrajectoryLag) > 1e-9 {
+		t.Fatalf("histogram mean %v != Report.MeanTrajectoryLag %v", lag.Mean, rep.MeanTrajectoryLag)
+	}
+
 	// Cache-op latency histograms saw real traffic.
 	g, ok := rep.Obs.FindHistogram("cache_client_op_seconds", map[string]string{"op": "get"})
 	if !ok || g.Count == 0 || g.Sum <= 0 {
@@ -85,6 +94,8 @@ func TestLiveTrainObsExposition(t *testing.T) {
 		`live_dropped_payloads_total{reason="put-failed"}`,
 		`live_dropped_payloads_total{reason="decode-failed"}`,
 		`live_dropped_payloads_total{reason="no-weights"}`,
+		`live_dropped_payloads_total{reason="get-failed"}`,
+		"live_trajectory_lag_count",
 		"cache_client_op_seconds_bucket",
 		"live_staleness_count",
 		"live_iteration_seconds_bucket",

@@ -85,6 +85,12 @@ type run struct {
 	stop  atomic.Bool
 	errCh chan error
 
+	// Rollout admission (runAsync): waiting counts the trajectories
+	// admitted and not yet taken by a learner — in progress, in trajCh,
+	// with the loader, in batchCh — and idle the learners blocked on
+	// batchCh. Both are zero again once a run has drained.
+	waiting, idle atomic.Int64
+
 	// Crash-recovery accounting.
 	actorRestarts   atomic.Int64
 	learnerRestarts atomic.Int64
@@ -518,6 +524,9 @@ func (r *run) buildReport() *Report {
 	}
 	if r.staleN > 0 {
 		rep.MeanStaleness = r.staleSum / float64(r.staleN)
+	}
+	if n := r.st.lagN.Load(); n > 0 {
+		rep.MeanTrajectoryLag = float64(r.st.lagSum.Load()) / float64(n)
 	}
 	r.retMu.Lock()
 	if len(r.returns) > 0 {

@@ -3,12 +3,17 @@ package live
 // The pipeline's stages, each written once: the weight view every
 // worker fetches through, the learner step, the parameter step and the
 // shed path. runAsync and runLockstep only decide WHEN a stage runs —
-// concurrently behind channels, or in a fixed round-robin order — never
-// what it does, so a policy plugged into a stage (a sync rule in the
-// weight fetch, an admission rule in the actor loop) lands in both
-// schedules at once. The actor's stage is actor.iterate (actor.go).
+// concurrently behind channels and a rollout only once a learner will
+// take it (stale.Admit), or in a fixed round-robin order — never what it
+// does, so a policy plugged into a stage (a sync rule in the weight
+// fetch) lands in both schedules at once. The actor's stage is
+// actor.iterate (actor.go). What is shed: faults (put-failed,
+// get-failed, decode-failed, no-weights) in either schedule, and under
+// backpressure only gradients the parameter worker is too backlogged to
+// queue — admission keeps the trajectory queues from ever filling.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -95,8 +100,8 @@ func (v *weightView) reset() { v.lastW, v.lastVer, v.streak = nil, 0, 0 }
 // under reason (one of the drop* constants, so Report, metrics and
 // lineage share a vocabulary), recorded as the artifact's shed hop, and
 // the key is deleted so a shed payload does not outlive the decision in
-// the cache. A nil cli skips the delete — the put-failed case, where
-// nothing landed and the cache has just eaten a whole retry budget.
+// the cache. A nil cli skips the delete — the put-failed and get-failed
+// cases, where the cache has just eaten a whole retry budget.
 func (s *runState) shed(cli cache.Cache, key, kind, who, reason string) {
 	s.drop(reason)
 	s.lin.Record(lineage.Event{
@@ -184,6 +189,12 @@ func (l *learner) step(keys []string) (note gradNote, ok bool, err error) {
 			continue
 		}
 		trajs = append(trajs, tr)
+		lag := born - tr.PolicyVersion
+		r.st.lagSum.Add(int64(lag))
+		r.st.lagN.Add(1)
+		if r.m != nil {
+			r.m.trajLag.Observe(float64(lag))
+		}
 		r.recordConsumed(keys[i], gkey, l.name)
 		_ = l.cli.Delete(keys[i])
 	}
@@ -235,6 +246,12 @@ func (r *run) absorb(note gradNote) error {
 	start := time.Now()
 	raw, err := r.paramCli.Get(note.key)
 	if err != nil {
+		// A gradient that is no longer there is skipped; one the cache
+		// could not serve is shed, without a delete: the cache has just
+		// eaten a whole retry budget.
+		if !errors.As(err, new(cache.ErrNotFound)) {
+			r.st.shed(nil, note.key, lineage.KindGradient, "param", dropGetFailed)
+		}
 		return nil
 	}
 	msg, err := cache.DecodeGrad(raw)

@@ -3,12 +3,14 @@ package live
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"stellaris/internal/cache"
 	"stellaris/internal/leaktest"
 	"stellaris/internal/obs"
+	"stellaris/internal/obs/lineage"
 	"stellaris/internal/rng"
 )
 
@@ -217,12 +219,56 @@ func TestWeightViewFallback(t *testing.T) {
 	}
 }
 
-// TestLiveTrainLeavesNoPayloadsBehind is the regression test for the
-// trajectory leak: with learners slower than actors the loader sheds
-// batches, and a shed batch's keys used to stay in the cache for good —
-// the store grew with the drop count. Against an external store the run
-// must keep the payload count bounded by what its queues can hold, and
-// leave no trajectory or gradient behind when it ends.
+// TestAbsorbGetFailed: a gradient the cache could not serve is a drop
+// like any other — counted under its own reason, with a shed hop — but is
+// not deleted: the cache has just eaten a retry budget.
+func TestAbsorbGetFailed(t *testing.T) {
+	opt := lockOpts("")
+	opt.Obs = obs.NewRegistry()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := newRun(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	const key = "grad/0/0"
+	if err := r.paramCli.Put(key, []byte("unreachable")); err != nil {
+		t.Fatal(err)
+	}
+	healthy := r.paramCli
+	r.paramCli = getFails{healthy}
+	err = r.absorb(gradNote{key: key})
+	r.paramCli = healthy
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dropsBy(t, opt.Obs, dropGetFailed); got != 1 || r.st.dropped.Load() != 1 {
+		t.Fatalf("get-failed drops = %d (total %d), want 1", got, r.st.dropped.Load())
+	}
+	if _, err := healthy.Get(key); err != nil {
+		t.Fatalf("the shed spent a delete on a failing cache: %v", err)
+	}
+	if r.version.Load() != 0 {
+		t.Fatalf("unreadable gradient moved the policy to v%d", r.version.Load())
+	}
+}
+
+// getFails is a connection whose reads fail the way a client with its
+// retries exhausted does.
+type getFails struct{ cache.Conn }
+
+func (getFails) Get(string) ([]byte, error) { return nil, errors.New("get timed out") }
+
+// TestLiveTrainLeavesNoPayloadsBehind began as the regression test for
+// the trajectory leak (shed batches' keys used to stay in the cache for
+// good) and now holds the stronger promise rollout admission makes: with
+// learners far slower than actors nothing is produced that would have to
+// be shed. Against an external store the run must drop nothing, keep the
+// payload count bounded by what admission lets wait, and leave no
+// trajectory or gradient behind when it ends.
 func TestLiveTrainLeavesNoPayloadsBehind(t *testing.T) {
 	leaktest.Check(t)
 	mem := cache.NewMemCache()
@@ -235,6 +281,7 @@ func TestLiveTrainLeavesNoPayloadsBehind(t *testing.T) {
 
 	opt := tinyOpts()
 	opt.CacheAddr = addr
+	opt.Obs = obs.NewRegistry() // for Report.Lineage
 	opt.panicHook = func(role string, id int) bool {
 		if role == "learner" {
 			time.Sleep(20 * time.Millisecond) // learners slower than actors
@@ -267,22 +314,109 @@ func TestLiveTrainLeavesNoPayloadsBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DroppedPayloads == 0 {
-		t.Fatal("nothing was shed: the run did not exercise the overload path")
+	// No trajectory is shed. (A gradient still may be, at gradCh, should
+	// the parameter worker fall behind: that is not admission's promise.)
+	for _, id := range rep.Lineage.Traces(lineage.KindTrajectory) {
+		for _, e := range rep.Lineage.Timeline(id) {
+			if e.Hop == lineage.HopShed {
+				t.Fatalf("%s shed (%s): admission let the actors outrun the learners", id, e.Detail)
+			}
+		}
+	}
+	if rep.DroppedPayloads > int64(opt.Learners) {
+		t.Fatalf("%d payloads shed", rep.DroppedPayloads)
 	}
 	if n := payloads(); n != 0 {
-		t.Fatalf("%d payloads left behind after %d drops", n, rep.DroppedPayloads)
+		t.Fatalf("%d payloads left behind", n)
 	}
-	// What can be in the store at once: both trajectory queues full, the
-	// loader's partial batch and the batch it is shedding, the reaper's
-	// queue plus the key in its hands, one batch in each learner's hands,
-	// one trajectory in each actor's, and the gradient queue plus one
-	// gradient per learner.
+	// What can be in the store at once: what admission lets wait (actors
+	// check, then add, so up to Actors−1 beyond the rule), one batch in
+	// each learner's hands, and the gradient queue plus one gradient per
+	// learner.
 	perBatch := (opt.BatchSize + opt.ActorSteps - 1) / opt.ActorSteps
-	bound := 4*opt.Actors + 2*opt.Learners*perBatch + 2*perBatch + 4*opt.Actors + 1 +
-		opt.Learners*perBatch + opt.Actors + 2*opt.Learners + opt.Learners
+	bound := perBatch*(opt.Learners+1) + opt.Actors - 1 +
+		opt.Learners*perBatch + 2*opt.Learners + opt.Learners
 	t.Logf("peak %d payloads in the store (bound %d), %d drops", peak, bound, rep.DroppedPayloads)
 	if peak > bound {
-		t.Fatalf("store held %d payloads at once (%d drops), bound %d", peak, rep.DroppedPayloads, bound)
+		t.Fatalf("store held %d payloads at once, bound %d", peak, bound)
+	}
+}
+
+// TestAdmissionKeepsHungryLearnersFed is the liveness twin: more
+// learners than actors, and batches that ActorSteps does not divide. The
+// gate counts trajectories where the loader counts steps; were an
+// admitted batch's worth ever short of a loader batch, every actor would
+// park on a batch that can never fill.
+func TestAdmissionKeepsHungryLearnersFed(t *testing.T) {
+	leaktest.Check(t)
+	opt := tinyOpts()
+	opt.Actors, opt.Learners = 1, 3
+	opt.ActorSteps, opt.BatchSize = 24, 64
+	opt.Updates = 6
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := Train(opt)
+		done <- result{rep, err}
+	}()
+	select {
+	case res := <-done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if res.rep.Updates < opt.Updates {
+			t.Fatalf("%d of %d updates", res.rep.Updates, opt.Updates)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled: the actor parked on a batch that can never fill")
+	}
+}
+
+// TestAdmissionSurvivesWorkerPanics: workers crashing at a seeded rate —
+// actors inside an admitted iteration, with their slot held — must not
+// leak the admission counts: the run completes, and once it has drained
+// nothing is waiting and nobody is idle.
+func TestAdmissionSurvivesWorkerPanics(t *testing.T) {
+	leaktest.Check(t)
+	opt := tinyOpts()
+	opt.Updates = 8
+	opt.RestartBudget = 64
+	opt.RestartBackoff = time.Millisecond
+	var mu sync.Mutex
+	chaos := rng.New(23)
+	calls := map[string]int{}
+	opt.panicHook = func(role string, id int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[role]++
+		// The second call of each role guarantees a crash of both kinds
+		// however few iterations the run takes.
+		return calls[role] == 2 || chaos.Float64() < 0.1
+	}
+	opt, err := opt.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := newRun(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if err := r.runAsync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := int(r.version.Load()); got < opt.Updates {
+		t.Fatalf("%d of %d updates", got, opt.Updates)
+	}
+	if r.actorRestarts.Load() == 0 || r.learnerRestarts.Load() == 0 {
+		t.Fatalf("restarts: %d actor, %d learner — the drill crashed nobody",
+			r.actorRestarts.Load(), r.learnerRestarts.Load())
+	}
+	if w, i := r.waiting.Load(), r.idle.Load(); w != 0 || i != 0 {
+		t.Fatalf("after the drain: %d waiting, %d idle (%d actor + %d learner restarts), want 0, 0",
+			w, i, r.actorRestarts.Load(), r.learnerRestarts.Load())
 	}
 }

@@ -369,3 +369,15 @@ func (f *FullSync) Offer(e *Entry, _ int) []*Entry {
 
 // Weight implements Policy.
 func (f *FullSync) Weight(int) float64 { return 1 }
+
+// Admit is the rollout admission rule of a schedule whose learners pull
+// batches: a new rollout may start only while the trajectories already
+// admitted and not yet taken by a learner (waiting — in progress, queued
+// or batched) stay under one batch of perBatch trajectories per idle
+// learner plus one batch ahead. A trajectory admitted beyond that would
+// wait for a learner while the policy moves on under it, so it is
+// better rolled out later, under newer weights. The rule needs no
+// tuning: supply follows demand at 2 learners or 20.
+func Admit(waiting, idleLearners, perBatch int) bool {
+	return waiting < perBatch*(idleLearners+1)
+}

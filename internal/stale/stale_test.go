@@ -288,3 +288,53 @@ func TestCombineWeightBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAdmit(t *testing.T) {
+	cases := []struct {
+		waiting, idle, perBatch int
+		want                    bool
+	}{
+		{0, 0, 2, true},  // nothing waiting: always one batch ahead
+		{1, 0, 2, true},  // the batch ahead is not full yet
+		{2, 0, 2, false}, // one batch ahead of busy learners is enough
+		{2, 1, 2, true},  // a hungry learner buys another batch
+		{3, 1, 2, true},
+		{4, 1, 2, false},
+		{5, 2, 2, true},
+		{6, 2, 2, false},
+		{0, 0, 1, true}, // perBatch 1: one trajectory is a batch
+		{1, 0, 1, false},
+		{1, 1, 1, true},
+		{7, 0, 2, false}, // an overshoot (racing actors) stays parked
+	}
+	for _, c := range cases {
+		if got := Admit(c.waiting, c.idle, c.perBatch); got != c.want {
+			t.Errorf("Admit(waiting %d, idle %d, perBatch %d) = %v, want %v",
+				c.waiting, c.idle, c.perBatch, got, c.want)
+		}
+	}
+}
+
+// TestAdmitProperties: the rule is monotone in each argument, a hungry
+// learner always gets its batch, and nothing is admitted beyond one
+// batch per idle learner plus one.
+func TestAdmitProperties(t *testing.T) {
+	prop := func(w, i, p uint8) bool {
+		waiting, idle, perBatch := int(w), int(i%32), int(p%16)+1
+		ok := Admit(waiting, idle, perBatch)
+		switch {
+		case ok && waiting > 0 && !Admit(waiting-1, idle, perBatch):
+			return false // less waiting never parks an admitted rollout
+		case ok && (!Admit(waiting, idle+1, perBatch) || !Admit(waiting, idle, perBatch+1)):
+			return false // nor does more demand or a larger batch
+		case idle >= 1 && waiting < perBatch && !ok:
+			return false
+		case ok && waiting >= perBatch*(idle+1):
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
