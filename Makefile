@@ -5,7 +5,7 @@ GO ?= go
 COVERPROFILE ?= coverage.out
 FUZZTIME ?= 5s
 
-.PHONY: build test race stable cover fmt vet cross nofma lint leaktest benchmark benchmark-ab fuzz-short chaos ci
+.PHONY: build test race stable cover fmt vet cross nofma lint leaktest benchmark benchmark-ab fuzz-short ci
 
 build:
 	$(GO) build ./...
@@ -50,29 +50,19 @@ vet:
 lint:
 	$(GO) run ./cmd/stellaris-lint -budget 120s ./...
 
-# Runtime goroutine-leak sanitizer pass: the suites wired with
-# leaktest.Check (cache client/server/replica/sharded, live train and
-# recovery, obs HTTP) run race-enabled and WITHOUT -short, so every
-# Close/Stop path is exercised and any goroutine outliving its test
-# fails the build. This is the dynamic complement of the static
-# goroleak check above.
+# The race-enabled pass WITHOUT -short over the cache tier, the live
+# trainer and obs HTTP. It is the one pass that runs every TestChaos*
+# drill (all of them live in internal/cache and internal/live: fault
+# proxy at aggressive rates, AOF compaction, the learner-panic +
+# server-bounce drill of DESIGN.md "Crash recovery", and the cluster
+# drills of §11 — shard-kill failover, asymmetric partition fenced by
+# term, brownout evacuation, fleet telemetry), and these suites are
+# wired with leaktest.Check, so every Close/Stop path is exercised and
+# any goroutine outliving its test fails the build — the dynamic
+# complement of the static goroleak check above. The fast
+# recovery/resume tests run in `make race` already.
 leaktest:
 	$(GO) test -race -count=1 ./internal/leaktest ./internal/cache ./internal/live ./internal/obs
-
-# Heavy chaos drills under the race detector, WITHOUT -short: fault
-# proxy at aggressive rates, AOF compaction under concurrent load, the
-# learner-panic + server-bounce drill (see DESIGN.md "Crash
-# recovery"), and the cluster drills (DESIGN.md §11): shard-kill
-# failover, the asymmetric-partition drill (deposed leader fenced by
-# term, §11.5) and the brownout drill (gray failure detected and
-# evacuated, §11.6). The suite is selected by NAME, not a hand-maintained
-# regexp: every testing.Short()-gated drill in these packages must be
-# called TestChaos* — stellaris-lint's chaosname check enforces it, so
-# a new drill cannot silently miss this target. The fast
-# recovery/resume tests run in `make race` already.
-chaos:
-	$(GO) test -race -count=1 -run '^TestChaos' \
-		./internal/live ./internal/cache ./internal/ckpt
 
 # Short live fuzz of the cache wire codec and framing, and of the tensor
 # kernels against their references (the scalar loops, math.Tanh). The

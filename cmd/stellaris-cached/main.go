@@ -9,7 +9,7 @@
 //
 // With -persist the keyspace is journaled to disk (snapshot + append-only
 // op log) and recovered on restart, so a crashed or bounced cache server
-// comes back with its values and counters intact:
+// comes back with its keyspace intact:
 //
 //	stellaris-cached -addr :6380 -persist /var/lib/stellaris/cache
 //

@@ -56,14 +56,14 @@ func (p *PPO) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra, r *
 	g := &Grad{}
 	st := &g.Stats
 
-	for iter := 0; iter < maxInt(h.SGDIters, 1); iter++ {
+	for iter := 0; iter < max(h.SGDIters, 1); iter++ {
 		for _, idx := range replay.Minibatches(n, h.MinibatchSize, r) {
 			obs := m.gather(b.Obs, idx)
 			params := m.Policy.Forward(obs)
 			dParams := tensor.NewMat(len(idx), params.Cols)
 			vOut := m.Critic.Forward(obs)
 			dV := tensor.NewMat(len(idx), 1)
-			invN := 1.0 / float64(n*maxInt(h.SGDIters, 1))
+			invN := 1.0 / float64(n*max(h.SGDIters, 1))
 
 			for row, i := range idx {
 				prow := params.Row(row)
@@ -125,11 +125,4 @@ func clampF(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

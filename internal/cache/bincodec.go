@@ -256,7 +256,7 @@ func openBin(b []byte) (byte, *binReader, lineage.Meta, error) {
 // EncodeWeights encodes a weight message. The buffer may be returned to
 // the frame pool with Recycle once handed off. The error is always nil:
 // the signature is the uniform encode-then-put shape callers share with
-// EncodeDelta, which can fail.
+// EncodeTrajectory and EncodeDelta, which can fail.
 func EncodeWeights(w *WeightsMsg) ([]byte, error) {
 	body := 8 + 4 + 8*len(w.Weights)
 	tlv := metaTLVSize(&w.Trace)
@@ -346,39 +346,30 @@ func DecodeGrad(b []byte) (*GradMsg, error) {
 
 // ---- trajectories ----
 
-// trajDims reports whether every step shares the dimensions of the
-// first one; if so the trajectory is encoded column-wise as whole-field
-// slabs (the overwhelmingly common case — actors sample a fixed env).
-func trajDims(t *replay.Trajectory) (obsDim, actDim, dpDim int, homogeneous bool) {
-	if len(t.Steps) == 0 {
-		return 0, 0, 0, true
-	}
-	s0 := &t.Steps[0]
-	obsDim, actDim, dpDim = len(s0.Obs), len(s0.Action), len(s0.DistParams)
-	for i := 1; i < len(t.Steps); i++ {
-		s := &t.Steps[i]
-		if len(s.Obs) != obsDim || len(s.Action) != actDim || len(s.DistParams) != dpDim {
-			return 0, 0, 0, false
-		}
-	}
-	return obsDim, actDim, dpDim, true
-}
+// trajLayoutColumns is the trajectory body's layout byte: whole-field
+// column slabs. It is the only layout; the byte stays so a payload is
+// bit-for-bit what every earlier build wrote and read.
+const trajLayoutColumns = 1
 
-// EncodeTrajectory encodes a trajectory (see EncodeWeights).
+// EncodeTrajectory encodes a trajectory (see EncodeWeights). Actors
+// sample a fixed env, so every step must have the dimensions of the
+// first; a ragged trajectory is an error.
 func EncodeTrajectory(t *replay.Trajectory) ([]byte, error) {
 	n := len(t.Steps)
-	obsDim, actDim, dpDim, homo := trajDims(t)
-
-	body := 8 + 8 + 4 + 1 // actorID, policyVersion, nSteps, layout flag
-	if homo {
-		body += 3*4 + 8*n + 8*n + (n+7)/8 // dims, rewards, logprobs, done bitset
-		body += 8 * n * (obsDim + actDim + dpDim)
-	} else {
-		for i := range t.Steps {
-			s := &t.Steps[i]
-			body += 4 + 8*len(s.Obs) + 4 + 8*len(s.Action) + 8 + 1 + 8 + 4 + 8*len(s.DistParams)
+	var obsDim, actDim, dpDim int
+	if n > 0 {
+		obsDim, actDim, dpDim = len(t.Steps[0].Obs), len(t.Steps[0].Action), len(t.Steps[0].DistParams)
+	}
+	for i := range t.Steps {
+		if s := &t.Steps[i]; len(s.Obs) != obsDim || len(s.Action) != actDim || len(s.DistParams) != dpDim {
+			return nil, fmt.Errorf("cache: bincodec: trajectory step %d has dimensions %d/%d/%d, step 0 has %d/%d/%d",
+				i, len(s.Obs), len(s.Action), len(s.DistParams), obsDim, actDim, dpDim)
 		}
 	}
+
+	body := 8 + 8 + 4 + 1             // actorID, policyVersion, nSteps, layout byte
+	body += 3*4 + 8*n + 8*n + (n+7)/8 // dims, rewards, logprobs, done bitset
+	body += 8 * n * (obsDim + actDim + dpDim)
 	body += 4 + 8*len(t.EpisodeReturns)
 	tlv := metaTLVSize(&t.Trace)
 	tlvOff := 0
@@ -391,54 +382,37 @@ func EncodeTrajectory(t *replay.Trajectory) ([]byte, error) {
 	buf = appendI64(buf, int64(t.ActorID))
 	buf = appendI64(buf, int64(t.PolicyVersion))
 	buf = appendU32(buf, uint32(n))
-	if homo {
-		buf = append(buf, 1)
-		buf = appendU32(buf, uint32(obsDim))
-		buf = appendU32(buf, uint32(actDim))
-		buf = appendU32(buf, uint32(dpDim))
-		for i := range t.Steps {
-			buf = appendF64(buf, t.Steps[i].Reward)
+	buf = append(buf, trajLayoutColumns)
+	buf = appendU32(buf, uint32(obsDim))
+	buf = appendU32(buf, uint32(actDim))
+	buf = appendU32(buf, uint32(dpDim))
+	for i := range t.Steps {
+		buf = appendF64(buf, t.Steps[i].Reward)
+	}
+	for i := range t.Steps {
+		buf = appendF64(buf, t.Steps[i].LogProb)
+	}
+	var acc byte
+	for i := range t.Steps {
+		if t.Steps[i].Done {
+			acc |= 1 << (i % 8)
 		}
-		for i := range t.Steps {
-			buf = appendF64(buf, t.Steps[i].LogProb)
-		}
-		var acc byte
-		for i := range t.Steps {
-			if t.Steps[i].Done {
-				acc |= 1 << (i % 8)
-			}
-			if i%8 == 7 {
-				buf = append(buf, acc)
-				acc = 0
-			}
-		}
-		if n%8 != 0 {
+		if i%8 == 7 {
 			buf = append(buf, acc)
+			acc = 0
 		}
-		for i := range t.Steps {
-			buf = appendF64Raw(buf, t.Steps[i].Obs)
-		}
-		for i := range t.Steps {
-			buf = appendF64Raw(buf, t.Steps[i].Action)
-		}
-		for i := range t.Steps {
-			buf = appendF64Raw(buf, t.Steps[i].DistParams)
-		}
-	} else {
-		buf = append(buf, 0)
-		for i := range t.Steps {
-			s := &t.Steps[i]
-			buf = appendF64Slab(buf, s.Obs)
-			buf = appendF64Slab(buf, s.Action)
-			buf = appendF64(buf, s.Reward)
-			if s.Done {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-			buf = appendF64(buf, s.LogProb)
-			buf = appendF64Slab(buf, s.DistParams)
-		}
+	}
+	if n%8 != 0 {
+		buf = append(buf, acc)
+	}
+	for i := range t.Steps {
+		buf = appendF64Raw(buf, t.Steps[i].Obs)
+	}
+	for i := range t.Steps {
+		buf = appendF64Raw(buf, t.Steps[i].Action)
+	}
+	for i := range t.Steps {
+		buf = appendF64Raw(buf, t.Steps[i].DistParams)
 	}
 	buf = appendF64Slab(buf, t.EpisodeReturns)
 	if tlv > 0 {
@@ -446,10 +420,6 @@ func EncodeTrajectory(t *replay.Trajectory) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// minStepWire is the smallest possible heterogeneous step record:
-// three empty slabs plus reward, done, logprob.
-const minStepWire = 4 + 4 + 8 + 1 + 8 + 4
 
 // DecodeTrajectory decodes and validates a trajectory payload.
 func DecodeTrajectory(b []byte) (*replay.Trajectory, error) {
@@ -464,69 +434,48 @@ func DecodeTrajectory(b []byte) (*replay.Trajectory, error) {
 	t.ActorID = int(r.i64())
 	t.PolicyVersion = int(r.i64())
 	n := int(r.u32())
-	layout := r.u8()
-	switch layout {
-	case 1: // homogeneous column layout
-		obsDim := int(r.u32())
-		actDim := int(r.u32())
-		dpDim := int(r.u32())
-		// Bound every count by the frame cap first so the products below
-		// cannot overflow, then by what the buffer actually holds, before
-		// trusting them for allocation sizes.
-		const maxSlab = maxFrame / 8
-		if r.err == nil && (n > maxSlab || obsDim > maxSlab || actDim > maxSlab || dpDim > maxSlab) {
-			r.fail("trajectory counts (n=%d dims=%d/%d/%d) exceed the frame cap", n, obsDim, actDim, dpDim)
-		}
-		if r.err == nil {
-			need := 8*n + 8*n + (n+7)/8 + 8*n*(obsDim+actDim+dpDim)
-			if r.remaining() < need {
-				r.fail("trajectory counts (n=%d dims=%d/%d/%d) need %d bytes, have %d", n, obsDim, actDim, dpDim, need, r.remaining())
-			}
-		}
-		rewards := r.f64Raw(n)
-		logProbs := r.f64Raw(n)
-		doneBits := r.take((n + 7) / 8)
-		obs := r.f64Raw(n * obsDim)
-		acts := r.f64Raw(n * actDim)
-		dps := r.f64Raw(n * dpDim)
-		if r.err == nil && n > 0 {
-			t.Steps = make([]replay.Step, n)
-			for i := range t.Steps {
-				s := &t.Steps[i]
-				s.Reward = rewards[i]
-				s.LogProb = logProbs[i]
-				s.Done = doneBits[i/8]&(1<<(i%8)) != 0
-				if obsDim > 0 {
-					s.Obs = obs[i*obsDim : (i+1)*obsDim : (i+1)*obsDim]
-				}
-				if actDim > 0 {
-					s.Action = acts[i*actDim : (i+1)*actDim : (i+1)*actDim]
-				}
-				if dpDim > 0 {
-					s.DistParams = dps[i*dpDim : (i+1)*dpDim : (i+1)*dpDim]
-				}
-			}
-		}
-	case 0: // heterogeneous per-step records
-		if r.err == nil && n > 0 {
-			if n < 0 || n > r.remaining()/minStepWire {
-				r.fail("step count %d exceeds %d remaining bytes", n, r.remaining())
-			} else {
-				t.Steps = make([]replay.Step, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					var s replay.Step
-					s.Obs = r.f64Slab()
-					s.Action = r.f64Slab()
-					s.Reward = r.f64()
-					s.Done = r.u8() != 0
-					s.LogProb = r.f64()
-					s.DistParams = r.f64Slab()
-					t.Steps = append(t.Steps, s)
-				}
-			}
-		}
-	default:
+	if layout := r.u8(); layout != trajLayoutColumns {
 		r.fail("unknown trajectory layout %d", layout)
+	}
+	obsDim := int(r.u32())
+	actDim := int(r.u32())
+	dpDim := int(r.u32())
+	// Bound every count by the frame cap first so the products below
+	// cannot overflow, then by what the buffer actually holds, before
+	// trusting them for allocation sizes.
+	const maxSlab = maxFrame / 8
+	if r.err == nil && (n > maxSlab || obsDim > maxSlab || actDim > maxSlab || dpDim > maxSlab) {
+		r.fail("trajectory counts (n=%d dims=%d/%d/%d) exceed the frame cap", n, obsDim, actDim, dpDim)
+	}
+	if r.err == nil {
+		need := 8*n + 8*n + (n+7)/8 + 8*n*(obsDim+actDim+dpDim)
+		if r.remaining() < need {
+			r.fail("trajectory counts (n=%d dims=%d/%d/%d) need %d bytes, have %d", n, obsDim, actDim, dpDim, need, r.remaining())
+		}
+	}
+	rewards := r.f64Raw(n)
+	logProbs := r.f64Raw(n)
+	doneBits := r.take((n + 7) / 8)
+	obs := r.f64Raw(n * obsDim)
+	acts := r.f64Raw(n * actDim)
+	dps := r.f64Raw(n * dpDim)
+	if r.err == nil && n > 0 {
+		t.Steps = make([]replay.Step, n)
+		for i := range t.Steps {
+			s := &t.Steps[i]
+			s.Reward = rewards[i]
+			s.LogProb = logProbs[i]
+			s.Done = doneBits[i/8]&(1<<(i%8)) != 0
+			if obsDim > 0 {
+				s.Obs = obs[i*obsDim : (i+1)*obsDim : (i+1)*obsDim]
+			}
+			if actDim > 0 {
+				s.Action = acts[i*actDim : (i+1)*actDim : (i+1)*actDim]
+			}
+			if dpDim > 0 {
+				s.DistParams = dps[i*dpDim : (i+1)*dpDim : (i+1)*dpDim]
+			}
+		}
 	}
 	t.EpisodeReturns = r.f64Slab()
 	if err := r.finish(); err != nil {

@@ -1,8 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"stellaris/internal/obs/lineage"
@@ -19,9 +24,9 @@ import (
 //     and never allocate past the slab guards.
 //  2. Structured round trip — a DeltaMsg and a Trajectory derived from
 //     the input must survive encode → decode bit-for-bit, in both the
-//     sparse and dense delta representations and both trajectory
-//     layouts (homogeneous column slabs and heterogeneous records); so
-//     must a WeightsMsg and a GradMsg built on the same floats.
+//     sparse and dense delta representations; a trajectory whose
+//     steps differ in dimensions must be refused by the encoder; and a
+//     WeightsMsg and a GradMsg built on the same floats round-trip too.
 //
 // Guarded by testing.Short so `make race` stays fast; `make
 // fuzz-short` explores new inputs.
@@ -121,28 +126,34 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 			t.Fatalf("delta reconstruction mismatch: %v != %v", got, next)
 		}
 
-		// 3. Trajectories round-trip through the binary codec in both
-		// layouts: homogeneous dims (column slabs) when the input length
-		// is even, ragged dims (per-step records) otherwise.
-		traj := trajFromBytes(data)
+		// 3. A trajectory round-trips through the binary codec when its
+		// steps share their dimensions (even input length); a ragged one
+		// (odd length, two steps or more) is refused by the encoder.
+		traj, ragged := trajFromBytes(data)
 		tb, err := EncodeTrajectory(traj)
-		if err != nil {
-			t.Fatalf("EncodeTrajectory: %v", err)
-		}
-		tr2, err := DecodeTrajectory(tb)
-		if err != nil {
-			t.Fatalf("DecodeTrajectory(EncodeTrajectory): %v", err)
-		}
-		if tr2.ActorID != traj.ActorID || tr2.PolicyVersion != traj.PolicyVersion ||
-			len(tr2.Steps) != len(traj.Steps) || !float64sEqual(tr2.EpisodeReturns, traj.EpisodeReturns) {
-			t.Fatalf("trajectory round trip mismatch: %+v != %+v", tr2, traj)
-		}
-		for i := range traj.Steps {
-			a, b := &traj.Steps[i], &tr2.Steps[i]
-			if !float64sEqual(a.Obs, b.Obs) || !float64sEqual(a.Action, b.Action) ||
-				!sameFloat(a.Reward, b.Reward) || a.Done != b.Done ||
-				!sameFloat(a.LogProb, b.LogProb) || !float64sEqual(a.DistParams, b.DistParams) {
-				t.Fatalf("step %d mismatch: %+v != %+v", i, b, a)
+		if ragged {
+			if err == nil {
+				t.Fatal("EncodeTrajectory accepted a ragged trajectory")
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("EncodeTrajectory: %v", err)
+			}
+			tr2, err := DecodeTrajectory(tb)
+			if err != nil {
+				t.Fatalf("DecodeTrajectory(EncodeTrajectory): %v", err)
+			}
+			if tr2.ActorID != traj.ActorID || tr2.PolicyVersion != traj.PolicyVersion ||
+				len(tr2.Steps) != len(traj.Steps) || !float64sEqual(tr2.EpisodeReturns, traj.EpisodeReturns) {
+				t.Fatalf("trajectory round trip mismatch: %+v != %+v", tr2, traj)
+			}
+			for i := range traj.Steps {
+				a, b := &traj.Steps[i], &tr2.Steps[i]
+				if !float64sEqual(a.Obs, b.Obs) || !float64sEqual(a.Action, b.Action) ||
+					!sameFloat(a.Reward, b.Reward) || a.Done != b.Done ||
+					!sameFloat(a.LogProb, b.LogProb) || !float64sEqual(a.DistParams, b.DistParams) {
+					t.Fatalf("step %d mismatch: %+v != %+v", i, b, a)
+				}
 			}
 		}
 
@@ -165,11 +176,11 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 }
 
 // trajFromBytes deterministically builds a small Trajectory from fuzz
-// input. Even input lengths produce homogeneous per-step dims (the
-// column-slab wire layout); odd lengths produce ragged dims (the
-// per-step record layout).
-func trajFromBytes(data []byte) *replay.Trajectory {
-	traj := &replay.Trajectory{ActorID: len(data) % 7, PolicyVersion: len(data) % 11}
+// input. Even input lengths produce steps of equal dimensions; odd
+// lengths produce steps that differ, which makes the trajectory ragged
+// as soon as it has two of them.
+func trajFromBytes(data []byte) (traj *replay.Trajectory, ragged bool) {
+	traj = &replay.Trajectory{ActorID: len(data) % 7, PolicyVersion: len(data) % 11}
 	vals := floatsFromBytes(data, 64)
 	homogeneous := len(data)%2 == 0
 	steps := len(vals)/4 + 1
@@ -202,5 +213,81 @@ func trajFromBytes(data []byte) *replay.Trajectory {
 		traj.Steps = append(traj.Steps, st)
 	}
 	traj.EpisodeReturns = []float64{at(0) + at(1)}
-	return traj
+	return traj, !homogeneous && steps > 1
+}
+
+// corpusSeed returns the bytes of one committed FuzzBinCodecRoundTrip
+// seed. The payload seeds are what the encoders wrote when the corpus
+// was frozen.
+func corpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinCodecRoundTrip", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("seed %s is not a one-value []byte corpus file", name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("seed %s: %v", name, err)
+	}
+	return []byte(s)
+}
+
+// reencode returns the decode-then-encode round trip of one payload kind.
+func reencode[T any](dec func([]byte) (T, error), enc func(T) ([]byte, error)) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) {
+		m, err := dec(b)
+		if err != nil {
+			return nil, err
+		}
+		return enc(m)
+	}
+}
+
+// TestEncodersReproduceCorpusBytes pins the wire format to the frozen
+// corpus: decoding a seed and encoding the result gives the seed back,
+// byte for byte, for every payload kind.
+func TestEncodersReproduceCorpusBytes(t *testing.T) {
+	for name, roundTrip := range map[string]func([]byte) ([]byte, error){
+		"weights_traced":     reencode(DecodeWeights, EncodeWeights),
+		"grad_learner2":      reencode(DecodeGrad, EncodeGrad),
+		"trajectory_columns": reencode(DecodeTrajectory, EncodeTrajectory),
+		"delta_dense":        reencode(DecodeDelta, EncodeDelta),
+		"delta_sparse":       reencode(DecodeDelta, EncodeDelta),
+	} {
+		seed := corpusSeed(t, name)
+		got, err := roundTrip(seed)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if !bytes.Equal(got, seed) {
+			t.Errorf("%s: re-encoded payload differs from the seed:\n got %q\nwant %q", name, got, seed)
+		}
+	}
+}
+
+// TestTrajectoryHasOneLayout: the encoder refuses steps of differing
+// dimensions, and the decoder refuses the per-step layout byte 0 that
+// such trajectories used to travel under — on the frozen seed of one,
+// and on a valid payload with only that byte changed.
+func TestTrajectoryHasOneLayout(t *testing.T) {
+	if b, err := EncodeTrajectory(&replay.Trajectory{Steps: []replay.Step{
+		{Obs: []float64{1}, Action: []float64{0}},
+		{Obs: []float64{1, 2}, Action: []float64{0}},
+	}}); err == nil {
+		t.Errorf("ragged trajectory encoded to %d bytes", len(b))
+	}
+	columns := corpusSeed(t, "trajectory_columns")
+	const layoutAt = binHeader + 8 + 8 + 4
+	if columns[layoutAt] != 1 {
+		t.Fatalf("layout byte of the column seed is %d", columns[layoutAt])
+	}
+	columns[layoutAt] = 0
+	for name, in := range map[string][]byte{"trajectory_ragged": corpusSeed(t, "trajectory_ragged"), "columns relabelled": columns} {
+		if tr, err := DecodeTrajectory(in); err == nil || !strings.Contains(err.Error(), "unknown trajectory layout 0") {
+			t.Errorf("%s: DecodeTrajectory = %+v, %v; want the layout error", name, tr, err)
+		}
+	}
 }

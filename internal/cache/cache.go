@@ -12,7 +12,6 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -25,30 +24,20 @@ type ErrNotFound struct{ Key string }
 func (e ErrNotFound) Error() string { return fmt.Sprintf("cache: key %q not found", e.Key) }
 
 // Cache is the key-value surface shared by the in-process store and the
-// network client.
-//
-// Scoping: values (Put/Get) and counters (Incr) live in separate
-// namespaces that happen to share key strings. Keys and Len see only
-// the *value* namespace — a key touched solely by Incr is invisible to
-// both. Delete spans both namespaces: it removes the value AND any Incr
-// counter stored under key, so a deleted key restarts counting from
-// zero. The TCP server inherits these semantics from MemCache, so
-// client and in-process behavior match.
+// network client: bytes under keys, nothing else. Every operation is
+// idempotent, so a retry after a lost response is always safe. The TCP
+// server inherits its semantics from MemCache, so client and in-process
+// behavior match.
 type Cache interface {
 	// Put stores val under key, replacing any previous value.
 	Put(key string, val []byte) error
 	// Get returns the value under key or ErrNotFound.
 	Get(key string) ([]byte, error)
-	// Delete removes key from both the value and counter namespaces (no
-	// error if absent).
+	// Delete removes key (no error if absent).
 	Delete(key string) error
-	// Incr atomically increments the counter at key and returns the new
-	// value (missing keys start at zero). Counter keys are not listed
-	// by Keys and not counted by Len.
-	Incr(key string) (int64, error)
-	// Keys returns all value keys with the given prefix, sorted.
+	// Keys returns all keys with the given prefix, sorted.
 	Keys(prefix string) ([]string, error)
-	// Len returns the number of stored value keys.
+	// Len returns the number of stored keys.
 	Len() (int, error)
 }
 
@@ -66,19 +55,15 @@ type Cache interface {
 // stored slices on that guarantee; the public Put/PutN/Get/GetN keep
 // it by copying in and out, so callers own what they pass and receive.
 type MemCache struct {
-	mu       sync.RWMutex
-	data     map[string][]byte
-	counters map[string]int64
-	p        *persister
-	taps     map[*tap]struct{}
+	mu   sync.RWMutex
+	data map[string][]byte
+	p    *persister
+	taps map[*tap]struct{}
 }
 
 // NewMemCache returns an empty in-process cache.
 func NewMemCache() *MemCache {
-	return &MemCache{
-		data:     make(map[string][]byte),
-		counters: make(map[string]int64),
-	}
+	return &MemCache{data: make(map[string][]byte)}
 }
 
 // Put implements Cache. With persistence enabled the append error (if
@@ -120,26 +105,13 @@ func (c *MemCache) view(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Delete implements Cache. Both the value and any Incr counter under
-// key are removed; leaving the counter alive would resurrect stale
-// counts if the key were ever reused.
+// Delete implements Cache.
 func (c *MemCache) Delete(key string) error {
 	c.mu.Lock()
 	delete(c.data, key)
-	delete(c.counters, key)
 	err := c.logLocked(aofDelete, key, nil)
 	c.mu.Unlock()
 	return err
-}
-
-// Incr implements Cache.
-func (c *MemCache) Incr(key string) (int64, error) {
-	c.mu.Lock()
-	c.counters[key]++
-	v := c.counters[key]
-	err := c.logLocked(aofIncr, key, nil)
-	c.mu.Unlock()
-	return v, err
 }
 
 // Keys implements Cache.
@@ -164,32 +136,19 @@ func (c *MemCache) Len() (int, error) {
 	return n, nil
 }
 
-// setCounter installs an absolute counter value — the idempotent form a
-// replication full-sync needs, since replaying relative Incrs against
-// an unknown base is not. Journaled as aofCounterSet when persistent.
-func (c *MemCache) setCounter(key string, v int64) error {
-	buf := binary.BigEndian.AppendUint64(nil, uint64(v)) // kept by any tap it is sent to
-	c.mu.Lock()
-	c.counters[key] = v
-	err := c.logLocked(aofCounterSet, key, buf)
-	c.mu.Unlock()
-	return err
-}
-
-// resetForSync clears the whole store — values and counters — at the
-// head of a replication full-sync, discarding whatever stale state a
-// follower carried over from a previous leader. A persistent store
-// compacts to an empty snapshot rather than journaling the reset.
+// resetForSync clears the whole store at the head of a replication
+// full-sync, discarding whatever stale state a follower carried over
+// from a previous leader. A persistent store compacts to an empty
+// snapshot rather than journaling the reset.
 func (c *MemCache) resetForSync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.data = make(map[string][]byte)
-	c.counters = make(map[string]int64)
 	c.tapLocked(aofReset, "", nil)
 	if c.p == nil {
 		return nil
 	}
-	if err := c.p.compact(c.data, c.counters); err != nil {
+	if err := c.p.compact(c.data); err != nil {
 		return fmt.Errorf("cache: compact after sync reset: %w", err)
 	}
 	return nil
@@ -221,24 +180,18 @@ type tap struct {
 const replTapBuffer = 1024
 
 // attachTap atomically snapshots the store as a sequence of records
-// (reset, every value, every counter as an absolute set) and registers
-// a live tap that will observe every mutation after the snapshot. The
-// handoff happens under one lock acquisition, so no mutation is lost or
-// duplicated between snapshot and stream — and it is short: the
-// snapshot shares the stored slices, so attaching costs O(keys) under
-// the lock, not O(bytes).
+// (reset, then a put per key) and registers a live tap that will
+// observe every mutation after the snapshot. The handoff happens under
+// one lock acquisition, so no mutation is lost or duplicated between
+// snapshot and stream — and it is short: the snapshot shares the stored
+// slices, so attaching costs O(keys) under the lock, not O(bytes).
 func (c *MemCache) attachTap() (snapshot []tapRec, t *tap) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snapshot = make([]tapRec, 0, 1+len(c.data)+len(c.counters))
+	snapshot = make([]tapRec, 0, 1+len(c.data))
 	snapshot = append(snapshot, tapRec{op: aofReset})
 	for k, v := range c.data {
 		snapshot = append(snapshot, tapRec{op: aofPut, key: k, val: v})
-	}
-	sets := make([]byte, 0, 8*len(c.counters))
-	for k, v := range c.counters {
-		sets = binary.BigEndian.AppendUint64(sets, uint64(v))
-		snapshot = append(snapshot, tapRec{op: aofCounterSet, key: k, val: sets[len(sets)-8:]})
 	}
 	t = &tap{ch: make(chan tapRec, replTapBuffer)}
 	if c.taps == nil {

@@ -488,20 +488,6 @@ func (c *Client) Delete(key string) error {
 	return respErr(status, payload, err, key)
 }
 
-// Incr implements Cache. Unlike the idempotent Put/Get/Delete, a retry
-// after a lost response re-applies the increment (at-least-once
-// semantics) — counters may overcount under transport faults.
-func (c *Client) Incr(key string) (int64, error) {
-	status, payload, err := c.roundTrip(request{op: 'I', key: key})
-	if err != nil {
-		return 0, err
-	}
-	if status != '+' {
-		return 0, errors.New(string(payload))
-	}
-	return strconv.ParseInt(string(payload), 10, 64)
-}
-
 // Keys implements Cache.
 func (c *Client) Keys(prefix string) ([]string, error) {
 	status, payload, err := c.roundTrip(request{op: 'K', key: prefix})

@@ -69,19 +69,6 @@ func (c *Client) DeleteFenced(term int64, key string) error {
 	return err
 }
 
-// IncrFenced is Incr stamped with the caller's believed shard term. It
-// shares Incr's at-least-once caveat under retries.
-func (c *Client) IncrFenced(term int64, key string) (int64, error) {
-	if term == 0 {
-		return c.Incr(key)
-	}
-	payload, err := c.fenced(request{op: 'I', key: key, term: term})
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(string(payload), 10, 64)
-}
-
 // PutNFenced is PutN stamped with the caller's believed shard term: the
 // whole batch is either applied or fenced atomically (the envelope
 // wraps one 'p' blob, and the term check happens before the blob is

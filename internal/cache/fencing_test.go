@@ -162,13 +162,7 @@ func TestSplitBrainFencedWrite(t *testing.T) {
 	if err := raw.Put("traj/plain", []byte("v")); err != nil {
 		t.Fatalf("plain write refused: %v", err)
 	}
-	// Incr and Delete ride the same envelope.
-	if _, err := raw.IncrFenced(1, "ctr"); !errors.As(err, new(*ErrFenced)) {
-		t.Fatalf("want ErrFenced from stale incr, got %v", err)
-	}
-	if n, err := raw.IncrFenced(2, "ctr"); err != nil || n != 1 {
-		t.Fatalf("current-term incr: %d, %v", n, err)
-	}
+	// Delete rides the same envelope.
 	if err := raw.DeleteFenced(1, "traj/ok"); !errors.As(err, new(*ErrFenced)) {
 		t.Fatalf("want ErrFenced from stale delete, got %v", err)
 	}

@@ -21,13 +21,13 @@ import (
 // Wire protocol (the Redis stand-in): each message is a length-prefixed
 // frame. Requests are  [u32 frameLen][u8 op][u32 keyLen][key][value] and
 // responses are       [u32 frameLen][u8 status][payload].
-// Ops: 'P' put, 'G' get, 'D' delete, 'I' incr, 'K' keys, 'L' len,
+// Ops: 'P' put, 'G' get, 'D' delete, 'K' keys, 'L' len,
 // 'p' batched put, 'g' batched get (blobs in the value field; see
 // batch.go), 'R' replication subscribe (hijacks the connection into a
 // one-way stream of '+' frames carrying AOF records; see replica.go
 // and DESIGN.md §11.2), 'T' term-fenced write envelope
 // (value = [u64 term][u8 innerOp][inner value]; the inner op is one of
-// 'P', 'D', 'I', 'p' and is rejected with status 'F' when the carried
+// 'P', 'D', 'p' and is rejected with status 'F' when the carried
 // term is older than the newest this server has learned — see
 // DESIGN.md §11.5).
 // Status: '+' ok, '-' not found, '!' error (payload = message),
@@ -298,8 +298,6 @@ func opName(op byte) string {
 		return "get"
 	case 'D':
 		return "delete"
-	case 'I':
-		return "incr"
 	case 'K':
 		return "keys"
 	case 'L':
@@ -470,7 +468,7 @@ func (s *Server) handle(w *frameWriter, f frame) {
 	// Key-addressed ops require a key; 'K' (prefix scan) and 'L' (len)
 	// legitimately take an empty operand.
 	switch f.op {
-	case 'P', 'G', 'D', 'I':
+	case 'P', 'G', 'D':
 		if f.key == "" {
 			w.errResp("empty key for op %q", f.op)
 			return
@@ -495,9 +493,6 @@ func (s *Server) handle(w *frameWriter, f frame) {
 	case 'D':
 		_ = s.store.Delete(f.key)
 		w.resp('+', nil)
-	case 'I':
-		v, _ := s.store.Incr(f.key)
-		w.resp('+', strconv.AppendInt(nil, v, 10))
 	case 'K':
 		keys, _ := s.store.Keys(f.key)
 		w.resp('+', []byte(strings.Join(keys, "\n")))
@@ -566,7 +561,7 @@ func (s *Server) handle(w *frameWriter, f frame) {
 		reqTerm := int64(binary.BigEndian.Uint64(f.value[:8]))
 		inner := f.value[8]
 		switch inner {
-		case 'P', 'D', 'I', 'p':
+		case 'P', 'D', 'p':
 		default:
 			w.errResp("op %q not allowed in fenced envelope", inner)
 			return

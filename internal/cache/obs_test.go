@@ -6,79 +6,6 @@ import (
 	"stellaris/internal/obs"
 )
 
-// TestMemCacheDeleteRemovesCounter is the regression test for the
-// counter leak: Delete used to remove only the data entry, so a reused
-// key inherited the old Incr count.
-func TestMemCacheDeleteRemovesCounter(t *testing.T) {
-	c := NewMemCache()
-	if _, err := c.Incr("job/1"); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := c.Incr("job/1"); v != 2 {
-		t.Fatalf("counter = %d, want 2", v)
-	}
-	if err := c.Put("job/1", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete("job/1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get("job/1"); err == nil {
-		t.Fatal("value survived Delete")
-	}
-	if v, _ := c.Incr("job/1"); v != 1 {
-		t.Fatalf("counter survived Delete: restarted at %d, want 1", v)
-	}
-}
-
-// TestMemCacheCounterScoping pins the documented Keys/Len contract:
-// counter keys are invisible to both.
-func TestMemCacheCounterScoping(t *testing.T) {
-	c := NewMemCache()
-	if _, err := c.Incr("counted"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("stored", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := c.Keys("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != "stored" {
-		t.Fatalf("Keys sees counter namespace: %v", keys)
-	}
-	if n, _ := c.Len(); n != 1 {
-		t.Fatalf("Len counts counter keys: %d", n)
-	}
-}
-
-// TestServerDeleteRemovesCounterOverTCP proves the wire path inherits
-// the fixed Delete semantics.
-func TestServerDeleteRemovesCounterOverTCP(t *testing.T) {
-	srv := NewServer(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	if _, err := cli.Incr("k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := cli.Incr("k"); err != nil || v != 1 {
-		t.Fatalf("Incr after Delete = %d (%v), want 1", v, err)
-	}
-}
-
 // TestServerAndClientInstrumentation drives ops through an instrumented
 // server/client pair and checks the registry saw them.
 func TestServerAndClientInstrumentation(t *testing.T) {

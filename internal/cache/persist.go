@@ -1,17 +1,19 @@
 // Durable MemCache state: snapshot + append-only op log.
 //
-// A persistent MemCache journals every mutation (Put/Delete/Incr) to an
+// A persistent MemCache journals every mutation (Put/Delete) to an
 // append-only file (AOF) and periodically compacts it into a full
 // snapshot, so `stellaris-cached -persist <dir>` recovers its entire
-// keyspace — values and counters — after a crash or restart. The layout
-// in the persistence directory:
+// keyspace after a crash or restart. The layout in the persistence
+// directory:
 //
 //	cache.snap  full state at the last compaction
 //	            magic "STLSNAP1" | u32 version | u64 payloadLen
 //	            | payload | u32 CRC-32(payload)
+//	            payload = u32 count | count × (u32 keyLen | key
+//	                    | u32 valLen | val)
 //	cache.aof   mutations since the snapshot, one record each:
 //	            u32 bodyLen | body | u32 CRC-32(body)
-//	            body = u8 op ('P'/'D'/'I') | u32 keyLen | key
+//	            body = u8 op ('P'/'D') | u32 keyLen | key
 //	                 | u32 valLen | val
 //
 // Recovery loads the snapshot, replays the AOF, and stops at the first
@@ -40,13 +42,6 @@ import (
 const (
 	aofPut    byte = 'P'
 	aofDelete byte = 'D'
-	aofIncr   byte = 'I'
-	// aofCounterSet stores an absolute counter value (8-byte big-endian
-	// payload). Replication full-syncs emit it because replaying relative
-	// 'I' increments against an unknown base is not idempotent; a
-	// persistent follower then journals it, so AOF replay understands it
-	// too.
-	aofCounterSet byte = 'C'
 	// aofReset clears the entire store. It opens every replication
 	// full-sync (the follower may hold stale state from a previous
 	// leader) and never appears in an AOF: a persistent store reacts to
@@ -55,8 +50,10 @@ const (
 )
 
 const (
-	snapMagic   = "STLSNAP1"
-	snapVersion = 1
+	snapMagic = "STLSNAP1"
+	// snapVersion 2 is the value section alone; version 1 followed it
+	// with a counter section and is refused by loadSnapshot.
+	snapVersion = 2
 	snapName    = "cache.snap"
 	aofName     = "cache.aof"
 
@@ -120,7 +117,7 @@ func NewPersistentMemCache(dir string) (*MemCache, error) {
 	// Fold whatever was recovered into a fresh snapshot + empty log so
 	// every open starts a clean crash window.
 	c.mu.Lock()
-	err = p.compact(c.data, c.counters)
+	err = p.compact(c.data)
 	c.mu.Unlock()
 	if err != nil {
 		p.closeFiles()
@@ -180,7 +177,7 @@ func (c *MemCache) logLocked(op byte, key string, val []byte) error {
 		return fmt.Errorf("cache: persist %c %q: %w", op, key, err)
 	}
 	if c.p.ops >= compactOps || c.p.aofBytes >= compactBytes {
-		if err := c.p.compact(c.data, c.counters); err != nil {
+		if err := c.p.compact(c.data); err != nil {
 			return fmt.Errorf("cache: compact: %w", err)
 		}
 	}
@@ -263,8 +260,8 @@ func (p *persister) append(op byte, key string, val []byte) error {
 
 // compact writes a full snapshot of the given state and truncates the
 // op log. Called with the owning cache's mutex held.
-func (p *persister) compact(data map[string][]byte, counters map[string]int64) error {
-	if err := p.writeSnapshot(data, counters); err != nil {
+func (p *persister) compact(data map[string][]byte) error {
+	if err := p.writeSnapshot(data); err != nil {
 		return err
 	}
 	if p.aof != nil {
@@ -288,7 +285,7 @@ func (p *persister) compact(data map[string][]byte, counters map[string]int64) e
 	return nil
 }
 
-func (p *persister) writeSnapshot(data map[string][]byte, counters map[string]int64) error {
+func (p *persister) writeSnapshot(data map[string][]byte) error {
 	payload := make([]byte, 0, 1024)
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(data)))
 	for k, v := range data {
@@ -296,12 +293,6 @@ func (p *persister) writeSnapshot(data map[string][]byte, counters map[string]in
 		payload = append(payload, k...)
 		payload = binary.BigEndian.AppendUint32(payload, uint32(len(v)))
 		payload = append(payload, v...)
-	}
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(counters)))
-	for k, v := range counters {
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(k)))
-		payload = append(payload, k...)
-		payload = binary.BigEndian.AppendUint64(payload, uint64(v))
 	}
 
 	out := make([]byte, 0, len(snapMagic)+4+8+len(payload)+4)
@@ -408,25 +399,6 @@ func (p *persister) loadSnapshot(c *MemCache) error {
 		c.data[k] = append([]byte(nil), payload[off:off+int(vl)]...)
 		off += int(vl)
 	}
-	nc, ok := u32()
-	if !ok {
-		return corrupt
-	}
-	for i := uint32(0); i < nc; i++ {
-		kl, ok := u32()
-		if !ok {
-			return corrupt
-		}
-		k, ok := str(kl)
-		if !ok {
-			return corrupt
-		}
-		if off+8 > len(payload) {
-			return corrupt
-		}
-		c.counters[k] = int64(binary.BigEndian.Uint64(payload[off:]))
-		off += 8
-	}
 	return nil
 }
 
@@ -456,14 +428,6 @@ func (p *persister) replayAOF(c *MemCache) (int64, error) {
 			c.data[key] = append([]byte(nil), val...)
 		case aofDelete:
 			delete(c.data, key)
-			delete(c.counters, key)
-		case aofIncr:
-			c.counters[key]++
-		case aofCounterSet:
-			if len(val) != 8 {
-				return applied, truncateTo(path, off)
-			}
-			c.counters[key] = int64(binary.BigEndian.Uint64(val))
 		default:
 			// Unknown op: treat as corruption, stop here.
 			return applied, truncateTo(path, off)

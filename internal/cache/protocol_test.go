@@ -110,25 +110,42 @@ func TestServerBadKeyLength(t *testing.T) {
 	checkHealthy(t, addr)
 }
 
+// 'I' was the counter op; the store holds bytes under keys only, so it
+// is answered like any other byte the protocol does not define — bare
+// or inside a fenced envelope.
 func TestServerUnknownOpcode(t *testing.T) {
 	addr := rawServer(t)
-	conn := rawDial(t, addr)
-	if err := writeFrame(conn, 'Z', "key", nil); err != nil {
-		t.Fatal(err)
+	envelope := func(inner byte) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, 1), inner)
 	}
-	status, payload, err := readResp(conn)
-	if err != nil {
-		t.Fatalf("no response to unknown opcode: %v", err)
-	}
-	if status != '!' || len(payload) == 0 {
-		t.Fatalf("unknown opcode → status %q payload %q; want '!'", status, payload)
+	for _, tc := range []struct {
+		name  string
+		op    byte
+		value []byte
+	}{
+		{"Z", 'Z', nil},
+		{"I", 'I', nil},
+		{"T around I", 'T', envelope('I')},
+		{"T around G", 'T', envelope('G')},
+	} {
+		conn := rawDial(t, addr)
+		if err := writeFrame(conn, tc.op, "key", tc.value); err != nil {
+			t.Fatal(err)
+		}
+		status, payload, err := readResp(conn)
+		if err != nil {
+			t.Fatalf("%s: no response: %v", tc.name, err)
+		}
+		if status != '!' || len(payload) == 0 {
+			t.Fatalf("%s → status %q payload %q; want '!'", tc.name, status, payload)
+		}
 	}
 	checkHealthy(t, addr)
 }
 
 func TestServerEmptyKeyOps(t *testing.T) {
 	addr := rawServer(t)
-	for _, op := range []byte{'P', 'G', 'D', 'I'} {
+	for _, op := range []byte{'P', 'G', 'D'} {
 		conn := rawDial(t, addr)
 		if err := writeFrame(conn, op, "", []byte("v")); err != nil {
 			t.Fatal(err)

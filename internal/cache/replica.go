@@ -3,8 +3,8 @@ package cache
 // Follower replication for the cache tier (DESIGN.md §11.2). A Replica
 // attaches a local MemCache to a leader stellaris-cached process and
 // mirrors its keyspace: on every (re)connect it sends op 'R', receives
-// an atomic full-state snapshot (reset record, then every key and
-// counter), and then applies the live mutation feed record by record.
+// an atomic full-state snapshot (reset record, then a put per key),
+// and then applies the live mutation feed record by record.
 // Records reuse the AOF's CRC framing (persist.go), so what a follower
 // applies is byte-for-byte what a crash recovery would replay.
 //
@@ -17,7 +17,6 @@ package cache
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -276,14 +275,6 @@ func (r *Replica) ApplyRecord(op byte, key string, val []byte) error {
 		return r.store.putOwned(key, val)
 	case aofDelete:
 		return r.store.Delete(key)
-	case aofIncr:
-		_, err := r.store.Incr(key)
-		return err
-	case aofCounterSet:
-		if len(val) != 8 {
-			return fmt.Errorf("cache: replication: counter-set record for %q has %d-byte value, want 8", key, len(val))
-		}
-		return r.store.setCounter(key, int64(binary.BigEndian.Uint64(val)))
 	default:
 		return fmt.Errorf("cache: replication: unknown record op %q", op)
 	}

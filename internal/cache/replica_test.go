@@ -49,11 +49,6 @@ func TestReplicaFullSyncAndLiveFeed(t *testing.T) {
 	if err := leader.Put("traj/pre", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := leader.Incr("ctr"); err != nil {
-			t.Fatal(err)
-		}
-	}
 	srv, addr := startLeader(t, leader)
 	defer srv.Close()
 
@@ -99,12 +94,7 @@ func TestReplicaFullSyncAndLiveFeed(t *testing.T) {
 		return nil
 	})
 
-	// The snapshot carried the counter as an absolute value: the next
-	// increment on the follower continues from the leader's count.
 	rep.Promote()
-	if v, err := follower.Incr("ctr"); err != nil || v != 4 {
-		t.Fatalf("follower counter after sync: %d, %v (want 4)", v, err)
-	}
 	st := rep.Stats()
 	if st.FullSyncs < 1 || st.Records == 0 {
 		t.Fatalf("stats show no replication happened: %+v", st)
@@ -236,11 +226,6 @@ func TestPersistentFollowerJournalsReplicatedState(t *testing.T) {
 	if err := leader.Put("traj/a", []byte("va")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := leader.Incr("updates"); err != nil {
-			t.Fatal(err)
-		}
-	}
 	srv, addr := startLeader(t, leader)
 	defer srv.Close()
 
@@ -260,9 +245,8 @@ func TestPersistentFollowerJournalsReplicatedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen from disk: the replicated state — including the absolute
-	// counter from the snapshot — must survive via the follower's own
-	// journal (aofCounterSet replay).
+	// Reopen from disk: the replicated state must survive via the
+	// follower's own journal.
 	re, err := NewPersistentMemCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +255,20 @@ func TestPersistentFollowerJournalsReplicatedState(t *testing.T) {
 	if v, err := re.Get("traj/a"); err != nil || !bytes.Equal(v, []byte("va")) {
 		t.Fatalf("reopened follower Get = %q, %v", v, err)
 	}
-	if v, err := re.Incr("updates"); err != nil || v != 6 {
-		t.Fatalf("reopened follower counter = %d, %v (want 6)", v, err)
+}
+
+// The stream carries reset, put and delete; the retired counter records
+// 'I' and 'C' are refused like any other byte, which ends the stream
+// and leaves the store as it was.
+func TestReplicaRefusesUnknownRecordOps(t *testing.T) {
+	store := NewMemCache()
+	rep := NewReplica(store, "127.0.0.1:0", fastReplicaOpts())
+	for _, op := range []byte{'I', 'C', 'Z'} {
+		if err := rep.ApplyRecord(op, "k", make([]byte, 8)); err == nil {
+			t.Errorf("record op %q applied", op)
+		}
+	}
+	if n, _ := store.Len(); n != 0 {
+		t.Fatalf("refused records left %d keys behind", n)
 	}
 }

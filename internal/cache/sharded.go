@@ -68,7 +68,7 @@ type ShardedClient struct {
 	topo  *cluster.Topology
 	slots []*shardSlot
 
-	closed        atomicBool
+	closed        atomic.Bool
 	failovers     obs.Counter
 	grayFailovers obs.Counter
 	refreshes     obs.Counter
@@ -86,25 +86,6 @@ type ShardedClient struct {
 	watchOnce sync.Once
 	watchStop chan struct{}
 	watchWG   sync.WaitGroup
-}
-
-type atomicBool struct {
-	mu sync.Mutex
-	v  bool
-}
-
-func (b *atomicBool) set() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	was := b.v
-	b.v = true
-	return !was
-}
-
-func (b *atomicBool) get() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.v
 }
 
 // shardSlot is the mutable per-shard connection state. epoch advances
@@ -276,7 +257,7 @@ func (sc *ShardedClient) degraded(slot *shardSlot) bool {
 // the swap, so racing degraded callers cannot inflate GrayFailovers
 // past Failovers.
 func (sc *ShardedClient) failover(slot *shardSlot, epoch int64, gray bool) bool {
-	if sc.closed.get() {
+	if sc.closed.Load() {
 		return false
 	}
 	slot.mu.Lock()
@@ -434,18 +415,6 @@ func (sc *ShardedClient) Delete(key string) error {
 	return sc.fencedDo(slot, func(c *Client, term int64) error {
 		return c.DeleteFenced(term, key)
 	})
-}
-
-// Incr implements Cache.
-func (sc *ShardedClient) Incr(key string) (int64, error) {
-	var v int64
-	slot := sc.slotFor(key)
-	err := sc.fencedDo(slot, func(c *Client, term int64) error {
-		var e error
-		v, e = c.IncrFenced(term, key)
-		return e
-	})
-	return v, err
 }
 
 // Keys implements Cache: fan out to every shard, merge sorted, dedupe
@@ -677,7 +646,7 @@ func (sc *ShardedClient) followerClient(slot *shardSlot) *Client {
 		return nil
 	}
 	slot.mu.Lock()
-	if sc.closed.get() || slot.follower != f || slot.hcli != nil {
+	if sc.closed.Load() || slot.follower != f || slot.hcli != nil {
 		slot.mu.Unlock()
 		_ = cli.Close()
 		return nil
@@ -796,7 +765,7 @@ func (sc *ShardedClient) ShardedStats() ShardedStats {
 // Close implements Conn: stops the topology watch and closes every
 // shard client. Idempotent.
 func (sc *ShardedClient) Close() error {
-	if !sc.closed.set() {
+	if !sc.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(sc.watchStop)

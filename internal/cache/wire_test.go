@@ -64,23 +64,18 @@ func startFollower(t *testing.T, addr string) (*MemCache, *Replica) {
 	return store, rep
 }
 
-// storesEqual compares two stores key for key, values and counters.
+// storesEqual compares two stores key for key.
 func storesEqual(a, b *MemCache) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if len(a.data) != len(b.data) || len(a.counters) != len(b.counters) {
-		return fmt.Errorf("sizes differ: %d/%d values, %d/%d counters", len(a.data), len(b.data), len(a.counters), len(b.counters))
+	if len(a.data) != len(b.data) {
+		return fmt.Errorf("sizes differ: %d vs %d keys", len(a.data), len(b.data))
 	}
 	for k, v := range a.data {
 		if w, ok := b.data[k]; !ok || !bytes.Equal(v, w) {
 			return fmt.Errorf("key %q differs (present=%v, %d vs %d bytes)", k, ok, len(v), len(w))
-		}
-	}
-	for k, v := range a.counters {
-		if b.counters[k] != v {
-			return fmt.Errorf("counter %q = %d vs %d", k, v, b.counters[k])
 		}
 	}
 	return nil
@@ -361,14 +356,10 @@ func TestReplicationBurstArrivesInOrder(t *testing.T) {
 		if i == burst/2 {
 			val = filled('L', replBatchBytes+4096)
 		}
-		switch i % 5 {
-		case 3:
+		if i%5 == 3 {
 			_ = leader.Delete(key)
 			want = append(want, tapRec{op: aofDelete, key: key})
-		case 4:
-			_, _ = leader.Incr("ctr")
-			want = append(want, tapRec{op: aofIncr, key: "ctr"})
-		default:
+		} else {
 			_ = leader.Put(key, val)
 			want = append(want, tapRec{op: aofPut, key: key, val: val})
 		}
@@ -579,9 +570,6 @@ func TestAttachTapAllocatesPerKeyNotPerByte(t *testing.T) {
 		if err := c.Put(fmt.Sprintf("k/%d", i), make([]byte, size)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Incr(fmt.Sprintf("c/%d", i)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	var snapshot []tapRec
 	got := allocatedDuring(func() {
@@ -589,8 +577,8 @@ func TestAttachTapAllocatesPerKeyNotPerByte(t *testing.T) {
 		snapshot, tp = c.attachTap()
 		c.detachTap(tp)
 	})
-	if len(snapshot) != 1+2*keys {
-		t.Fatalf("snapshot has %d records, want %d", len(snapshot), 1+2*keys)
+	if len(snapshot) != 1+keys {
+		t.Fatalf("snapshot has %d records, want %d", len(snapshot), 1+keys)
 	}
 	// The tap's channel (replTapBuffer records) dominates; 256 KB is 3 %
 	// of the bytes stored.
@@ -711,8 +699,6 @@ func TestServerCountsEveryByteOut(t *testing.T) {
 	step(err, len(big))
 	_, err = cli.GetN([]string{"grad/1", "nope", "traj/3", "traj/2"})
 	step(err, 4+4*5+len(big)+len(small))
-	_, err = cli.Incr("ctr")
-	step(err, len("1"))
 	step(cli.Delete("traj/1"), 0)
 	_, err = cli.Keys("traj/")
 	step(err, len("traj/2\ntraj/3"))
@@ -724,7 +710,7 @@ func TestServerCountsEveryByteOut(t *testing.T) {
 	mutations := []tapRec{
 		{op: aofPut, key: "grad/1", val: big}, {op: aofPut, key: "traj/1", val: small},
 		{op: aofPut, key: "traj/2", val: small}, {op: aofPut, key: "traj/3"},
-		{op: aofIncr, key: "ctr"}, {op: aofDelete, key: "traj/1"},
+		{op: aofDelete, key: "traj/1"},
 	}
 	stream := replFrameSize(tapRec{op: aofReset})
 	for _, m := range mutations {

@@ -8,7 +8,6 @@ import (
 
 	"stellaris/internal/algo"
 	"stellaris/internal/autoscale"
-	"stellaris/internal/cache"
 	"stellaris/internal/env"
 	"stellaris/internal/istrunc"
 	"stellaris/internal/metrics"
@@ -118,7 +117,6 @@ type Trainer struct {
 	clock *simclock.Clock
 	plat  *serverless.Platform
 	lat   *serverless.LatencyModel
-	kv    cache.Cache
 
 	alg algo.Algorithm
 	// Replica pool: a future takes a model for as long as it computes.
@@ -196,7 +194,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	t := &Trainer{
 		cfg:         cfg,
 		clock:       simclock.New(),
-		kv:          cache.NewMemCache(),
 		outstanding: make(map[int]int),
 		rec:         metrics.NewRecorder(),
 		hist:        metrics.NewHistogram(),
@@ -284,7 +281,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		s := stale.NewStellaris()
 		s.D, s.V = cfg.DecayD, cfg.SmoothV
 		s.UpdatesPerRound = cfg.UpdatesPerRound
-		s.MaxQueue = maxI(8, 2*cfg.LearnerSlots())
+		s.MaxQueue = max(8, 2*cfg.LearnerSlots())
 		t.aggPol = s
 	case AggSoftsync:
 		t.aggPol = stale.NewSoftsync(cfg.SoftsyncC)
@@ -328,7 +325,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 			Kind:             "parameter",
 			Instance:         learnerInst,
 			Instances:        1,
-			SlotsPerInstance: maxI(2, learnerInst.GPUs),
+			SlotsPerInstance: max(2, learnerInst.GPUs),
 			Serverless:       true,
 		},
 		serverless.PoolConfig{
@@ -389,20 +386,6 @@ func ceilDiv(a, b int) int {
 		b = 1
 	}
 	return (a + b - 1) / b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Run executes the configured training and returns its result.
@@ -469,31 +452,16 @@ func (t *Trainer) Run() (*Result, error) {
 	return res, nil
 }
 
-// publishWeights writes the current policy to the cache (the paper's
-// Redis hop; the payload also sizes broadcast latency). costUSD is the
-// parameter invocation's bill attributed to the new version's birth
-// (zero for the initial, un-invoked publish).
+// publishWeights records the birth of the current policy version and its
+// put (the paper's Redis hop, which the DES charges as latency and does
+// not perform). costUSD is the parameter invocation's bill attributed to
+// the new version's birth (zero for the initial, un-invoked publish).
 func (t *Trainer) publishWeights(costUSD float64) {
 	wid := lineage.WeightsID(t.version)
 	t.lin.Record(lineage.Event{
 		Trace: wid, Kind: lineage.KindWeights, Hop: lineage.HopProduced,
 		Actor: "parameter", CostUSD: costUSD,
 	})
-	msg := &cache.WeightsMsg{
-		Version: t.version, Weights: t.master,
-		Trace: lineage.Meta{ID: wid, Kind: lineage.KindWeights, Origin: "parameter"},
-	}
-	b, err := cache.EncodeWeights(msg)
-	if err != nil {
-		t.fail(err)
-		return
-	}
-	err = t.kv.Put("weights/latest", b)
-	cache.Recycle(b)
-	if err != nil {
-		t.fail(err)
-		return
-	}
 	t.lin.Record(lineage.Event{
 		Trace: wid, Kind: lineage.KindWeights, Hop: lineage.HopPut, Actor: "parameter",
 	})
@@ -778,7 +746,7 @@ func (t *Trainer) dispatchLearner(batch *replay.Batch, srcs []string) {
 		t.prof.For("learner").Observe(total, t.clock.Now())
 		if want := t.prof.For("learner").Concurrency(); want > 0 {
 			if have := t.plat.WarmCount("learner"); have < want {
-				t.plat.Prewarm("learner", minI(want, t.cfg.LearnerSlots())-have)
+				t.plat.Prewarm("learner", min(want, t.cfg.LearnerSlots())-have)
 			}
 		}
 		return total

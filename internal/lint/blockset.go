@@ -41,10 +41,10 @@ var nonBlockingConnMethods = map[string]bool{
 }
 
 // fallbackCacheMethods is used when the analyzed cache package has no
-// Conn interface (minimal fixtures); it matches the pre-PR 8 list.
+// Conn interface (minimal fixtures).
 var fallbackCacheMethods = map[string]bool{
 	"Put": true, "Get": true, "Delete": true,
-	"Incr": true, "Keys": true, "Len": true,
+	"Keys": true, "Len": true,
 }
 
 var (
@@ -98,8 +98,7 @@ var replicaBlockingMethods = map[string]bool{
 // hedged-read internals (each fans a read out to leader AND follower
 // and may dial the follower first).
 var extraBlockingCacheMethods = map[string]bool{
-	"PutFenced": true, "PutNFenced": true,
-	"DeleteFenced": true, "IncrFenced": true,
+	"PutFenced": true, "PutNFenced": true, "DeleteFenced": true,
 	"hedge": true, "getHedged": true, "getNHedged": true,
 	"followerClient": true,
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // The errdrop check flags statements that silently discard the error
-// result of a cache data operation (Put/Get/Delete/Incr/Keys/Len and
+// result of a cache data operation (Put/Get/Delete/Keys/Len and
 // the batched PutN/GetN on any internal/cache implementation), a
 // replication-stream apply (Replica.ApplyRecord — a dropped apply error
 // is a follower silently diverging from its leader), or an
@@ -88,8 +88,8 @@ func errdropTarget(p *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch fn.Name() {
-	case "Put", "Get", "Delete", "Incr", "Keys", "Len", "PutN", "GetN", "ApplyRecord",
-		"PutFenced", "PutNFenced", "DeleteFenced", "IncrFenced":
+	case "Put", "Get", "Delete", "Keys", "Len", "PutN", "GetN", "ApplyRecord",
+		"PutFenced", "PutNFenced", "DeleteFenced":
 	default:
 		return "", false
 	}

@@ -74,7 +74,6 @@ func Checks() []Check {
 		goroleakCheck(),
 		globalrandCheck(),
 		errdropCheck(),
-		chaosnameCheck(),
 	}
 }
 

@@ -58,8 +58,6 @@ func parseWants(t *testing.T, dir string) map[string][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// _test.go fixtures are included: the chaosname check parses test
-	// files itself, so its wants live there.
 	for _, e := range ents {
 		if !strings.HasSuffix(e.Name(), ".go") {
 			continue

@@ -83,7 +83,6 @@ func (b *box) fencedUnderLock() {
 	_ = b.ncl.PutFenced(1, "k", nil) // want "blocking Client.PutFenced call while holding b.mu"
 	_ = b.ncl.PutNFenced(1, nil)     // want "blocking Client.PutNFenced call while holding b.mu"
 	_ = b.ncl.DeleteFenced(1, "k")   // want "blocking Client.DeleteFenced call while holding b.mu"
-	_, _ = b.ncl.IncrFenced(1, "k")  // want "blocking Client.IncrFenced call while holding b.mu"
 	b.mu.Unlock()
 	_ = b.ncl.PutFenced(1, "k", nil) // fine: after the unlock
 }

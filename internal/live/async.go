@@ -2,8 +2,6 @@ package live
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"stellaris/internal/ckpt"
 	"stellaris/internal/obs/lineage"
@@ -50,7 +48,7 @@ func (r *run) runAsync() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sampleQueues(r.m, &r.stop, trajCh, batchCh, gradCh)
+			sampleQueues(r.m, r.done, trajCh, batchCh, gradCh)
 		}()
 	}
 
@@ -78,7 +76,7 @@ func (r *run) runAsync() error {
 					if !stale.Admit(int(r.waiting.Load()), int(r.idle.Load()), perBatch) {
 						select {
 						case <-wake:
-						case <-time.After(10 * time.Millisecond):
+						case <-r.done:
 						}
 						continue
 					}
@@ -103,12 +101,12 @@ func (r *run) runAsync() error {
 			var note trajNote
 			select {
 			case note = <-trajCh:
-			case <-time.After(10 * time.Millisecond):
-				continue
+			case <-r.done:
+				return
 			}
 			pending = append(pending, note.key)
 			steps += note.steps
-			if steps >= opt.BatchSize && sendOrStop(&r.stop, batchCh, pending) {
+			if steps >= opt.BatchSize && sendOrStop(r.done, batchCh, pending) {
 				pending, steps = nil, 0
 			}
 		}
@@ -141,7 +139,7 @@ func (r *run) runAsync() error {
 					poke()
 					select {
 					case keys = <-batchCh:
-					case <-time.After(10 * time.Millisecond):
+					case <-r.done:
 					}
 					r.idle.Add(-1)
 					if keys == nil {
@@ -170,17 +168,14 @@ func (r *run) runAsync() error {
 	}
 
 	// Parameter worker: staleness-aware aggregation, policy updates, and
-	// periodic checkpoints.
-	done := make(chan struct{})
+	// periodic checkpoints. It halts the run when the last update is in.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer close(done)
 		r.paramLoop(gradCh)
 	}()
 
-	<-done
-	r.stop.Store(true)
+	<-r.done
 	wg.Wait()
 	select {
 	case err := <-r.errCh:
@@ -222,7 +217,7 @@ func (r *run) rollout(act *actor, trajCh chan<- trajNote) error {
 	if err != nil || !ok {
 		return err
 	}
-	if sendOrStop(&r.stop, trajCh, note) {
+	if sendOrStop(r.done, trajCh, note) {
 		slot = 0
 	} else {
 		_ = act.cli.Delete(note.key) // a key still in hand is out of the drain's sight
@@ -230,16 +225,14 @@ func (r *run) rollout(act *actor, trajCh chan<- trajNote) error {
 	return nil
 }
 
-// sendOrStop blocks until v is on ch or the run stops, and reports which.
-func sendOrStop[T any](stop *atomic.Bool, ch chan<- T, v T) bool {
-	for !stop.Load() {
-		select {
-		case ch <- v:
-			return true
-		case <-time.After(10 * time.Millisecond):
-		}
+// sendOrStop blocks until v is on ch or the run halts, and reports which.
+func sendOrStop[T any](done <-chan struct{}, ch chan<- T, v T) bool {
+	select {
+	case ch <- v:
+		return true
+	case <-done:
+		return false
 	}
-	return false
 }
 
 // paramLoop feeds gradient notes to the parameter step, checkpoints
@@ -250,8 +243,8 @@ func (r *run) paramLoop(gradCh chan gradNote) {
 		var note gradNote
 		select {
 		case note = <-gradCh:
-		case <-time.After(10 * time.Millisecond):
-			continue
+		case <-r.done:
+			return
 		}
 		if err := r.absorb(note); err != nil {
 			r.fail(err)
@@ -267,7 +260,7 @@ func (r *run) paramLoop(gradCh chan gradNote) {
 			r.lastCkpt = nv
 		}
 		if done {
-			r.stop.Store(true)
+			r.halt()
 			return
 		}
 	}

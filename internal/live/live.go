@@ -446,10 +446,11 @@ func (r *run) publishWeightsPersistent(version int) error {
 		if err = r.publishWeights(version); err == nil {
 			return nil
 		}
-		if r.stop.Load() {
+		select {
+		case <-r.done:
 			return err
+		case <-time.After(time.Duration(round+1) * 10 * time.Millisecond):
 		}
-		time.Sleep(time.Duration(round+1) * 10 * time.Millisecond)
 	}
 	return fmt.Errorf("live: publishing weights v%d failed persistently: %w", version, err)
 }

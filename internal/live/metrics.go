@@ -134,16 +134,21 @@ func (s *runState) staleReuse() {
 	}
 }
 
-// sampleQueues polls channel occupancy into live_queue_depth until stop.
-func sampleQueues(m *liveMetrics, stop *atomic.Bool,
+// sampleQueues polls channel occupancy into live_queue_depth until done
+// is closed.
+func sampleQueues(m *liveMetrics, done <-chan struct{},
 	trajCh chan trajNote, batchCh chan []string, gradCh chan gradNote) {
 	traj := m.queueDepth.With("traj")
 	batch := m.queueDepth.With("batch")
 	grad := m.queueDepth.With("grad")
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
-	for !stop.Load() {
-		<-tick.C
+	for {
+		select {
+		case <-done:
+			return
+		case <-tick.C:
+		}
 		traj.Set(float64(len(trajCh)))
 		batch.Set(float64(len(batchCh)))
 		grad.Set(float64(len(gradCh)))

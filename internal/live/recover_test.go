@@ -1,8 +1,10 @@
 package live
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -258,6 +260,55 @@ func TestSupervisorBudgetExhausted(t *testing.T) {
 	_, err := Train(opt)
 	if err == nil || !strings.Contains(err.Error(), "restart budget") {
 		t.Fatalf("err = %v, want restart-budget exhaustion", err)
+	}
+}
+
+// TestHaltInterruptsRestartBackoff: a run that takes its last update
+// while a learner sits in a restart backoff returns when its work in
+// flight is done, not when the backoff is.
+func TestHaltInterruptsRestartBackoff(t *testing.T) {
+	leaktest.Check(t)
+	reg := obs.NewRegistry()
+	updates := reg.Counter("live_updates_total", "policy updates applied")
+	opt := tinyOpts()
+	opt.Obs = reg
+	opt.RestartBackoff = 2 * time.Second
+	crashed := make(chan struct{}) // closed as learner 1 goes down; no rollout starts before
+	var once sync.Once
+	opt.panicHook = func(role string, id int) bool {
+		if role == "learner" && id == 1 {
+			once.Do(func() { close(crashed) })
+			return true
+		}
+		<-crashed
+		return false
+	}
+	returned := make(chan error, 1)
+	go func() {
+		rep, err := Train(opt)
+		if err == nil && rep.LearnerRestarts != 1 {
+			err = fmt.Errorf("LearnerRestarts = %d, want learner 1 parked in its first backoff", rep.LearnerRestarts)
+		}
+		returned <- err
+	}()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	var lastUpdate time.Time // when the counter was first seen at opt.Updates
+	for {
+		select {
+		case err := <-returned:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail := time.Since(lastUpdate); !lastUpdate.IsZero() && tail > 500*time.Millisecond {
+				t.Fatalf("Train returned %v after its last update", tail)
+			}
+			return
+		case <-tick.C:
+			if lastUpdate.IsZero() && updates.Value() >= int64(opt.Updates) {
+				lastUpdate = time.Now()
+			}
+		}
 	}
 }
 

@@ -82,7 +82,11 @@ type run struct {
 	staleSum float64
 	staleN   int
 
+	// halt sets stop, then closes done, once. Loops test the flag and
+	// whatever blocks selects on the channel: a halted run waits for
+	// its work in flight and for no timer.
 	stop  atomic.Bool
+	done  chan struct{}
 	errCh chan error
 
 	// Rollout admission (runAsync): waiting counts the trajectories
@@ -115,6 +119,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		st:        &runState{m: m},
 		pool:      &clientPool{},
 		paramIter: m.iterHist("param", 0),
+		done:      make(chan struct{}),
 		errCh:     make(chan error, opt.Actors+opt.Learners+2),
 		start:     time.Now(),
 	}
@@ -281,9 +286,19 @@ func (r *run) fail(err error) {
 	case r.errCh <- err:
 	default:
 	}
-	if !r.stop.Swap(true) {
+	if r.halt() {
 		r.flightDump("fail")
 	}
+}
+
+// halt stops the pipeline and reports whether this call was the one
+// that did.
+func (r *run) halt() bool {
+	if r.stop.Swap(true) {
+		return false
+	}
+	close(r.done)
+	return true
 }
 
 // trackSub registers a delta weight subscriber for the Report's

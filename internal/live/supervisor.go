@@ -65,7 +65,10 @@ func (r *run) supervise(role string, id int, body func(ready func()) error) {
 		if backoff > 2*time.Second {
 			backoff = 2 * time.Second
 		}
-		time.Sleep(backoff)
+		select {
+		case <-time.After(backoff):
+		case <-r.done:
+		}
 	}
 }
 

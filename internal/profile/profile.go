@@ -21,25 +21,18 @@ type Estimator struct {
 
 	count    int
 	ewma     float64
-	m2       float64 // Welford accumulator for variance
 	mean     float64
 	lastAt   float64
 	interArr float64 // EWMA of inter-arrival gaps
-	samples  []float64
-	maxKeep  int
 }
 
 // NewEstimator returns an estimator with EWMA weight alpha (0 < alpha
-// <= 1; 0.2 is a reasonable default) keeping up to maxKeep samples for
-// quantile queries.
-func NewEstimator(alpha float64, maxKeep int) *Estimator {
+// <= 1; 0.2 is a reasonable default).
+func NewEstimator(alpha float64) *Estimator {
 	if alpha <= 0 || alpha > 1 {
 		panic(fmt.Sprintf("profile: alpha %v outside (0,1]", alpha))
 	}
-	if maxKeep <= 0 {
-		maxKeep = 1024
-	}
-	return &Estimator{alpha: alpha, maxKeep: maxKeep}
+	return &Estimator{alpha: alpha}
 }
 
 // Observe records one execution: its duration and the (virtual) time it
@@ -53,9 +46,7 @@ func (e *Estimator) Observe(duration, at float64) {
 		e.mean = duration
 	} else {
 		e.ewma = e.alpha*duration + (1-e.alpha)*e.ewma
-		delta := duration - e.mean
-		e.mean += delta / float64(e.count)
-		e.m2 += delta * (duration - e.mean)
+		e.mean += (duration - e.mean) / float64(e.count)
 		gap := at - e.lastAt
 		if gap >= 0 {
 			if e.interArr == 0 {
@@ -66,12 +57,6 @@ func (e *Estimator) Observe(duration, at float64) {
 		}
 	}
 	e.lastAt = at
-	if len(e.samples) < e.maxKeep {
-		e.samples = append(e.samples, duration)
-	} else {
-		// Reservoir-free ring overwrite keeps recent behavior.
-		e.samples[e.count%e.maxKeep] = duration
-	}
 }
 
 // Count returns the number of observations.
@@ -95,16 +80,6 @@ func (e *Estimator) Mean() float64 {
 	return e.mean
 }
 
-// Std returns the running standard deviation of durations.
-func (e *Estimator) Std() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.count < 2 {
-		return 0
-	}
-	return math.Sqrt(e.m2 / float64(e.count-1))
-}
-
 // Rate returns the estimated arrival rate λ in invocations per second
 // (0 before two observations).
 func (e *Estimator) Rate() float64 {
@@ -114,25 +89,6 @@ func (e *Estimator) Rate() float64 {
 		return 0
 	}
 	return 1 / e.interArr
-}
-
-// Quantile returns the q-quantile (0..1) over the retained samples.
-func (e *Estimator) Quantile(q float64) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), e.samples...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // Concurrency estimates the expected number of simultaneously running
@@ -152,8 +108,6 @@ type Summary struct {
 	Count int
 	Mean  float64
 	EWMA  float64
-	Std   float64
-	P95   float64
 	Rate  float64
 }
 
@@ -164,8 +118,6 @@ func (e *Estimator) Snapshot(kind string) Summary {
 		Count: e.Count(),
 		Mean:  e.Mean(),
 		EWMA:  e.EWMA(),
-		Std:   e.Std(),
-		P95:   e.Quantile(0.95),
 		Rate:  e.Rate(),
 	}
 }
@@ -185,7 +137,7 @@ func (s *Set) For(kind string) *Estimator {
 	defer s.mu.Unlock()
 	e, ok := s.ests[kind]
 	if !ok {
-		e = NewEstimator(0.2, 512)
+		e = NewEstimator(0.2)
 		s.ests[kind] = e
 	}
 	return e

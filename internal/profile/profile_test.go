@@ -8,7 +8,7 @@ import (
 )
 
 func TestEstimatorBasics(t *testing.T) {
-	e := NewEstimator(0.5, 16)
+	e := NewEstimator(0.5)
 	if e.Count() != 0 || e.EWMA() != 0 || e.Rate() != 0 || e.Concurrency() != 0 {
 		t.Fatal("fresh estimator not zero")
 	}
@@ -26,7 +26,7 @@ func TestEstimatorBasics(t *testing.T) {
 }
 
 func TestEstimatorRateLittlesLaw(t *testing.T) {
-	e := NewEstimator(0.2, 64)
+	e := NewEstimator(0.2)
 	// One 2-second invocation arriving every 0.5s → λ=2/s, W≈2 → L≈4.
 	for i := 0; i < 100; i++ {
 		e.Observe(2, float64(i)*0.5)
@@ -39,53 +39,18 @@ func TestEstimatorRateLittlesLaw(t *testing.T) {
 	}
 }
 
-func TestEstimatorStd(t *testing.T) {
-	e := NewEstimator(0.2, 64)
-	for i, d := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		e.Observe(d, float64(i))
-	}
-	// Sample std of this classic sequence is ~2.138.
-	if s := e.Std(); math.Abs(s-2.138) > 0.01 {
-		t.Fatalf("std %v", s)
-	}
-}
-
-func TestEstimatorQuantile(t *testing.T) {
-	e := NewEstimator(0.2, 256)
-	for i := 1; i <= 100; i++ {
-		e.Observe(float64(i), float64(i))
-	}
-	if q := e.Quantile(0.95); q < 90 || q > 100 {
-		t.Fatalf("p95 %v", q)
-	}
-	if q := e.Quantile(0); q != 1 {
-		t.Fatalf("p0 %v", q)
-	}
-}
-
-func TestEstimatorRingOverwrite(t *testing.T) {
-	e := NewEstimator(0.2, 4)
-	for i := 0; i < 100; i++ {
-		e.Observe(float64(i), float64(i))
-	}
-	// Quantiles reflect recent values only (ring size 4).
-	if q := e.Quantile(0.5); q < 90 {
-		t.Fatalf("median %v should reflect recent samples", q)
-	}
-}
-
 func TestEstimatorAlphaValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("alpha 0 accepted")
 		}
 	}()
-	NewEstimator(0, 8)
+	NewEstimator(0)
 }
 
 func TestEstimatorMonotoneCountProperty(t *testing.T) {
 	f := func(durs []float64) bool {
-		e := NewEstimator(0.3, 32)
+		e := NewEstimator(0.3)
 		at := 0.0
 		n := 0
 		for _, d := range durs {
