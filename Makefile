@@ -78,10 +78,16 @@ fuzz-short:
 
 # The !amd64 twin of internal/tensor's assembly kernels, and everything
 # above it, built for a port that has none. Compiles from the local
-# GOROOT: no network, no emulator, nothing is run.
+# GOROOT: no network, no emulator. Then the cache's payload codec on a
+# 32-bit int — run, natively, as a 386 binary on an amd64 Linux host:
+# crafted counts must not wrap, and the one-copy slab path runs there
+# too — and vetted for a big-endian port (s390x), where the
+# per-element slab loop is the only path and must build.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=386 $(GO) test -short ./internal/cache
+	GOARCH=s390x $(GO) vet ./internal/cache
 
 # The second amd64 host class (DESIGN.md §8): with GODEBUG=cpu.fma=off
 # math.Exp takes its non-FMA arm, as it does on a CPU without FMA, so

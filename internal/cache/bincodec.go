@@ -26,13 +26,21 @@ package cache
 // validate every count against the bytes actually remaining before
 // allocating, so adversarial inputs fail with an error instead of a
 // panic or an outsized allocation (FuzzBinCodecRoundTrip enforces
-// this).
+// this), and validate the whole payload before the first float lands,
+// so a decode into caller memory that fails has written nothing.
+//
+// A slab is little-endian IEEE-754 bit patterns, which is what a
+// little-endian host keeps in memory: there encoding and decoding a
+// slab is one byte copy (f64Bytes); a big-endian host runs the
+// per-element loop, which is also the reference the tests hold the copy
+// to.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"stellaris/internal/obs/lineage"
 	"stellaris/internal/replay"
@@ -71,7 +79,9 @@ func grabFrame(n int) []byte {
 // produce is harmless — with one exception, which is the server-side
 // rule: memory handed to a store (MemCache.putOwned — a request frame's
 // tail on the server, a record's frame on a follower) is shared with
-// every later reader of that key and is never pooled.
+// every later reader of that key and is never pooled. Nor is a receive
+// buffer handed to GetInto while anything still reads what landed in
+// it: the next encode would write over those bytes.
 func Recycle(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -88,12 +98,47 @@ func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
+// slabIsMemory reports whether a slab's wire bytes are its in-memory
+// bytes (a little-endian host). Set once at init; tests turn it off to
+// run the loop path.
+var slabIsMemory = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes is the memory of xs as bytes. Only a slabIsMemory host may
+// treat them as a slab.
+func f64Bytes(xs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
+}
+
 // appendF64Raw appends the raw bit patterns of xs (no count prefix).
 func appendF64Raw(b []byte, xs []float64) []byte {
+	if slabIsMemory {
+		return append(b, f64Bytes(xs)...)
+	}
 	for _, v := range xs {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
+}
+
+// f64sInto decodes the slab raw (8 bytes per value, already validated)
+// into dst's array when it holds len(raw)/8 values, into fresh memory
+// otherwise, and returns it with exactly that length. Nothing past the
+// returned length is written; an empty slab returns dst[:0] (nil for a
+// nil dst).
+func f64sInto(dst []float64, raw []byte) []float64 {
+	n := len(raw) / 8
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	if slabIsMemory {
+		copy(f64Bytes(dst), raw)
+		return dst
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return dst
 }
 
 // appendF64Slab appends a u32 count followed by the raw bit patterns.
@@ -182,23 +227,34 @@ func (r *binReader) f64() float64 {
 	return 0
 }
 
-// f64Raw reads n raw float64 values (take-then-allocate).
-func (r *binReader) f64Raw(n int) []float64 {
-	raw := r.take(8 * n)
-	if raw == nil || n == 0 {
-		return nil
+// slab takes the raw bytes of n float64 values. n is bounded by what
+// remains before it is multiplied, so a crafted count can neither wrap
+// 8·n on a 32-bit int nor reach an allocation.
+func (r *binReader) slab(n int) []byte {
+	if r.err == nil && (n < 0 || n > r.remaining()/8) {
+		r.fail("float64 count %d exceeds the %d bytes remaining at offset %d", n, r.remaining(), r.off)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
+	return r.take(8 * n)
 }
 
-// f64Slab reads a u32-counted float64 slab.
-func (r *binReader) f64Slab() []float64 {
-	return r.f64Raw(int(r.u32()))
+// count reads a u32 element count and holds it to the frame cap, which
+// no slab of 8-byte values can exceed: a count is then an int on every
+// port, and a 64-bit sum of products of a few of them cannot wrap.
+func (r *binReader) count() int {
+	c := r.u32()
+	if r.err == nil && c > maxFrame/8 {
+		r.fail("count %d exceeds the frame cap", c)
+		return 0
+	}
+	return int(c)
 }
+
+// f64Raw reads n raw float64 values into fresh memory (nil for none).
+func (r *binReader) f64Raw(n int) []float64 { return f64sInto(nil, r.slab(n)) }
+
+// f64Slab takes the raw bytes of a u32-counted float64 slab; decoding
+// them is left to the caller, after the rest of the payload is checked.
+func (r *binReader) f64Slab() []byte { return r.slab(r.count()) }
 
 // finish enforces full consumption of the payload region.
 func (r *binReader) finish() error {
@@ -275,7 +331,14 @@ func EncodeWeights(w *WeightsMsg) ([]byte, error) {
 }
 
 // DecodeWeights decodes and validates a weight payload.
-func DecodeWeights(b []byte) (*WeightsMsg, error) {
+func DecodeWeights(b []byte) (*WeightsMsg, error) { return DecodeWeightsInto(nil, b) }
+
+// DecodeWeightsInto is DecodeWeights with the weights decoded into dst's
+// array when it holds them (fresh memory otherwise): the message's
+// Weights then alias dst, with exactly the decoded length, and nothing
+// past that length is written. A payload that fails to decode leaves
+// dst untouched.
+func DecodeWeightsInto(dst []float64, b []byte) (*WeightsMsg, error) {
 	kind, r, meta, err := openBin(b)
 	if err != nil {
 		return nil, err
@@ -285,10 +348,11 @@ func DecodeWeights(b []byte) (*WeightsMsg, error) {
 	}
 	w := &WeightsMsg{Trace: meta}
 	w.Version = int(r.i64())
-	w.Weights = r.f64Slab()
+	raw := r.f64Slab()
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
+	w.Weights = f64sInto(dst, raw)
 	return w, nil
 }
 
@@ -337,10 +401,11 @@ func DecodeGrad(b []byte) (*GradMsg, error) {
 	g.MinRatio = r.f64()
 	g.KL = r.f64()
 	g.Entropy = r.f64()
-	g.Grad = r.f64Slab()
+	raw := r.f64Slab()
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
+	g.Grad = f64sInto(nil, raw)
 	return g, nil
 }
 
@@ -433,23 +498,17 @@ func DecodeTrajectory(b []byte) (*replay.Trajectory, error) {
 	t := &replay.Trajectory{Trace: meta}
 	t.ActorID = int(r.i64())
 	t.PolicyVersion = int(r.i64())
-	n := int(r.u32())
+	n := r.count()
 	if layout := r.u8(); layout != trajLayoutColumns {
 		r.fail("unknown trajectory layout %d", layout)
 	}
-	obsDim := int(r.u32())
-	actDim := int(r.u32())
-	dpDim := int(r.u32())
-	// Bound every count by the frame cap first so the products below
-	// cannot overflow, then by what the buffer actually holds, before
-	// trusting them for allocation sizes.
-	const maxSlab = maxFrame / 8
-	if r.err == nil && (n > maxSlab || obsDim > maxSlab || actDim > maxSlab || dpDim > maxSlab) {
-		r.fail("trajectory counts (n=%d dims=%d/%d/%d) exceed the frame cap", n, obsDim, actDim, dpDim)
-	}
+	obsDim, actDim, dpDim := r.count(), r.count(), r.count()
+	// Each count is within the frame cap; what they need together is
+	// summed in 64 bits, where it cannot wrap, and held to what the buffer
+	// actually holds before any of it sizes an allocation.
 	if r.err == nil {
-		need := 8*n + 8*n + (n+7)/8 + 8*n*(obsDim+actDim+dpDim)
-		if r.remaining() < need {
+		need := uint64(n)*(16+8*uint64(obsDim+actDim+dpDim)) + uint64(n+7)/8
+		if need > uint64(r.remaining()) {
 			r.fail("trajectory counts (n=%d dims=%d/%d/%d) need %d bytes, have %d", n, obsDim, actDim, dpDim, need, r.remaining())
 		}
 	}
@@ -477,9 +536,10 @@ func DecodeTrajectory(b []byte) (*replay.Trajectory, error) {
 			}
 		}
 	}
-	t.EpisodeReturns = r.f64Slab()
+	returns := r.f64Slab()
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
+	t.EpisodeReturns = f64sInto(nil, returns)
 	return t, nil
 }

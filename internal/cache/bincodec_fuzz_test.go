@@ -72,107 +72,113 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// 1. No decoder may panic, on the raw input or on the input
-		// spliced behind each structurally valid header.
-		adversarial := [][]byte{data}
-		for kind := byte(1); kind <= 4; kind++ {
-			hdr := appendBinHeader(nil, kind, 0)
-			adversarial = append(adversarial, append(hdr, data...))
-		}
-		for _, in := range adversarial {
-			if w, err := DecodeWeights(in); err == nil && w == nil {
-				t.Fatal("DecodeWeights: nil message without error")
-			}
-			if g, err := DecodeGrad(in); err == nil && g == nil {
-				t.Fatal("DecodeGrad: nil message without error")
-			}
-			if tr, err := DecodeTrajectory(in); err == nil && tr == nil {
-				t.Fatal("DecodeTrajectory: nil trajectory without error")
-			}
-			if d, err := DecodeDelta(in); err == nil && d == nil {
-				t.Fatal("DecodeDelta: nil delta without error")
-			}
-		}
-
-		// 2. Deltas derived from the input round-trip bit-for-bit and
-		// reconstruct the exact next vector.
-		base := floatsFromBytes(data, 128)
-		next := append([]float64(nil), base...)
-		for i := range next {
-			if i%3 == 0 {
-				next[i] += 1
-			}
-		}
-		d, err := BuildDelta(2, 1, base, next)
-		if err != nil {
-			t.Fatalf("BuildDelta: %v", err)
-		}
-		db, err := EncodeDelta(d)
-		if err != nil {
-			t.Fatalf("EncodeDelta: %v", err)
-		}
-		d2, err := DecodeDelta(db)
-		if err != nil {
-			t.Fatalf("DecodeDelta(EncodeDelta): %v", err)
-		}
-		if d2.Version != d.Version || d2.BaseVersion != d.BaseVersion || d2.Len != d.Len || d2.Dense() != d.Dense() {
-			t.Fatalf("delta round trip mismatch: %+v != %+v", d2, d)
-		}
-		got := append([]float64(nil), base...)
-		if err := d2.Apply(got); err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
-		if !float64sEqual(got, next) {
-			t.Fatalf("delta reconstruction mismatch: %v != %v", got, next)
-		}
-
-		// 3. A trajectory round-trips through the binary codec when its
-		// steps share their dimensions (even input length); a ragged one
-		// (odd length, two steps or more) is refused by the encoder.
-		traj, ragged := trajFromBytes(data)
-		tb, err := EncodeTrajectory(traj)
-		if ragged {
-			if err == nil {
-				t.Fatal("EncodeTrajectory accepted a ragged trajectory")
-			}
-		} else {
-			if err != nil {
-				t.Fatalf("EncodeTrajectory: %v", err)
-			}
-			tr2, err := DecodeTrajectory(tb)
-			if err != nil {
-				t.Fatalf("DecodeTrajectory(EncodeTrajectory): %v", err)
-			}
-			if tr2.ActorID != traj.ActorID || tr2.PolicyVersion != traj.PolicyVersion ||
-				len(tr2.Steps) != len(traj.Steps) || !float64sEqual(tr2.EpisodeReturns, traj.EpisodeReturns) {
-				t.Fatalf("trajectory round trip mismatch: %+v != %+v", tr2, traj)
-			}
-			for i := range traj.Steps {
-				a, b := &traj.Steps[i], &tr2.Steps[i]
-				if !float64sEqual(a.Obs, b.Obs) || !float64sEqual(a.Action, b.Action) ||
-					!sameFloat(a.Reward, b.Reward) || a.Done != b.Done ||
-					!sameFloat(a.LogProb, b.LogProb) || !float64sEqual(a.DistParams, b.DistParams) {
-					t.Fatalf("step %d mismatch: %+v != %+v", i, b, a)
-				}
-			}
-		}
-
-		// 4. So do a weight vector and a gradient carrying the same floats.
-		w := &WeightsMsg{Version: len(data), Weights: base}
-		wb, _ := EncodeWeights(w)
-		if w2, err := DecodeWeights(wb); err != nil || w2.Version != w.Version || !float64sEqual(w2.Weights, w.Weights) {
-			t.Fatalf("weights round trip: %+v != %+v (%v)", w2, w, err)
-		}
-		g := &GradMsg{
-			LearnerID: len(data) % 5, BornVersion: len(data) % 13, Samples: len(base), Truncated: len(data) % 3,
-			MeanRatio: float64(len(data)) / 16, MinRatio: 0.25, KL: 1.0 / 256, Entropy: 1.5, Grad: base,
-		}
-		gb, _ := EncodeGrad(g)
-		g2, err := DecodeGrad(gb)
-		if err != nil || !float64sEqual(g2.Grad, g.Grad) || !reflect.DeepEqual(g2, g) {
-			t.Fatalf("grad round trip: %+v != %+v (%v)", g2, g, err)
-		}
+		bothSlabPaths(t, func(t *testing.T) { binCodecRoundTrip(t, data) })
 	})
+}
+
+// binCodecRoundTrip is FuzzBinCodecRoundTrip's body, run on each slab
+// path.
+func binCodecRoundTrip(t *testing.T, data []byte) {
+	// 1. No decoder may panic, on the raw input or on the input
+	// spliced behind each structurally valid header.
+	adversarial := [][]byte{data}
+	for kind := byte(1); kind <= 4; kind++ {
+		hdr := appendBinHeader(nil, kind, 0)
+		adversarial = append(adversarial, append(hdr, data...))
+	}
+	for _, in := range adversarial {
+		if w, err := DecodeWeights(in); err == nil && w == nil {
+			t.Fatal("DecodeWeights: nil message without error")
+		}
+		if g, err := DecodeGrad(in); err == nil && g == nil {
+			t.Fatal("DecodeGrad: nil message without error")
+		}
+		if tr, err := DecodeTrajectory(in); err == nil && tr == nil {
+			t.Fatal("DecodeTrajectory: nil trajectory without error")
+		}
+		if d, err := DecodeDelta(in); err == nil && d == nil {
+			t.Fatal("DecodeDelta: nil delta without error")
+		}
+	}
+
+	// 2. Deltas derived from the input round-trip bit-for-bit and
+	// reconstruct the exact next vector.
+	base := floatsFromBytes(data, 128)
+	next := append([]float64(nil), base...)
+	for i := range next {
+		if i%3 == 0 {
+			next[i] += 1
+		}
+	}
+	d, err := BuildDelta(2, 1, base, next)
+	if err != nil {
+		t.Fatalf("BuildDelta: %v", err)
+	}
+	db, err := EncodeDelta(d)
+	if err != nil {
+		t.Fatalf("EncodeDelta: %v", err)
+	}
+	d2, err := DecodeDelta(db)
+	if err != nil {
+		t.Fatalf("DecodeDelta(EncodeDelta): %v", err)
+	}
+	if d2.Version != d.Version || d2.BaseVersion != d.BaseVersion || d2.Len != d.Len || d2.Dense() != d.Dense() {
+		t.Fatalf("delta round trip mismatch: %+v != %+v", d2, d)
+	}
+	got := append([]float64(nil), base...)
+	if err := d2.Apply(got); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if !float64sEqual(got, next) {
+		t.Fatalf("delta reconstruction mismatch: %v != %v", got, next)
+	}
+
+	// 3. A trajectory round-trips through the binary codec when its
+	// steps share their dimensions (even input length); a ragged one
+	// (odd length, two steps or more) is refused by the encoder.
+	traj, ragged := trajFromBytes(data)
+	tb, err := EncodeTrajectory(traj)
+	if ragged {
+		if err == nil {
+			t.Fatal("EncodeTrajectory accepted a ragged trajectory")
+		}
+	} else {
+		if err != nil {
+			t.Fatalf("EncodeTrajectory: %v", err)
+		}
+		tr2, err := DecodeTrajectory(tb)
+		if err != nil {
+			t.Fatalf("DecodeTrajectory(EncodeTrajectory): %v", err)
+		}
+		if tr2.ActorID != traj.ActorID || tr2.PolicyVersion != traj.PolicyVersion ||
+			len(tr2.Steps) != len(traj.Steps) || !float64sEqual(tr2.EpisodeReturns, traj.EpisodeReturns) {
+			t.Fatalf("trajectory round trip mismatch: %+v != %+v", tr2, traj)
+		}
+		for i := range traj.Steps {
+			a, b := &traj.Steps[i], &tr2.Steps[i]
+			if !float64sEqual(a.Obs, b.Obs) || !float64sEqual(a.Action, b.Action) ||
+				!sameFloat(a.Reward, b.Reward) || a.Done != b.Done ||
+				!sameFloat(a.LogProb, b.LogProb) || !float64sEqual(a.DistParams, b.DistParams) {
+				t.Fatalf("step %d mismatch: %+v != %+v", i, b, a)
+			}
+		}
+	}
+
+	// 4. So do a weight vector and a gradient carrying the same floats.
+	w := &WeightsMsg{Version: len(data), Weights: base}
+	wb, _ := EncodeWeights(w)
+	if w2, err := DecodeWeights(wb); err != nil || w2.Version != w.Version || !float64sEqual(w2.Weights, w.Weights) {
+		t.Fatalf("weights round trip: %+v != %+v (%v)", w2, w, err)
+	}
+	g := &GradMsg{
+		LearnerID: len(data) % 5, BornVersion: len(data) % 13, Samples: len(base), Truncated: len(data) % 3,
+		MeanRatio: float64(len(data)) / 16, MinRatio: 0.25, KL: 1.0 / 256, Entropy: 1.5, Grad: base,
+	}
+	gb, _ := EncodeGrad(g)
+	g2, err := DecodeGrad(gb)
+	if err != nil || !float64sEqual(g2.Grad, g.Grad) || !reflect.DeepEqual(g2, g) {
+		t.Fatalf("grad round trip: %+v != %+v (%v)", g2, g, err)
+	}
 }
 
 // trajFromBytes deterministically builds a small Trajectory from fuzz
@@ -251,21 +257,23 @@ func reencode[T any](dec func([]byte) (T, error), enc func(T) ([]byte, error)) f
 // corpus: decoding a seed and encoding the result gives the seed back,
 // byte for byte, for every payload kind.
 func TestEncodersReproduceCorpusBytes(t *testing.T) {
-	for name, roundTrip := range map[string]func([]byte) ([]byte, error){
-		"weights_traced":     reencode(DecodeWeights, EncodeWeights),
-		"grad_learner2":      reencode(DecodeGrad, EncodeGrad),
-		"trajectory_columns": reencode(DecodeTrajectory, EncodeTrajectory),
-		"delta_dense":        reencode(DecodeDelta, EncodeDelta),
-		"delta_sparse":       reencode(DecodeDelta, EncodeDelta),
-	} {
-		seed := corpusSeed(t, name)
-		got, err := roundTrip(seed)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		} else if !bytes.Equal(got, seed) {
-			t.Errorf("%s: re-encoded payload differs from the seed:\n got %q\nwant %q", name, got, seed)
+	bothSlabPaths(t, func(t *testing.T) {
+		for name, roundTrip := range map[string]func([]byte) ([]byte, error){
+			"weights_traced":     reencode(DecodeWeights, EncodeWeights),
+			"grad_learner2":      reencode(DecodeGrad, EncodeGrad),
+			"trajectory_columns": reencode(DecodeTrajectory, EncodeTrajectory),
+			"delta_dense":        reencode(DecodeDelta, EncodeDelta),
+			"delta_sparse":       reencode(DecodeDelta, EncodeDelta),
+		} {
+			seed := corpusSeed(t, name)
+			got, err := roundTrip(seed)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			} else if !bytes.Equal(got, seed) {
+				t.Errorf("%s: re-encoded payload differs from the seed:\n got %q\nwant %q", name, got, seed)
+			}
 		}
-	}
+	})
 }
 
 // TestTrajectoryHasOneLayout: the encoder refuses steps of differing
@@ -273,21 +281,23 @@ func TestEncodersReproduceCorpusBytes(t *testing.T) {
 // such trajectories used to travel under — on the frozen seed of one,
 // and on a valid payload with only that byte changed.
 func TestTrajectoryHasOneLayout(t *testing.T) {
-	if b, err := EncodeTrajectory(&replay.Trajectory{Steps: []replay.Step{
-		{Obs: []float64{1}, Action: []float64{0}},
-		{Obs: []float64{1, 2}, Action: []float64{0}},
-	}}); err == nil {
-		t.Errorf("ragged trajectory encoded to %d bytes", len(b))
-	}
-	columns := corpusSeed(t, "trajectory_columns")
-	const layoutAt = binHeader + 8 + 8 + 4
-	if columns[layoutAt] != 1 {
-		t.Fatalf("layout byte of the column seed is %d", columns[layoutAt])
-	}
-	columns[layoutAt] = 0
-	for name, in := range map[string][]byte{"trajectory_ragged": corpusSeed(t, "trajectory_ragged"), "columns relabelled": columns} {
-		if tr, err := DecodeTrajectory(in); err == nil || !strings.Contains(err.Error(), "unknown trajectory layout 0") {
-			t.Errorf("%s: DecodeTrajectory = %+v, %v; want the layout error", name, tr, err)
+	bothSlabPaths(t, func(t *testing.T) {
+		if b, err := EncodeTrajectory(&replay.Trajectory{Steps: []replay.Step{
+			{Obs: []float64{1}, Action: []float64{0}},
+			{Obs: []float64{1, 2}, Action: []float64{0}},
+		}}); err == nil {
+			t.Errorf("ragged trajectory encoded to %d bytes", len(b))
 		}
-	}
+		columns := corpusSeed(t, "trajectory_columns")
+		const layoutAt = binHeader + 8 + 8 + 4
+		if columns[layoutAt] != 1 {
+			t.Fatalf("layout byte of the column seed is %d", columns[layoutAt])
+		}
+		columns[layoutAt] = 0
+		for name, in := range map[string][]byte{"trajectory_ragged": corpusSeed(t, "trajectory_ragged"), "columns relabelled": columns} {
+			if tr, err := DecodeTrajectory(in); err == nil || !strings.Contains(err.Error(), "unknown trajectory layout 0") {
+				t.Errorf("%s: DecodeTrajectory = %+v, %v; want the layout error", name, tr, err)
+			}
+		}
+	})
 }

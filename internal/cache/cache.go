@@ -87,14 +87,32 @@ func (c *MemCache) putOwned(key string, val []byte) error {
 }
 
 // Get implements Cache.
-func (c *MemCache) Get(key string) ([]byte, error) {
+func (c *MemCache) Get(key string) ([]byte, error) { return c.GetInto(key, nil) }
+
+// GetInto is Get with the value copied into buf's array when cap(buf)
+// holds it, and into fresh memory otherwise.
+func (c *MemCache) GetInto(key string, buf []byte) ([]byte, error) {
 	v, ok := c.view(key)
 	if !ok {
 		return nil, ErrNotFound{Key: key}
 	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, nil
+	out := sized(buf, len(v))
+	copy(out, v)
+	return out, nil
+}
+
+// GetInto reads key through c into buf's array when c reads into
+// caller memory (Client, ShardedClient, MemCache) and cap(buf) holds the
+// value, and through Get otherwise — the way BatchGet falls back for a
+// non-Batcher. A result in buf is overwritten by the next read into
+// buf; never Recycle a buffer whose bytes are still being read.
+func GetInto(c Cache, key string, buf []byte) ([]byte, error) {
+	if g, ok := c.(interface {
+		GetInto(key string, buf []byte) ([]byte, error)
+	}); ok {
+		return g.GetInto(key, buf)
+	}
+	return c.Get(key)
 }
 
 // view returns the stored slice itself, for readers that only read it.

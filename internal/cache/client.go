@@ -200,6 +200,7 @@ type request struct {
 	term int64  // nonzero: send as a 'T' envelope stamped with this shard term
 	val  []byte // the value field, or
 	kvs  []KV   // the pairs of a 'p', gathered into the value field
+	into []byte // where the response payload lands when it fits (readResp)
 }
 
 // wireOp is the opcode the frame carries.
@@ -416,7 +417,7 @@ func (c *Client) exchange(req request) (byte, []byte, error) {
 	if err := c.fw.flush(); err != nil {
 		return 0, nil, err
 	}
-	return readResp(c.br)
+	return readResp(c.br, req.into)
 }
 
 // backoff returns the sleep before retry number attempt (1-based), an
@@ -467,8 +468,13 @@ func (c *Client) Put(key string, val []byte) error {
 }
 
 // Get implements Cache.
-func (c *Client) Get(key string) ([]byte, error) {
-	status, payload, err := c.roundTrip(request{op: 'G', key: key})
+func (c *Client) Get(key string) ([]byte, error) { return c.GetInto(key, nil) }
+
+// GetInto is Get with the value read into buf's array when cap(buf)
+// holds it, and into fresh memory otherwise; the result then aliases
+// buf. A failed or retried attempt may have written any of buf.
+func (c *Client) GetInto(key string, buf []byte) ([]byte, error) {
+	status, payload, err := c.roundTrip(request{op: 'G', key: key, into: buf})
 	if err != nil {
 		return nil, err
 	}

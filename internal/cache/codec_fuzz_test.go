@@ -97,11 +97,19 @@ func FuzzFrameDecode(f *testing.F) {
 				if err := fw.flush(); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := readResp(&buf); err != nil || buf.Len() != 0 {
+				if _, _, err := readResp(&buf, nil); err != nil || buf.Len() != 0 {
 					t.Fatalf("op %q answered with a malformed response (%v, %d bytes over)", fr.op, err, buf.Len())
 				}
 			}
 		}
-		_, _, _ = readResp(bytes.NewReader(data))
+		// A response reads the same into fresh memory, a buffer too small
+		// and a buffer with room.
+		status, payload, err := readResp(bytes.NewReader(data), nil)
+		for _, buf := range [][]byte{make([]byte, 0, 8), make([]byte, 0, len(data))} {
+			s, p, e := readResp(bytes.NewReader(data), buf)
+			if (e == nil) != (err == nil) || s != status || !bytes.Equal(p, payload) {
+				t.Fatalf("readResp into cap %d = %q %q %v; into nil = %q %q %v", cap(buf), s, p, e, status, payload, err)
+			}
+		}
 	})
 }

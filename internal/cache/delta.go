@@ -101,7 +101,8 @@ func BuildDelta(version, baseVersion int, base, next []float64) (*DeltaMsg, erro
 }
 
 // Apply patches w (which must hold d.BaseVersion's values and length)
-// in place to d.Version's values.
+// in place to d.Version's values. Every check runs before the first
+// write, so a delta it refuses leaves w as it was.
 func (d *DeltaMsg) Apply(w []float64) error {
 	if len(w) != d.Len {
 		return fmt.Errorf("cache: delta v%d expects %d weights, have %d", d.Version, d.Len, len(w))
@@ -113,10 +114,15 @@ func (d *DeltaMsg) Apply(w []float64) error {
 		copy(w, d.Values)
 		return nil
 	}
-	for i, idx := range d.Indices {
-		if int(idx) >= len(w) {
+	if len(d.Indices) != len(d.Values) {
+		return fmt.Errorf("cache: sparse delta v%d has %d indices but %d values", d.Version, len(d.Indices), len(d.Values))
+	}
+	for _, idx := range d.Indices {
+		if uint64(idx) >= uint64(len(w)) {
 			return fmt.Errorf("cache: delta v%d index %d out of range [0,%d)", d.Version, idx, len(w))
 		}
+	}
+	for i, idx := range d.Indices {
 		w[idx] = d.Values[i]
 	}
 	return nil
@@ -163,47 +169,85 @@ func EncodeDelta(d *DeltaMsg) ([]byte, error) {
 
 // DecodeDelta decodes and validates a delta payload.
 func DecodeDelta(b []byte) (*DeltaMsg, error) {
-	kind, r, meta, err := openBin(b)
+	w, err := openDelta(b)
 	if err != nil {
 		return nil, err
 	}
+	d := w.head
+	d.Values = f64sInto(nil, w.vals)
+	if !w.dense {
+		d.Indices = make([]uint32, len(w.idx)/4) // non-nil for nnz == 0: sparse stays sparse
+		for i := range d.Indices {
+			d.Indices[i] = binary.LittleEndian.Uint32(w.idx[4*i:])
+		}
+	}
+	return &d, nil
+}
+
+// deltaWire is a delta payload that passed every check DecodeDelta
+// makes, its index and value slabs still in wire bytes: applyTo patches
+// a vector straight from them.
+type deltaWire struct {
+	head  DeltaMsg // everything but Indices and Values
+	dense bool
+	idx   []byte // sparse: 4 bytes per index, every one < head.Len
+	vals  []byte // 8 bytes per value
+}
+
+// openDelta validates a delta payload whole — header, TLV, counts,
+// every sparse index against Len, trailing bytes — and returns its
+// wire view.
+func openDelta(b []byte) (deltaWire, error) {
+	var w deltaWire
+	kind, r, meta, err := openBin(b)
+	if err != nil {
+		return w, err
+	}
 	if kind != binKindDelta {
-		return nil, fmt.Errorf("cache: bincodec: payload kind %d is not a weights delta", kind)
+		return w, fmt.Errorf("cache: bincodec: payload kind %d is not a weights delta", kind)
 	}
-	d := &DeltaMsg{Trace: meta}
-	d.Version = int(r.i64())
-	d.BaseVersion = int(r.i64())
-	d.Len = int(r.u32())
-	dense := r.u8()
-	const maxSlab = maxFrame / 8
-	if r.err == nil && d.Len > maxSlab {
-		r.fail("delta length %d exceeds the frame cap", d.Len)
-	}
-	switch dense {
+	w.head = DeltaMsg{Trace: meta, Version: int(r.i64()), BaseVersion: int(r.i64())}
+	w.head.Len = r.count()
+	switch dense := r.u8(); dense {
 	case 1:
-		d.Values = r.f64Raw(d.Len)
+		w.dense = true
+		w.vals = r.slab(w.head.Len)
 	case 0:
-		nnz := int(r.u32())
-		if r.err == nil && (nnz > d.Len || nnz > r.remaining()/12) {
-			r.fail("delta nnz %d exceeds length %d or %d remaining bytes", nnz, d.Len, r.remaining())
+		nnz := r.count()
+		if r.err == nil && (nnz > w.head.Len || nnz > r.remaining()/12) {
+			r.fail("delta nnz %d exceeds length %d or %d remaining bytes", nnz, w.head.Len, r.remaining())
 		}
-		if raw := r.take(4 * nnz); raw != nil {
-			d.Indices = make([]uint32, nnz)
-			for i := range d.Indices {
-				d.Indices[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		w.idx = r.take(4 * nnz)
+		w.vals = r.slab(nnz)
+		for i := 0; r.err == nil && i < nnz; i++ {
+			if idx := binary.LittleEndian.Uint32(w.idx[4*i:]); uint64(idx) >= uint64(w.head.Len) {
+				r.fail("delta v%d index %d out of range [0,%d)", w.head.Version, idx, w.head.Len)
 			}
-		}
-		d.Values = r.f64Raw(nnz)
-		if d.Indices == nil {
-			d.Indices = []uint32{} // keep the sparse/dense distinction for nnz == 0
 		}
 	default:
 		r.fail("unknown delta density flag %d", dense)
 	}
 	if err := r.finish(); err != nil {
-		return nil, err
+		return deltaWire{}, err
 	}
-	return d, nil
+	return w, nil
+}
+
+// applyTo patches w, which holds version head.BaseVersion, to
+// head.Version. Every index was checked by openDelta, so past the
+// length check nothing can fail halfway.
+func (d *deltaWire) applyTo(w []float64) error {
+	if len(w) != d.head.Len {
+		return fmt.Errorf("cache: delta v%d expects %d weights, have %d", d.head.Version, d.head.Len, len(w))
+	}
+	if d.dense {
+		f64sInto(w, d.vals)
+		return nil
+	}
+	for i := 0; i < len(d.idx)/4; i++ {
+		w[binary.LittleEndian.Uint32(d.idx[4*i:])] = math.Float64frombits(binary.LittleEndian.Uint64(d.vals[8*i:]))
+	}
+	return nil
 }
 
 // ---- publisher ----
@@ -297,6 +341,9 @@ type WeightsSub struct {
 	w   []float64
 	ver int
 	ok  bool
+	// buf is the one receive buffer: the head, a single delta and the
+	// snapshot are read into it and decoded from it straight into w.
+	buf []byte
 
 	// deltaHits/fullFetches instrument reconstruction for tests and the
 	// perf quickstart; skipped counts head-unchanged shortcuts.
@@ -342,10 +389,11 @@ func (s *WeightsSub) Cached() ([]float64, int, bool) { return s.w, s.ver, s.ok }
 func (s *WeightsSub) Reset() { s.w, s.ver, s.ok = nil, 0, false }
 
 // Fetch returns the newest available weights and their version. The
-// returned slice is owned by the subscriber: callers must copy it if
-// they mutate or retain it past the next Fetch.
+// returned slice is owned by the subscriber and is valid until the next
+// Fetch, which decodes into the same array: callers must copy it if
+// they mutate or retain it past that.
 func (s *WeightsSub) Fetch() ([]float64, int, error) {
-	head, err := s.C.Get(KeyWeightsHead)
+	head, err := s.get(KeyWeightsHead)
 	if err != nil {
 		var nf ErrNotFound
 		if errors.As(err, &nf) {
@@ -382,12 +430,18 @@ func (s *WeightsSub) Fetch() ([]float64, int, error) {
 	return s.fetchFull()
 }
 
-// applyChain fetches the deltas (s.ver, hv] in one batched round trip
-// and applies them in order. It reports whether the cached vector
-// reached hv; on a partial or failed application the cached (w, ver)
-// pair stays mutually consistent — s.ver only advances past deltas
-// fully applied.
+// applyChain fetches the deltas (s.ver, hv] and applies them in order:
+// one version behind (the common case) through the receive buffer,
+// further behind in one batched round trip. It reports whether the
+// cached vector reached hv; on a partial or failed application the
+// cached (w, ver) pair stays mutually consistent — s.ver only advances
+// past deltas fully applied, and a delta that fails its checks writes
+// nothing.
 func (s *WeightsSub) applyChain(hv int) bool {
+	if hv == s.ver+1 {
+		raw, err := s.get(WeightsDeltaKey(hv))
+		return err == nil && s.apply(raw)
+	}
 	keys := make([]string, 0, hv-s.ver)
 	for v := s.ver + 1; v <= hv; v++ {
 		keys = append(keys, WeightsDeltaKey(v))
@@ -397,37 +451,49 @@ func (s *WeightsSub) applyChain(hv int) bool {
 		return false
 	}
 	for _, raw := range vals {
-		if raw == nil {
-			return false // pruned or never published: chain is broken
-		}
-		d, err := DecodeDelta(raw)
-		if err != nil || d.BaseVersion != s.ver || d.Version != s.ver+1 {
+		// A nil entry was pruned or never published: the chain is broken.
+		if raw == nil || !s.apply(raw) {
 			return false
 		}
-		if err := d.Apply(s.w); err != nil {
-			return false
-		}
-		s.ver = d.Version
 	}
 	return true
 }
 
-// fetchFull downloads the full snapshot and adopts its version. Every
-// publish refreshes the snapshot, so it trails the head only for the
-// moment a sharded batch is landing — and then the next Fetch closes
-// the gap with the chain.
+// apply applies one encoded delta to the cached vector in place if it
+// takes the cached version one step forward, and reports whether it did.
+func (s *WeightsSub) apply(raw []byte) bool {
+	d, err := openDelta(raw)
+	if err != nil || d.head.BaseVersion != s.ver || d.head.Version != s.ver+1 || d.applyTo(s.w) != nil {
+		return false
+	}
+	s.ver = d.head.Version
+	return true
+}
+
+// fetchFull downloads the full snapshot into the cached vector and
+// adopts its version. Every publish refreshes the snapshot, so it
+// trails the head only for the moment a sharded batch is landing — and
+// then the next Fetch closes the gap with the chain.
 func (s *WeightsSub) fetchFull() ([]float64, int, error) {
-	raw, err := s.C.Get(KeyWeightsLatest)
+	raw, err := s.get(KeyWeightsLatest)
 	if err != nil {
 		return nil, 0, err
 	}
-	msg, err := DecodeWeights(raw)
+	msg, err := DecodeWeightsInto(s.w, raw)
 	if err != nil {
 		return nil, 0, err
 	}
-	s.w = append(s.w[:0], msg.Weights...)
-	s.ver = msg.Version
-	s.ok = true
+	s.w, s.ver, s.ok = msg.Weights, msg.Version, true
 	s.fullFetches.Add(1)
 	return s.w, s.ver, nil
+}
+
+// get reads key into the receive buffer, keeping the larger array when
+// the value did not fit (or a hedged read returned fresh memory).
+func (s *WeightsSub) get(key string) ([]byte, error) {
+	raw, err := GetInto(s.C, key, s.buf)
+	if cap(raw) > cap(s.buf) {
+		s.buf = raw[:0]
+	}
+	return raw, err
 }

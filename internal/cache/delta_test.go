@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"stellaris/internal/leaktest"
 	"stellaris/internal/obs/lineage"
 )
 
@@ -24,32 +26,34 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := EncodeDelta(tc.d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeDelta(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Version != tc.d.Version || got.BaseVersion != tc.d.BaseVersion || got.Len != tc.d.Len {
-				t.Fatalf("header round-trip: got %+v want %+v", got, tc.d)
-			}
-			if got.Dense() != tc.d.Dense() {
-				t.Fatalf("density flag flipped: got dense=%v", got.Dense())
-			}
-			if len(got.Indices) != len(tc.d.Indices) || len(got.Values) != len(tc.d.Values) {
-				t.Fatalf("payload sizes: got %d/%d want %d/%d",
-					len(got.Indices), len(got.Values), len(tc.d.Indices), len(tc.d.Values))
-			}
-			for i := range got.Values {
-				if math.Float64bits(got.Values[i]) != math.Float64bits(tc.d.Values[i]) {
-					t.Fatalf("value %d: %v != %v", i, got.Values[i], tc.d.Values[i])
+			bothSlabPaths(t, func(t *testing.T) {
+				b, err := EncodeDelta(tc.d)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got.Trace != tc.d.Trace {
-				t.Fatalf("trace round-trip: got %+v want %+v", got.Trace, tc.d.Trace)
-			}
+				got, err := DecodeDelta(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Version != tc.d.Version || got.BaseVersion != tc.d.BaseVersion || got.Len != tc.d.Len {
+					t.Fatalf("header round-trip: got %+v want %+v", got, tc.d)
+				}
+				if got.Dense() != tc.d.Dense() {
+					t.Fatalf("density flag flipped: got dense=%v", got.Dense())
+				}
+				if len(got.Indices) != len(tc.d.Indices) || len(got.Values) != len(tc.d.Values) {
+					t.Fatalf("payload sizes: got %d/%d want %d/%d",
+						len(got.Indices), len(got.Values), len(tc.d.Indices), len(tc.d.Values))
+				}
+				for i := range got.Values {
+					if math.Float64bits(got.Values[i]) != math.Float64bits(tc.d.Values[i]) {
+						t.Fatalf("value %d: %v != %v", i, got.Values[i], tc.d.Values[i])
+					}
+				}
+				if got.Trace != tc.d.Trace {
+					t.Fatalf("trace round-trip: got %+v want %+v", got.Trace, tc.d.Trace)
+				}
+			})
 		})
 	}
 }
@@ -296,5 +300,183 @@ func TestDeltaOverNetwork(t *testing.T) {
 	}
 	if st := sub.Stats(); st.DeltaHits != 1 {
 		t.Fatalf("network fetch should ride the chain: %+v", st)
+	}
+}
+
+// requireCached fails unless sub's stale copy is exactly want at ver.
+func requireCached(t *testing.T, sub *WeightsSub, want []float64, ver int) {
+	t.Helper()
+	got, gotVer, ok := sub.Cached()
+	if !ok || gotVer != ver {
+		t.Fatalf("Cached() = v%d ok=%v, want v%d", gotVer, ok, ver)
+	}
+	requireBits(t, "Cached()", got, want)
+}
+
+// TestHalfAppliedSparseDeltaKeepsStaleCopy is the regression test for a
+// sparse delta whose second index is out of range: Apply used to patch
+// the cached vector before it reached the bad index, so with the
+// snapshot unreadable too, Cached() answered [-1 2 3 … 8] labelled v1.
+// DecodeDelta now refuses the delta, and Apply checks every index before
+// its first write.
+func TestHalfAppliedSparseDeltaKeepsStaleCopy(t *testing.T) {
+	bothSlabPaths(t, func(t *testing.T) {
+		mem := NewMemCache()
+		v1 := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+		if err := (&WeightsPublisher{C: mem}).Publish(1, v1, lineage.Meta{}); err != nil {
+			t.Fatal(err)
+		}
+		sub := &WeightsSub{C: mem}
+		if _, ver, err := sub.Fetch(); err != nil || ver != 1 {
+			t.Fatalf("first fetch: v%d err=%v", ver, err)
+		}
+		bad := &DeltaMsg{Version: 2, BaseVersion: 1, Len: 8, Indices: []uint32{0, 99}, Values: []float64{-1, -1}}
+		w := append([]float64(nil), v1...)
+		if err := bad.Apply(w); err == nil {
+			t.Fatal("Apply accepted index 99 of 8")
+		}
+		requireBits(t, "after a refused Apply", w, v1)
+		raw, err := EncodeDelta(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := DecodeDelta(raw); err == nil || !strings.Contains(err.Error(), "index 99 out of range") {
+			t.Fatalf("DecodeDelta = %+v, %v; want the index error", d, err)
+		}
+		head, err := EncodeWeights(&WeightsMsg{Version: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := BatchPut(mem, []KV{{WeightsDeltaKey(2), raw}, {KeyWeightsHead, head}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Delete(KeyWeightsLatest); err != nil {
+			t.Fatal(err)
+		}
+		if _, ver, err := sub.Fetch(); err == nil {
+			t.Fatalf("Fetch answered v%d with neither the delta nor the snapshot readable", ver)
+		}
+		requireCached(t, sub, v1, 1)
+	})
+}
+
+// TestSubscriberKeepsCachedCopyOnCorruptPayload: after a good fetch, a
+// delta or snapshot that fails its checks — decoded in place, over the
+// subscriber's own vector — leaves Cached() bit for bit as it was, and a
+// chain that breaks halfway leaves the version it reached.
+func TestSubscriberKeepsCachedCopyOnCorruptPayload(t *testing.T) {
+	v1 := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	v2 := []float64{-1, -2, -3, -4, -5, -6, -7, -8}
+	v3 := []float64{9, 9, 9, 9, 9, 9, 9, 9}
+	enc := func(b []byte, err error) []byte {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dense := func(v int, w []float64) []byte {
+		return enc(EncodeDelta(&DeltaMsg{Version: v, BaseVersion: v - 1, Len: len(w), Values: w}))
+	}
+	trailing := func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }
+	for _, tc := range []struct {
+		name   string
+		head   int
+		kvs    []KV // what the store holds besides the head; a nil Val deletes
+		want   []float64
+		wantAt int
+	}{
+		{"corrupt delta, no snapshot", 2, []KV{
+			{WeightsDeltaKey(2), trailing(dense(2, v2))}, {KeyWeightsLatest, nil}}, v1, 1},
+		{"no delta, corrupt snapshot", 2, []KV{
+			{WeightsDeltaKey(2), nil}, {KeyWeightsLatest, trailing(enc(EncodeWeights(&WeightsMsg{Version: 2, Weights: v2})))}}, v1, 1},
+		{"no delta, snapshot of another kind", 2, []KV{
+			{WeightsDeltaKey(2), nil}, {KeyWeightsLatest, enc(EncodeGrad(&GradMsg{Grad: v2}))}}, v1, 1},
+		{"chain breaks at its second delta", 3, []KV{
+			{WeightsDeltaKey(2), dense(2, v2)}, {WeightsDeltaKey(3), dense(3, v3)[:20]}, {KeyWeightsLatest, nil}}, v2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bothSlabPaths(t, func(t *testing.T) {
+				mem := NewMemCache()
+				if err := (&WeightsPublisher{C: mem}).Publish(1, v1, lineage.Meta{}); err != nil {
+					t.Fatal(err)
+				}
+				sub := &WeightsSub{C: mem}
+				if _, _, err := sub.Fetch(); err != nil {
+					t.Fatal(err)
+				}
+				for _, kv := range append(tc.kvs, KV{KeyWeightsHead, enc(EncodeWeights(&WeightsMsg{Version: tc.head}))}) {
+					var err error
+					if kv.Val == nil {
+						err = mem.Delete(kv.Key)
+					} else {
+						err = mem.Put(kv.Key, kv.Val)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, ver, err := sub.Fetch(); err == nil {
+					t.Fatalf("Fetch answered v%d from corrupt payloads", ver)
+				}
+				requireCached(t, sub, tc.want, tc.wantAt)
+			})
+		})
+	}
+}
+
+// TestFetchAllocatesNoVector guards the receive path: once warm, a Fetch
+// whose head moved — head, then a dense one-version delta of an 82 KB
+// vector, over a loopback server — allocates less than 4 KB in the whole
+// process, so a value-sized allocation creeping back fails here.
+func TestFetchAllocatesNoVector(t *testing.T) {
+	leaktest.Check(t)
+	srv := NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pubCli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pubCli.Close()
+	subCli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer subCli.Close()
+	pub, sub := &WeightsPublisher{C: pubCli}, &WeightsSub{C: subCli}
+	w := make([]float64, 82<<10/8)
+	publish := func(v int) {
+		for i := range w {
+			w[i] += 1 // every weight moves: the delta is dense
+		}
+		if err := pub.Publish(v, w, lineage.Meta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch := func(v int) {
+		if got, ver, err := sub.Fetch(); err != nil || ver != v || got[0] != w[0] {
+			t.Fatalf("fetch: v%d err=%v, want v%d", ver, err, v)
+		}
+	}
+	for v := 0; v < 3; v++ {
+		publish(v)
+		fetch(v)
+	}
+	const fetches = 100
+	var total uint64
+	for v := 3; v < 3+fetches; v++ {
+		publish(v)
+		total += allocatedDuring(func() { fetch(v) })
+	}
+	if st := sub.Stats(); st.DeltaHits < fetches {
+		t.Fatalf("the fetches did not ride the one-delta path: %+v", st)
+	}
+	if per := total / fetches; per >= 4<<10 {
+		t.Fatalf("a changed-head Fetch allocates %d bytes, want < 4096 (the vector is %d)", per, 8*len(w))
+	} else {
+		t.Logf("a changed-head Fetch allocates %d bytes for a %d-byte vector", per, 8*len(w))
 	}
 }

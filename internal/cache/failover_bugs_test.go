@@ -128,7 +128,7 @@ func TestServerBatchEmptyKeyRejected(t *testing.T) {
 	if err := writeFrame(conn, 'p', "", blob); err != nil {
 		t.Fatal(err)
 	}
-	status, payload, err := readResp(conn)
+	status, payload, err := readResp(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestServerBatchEmptyKeyRejected(t *testing.T) {
 	if err := writeFrame(conn, 'g', "", appendGetNReq(nil, []string{"x", ""})); err != nil {
 		t.Fatal(err)
 	}
-	status, payload, err = readResp(conn)
+	status, payload, err = readResp(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

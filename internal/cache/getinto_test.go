@@ -1,0 +1,179 @@
+package cache
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"stellaris/internal/leaktest"
+)
+
+// getIntoContract holds one GetInto implementation to its contract:
+// the value lands in the caller's array when cap(buf) holds it and in
+// fresh memory when it does not, and a missing key is ErrNotFound while
+// a key stored empty is a non-nil empty value — exactly as Get has it.
+// put stores through the implementation under test.
+func getIntoContract(t *testing.T, put func(key string, val []byte) error, getInto func(key string, buf []byte) ([]byte, error)) {
+	t.Helper()
+	val := filled('v', 1000)
+	if err := put("traj/v", val); err != nil {
+		t.Fatal(err)
+	}
+	if err := put("traj/empty", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	roomy := make([]byte, 3, 1024)
+	got, err := getInto("traj/v", roomy)
+	if err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("into a roomy buffer: %d bytes, %v", len(got), err)
+	}
+	if &got[0] != &roomy[:1][0] {
+		t.Fatal("a buffer with room was not reused")
+	}
+
+	small := filled('s', 10)
+	got, err = getInto("traj/v", small[:0])
+	if err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("into a small buffer: %d bytes, %v", len(got), err)
+	}
+	if !bytes.Equal(small, filled('s', 10)) {
+		t.Fatal("a buffer without room was written")
+	}
+
+	for _, buf := range [][]byte{nil, make([]byte, 0, 8)} {
+		if got, err := getInto("traj/empty", buf); err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("stored-empty value into cap %d: %q (nil=%v), %v", cap(buf), got, got == nil, err)
+		}
+		if got, err := getInto("traj/missing", buf); !errors.As(err, new(ErrNotFound)) || got != nil {
+			t.Fatalf("missing key into cap %d: %q, %v; want ErrNotFound", cap(buf), got, err)
+		}
+	}
+}
+
+func TestGetIntoMemCache(t *testing.T) {
+	c := NewMemCache()
+	getIntoContract(t, c.Put, c.GetInto)
+}
+
+func TestGetIntoClient(t *testing.T) {
+	leaktest.Check(t)
+	_, cli := startServer(t)
+	getIntoContract(t, cli.Put, cli.GetInto)
+}
+
+func TestGetIntoShardedClient(t *testing.T) {
+	leaktest.Check(t)
+	tc := startTestCluster(t, 3, false)
+	sc, err := DialSharded(tc.topo, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	getIntoContract(t, sc.Put, sc.GetInto)
+}
+
+// TestGetIntoHelperFallsBack: the package helper reads through GetInto
+// where the cache has it and through Get where it does not.
+func TestGetIntoHelperFallsBack(t *testing.T) {
+	mem := NewMemCache()
+	if err := mem.Put("k", []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	if got, err := GetInto(mem, "k", buf); err != nil || string(got) != "value" || &got[0] != &buf[:1][0] {
+		t.Fatalf("GetInto(MemCache) = %q, %v; want the value in buf", got, err)
+	}
+	plain := struct{ Cache }{mem} // Get only
+	if got, err := GetInto(plain, "k", buf); err != nil || string(got) != "value" || &got[0] == &buf[:1][0] {
+		t.Fatalf("GetInto(Get-only cache) = %q, %v; want a fresh copy", got, err)
+	}
+}
+
+// TestGetIntoSurvivesDroppedChunks: through a proxy dropping chunks of a
+// 20 KB response, attempts that die mid-read scribble on the caller's
+// buffer, and the retry that succeeds still returns exactly the value.
+func TestGetIntoSurvivesDroppedChunks(t *testing.T) {
+	opts := fastOpts()
+	opts.OpTimeout = 100 * time.Millisecond
+	opts.Attempts = 30
+	proxy, cli := proxiedServer(t, FaultConfig{DropRate: 0.02, Seed: 21}, opts)
+	direct, err := Dial(proxyTarget(proxy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	val := make([]byte, 20<<10) // 20 one-KB proxy chunks
+	for i := range val {
+		val[i] = byte(i * 7)
+	}
+	if err := direct.Put("grad/big", val); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, len(val))
+	for i := 0; cli.Stats().Retries == 0 || i < 3; i++ {
+		if i == 100 {
+			t.Fatal("100 reads through a 2 % chunk drop rate needed no retry")
+		}
+		got, err := cli.GetInto("grad/big", buf)
+		if err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("read %d: %d bytes, %v", i, len(got), err)
+		}
+	}
+}
+
+// TestHedgedGetIntoLeavesBufferAlone: a hedged read races the leader and
+// its follower, and the loser may still be reading when the winner
+// returns — so a hedged GetInto reads into fresh memory, and the
+// caller's buffer is the caller's again the moment it returns. The test
+// writes it at once: under -race, a leg still reading into it is a
+// reported race.
+func TestHedgedGetIntoLeavesBufferAlone(t *testing.T) {
+	leaktest.Check(t)
+	s := startBrownoutShard(t)
+	sc, err := DialSharded(s.topology(), DialOptions{
+		OpTimeout: 2 * time.Second, Attempts: 1,
+		DegradeLatency: 220 * time.Millisecond, DegradeWindow: 4,
+		HedgeReads: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	hot := []byte("hot")
+	if err := sc.Put("traj/h", hot); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() error {
+		_, err := s.followerStore.Get("traj/h")
+		return err
+	})
+	s.proxy.BrownoutNow(60*time.Millisecond, 0)
+	buf := make([]byte, 0, 64)
+	scribble := func() { copy(buf[:cap(buf)], filled(0xee, cap(buf))) }
+	waitFor(t, 10*time.Second, func() error {
+		before := sc.ShardedStats().HedgedReads
+		scribble()
+		v, err := sc.GetInto("traj/h", buf)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(v, hot) {
+			return fmt.Errorf("got %q", v)
+		}
+		if sc.ShardedStats().HedgedReads == before {
+			return errors.New("not hedged yet")
+		}
+		if &v[0] == &buf[:1][0] {
+			t.Fatal("a hedged read returned the caller's buffer")
+		}
+		scribble()
+		time.Sleep(300 * time.Millisecond) // the losing leg finishes
+		if !bytes.Equal(buf[:cap(buf)], filled(0xee, cap(buf))) {
+			t.Fatal("a hedged read wrote the caller's buffer")
+		}
+		return nil
+	})
+}

@@ -198,20 +198,34 @@ func readFrame(r io.Reader) (frame, error) {
 	}, nil
 }
 
-func readResp(r io.Reader) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// readResp reads one response. The status byte is read with the length
+// word, so the payload lands at buf[0] when cap(buf) holds it and in
+// fresh memory otherwise (see sized); either way it is read once and
+// never copied.
+func readResp(r io.Reader, buf []byte) (byte, []byte, error) {
+	var head [5]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return 0, nil, err
 	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
+	total := binary.BigEndian.Uint32(head[:4])
 	if total < 1 || total > maxFrame {
 		return 0, nil, fmt.Errorf("cache: bad response length %d", total)
 	}
-	body := make([]byte, total)
-	if _, err := io.ReadFull(r, body); err != nil {
+	payload := sized(buf, int(total-1))
+	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return body[0], body[1:], nil
+	return head[4], payload, nil
+}
+
+// sized returns buf resliced to n bytes when its array holds them and a
+// fresh n-byte slice otherwise. It never returns nil, so a found empty
+// value stays distinct from a missing one.
+func sized(buf []byte, n int) []byte {
+	if buf == nil || cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // Server serves a MemCache over TCP.

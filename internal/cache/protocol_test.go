@@ -132,7 +132,7 @@ func TestServerUnknownOpcode(t *testing.T) {
 		if err := writeFrame(conn, tc.op, "key", tc.value); err != nil {
 			t.Fatal(err)
 		}
-		status, payload, err := readResp(conn)
+		status, payload, err := readResp(conn, nil)
 		if err != nil {
 			t.Fatalf("%s: no response: %v", tc.name, err)
 		}
@@ -150,7 +150,7 @@ func TestServerEmptyKeyOps(t *testing.T) {
 		if err := writeFrame(conn, op, "", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		status, payload, err := readResp(conn)
+		status, payload, err := readResp(conn, nil)
 		if err != nil {
 			t.Fatalf("op %q: no response to empty key: %v", op, err)
 		}
@@ -178,7 +178,7 @@ func TestServerGarbageAfterValidRequest(t *testing.T) {
 	if err := writeFrame(conn, 'P', "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, err := readResp(conn); err != nil || status != '+' {
+	if status, _, err := readResp(conn, nil); err != nil || status != '+' {
 		t.Fatalf("clean put failed: %q %v", status, err)
 	}
 	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}); err != nil {

@@ -237,7 +237,7 @@ func (r *Replica) syncOnce() error {
 		if err := conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout)); err != nil {
 			return err
 		}
-		status, payload, err := readResp(br)
+		status, payload, err := readResp(br, nil) // a record's frame becomes a stored value: fresh memory
 		if err != nil {
 			return err
 		}

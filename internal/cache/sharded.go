@@ -387,7 +387,13 @@ func (sc *ShardedClient) Put(key string, val []byte) error {
 // Get implements Cache. The topology key is answered by the first shard
 // that has it; reads on a degraded shard are optionally hedged against
 // its follower.
-func (sc *ShardedClient) Get(key string) ([]byte, error) {
+func (sc *ShardedClient) Get(key string) ([]byte, error) { return sc.GetInto(key, nil) }
+
+// GetInto is Get reading into buf as Client.GetInto does, routed and
+// failed over exactly as Get. A hedged read and the topology key's scan
+// read into fresh memory: a hedge's losing leg may still be reading
+// when the winner returns, and must not be reading into buf.
+func (sc *ShardedClient) GetInto(key string, buf []byte) ([]byte, error) {
 	if key == cluster.TopologyKey {
 		return sc.getAny(key)
 	}
@@ -400,7 +406,7 @@ func (sc *ShardedClient) Get(key string) ([]byte, error) {
 	var v []byte
 	err := sc.doSlot(slot, func(c *Client) error {
 		var e error
-		v, e = c.Get(key)
+		v, e = c.GetInto(key, buf)
 		return e
 	})
 	return v, err

@@ -288,7 +288,7 @@ func readReplFrames(conn net.Conn, out chan<- *tapRec) (int, error) {
 	defer close(out)
 	br, total := bufio.NewReader(conn), 0
 	for {
-		status, payload, err := readResp(br)
+		status, payload, err := readResp(br, nil)
 		if err != nil {
 			return total, err
 		}

@@ -92,12 +92,13 @@ var replicaBlockingMethods = map[string]bool{
 }
 
 // extraBlockingCacheMethods supplements the Conn-derived set with
-// round-trip methods that are not part of the interface: the
-// term-stamped write variants (each rides the same wire round trip as
-// its plain counterpart, plus a topology refresh on a fence) and the
-// hedged-read internals (each fans a read out to leader AND follower
-// and may dial the follower first).
+// round-trip methods that are not part of the interface: GetInto (Get
+// into the caller's buffer), the term-stamped write variants (each
+// rides the same wire round trip as its plain counterpart, plus a
+// topology refresh on a fence) and the hedged-read internals (each fans
+// a read out to leader AND follower and may dial the follower first).
 var extraBlockingCacheMethods = map[string]bool{
+	"GetInto":   true,
 	"PutFenced": true, "PutNFenced": true, "DeleteFenced": true,
 	"hedge": true, "getHedged": true, "getNHedged": true,
 	"followerClient": true,

@@ -88,7 +88,7 @@ func errdropTarget(p *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch fn.Name() {
-	case "Put", "Get", "Delete", "Keys", "Len", "PutN", "GetN", "ApplyRecord",
+	case "Put", "Get", "GetInto", "Delete", "Keys", "Len", "PutN", "GetN", "ApplyRecord",
 		"PutFenced", "PutNFenced", "DeleteFenced":
 	default:
 		return "", false

@@ -473,17 +473,3 @@ func putWeights(c cache.Cache, version int, w []float64) error {
 	cache.Recycle(b)
 	return err
 }
-
-// getWeights fetches the latest weights and their version with a plain
-// full fetch (no delta reconstruction).
-func getWeights(c cache.Cache) ([]float64, int, error) {
-	raw, err := c.Get(cache.KeyWeightsLatest)
-	if err != nil {
-		return nil, 0, err
-	}
-	msg, err := cache.DecodeWeights(raw)
-	if err != nil {
-		return nil, 0, err
-	}
-	return msg.Weights, msg.Version, nil
-}

@@ -6,6 +6,7 @@ package live
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,6 +143,18 @@ func TestChaosPartitionFailover(t *testing.T) {
 			lc.proxies[victim].PartitionNow(cache.ServerToClient, 0)
 		}
 	}()
+	// Each learner's second iteration waits for the partition. The first
+	// iterations yield at most two gradients — enough to put the head at
+	// v1 on the victim, too few for all opt.Updates — so the partition
+	// lands mid-run however fast the run is, and the remaining updates
+	// must write the head through the faulted shard.
+	iters := make([]atomic.Int64, opt.Learners)
+	opt.panicHook = func(role string, id int) bool {
+		if role == "learner" && iters[id].Add(1) > 1 {
+			<-partitioned
+		}
+		return false
+	}
 
 	rep, err := Train(opt)
 	<-partitioned

@@ -435,6 +435,9 @@ func TestChaosPanicsAndCacheBounce(t *testing.T) {
 
 	var learnerIters atomic.Int64
 	opt := base
+	// The bounce fires once v2 is visible; a run only six updates long
+	// could finish before the server went down (2 in 10 runs at 40e6ccc).
+	opt.Updates = 4 * base.Updates
 	opt.CacheAddr = addr
 	opt.CheckpointDir = t.TempDir()
 	opt.CheckpointEvery = 2

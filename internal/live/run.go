@@ -69,8 +69,13 @@ type run struct {
 	agg      *stale.Stellaris
 
 	// weights is the master parameter vector; owned by the parameter
-	// worker (async) or the single pipeline thread (lockstep).
-	weights []float64
+	// worker (async) or the single pipeline thread (lockstep), as are
+	// absorb's gradient receive buffer and combined-gradient vector. The
+	// decoded gradients themselves stay fresh memory: the aggregator
+	// queues them.
+	weights  []float64
+	gradBuf  []byte
+	combined []float64
 
 	version  atomic.Int64
 	episodes atomic.Int64

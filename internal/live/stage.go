@@ -40,8 +40,11 @@ type weightView struct {
 	who          string // "actor 0", for the give-up error
 	maxFallbacks int    // Options.MaxStaleFallbacks
 
+	// Lockstep's copy: the snapshot is read into buf and decoded into
+	// lastW's own array, so a fetch that fails leaves both as they were.
 	lastW   []float64
 	lastVer int
+	buf     []byte
 	streak  int
 }
 
@@ -67,12 +70,9 @@ func (v *weightView) fetch() (w []float64, ver int, ok bool, err error) {
 	if v.sub != nil {
 		w, ver, err = v.sub.Fetch()
 	} else {
-		w, ver, err = getWeights(v.cli)
+		w, ver, err = v.fetchLatest()
 	}
 	if err == nil {
-		if v.sub == nil {
-			v.lastW, v.lastVer = w, ver
-		}
 		v.streak = 0
 		return w, ver, true, nil
 	}
@@ -90,6 +90,25 @@ func (v *weightView) fetch() (w []float64, ver int, ok bool, err error) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return w, ver, ok, nil
+}
+
+// fetchLatest is lockstep's plain full read of "weights/latest" (no
+// delta reconstruction), adopted as the stale copy. The returned slice
+// is that copy: the next fetch decodes over it.
+func (v *weightView) fetchLatest() ([]float64, int, error) {
+	raw, err := cache.GetInto(v.cli, cache.KeyWeightsLatest, v.buf)
+	if cap(raw) > cap(v.buf) {
+		v.buf = raw[:0]
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	msg, err := cache.DecodeWeightsInto(v.lastW, raw)
+	if err != nil {
+		return nil, 0, err
+	}
+	v.lastW, v.lastVer = msg.Weights, msg.Version
+	return v.lastW, v.lastVer, nil
 }
 
 // reset forgets the stale copy and the failure streak (lockstep's
@@ -244,7 +263,10 @@ func (l *learner) step(keys []string) (note gradNote, ok bool, err error) {
 // write the pipeline cannot shed.
 func (r *run) absorb(note gradNote) error {
 	start := time.Now()
-	raw, err := r.paramCli.Get(note.key)
+	raw, err := cache.GetInto(r.paramCli, note.key, r.gradBuf)
+	if cap(raw) > cap(r.gradBuf) {
+		r.gradBuf = raw[:0]
+	}
 	if err != nil {
 		// A gradient that is no longer there is skipped; one the cache
 		// could not serve is shed, without a delete: the cache has just
@@ -282,7 +304,8 @@ func (r *run) absorb(note gradNote) error {
 		span = r.m.tracer.Start("policy-update")
 	}
 	r.tracker.ResetGroup()
-	comb := stale.Combine(r.agg, group, v)
+	comb := stale.CombineInto(r.agg, group, v, r.combined)
+	r.combined = comb.Grad
 	r.opti.Step(r.weights, comb.Grad)
 	r.staleSum += comb.MeanStaleness
 	r.staleN++

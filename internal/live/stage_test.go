@@ -2,6 +2,8 @@ package live
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -216,6 +218,99 @@ func TestWeightViewFallback(t *testing.T) {
 	_ = mem.Delete(cache.KeyWeightsLatest)
 	if _, ver, ok, err := v.fetch(); err != nil || !ok || ver != 5 {
 		t.Fatalf("fallback after recovery: v%d ok=%v err=%v", ver, ok, err)
+	}
+}
+
+// TestWeightViewKeepsCopyOnCorruptSnapshot: lockstep's view decodes each
+// snapshot over its own stale copy, so one that fails its checks after a
+// good fetch must leave that copy — and its version — bit for bit as
+// they were, and be what the fallback answers.
+func TestWeightViewKeepsCopyOnCorruptSnapshot(t *testing.T) {
+	good := []float64{1, math.Copysign(0, -1), math.Inf(1), 5e-324}
+	next, err := cache.EncodeWeights(&cache.WeightsMsg{Version: 5, Weights: []float64{9, 9, 9, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad, err := cache.EncodeGrad(&cache.GradMsg{Grad: []float64{9, 9, 9, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"trailing byte": append(append([]byte(nil), next...), 0),
+		"truncated":     next[:len(next)-8],
+		"wrong kind":    grad,
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newTestRun(t, Options{MaxStaleFallbacks: 2})
+			mem := cache.NewMemCache()
+			v := r.newWeightView(mem, "actor 0")
+			if err := putWeights(mem, 4, good); err != nil {
+				t.Fatal(err)
+			}
+			w, ver, ok, err := v.fetch()
+			if err != nil || !ok || ver != 4 {
+				t.Fatalf("good fetch: v%d ok=%v err=%v", ver, ok, err)
+			}
+			copyBefore := &w[0]
+			if err := mem.Put(cache.KeyWeightsLatest, bad); err != nil {
+				t.Fatal(err)
+			}
+			w, ver, ok, err = v.fetch()
+			if err != nil || !ok || ver != 4 || &w[0] != copyBefore {
+				t.Fatalf("fallback: v%d ok=%v err=%v, want the v4 copy itself", ver, ok, err)
+			}
+			for i := range good {
+				if math.Float64bits(w[i]) != math.Float64bits(good[i]) {
+					t.Fatalf("the stale copy changed at %d: %v, was %v", i, w[i], good[i])
+				}
+			}
+		})
+	}
+}
+
+// TestWeightViewFetchAllocatesNoVector guards lockstep's receive path:
+// once warm, fetching a 1 MB snapshot over a loopback server allocates
+// less than 4 KB in the whole process — the value lands in the view's
+// receive buffer and is decoded over its copy.
+func TestWeightViewFetchAllocatesNoVector(t *testing.T) {
+	leaktest.Check(t)
+	srv := cache.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := cache.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	w := make([]float64, 1<<20/8)
+	for i := range w {
+		w[i] = float64(i)
+	}
+	if err := putWeights(cli, 7, w); err != nil {
+		t.Fatal(err)
+	}
+	v := newTestRun(t, Options{}).newWeightView(cli, "actor 0")
+	fetch := func() {
+		if got, ver, ok, err := v.fetch(); err != nil || !ok || ver != 7 || got[len(w)-1] != w[len(w)-1] {
+			t.Fatalf("fetch: v%d ok=%v err=%v", ver, ok, err)
+		}
+	}
+	fetch()
+	fetch()
+	const fetches = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < fetches; i++ {
+		fetch()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / fetches; per >= 4<<10 {
+		t.Fatalf("a lockstep weight fetch allocates %d bytes, want < 4096 (the vector is %d)", per, 8*len(w))
+	} else {
+		t.Logf("a lockstep weight fetch allocates %d bytes for a %d-byte vector", per, 8*len(w))
 	}
 }
 

@@ -80,11 +80,24 @@ type Combined struct {
 // Combine applies pol's staleness weights to group at currentVersion and
 // returns the weighted-average gradient.
 func Combine(pol Policy, group []*Entry, currentVersion int) *Combined {
+	return CombineInto(pol, group, currentVersion, nil)
+}
+
+// CombineInto is Combine with the weighted-average gradient written into
+// dst's array when it holds it (fresh memory otherwise), by the same
+// arithmetic: Combined.Grad then aliases dst.
+func CombineInto(pol Policy, group []*Entry, currentVersion int, dst []float64) *Combined {
 	if len(group) == 0 {
 		panic("stale: Combine of empty group")
 	}
+	n := len(group[0].Grad)
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
 	out := &Combined{
-		Grad:        make([]float64, len(group[0].Grad)),
+		Grad:        dst,
 		Size:        len(group),
 		Stalenesses: make([]int, 0, len(group)),
 	}

@@ -185,6 +185,46 @@ func TestCombineWeightedAverage(t *testing.T) {
 	}
 }
 
+// TestCombineIntoMatchesCombine: CombineInto gives Combine's bits — on
+// gradients holding ±0, a NaN and denormals, into a dst left dirty by
+// the previous group — reuses dst when it has room, and writes nothing
+// past the gradient's length.
+func TestCombineIntoMatchesCombine(t *testing.T) {
+	s := NewStellaris()
+	group := []*Entry{
+		{BornVersion: 9, Grad: []float64{math.Copysign(0, -1), 1e-310, 3, math.NaN(), -2.5}},
+		{BornVersion: 6, Grad: []float64{math.Copysign(0, -1), -1e-310, 1.0 / 3, 1, math.Inf(1)}},
+		{BornVersion: 10, Grad: []float64{0, 5e-324, -7, 2, 0.125}},
+	}
+	want := Combine(s, group, 10)
+	const canary = 42.0
+	back := []float64{9, 9, 9, 9, 9, canary, canary}
+	for _, tc := range []struct {
+		name  string
+		dst   []float64
+		reuse bool
+	}{{"nil", nil, false}, {"short", make([]float64, 4), false}, {"dirty, oversized", back[:2], true}} {
+		got := CombineInto(s, group, 10, tc.dst)
+		if len(got.Grad) != len(want.Grad) {
+			t.Fatalf("%s: %d values, want %d", tc.name, len(got.Grad), len(want.Grad))
+		}
+		for i := range want.Grad {
+			if math.Float64bits(got.Grad[i]) != math.Float64bits(want.Grad[i]) {
+				t.Fatalf("%s: value %d is %v, Combine gives %v", tc.name, i, got.Grad[i], want.Grad[i])
+			}
+		}
+		if reused := cap(tc.dst) > 0 && &got.Grad[0] == &tc.dst[:1][0]; reused != tc.reuse {
+			t.Fatalf("%s: reused dst = %v, want %v", tc.name, reused, tc.reuse)
+		}
+		if got.MeanStaleness != want.MeanStaleness || got.MaxStaleness != want.MaxStaleness || got.Size != want.Size {
+			t.Fatalf("%s: stats %+v, Combine gives %+v", tc.name, got, want)
+		}
+	}
+	if back[5] != canary || back[6] != canary {
+		t.Fatalf("CombineInto wrote past the gradient: %v", back[5:])
+	}
+}
+
 func TestCombinePanics(t *testing.T) {
 	s := NewPureAsync()
 	defer func() {
