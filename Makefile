@@ -5,7 +5,7 @@ GO ?= go
 COVERPROFILE ?= coverage.out
 FUZZTIME ?= 5s
 
-.PHONY: build test race stable cover fmt vet cross nofma lint leaktest benchmark benchmark-ab fuzz-short ci
+.PHONY: build test race stable cover fmt vet cross nofma lint leaktest loc benchmark benchmark-ab fuzz-short ci
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,15 @@ cross:
 # self-consistency must still pass on such a host.
 nofma:
 	GODEBUG=cpu.fma=off $(GO) test -short ./internal/tensor ./internal/nn ./internal/algo ./internal/core
+
+# Line counts as ROADMAP.md and CHANGES.md report them: the tracked
+# files (git ls-files) outside _test.go files, testdata/ directories and
+# benchmark/, Go and assembly apart. `make loc` on two commits gives a
+# change's net non-test LOC.
+LOC_FILES = git ls-files -- '*$(1)' ':!:*_test.go' ':!:**/testdata/**' ':!:benchmark/**' | xargs cat | wc -l
+loc:
+	@echo "non-test Go lines: $$($(call LOC_FILES,.go))"
+	@echo "assembly lines:    $$($(call LOC_FILES,.s))"
 
 # The repo's benchmark (benchmark/README.md, BENCHMARK.json): every
 # workload, or WORKLOAD=<name>, at SEED.

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -44,7 +45,6 @@ import (
 	"stellaris/internal/obs"
 	"stellaris/internal/obs/fleet"
 	"stellaris/internal/obs/lineage"
-	"stellaris/internal/obs/logx"
 )
 
 type config struct {
@@ -143,7 +143,6 @@ func loadRules(cfg config) ([]fleet.Rule, error) {
 // fleet collector plus its tick loop, the HTTP surface, and obsd's own
 // self-registration heartbeat.
 type daemon struct {
-	log     *logx.Logger
 	reg     *obs.Registry
 	col     *fleet.Collector
 	disc    cache.Conn
@@ -161,7 +160,7 @@ type daemon struct {
 // upgraded to a sharded client that follows failovers; otherwise the
 // single-server connection is kept (the heartbeat protocol and
 // topology reads work on either).
-func dialDiscovery(addr string, lg *logx.Logger) (cache.Conn, error) {
+func dialDiscovery(addr string, lg *slog.Logger) (cache.Conn, error) {
 	cli, err := cache.Dial(addr)
 	if err != nil {
 		return nil, err
@@ -182,18 +181,17 @@ func dialDiscovery(addr string, lg *logx.Logger) (cache.Conn, error) {
 	}
 	_ = cli.Close()
 	sc.StartTopologyWatch(time.Second)
-	lg.Info("following sharded topology", "shards", fmt.Sprint(len(topo.Shards)), "version", fmt.Sprint(topo.Version))
+	lg.Info("following sharded topology", "shards", len(topo.Shards), "version", topo.Version)
 	return sc, nil
 }
 
-func newDaemon(cfg config, lg *logx.Logger) (*daemon, error) {
+func newDaemon(cfg config, lg *slog.Logger) (*daemon, error) {
 	rules, err := loadRules(cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	d := &daemon{
-		log:  lg,
 		reg:  obs.NewRegistry(),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -260,8 +258,8 @@ func newDaemon(cfg config, lg *logx.Logger) (*daemon, error) {
 	mux.Handle("/", fleetH)
 	own := obs.Handler(d.reg)
 	for _, p := range []string{
-		"/metrics", "/metrics.json", "/metrics.csv", "/trace.json",
-		"/trace.chrome.json", "/healthz", "/buildinfo", "/debug/pprof/",
+		"/metrics", "/metrics.json", "/metrics.csv", "/trace.chrome.json",
+		"/healthz", "/buildinfo", "/debug/pprof/",
 	} {
 		mux.Handle(p, own)
 	}
@@ -333,7 +331,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stellaris-obsd:", err)
 		os.Exit(2)
 	}
-	lg := logx.New(os.Stderr, logx.ParseLevel(cfg.logLevel))
+	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: obs.ParseLogLevel(cfg.logLevel)}))
 	d, err := newDaemon(cfg, lg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stellaris-obsd:", err)

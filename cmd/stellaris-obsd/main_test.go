@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"strings"
@@ -13,7 +14,6 @@ import (
 	"stellaris/internal/leaktest"
 	"stellaris/internal/obs"
 	"stellaris/internal/obs/fleet"
-	"stellaris/internal/obs/logx"
 )
 
 func httpGet(t *testing.T, url string) ([]byte, int) {
@@ -211,8 +211,8 @@ func TestDefaultRulesAndRulesFile(t *testing.T) {
 	}
 }
 
-func testLogger(t *testing.T) *logx.Logger {
-	return logx.New(testWriter{t}, logx.Warn)
+func testLogger(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, &slog.HandlerOptions{Level: slog.LevelWarn}))
 }
 
 type testWriter struct{ t *testing.T }

@@ -35,12 +35,14 @@
 //	live_cluster -shards 3 -shard-followers -brownout-shard-after 2s -degrade-latency 25ms -hedge-reads
 //
 // -obs-addr serves live metrics (Prometheus text at /metrics, JSON at
-// /metrics.json, spans at /trace.json, pprof under /debug/pprof/) while
-// the run is in flight; -obs-dir periodically dumps the same snapshots
-// to disk. With a registry attached the run also records end-to-end
-// causal lineage: download /trace.chrome.json and open it in Perfetto
-// (ui.perfetto.dev) to see every trajectory→gradient→aggregation chain,
-// and check /healthz and /buildinfo for liveness and run identity.
+// /metrics.json, pprof under /debug/pprof/) while the run is in flight;
+// -obs-dir periodically dumps the same snapshots to disk. With a
+// registry attached the run also records end-to-end causal lineage, the
+// run's one timeline: download /trace.chrome.json and open it in
+// Perfetto (ui.perfetto.dev) to see every policy update and its
+// trajectory→gradient→aggregation chains, and check /healthz and
+// /buildinfo for liveness and run identity. -log-level filters the
+// structured (log/slog key=value) lines on stderr.
 // -flight-dir picks where crash postmortems (flight-recorder dumps)
 // land; it defaults to -checkpoint-dir.
 package main
@@ -48,6 +50,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -58,7 +61,6 @@ import (
 	"stellaris/internal/live"
 	"stellaris/internal/obs"
 	"stellaris/internal/obs/fleet"
-	"stellaris/internal/obs/logx"
 )
 
 func main() {
@@ -111,7 +113,7 @@ func main() {
 	flag.StringVar(&logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 
-	lg := logx.New(os.Stderr, logx.ParseLevel(logLevel))
+	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: obs.ParseLogLevel(logLevel)}))
 	fatal := func(msg string, args ...any) {
 		lg.Error(msg, args...)
 		os.Exit(1)

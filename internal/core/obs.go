@@ -4,14 +4,13 @@ import "stellaris/internal/obs"
 
 // coreMetrics is the trainer's view into an obs registry. All durations
 // are virtual seconds on the DES clock; Config.Obs wiring switches the
-// registry's clock to the trainer's simclock so trace spans carry
-// virtual timestamps.
+// registry's clock to the trainer's simclock so snapshots and lineage
+// events carry virtual timestamps.
 type coreMetrics struct {
 	components   *obs.HistogramVec // des_component_seconds{component}
 	roundSeconds *obs.Histogram    // des_round_seconds
 	staleness    *obs.Histogram    // des_staleness
 	updates      *obs.Counter      // des_updates_total
-	tracer       *obs.Tracer
 }
 
 func newCoreMetrics(reg *obs.Registry) *coreMetrics {
@@ -24,7 +23,6 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		staleness: reg.Histogram("des_staleness",
 			"gradient staleness at aggregation (versions, Fig. 3b)", obs.CountBuckets),
 		updates: reg.Counter("des_updates_total", "policy updates applied"),
-		tracer:  reg.Tracer(),
 	}
 	// Pre-create the component children so exposition always lists the
 	// full Fig. 14 breakdown, zeros included.

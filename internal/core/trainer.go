@@ -918,10 +918,8 @@ func (t *Trainer) applyUpdate(group []*stale.Entry, costUSD float64) {
 		t.settleEpisodes()
 		now := t.clock.Now()
 		if t.m != nil {
-			// One span per round on the virtual timeline plus its duration
-			// histogram (the Fig. 14 denominator).
+			// The round's duration, the Fig. 14 denominator.
 			t.m.roundSeconds.Observe(now - t.roundStart)
-			t.m.tracer.Record("round", t.roundStart, now)
 		}
 		t.rec.Add(metrics.Round{
 			Round:       t.version/t.cfg.UpdatesPerRound - 1,

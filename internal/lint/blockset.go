@@ -104,6 +104,14 @@ var extraBlockingCacheMethods = map[string]bool{
 	"followerClient": true,
 }
 
+// cacheRoundTrip reports whether fn, a method of a cache package, is
+// named in the blocking round-trip set: the Conn-derived data ops or
+// their extras. It is the one list of cache data ops, which errdrop
+// reads too.
+func cacheRoundTrip(fn *types.Func) bool {
+	return blockingCacheMethods(fn.Pkg())[fn.Name()] || extraBlockingCacheMethods[fn.Name()]
+}
+
 // blockingCall reports whether call resolves to a function or method
 // from the shared blocking set, and a short description for the
 // finding message. Channel operations and selects are not calls and
@@ -163,7 +171,7 @@ func blockingCall(p *Package, call *ast.CallExpr) (string, bool) {
 		}
 		return "", false
 	}
-	if !blockingCacheMethods(fn.Pkg())[name] && !extraBlockingCacheMethods[name] {
+	if !cacheRoundTrip(fn) {
 		return "", false
 	}
 	recv := "cache.Client"

@@ -7,8 +7,9 @@ import (
 )
 
 // The errdrop check flags statements that silently discard the error
-// result of a cache data operation (Put/Get/Delete/Keys/Len and
-// the batched PutN/GetN on any internal/cache implementation), a
+// result of a cache data operation (any cache round trip in blockset.go's
+// list — the cache.Conn data ops and their GetInto/fenced variants — on
+// any internal/cache implementation, MemCache included), a
 // replication-stream apply (Replica.ApplyRecord — a dropped apply error
 // is a follower silently diverging from its leader), or an
 // os.Setenv-style call. On a
@@ -84,13 +85,7 @@ func errdropTarget(p *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return "", false
-	}
-	switch fn.Name() {
-	case "Put", "Get", "GetInto", "Delete", "Keys", "Len", "PutN", "GetN", "ApplyRecord",
-		"PutFenced", "PutNFenced", "DeleteFenced":
-	default:
+	if sig.Recv() == nil || !(cacheRoundTrip(fn) || fn.Name() == "ApplyRecord") {
 		return "", false
 	}
 	recv := "cache.Cache"

@@ -30,8 +30,7 @@ type actor struct {
 	// parameter worker may have advanced mid-rollout.
 	version *atomic.Int64
 	state   *runState
-	// iterSeconds is this actor's live_iteration_seconds child (nil when
-	// un-instrumented).
+	// iterSeconds is this actor's live_iteration_seconds child.
 	iterSeconds *obs.Histogram
 
 	// weights is the actor's window onto the published policy, stale
@@ -76,10 +75,7 @@ func (r *run) newActor(id int, name string, cli cache.Cache, workerRNG *rng.RNG)
 // publish the trajectory to the cache. ok reports whether a trajectory
 // landed; a non-nil error is fatal to the run.
 func (a *actor) iterate() (note trajNote, ok bool, err error) {
-	if h := a.iterSeconds; h != nil {
-		start := time.Now()
-		defer func() { h.Observe(time.Since(start).Seconds()) }()
-	}
+	defer func(start time.Time) { a.iterSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
 	w, ver, have, err := a.weights.fetch()
 	if err != nil || !have {
 		return trajNote{}, false, err
@@ -87,10 +83,8 @@ func (a *actor) iterate() (note trajNote, ok bool, err error) {
 	if err := a.model.SetWeights(w); err != nil {
 		return trajNote{}, false, err
 	}
-	if m := a.state.m; m != nil {
-		if lag := a.version.Load() - int64(ver); lag >= 0 {
-			m.policyLag.Observe(float64(lag))
-		}
+	if lag := a.version.Load() - int64(ver); lag >= 0 {
+		a.state.m.policyLag.Observe(float64(lag))
 	}
 	// Stamp the version of the weights this rollout actually runs with,
 	// so downstream staleness accounting (BornVersion, Eq. 2-4 decay)

@@ -11,7 +11,8 @@ import (
 )
 
 // newTestRun is the bare run the stage constructors need: options,
-// shared counters, algorithm and IS tracker, no cache and no pipeline.
+// metrics on a private registry, algorithm and IS tracker, no cache and
+// no pipeline.
 func newTestRun(t *testing.T, opt Options) *run {
 	t.Helper()
 	opt, err := opt.withDefaults()
@@ -22,8 +23,9 @@ func newTestRun(t *testing.T, opt Options) *run {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := newLiveMetrics(nil)
 	return &run{
-		opt: opt, st: &runState{}, template: template,
+		opt: opt, m: m, st: &runState{m: m}, template: template,
 		alg:     algo.NewPPO(template.ActionSpace().Continuous),
 		tracker: istrunc.New(opt.Rho, true),
 	}
@@ -102,7 +104,7 @@ func TestActorStaleFallbackKeepsFetchedVersion(t *testing.T) {
 	if traj.PolicyVersion != 2 {
 		t.Fatalf("stale-fallback trajectory stamped %d, want saved version 2", traj.PolicyVersion)
 	}
-	if got := a.state.staleReuses.Load(); got != 1 {
+	if got := a.state.m.staleReuse.Value(); got != 1 {
 		t.Fatalf("stale reuses = %d, want 1", got)
 	}
 }

@@ -43,14 +43,11 @@ func (r *run) runAsync() error {
 	}
 
 	var wg sync.WaitGroup
-
-	if r.m != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sampleQueues(r.m, r.done, trajCh, batchCh, gradCh)
-		}()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sampleQueues(r.m, r.done, trajCh, batchCh, gradCh)
+	}()
 
 	// Actors. RNG streams are split before spawning: the root generator
 	// is not safe for concurrent use.

@@ -158,13 +158,15 @@ type Options struct {
 	// Options.Obs — the flight recorder is the lineage store's ring.
 	FlightDir string
 
-	// Obs receives the run's metrics (live_* families, cache client
-	// events, and — for an in-process server — cache_server_*) and
-	// policy-update spans. Families accumulate, so a Registry should
-	// observe exactly one run. Nil disables instrumentation. A caller
-	// that serves the registry over HTTP owns that endpoint, and so is
-	// also the one to announce it to the fleet collector
-	// (cache.StartHeartbeat, DESIGN.md §12.1).
+	// Obs receives the run's metrics: the live_* families the Report
+	// reads its counts from, cache client events and — for an in-process
+	// server — cache_server_*. Families accumulate, so a Registry should
+	// observe exactly one run. Nil keeps the run's metrics private: the
+	// Report still reads them, but lineage with its flight recorder,
+	// /buildinfo's run identity, the cache metrics and Report.Obs need a
+	// caller's registry. A caller that serves the registry over HTTP
+	// owns that endpoint, and so is also the one to announce it to the
+	// fleet collector (cache.StartHeartbeat, DESIGN.md §12.1).
 	Obs *obs.Registry
 }
 
@@ -274,8 +276,8 @@ type Report struct {
 	StaleWeightReuses int64
 	// DroppedPayloads counts trajectories/gradients abandoned on any
 	// shed-load path: retry exhaustion, corrupt decode, backpressure,
-	// or a learner with no weights. Options.Obs breaks the same events
-	// down by reason in live_dropped_payloads_total.
+	// or a learner with no weights: the total of
+	// live_dropped_payloads_total, which breaks it down by reason.
 	DroppedPayloads int64
 	// ShardFailovers counts shard leaders replaced by their follower
 	// (cluster mode only), summed across every worker's sharded client —
@@ -426,7 +428,7 @@ func (p *clientPool) shardedStats() cache.ShardedStats {
 // on purpose: every dense publish through WeightsPublisher ships the
 // vector twice (delta + snapshot), and routing lockstep through it was
 // measured at 66.3 → 46.4 updates/s and 702 → 805 MB on lockstep_fat.
-// That doubling is the publisher's to fix (ROADMAP item 1); until then
+// That doubling is the publisher's to fix (ROADMAP item 2); until then
 // lockstep keeps the plain put, and weightView the matching plain get.
 func (r *run) publishWeights(version int) error {
 	if r.pub != nil {

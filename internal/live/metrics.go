@@ -2,7 +2,6 @@ package live
 
 import (
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"stellaris/internal/obs"
@@ -11,8 +10,8 @@ import (
 
 // Shed-load drop reasons (the label values of
 // live_dropped_payloads_total). Every branch that abandons a trajectory
-// or gradient must go through runState.shed with one of these so the
-// aggregate Report.DroppedPayloads and the per-reason counters agree.
+// or gradient goes through runState.shed with one of these;
+// Report.DroppedPayloads is their total.
 const (
 	dropPutFailed    = "put-failed"    // cache Put exhausted its retries
 	dropDecodeFailed = "decode-failed" // payload corrupted in transit/storage
@@ -21,9 +20,21 @@ const (
 	dropGetFailed    = "get-failed"    // cache Get exhausted its retries
 )
 
-// liveMetrics is the run's view into an obs registry. A nil *liveMetrics
-// is valid and disables every method, so un-instrumented runs pay only a
-// nil check on the hot paths.
+// Flight-dump triggers (the label values of live_flight_dumps_total).
+const (
+	flightPanicRestart = "panic-restart" // a supervised worker panicked
+	flightFail         = "fail"          // the run failed
+)
+
+var (
+	dropReasons   = []string{dropPutFailed, dropDecodeFailed, dropBackpressure, dropNoWeights, dropGetFailed}
+	flightReasons = []string{flightPanicRestart, flightFail}
+)
+
+// liveMetrics is the run's view into an obs registry, and the one store
+// of what the Report counts: drops, stale-weight reuses, restarts,
+// checkpoint writes, flight dumps and consumed-trajectory lag. newRun
+// builds it on Options.Obs, or on a private registry without one.
 type liveMetrics struct {
 	iterSeconds   *obs.HistogramVec // live_iteration_seconds{role,worker}
 	queueDepth    *obs.GaugeVec     // live_queue_depth{queue}
@@ -34,7 +45,6 @@ type liveMetrics struct {
 	drops         *obs.CounterVec   // live_dropped_payloads_total{reason}
 	staleReuse    *obs.Counter      // live_stale_weight_reuses_total
 	updates       *obs.Counter      // live_updates_total
-	tracer        *obs.Tracer
 
 	// Crash-recovery families.
 	restarts         *obs.CounterVec // live_worker_restarts_total{role}
@@ -46,9 +56,11 @@ type liveMetrics struct {
 	flightDumps      *obs.CounterVec // live_flight_dumps_total{reason}
 }
 
+// newLiveMetrics registers the run's families on reg (nil: a private
+// registry).
 func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	m := &liveMetrics{
 		iterSeconds: reg.HistogramVec("live_iteration_seconds",
@@ -69,7 +81,6 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 			"iterations that reused a stale weight vector after a failed fetch"),
 		updates: reg.Counter("live_updates_total",
 			"policy updates applied"),
-		tracer: reg.Tracer(),
 		restarts: reg.CounterVec("live_worker_restarts_total",
 			"supervisor worker restarts, by role", "role"),
 		recoverySeconds: reg.Histogram("live_recovery_seconds",
@@ -85,10 +96,9 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 		flightDumps: reg.CounterVec("live_flight_dumps_total",
 			"flight-recorder postmortem dumps, by trigger (panic-restart, fail)", "reason"),
 	}
-	// Pre-create the reason children so every exposition shows all five
-	// counters (zero included) — dashboards can tell "no drops" from
-	// "not instrumented". Same for the supervisor's two roles.
-	for _, reason := range []string{dropPutFailed, dropDecodeFailed, dropBackpressure, dropNoWeights, dropGetFailed} {
+	// Pre-create the labeled children so every exposition lists them all,
+	// zeros included: dashboards can tell "none" from "not instrumented".
+	for _, reason := range dropReasons {
 		m.drops.With(reason)
 	}
 	m.restarts.With("actor")
@@ -96,42 +106,28 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 	return m
 }
 
+// total sums a labeled counter family over the given label values.
+func total(v *obs.CounterVec, labels []string) int64 {
+	var n int64
+	for _, l := range labels {
+		n += v.With(l).Value()
+	}
+	return n
+}
+
 // iterHist resolves one worker's live_iteration_seconds child. Workers
 // call it once at start-up and observe on the result, keeping the label
-// lookup off the per-iteration path; nil when the run is un-instrumented.
+// lookup off the per-iteration path.
 func (m *liveMetrics) iterHist(role string, worker int) *obs.Histogram {
-	if m == nil {
-		return nil
-	}
 	return m.iterSeconds.With(role, strconv.Itoa(worker))
 }
 
-// runState bundles the counters every worker shares. It exists so the
-// shed paths (runState.shed, stage.go) count drops exactly once in the
-// Report aggregate, the labeled registry family and the lineage store
-// (lin; nil when tracing is off).
+// runState is what every worker shares beyond its own stage: the
+// metrics, and the lineage store (lin; nil when tracing is off), so the
+// shed paths (runState.shed, stage.go) record a drop in both at once.
 type runState struct {
-	staleReuses  atomic.Int64
-	dropped      atomic.Int64
-	lagSum, lagN atomic.Int64 // Report.MeanTrajectoryLag, summed by the learners
-	m            *liveMetrics
-	lin          *lineage.Store
-}
-
-// drop records one shed payload under reason.
-func (s *runState) drop(reason string) {
-	s.dropped.Add(1)
-	if s.m != nil {
-		s.m.drops.With(reason).Inc()
-	}
-}
-
-// staleReuse records one iteration that fell back to stale weights.
-func (s *runState) staleReuse() {
-	s.staleReuses.Add(1)
-	if s.m != nil {
-		s.m.staleReuse.Inc()
-	}
+	m   *liveMetrics
+	lin *lineage.Store
 }
 
 // sampleQueues polls channel occupancy into live_queue_depth until done

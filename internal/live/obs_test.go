@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"stellaris/internal/obs"
+	"stellaris/internal/obs/lineage"
 )
 
 func httpGet(t *testing.T, url string) string {
@@ -106,8 +107,10 @@ func TestLiveTrainObsExposition(t *testing.T) {
 	}
 }
 
-// TestLiveTrainObsQueueAndSpans checks the sampler and tracer wire-up on
-// a healthy in-process run.
+// TestLiveTrainObsQueueAndSpans checks the sampler wire-up on a healthy
+// in-process run, and that every policy update is where the timeline and
+// the latency histogram say: one weights "produced" lineage event per
+// version, one parameter-iteration observation per update.
 func TestLiveTrainObsQueueAndSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	opt := tinyOpts()
@@ -124,17 +127,23 @@ func TestLiveTrainObsQueueAndSpans(t *testing.T) {
 	if p, ok := rep.Obs.Find("cache_server_ops_total", map[string]string{"op": "put"}); !ok || p.Value == 0 {
 		t.Fatalf("cache_server_ops_total{op=put}: %+v ok=%v", p, ok)
 	}
-	spans := reg.Tracer().Spans()
-	var updates int
-	for _, s := range spans {
-		if s.Name == "policy-update" {
-			updates++
-			if s.Dur < 0 {
-				t.Fatalf("negative span duration: %+v", s)
+	// Versions 0 (the initial publish) through Updates.
+	if ids := rep.Lineage.Traces(lineage.KindWeights); len(ids) != rep.Updates+1 {
+		t.Fatalf("%d weights traces %v, want versions 0..%d", len(ids), ids, rep.Updates)
+	}
+	for v := 0; v <= rep.Updates; v++ {
+		produced := 0
+		for _, e := range rep.Lineage.Timeline(lineage.WeightsID(v)) {
+			if e.Hop == lineage.HopProduced {
+				produced++
 			}
 		}
+		if produced != 1 {
+			t.Fatalf("weights v%d: %d produced events, want 1", v, produced)
+		}
 	}
-	if updates != rep.Updates {
-		t.Fatalf("%d policy-update spans, want %d", updates, rep.Updates)
+	h, ok := rep.Obs.FindHistogram("live_iteration_seconds", map[string]string{"role": "param"})
+	if !ok || h.Count != int64(rep.Updates) {
+		t.Fatalf("live_iteration_seconds{role=param} count %d (ok=%v), want %d updates", h.Count, ok, rep.Updates)
 	}
 }

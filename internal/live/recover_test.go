@@ -356,6 +356,76 @@ func TestRecoveryObsMetrics(t *testing.T) {
 	}
 }
 
+// TestReportSameWithoutRegistry: the Report reads its counts from the
+// run's metrics, which live in a private registry when Options.Obs is
+// nil, so a caller registry must change none of them. Lockstep pins the
+// outputs bit for bit; it never consults panicHook, so an async leg with
+// a deterministic one (the first actor and the first learner iteration
+// panic) pins the restart counts.
+func TestReportSameWithoutRegistry(t *testing.T) {
+	leaktest.Check(t)
+	counts := func(r *Report) [10]int64 {
+		return [10]int64{
+			int64(r.Updates), int64(r.Episodes), r.StaleWeightReuses, r.DroppedPayloads,
+			r.ActorRestarts, r.LearnerRestarts, r.CheckpointsWritten,
+			int64(math.Float64bits(r.MeanTrajectoryLag)), int64(math.Float64bits(r.MeanStaleness)),
+			int64(math.Float64bits(r.MeanReturn)),
+		}
+	}
+	train := func(opt Options, reg *obs.Registry) *Report {
+		t.Helper()
+		opt.Obs = reg
+		opt.CheckpointDir = t.TempDir()
+		rep, err := Train(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (rep.Obs != nil) != (reg != nil) {
+			t.Fatalf("Report.Obs = %v with registry %v", rep.Obs != nil, reg != nil)
+		}
+		return rep
+	}
+
+	bare, traced := train(lockOpts(""), nil), train(lockOpts(""), obs.NewRegistry())
+	if counts(bare) != counts(traced) || bare.FlightDumps != traced.FlightDumps {
+		t.Fatalf("lockstep Report counts differ: %v without a registry, %v with one", counts(bare), counts(traced))
+	}
+	if bare.CheckpointsWritten == 0 {
+		t.Fatal("no checkpoint written: the comparison covers nothing")
+	}
+	for i := range bare.FinalWeights {
+		if math.Float64bits(bare.FinalWeights[i]) != math.Float64bits(traced.FinalWeights[i]) {
+			t.Fatalf("final weight %d: %v without a registry, %v with one", i, bare.FinalWeights[i], traced.FinalWeights[i])
+		}
+	}
+
+	async := func(reg *obs.Registry) *Report {
+		var actors, learners atomic.Int64
+		opt := tinyOpts()
+		opt.CheckpointEvery = 2
+		opt.RestartBackoff = time.Millisecond
+		opt.panicHook = func(role string, id int) bool {
+			if role == "actor" {
+				return actors.Add(1) == 1
+			}
+			return learners.Add(1) == 1
+		}
+		return train(opt, reg)
+	}
+	bare, traced = async(nil), async(obs.NewRegistry())
+	for _, rep := range []*Report{bare, traced} {
+		if rep.ActorRestarts != 1 || rep.LearnerRestarts != 1 || rep.CheckpointsWritten != 2 {
+			t.Fatalf("async: %d actor and %d learner restarts, %d checkpoints; want 1, 1, 2",
+				rep.ActorRestarts, rep.LearnerRestarts, rep.CheckpointsWritten)
+		}
+	}
+	// The flight recorder is the lineage store's ring, which needs a
+	// caller registry: a dump per panic with one, none without.
+	if bare.FlightDumps != 0 || traced.FlightDumps != 2 {
+		t.Fatalf("flight dumps: %d without a registry, %d with one; want 0, 2", bare.FlightDumps, traced.FlightDumps)
+	}
+}
+
 // TestChaosPanicsAndCacheBounce is the end-to-end chaos drill from the
 // issue: periodic learner panics AND a full cache-server restart (with
 // durable state) mid-run. The run must complete, the supervisor must

@@ -34,17 +34,15 @@ type run struct {
 	// lin is the causal-tracing store (nil without Options.Obs); every
 	// worker, both cache endpoints, and the supervisor record into it.
 	// Its bounded ring doubles as the flight recorder (see flightDump).
-	lin         *lineage.Store
-	flightDumps atomic.Int64
-	flightSeq   atomic.Int64
+	lin       *lineage.Store
+	flightSeq atomic.Int64
 
 	srv      *cache.Server
 	addr     string
 	pool     *clientPool
 	dial     func(name string) (cache.Conn, error)
 	paramCli cache.Conn
-	// paramIter is the parameter step's live_iteration_seconds child (nil
-	// when un-instrumented).
+	// paramIter is the parameter step's live_iteration_seconds child.
 	paramIter *obs.Histogram
 
 	// budget is the retry token bucket shared by every worker connection
@@ -101,12 +99,9 @@ type run struct {
 	waiting, idle atomic.Int64
 
 	// Crash-recovery accounting.
-	actorRestarts   atomic.Int64
-	learnerRestarts atomic.Int64
-	ckptWrites      atomic.Int64
-	lastCkpt        int64
-	resumed         bool
-	resumedFrom     int64
+	lastCkpt    int64
+	resumed     bool
+	resumedFrom int64
 
 	start time.Time
 }
@@ -292,7 +287,7 @@ func (r *run) fail(err error) {
 	default:
 	}
 	if r.halt() {
-		r.flightDump("fail")
+		r.flightDump(flightFail)
 	}
 }
 
@@ -405,24 +400,15 @@ func (r *run) buildCheckpoint(mode ckpt.Mode, actors, learners []ckpt.WorkerStat
 func (r *run) writeCheckpoint(c *ckpt.Checkpoint) {
 	start := time.Now()
 	if _, err := ckpt.WriteDir(r.opt.CheckpointDir, c); err != nil {
-		r.ckptEvent("write-failed")
+		r.m.ckptEvents.With("write-failed").Inc()
 	} else {
-		r.ckptWrites.Add(1)
-		if r.m != nil {
-			r.m.ckptWrites.Inc()
-			r.m.ckptWriteSeconds.Observe(time.Since(start).Seconds())
-		}
+		r.m.ckptWrites.Inc()
+		r.m.ckptWriteSeconds.Observe(time.Since(start).Seconds())
 	}
 	if err := r.paramCli.Put(ckpt.CacheKey, ckpt.Encode(c)); err != nil {
-		r.ckptEvent("mirror-failed")
+		r.m.ckptEvents.With("mirror-failed").Inc()
 	} else {
-		r.ckptEvent("mirror")
-	}
-}
-
-func (r *run) ckptEvent(event string) {
-	if r.m != nil {
-		r.m.ckptEvents.With(event).Inc()
+		r.m.ckptEvents.With("mirror").Inc()
 	}
 }
 
@@ -453,7 +439,7 @@ func (r *run) loadCheckpoint() (*ckpt.Checkpoint, error) {
 	if err != nil {
 		// A corrupt mirror must not block a fresh start: the disk path
 		// already missed, so treat the mirror as absent.
-		r.ckptEvent("mirror-corrupt")
+		r.m.ckptEvents.With("mirror-corrupt").Inc()
 		return nil, nil
 	}
 	return c, nil
@@ -497,15 +483,16 @@ func (r *run) applyCheckpoint(c *ckpt.Checkpoint) error {
 	r.lastCkpt = c.Version
 	r.resumed = true
 	r.resumedFrom = c.Version
-	if r.m != nil {
-		r.m.ckptLoads.Inc()
-	}
+	r.m.ckptLoads.Inc()
 	return nil
 }
 
 // buildReport assembles the run summary after the pipeline has drained.
+// Its event counts are read from the run's metrics, whichever registry
+// holds them.
 func (r *run) buildReport() *Report {
 	cst := r.pool.stats()
+	m := r.m
 	rep := &Report{
 		Updates:            int(r.version.Load()),
 		Episodes:           int(r.episodes.Load()),
@@ -514,12 +501,13 @@ func (r *run) buildReport() *Report {
 		CacheRetries:       cst.Retries,
 		CacheReconnects:    cst.Reconnects,
 		CacheTimeouts:      cst.Timeouts,
-		StaleWeightReuses:  r.st.staleReuses.Load(),
-		DroppedPayloads:    r.st.dropped.Load(),
+		StaleWeightReuses:  m.staleReuse.Value(),
+		DroppedPayloads:    total(m.drops, dropReasons),
 		WeightRegressions:  r.subRegressions(),
-		ActorRestarts:      r.actorRestarts.Load(),
-		LearnerRestarts:    r.learnerRestarts.Load(),
-		CheckpointsWritten: r.ckptWrites.Load(),
+		ActorRestarts:      m.restarts.With("actor").Value(),
+		LearnerRestarts:    m.restarts.With("learner").Value(),
+		CheckpointsWritten: m.ckptWrites.Value(),
+		FlightDumps:        total(m.flightDumps, flightReasons),
 		Resumed:            r.resumed,
 		ResumedFromVersion: int(r.resumedFrom),
 	}
@@ -536,7 +524,6 @@ func (r *run) buildReport() *Report {
 		ls := r.lin.Stats()
 		rep.TraceEvents = ls.Events
 		rep.MaxLineageDepth = ls.MaxDepth
-		rep.FlightDumps = r.flightDumps.Load()
 		rep.Lineage = r.lin
 	}
 	if r.opt.Obs != nil {
@@ -545,8 +532,10 @@ func (r *run) buildReport() *Report {
 	if r.staleN > 0 {
 		rep.MeanStaleness = r.staleSum / float64(r.staleN)
 	}
-	if n := r.st.lagN.Load(); n > 0 {
-		rep.MeanTrajectoryLag = float64(r.st.lagSum.Load()) / float64(n)
+	if n := m.trajLag.Count(); n > 0 {
+		// The lags are integers, so the float sum is exact: the same bits
+		// as an integer sum.
+		rep.MeanTrajectoryLag = m.trajLag.Sum() / float64(n)
 	}
 	r.retMu.Lock()
 	if len(r.returns) > 0 {

@@ -80,7 +80,7 @@ func (v *weightView) fetch() (w []float64, ver int, ok bool, err error) {
 	if v.streak > v.maxFallbacks {
 		return nil, 0, false, fmt.Errorf("live: %s: weights unavailable after %d fallbacks: %w", v.who, v.streak, err)
 	}
-	v.st.staleReuse()
+	v.st.m.staleReuse.Inc()
 	if v.sub != nil {
 		w, ver, ok = v.sub.Cached()
 	} else {
@@ -122,7 +122,7 @@ func (v *weightView) reset() { v.lastW, v.lastVer, v.streak = nil, 0, 0 }
 // the cache. A nil cli skips the delete — the put-failed and get-failed
 // cases, where the cache has just eaten a whole retry budget.
 func (s *runState) shed(cli cache.Cache, key, kind, who, reason string) {
-	s.drop(reason)
+	s.m.drops.With(reason).Inc()
 	s.lin.Record(lineage.Event{
 		Trace: key, Kind: kind, Hop: lineage.HopShed, Actor: who, Detail: reason,
 	})
@@ -146,8 +146,7 @@ type learner struct {
 	// identity, not the incarnation: keys must not collide across
 	// restarts, and lockstep checkpoints it.
 	seq *int
-	// iterSeconds is this learner's live_iteration_seconds child (nil
-	// when un-instrumented).
+	// iterSeconds is this learner's live_iteration_seconds child.
 	iterSeconds *obs.Histogram
 }
 
@@ -208,12 +207,7 @@ func (l *learner) step(keys []string) (note gradNote, ok bool, err error) {
 			continue
 		}
 		trajs = append(trajs, tr)
-		lag := born - tr.PolicyVersion
-		r.st.lagSum.Add(int64(lag))
-		r.st.lagN.Add(1)
-		if r.m != nil {
-			r.m.trajLag.Observe(float64(lag))
-		}
+		r.m.trajLag.Observe(float64(born - tr.PolicyVersion))
 		r.recordConsumed(keys[i], gkey, l.name)
 		_ = l.cli.Delete(keys[i])
 	}
@@ -248,9 +242,7 @@ func (l *learner) step(keys []string) (note gradNote, ok bool, err error) {
 		r.st.shed(nil, gkey, lineage.KindGradient, l.name, dropPutFailed)
 		return gradNote{}, false, nil
 	}
-	if l.iterSeconds != nil {
-		l.iterSeconds.Observe(time.Since(start).Seconds())
-	}
+	l.iterSeconds.Observe(time.Since(start).Seconds())
 	return gradNote{key: gkey}, true, nil
 }
 
@@ -284,9 +276,7 @@ func (r *run) absorb(note gradNote) error {
 	_ = r.paramCli.Delete(note.key)
 	r.tracker.Observe(msg.MeanRatio)
 	v := int(r.version.Load())
-	if r.m != nil {
-		r.m.gradStaleness.Observe(float64(v - msg.BornVersion))
-	}
+	r.m.gradStaleness.Observe(float64(v - msg.BornVersion))
 	group := r.agg.Offer(&stale.Entry{
 		LearnerID:   msg.LearnerID,
 		BornVersion: msg.BornVersion,
@@ -298,10 +288,6 @@ func (r *run) absorb(note gradNote) error {
 	}, v)
 	if group == nil {
 		return nil
-	}
-	var span *obs.SpanHandle
-	if r.m != nil {
-		span = r.m.tracer.Start("policy-update")
 	}
 	r.tracker.ResetGroup()
 	comb := stale.CombineInto(r.agg, group, v, r.combined)
@@ -320,14 +306,11 @@ func (r *run) absorb(note gradNote) error {
 	if err := r.publishWeightsPersistent(nv); err != nil {
 		return err
 	}
-	if r.m != nil {
-		// live_staleness observes the same per-update means that
-		// Report.MeanStaleness averages, so the histogram's exact mean and
-		// the report agree.
-		r.m.staleness.Observe(comb.MeanStaleness)
-		r.m.updates.Inc()
-		span.End()
-		r.paramIter.Observe(time.Since(start).Seconds())
-	}
+	// live_staleness observes the same per-update means that
+	// Report.MeanStaleness averages, so the histogram's exact mean and the
+	// report agree.
+	r.m.staleness.Observe(comb.MeanStaleness)
+	r.m.updates.Inc()
+	r.paramIter.Observe(time.Since(start).Seconds())
 	return nil
 }

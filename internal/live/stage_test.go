@@ -103,7 +103,7 @@ func TestLearnerStep(t *testing.T) {
 			if seq != tc.wantSeq {
 				t.Fatalf("seq = %d, want %d", seq, tc.wantSeq)
 			}
-			if got := r.st.dropped.Load(); got != tc.drops {
+			if got := total(r.m.drops, dropReasons); got != tc.drops {
 				t.Fatalf("dropped = %d, want %d", got, tc.drops)
 			}
 			if tc.reason != "" {
@@ -163,8 +163,8 @@ func TestAbsorbCorruptGradient(t *testing.T) {
 	if err := r.absorb(gradNote{key: key}); err != nil {
 		t.Fatal(err)
 	}
-	if got := dropsBy(t, opt.Obs, dropDecodeFailed); got != 1 || r.st.dropped.Load() != 1 {
-		t.Fatalf("decode-failed drops = %d (total %d), want 1", got, r.st.dropped.Load())
+	if got, all := dropsBy(t, opt.Obs, dropDecodeFailed), total(r.m.drops, dropReasons); got != 1 || all != 1 {
+		t.Fatalf("decode-failed drops = %d (total %d), want 1", got, all)
 	}
 	if _, err := r.paramCli.Get(key); err == nil {
 		t.Fatal("corrupt gradient still in the cache")
@@ -173,8 +173,8 @@ func TestAbsorbCorruptGradient(t *testing.T) {
 		t.Fatalf("corrupt gradient moved the policy: version %d", r.version.Load())
 	}
 	// A gradient that is not there at all is skipped without a drop.
-	if err := r.absorb(gradNote{key: "grad/0/1"}); err != nil || r.st.dropped.Load() != 1 {
-		t.Fatalf("missing gradient: err=%v dropped=%d", err, r.st.dropped.Load())
+	if err := r.absorb(gradNote{key: "grad/0/1"}); err != nil || total(r.m.drops, dropReasons) != 1 {
+		t.Fatalf("missing gradient: err=%v dropped=%d", err, total(r.m.drops, dropReasons))
 	}
 }
 
@@ -202,7 +202,7 @@ func TestWeightViewFallback(t *testing.T) {
 			t.Fatalf("fallback %d: %v v%d ok=%v err=%v, want the v4 copy", i, w, ver, ok, err)
 		}
 	}
-	if got := r.st.staleReuses.Load(); got != 2 {
+	if got := r.m.staleReuse.Value(); got != 2 {
 		t.Fatalf("stale reuses = %d, want 2", got)
 	}
 	if _, _, _, err := v.fetch(); err == nil || !strings.Contains(err.Error(), "learner 0: weights unavailable after 3 fallbacks") {
@@ -340,8 +340,8 @@ func TestAbsorbGetFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dropsBy(t, opt.Obs, dropGetFailed); got != 1 || r.st.dropped.Load() != 1 {
-		t.Fatalf("get-failed drops = %d (total %d), want 1", got, r.st.dropped.Load())
+	if got, all := dropsBy(t, opt.Obs, dropGetFailed), total(r.m.drops, dropReasons); got != 1 || all != 1 {
+		t.Fatalf("get-failed drops = %d (total %d), want 1", got, all)
 	}
 	if _, err := healthy.Get(key); err != nil {
 		t.Fatalf("the shed spent a delete on a failing cache: %v", err)
@@ -506,12 +506,12 @@ func TestAdmissionSurvivesWorkerPanics(t *testing.T) {
 	if got := int(r.version.Load()); got < opt.Updates {
 		t.Fatalf("%d of %d updates", got, opt.Updates)
 	}
-	if r.actorRestarts.Load() == 0 || r.learnerRestarts.Load() == 0 {
-		t.Fatalf("restarts: %d actor, %d learner — the drill crashed nobody",
-			r.actorRestarts.Load(), r.learnerRestarts.Load())
+	actors, learners := r.m.restarts.With("actor").Value(), r.m.restarts.With("learner").Value()
+	if actors == 0 || learners == 0 {
+		t.Fatalf("restarts: %d actor, %d learner — the drill crashed nobody", actors, learners)
 	}
 	if w, i := r.waiting.Load(), r.idle.Load(); w != 0 || i != 0 {
 		t.Fatalf("after the drain: %d waiting, %d idle (%d actor + %d learner restarts), want 0, 0",
-			w, i, r.actorRestarts.Load(), r.learnerRestarts.Load())
+			w, i, actors, learners)
 	}
 }

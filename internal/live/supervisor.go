@@ -27,9 +27,7 @@ func (r *run) supervise(role string, id int, body func(ready func()) error) {
 		if failedAt.IsZero() {
 			return
 		}
-		if r.m != nil {
-			r.m.recoverySeconds.Observe(time.Since(failedAt).Seconds())
-		}
+		r.m.recoverySeconds.Observe(time.Since(failedAt).Seconds())
 		failedAt = time.Time{}
 	}
 	for !r.stop.Load() {
@@ -44,12 +42,12 @@ func (r *run) supervise(role string, id int, body func(ready func()) error) {
 			return
 		}
 		restarts++
-		r.countRestart(role)
+		r.m.restarts.With(role).Inc()
 		if panicked {
 			// A crash (as opposed to a mere error) ships with its
 			// postmortem: the flight recorder holds the lineage events that
 			// immediately preceded the panic.
-			r.flightDump("panic-restart")
+			r.flightDump(flightPanicRestart)
 		}
 		if restarts > r.opt.RestartBudget {
 			r.fail(fmt.Errorf("live: %s %d: restart budget (%d) exhausted, last error: %w",
@@ -95,18 +93,5 @@ func (r *run) injectPanic(role string, id int, chaos *rng.RNG) {
 	}
 	if chaos != nil && r.opt.ChaosPanicRate > 0 && chaos.Float64() < r.opt.ChaosPanicRate {
 		panic(fmt.Sprintf("chaos %s %d panic", role, id))
-	}
-}
-
-// countRestart records one supervisor restart for the role.
-func (r *run) countRestart(role string) {
-	switch role {
-	case "actor":
-		r.actorRestarts.Add(1)
-	case "learner":
-		r.learnerRestarts.Add(1)
-	}
-	if r.m != nil {
-		r.m.restarts.With(role).Inc()
 	}
 }

@@ -41,10 +41,7 @@ func (r *run) flightDump(reason string) {
 	if err := r.lin.WriteFlightDump(&buf, reason); err != nil {
 		return
 	}
-	r.flightDumps.Add(1)
-	if r.m != nil {
-		r.m.flightDumps.With(reason).Inc()
-	}
+	r.m.flightDumps.With(reason).Inc()
 	if dir := r.opt.FlightDir; dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err == nil {
 			name := filepath.Join(dir, fmt.Sprintf("flight-%03d-%s.json", r.flightSeq.Add(1), reason))

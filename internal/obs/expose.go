@@ -323,7 +323,6 @@ func StartDump(reg *Registry, dir string, every time.Duration, errf func(error))
 //	/metrics            Prometheus text format
 //	/metrics.json       JSON snapshot (Snapshot schema)
 //	/metrics.csv        flat CSV records
-//	/trace.json         recent completed spans
 //	/trace.chrome.json  Chrome trace-event JSON from the registered
 //	                    TraceSource (404 until one is set) — open in
 //	                    Perfetto (ui.perfetto.dev) or chrome://tracing
@@ -343,12 +342,6 @@ func Handler(reg *Registry) http.Handler {
 	mux.HandleFunc("/metrics.csv", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/csv")
 		_ = reg.Snapshot().WriteCSV(w)
-	})
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(reg.Tracer().Spans())
 	})
 	mux.HandleFunc("/trace.chrome.json", func(w http.ResponseWriter, _ *http.Request) {
 		ts := reg.TraceSource()

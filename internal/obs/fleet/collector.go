@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -23,7 +24,6 @@ import (
 	"stellaris/internal/cache/cluster"
 	"stellaris/internal/obs"
 	"stellaris/internal/obs/lineage"
-	"stellaris/internal/obs/logx"
 )
 
 // Defaults for Config zero values.
@@ -88,7 +88,7 @@ type Config struct {
 	// alerts join the causal chains.
 	Lineage *lineage.Store
 	// Log receives structured progress lines (nil discards).
-	Log *logx.Logger
+	Log *slog.Logger
 	// Obs receives the collector's self-metrics (scrape counts, tick
 	// durations are the caller's concern — obsd registers its own).
 	Obs *obs.Registry
@@ -157,7 +157,7 @@ type Collector struct {
 	profFetch func(string) ([]byte, error)
 	store     *Store
 	engine    *Engine
-	log       *logx.Logger
+	log       *slog.Logger
 	m         *selfMetrics
 
 	mu        sync.Mutex
@@ -200,7 +200,7 @@ func New(cfg Config) (*Collector, error) {
 		instances: make(map[string]*instState),
 	}
 	if c.log == nil {
-		c.log = logx.New(io.Discard, logx.Error)
+		c.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	if c.fetch == nil {
 		timeout := cfg.FetchTimeout
@@ -665,7 +665,7 @@ func parseLabels(canon string) map[string]string {
 // onTransition handles one alert event: log line, lineage record,
 // self-metric, and profile capture for firing rules that want one.
 func (c *Collector) onTransition(ev AlertEvent) {
-	l := c.log.WithTrace(ev.Trace)
+	l := c.log.With("trace", ev.Trace)
 	switch ev.State {
 	case StateFiring:
 		l.Warn("alert firing", "rule", ev.Rule, "severity", ev.Severity,

@@ -3,8 +3,10 @@ package fleet
 // Schema-compatibility contract (ISSUE 10 satellite): the collector
 // must tolerantly decode snapshots from writers both older (no
 // schema_version, no histogram quantiles) and newer (unknown fields)
-// than itself. testdata/metrics_v0.json is FROZEN — it captures the
-// wire format before schema_version existed; do not regenerate it.
+// than itself. The testdata/metrics_*.json fixtures are FROZEN; do not
+// regenerate them. metrics_v0.json captures the wire format before
+// schema_version existed; metrics_v1_spans.json is schema 1 as written
+// while snapshots still carried a "spans" array.
 
 import (
 	"os"
@@ -12,60 +14,72 @@ import (
 	"testing"
 
 	"stellaris/internal/cache"
+	"stellaris/internal/obs"
 )
 
 func TestTolerantDecodeFrozenFixture(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "metrics_v0.json"))
-	if err != nil {
-		t.Fatal(err)
+	type series struct {
+		name   string
+		labels map[string]string
+		want   float64
 	}
-
-	now := 1.0
-	col, err := New(Config{
-		Clock:   func() float64 { return now },
-		Targets: []string{"old:1"},
-		Fetch: func(url string) ([]byte, error) {
-			return fixture, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	if evs := col.Tick(); len(evs) != 0 {
-		t.Fatalf("unexpected transitions: %+v", evs)
-	}
-
-	insts := col.Instances()
-	if len(insts) != 1 || !insts[0].Up {
-		t.Fatalf("fixture instance not up: %+v", insts)
-	}
-	// A v0 writer carries no schema_version: decodes as 0, not an error.
-	if insts[0].Schema != 0 {
-		t.Fatalf("schema = %d, want 0 for pre-versioning writer", insts[0].Schema)
-	}
-	if insts[0].Failures != 0 {
-		t.Fatalf("tolerant decode recorded a failure: %+v", insts[0])
-	}
-
-	// Everything the old writer exported landed in the store: counters,
-	// labeled counters, gauges, and histogram-derived series (quantile
-	// gauges are simply absent when the writer predates them).
-	id := "old:1"
-	if p, ok := col.Store().Latest(id, "live_updates_total", nil); !ok || p.V != 12 {
-		t.Fatalf("counter: %+v, %v", p, ok)
-	}
-	if p, ok := col.Store().Latest(id, "live_drops_total", map[string]string{"reason": "stale"}); !ok || p.V != 3 {
-		t.Fatalf("labeled counter: %+v, %v", p, ok)
-	}
-	if p, ok := col.Store().Latest(id, "live_gradient_staleness", nil); !ok || p.V != 2.5 {
-		t.Fatalf("gauge: %+v, %v", p, ok)
-	}
-	if p, ok := col.Store().Latest(id, "live_step_seconds_count", nil); !ok || p.V != 4 {
-		t.Fatalf("histogram count: %+v, %v", p, ok)
-	}
-	if p, ok := col.Store().Latest(id, "live_step_seconds_mean", nil); !ok || p.V != 0.1 {
-		t.Fatalf("histogram mean: %+v, %v", p, ok)
+	for _, fx := range []struct {
+		file   string
+		schema int
+		series []series
+	}{
+		// A v0 writer carries no schema_version: it decodes as 0, not an
+		// error, and its histograms predate the quantile gauges.
+		{"metrics_v0.json", 0, []series{
+			{"live_updates_total", nil, 12},
+			{"live_drops_total", map[string]string{"reason": "stale"}, 3},
+			{"live_gradient_staleness", nil, 2.5},
+			{"live_step_seconds_count", nil, 4},
+			{"live_step_seconds_mean", nil, 0.1},
+		}},
+		// A schema-1 writer from before the span tracer was removed: its
+		// spans array is skipped, everything else ingests.
+		{"metrics_v1_spans.json", obs.SnapshotSchema, []series{
+			{"live_updates_total", nil, 2},
+			{"live_dropped_payloads_total", map[string]string{"reason": "backpressure"}, 1},
+			{"live_queue_depth", map[string]string{"queue": "traj"}, 3},
+			{"live_staleness_count", nil, 2},
+			{"live_staleness_mean", nil, 1},
+		}},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			fixture, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := New(Config{
+				Clock:   func() float64 { return 1 },
+				Targets: []string{"old:1"},
+				Fetch:   func(string) ([]byte, error) { return fixture, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer col.Close()
+			if evs := col.Tick(); len(evs) != 0 {
+				t.Fatalf("unexpected transitions: %+v", evs)
+			}
+			insts := col.Instances()
+			if len(insts) != 1 || !insts[0].Up {
+				t.Fatalf("fixture instance not up: %+v", insts)
+			}
+			if insts[0].Schema != fx.schema || insts[0].Failures != 0 {
+				t.Fatalf("schema %d with %d failures, want %d and none: %+v",
+					insts[0].Schema, insts[0].Failures, fx.schema, insts[0])
+			}
+			// Everything the writer exported landed in the store: counters,
+			// labeled counters and gauges, and histogram-derived series.
+			for _, sr := range fx.series {
+				if p, ok := col.Store().Latest("old:1", sr.name, sr.labels); !ok || p.V != sr.want {
+					t.Fatalf("%s%v: %+v, %v; want %v", sr.name, sr.labels, p, ok, sr.want)
+				}
+			}
+		})
 	}
 
 	// cache.Instance registrations decode just as tolerantly.

@@ -71,7 +71,7 @@ func (c *Collector) captureProfile(ev AlertEvent) {
 	seq := c.profSeq
 	c.mu.Unlock()
 	base := fmt.Sprintf("prof-%06d-%s-%s", seq, sanitizeName(ev.Rule), sanitizeName(id))
-	l := c.log.WithTrace(ev.Trace)
+	l := c.log.With("trace", ev.Trace)
 	c.profWG.Add(1)
 	go func() {
 		defer c.profWG.Done()

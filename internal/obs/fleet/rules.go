@@ -6,7 +6,7 @@ package fleet
 // alert state per matching series, so "shard unserved" is a single rule
 // regardless of cluster size. Transitions land in a bounded structured
 // event log carrying trace IDs (alert/<rule>/<n>) that join the lineage
-// chains (internal/obs/lineage) and the logx lines.
+// chains (internal/obs/lineage) and the collector's log lines.
 
 import (
 	"fmt"

@@ -1,6 +1,8 @@
 // Package obs is the observability layer: a stdlib-only metrics
 // registry (atomic counters, gauges, streaming histograms with fixed
-// log-scale buckets, labeled families) plus lightweight span tracing.
+// log-scale buckets, labeled families). A run's timeline is not kept
+// here: it is the lineage store's (internal/obs/lineage), served on
+// /trace.chrome.json.
 //
 // It serves the same role the paper's per-round profiling does (§VII's
 // EWMA function profiler, the staleness PDFs of Fig. 3b), but as live,
@@ -11,10 +13,10 @@
 // the internal/metrics artifact layout, and programmatic snapshots on
 // live.Report / core.Result.
 //
-// Clocks: a Registry timestamps snapshots and spans with a Clock. The
-// default is a process-monotonic wall clock (live mode); the DES
-// trainer swaps in its virtual clock with SetClock so traces carry
-// virtual-time coordinates.
+// Clocks: a Registry timestamps snapshots with a Clock. The default is
+// a process-monotonic wall clock (live mode); the DES trainer swaps in
+// its virtual clock with SetClock so snapshots, and the lineage store
+// reading Now, carry virtual-time coordinates.
 //
 // A Registry should observe exactly one run: callers that fold
 // registry values into per-run reports assume counters start at zero.
@@ -190,12 +192,16 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // ---- Labeled families ----
 
+// labelEscaper escapes the separator labelKey joins on. A Replacer is
+// safe for concurrent use, and building one costs a 256-entry table.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\x1f", `\u`)
+
 // labelKey joins label values into a map key. Values containing the
 // separator are escaped so distinct tuples never collide.
 func labelKey(values []string) string {
 	esc := make([]string, len(values))
 	for i, v := range values {
-		esc[i] = strings.NewReplacer(`\`, `\\`, "\x1f", `\u`).Replace(v)
+		esc[i] = labelEscaper.Replace(v)
 	}
 	return strings.Join(esc, "\x1f")
 }
@@ -275,10 +281,10 @@ func (f *family) child(values []string) interface{} {
 
 // ---- Registry ----
 
-// Registry holds named metric families and the run's tracer. All
-// methods are safe for concurrent use; registration is idempotent
-// (asking for an existing name returns the existing family, panicking
-// only on a kind/label mismatch, which is a programming error).
+// Registry holds named metric families. All methods are safe for
+// concurrent use; registration is idempotent (asking for an existing
+// name returns the existing family, panicking only on a kind/label
+// mismatch, which is a programming error).
 type Registry struct {
 	clock    atomic.Value // Clock
 	traceSrc atomic.Value // TraceSource (see tracesource.go)
@@ -287,9 +293,6 @@ type Registry struct {
 	fams  map[string]*family
 	order []string
 	info  map[string]string // static run metadata for /buildinfo
-
-	tracerOnce sync.Once
-	tracer     *Tracer
 }
 
 // NewRegistry returns an empty registry on the process wall clock.
@@ -300,16 +303,13 @@ func NewRegistry() *Registry {
 }
 
 // SetClock swaps the registry's time source (the DES trainer installs
-// its virtual clock so spans and snapshot timestamps are in virtual
-// seconds). Safe to call while the registry is being read.
+// its virtual clock so snapshot timestamps are in virtual seconds).
+// Safe to call while the registry is being read.
 func (r *Registry) SetClock(c Clock) {
 	if c == nil {
 		panic("obs: nil clock")
 	}
 	r.clock.Store(c)
-	if t := r.loadTracer(); t != nil {
-		t.clock.Store(c)
-	}
 }
 
 // Now reads the registry clock.
@@ -367,24 +367,6 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 	return &HistogramVec{fam: r.family("histogram", name, help, bounds, labels)}
 }
 
-func (r *Registry) loadTracer() *Tracer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracer
-}
-
-// Tracer returns the registry's span tracer (created on first use,
-// sharing the registry clock).
-func (r *Registry) Tracer() *Tracer {
-	r.tracerOnce.Do(func() {
-		t := newTracer(r.clock.Load().(Clock), defaultSpanCapacity)
-		r.mu.Lock()
-		r.tracer = t
-		r.mu.Unlock()
-	})
-	return r.loadTracer()
-}
-
 // ---- Snapshot ----
 
 // Point is one counter or gauge sample.
@@ -421,9 +403,12 @@ type HistogramPoint struct {
 // SnapshotSchema is the current /metrics.json schema version. Bump it
 // on any change a tolerant decoder could not absorb silently (renamed
 // fields, changed units); adding fields does not require a bump.
-// Consumers (the fleet collector) must accept snapshots with a missing
-// version field (pre-versioning emitters decode as 0) and with unknown
-// future fields.
+// Neither did dropping the "spans" array: it was omitempty, so an older
+// reader takes its absence for a run without spans, and a snapshot that
+// still carries one decodes with it skipped
+// (fleet/testdata/metrics_v1_spans.json). Consumers (the fleet
+// collector) must accept snapshots with a missing version field
+// (pre-versioning emitters decode as 0) and with unknown fields.
 const SnapshotSchema = 1
 
 // Snapshot is a point-in-time copy of a registry, ready for JSON/CSV
@@ -438,7 +423,6 @@ type Snapshot struct {
 	Counters   []Point          `json:"counters,omitempty"`
 	Gauges     []Point          `json:"gauges,omitempty"`
 	Histograms []HistogramPoint `json:"histograms,omitempty"`
-	Spans      []Span           `json:"spans,omitempty"`
 }
 
 func labelMap(names, values []string) map[string]string {
@@ -452,9 +436,9 @@ func labelMap(names, values []string) map[string]string {
 	return m
 }
 
-// Snapshot captures every metric and the recent spans. Safe to call
-// concurrently with writers; values are read atomically per metric (the
-// snapshot is not a global atomic cut, which exposition does not need).
+// Snapshot captures every metric. Safe to call concurrently with
+// writers; values are read atomically per metric (the snapshot is not a
+// global atomic cut, which exposition does not need).
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Schema: SnapshotSchema, TimeSec: r.Now()}
 	r.mu.Lock()
@@ -463,7 +447,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for i, n := range names {
 		fams[i] = r.fams[n]
 	}
-	tracer := r.tracer
 	r.mu.Unlock()
 
 	for _, f := range fams {
@@ -507,9 +490,6 @@ func (r *Registry) Snapshot() *Snapshot {
 				s.Histograms = append(s.Histograms, hp)
 			}
 		}
-	}
-	if tracer != nil {
-		s.Spans = tracer.Spans()
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -81,7 +82,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	v := reg.CounterVec("v_total", "", "worker")
 	h := reg.Histogram("h_seconds", "", nil)
 	g := reg.Gauge("g", "")
-	tr := reg.Tracer()
 
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
@@ -96,8 +96,6 @@ func TestRegistryConcurrent(t *testing.T) {
 				v.With(label).Inc()
 				h.Observe(float64(i) * 1e-6)
 				g.Add(1)
-				sp := tr.Start("work")
-				sp.End()
 			}
 		}()
 	}
@@ -134,36 +132,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if labeled != workers*iters {
 		t.Fatalf("labeled sum %d, want %d", labeled, workers*iters)
-	}
-}
-
-func TestTracerVirtualClockAndRing(t *testing.T) {
-	now := 0.0
-	reg := NewRegistry()
-	reg.SetClock(func() float64 { return now })
-	tr := reg.Tracer()
-
-	sp := tr.Start("round")
-	now = 2.5
-	if d := sp.End(); d != 2.5 {
-		t.Fatalf("span duration %v, want 2.5", d)
-	}
-	tr.Record("round", 3, 4.5)
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[1].Dur != 1.5 || spans[0].Start != 0 {
-		t.Fatalf("spans: %+v", spans)
-	}
-
-	small := newTracer(func() float64 { return 0 }, 3)
-	for i := 0; i < 5; i++ {
-		small.Record("s", float64(i), float64(i))
-	}
-	got := small.Spans()
-	if len(got) != 3 || got[0].Start != 2 || got[2].Start != 4 {
-		t.Fatalf("ring spans: %+v", got)
-	}
-	if small.Dropped() != 2 {
-		t.Fatalf("dropped %d, want 2", small.Dropped())
 	}
 }
 
@@ -208,6 +176,19 @@ func TestSnapshotCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "histogram,stale,,,1,3,3") {
 		t.Fatalf("csv missing histogram row:\n%s", out)
+	}
+}
+
+func TestParseLogLevel(t *testing.T) {
+	cases := map[string]slog.Level{
+		"debug": slog.LevelDebug, "INFO": slog.LevelInfo, "Warn": slog.LevelWarn,
+		"warning": slog.LevelWarn, " error ": slog.LevelError,
+		"bogus": slog.LevelInfo, "": slog.LevelInfo,
+	}
+	for in, want := range cases {
+		if got := ParseLogLevel(in); got != want {
+			t.Errorf("ParseLogLevel(%q) = %v, want %v", in, got, want)
+		}
 	}
 }
 
