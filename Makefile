@@ -42,8 +42,8 @@ vet:
 
 # Project-specific invariant analyzer (stdlib-only, see DESIGN.md
 # "Invariants"): wall-clock reads in DES packages, mixed atomic/plain
-# field access, blocking calls under a mutex (lexically and across call
-# chains), lock-order deadlock cycles, leaked goroutines, global
+# field access, blocking under a mutex (in the critical section or down
+# a call chain), lock-order deadlock cycles, leaked goroutines, global
 # math/rand, silently dropped cache errors, and stale //lint:allow
 # directives. Exits non-zero on any finding; the -budget flag fails the
 # run if module analysis outgrows its CI time box.

@@ -20,7 +20,7 @@
 // (same line or the line above); a directive that suppresses nothing
 // is itself a finding.
 //
-// The interprocedural checks (lockorder, lockholdt, goroleak) see call
+// The interprocedural checks (lockhold, lockorder, goroleak) see call
 // chains across every package in the same invocation, so the ./...
 // form is the one that gates CI. A timing line goes to stderr; the run
 // fails if analysis exceeds -budget (default 120s) so the lint gate

@@ -27,54 +27,14 @@ type KV struct {
 	Val []byte
 }
 
-// Batcher is implemented by caches that support batched operations
-// natively. BatchPut/BatchGet use it when present and fall back to
-// per-key loops otherwise.
-type Batcher interface {
-	// PutN stores every pair, replacing previous values.
-	PutN(kvs []KV) error
-	// GetN returns one entry per key, aligned with keys; missing keys
-	// yield a nil entry (not an error).
-	GetN(keys []string) ([][]byte, error)
-}
-
-// BatchPut stores kvs through c, batching when c implements Batcher.
-func BatchPut(c Cache, kvs []KV) error {
-	if b, ok := c.(Batcher); ok {
-		return b.PutN(kvs)
-	}
-	for _, kv := range kvs {
-		if err := c.Put(kv.Key, kv.Val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BatchGet fetches keys through c, batching when c implements Batcher.
-// Missing keys yield nil entries.
-func BatchGet(c Cache, keys []string) ([][]byte, error) {
-	if b, ok := c.(Batcher); ok {
-		return b.GetN(keys)
-	}
-	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		v, err := c.Get(k)
-		if err != nil {
-			var nf ErrNotFound
-			if errors.As(err, &nf) {
-				continue
-			}
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
+// BatchGet is c.GetN(keys). It stays only because benchmark/cachemix.go
+// and benchmark/ladder.go call it; drop it with the next change to the
+// benchmark, and call GetN everywhere else.
+func BatchGet(c Cache, keys []string) ([][]byte, error) { return c.GetN(keys) }
 
 // ---- MemCache ----
 
-// PutN implements Batcher under a single lock acquisition. The copies
+// PutN implements Cache under a single lock acquisition. The copies
 // are made before the lock is taken: they are the slow part and need
 // nothing the lock protects.
 func (c *MemCache) PutN(kvs []KV) error {
@@ -97,7 +57,7 @@ func (c *MemCache) PutN(kvs []KV) error {
 	return firstErr
 }
 
-// GetN implements Batcher under a single lock acquisition.
+// GetN implements Cache under a single lock acquisition.
 func (c *MemCache) GetN(keys []string) ([][]byte, error) {
 	out := c.viewN(keys)
 	for i, v := range out {
@@ -282,7 +242,7 @@ func parseGetNResp(b []byte, want int) ([][]byte, error) {
 
 // ---- Client ----
 
-// PutN implements Batcher over the network: one 'p' round trip (a
+// PutN implements Cache over the network: one 'p' round trip (a
 // batch of one goes out as the plain 'P' it is equivalent to).
 func (c *Client) PutN(kvs []KV) error {
 	if len(kvs) == 0 {
@@ -301,7 +261,7 @@ func (c *Client) PutN(kvs []KV) error {
 	return nil
 }
 
-// GetN implements Batcher over the network: one 'g' round trip (a
+// GetN implements Cache over the network: one 'g' round trip (a
 // batch of one goes out as the plain 'G' it is equivalent to). Missing
 // keys yield nil entries.
 func (c *Client) GetN(keys []string) ([][]byte, error) {

@@ -33,6 +33,16 @@ type Cache interface {
 	Put(key string, val []byte) error
 	// Get returns the value under key or ErrNotFound.
 	Get(key string) ([]byte, error)
+	// GetInto is Get with the value read into buf's array when cap(buf)
+	// holds it, and into fresh memory otherwise. A result in buf is
+	// overwritten by the next read into buf; never Recycle a buffer
+	// whose bytes are still being read.
+	GetInto(key string, buf []byte) ([]byte, error)
+	// PutN stores every pair, replacing previous values, in slice order.
+	PutN(kvs []KV) error
+	// GetN returns one entry per key, aligned with keys; missing keys
+	// yield a nil entry (not an error).
+	GetN(keys []string) ([][]byte, error)
 	// Delete removes key (no error if absent).
 	Delete(key string) error
 	// Keys returns all keys with the given prefix, sorted.
@@ -89,8 +99,7 @@ func (c *MemCache) putOwned(key string, val []byte) error {
 // Get implements Cache.
 func (c *MemCache) Get(key string) ([]byte, error) { return c.GetInto(key, nil) }
 
-// GetInto is Get with the value copied into buf's array when cap(buf)
-// holds it, and into fresh memory otherwise.
+// GetInto implements Cache, copying the value out of the store.
 func (c *MemCache) GetInto(key string, buf []byte) ([]byte, error) {
 	v, ok := c.view(key)
 	if !ok {
@@ -99,20 +108,6 @@ func (c *MemCache) GetInto(key string, buf []byte) ([]byte, error) {
 	out := sized(buf, len(v))
 	copy(out, v)
 	return out, nil
-}
-
-// GetInto reads key through c into buf's array when c reads into
-// caller memory (Client, ShardedClient, MemCache) and cap(buf) holds the
-// value, and through Get otherwise — the way BatchGet falls back for a
-// non-Batcher. A result in buf is overwritten by the next read into
-// buf; never Recycle a buffer whose bytes are still being read.
-func GetInto(c Cache, key string, buf []byte) ([]byte, error) {
-	if g, ok := c.(interface {
-		GetInto(key string, buf []byte) ([]byte, error)
-	}); ok {
-		return g.GetInto(key, buf)
-	}
-	return c.Get(key)
 }
 
 // view returns the stored slice itself, for readers that only read it.

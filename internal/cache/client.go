@@ -39,12 +39,10 @@ func (e *TransportError) Error() string {
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // Conn is the client-side surface live workers program against: the
-// Cache ops plus batching, fault-tolerance stats and lifecycle.
-// Implemented by *Client (one server) and *ShardedClient (a cluster of
-// them).
+// Cache ops plus fault-tolerance stats and lifecycle. Implemented by
+// *Client (one server) and *ShardedClient (a cluster of them).
 type Conn interface {
 	Cache
-	Batcher
 	// Stats returns the fault-tolerance counters accumulated so far.
 	Stats() ClientStats
 	// Close releases the connection(s).
@@ -389,7 +387,7 @@ func (c *Client) attempt(req request) (byte, []byte, error) {
 	// The lock IS the per-connection request/response serialisation —
 	// one exchange owns the socket from its first byte out to its last
 	// byte in — and the wait is bounded by OpTimeout.
-	status, payload, err := c.exchange(req) //lint:allow lockholdt c.mu serialises exchanges on the one connection; bounded by OpTimeout
+	status, payload, err := c.exchange(req) //lint:allow lockhold c.mu serialises exchanges on the one connection; bounded by OpTimeout
 	if err == nil {
 		return status, payload, nil
 	}
@@ -470,9 +468,9 @@ func (c *Client) Put(key string, val []byte) error {
 // Get implements Cache.
 func (c *Client) Get(key string) ([]byte, error) { return c.GetInto(key, nil) }
 
-// GetInto is Get with the value read into buf's array when cap(buf)
-// holds it, and into fresh memory otherwise; the result then aliases
-// buf. A failed or retried attempt may have written any of buf.
+// GetInto implements Cache, reading the value off the wire straight
+// into buf when it fits. A failed or retried attempt may have written
+// any of buf.
 func (c *Client) GetInto(key string, buf []byte) ([]byte, error) {
 	status, payload, err := c.roundTrip(request{op: 'G', key: key, into: buf})
 	if err != nil {

@@ -272,9 +272,9 @@ type WeightsPublisher struct {
 func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta) error {
 	var kvs []KV
 	var frames [][]byte
-	// Delta first, snapshot second, head last: BatchPut's per-key loop
-	// over a non-Batcher cache preserves slice order, and a batched put
-	// lands under one lock — either way the head never leads its data.
+	// Delta first, snapshot second, head last: PutN lands the pairs in
+	// slice order (a sharded put its same-shard runs one after another),
+	// so the head never leads its data.
 	if p.hasPrev && p.prevVer == version-1 && len(p.prev) == len(w) {
 		d, err := BuildDelta(version, version-1, p.prev, w)
 		if err != nil {
@@ -304,7 +304,7 @@ func (p *WeightsPublisher) Publish(version int, w []float64, trace lineage.Meta)
 	kvs = append(kvs, KV{Key: KeyWeightsHead, Val: hb})
 	frames = append(frames, hb)
 
-	err = BatchPut(p.C, kvs)
+	err = p.C.PutN(kvs)
 	for _, f := range frames {
 		Recycle(f)
 	}
@@ -446,7 +446,7 @@ func (s *WeightsSub) applyChain(hv int) bool {
 	for v := s.ver + 1; v <= hv; v++ {
 		keys = append(keys, WeightsDeltaKey(v))
 	}
-	vals, err := BatchGet(s.C, keys)
+	vals, err := s.C.GetN(keys)
 	if err != nil {
 		return false
 	}
@@ -491,7 +491,7 @@ func (s *WeightsSub) fetchFull() ([]float64, int, error) {
 // get reads key into the receive buffer, keeping the larger array when
 // the value did not fit (or a hedged read returned fresh memory).
 func (s *WeightsSub) get(key string) ([]byte, error) {
-	raw, err := GetInto(s.C, key, s.buf)
+	raw, err := s.C.GetInto(key, s.buf)
 	if cap(raw) > cap(s.buf) {
 		s.buf = raw[:0]
 	}

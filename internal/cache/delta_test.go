@@ -347,7 +347,7 @@ func TestHalfAppliedSparseDeltaKeepsStaleCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := BatchPut(mem, []KV{{WeightsDeltaKey(2), raw}, {KeyWeightsHead, head}}); err != nil {
+		if err := mem.PutN([]KV{{WeightsDeltaKey(2), raw}, {KeyWeightsHead, head}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := mem.Delete(KeyWeightsLatest); err != nil {

@@ -75,23 +75,6 @@ func TestGetIntoShardedClient(t *testing.T) {
 	getIntoContract(t, sc.Put, sc.GetInto)
 }
 
-// TestGetIntoHelperFallsBack: the package helper reads through GetInto
-// where the cache has it and through Get where it does not.
-func TestGetIntoHelperFallsBack(t *testing.T) {
-	mem := NewMemCache()
-	if err := mem.Put("k", []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 0, 64)
-	if got, err := GetInto(mem, "k", buf); err != nil || string(got) != "value" || &got[0] != &buf[:1][0] {
-		t.Fatalf("GetInto(MemCache) = %q, %v; want the value in buf", got, err)
-	}
-	plain := struct{ Cache }{mem} // Get only
-	if got, err := GetInto(plain, "k", buf); err != nil || string(got) != "value" || &got[0] == &buf[:1][0] {
-		t.Fatalf("GetInto(Get-only cache) = %q, %v; want a fresh copy", got, err)
-	}
-}
-
 // TestGetIntoSurvivesDroppedChunks: through a proxy dropping chunks of a
 // 20 KB response, attempts that die mid-read scribble on the caller's
 // buffer, and the retry that succeeds still returns exactly the value.

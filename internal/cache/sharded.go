@@ -470,9 +470,9 @@ func (sc *ShardedClient) Len() (int, error) {
 	return total, nil
 }
 
-// ---- Batcher ----
+// ---- batches ----
 
-// PutN implements Batcher. The batch splits into contiguous same-shard
+// PutN implements Cache. The batch splits into contiguous same-shard
 // runs executed sequentially, preserving the caller's global pair order
 // (see the package comment: the weight publisher depends on it).
 func (sc *ShardedClient) PutN(kvs []KV) error {
@@ -497,7 +497,7 @@ func (sc *ShardedClient) PutN(kvs []KV) error {
 	return nil
 }
 
-// GetN implements Batcher: one batch per shard, results merged back
+// GetN implements Cache: one batch per shard, results merged back
 // into request order; missing keys yield nil entries.
 func (sc *ShardedClient) GetN(keys []string) ([][]byte, error) {
 	if len(keys) == 0 {

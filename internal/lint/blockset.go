@@ -8,9 +8,10 @@ import (
 )
 
 // This file defines the ONE notion of "operation that can block for an
-// unbounded or externally controlled time" shared by the lexical
-// lockhold check and the interprocedural lockholdt check. Before PR 8
-// lockhold hard-coded the cache.Client method list; it predated
+// unbounded or externally controlled time": the lockhold check reads it
+// for operations in a critical section and, through the call graph's
+// mayBlock fact, for operations down a call chain. lockhold once
+// hard-coded the cache.Client method list; it predated
 // cache.Conn, ShardedClient and Replica, so new blocking surface area
 // silently escaped the gate. The set is now *derived* from the
 // cache.Conn interface: every method a connection-like implementation
@@ -40,13 +41,6 @@ var nonBlockingConnMethods = map[string]bool{
 	"Close": true,
 }
 
-// fallbackCacheMethods is used when the analyzed cache package has no
-// Conn interface (minimal fixtures).
-var fallbackCacheMethods = map[string]bool{
-	"Put": true, "Get": true, "Delete": true,
-	"Keys": true, "Len": true,
-}
-
 var (
 	blockMethodsMu   sync.Mutex
 	blockMethodsMemo = map[*types.Package]map[string]bool{}
@@ -54,29 +48,21 @@ var (
 
 // blockingCacheMethods derives the blocking data-op method names for
 // one loaded cache package: the method set of its Conn interface
-// (flattened through the embedded Cache and Batcher interfaces) minus
-// the local accessors. Memoized per *types.Package.
+// (flattened through the embedded Cache interface) minus the local
+// accessors. Memoized per *types.Package.
 func blockingCacheMethods(pkg *types.Package) map[string]bool {
-	if pkg == nil {
-		return fallbackCacheMethods
-	}
 	blockMethodsMu.Lock()
 	defer blockMethodsMu.Unlock()
 	if m, ok := blockMethodsMemo[pkg]; ok {
 		return m
 	}
-	m := fallbackCacheMethods
+	m := make(map[string]bool)
 	if obj := pkg.Scope().Lookup("Conn"); obj != nil {
 		if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
-			derived := make(map[string]bool, iface.NumMethods())
 			for i := 0; i < iface.NumMethods(); i++ {
-				name := iface.Method(i).Name()
-				if !nonBlockingConnMethods[name] {
-					derived[name] = true
+				if name := iface.Method(i).Name(); !nonBlockingConnMethods[name] {
+					m[name] = true
 				}
-			}
-			if len(derived) > 0 {
-				m = derived
 			}
 		}
 	}
@@ -92,13 +78,12 @@ var replicaBlockingMethods = map[string]bool{
 }
 
 // extraBlockingCacheMethods supplements the Conn-derived set with
-// round-trip methods that are not part of the interface: GetInto (Get
-// into the caller's buffer), the term-stamped write variants (each
-// rides the same wire round trip as its plain counterpart, plus a
-// topology refresh on a fence) and the hedged-read internals (each fans
-// a read out to leader AND follower and may dial the follower first).
+// round-trip methods that are not part of the interface: the
+// term-stamped write variants (each rides the same wire round trip as
+// its plain counterpart, plus a topology refresh on a fence) and the
+// hedged-read internals (each fans a read out to leader AND follower
+// and may dial the follower first).
 var extraBlockingCacheMethods = map[string]bool{
-	"GetInto":   true,
 	"PutFenced": true, "PutNFenced": true, "DeleteFenced": true,
 	"hedge": true, "getHedged": true, "getNHedged": true,
 	"followerClient": true,

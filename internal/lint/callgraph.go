@@ -10,13 +10,13 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer under the lockorder, lockholdt
+// This file is the interprocedural layer under the lockhold, lockorder
 // and goroleak checks: a module-wide call graph whose nodes are function
 // declarations and function literals, each summarized with the facts the
 // checks consume — which locks it acquires (and which were already held
 // at that point), which calls it makes (and under which locks), which
-// directly blocking operations it contains, and whether it can ever
-// return. Three monotone fixpoints then propagate the per-function facts
+// directly blocking operations it contains (and under which locks), and
+// whether it can ever return. Three monotone fixpoints then propagate the per-function facts
 // along call edges:
 //
 //	mayBlock  — the function can reach a blocking operation
@@ -33,10 +33,12 @@ import (
 
 // A lock class is a stable identifier for "mutexes that play the same
 // role": canon is the identity key (import path + type + field), disp
-// the short human form ("cache.shardSlot.mu").
+// the short human form ("cache.shardSlot.mu"), expr the operand as
+// written at the Lock call ("c.mu").
 type heldLock struct {
 	canon string // "" when the operand cannot be canonicalized (locals)
 	disp  string
+	expr  string
 	write bool // Lock rather than RLock
 }
 
@@ -60,6 +62,7 @@ type callSite struct {
 type blockSite struct {
 	desc string
 	pos  token.Pos
+	held []heldLock // locks held at the op; nil for a deferred call
 }
 
 type goSite struct {
@@ -182,10 +185,12 @@ func funcDeclName(p *Package, d *ast.FuncDecl) string {
 }
 
 // summarize walks one function body collecting the node's fact sites.
-// The lock tracking mirrors the lexical lockhold walker: a statement
-// list is scanned sequentially, branch bodies get copies of the held
-// set, a deferred Unlock keeps the lock held to the end of the body,
-// and function literals are their own nodes, not part of this body.
+// Lock tracking is lexical: a statement list is scanned sequentially,
+// branch bodies get copies of the held set (a lock released on one path
+// stays held on the fallthrough path — the serveConn early-return
+// pattern), a deferred Unlock keeps the lock held to the end of the
+// body, and function literals are their own nodes, not part of this
+// body.
 func (g *graph) summarize(n *funcNode) {
 	var body *ast.BlockStmt
 	switch d := n.decl.(type) {
@@ -221,7 +226,7 @@ func (s *summarizer) stmt(st ast.Stmt, held map[string]heldLock, top bool, label
 			switch method {
 			case "Lock", "RLock":
 				canon, disp := lockClass(s.p, msel)
-				hl := heldLock{canon: canon, disp: disp, write: method == "Lock"}
+				hl := heldLock{canon: canon, disp: disp, expr: key, write: method == "Lock"}
 				s.node.acquires = append(s.node.acquires, acqSite{
 					canon: canon, disp: disp, write: hl.write,
 					pos: stmt.Pos(), held: heldSnapshot(held),
@@ -281,7 +286,7 @@ func (s *summarizer) stmt(st ast.Stmt, held map[string]heldLock, top bool, label
 			if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
 				// Blocks between elements, but terminates when the
 				// channel closes — not a forever loop.
-				s.node.blocks = append(s.node.blocks, blockSite{"range over channel", stmt.Pos()})
+				s.node.blocks = append(s.node.blocks, blockSite{"range over channel", stmt.Pos(), heldSnapshot(held)})
 			}
 		}
 		s.scan(stmt.X, held, false)
@@ -305,8 +310,11 @@ func (s *summarizer) stmt(st ast.Stmt, held map[string]heldLock, top bool, label
 			}
 		}
 	case *ast.SelectStmt:
+		// A select WITH a default clause polls and proceeds — the MemCache
+		// replication taps do exactly that under the store lock,
+		// deliberately. Only a default-less select parks.
 		if !selectHasDefault(stmt) {
-			s.node.blocks = append(s.node.blocks, blockSite{"select (channel operations)", stmt.Pos()})
+			s.node.blocks = append(s.node.blocks, blockSite{"select (channel operations)", stmt.Pos(), heldSnapshot(held)})
 		}
 		for _, cc := range stmt.Body.List {
 			if clause, ok := cc.(*ast.CommClause); ok {
@@ -345,14 +353,14 @@ func (s *summarizer) scan(node ast.Node, held map[string]heldLock, top bool) {
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			s.node.blocks = append(s.node.blocks, blockSite{"channel send", x.Pos()})
+			s.node.blocks = append(s.node.blocks, blockSite{"channel send", x.Pos(), heldSnapshot(held)})
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				s.node.blocks = append(s.node.blocks, blockSite{"channel receive", x.Pos()})
+				s.node.blocks = append(s.node.blocks, blockSite{"channel receive", x.Pos(), heldSnapshot(held)})
 			}
 		case *ast.SelectStmt:
 			if !selectHasDefault(x) {
-				s.node.blocks = append(s.node.blocks, blockSite{"select (channel operations)", x.Pos()})
+				s.node.blocks = append(s.node.blocks, blockSite{"select (channel operations)", x.Pos(), heldSnapshot(held)})
 			}
 		case *ast.GoStmt:
 			// reached only through odd nesting; conservatively skip
@@ -368,7 +376,7 @@ func (s *summarizer) recordCall(call *ast.CallExpr, held []heldLock, deferred, t
 	cs := callSite{pos: call.Pos(), held: held, deferred: deferred, topLevel: top}
 	if desc, ok := blockingCall(s.p, call); ok {
 		cs.direct = desc
-		s.node.blocks = append(s.node.blocks, blockSite{desc, call.Pos()})
+		s.node.blocks = append(s.node.blocks, blockSite{desc, call.Pos(), held})
 	}
 	if fun, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		cs.callee = s.g.byDecl[fun] // immediately invoked literal

@@ -8,7 +8,7 @@ import (
 
 // The errdrop check flags statements that silently discard the error
 // result of a cache data operation (any cache round trip in blockset.go's
-// list — the cache.Conn data ops and their GetInto/fenced variants — on
+// list — the cache.Conn data ops and their fenced variants — on
 // any internal/cache implementation, MemCache included), a
 // replication-stream apply (Replica.ApplyRecord — a dropped apply error
 // is a follower silently diverging from its leader), or an

@@ -70,7 +70,6 @@ func Checks() []Check {
 		atomicsCheck(),
 		lockholdCheck(),
 		lockorderCheck(),
-		lockholdtCheck(),
 		goroleakCheck(),
 		globalrandCheck(),
 		errdropCheck(),

@@ -142,6 +142,24 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestEveryFixtureRuns: TestGolden finds fixtures through Checks(), so
+// a fixture directory whose check was renamed or deleted would silently
+// stop running. Every directory under testdata/src must be a registered
+// check's fixture or one of the directive fixtures.
+func TestEveryFixtureRuns(t *testing.T) {
+	known := checkNames()
+	known["allowbad"], known["allowstale"] = true, true
+	ents, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.IsDir() && !known[e.Name()] {
+			t.Errorf("testdata/src/%s is no check's fixture: no test runs it", e.Name())
+		}
+	}
+}
+
 // TestAllowDirectiveValidation checks that malformed //lint:allow
 // directives are themselves reported even with no checks enabled.
 func TestAllowDirectiveValidation(t *testing.T) {

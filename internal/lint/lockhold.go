@@ -2,218 +2,81 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
-// The lockhold check forbids operations that can block indefinitely —
-// channel sends/receives, selects, blocking cache.Client round trips,
-// and time.Sleep — lexically between mu.Lock() and mu.Unlock() in the
-// same function body. A goroutine parked on a channel while holding a
-// mutex is how the PR 1 hang happened: live.Train's workers died with
-// state still locked and the pipeline waited forever. The analysis is
-// lexical (per statement list, branches analyzed independently), which
-// is exactly the invariant the repo's code actually maintains: critical
-// sections are short, straight-line, and never do I/O.
+// The lockhold check forbids operations that can block indefinitely
+// while a sync.Mutex is held — channel sends/receives, default-less
+// selects, range over a channel, and the blocking calls of blockset.go
+// (cache round trips and dials, time.Sleep, WaitGroup/Cond waits,
+// net.Conn I/O) — whether the operation sits in the critical section
+// itself or several frames down a call made from it. A goroutine parked
+// while holding a mutex is how live.Train once hung: its workers died
+// with state still locked and the pipeline waited forever.
+//
+// It reads the call-graph summary (callgraph.go), whose held sets are
+// lexical: critical sections are short, straight-line and never do
+// I/O, which is exactly the invariant the repo's code maintains. Two
+// kinds of finding:
+//
+//   - a blocking operation reached with a lock held, named with the
+//     lock operand as written ("b.mu");
+//   - a call made with a lock held whose callee may block, with the
+//     chain down to the operation. A deferred call runs after the
+//     region, and a call that blocks itself is already the first kind.
+//
+// The MemCache exemption comes from the shared blockset, and a select
+// with a default clause polls rather than parks (the replication taps
+// poll under the store lock by design).
 func lockholdCheck() Check {
 	return Check{
 		Name: "lockhold",
-		Doc:  "no channel ops, blocking cache.Client calls, or sleeps while a sync.Mutex is held",
-		Run:  runLockhold,
+		Doc:  "no blocking operations, direct or down a call chain, while a sync.Mutex is held",
+		runModule: func(g *graph, p *Package) []Finding {
+			return g.moduleFindings("lockhold", lockholdFindings, p)
+		},
 	}
 }
 
-func runLockhold(p *Package) []Finding {
-	var out []Finding
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
+func lockholdFindings(g *graph) []taggedFinding {
+	var out []taggedFinding
+	report := func(n *funcNode, f Finding) {
+		f.Check = "lockhold"
+		out = append(out, taggedFinding{pkg: n.p, f: f})
+	}
+	for _, n := range g.nodes {
+		for _, b := range n.blocks {
+			if len(b.held) == 0 {
+				continue
 			}
-			if body != nil {
-				lh := &lockholder{p: p}
-				lh.stmts(body.List, map[string]token.Pos{})
-				out = append(out, lh.findings...)
+			report(n, Finding{
+				Pos: n.p.position(b.pos),
+				Message: fmt.Sprintf("%s while holding %s: blocking inside a critical section can wedge every other waiter",
+					b.desc, heldNames(b.held, func(h heldLock) string { return h.expr })),
+			})
+		}
+		for _, cs := range n.calls {
+			if len(cs.held) == 0 || cs.deferred || cs.direct != "" || cs.callee == nil || cs.callee.mayBlock == nil {
+				continue
 			}
-			// Nested function literals are visited as their own bodies;
-			// keep walking.
-			return true
-		})
+			report(n, Finding{
+				Pos: n.p.position(cs.pos),
+				Message: fmt.Sprintf("call to %s while holding %s transitively blocks: %s",
+					cs.callee.name, heldNames(cs.held, func(h heldLock) string { return h.disp }),
+					renderBlockChain(cs.callee, n.p.Fset)),
+			})
+		}
 	}
 	return out
 }
 
-type lockholder struct {
-	p        *Package
-	findings []Finding
-}
-
-// stmts scans one statement list with the set of locks lexically held
-// on entry. Branch bodies get copies: a lock released on one path stays
-// held on the fallthrough path (the serveConn early-return pattern).
-func (lh *lockholder) stmts(list []ast.Stmt, held map[string]token.Pos) {
-	for _, st := range list {
-		switch s := st.(type) {
-		case *ast.ExprStmt:
-			if msel, method, ok := mutexCall(lh.p, s.X); ok {
-				key := exprString(lh.p, msel.X)
-				switch method {
-				case "Lock", "RLock":
-					held[key] = s.Pos()
-				case "Unlock", "RUnlock":
-					delete(held, key)
-				}
-				continue
-			}
-			lh.inspect(s, held)
-		case *ast.DeferStmt:
-			// A deferred Unlock means the lock is held for the rest of
-			// the body — which the sequential scan already models by
-			// never seeing a releasing statement. Other deferred calls
-			// run after the region, so skip them either way.
-		case *ast.GoStmt:
-			// The spawned goroutine does not hold the caller's locks.
-		case *ast.BlockStmt:
-			lh.stmts(s.List, copyHeld(held))
-		case *ast.IfStmt:
-			if s.Init != nil {
-				lh.inspect(s.Init, held)
-			}
-			lh.inspectExpr(s.Cond, held)
-			lh.stmts(s.Body.List, copyHeld(held))
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				lh.stmts(e.List, copyHeld(held))
-			case *ast.IfStmt:
-				lh.stmts([]ast.Stmt{e}, copyHeld(held))
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				lh.inspect(s.Init, held)
-			}
-			if s.Cond != nil {
-				lh.inspectExpr(s.Cond, held)
-			}
-			if s.Post != nil {
-				lh.inspect(s.Post, held)
-			}
-			lh.stmts(s.Body.List, copyHeld(held))
-		case *ast.RangeStmt:
-			if len(held) > 0 {
-				if t, ok := lh.p.Info.Types[s.X]; ok {
-					if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-						lh.report(s.Pos(), "range over channel", held)
-					}
-				}
-			}
-			lh.inspectExpr(s.X, held)
-			lh.stmts(s.Body.List, copyHeld(held))
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				lh.inspect(s.Init, held)
-			}
-			if s.Tag != nil {
-				lh.inspectExpr(s.Tag, held)
-			}
-			for _, cc := range s.Body.List {
-				if clause, ok := cc.(*ast.CaseClause); ok {
-					lh.stmts(clause.Body, copyHeld(held))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, cc := range s.Body.List {
-				if clause, ok := cc.(*ast.CaseClause); ok {
-					lh.stmts(clause.Body, copyHeld(held))
-				}
-			}
-		case *ast.SelectStmt:
-			// A select WITH a default clause polls and proceeds — the
-			// MemCache replication taps do exactly that under the store
-			// lock, deliberately. Only a default-less select parks.
-			if len(held) > 0 && !selectHasDefault(s) {
-				lh.report(s.Pos(), "select (channel operations)", held)
-			}
-			for _, cc := range s.Body.List {
-				if clause, ok := cc.(*ast.CommClause); ok {
-					lh.stmts(clause.Body, copyHeld(held))
-				}
-			}
-		case *ast.LabeledStmt:
-			lh.stmts([]ast.Stmt{s.Stmt}, held)
-		default:
-			lh.inspect(st, held)
-		}
+// heldNames renders a held set, sorted, one name per lock.
+func heldNames(held []heldLock, name func(heldLock) string) string {
+	names := make([]string, len(held))
+	for i, h := range held {
+		names[i] = name(h)
 	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
-
-func copyHeld(held map[string]token.Pos) map[string]token.Pos {
-	cp := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		cp[k] = v
-	}
-	return cp
-}
-
-// inspect flags blocking operations anywhere inside node (function
-// literals excluded — they execute later, not under this lock).
-func (lh *lockholder) inspect(node ast.Node, held map[string]token.Pos) {
-	if len(held) == 0 {
-		return
-	}
-	ast.Inspect(node, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			lh.report(x.Pos(), "channel send", held)
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				lh.report(x.Pos(), "channel receive", held)
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(x) {
-				lh.report(x.Pos(), "select (channel operations)", held)
-			}
-			return false
-		case *ast.CallExpr:
-			if desc, ok := blockingCall(lh.p, x); ok {
-				lh.report(x.Pos(), desc, held)
-			}
-		}
-		return true
-	})
-}
-
-func (lh *lockholder) inspectExpr(e ast.Expr, held map[string]token.Pos) {
-	if e != nil {
-		lh.inspect(e, held)
-	}
-}
-
-func (lh *lockholder) report(pos token.Pos, what string, held map[string]token.Pos) {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	lh.findings = append(lh.findings, Finding{
-		Pos:   lh.p.position(pos),
-		Check: "lockhold",
-		Message: fmt.Sprintf("%s while holding %s: blocking inside a critical section can wedge every other waiter",
-			what, strings.Join(keys, ", ")),
-	})
-}
-
-// The shared mutexCall / blockingCall definitions live in util.go and
-// blockset.go: the blocking set is derived from the cache.Conn
-// interface so this lexical check and the interprocedural lockholdt
-// check cannot drift apart.

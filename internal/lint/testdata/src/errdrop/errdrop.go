@@ -22,9 +22,9 @@ func memToo(m *cache.MemCache) {
 	m.Put("k", nil) // want "error from MemCache.Put discarded"
 }
 
-func batchedToo(b cache.Batcher) {
-	b.PutN(nil) // want "error from Batcher.PutN discarded"
-	b.GetN(nil) // want "error from Batcher.GetN discarded"
+func batchedToo(b cache.Cache) {
+	b.PutN(nil) // want "error from Cache.PutN discarded"
+	b.GetN(nil) // want "error from Cache.GetN discarded"
 }
 
 func fencedToo(c *cache.Client) {

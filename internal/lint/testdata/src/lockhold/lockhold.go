@@ -106,6 +106,45 @@ func (b *box) unlocked() {
 	_ = b.cli.Delete("k")
 }
 
+func (b *box) rangeUnderLock() {
+	b.mu.Lock()
+	for v := range b.ch { // want "range over channel while holding b.mu"
+		b.n += v
+	}
+	b.mu.Unlock()
+}
+
+func (b *box) ifInitUnderLock() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, err := b.cli.Get("k"); err != nil { // want "blocking Cache.Get call while holding b.mu"
+		b.n++
+	}
+}
+
+func (b *box) forPostUnderLock() {
+	b.mu.Lock()
+	for i := 0; i < 3; time.Sleep(time.Millisecond) { // want "time.Sleep while holding b.mu"
+		i++
+	}
+	b.mu.Unlock()
+}
+
+func (b *box) replicaStopUnderLock(r *cache.Replica) {
+	b.mu.Lock()
+	r.Stop() // want "blocking Replica.Stop call while holding b.mu"
+	b.mu.Unlock()
+}
+
+func (b *box) dialUnderLock() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	c, err := cache.Dial("127.0.0.1:1") // want "cache.Dial (network dial) while holding b.mu"
+	if err == nil {
+		b.ncl = c
+	}
+}
+
 func (b *box) exempted() {
 	b.mu.Lock()
 	b.ch <- 3 //lint:allow lockhold buffered channel drained by the same test

@@ -1,8 +1,9 @@
-// Package lockholdt is a lint fixture: a call made while a mutex is
-// held is flagged when the callee transitively reaches a blocking
-// operation, with the chain printed. Direct blocking calls are the
-// lexical lockhold check's job and are not re-reported here.
-package lockholdt
+// The transitive half of the lockhold fixture: a call made while a
+// mutex is held is flagged when the callee transitively reaches a
+// blocking operation, with the chain printed. A call that blocks itself
+// is reported as a direct blocking operation, not as a chain.
+
+package lockhold
 
 import (
 	"sync"
@@ -31,7 +32,7 @@ func (s *svc) settle() {
 
 func (s *svc) bad() {
 	s.mu.Lock()
-	s.settle() // want "lockholdt.svc.settle -> lockholdt.svc.pause -> time.Sleep"
+	s.settle() // want "lockhold.svc.settle -> lockhold.svc.pause -> time.Sleep"
 	s.mu.Unlock()
 }
 
@@ -54,7 +55,7 @@ func (s *svc) chanChain() {
 func (s *svc) directOpNotMine() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.conn.Put("k", nil) // fine for lockholdt: direct blocking calls belong to the lexical check
+	_ = s.conn.Put("k", nil) // want "blocking Conn.Put call while holding s.mu"
 }
 
 // tapLocked-style polling: a select with a default clause proceeds.
@@ -104,6 +105,6 @@ func (s *svc) afterUnlock() {
 
 func (s *svc) allowed() {
 	s.mu.Lock()
-	s.settle() //lint:allow lockholdt the sleep is a bounded debounce, measured under the lock budget test
+	s.settle() //lint:allow lockhold the sleep is a bounded debounce, measured under the lock budget test
 	s.mu.Unlock()
 }

@@ -96,7 +96,7 @@ func (v *weightView) fetch() (w []float64, ver int, ok bool, err error) {
 // delta reconstruction), adopted as the stale copy. The returned slice
 // is that copy: the next fetch decodes over it.
 func (v *weightView) fetchLatest() ([]float64, int, error) {
-	raw, err := cache.GetInto(v.cli, cache.KeyWeightsLatest, v.buf)
+	raw, err := v.cli.GetInto(cache.KeyWeightsLatest, v.buf)
 	if cap(raw) > cap(v.buf) {
 		v.buf = raw[:0]
 	}
@@ -191,7 +191,7 @@ func (l *learner) step(keys []string) (note gradNote, ok bool, err error) {
 	// One batched round trip fetches the whole trajectory batch; a
 	// transport failure degrades to an all-missed batch (the client
 	// already spent its retry budget) rather than killing the worker.
-	vals, err := cache.BatchGet(l.cli, keys)
+	vals, err := l.cli.GetN(keys)
 	if err != nil {
 		vals = make([][]byte, len(keys))
 	}
@@ -255,7 +255,7 @@ func (l *learner) step(keys []string) (note gradNote, ok bool, err error) {
 // write the pipeline cannot shed.
 func (r *run) absorb(note gradNote) error {
 	start := time.Now()
-	raw, err := cache.GetInto(r.paramCli, note.key, r.gradBuf)
+	raw, err := r.paramCli.GetInto(note.key, r.gradBuf)
 	if cap(raw) > cap(r.gradBuf) {
 		r.gradBuf = raw[:0]
 	}

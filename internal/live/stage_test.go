@@ -351,11 +351,11 @@ func TestAbsorbGetFailed(t *testing.T) {
 	}
 }
 
-// getFails is a connection whose reads fail the way a client with its
-// retries exhausted does.
+// getFails is a connection whose buffered reads, the ones absorb makes,
+// fail the way a client with its retries exhausted does.
 type getFails struct{ cache.Conn }
 
-func (getFails) Get(string) ([]byte, error) { return nil, errors.New("get timed out") }
+func (getFails) GetInto(string, []byte) ([]byte, error) { return nil, errors.New("get timed out") }
 
 // TestLiveTrainLeavesNoPayloadsBehind began as the regression test for
 // the trajectory leak (shed batches' keys used to stay in the cache for
