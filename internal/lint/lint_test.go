@@ -98,17 +98,34 @@ func itoa(n int) string {
 	return string(out)
 }
 
+// goldenFixture pairs a fixture directory under testdata/src with the
+// check TestGolden runs over it.
+type goldenFixture struct {
+	dir   string
+	check Check
+}
+
+// goldenFixtures is every check's own fixture, plus lockholdt: the
+// calls-under-a-lock half of lockhold's, kept as its own package.
+func goldenFixtures() []goldenFixture {
+	var fs []goldenFixture
+	for _, c := range Checks() {
+		fs = append(fs, goldenFixture{c.Name, c})
+	}
+	return append(fs, goldenFixture{"lockholdt", lockholdCheck()})
+}
+
 // TestGolden runs each check against its fixture package and compares
 // the findings against the fixture's // want annotations: every
 // finding must match a fragment on its exact file:line, and every
 // fragment must be consumed. The //lint:allow sites in each fixture
 // carry no want and therefore also assert the suppression path.
 func TestGolden(t *testing.T) {
-	for _, check := range Checks() {
-		check := check
-		t.Run(check.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", check.Name)
-			p := loadFixture(t, check.Name)
+	for _, fx := range goldenFixtures() {
+		check := fx.check
+		t.Run(fx.dir, func(t *testing.T) {
+			dir := filepath.Join("testdata", "src", fx.dir)
+			p := loadFixture(t, fx.dir)
 			wants := parseWants(t, dir)
 			findings := Analyze([]*Package{p}, []Check{check})
 
@@ -144,11 +161,13 @@ func TestGolden(t *testing.T) {
 
 // TestEveryFixtureRuns: TestGolden finds fixtures through Checks(), so
 // a fixture directory whose check was renamed or deleted would silently
-// stop running. Every directory under testdata/src must be a registered
-// check's fixture or one of the directive fixtures.
+// stop running. Every directory under testdata/src must be one of
+// goldenFixtures or one of the directive fixtures.
 func TestEveryFixtureRuns(t *testing.T) {
-	known := checkNames()
-	known["allowbad"], known["allowstale"] = true, true
+	known := map[string]bool{"allowbad": true, "allowstale": true}
+	for _, fx := range goldenFixtures() {
+		known[fx.dir] = true
+	}
 	ents, err := os.ReadDir(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)

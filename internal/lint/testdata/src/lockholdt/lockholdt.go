@@ -1,9 +1,9 @@
-// The transitive half of the lockhold fixture: a call made while a
-// mutex is held is flagged when the callee transitively reaches a
-// blocking operation, with the chain printed. A call that blocks itself
-// is reported as a direct blocking operation, not as a chain.
-
-package lockhold
+// Package lockholdt is the transitive half of the lockhold fixture, run
+// under the lockhold check: a call made while a mutex is held is
+// flagged when the callee transitively reaches a blocking operation,
+// with the chain printed. A call that blocks itself is reported as a
+// direct blocking operation, not as a chain.
+package lockholdt
 
 import (
 	"sync"
@@ -32,7 +32,7 @@ func (s *svc) settle() {
 
 func (s *svc) bad() {
 	s.mu.Lock()
-	s.settle() // want "lockhold.svc.settle -> lockhold.svc.pause -> time.Sleep"
+	s.settle() // want "lockholdt.svc.settle -> lockholdt.svc.pause -> time.Sleep"
 	s.mu.Unlock()
 }
 
