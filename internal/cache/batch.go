@@ -1,15 +1,13 @@
 package cache
 
-// Batched cache operations: PutN stores N key/value pairs and GetN
-// fetches N keys in one protocol round trip each, amortizing the
-// per-op frame and syscall cost that dominates small-payload traffic
-// (actors flushing trajectories, learners assembling batches).
+// Batched reads: GetN fetches N keys in one protocol round trip,
+// amortizing the per-op frame and syscall cost that dominates
+// small-payload traffic (learners assembling batches).
 //
-// On the wire (see DESIGN.md §10): op 'p' carries a PutN blob
-// and op 'g' a GetN request in the frame's value field; the key field
-// is unused. Blobs are big-endian like the rest of the frame layer.
+// On the wire (see DESIGN.md §10): op 'g' carries a GetN request in the
+// frame's value field; the key field is unused. Blobs are big-endian
+// like the rest of the frame layer.
 //
-//	PutN request blob:  u32 count, then count × [u32 keyLen][key][u32 valLen][val]
 //	GetN request blob:  u32 count, then count × [u32 keyLen][key]
 //	GetN response blob: u32 count, then count × [u8 found][u32 valLen][val]
 
@@ -21,41 +19,12 @@ import (
 	"stellaris/internal/obs/lineage"
 )
 
-// KV is one key/value pair in a batched put.
-type KV struct {
-	Key string
-	Val []byte
-}
-
-// BatchGet is c.GetN(keys). It stays only because benchmark/cachemix.go
-// and benchmark/ladder.go call it; drop it with the next change to the
-// benchmark, and call GetN everywhere else.
+// BatchGet is c.GetN(keys). Benchmark only: it stays because
+// benchmark/cachemix.go and benchmark/ladder.go call it; drop it with the
+// next change to the benchmark, and call GetN everywhere else.
 func BatchGet(c Cache, keys []string) ([][]byte, error) { return c.GetN(keys) }
 
 // ---- MemCache ----
-
-// PutN implements Cache under a single lock acquisition. The copies
-// are made before the lock is taken: they are the slow part and need
-// nothing the lock protects.
-func (c *MemCache) PutN(kvs []KV) error {
-	owned := make([][]byte, len(kvs))
-	for i, kv := range kvs {
-		v := kv.Val // a plain variable, so make+copy compiles to one unzeroed allocation
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		owned[i] = cp
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var firstErr error
-	for i, kv := range kvs {
-		c.data[kv.Key] = owned[i]
-		if err := c.logLocked(aofPut, kv.Key, owned[i]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
 
 // GetN implements Cache under a single lock acquisition.
 func (c *MemCache) GetN(keys []string) ([][]byte, error) {
@@ -90,18 +59,9 @@ func (c *MemCache) viewN(keys []string) [][]byte {
 // ---- wire blobs ----
 
 const (
-	minPutNRec    = 8 // empty key + empty value
 	minGetNReqRec = 4 // empty key
 	minGetNRspRec = 5 // found byte + empty value
 )
-
-func putNBlobSize(kvs []KV) int {
-	n := 4
-	for _, kv := range kvs {
-		n += 8 + len(kv.Key) + len(kv.Val)
-	}
-	return n
-}
 
 // blobCursor reads length-prefixed fields out of a batch blob with the
 // same validate-before-allocate discipline as binReader.
@@ -157,21 +117,6 @@ func (c *blobCursor) finish() error {
 		c.err = fmt.Errorf("cache: batch blob: %d trailing bytes", len(c.b))
 	}
 	return c.err
-}
-
-func parsePutNBlob(b []byte) ([]KV, error) {
-	cur := &blobCursor{b: b}
-	n := cur.count("putn count", minPutNRec)
-	kvs := make([]KV, 0, n)
-	for i := 0; i < n && cur.err == nil; i++ {
-		key := string(cur.bytes(cur.u32("key length"), "key"))
-		val := cur.bytes(cur.u32("value length"), "value")
-		kvs = append(kvs, KV{Key: key, Val: val})
-	}
-	if err := cur.finish(); err != nil {
-		return nil, err
-	}
-	return kvs, nil
 }
 
 func getNReqSize(keys []string) int {
@@ -241,25 +186,6 @@ func parseGetNResp(b []byte, want int) ([][]byte, error) {
 }
 
 // ---- Client ----
-
-// PutN implements Cache over the network: one 'p' round trip (a
-// batch of one goes out as the plain 'P' it is equivalent to).
-func (c *Client) PutN(kvs []KV) error {
-	if len(kvs) == 0 {
-		return nil
-	}
-	if len(kvs) == 1 {
-		return c.Put(kvs[0].Key, kvs[0].Val)
-	}
-	status, payload, err := c.roundTrip(request{op: 'p', kvs: kvs})
-	if err := respErr(status, payload, err, "(putn)"); err != nil {
-		return err
-	}
-	for _, kv := range kvs {
-		c.lineageHop(lineage.HopPut, kv.Key)
-	}
-	return nil
-}
 
 // GetN implements Cache over the network: one 'g' round trip (a
 // batch of one goes out as the plain 'G' it is equivalent to). Missing

@@ -1,12 +1,11 @@
 package cache
 
 // Hand-rolled binary codec for the three hot payload families
-// (trajectories, gradients, weight vectors) plus the delta weight
-// message. The wire format is documented in DESIGN.md §10; the short
-// version:
+// (trajectories, gradients, weight vectors). The wire format is
+// documented in DESIGN.md §10; the short version:
 //
 //	[4]byte magic "SLB1"
-//	u8     payload kind (1=weights 2=grad 3=trajectory 4=weights-delta)
+//	u8     payload kind (1=weights 2=grad 3=trajectory; 4 is reserved)
 //	u8     codec version (1)
 //	u16    reserved (0)
 //	u32    TLV section offset from payload start (0 = no TLV section)
@@ -54,7 +53,8 @@ const (
 	binKindWeights    = 1
 	binKindGrad       = 2
 	binKindTrajectory = 3
-	binKindDelta      = 4
+	// Kind 4 was the weights delta. Nothing publishes one any more; the
+	// byte stays reserved, and every decoder refuses it as unknown.
 
 	tlvTagMeta = 1
 )
@@ -312,7 +312,7 @@ func openBin(b []byte) (byte, *binReader, lineage.Meta, error) {
 // EncodeWeights encodes a weight message. The buffer may be returned to
 // the frame pool with Recycle once handed off. The error is always nil:
 // the signature is the uniform encode-then-put shape callers share with
-// EncodeTrajectory and EncodeDelta, which can fail.
+// EncodeTrajectory, which can fail.
 func EncodeWeights(w *WeightsMsg) ([]byte, error) {
 	body := 8 + 4 + 8*len(w.Weights)
 	tlv := metaTLVSize(&w.Trace)

@@ -14,18 +14,16 @@ import (
 	"stellaris/internal/replay"
 )
 
-// FuzzBinCodecRoundTrip targets the payload codec (bincodec.go,
-// delta.go):
+// FuzzBinCodecRoundTrip targets the payload codec (bincodec.go):
 //
 //  1. Adversarial decode — raw fuzz bytes, and the same bytes grafted
-//     behind each valid binary header (so inputs reach past the magic
-//     and kind gates), are fed to every Decode* entry point plus
-//     DecodeDelta. All must reject garbage with an error, never panic
-//     and never allocate past the slab guards.
-//  2. Structured round trip — a DeltaMsg and a Trajectory derived from
-//     the input must survive encode → decode bit-for-bit, in both the
-//     sparse and dense delta representations; a trajectory whose
-//     steps differ in dimensions must be refused by the encoder; and a
+//     behind each binary header, the retired delta kind 4 included (so
+//     inputs reach past the magic and kind gates), are fed to every
+//     Decode* entry point. All must reject garbage with an error, never
+//     panic and never allocate past the slab guards.
+//  2. Structured round trip — a Trajectory derived from the input must
+//     survive encode → decode bit-for-bit; a trajectory whose steps
+//     differ in dimensions must be refused by the encoder; and a
 //     WeightsMsg and a GradMsg built on the same floats round-trip too.
 //
 // Guarded by testing.Short so `make race` stays fast; `make
@@ -65,11 +63,9 @@ func FuzzBinCodecRoundTrip(f *testing.F) {
 	}); err == nil {
 		f.Add(b)
 	}
-	if d, err := BuildDelta(5, 4, []float64{1, 2, 3, 4}, []float64{1, 9, 3, 4}); err == nil {
-		if b, err := EncodeDelta(d); err == nil {
-			f.Add(b)
-		}
-	}
+	// The retired delta kind: a header of kind 4 over what was a dense
+	// one-weight body (versions 5 and 4, length 1, dense flag, 1.0).
+	f.Add(append(appendBinHeader(nil, 4, 0), "\x05\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\xf0\x3f"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bothSlabPaths(t, func(t *testing.T) { binCodecRoundTrip(t, data) })
@@ -96,44 +92,9 @@ func binCodecRoundTrip(t *testing.T, data []byte) {
 		if tr, err := DecodeTrajectory(in); err == nil && tr == nil {
 			t.Fatal("DecodeTrajectory: nil trajectory without error")
 		}
-		if d, err := DecodeDelta(in); err == nil && d == nil {
-			t.Fatal("DecodeDelta: nil delta without error")
-		}
 	}
 
-	// 2. Deltas derived from the input round-trip bit-for-bit and
-	// reconstruct the exact next vector.
-	base := floatsFromBytes(data, 128)
-	next := append([]float64(nil), base...)
-	for i := range next {
-		if i%3 == 0 {
-			next[i] += 1
-		}
-	}
-	d, err := BuildDelta(2, 1, base, next)
-	if err != nil {
-		t.Fatalf("BuildDelta: %v", err)
-	}
-	db, err := EncodeDelta(d)
-	if err != nil {
-		t.Fatalf("EncodeDelta: %v", err)
-	}
-	d2, err := DecodeDelta(db)
-	if err != nil {
-		t.Fatalf("DecodeDelta(EncodeDelta): %v", err)
-	}
-	if d2.Version != d.Version || d2.BaseVersion != d.BaseVersion || d2.Len != d.Len || d2.Dense() != d.Dense() {
-		t.Fatalf("delta round trip mismatch: %+v != %+v", d2, d)
-	}
-	got := append([]float64(nil), base...)
-	if err := d2.Apply(got); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if !float64sEqual(got, next) {
-		t.Fatalf("delta reconstruction mismatch: %v != %v", got, next)
-	}
-
-	// 3. A trajectory round-trips through the binary codec when its
+	// 2. A trajectory round-trips through the binary codec when its
 	// steps share their dimensions (even input length); a ragged one
 	// (odd length, two steps or more) is refused by the encoder.
 	traj, ragged := trajFromBytes(data)
@@ -164,7 +125,8 @@ func binCodecRoundTrip(t *testing.T, data []byte) {
 		}
 	}
 
-	// 4. So do a weight vector and a gradient carrying the same floats.
+	// 3. So do a weight vector and a gradient carrying the same floats.
+	base := floatsFromBytes(data, 128)
 	w := &WeightsMsg{Version: len(data), Weights: base}
 	wb, _ := EncodeWeights(w)
 	if w2, err := DecodeWeights(wb); err != nil || w2.Version != w.Version || !float64sEqual(w2.Weights, w.Weights) {
@@ -262,8 +224,6 @@ func TestEncodersReproduceCorpusBytes(t *testing.T) {
 			"weights_traced":     reencode(DecodeWeights, EncodeWeights),
 			"grad_learner2":      reencode(DecodeGrad, EncodeGrad),
 			"trajectory_columns": reencode(DecodeTrajectory, EncodeTrajectory),
-			"delta_dense":        reencode(DecodeDelta, EncodeDelta),
-			"delta_sparse":       reencode(DecodeDelta, EncodeDelta),
 		} {
 			seed := corpusSeed(t, name)
 			got, err := roundTrip(seed)
@@ -274,6 +234,32 @@ func TestEncodersReproduceCorpusBytes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRetiredDeltaKindIsRefused: payload kind 4, the weight delta that
+// is no longer published, is refused by every decoder — the frozen delta
+// seeds, and a header of that kind over an otherwise valid weights body.
+func TestRetiredDeltaKindIsRefused(t *testing.T) {
+	weights, err := EncodeWeights(&WeightsMsg{Version: 2, Weights: []float64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights[4] = 4
+	for name, in := range map[string][]byte{
+		"delta_dense":     corpusSeed(t, "delta_dense"),
+		"delta_sparse":    corpusSeed(t, "delta_sparse"),
+		"weights as kind": weights,
+	} {
+		if m, err := DecodeWeights(in); err == nil || !strings.Contains(err.Error(), "kind 4") {
+			t.Errorf("%s: DecodeWeights = %+v, %v; want the kind error", name, m, err)
+		}
+		if m, err := DecodeGrad(in); err == nil || !strings.Contains(err.Error(), "kind 4") {
+			t.Errorf("%s: DecodeGrad = %+v, %v; want the kind error", name, m, err)
+		}
+		if m, err := DecodeTrajectory(in); err == nil || !strings.Contains(err.Error(), "kind 4") {
+			t.Errorf("%s: DecodeTrajectory = %+v, %v; want the kind error", name, m, err)
+		}
+	}
 }
 
 // TestTrajectoryHasOneLayout: the encoder refuses steps of differing

@@ -188,8 +188,6 @@ func TestCraftedCountsFailCleanly(t *testing.T) {
 			u32(n), u32(0), u32(0), body)
 		cases[fmt.Sprintf("trajectory returns %d", n)] = cat(hdr(binKindTrajectory), i64, i64, u32(0), []byte{1},
 			u32(0), u32(0), u32(0), u32(n), body)
-		cases[fmt.Sprintf("delta dense len %d", n)] = cat(hdr(binKindDelta), i64, i64, u32(n), []byte{1}, body)
-		cases[fmt.Sprintf("delta sparse nnz %d", n)] = cat(hdr(binKindDelta), i64, i64, u32(4), []byte{0}, u32(n), body)
 	}
 	bothSlabPaths(t, func(t *testing.T) {
 		for name, in := range cases {
@@ -201,9 +199,6 @@ func TestCraftedCountsFailCleanly(t *testing.T) {
 			}
 			if m, err := DecodeTrajectory(in); err == nil {
 				t.Errorf("%s: DecodeTrajectory = %+v", name, m)
-			}
-			if m, err := DecodeDelta(in); err == nil {
-				t.Errorf("%s: DecodeDelta = %+v", name, m)
 			}
 		}
 	})

@@ -38,8 +38,6 @@ type Cache interface {
 	// overwritten by the next read into buf; never Recycle a buffer
 	// whose bytes are still being read.
 	GetInto(key string, buf []byte) ([]byte, error)
-	// PutN stores every pair, replacing previous values, in slice order.
-	PutN(kvs []KV) error
 	// GetN returns one entry per key, aligned with keys; missing keys
 	// yield a nil entry (not an error).
 	GetN(keys []string) ([][]byte, error)
@@ -62,8 +60,8 @@ type Cache interface {
 // slice a reader obtained under the lock stays valid and unchanged
 // after the lock is released. The server's responses (view), the
 // replication taps and snapshots, and the follower's store all share
-// stored slices on that guarantee; the public Put/PutN/Get/GetN keep
-// it by copying in and out, so callers own what they pass and receive.
+// stored slices on that guarantee; the public Put/Get/GetN keep it by
+// copying in and out, so callers own what they pass and receive.
 type MemCache struct {
 	mu   sync.RWMutex
 	data map[string][]byte

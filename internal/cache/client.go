@@ -196,8 +196,7 @@ type request struct {
 	op   byte // the operation; for a fenced write, the one inside the envelope
 	key  string
 	term int64  // nonzero: send as a 'T' envelope stamped with this shard term
-	val  []byte // the value field, or
-	kvs  []KV   // the pairs of a 'p', gathered into the value field
+	val  []byte // the value field
 	into []byte // where the response payload lands when it fits (readResp)
 }
 

@@ -64,16 +64,16 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(good.Bytes())
 	f.Add([]byte{0, 0, 0, 5, 'G', 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	// A 'p' blob and a 'T'-wrapped one, each intact and with its last
-	// value length one past the end of the frame.
-	blob := appendPutNBlob(nil, []KV{{Key: "traj/0/1", Val: []byte("first")}, {Key: "traj/0/2", Val: []byte("second")}})
+	// A 'g' blob and a 'T'-wrapped one, each intact and with its last
+	// key length one past the end of the frame.
+	blob := appendGetNReq(nil, []string{"traj/0/1", "traj/0/2"})
 	past := append([]byte(nil), blob...)
-	past[len(past)-len("second")-1]++
+	past[len(past)-len("traj/0/2")-1]++
 	for _, b := range [][]byte{blob, past} {
 		for _, term := range []int64{0, 7} {
 			good.Reset()
 			fw := frameWriter{w: &good}
-			fw.request(request{op: 'p', term: term, val: b})
+			fw.request(request{op: 'g', term: term, val: b})
 			if err := fw.flush(); err != nil {
 				f.Fatal(err)
 			}

@@ -68,20 +68,3 @@ func (c *Client) DeleteFenced(term int64, key string) error {
 	_, err := c.fenced(request{op: 'D', key: key, term: term})
 	return err
 }
-
-// PutNFenced is PutN stamped with the caller's believed shard term: the
-// whole batch is either applied or fenced atomically (the envelope
-// wraps one 'p' blob, and the term check happens before the blob is
-// touched).
-func (c *Client) PutNFenced(term int64, kvs []KV) error {
-	if term == 0 || len(kvs) == 0 {
-		return c.PutN(kvs)
-	}
-	if _, err := c.fenced(request{op: 'p', term: term, kvs: kvs}); err != nil {
-		return err
-	}
-	for _, kv := range kvs {
-		c.lineageHop(lineage.HopPut, kv.Key)
-	}
-	return nil
-}

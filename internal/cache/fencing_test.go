@@ -140,19 +140,16 @@ func TestSplitBrainFencedWrite(t *testing.T) {
 	if bs.TopologyVersion != 2 {
 		t.Fatalf("stale client still on topology version %d", bs.TopologyVersion)
 	}
-	// Batched writes from a re-staled view are fenced identically.
+	// Writes from a re-staled view are fenced identically.
 	raw, err := DialWith(p.followerAddr, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if err := raw.PutNFenced(1, []KV{{Key: "traj/y", Val: []byte("v")}}); err == nil {
-		t.Fatal("term-1 batch accepted by a term-2 server")
+	if err := raw.PutFenced(1, "traj/z", []byte("v")); err == nil {
+		t.Fatal("term-1 put accepted by a term-2 server")
 	} else if fe := new(ErrFenced); !errors.As(err, &fe) || fe.Term != 2 {
 		t.Fatalf("want ErrFenced{Term: 2}, got %v", err)
-	}
-	if err := raw.PutFenced(1, "traj/z", []byte("v")); !errors.As(err, new(*ErrFenced)) {
-		t.Fatalf("want ErrFenced from stale single put, got %v", err)
 	}
 	// Equal term passes; zero term (fencing disarmed) also passes —
 	// the plain-op path must never be fenced.
@@ -212,8 +209,8 @@ func TestFencedWriteFailsClosedOnUnknownOp(t *testing.T) {
 	if err := cl.PutFenced(1, "traj/k", []byte("v")); err == nil {
 		t.Error("PutFenced succeeded against a server that cannot fence")
 	}
-	if err := cl.PutNFenced(1, []KV{{Key: "traj/a", Val: []byte("v")}, {Key: "traj/b", Val: []byte("v")}}); err == nil {
-		t.Error("PutNFenced succeeded against a server that cannot fence")
+	if err := cl.DeleteFenced(1, "traj/k"); err == nil {
+		t.Error("DeleteFenced succeeded against a server that cannot fence")
 	}
 	if keys, _ := store.Keys(""); len(keys) != 0 {
 		t.Fatalf("unfenced writes landed: %v", keys)

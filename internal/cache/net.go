@@ -22,12 +22,12 @@ import (
 // frame. Requests are  [u32 frameLen][u8 op][u32 keyLen][key][value] and
 // responses are       [u32 frameLen][u8 status][payload].
 // Ops: 'P' put, 'G' get, 'D' delete, 'K' keys, 'L' len,
-// 'p' batched put, 'g' batched get (blobs in the value field; see
-// batch.go), 'R' replication subscribe (hijacks the connection into a
-// one-way stream of '+' frames carrying AOF records; see replica.go
-// and DESIGN.md §11.2), 'T' term-fenced write envelope
+// 'g' batched get (a blob in the value field; see batch.go),
+// 'R' replication subscribe (hijacks the connection into a one-way
+// stream of '+' frames carrying AOF records; see replica.go and
+// DESIGN.md §11.2), 'T' term-fenced write envelope
 // (value = [u64 term][u8 innerOp][inner value]; the inner op is one of
-// 'P', 'D', 'p' and is rejected with status 'F' when the carried
+// 'P', 'D' and is rejected with status 'F' when the carried
 // term is older than the newest this server has learned — see
 // DESIGN.md §11.5).
 // Status: '+' ok, '-' not found, '!' error (payload = message),
@@ -74,13 +74,9 @@ func (w *frameWriter) value(v []byte) {
 }
 
 // request queues one request frame. A nonzero term wraps r.op in a 'T'
-// envelope; r.kvs, when set, is gathered into the value field in the
-// PutN blob layout (batch.go).
+// envelope.
 func (w *frameWriter) request(r request) {
 	vlen := len(r.val)
-	if r.kvs != nil {
-		vlen = putNBlobSize(r.kvs)
-	}
 	if r.term != 0 {
 		vlen += 9
 	}
@@ -92,17 +88,7 @@ func (w *frameWriter) request(r request) {
 		w.hdr = binary.BigEndian.AppendUint64(w.hdr, uint64(r.term))
 		w.hdr = append(w.hdr, r.op)
 	}
-	if r.kvs == nil {
-		w.value(r.val)
-		return
-	}
-	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(r.kvs)))
-	for _, kv := range r.kvs {
-		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(kv.Key)))
-		w.hdr = append(w.hdr, kv.Key...)
-		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(kv.Val)))
-		w.value(kv.Val)
-	}
+	w.value(r.val)
 }
 
 // respHead stages the head of a response frame whose payload will be n
@@ -316,8 +302,6 @@ func opName(op byte) string {
 		return "keys"
 	case 'L':
 		return "len"
-	case 'p':
-		return "putn"
 	case 'g':
 		return "getn"
 	case 'R':
@@ -513,33 +497,6 @@ func (s *Server) handle(w *frameWriter, f frame) {
 	case 'L':
 		n, _ := s.store.Len()
 		w.resp('+', strconv.AppendInt(nil, int64(n), 10))
-	case 'p':
-		kvs, err := parsePutNBlob(f.value)
-		if err != nil {
-			w.errResp("%v", err)
-			return
-		}
-		// The batch path enforces the same empty-key invariant as single
-		// 'P' — rejecting the WHOLE batch, because applying a prefix of
-		// it would leave the store (and the AOF, and any replication
-		// follower) holding a partial write the client believes failed.
-		for i, kv := range kvs {
-			if kv.Key == "" {
-				w.errResp("empty key at index %d in batched put", i)
-				return
-			}
-		}
-		// PutN copies each value out of the blob (before it takes the
-		// lock): handing the blob over instead would let one small key
-		// keep a whole batch's bytes alive.
-		_ = s.store.PutN(kvs)
-		for _, kv := range kvs {
-			if kv.Key == cluster.TopologyKey {
-				s.learnTopology(kv.Val)
-			}
-			s.lineageHop(lineage.HopPut, kv.Key)
-		}
-		w.resp('+', nil)
 	case 'g':
 		keys, err := parseGetNReq(f.value)
 		if err != nil {
@@ -575,7 +532,7 @@ func (s *Server) handle(w *frameWriter, f frame) {
 		reqTerm := int64(binary.BigEndian.Uint64(f.value[:8]))
 		inner := f.value[8]
 		switch inner {
-		case 'P', 'D', 'p':
+		case 'P', 'D':
 		default:
 			w.errResp("op %q not allowed in fenced envelope", inner)
 			return

@@ -127,6 +127,10 @@ func TestServerUnknownOpcode(t *testing.T) {
 		{"I", 'I', nil},
 		{"T around I", 'T', envelope('I')},
 		{"T around G", 'T', envelope('G')},
+		// The retired batched put, with what was a well-formed one-pair
+		// blob ([u32 count][u32 keyLen][key][u32 valLen][val]).
+		{"p", 'p', []byte{0, 0, 0, 1, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'v'}},
+		{"T around p", 'T', append(envelope('p'), 0, 0, 0, 1, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'v')},
 	} {
 		conn := rawDial(t, addr)
 		if err := writeFrame(conn, tc.op, "key", tc.value); err != nil {

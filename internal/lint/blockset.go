@@ -84,7 +84,7 @@ var replicaBlockingMethods = map[string]bool{
 // hedged-read internals (each fans a read out to leader AND follower
 // and may dial the follower first).
 var extraBlockingCacheMethods = map[string]bool{
-	"PutFenced": true, "PutNFenced": true, "DeleteFenced": true,
+	"PutFenced": true, "DeleteFenced": true,
 	"hedge": true, "getHedged": true, "getNHedged": true,
 	"followerClient": true,
 }

@@ -23,15 +23,14 @@ func memToo(m *cache.MemCache) {
 }
 
 func batchedToo(b cache.Cache) {
-	b.PutN(nil) // want "error from Cache.PutN discarded"
-	b.GetN(nil) // want "error from Cache.GetN discarded"
+	b.GetInto("k", nil) // want "error from Cache.GetInto discarded"
+	b.GetN(nil)         // want "error from Cache.GetN discarded"
 }
 
 func fencedToo(c *cache.Client) {
 	// A dropped fence rejection is a split-brain write silently thrown
 	// away: the caller never learns its topology view is stale.
 	c.PutFenced(1, "k", nil)     // want "error from Client.PutFenced discarded"
-	c.PutNFenced(1, nil)         // want "error from Client.PutNFenced discarded"
 	c.DeleteFenced(1, "k")       // want "error from Client.DeleteFenced discarded"
 	_ = c.PutFenced(1, "k", nil) // fine: explicit shed decision
 }

@@ -30,7 +30,7 @@ func (b *box) bad() {
 	_ = v
 	_ = b.cli.Put("k", nil)      // want "blocking Cache.Put call while holding b.mu"
 	_, _ = b.cli.Get("k")        // want "blocking Cache.Get call while holding b.mu"
-	_ = b.cn.PutN(nil)           // want "blocking Conn.PutN call while holding b.mu"
+	_, _ = b.cn.GetN(nil)        // want "blocking Conn.GetN call while holding b.mu"
 	b.wg.Wait()                  // want "sync.WaitGroup.Wait while holding b.mu"
 	time.Sleep(time.Millisecond) // want "time.Sleep while holding b.mu"
 	b.mu.Unlock()
@@ -81,7 +81,6 @@ func (b *box) goroutineIsFine() {
 func (b *box) fencedUnderLock() {
 	b.mu.Lock()
 	_ = b.ncl.PutFenced(1, "k", nil) // want "blocking Client.PutFenced call while holding b.mu"
-	_ = b.ncl.PutNFenced(1, nil)     // want "blocking Client.PutNFenced call while holding b.mu"
 	_ = b.ncl.DeleteFenced(1, "k")   // want "blocking Client.DeleteFenced call while holding b.mu"
 	b.mu.Unlock()
 	_ = b.ncl.PutFenced(1, "k", nil) // fine: after the unlock

@@ -7,6 +7,7 @@ import (
 	"stellaris/internal/cache"
 	"stellaris/internal/env"
 	"stellaris/internal/istrunc"
+	"stellaris/internal/obs/lineage"
 	"stellaris/internal/rng"
 )
 
@@ -53,7 +54,7 @@ func newTestActor(t *testing.T, c cache.Cache, globalVersion int64) *actor {
 func TestActorStampsFetchedVersion(t *testing.T) {
 	mem := cache.NewMemCache()
 	a := newTestActor(t, mem, 9)
-	if err := putWeights(mem, 3, a.model.Weights()); err != nil {
+	if err := (&cache.WeightsPublisher{C: mem}).Publish(3, a.model.Weights(), lineage.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	note, ok, err := a.iterate()
@@ -79,15 +80,17 @@ func TestActorStampsFetchedVersion(t *testing.T) {
 func TestActorStaleFallbackKeepsFetchedVersion(t *testing.T) {
 	mem := cache.NewMemCache()
 	a := newTestActor(t, mem, 7)
-	if err := putWeights(mem, 2, a.model.Weights()); err != nil {
+	if err := (&cache.WeightsPublisher{C: mem}).Publish(2, a.model.Weights(), lineage.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := a.iterate(); err != nil || !ok {
 		t.Fatalf("warm-up iterate: ok=%v err=%v", ok, err)
 	}
 	// Weights vanish: the next iterate degrades to the stale copy.
-	if err := mem.Delete("weights/latest"); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{cache.KeyWeightsHead, cache.KeyWeightsLatest} {
+		if err := mem.Delete(k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	note, ok, err := a.iterate()
 	if err != nil || !ok {

@@ -284,7 +284,7 @@ type Report struct {
 	// each client fails over independently, so one dead leader typically
 	// shows up here once per worker that hit it.
 	ShardFailovers int64
-	// WeightRegressions counts head-pointer regressions the delta weight
+	// WeightRegressions counts head-pointer regressions the weight
 	// subscribers detected and reset through: after failover onto a
 	// follower whose replicated head lagged the dead leader, the policy
 	// version can move backwards, and the subscribers re-anchor rather
@@ -422,21 +422,12 @@ func (p *clientPool) shardedStats() cache.ShardedStats {
 	return sum
 }
 
-// publishWeights stores the run's current weight vector under version:
-// through the delta publisher in async mode, as lockstep's single-key
-// put otherwise. This is the one stage the two schedules do not share,
-// on purpose: every dense publish through WeightsPublisher ships the
-// vector twice (delta + snapshot), and routing lockstep through it was
-// measured at 66.3 → 46.4 updates/s and 702 → 805 MB on lockstep_fat.
-// That doubling is the publisher's to fix (ROADMAP item 2); until then
-// lockstep keeps the plain put, and weightView the matching plain get.
+// publishWeights stores the run's current weight vector under version,
+// then the head naming it (cache.WeightsPublisher), in both schedules.
 func (r *run) publishWeights(version int) error {
-	if r.pub != nil {
-		return r.pub.Publish(version, r.weights, lineage.Meta{
-			ID: lineage.WeightsID(version), Kind: lineage.KindWeights, Origin: "param",
-		})
-	}
-	return putWeights(r.paramCli, version, r.weights)
+	return r.pub.Publish(version, r.weights, lineage.Meta{
+		ID: lineage.WeightsID(version), Kind: lineage.KindWeights, Origin: "param",
+	})
 }
 
 // publishWeightsPersistent retries publishWeights through an extended
@@ -455,23 +446,4 @@ func (r *run) publishWeightsPersistent(version int) error {
 		}
 	}
 	return fmt.Errorf("live: publishing weights v%d failed persistently: %w", version, err)
-}
-
-// putWeights stores a versioned weight vector under "weights/latest",
-// stamped with the synthetic per-version trace identity. The lockstep
-// schedule and tests use this single-key path; the async schedule
-// publishes delta chains through cache.WeightsPublisher.
-func putWeights(c cache.Cache, version int, w []float64) error {
-	b, err := cache.EncodeWeights(&cache.WeightsMsg{
-		Version: version, Weights: w,
-		Trace: lineage.Meta{
-			ID: lineage.WeightsID(version), Kind: lineage.KindWeights, Origin: "param",
-		},
-	})
-	if err != nil {
-		return err
-	}
-	err = c.Put(cache.KeyWeightsLatest, b)
-	cache.Recycle(b)
-	return err
 }

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"stellaris/internal/cache"
@@ -90,10 +92,13 @@ func TestLiveTrainExternalCache(t *testing.T) {
 	}
 }
 
-// TestLiveTrainBinaryDeltaBroadcast pins that the async path actually
-// exercises the delta weight broadcast: the head pointer and at least
-// one delta key must exist in the cache after a run.
-func TestLiveTrainBinaryDeltaBroadcast(t *testing.T) {
+// TestLiveTrainPublishesVectorThenHead pins the async weight broadcast:
+// after a run the cache holds the vector and its head and nothing else
+// under weights (no per-version delta keys), subscribers answered some
+// fetches from an unchanged head, and none read the vector more often
+// than once per published version plus once per regression.
+func TestLiveTrainPublishesVectorThenHead(t *testing.T) {
+	leaktest.Check(t)
 	srv := cache.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -103,24 +108,104 @@ func TestLiveTrainBinaryDeltaBroadcast(t *testing.T) {
 
 	opt := tinyOpts()
 	opt.CacheAddr = addr
-	rep, err := Train(opt)
+	opt.Updates = 8
+	opt, err = opt.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Updates < 4 {
-		t.Fatalf("run completed %d updates", rep.Updates)
-	}
-	cli, err := cache.Dial(addr)
+	r, _, err := newRun(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	if _, err := cli.Get(cache.KeyWeightsHead); err != nil {
-		t.Fatalf("no weights head pointer after the run: %v", err)
+	defer r.close()
+	if err := r.runAsync(); err != nil {
+		t.Fatal(err)
 	}
-	keys, err := cli.Keys("weights.delta/")
-	if err != nil || len(keys) == 0 {
-		t.Fatalf("no delta keys after the run: %v %v", keys, err)
+	keys, err := r.paramCli.Keys("weights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 2 || keys[0] != cache.KeyWeightsHead || keys[1] != cache.KeyWeightsLatest {
+		t.Fatalf("weight keys after the run: %v, want the head and the vector only", keys)
+	}
+	versions := r.version.Load() + 1
+	var skipped int64
+	for i, s := range r.subs {
+		st := s.Stats()
+		skipped += st.Skipped
+		if st.FullFetches > versions+st.Regressions {
+			t.Fatalf("subscriber %d read the vector %d times for %d versions: %+v", i, st.FullFetches, versions, st)
+		}
+	}
+	if skipped == 0 {
+		t.Fatalf("no fetch was answered from an unchanged head across %d subscribers", len(r.subs))
+	}
+}
+
+// stampRecorder notes, from every trajectory and gradient put, which
+// worker ran on which weights version: in a healthy lockstep run each
+// fetch is followed by exactly one such put stamped with what it
+// returned.
+type stampRecorder struct {
+	cache.Conn
+	t     *testing.T
+	puts  int64
+	pairs map[string]bool // "actor 0 v3", "learner 1 v2"
+}
+
+func (c *stampRecorder) Put(key string, val []byte) error {
+	switch {
+	case strings.HasPrefix(key, "traj/"):
+		tr, err := cache.DecodeTrajectory(val)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		c.puts++
+		c.pairs[fmt.Sprintf("actor %d v%d", tr.ActorID, tr.PolicyVersion)] = true
+	case strings.HasPrefix(key, "grad/"):
+		g, err := cache.DecodeGrad(val)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		c.puts++
+		c.pairs[fmt.Sprintf("learner %d v%d", g.LearnerID, g.BornVersion)] = true
+	}
+	return c.Conn.Put(key, val)
+}
+
+// TestLockstepReadsEachVersionOncePerWorker: lockstep publishes and
+// fetches through the same publisher and subscribers as async, so a
+// worker reads the vector once per (worker, version) it ran on and
+// answers every other fetch from the unchanged head.
+func TestLockstepReadsEachVersionOncePerWorker(t *testing.T) {
+	opt, err := lockOpts("").withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, loaded, err := newRun(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	rec := &stampRecorder{Conn: r.paramCli, t: t, pairs: map[string]bool{}}
+	r.paramCli = rec
+	if err := r.runLockstep(loaded); err != nil {
+		t.Fatal(err)
+	}
+	var reads, fetches int64
+	for _, s := range r.subs {
+		st := s.Stats()
+		reads += st.FullFetches
+		fetches += st.FullFetches + st.Skipped
+	}
+	if fetches != rec.puts {
+		t.Fatalf("%d fetches for %d stamped puts", fetches, rec.puts)
+	}
+	if reads != int64(len(rec.pairs)) {
+		t.Fatalf("%d vector reads for %d (worker, version) pairs", reads, len(rec.pairs))
+	}
+	if reads >= fetches {
+		t.Fatalf("every one of %d fetches read the vector", fetches)
 	}
 }
 

@@ -49,14 +49,13 @@ type run struct {
 	// (nil unless Options.CacheRetryRate is set).
 	budget *cache.RetryBudget
 
-	// subs registers every delta weight subscriber the workers open so
-	// their head-regression counters (failover artifacts) can be folded
-	// into the Report after the pipeline drains.
+	// subs registers every weight subscriber the workers open so their
+	// head-regression counters (failover artifacts) can be folded into
+	// the Report after the pipeline drains.
 	subMu sync.Mutex
 	subs  []*cache.WeightsSub
 
-	// pub is the delta weight publisher (nil in lockstep, which keeps the
-	// single-key "weights/latest" publish path).
+	// pub publishes every new weight vector, then its head.
 	pub *cache.WeightsPublisher
 
 	template env.Env
@@ -233,12 +232,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		r.close()
 		return nil, nil, err
 	}
-	// Async mode broadcasts weights as delta chains; lockstep keeps the
-	// single-key publish for its replayable fixed-interleaving wire
-	// schedule.
-	if !opt.Lockstep {
-		r.pub = &cache.WeightsPublisher{C: r.paramCli}
-	}
+	r.pub = &cache.WeightsPublisher{C: r.paramCli}
 
 	var loaded *ckpt.Checkpoint
 	if opt.Resume {
@@ -301,7 +295,7 @@ func (r *run) halt() bool {
 	return true
 }
 
-// trackSub registers a delta weight subscriber for the Report's
+// trackSub registers a weight subscriber for the Report's
 // regression accounting and returns it, so creation sites stay
 // one-liners.
 func (r *run) trackSub(s *cache.WeightsSub) *cache.WeightsSub {

@@ -26,36 +26,25 @@ import (
 	"stellaris/internal/stale"
 )
 
-// weightView is a worker's window onto the published policy: the fetch,
-// the stale copy a failed fetch degrades to, and the bound on how many
-// consecutive failures the worker tolerates before it is restarted.
+// weightView is a worker's window onto the published policy: the
+// subscriber that fetches it and owns the stale copy a failed fetch
+// degrades to (its (weights, version) pair stays consistent through any
+// failure), and the bound on how many consecutive failures the worker
+// tolerates before it is restarted.
 type weightView struct {
-	// sub tracks the async delta broadcast and owns the stale copy there
-	// (its (weights, version) pair stays consistent even after a partly
-	// applied chain). nil is lockstep's plain "weights/latest" read — see
-	// publishWeights for why that fork stays — with the copy kept here.
 	sub          *cache.WeightsSub
-	cli          cache.Cache
 	st           *runState
 	who          string // "actor 0", for the give-up error
 	maxFallbacks int    // Options.MaxStaleFallbacks
-
-	// Lockstep's copy: the snapshot is read into buf and decoded into
-	// lastW's own array, so a fetch that fails leaves both as they were.
-	lastW   []float64
-	lastVer int
-	buf     []byte
-	streak  int
+	streak       int
 }
 
-// newWeightView wires a view over cli, subscribing to the delta chain
-// exactly when the run publishes one.
+// newWeightView wires a view over cli.
 func (r *run) newWeightView(cli cache.Cache, who string) weightView {
-	v := weightView{cli: cli, st: r.st, who: who, maxFallbacks: r.opt.MaxStaleFallbacks}
-	if r.pub != nil {
-		v.sub = r.trackSub(&cache.WeightsSub{C: cli})
+	return weightView{
+		sub: r.trackSub(&cache.WeightsSub{C: cli}),
+		st:  r.st, who: who, maxFallbacks: r.opt.MaxStaleFallbacks,
 	}
-	return v
 }
 
 // fetch returns the newest weights and THEIR version. A failed fetch —
@@ -67,11 +56,7 @@ func (r *run) newWeightView(cli cache.Cache, who string) weightView {
 // short pause, so a caller that simply retries does not spin); err is
 // non-nil once more than maxFallbacks consecutive fetches have failed.
 func (v *weightView) fetch() (w []float64, ver int, ok bool, err error) {
-	if v.sub != nil {
-		w, ver, err = v.sub.Fetch()
-	} else {
-		w, ver, err = v.fetchLatest()
-	}
+	w, ver, err = v.sub.Fetch()
 	if err == nil {
 		v.streak = 0
 		return w, ver, true, nil
@@ -81,39 +66,16 @@ func (v *weightView) fetch() (w []float64, ver int, ok bool, err error) {
 		return nil, 0, false, fmt.Errorf("live: %s: weights unavailable after %d fallbacks: %w", v.who, v.streak, err)
 	}
 	v.st.m.staleReuse.Inc()
-	if v.sub != nil {
-		w, ver, ok = v.sub.Cached()
-	} else {
-		w, ver, ok = v.lastW, v.lastVer, v.lastW != nil
-	}
+	w, ver, ok = v.sub.Cached()
 	if !ok {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return w, ver, ok, nil
 }
 
-// fetchLatest is lockstep's plain full read of "weights/latest" (no
-// delta reconstruction), adopted as the stale copy. The returned slice
-// is that copy: the next fetch decodes over it.
-func (v *weightView) fetchLatest() ([]float64, int, error) {
-	raw, err := v.cli.GetInto(cache.KeyWeightsLatest, v.buf)
-	if cap(raw) > cap(v.buf) {
-		v.buf = raw[:0]
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	msg, err := cache.DecodeWeightsInto(v.lastW, raw)
-	if err != nil {
-		return nil, 0, err
-	}
-	v.lastW, v.lastVer = msg.Weights, msg.Version
-	return v.lastW, v.lastVer, nil
-}
-
 // reset forgets the stale copy and the failure streak (lockstep's
 // checkpoint boundary: a resumed worker starts with neither).
-func (v *weightView) reset() { v.lastW, v.lastVer, v.streak = nil, 0, 0 }
+func (v *weightView) reset() { v.sub.Reset(); v.streak = 0 }
 
 // shed abandons one payload on a shed-load path: the drop is counted
 // under reason (one of the drop* constants, so Report, metrics and

@@ -68,7 +68,7 @@ func TestLearnerStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := putWeights(mem, fetched, a.model.Weights()); err != nil {
+			if err := (&cache.WeightsPublisher{C: mem}).Publish(fetched, a.model.Weights(), lineage.Meta{}); err != nil {
 				t.Fatal(err)
 			}
 			var keys []string
@@ -187,15 +187,13 @@ func TestWeightViewFallback(t *testing.T) {
 	mem := cache.NewMemCache()
 	v := r.newWeightView(mem, "learner 0")
 	fresh := []float64{1, 2, 3}
-	if err := putWeights(mem, 4, fresh); err != nil {
+	if err := (&cache.WeightsPublisher{C: mem}).Publish(4, fresh, lineage.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ver, ok, err := v.fetch(); err != nil || !ok || ver != 4 {
 		t.Fatalf("fetch: v%d ok=%v err=%v", ver, ok, err)
 	}
-	if err := mem.Delete(cache.KeyWeightsLatest); err != nil {
-		t.Fatal(err)
-	}
+	unpublish(t, mem)
 	for i := 1; i <= 2; i++ {
 		w, ver, ok, err := v.fetch()
 		if err != nil || !ok || ver != 4 || !weightsEqual(w, fresh) {
@@ -209,22 +207,33 @@ func TestWeightViewFallback(t *testing.T) {
 		t.Fatalf("third consecutive failure: err = %v", err)
 	}
 	// A success in between resets the streak.
-	if err := putWeights(mem, 5, fresh); err != nil {
+	if err := (&cache.WeightsPublisher{C: mem}).Publish(5, fresh, lineage.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ver, ok, err := v.fetch(); err != nil || !ok || ver != 5 {
 		t.Fatalf("recovered fetch: v%d ok=%v err=%v", ver, ok, err)
 	}
-	_ = mem.Delete(cache.KeyWeightsLatest)
+	unpublish(t, mem)
 	if _, ver, ok, err := v.fetch(); err != nil || !ok || ver != 5 {
 		t.Fatalf("fallback after recovery: v%d ok=%v err=%v", ver, ok, err)
 	}
 }
 
-// TestWeightViewKeepsCopyOnCorruptSnapshot: lockstep's view decodes each
-// snapshot over its own stale copy, so one that fails its checks after a
-// good fetch must leave that copy — and its version — bit for bit as
-// they were, and be what the fallback answers.
+// unpublish deletes the head and the vector, so the next fetch fails.
+func unpublish(t *testing.T, c cache.Cache) {
+	t.Helper()
+	for _, k := range []string{cache.KeyWeightsHead, cache.KeyWeightsLatest} {
+		if err := c.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWeightViewKeepsCopyOnCorruptSnapshot: the view's subscriber
+// decodes each vector over its own stale copy, so one that fails its
+// checks after a good fetch — read because the head moved — must leave
+// that copy and its version bit for bit as they were, and be what the
+// fallback answers.
 func TestWeightViewKeepsCopyOnCorruptSnapshot(t *testing.T) {
 	good := []float64{1, math.Copysign(0, -1), math.Inf(1), 5e-324}
 	next, err := cache.EncodeWeights(&cache.WeightsMsg{Version: 5, Weights: []float64{9, 9, 9, 9}})
@@ -244,7 +253,7 @@ func TestWeightViewKeepsCopyOnCorruptSnapshot(t *testing.T) {
 			r := newTestRun(t, Options{MaxStaleFallbacks: 2})
 			mem := cache.NewMemCache()
 			v := r.newWeightView(mem, "actor 0")
-			if err := putWeights(mem, 4, good); err != nil {
+			if err := (&cache.WeightsPublisher{C: mem}).Publish(4, good, lineage.Meta{}); err != nil {
 				t.Fatal(err)
 			}
 			w, ver, ok, err := v.fetch()
@@ -252,7 +261,14 @@ func TestWeightViewKeepsCopyOnCorruptSnapshot(t *testing.T) {
 				t.Fatalf("good fetch: v%d ok=%v err=%v", ver, ok, err)
 			}
 			copyBefore := &w[0]
+			head, err := cache.EncodeWeights(&cache.WeightsMsg{Version: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := mem.Put(cache.KeyWeightsLatest, bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Put(cache.KeyWeightsHead, head); err != nil {
 				t.Fatal(err)
 			}
 			w, ver, ok, err = v.fetch()
@@ -268,10 +284,11 @@ func TestWeightViewKeepsCopyOnCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestWeightViewFetchAllocatesNoVector guards lockstep's receive path:
-// once warm, fetching a 1 MB snapshot over a loopback server allocates
-// less than 4 KB in the whole process — the value lands in the view's
-// receive buffer and is decoded over its copy.
+// TestWeightViewFetchAllocatesNoVector guards the workers' receive
+// path: once warm, a fetch whose head moved — the head, then the 1 MB
+// vector, over a loopback server — allocates less than 4 KB in the whole
+// process: the value lands in the subscriber's receive buffer and is
+// decoded over its copy. The publishes between fetches are not counted.
 func TestWeightViewFetchAllocatesNoVector(t *testing.T) {
 	leaktest.Check(t)
 	srv := cache.NewServer(nil)
@@ -285,32 +302,37 @@ func TestWeightViewFetchAllocatesNoVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
+	pub := &cache.WeightsPublisher{C: cli}
 	w := make([]float64, 1<<20/8)
-	for i := range w {
-		w[i] = float64(i)
-	}
-	if err := putWeights(cli, 7, w); err != nil {
-		t.Fatal(err)
-	}
 	v := newTestRun(t, Options{}).newWeightView(cli, "actor 0")
-	fetch := func() {
-		if got, ver, ok, err := v.fetch(); err != nil || !ok || ver != 7 || got[len(w)-1] != w[len(w)-1] {
-			t.Fatalf("fetch: v%d ok=%v err=%v", ver, ok, err)
+	publishThenFetch := func(ver int) uint64 {
+		w[len(w)-1] = float64(ver)
+		if err := pub.Publish(ver, w, lineage.Meta{}); err != nil {
+			t.Fatal(err)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, gotVer, ok, err := v.fetch()
+		runtime.ReadMemStats(&after)
+		if err != nil || !ok || gotVer != ver || got[len(w)-1] != w[len(w)-1] {
+			t.Fatalf("fetch: v%d ok=%v err=%v, want v%d", gotVer, ok, err, ver)
+		}
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	fetch()
-	fetch()
+	publishThenFetch(0)
+	publishThenFetch(1)
 	const fetches = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < fetches; i++ {
-		fetch()
+	var total uint64
+	for ver := 2; ver < 2+fetches; ver++ {
+		total += publishThenFetch(ver)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / fetches; per >= 4<<10 {
-		t.Fatalf("a lockstep weight fetch allocates %d bytes, want < 4096 (the vector is %d)", per, 8*len(w))
+	if st := v.sub.Stats(); st.FullFetches != 2+fetches {
+		t.Fatalf("%d vector reads for %d moved heads", st.FullFetches, 2+fetches)
+	}
+	if per := total / fetches; per >= 4<<10 {
+		t.Fatalf("a weight fetch allocates %d bytes, want < 4096 (the vector is %d)", per, 8*len(w))
 	} else {
-		t.Logf("a lockstep weight fetch allocates %d bytes for a %d-byte vector", per, 8*len(w))
+		t.Logf("a weight fetch allocates %d bytes for a %d-byte vector", per, 8*len(w))
 	}
 }
 
