@@ -65,8 +65,9 @@ leaktest:
 	$(GO) test -race -count=1 ./internal/leaktest ./internal/cache ./internal/live ./internal/obs
 
 # Short live fuzz of the cache wire codec and framing, and of the tensor
-# kernels against their references (the scalar loops, math.Tanh). The
-# checked-in corpora under internal/cache/testdata/fuzz and
+# kernels against their references (the scalar loops, math.Tanh), Scale
+# and the Adam step among them. The checked-in corpora under
+# internal/cache/testdata/fuzz and
 # internal/tensor/testdata/fuzz replay on every plain `go test`; this
 # target additionally explores new inputs for FUZZTIME per fuzz target
 # (go's -fuzz accepts one target at a time).
@@ -75,17 +76,19 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinCodecRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzTanh$$' -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzScale$$' -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzAdamStep$$' -fuzztime $(FUZZTIME) ./internal/tensor
 
 # The !amd64 twin of internal/tensor's assembly kernels, and everything
-# above it, built for a port that has none. Compiles from the local
-# GOROOT: no network, no emulator. Then the cache's payload codec on a
+# above it (internal/optim's Adam step among them), built for a port
+# that has none. Compiles from the local GOROOT: no network, no emulator. Then the cache's payload codec on a
 # 32-bit int — run, natively, as a 386 binary on an amd64 Linux host:
 # crafted counts must not wrap, and the one-copy slab path runs there
 # too — and vetted for a big-endian port (s390x), where the
 # per-element slab loop is the only path and must build.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/optim
 	GOARCH=386 $(GO) test -short ./internal/cache
 	GOARCH=s390x $(GO) vet ./internal/cache
 
@@ -96,7 +99,7 @@ cross:
 # that it has), and everything that pins outputs by tolerance or by
 # self-consistency must still pass on such a host.
 nofma:
-	GODEBUG=cpu.fma=off $(GO) test -short ./internal/tensor ./internal/nn ./internal/algo ./internal/core
+	GODEBUG=cpu.fma=off $(GO) test -short ./internal/tensor ./internal/nn ./internal/algo ./internal/optim ./internal/core
 
 # Line counts as ROADMAP.md and CHANGES.md report them: the tracked
 # files (git ls-files) outside _test.go files, testdata/ directories and

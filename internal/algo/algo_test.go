@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stellaris/internal/env"
+	"stellaris/internal/nn"
 	"stellaris/internal/replay"
 	"stellaris/internal/rng"
 )
@@ -312,5 +313,79 @@ func TestActAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { m.Act(obs, r) }); n > limit {
 			t.Errorf("%s: %v allocations per Act, at most %v before", name, n, limit)
 		}
+	}
+}
+
+// TestModelSlabLayout pins the one layout both slabs have, for an MLP
+// and a CNN model: the policy's Params() then the critic's, each in
+// order. Weights(), WeightSlab() and Grads() after a Compute hold the
+// concatenation of those Params element for element, and element i of
+// each slab is the very memory of its Param element, so writing slab
+// index i changes exactly that element. A slab laid out in any other
+// order — the order the layers are built in, say — would ship
+// gradients that do not line up with the weights they step.
+func TestModelSlabLayout(t *testing.T) {
+	invaders, err := env.NewSized("invaders", 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]env.Env{"mlp": env.MustNew("cartpole"), "cnn": invaders} {
+		t.Run(name, func(t *testing.T) {
+			m := NewModelHidden(e, 16, 7)
+			params := append(m.Policy.Params(), m.Critic.Params()...)
+			concat := func(field func(*nn.Param) []float64) []float64 {
+				var out []float64
+				for _, p := range params {
+					out = append(out, field(p)...)
+				}
+				return out
+			}
+			g := NewPPO(e.ActionSpace().Continuous).Compute(m, rollBatch(e, m, 16, 3), Truncation{}, Extra{}, rng.New(1))
+			data, grad := concat(func(p *nn.Param) []float64 { return p.Data }), concat(func(p *nn.Param) []float64 { return p.Grad })
+			for _, v := range []struct {
+				what      string
+				got, want []float64
+			}{
+				{"Weights()", m.Weights(), data},
+				{"WeightSlab()", m.WeightSlab(), data},
+				{"Grads()", m.Grads(), grad},
+				{"Grad.Data", g.Data, grad},
+			} {
+				if len(v.got) != len(v.want) || len(v.want) != m.NumParams() {
+					t.Fatalf("%s has %d values, the Params %d, NumParams %d", v.what, len(v.got), len(v.want), m.NumParams())
+				}
+				for i := range v.want {
+					if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+						t.Fatalf("%s[%d] = %v, the Params concatenation has %v", v.what, i, v.got[i], v.want[i])
+					}
+				}
+			}
+			w, gs := m.WeightSlab(), m.Grads()
+			i := 0
+			for _, p := range params {
+				for j := range p.Data {
+					if &w[i] != &p.Data[j] || &gs[i] != &p.Grad[j] {
+						t.Fatalf("slab index %d is not %s[%d]", i, p.Name, j)
+					}
+					i++
+				}
+			}
+			r := rng.New(2)
+			for k := 0; k < 20; k++ {
+				i := r.Intn(len(w))
+				was := w[i]
+				w[i] = was + 1
+				diff := 0
+				for j, v := range concat(func(p *nn.Param) []float64 { return p.Data }) {
+					if v != data[j] {
+						diff++
+					}
+				}
+				w[i] = was
+				if diff != 1 {
+					t.Fatalf("writing slab index %d changed %d Param elements", i, diff)
+				}
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 
 	"stellaris/internal/env"
 	"stellaris/internal/nn"
@@ -17,11 +18,15 @@ import (
 
 // Model is an actor-critic pair: a policy network emitting distribution
 // parameters and a critic network emitting state values. Per Table II
-// the critic shares the policy's architecture (not its weights).
+// the critic shares the policy's architecture (not its weights). Both
+// live on one nn.Slab, policy first and then critic, each in Params()
+// order: the combined flat vector the pipeline exchanges is the slab.
 type Model struct {
 	Policy *nn.Network
 	Critic *nn.Network
 	Dist   policy.Distribution
+
+	slab *nn.Slab
 
 	obs   tensor.Mat // the 1 x ObsDim header Act and ActGreedy hand the policy
 	batch tensor.Mat // gather's scratch: a learner pass's observation rows
@@ -49,65 +54,60 @@ func NewModelHidden(e env.Env, hidden int, seed uint64) *Model {
 		dist = policy.NewCategorical(as.N)
 	}
 
+	// The streams are split in a fixed order; the layers are then built
+	// in slab order, policy trunk and head before critic trunk and head.
+	rp, rc, rph, rch := r.Split(1), r.Split(2), r.Split(3), r.Split(4)
 	type framed interface{ FrameSize() int }
-	var pTrunk, cTrunk *nn.Network
+	trunk := func(s *nn.Slab, r *rng.RNG) *nn.Network { return nn.MLPTrunk(s, e.ObsDim(), hidden, r) }
+	size := func(out int) int { return nn.MLPSize(e.ObsDim(), hidden, out) }
 	if f, ok := e.(framed); ok {
-		s := f.FrameSize()
-		pTrunk = nn.CNNTrunk(3, s, s, r.Split(1))
-		cTrunk = nn.CNNTrunk(3, s, s, r.Split(2))
-	} else {
-		pTrunk = nn.MLPTrunk(e.ObsDim(), hidden, r.Split(1))
-		cTrunk = nn.MLPTrunk(e.ObsDim(), hidden, r.Split(2))
+		fs := f.FrameSize()
+		trunk = func(s *nn.Slab, r *rng.RNG) *nn.Network { return nn.CNNTrunk(s, 3, fs, fs, r) }
+		size = func(out int) int { return nn.CNNSize(3, fs, fs, out) }
 	}
-	return &Model{
-		Policy: nn.WithHead(pTrunk, dist.ParamDim(), 0.01, r.Split(3)),
-		Critic: nn.WithHead(cTrunk, 1, 1.0, r.Split(4)),
-		Dist:   dist,
+	s := nn.NewSlab(size(dist.ParamDim()) + size(1))
+	m := &Model{Dist: dist, slab: s}
+	m.Policy = nn.WithHead(s, trunk(s, rp), dist.ParamDim(), 0.01, rph)
+	m.Critic = nn.WithHead(s, trunk(s, rc), 1, 1.0, rch)
+	if m.NumParams() != len(s.W) {
+		panic(fmt.Sprintf("algo: model has %d parameters, its slab %d", m.NumParams(), len(s.W)))
 	}
+	return m
 }
 
 // NumParams returns the combined policy+critic parameter count.
 func (m *Model) NumParams() int { return m.Policy.NumParams() + m.Critic.NumParams() }
 
-// Weights returns the combined flat weight vector (policy then critic).
-func (m *Model) Weights() []float64 {
-	return m.flatten(func(p *nn.Param) []float64 { return p.Data })
-}
+// Weights returns a copy of the combined flat weight vector (policy
+// then critic).
+func (m *Model) Weights() []float64 { return slices.Clone(m.slab.W) }
 
-// flatten concatenates one field of every parameter, policy then critic,
-// into a vector allocated once at its final size.
-func (m *Model) flatten(field func(*nn.Param) []float64) []float64 {
-	out := make([]float64, 0, m.NumParams())
-	for _, net := range [...]*nn.Network{m.Policy, m.Critic} {
-		for _, p := range net.Params() {
-			out = append(out, field(p)...)
-		}
-	}
-	return out
-}
+// WeightSlab returns the combined flat weight vector itself: the
+// model's weights, read and written in place. A subscriber bound to it
+// decodes fetched policies straight into the model.
+func (m *Model) WeightSlab() []float64 { return m.slab.W }
 
-// SetWeights loads a combined flat weight vector.
+// SetWeights loads a combined flat weight vector. Handed the weight
+// slab itself it has nothing to do.
 func (m *Model) SetWeights(w []float64) error {
-	np := m.Policy.NumParams()
-	if len(w) != np+m.Critic.NumParams() {
-		return fmt.Errorf("algo: SetWeights length %d != %d", len(w), m.NumParams())
+	if len(w) != len(m.slab.W) {
+		return fmt.Errorf("algo: SetWeights length %d != %d", len(w), len(m.slab.W))
 	}
-	if err := m.Policy.SetParams(w[:np]); err != nil {
-		return err
+	if len(w) > 0 && &w[0] != &m.slab.W[0] {
+		copy(m.slab.W, w)
 	}
-	return m.Critic.SetParams(w[np:])
+	return nil
 }
 
-// Grads returns the combined flat gradient vector (policy then critic).
-func (m *Model) Grads() []float64 {
-	return m.flatten(func(p *nn.Param) []float64 { return p.Grad })
-}
+// Grads returns the combined flat gradient vector (policy then critic)
+// itself, not a copy: it is valid until the model's next ZeroGrad,
+// which every Compute starts with. A caller that keeps a gradient past
+// that copies it.
+func (m *Model) Grads() []float64 { return m.slab.G }
 
-// ZeroGrad clears accumulated gradients in both networks.
-func (m *Model) ZeroGrad() {
-	m.Policy.ZeroGrad()
-	m.Critic.ZeroGrad()
-}
+// ZeroGrad clears accumulated gradients in both networks, allocating
+// the gradient slab on the first call.
+func (m *Model) ZeroGrad() { m.slab.ZeroGrad() }
 
 // gather copies the observation rows idx selects (every row, in order,
 // when idx is nil) into the model's scratch matrix and returns it. The

@@ -339,21 +339,31 @@ func DecodeWeights(b []byte) (*WeightsMsg, error) { return DecodeWeightsInto(nil
 // past that length is written. A payload that fails to decode leaves
 // dst untouched.
 func DecodeWeightsInto(dst []float64, b []byte) (*WeightsMsg, error) {
-	kind, r, meta, err := openBin(b)
+	w, raw, err := openWeights(b)
 	if err != nil {
 		return nil, err
 	}
+	w.Weights = f64sInto(dst, raw)
+	return w, nil
+}
+
+// openWeights validates a weights payload and returns its message with
+// the weights still undecoded: raw is their slab, 8 bytes per value.
+func openWeights(b []byte) (*WeightsMsg, []byte, error) {
+	kind, r, meta, err := openBin(b)
+	if err != nil {
+		return nil, nil, err
+	}
 	if kind != binKindWeights {
-		return nil, fmt.Errorf("cache: bincodec: payload kind %d is not a weights message", kind)
+		return nil, nil, fmt.Errorf("cache: bincodec: payload kind %d is not a weights message", kind)
 	}
 	w := &WeightsMsg{Trace: meta}
 	w.Version = int(r.i64())
 	raw := r.f64Slab()
 	if err := r.finish(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	w.Weights = f64sInto(dst, raw)
-	return w, nil
+	return w, raw, nil
 }
 
 // ---- gradients ----
@@ -384,7 +394,12 @@ func EncodeGrad(g *GradMsg) ([]byte, error) {
 }
 
 // DecodeGrad decodes and validates a gradient payload.
-func DecodeGrad(b []byte) (*GradMsg, error) {
+func DecodeGrad(b []byte) (*GradMsg, error) { return DecodeGradInto(nil, b) }
+
+// DecodeGradInto is DecodeGrad with the gradient decoded into dst's
+// array when it holds it, as DecodeWeightsInto does: the parameter
+// worker hands back vectors whose gradients have been combined.
+func DecodeGradInto(dst []float64, b []byte) (*GradMsg, error) {
 	kind, r, meta, err := openBin(b)
 	if err != nil {
 		return nil, err
@@ -405,7 +420,7 @@ func DecodeGrad(b []byte) (*GradMsg, error) {
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
-	g.Grad = f64sInto(nil, raw)
+	g.Grad = f64sInto(dst, raw)
 	return g, nil
 }
 

@@ -6,9 +6,12 @@ package cache
 // naming its version. Subscribers (actors, learners) poll the head: an
 // unchanged head skips the fetch, anything else reads the vector once,
 // into the subscriber's own buffer, and adopts the version stamped in
-// the vector itself. The head is written only after its vector is
-// acknowledged, so a reader never sees a head ahead of its data — on one
-// shard or on several, whichever shards the two keys hash to.
+// the vector itself. A worker binds its model's weight slab to its
+// subscriber, so that buffer is the model's weights: a fetched vector is
+// decoded straight into the model, and a skipped fetch copies nothing.
+// The head is written only after its vector is acknowledged, so a reader
+// never sees a head ahead of its data — on one shard or on several,
+// whichever shards the two keys hash to.
 
 import (
 	"errors"
@@ -113,6 +116,9 @@ type WeightsSub struct {
 	w   []float64
 	ver int
 	ok  bool
+	// bound says w is a model's weight slab (Bind): every fetch decodes
+	// into it, and a vector of another length is refused.
+	bound bool
 	// head is the head version the cached vector was fetched under. It
 	// trails ver when the vector was read between the publisher's two
 	// puts.
@@ -154,18 +160,25 @@ func (s *WeightsSub) Stats() SubStats {
 }
 
 // Cached returns the last successfully fetched vector and its version.
-// The slice is owned by the subscriber — callers must not mutate it or
-// retain it across Fetches.
+// The slice is the subscriber's array (the bound one after Bind) —
+// callers must not mutate it or retain it across Fetches.
 func (s *WeightsSub) Cached() ([]float64, int, bool) { return s.w, s.ver, s.ok }
 
-// Reset drops the cached vector, forcing the next Fetch to read it.
-func (s *WeightsSub) Reset() { s.w, s.ver, s.head, s.ok = nil, 0, 0, false }
+// Bind makes w the array every Fetch decodes into: a worker binds its
+// model's weight slab, so the cached copy and the model's weights are
+// one vector. A published vector of another length is then refused
+// before a byte of it lands, leaving w and Cached as they were.
+func (s *WeightsSub) Bind(w []float64) { s.w, s.bound = w, true }
+
+// Reset drops the cached copy, forcing the next Fetch to read the
+// vector. The array stays, and the next Fetch decodes into it.
+func (s *WeightsSub) Reset() { s.ver, s.head, s.ok = 0, 0, false }
 
 // Fetch returns the newest available weights and their version. The
-// returned slice is owned by the subscriber and is valid until the next
-// Fetch, which decodes into the same array: callers must copy it if
-// they mutate or retain it past that. A failed Fetch leaves the cached
-// (weights, version) pair as it was.
+// returned slice is the subscriber's array (the bound one after Bind)
+// and is valid until the next Fetch, which decodes into the same array:
+// callers must copy it if they mutate or retain it past that. A failed
+// Fetch leaves the cached (weights, version) pair as it was.
 func (s *WeightsSub) Fetch() ([]float64, int, error) {
 	raw, err := s.get(KeyWeightsHead)
 	if err != nil && !errors.As(err, new(ErrNotFound)) {
@@ -200,10 +213,14 @@ func (s *WeightsSub) Fetch() ([]float64, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	msg, err := DecodeWeightsInto(s.w, raw)
+	msg, slab, err := openWeights(raw)
 	if err != nil {
 		return nil, 0, err
 	}
+	if s.bound && len(slab) != 8*len(s.w) {
+		return nil, 0, fmt.Errorf("cache: weights v%d hold %d values, the bound model %d", msg.Version, len(slab)/8, len(s.w))
+	}
+	msg.Weights = f64sInto(s.w, slab)
 	if !haveHead {
 		hv = msg.Version
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"stellaris/internal/leaktest"
@@ -404,6 +405,56 @@ func TestSubscriberKeepsCachedCopyOnCorruptPayload(t *testing.T) {
 					t.Fatalf("Fetch answered v%d without a readable vector", ver)
 				}
 				requireCached(t, sub, v1, 1)
+			})
+		})
+	}
+}
+
+// TestBoundSubscriberRefusesOtherLength: a subscriber bound to a model's
+// weight slab decodes into that slab, and a published vector of another
+// length — shorter, which would fit its array, or longer — is refused
+// before a byte of it lands: the slab and Cached() stay as they were.
+func TestBoundSubscriberRefusesOtherLength(t *testing.T) {
+	v1 := []float64{1, 2, 3, 4, 5, 6}
+	for _, n := range []int{0, 5, 7} {
+		t.Run(fmt.Sprintf("%d values", n), func(t *testing.T) {
+			bothSlabPaths(t, func(t *testing.T) {
+				mem := NewMemCache()
+				pub := &WeightsPublisher{C: mem}
+				if err := pub.Publish(1, v1, lineage.Meta{}); err != nil {
+					t.Fatal(err)
+				}
+				slab := make([]float64, len(v1))
+				sub := &WeightsSub{C: mem}
+				sub.Bind(slab)
+				got, _, err := sub.Fetch()
+				if err != nil || &got[0] != &slab[0] {
+					t.Fatalf("bound fetch: err=%v, or the vector is not the bound slab", err)
+				}
+				requireBits(t, "the bound slab", slab, v1)
+				other := make([]float64, n)
+				for i := range other {
+					other[i] = -9
+				}
+				if err := pub.Publish(2, other, lineage.Meta{}); err != nil {
+					t.Fatal(err)
+				}
+				if _, ver, err := sub.Fetch(); err == nil || !strings.Contains(err.Error(), "the bound model 6") {
+					t.Fatalf("Fetch of %d values into a 6-value slab: v%d err=%v", n, ver, err)
+				}
+				requireBits(t, "the bound slab", slab, v1)
+				requireCached(t, sub, v1, 1)
+				if got, _, _ := sub.Cached(); &got[0] != &slab[0] {
+					t.Fatal("Cached() is not the bound slab")
+				}
+				sub.Reset()
+				if err := pub.Publish(3, []float64{6, 5, 4, 3, 2, 1}, lineage.Meta{}); err != nil {
+					t.Fatal(err)
+				}
+				if got, ver, err := sub.Fetch(); err != nil || ver != 3 || &got[0] != &slab[0] {
+					t.Fatalf("fetch after Reset: v%d err=%v, or not into the bound slab", ver, err)
+				}
+				requireBits(t, "the bound slab", slab, []float64{6, 5, 4, 3, 2, 1})
 			})
 		})
 	}

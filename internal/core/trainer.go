@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"stellaris/internal/algo"
@@ -719,6 +720,9 @@ func (t *Trainer) dispatchLearner(batch *replay.Batch, srcs []string) {
 	var g *algo.Grad
 	computed := t.start(func(m *algo.Model) {
 		g = t.alg.Compute(m, batch, trunc, extra, r)
+		// The gradient is the replica's own, and the replica goes back to
+		// the pool: the copy is what the aggregator will queue.
+		g.Data = slices.Clone(g.Data)
 	})
 	if computed == nil {
 		return

@@ -57,14 +57,15 @@ func (r *run) newActor(id int, name string, cli cache.Cache, workerRNG *rng.RNG)
 	if err != nil {
 		return nil, err
 	}
+	m := algo.NewModelHidden(e, r.opt.Hidden, r.opt.Seed)
 	return &actor{
 		id: id, opt: r.opt, cli: cli, env: e,
-		model:       algo.NewModelHidden(e, r.opt.Hidden, r.opt.Seed),
+		model:       m,
 		rng:         workerRNG,
 		version:     &r.version,
 		state:       r.st,
 		iterSeconds: r.m.iterHist("actor", id),
-		weights:     r.newWeightView(cli, fmt.Sprintf("actor %d", id)),
+		weights:     r.newWeightView(cli, m.WeightSlab(), fmt.Sprintf("actor %d", id)),
 		onEpisode:   r.noteEpisode,
 		name:        name,
 	}, nil

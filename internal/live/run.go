@@ -67,12 +67,14 @@ type run struct {
 
 	// weights is the master parameter vector; owned by the parameter
 	// worker (async) or the single pipeline thread (lockstep), as are
-	// absorb's gradient receive buffer and combined-gradient vector. The
-	// decoded gradients themselves stay fresh memory: the aggregator
-	// queues them.
+	// absorb's gradient receive buffer, its combined-gradient vector and
+	// gradVecs: the vectors of gradients whose group has been combined,
+	// which the next gradients are decoded into (the aggregator queues
+	// the ones not yet combined).
 	weights  []float64
 	gradBuf  []byte
 	combined []float64
+	gradVecs [][]float64
 
 	version  atomic.Int64
 	episodes atomic.Int64
@@ -211,7 +213,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		r.alg = algo.NewPPO(continuous)
 	}
 	master := algo.NewModelHidden(template, opt.Hidden, opt.Seed)
-	r.weights = master.Weights()
+	r.weights = master.WeightSlab()
 
 	r.opti, err = optim.New(r.alg.Hyper().Optimizer, r.alg.Hyper().LearningRate)
 	if err != nil {

@@ -39,10 +39,14 @@ type weightView struct {
 	streak       int
 }
 
-// newWeightView wires a view over cli.
-func (r *run) newWeightView(cli cache.Cache, who string) weightView {
+// newWeightView wires a view over cli whose subscriber decodes straight
+// into w, the worker's model's weight slab: what fetch returns is that
+// slab, which the worker's SetWeights then finds already loaded.
+func (r *run) newWeightView(cli cache.Cache, w []float64, who string) weightView {
+	sub := &cache.WeightsSub{C: cli}
+	sub.Bind(w)
 	return weightView{
-		sub: r.trackSub(&cache.WeightsSub{C: cli}),
+		sub: r.trackSub(sub),
 		st:  r.st, who: who, maxFallbacks: r.opt.MaxStaleFallbacks,
 	}
 }
@@ -113,11 +117,12 @@ type learner struct {
 }
 
 func (r *run) newLearner(id int, name string, cli cache.Cache, workerRNG *rng.RNG, seq *int) *learner {
+	m := algo.NewModelHidden(r.template, r.opt.Hidden, r.opt.Seed)
 	return &learner{
 		id: id, name: name, r: r, cli: cli,
-		model:       algo.NewModelHidden(r.template, r.opt.Hidden, r.opt.Seed),
+		model:       m,
 		rng:         workerRNG,
-		weights:     r.newWeightView(cli, fmt.Sprintf("learner %d", id)),
+		weights:     r.newWeightView(cli, m.WeightSlab(), fmt.Sprintf("learner %d", id)),
 		seq:         seq,
 		iterSeconds: r.m.iterHist("learner", id),
 	}
@@ -230,7 +235,11 @@ func (r *run) absorb(note gradNote) error {
 		}
 		return nil
 	}
-	msg, err := cache.DecodeGrad(raw)
+	var vec []float64
+	if n := len(r.gradVecs); n > 0 {
+		vec, r.gradVecs = r.gradVecs[n-1], r.gradVecs[:n-1]
+	}
+	msg, err := cache.DecodeGradInto(vec, raw)
 	if err != nil {
 		r.st.shed(r.paramCli, note.key, lineage.KindGradient, "param", dropDecodeFailed)
 		return nil
@@ -254,6 +263,9 @@ func (r *run) absorb(note gradNote) error {
 	r.tracker.ResetGroup()
 	comb := stale.CombineInto(r.agg, group, v, r.combined)
 	r.combined = comb.Grad
+	for _, e := range group {
+		r.gradVecs = append(r.gradVecs, e.Grad)
+	}
 	r.opti.Step(r.weights, comb.Grad)
 	r.staleSum += comb.MeanStaleness
 	r.staleN++

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -185,8 +186,8 @@ func TestAbsorbCorruptGradient(t *testing.T) {
 func TestWeightViewFallback(t *testing.T) {
 	r := newTestRun(t, Options{MaxStaleFallbacks: 2})
 	mem := cache.NewMemCache()
-	v := r.newWeightView(mem, "learner 0")
 	fresh := []float64{1, 2, 3}
+	v := r.newWeightView(mem, make([]float64, len(fresh)), "learner 0")
 	if err := (&cache.WeightsPublisher{C: mem}).Publish(4, fresh, lineage.Meta{}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestWeightViewKeepsCopyOnCorruptSnapshot(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := newTestRun(t, Options{MaxStaleFallbacks: 2})
 			mem := cache.NewMemCache()
-			v := r.newWeightView(mem, "actor 0")
+			v := r.newWeightView(mem, make([]float64, len(good)), "actor 0")
 			if err := (&cache.WeightsPublisher{C: mem}).Publish(4, good, lineage.Meta{}); err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +305,7 @@ func TestWeightViewFetchAllocatesNoVector(t *testing.T) {
 	defer cli.Close()
 	pub := &cache.WeightsPublisher{C: cli}
 	w := make([]float64, 1<<20/8)
-	v := newTestRun(t, Options{}).newWeightView(cli, "actor 0")
+	v := newTestRun(t, Options{}).newWeightView(cli, make([]float64, len(w)), "actor 0")
 	publishThenFetch := func(ver int) uint64 {
 		w[len(w)-1] = float64(ver)
 		if err := pub.Publish(ver, w, lineage.Meta{}); err != nil {
@@ -536,4 +537,182 @@ func TestAdmissionSurvivesWorkerPanics(t *testing.T) {
 		t.Fatalf("after the drain: %d waiting, %d idle (%d actor + %d learner restarts), want 0, 0",
 			w, i, actors, learners)
 	}
+}
+
+// reuseStore is a single-goroutine cache.Conn that allocates a value
+// buffer only when none it already holds fits: an overwrite reuses the
+// key's buffer, and the smallest deleted key's buffer that fits serves
+// the next put. Over it,
+// what the pipeline's stages allocate is theirs alone — a MemCache or a
+// server would add a stored copy of every put.
+type reuseStore struct {
+	vals map[string][]byte
+	free [][]byte
+}
+
+func newReuseStore() *reuseStore { return &reuseStore{vals: map[string][]byte{}} }
+
+func (s *reuseStore) Put(key string, val []byte) error {
+	buf := s.vals[key]
+	if cap(buf) < len(val) {
+		best := -1 // the smallest free buffer that fits
+		for i, f := range s.free {
+			if cap(f) >= len(val) && (best < 0 || cap(f) < cap(s.free[best])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			buf = make([]byte, len(val))
+		} else {
+			buf, s.free = s.free[best], append(s.free[:best], s.free[best+1:]...)
+		}
+	}
+	s.vals[key] = append(buf[:0], val...)
+	return nil
+}
+
+func (s *reuseStore) Get(key string) ([]byte, error) {
+	if v, ok := s.vals[key]; ok {
+		return v, nil
+	}
+	return nil, cache.ErrNotFound{Key: key}
+}
+
+func (s *reuseStore) GetInto(key string, buf []byte) ([]byte, error) {
+	v, err := s.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf[:0], v...), nil
+}
+
+func (s *reuseStore) GetN(keys []string) ([][]byte, error) {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = s.vals[k]
+	}
+	return out, nil
+}
+
+func (s *reuseStore) Delete(key string) error {
+	if v, ok := s.vals[key]; ok {
+		s.free = append(s.free, v)
+		delete(s.vals, key)
+	}
+	return nil
+}
+
+func (s *reuseStore) Keys(prefix string) ([]string, error) {
+	var ks []string
+	for k := range s.vals {
+		if strings.HasPrefix(k, prefix) {
+			ks = append(ks, k)
+		}
+	}
+	sort.Strings(ks)
+	return ks, nil
+}
+
+func (s *reuseStore) Len() (int, error)        { return len(s.vals), nil }
+func (s *reuseStore) Stats() cache.ClientStats { return cache.ClientStats{} }
+func (s *reuseStore) Close() error             { return nil }
+
+// TestSteadyStateStepsAllocateNoParameterVector guards the in-place
+// update loop at the paper's 2x256 width: once warm, a learner step —
+// the weights decoded into its model, the gradient computed into the
+// model's gradient slab and encoded from it — and a parameter step —
+// the gradient decoded into a vector a combined group gave back,
+// combined, stepped and published — each allocate, on average in the
+// whole process, far less than one parameter vector.
+func TestSteadyStateStepsAllocateNoParameterVector(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop frames at random: the codec's encodes allocate")
+	}
+	// One P: the codec's frame pool is per P, and a goroutine moved to
+	// another one would encode into a new frame.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	opt, err := Options{
+		Env: "cartpole", Seed: 3, Actors: 1, Learners: 1,
+		Updates: 1 << 20, ActorSteps: 8, BatchSize: 16, Hidden: 256,
+		Lockstep: true,
+	}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := newRun(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	store := newReuseStore()
+	r.paramCli, r.pub = store, &cache.WeightsPublisher{C: store}
+	if err := r.publishWeights(0); err != nil {
+		t.Fatal(err)
+	}
+	a, err := r.newActor(0, workerName("actor", 0, 0), store, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := r.newLearner(0, workerName("learner", 0, 0), store, rng.New(9), new(int))
+	var stepBytes, absorbBytes uint64
+	warmVersion := 0
+	// The warm-up outlasts two settling phases: the codec's frame pool
+	// holds trajectory-sized frames after the first steps (an encode that
+	// draws one drops it for a frame of its own size), and the parameter
+	// step holds one recycled vector per gradient of the largest group so
+	// far, which grows from 1 to 4 when the aggregator's warm-up round
+	// ends at version 8.
+	const warm, measured = 16, 32
+	for i := 0; i < warm+measured; i++ {
+		var keys []string
+		for len(keys) < 2 {
+			note, ok, err := a.iterate()
+			if err != nil || !ok {
+				t.Fatalf("rollout: ok=%v err=%v", ok, err)
+			}
+			keys = append(keys, note.key)
+		}
+		var note gradNote
+		sb := allocatedDuring(func() {
+			var ok bool
+			if note, ok, err = l.step(keys); err != nil || !ok {
+				t.Fatalf("learner step: ok=%v err=%v", ok, err)
+			}
+		})
+		ab := allocatedDuring(func() {
+			if err := r.absorb(note); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i == warm-1 {
+			warmVersion = int(r.version.Load())
+		}
+		if i >= warm {
+			stepBytes += sb
+			absorbBytes += ab
+		}
+	}
+	if got := int(r.version.Load()) - warmVersion; got < measured/4 {
+		t.Fatalf("%d updates from %d measured gradients: the parameter step hardly ran", got, measured)
+	}
+	vec := uint64(8 * len(r.weights))
+	for _, c := range []struct {
+		what  string
+		bytes uint64
+	}{{"learner.step", stepBytes / measured}, {"absorb", absorbBytes / measured}} {
+		if c.bytes > vec/32 {
+			t.Errorf("a steady-state %s allocates %d bytes, want under %d (a parameter vector is %d)", c.what, c.bytes, vec/32, vec)
+		} else {
+			t.Logf("a steady-state %s allocates %d bytes; a parameter vector is %d", c.what, c.bytes, vec)
+		}
+	}
+}
+
+// allocatedDuring is the process's heap allocation, in bytes, over f.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

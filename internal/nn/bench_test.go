@@ -12,9 +12,9 @@ import (
 func BenchmarkMLPForwardBackward(b *testing.B) {
 	r := rng.New(1)
 	net := NewNetwork(11,
-		NewDense(11, 256, r), NewTanh(),
-		NewDense(256, 256, r), NewTanh(),
-		NewDense(256, 6, r),
+		NewDense(nil, 11, 256, r), NewTanh(),
+		NewDense(nil, 256, 256, r), NewTanh(),
+		NewDense(nil, 256, 6, r),
 	)
 	in := randIn(r, 256, 11)
 	dOut := tensor.NewMat(256, 6)
@@ -34,7 +34,7 @@ func BenchmarkMLPForwardBackward(b *testing.B) {
 // reduced 20x20 frame on an 8-sample batch.
 func BenchmarkCNNForwardBackward(b *testing.B) {
 	r := rng.New(2)
-	net := CNNTrunk(3, 20, 20, r)
+	net := CNNTrunk(nil, 3, 20, 20, r)
 	in := randIn(r, 8, net.InDim())
 	dOut := tensor.NewMat(8, net.OutDim())
 	for i := range dOut.Data {
@@ -46,21 +46,5 @@ func BenchmarkCNNForwardBackward(b *testing.B) {
 		net.ZeroGrad()
 		net.Forward(in)
 		net.Backward(dOut)
-	}
-}
-
-// BenchmarkWeightsFlattenSet measures the weight (de)serialization pair
-// every learner invocation performs.
-func BenchmarkWeightsFlattenSet(b *testing.B) {
-	r := rng.New(3)
-	net := MLPTrunk(11, 256, r)
-	flat := net.FlattenParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := net.SetParams(flat); err != nil {
-			b.Fatal(err)
-		}
-		flat = net.FlattenParams()
 	}
 }

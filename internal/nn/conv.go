@@ -28,16 +28,16 @@ type Conv2D struct {
 	dW               *tensor.Mat
 }
 
-// NewConv2D creates a convolution layer with He-uniform initialized
+// NewConv2D creates a convolution layer on s with He-uniform initialized
 // filters (the conventional pairing with ReLU trunks), seeded from r.
-func NewConv2D(shape tensor.ConvShape, r *rng.RNG) *Conv2D {
+func NewConv2D(s *Slab, shape tensor.ConvShape, r *rng.RNG) *Conv2D {
 	if err := shape.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Conv2D{
 		Shape: shape,
-		W:     newParam(fmt.Sprintf("conv%d.W", shape.OutC), shape.OutC*shape.PatchSize()),
-		B:     newParam(fmt.Sprintf("conv%d.b", shape.OutC), shape.OutC),
+		W:     s.param(fmt.Sprintf("conv%d.W", shape.OutC), shape.OutC*shape.PatchSize()),
+		B:     s.param(fmt.Sprintf("conv%d.b", shape.OutC), shape.OutC),
 	}
 	c.w = tensor.Mat{Rows: shape.OutC, Cols: shape.PatchSize(), Data: c.W.Data}
 	limit := math.Sqrt(6.0 / float64(shape.PatchSize()))

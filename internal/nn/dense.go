@@ -21,14 +21,14 @@ type Dense struct {
 	dW     *tensor.Mat // reused gradient scratch
 }
 
-// NewDense creates a dense layer with Xavier-uniform weights, the
+// NewDense creates a dense layer on s with Xavier-uniform weights, the
 // initialization the paper's Tanh MLPs use, seeded from r.
-func NewDense(in, out int, r *rng.RNG) *Dense {
+func NewDense(s *Slab, in, out int, r *rng.RNG) *Dense {
 	d := &Dense{
 		In:  in,
 		Out: out,
-		W:   newParam(fmt.Sprintf("dense%dx%d.W", out, in), out*in),
-		B:   newParam(fmt.Sprintf("dense%dx%d.b", out, in), out),
+		W:   s.param(fmt.Sprintf("dense%dx%d.W", out, in), out*in),
+		B:   s.param(fmt.Sprintf("dense%dx%d.b", out, in), out),
 	}
 	d.w = tensor.Mat{Rows: out, Cols: in, Data: d.W.Data}
 	limit := math.Sqrt(6.0 / float64(in+out))
@@ -42,8 +42,8 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 // Xavier weights multiplied by gain. Policy output heads conventionally
 // use a small gain (0.01) so initial action distributions stay near
 // uniform, which stabilizes early PPO updates.
-func NewDenseScaled(in, out int, gain float64, r *rng.RNG) *Dense {
-	d := NewDense(in, out, r)
+func NewDenseScaled(s *Slab, in, out int, gain float64, r *rng.RNG) *Dense {
+	d := NewDense(s, in, out, r)
 	tensor.Scale(gain, d.W.Data)
 	return d
 }

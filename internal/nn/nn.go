@@ -1,17 +1,24 @@
 // Package nn implements the small feed-forward neural networks used by
 // Stellaris policies and critics: dense and convolutional layers with
-// hand-written backward passes, assembled into sequential Networks whose
-// parameters can be flattened to a single vector.
+// hand-written backward passes, assembled into sequential Networks.
 //
-// The flattened-vector view is the unit of exchange in the distributed
+// A flat parameter vector is the unit of exchange in the distributed
 // system: learner functions ship gradients, and the parameter function
 // ships policy weights, as contiguous []float64 through the cache. That
 // mirrors the paper's use of serialized PyTorch state dicts over Redis.
+// Here the flat vector is also the storage: layers built on a Slab carve
+// every Param.Data out of its one weight vector, in build order, and the
+// first ZeroGrad carves every Param.Grad out of one gradient vector at
+// the same offsets. A model reads and writes both in place — a fetched
+// policy is decoded straight into the weights, and a learner's gradient
+// is the gradient vector itself, owned by the Slab and valid until its
+// next ZeroGrad (algo.Model.Grads). A layer built on a nil Slab owns its
+// parameters (a network standing alone, as in the package tests).
 //
 // Layers cache activations from the most recent Forward call, so a
 // Network must not be shared across goroutines; each learner function
-// builds its own replica from a weight vector (exactly as a serverless
-// function would deserialize a model).
+// builds its own replica and loads a weight vector into it (exactly as
+// a serverless function would deserialize a model).
 //
 // Layers also own their output buffers: the matrix returned by Forward
 // or Backward is reused by that layer's next Forward/Backward call.
@@ -19,11 +26,7 @@
 // (Model.Act/Values already do).
 package nn
 
-import (
-	"fmt"
-
-	"stellaris/internal/tensor"
-)
+import "stellaris/internal/tensor"
 
 // Param is one learnable tensor with its accumulated gradient.
 type Param struct {
@@ -32,8 +35,46 @@ type Param struct {
 	Grad []float64
 }
 
-func newParam(name string, n int) *Param {
-	return &Param{Name: name, Data: make([]float64, n), Grad: make([]float64, n)}
+// Slab is the parameter storage of the layers built on it: W holds
+// every weight and G every gradient, each Param a window of both at the
+// same offset, in the order the layers took them.
+type Slab struct {
+	W []float64
+	// G is nil until the first ZeroGrad: a model that never computes a
+	// gradient (an actor's, the run's master) never allocates one.
+	G      []float64
+	params []*Param
+	off    int
+}
+
+// NewSlab returns a Slab of n weights, all zero until layers take them.
+func NewSlab(n int) *Slab { return &Slab{W: make([]float64, n)} }
+
+// param takes the next n weights as a Param. On a nil Slab the Param
+// owns its weights and gradients.
+func (s *Slab) param(name string, n int) *Param {
+	if s == nil {
+		return &Param{Name: name, Data: make([]float64, n), Grad: make([]float64, n)}
+	}
+	p := &Param{Name: name, Data: s.W[s.off : s.off+n : s.off+n]}
+	s.off += n
+	s.params = append(s.params, p)
+	return p
+}
+
+// ZeroGrad clears G. The first call allocates it and points every
+// Param.Grad at its window.
+func (s *Slab) ZeroGrad() {
+	if s.G != nil {
+		clear(s.G)
+		return
+	}
+	s.G = make([]float64, len(s.W))
+	off := 0
+	for _, p := range s.params {
+		p.Grad = s.G[off : off+len(p.Data) : off+len(p.Data)]
+		off += len(p.Data)
+	}
 }
 
 // ensureMat returns *slot resized to rows x cols for reuse as a layer
@@ -149,50 +190,10 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// ZeroGrad clears all accumulated gradients.
+// ZeroGrad clears all accumulated gradients. A network built on a Slab
+// has gradients only once the Slab's ZeroGrad has allocated them.
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
-	}
-}
-
-// FlattenParams copies all parameter values into a single vector.
-func (n *Network) FlattenParams() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, p := range n.Params() {
-		out = append(out, p.Data...)
-	}
-	return out
-}
-
-// FlattenGrads copies all accumulated gradients into a single vector.
-func (n *Network) FlattenGrads() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, p := range n.Params() {
-		out = append(out, p.Grad...)
-	}
-	return out
-}
-
-// SetParams loads a flattened parameter vector produced by FlattenParams
-// on a network of identical architecture.
-func (n *Network) SetParams(flat []float64) error {
-	if len(flat) != n.NumParams() {
-		return fmt.Errorf("nn: SetParams length %d != %d", len(flat), n.NumParams())
-	}
-	off := 0
-	for _, p := range n.Params() {
-		copy(p.Data, flat[off:off+len(p.Data)])
-		off += len(p.Data)
-	}
-	return nil
-}
-
-// ScaleGrads multiplies all accumulated gradients by alpha.
-func (n *Network) ScaleGrads(alpha float64) {
-	for _, p := range n.Params() {
-		tensor.Scale(alpha, p.Grad)
+		clear(p.Grad)
 	}
 }

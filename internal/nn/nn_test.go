@@ -23,7 +23,32 @@ func analyticGrads(n *Network, in *tensor.Mat, w []float64) (pg []float64, ig *t
 	dOut := tensor.NewMat(out.Rows, out.Cols)
 	copy(dOut.Data, w)
 	ig = n.Backward(dOut)
-	return n.FlattenGrads(), ig
+	return flatGrads(n), ig
+}
+
+// flatParams copies every parameter value, in Params() order.
+func flatParams(n *Network) []float64 {
+	var out []float64
+	for _, p := range n.Params() {
+		out = append(out, p.Data...)
+	}
+	return out
+}
+
+// flatGrads copies every accumulated gradient, in Params() order.
+func flatGrads(n *Network) []float64 {
+	var out []float64
+	for _, p := range n.Params() {
+		out = append(out, p.Grad...)
+	}
+	return out
+}
+
+// setParams loads a vector laid out as flatParams's.
+func setParams(n *Network, flat []float64) {
+	for _, p := range n.Params() {
+		flat = flat[copy(p.Data, flat):]
+	}
 }
 
 // checkGradients compares analytic and central-difference gradients for
@@ -39,24 +64,18 @@ func checkGradients(t *testing.T, n *Network, in *tensor.Mat, seed uint64) {
 
 	const eps = 1e-6
 	// Parameter gradients: probe a sample of coordinates.
-	flat := n.FlattenParams()
+	flat := flatParams(n)
 	stride := len(flat)/60 + 1
 	for i := 0; i < len(flat); i += stride {
 		orig := flat[i]
 		flat[i] = orig + eps
-		if err := n.SetParams(flat); err != nil {
-			t.Fatal(err)
-		}
+		setParams(n, flat)
 		up := lossOf(n, in, w)
 		flat[i] = orig - eps
-		if err := n.SetParams(flat); err != nil {
-			t.Fatal(err)
-		}
+		setParams(n, flat)
 		down := lossOf(n, in, w)
 		flat[i] = orig
-		if err := n.SetParams(flat); err != nil {
-			t.Fatal(err)
-		}
+		setParams(n, flat)
 		numeric := (up - down) / (2 * eps)
 		if diff := math.Abs(numeric - pg[i]); diff > 1e-4*(1+math.Abs(numeric)) {
 			t.Fatalf("param grad %d: analytic %v vs numeric %v", i, pg[i], numeric)
@@ -88,16 +107,16 @@ func randIn(r *rng.RNG, rows, cols int) *tensor.Mat {
 
 func TestDenseGradients(t *testing.T) {
 	r := rng.New(1)
-	n := NewNetwork(5, NewDense(5, 4, r))
+	n := NewNetwork(5, NewDense(nil, 5, 4, r))
 	checkGradients(t, n, randIn(r, 3, 5), 11)
 }
 
 func TestTanhMLPGradients(t *testing.T) {
 	r := rng.New(2)
 	n := NewNetwork(6,
-		NewDense(6, 8, r), NewTanh(),
-		NewDense(8, 8, r), NewTanh(),
-		NewDense(8, 3, r),
+		NewDense(nil, 6, 8, r), NewTanh(),
+		NewDense(nil, 8, 8, r), NewTanh(),
+		NewDense(nil, 8, 3, r),
 	)
 	checkGradients(t, n, randIn(r, 4, 6), 13)
 }
@@ -105,8 +124,8 @@ func TestTanhMLPGradients(t *testing.T) {
 func TestReLUMLPGradients(t *testing.T) {
 	r := rng.New(3)
 	n := NewNetwork(6,
-		NewDense(6, 10, r), NewReLU(),
-		NewDense(10, 2, r),
+		NewDense(nil, 6, 10, r), NewReLU(),
+		NewDense(nil, 10, 2, r),
 	)
 	// Shift inputs away from the ReLU kink to keep finite differences
 	// valid.
@@ -121,31 +140,32 @@ func TestConvNetGradients(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewNetwork(c1.InSize(),
-		NewConv2D(c1, r),
+		NewConv2D(nil, c1, r),
 		NewTanh(), // smooth activation keeps the numeric check tight
-		NewDense(c1.OutSize(), 4, r),
+		NewDense(nil, c1.OutSize(), 4, r),
 	)
 	checkGradients(t, n, randIn(r, 2, c1.InSize()), 19)
 }
 
+// TestParamsRoundTrip builds a trunk on a Slab and checks that the slab
+// is the parameters: each Param is a window of it in Params() order, a
+// second trunk loaded by copying the slab computes the same outputs,
+// and ZeroGrad hands out gradient windows at the same offsets.
 func TestParamsRoundTrip(t *testing.T) {
 	r := rng.New(5)
-	n := MLPTrunk(7, 16, r)
-	flat := n.FlattenParams()
-	if len(flat) != n.NumParams() {
-		t.Fatalf("FlattenParams length %d != NumParams %d", len(flat), n.NumParams())
+	s := NewSlab(MLPSize(7, 16, 3))
+	n := WithHead(s, MLPTrunk(s, 7, 16, r), 3, 0.01, r)
+	if n.NumParams() != len(s.W) {
+		t.Fatalf("NumParams %d != slab length %d", n.NumParams(), len(s.W))
 	}
-	m := MLPTrunk(7, 16, rng.New(99))
-	if err := m.SetParams(flat); err != nil {
-		t.Fatal(err)
-	}
-	got := m.FlattenParams()
-	for i := range flat {
-		if got[i] != flat[i] {
-			t.Fatalf("round trip mismatch at %d", i)
+	for i, v := range flatParams(n) {
+		if math.Float64bits(v) != math.Float64bits(s.W[i]) {
+			t.Fatalf("slab[%d] = %v, Params() order has %v", i, s.W[i], v)
 		}
 	}
-	// Forward agreement after weight transfer.
+	s2 := NewSlab(len(s.W))
+	m := WithHead(s2, MLPTrunk(s2, 7, 16, rng.New(99)), 3, 0.01, rng.New(98))
+	copy(s2.W, s.W)
 	in := randIn(r, 2, 7)
 	a := n.Forward(in)
 	b := m.Forward(in)
@@ -154,31 +174,36 @@ func TestParamsRoundTrip(t *testing.T) {
 			t.Fatal("identical weights produced different outputs")
 		}
 	}
-}
-
-func TestSetParamsWrongLength(t *testing.T) {
-	n := MLPTrunk(4, 8, rng.New(1))
-	if err := n.SetParams(make([]float64, 3)); err == nil {
-		t.Fatal("SetParams accepted wrong length")
+	s.ZeroGrad()
+	off := 0
+	for _, p := range n.Params() {
+		if len(p.Grad) != len(p.Data) || &p.Grad[0] != &s.G[off] {
+			t.Fatalf("%s: gradient is not the slab's window at %d", p.Name, off)
+		}
+		off += len(p.Data)
 	}
 }
 
+// TestZeroGradAndScale holds a slab's gradient vector to its Params:
+// scaling the vector scales every Param.Grad, and ZeroGrad clears it.
 func TestZeroGradAndScale(t *testing.T) {
 	r := rng.New(6)
-	n := NewNetwork(3, NewDense(3, 2, r))
+	s := NewSlab(denseSize(3, 2))
+	n := NewNetwork(3, NewDense(s, 3, 2, r))
+	s.ZeroGrad()
 	in := randIn(r, 2, 3)
 	w := []float64{1, 1, 1, 1}
-	analyticGrads(n, in, w)
-	g1 := n.FlattenGrads()
-	n.ScaleGrads(2)
-	g2 := n.FlattenGrads()
+	_, _ = analyticGrads(n, in, w)
+	g1 := flatGrads(n)
+	tensor.Scale(2, s.G)
+	g2 := flatGrads(n)
 	for i := range g1 {
 		if !almost(g2[i], 2*g1[i]) {
-			t.Fatalf("ScaleGrads mismatch at %d", i)
+			t.Fatalf("scaling the slab missed gradient %d", i)
 		}
 	}
-	n.ZeroGrad()
-	for _, g := range n.FlattenGrads() {
+	s.ZeroGrad()
+	for _, g := range flatGrads(n) {
 		if g != 0 {
 			t.Fatal("ZeroGrad left residue")
 		}
@@ -189,17 +214,17 @@ func almost(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(a)) }
 
 func TestBackwardAccumulates(t *testing.T) {
 	r := rng.New(7)
-	n := NewNetwork(3, NewDense(3, 2, r))
+	n := NewNetwork(3, NewDense(nil, 3, 2, r))
 	in := randIn(r, 2, 3)
 	w := []float64{1, -1, 0.5, 2}
 	analyticGrads(n, in, w)
-	g1 := n.FlattenGrads()
+	g1 := flatGrads(n)
 	// Second backward without ZeroGrad doubles the gradient.
 	out := n.Forward(in)
 	dOut := tensor.NewMat(out.Rows, out.Cols)
 	copy(dOut.Data, w)
 	n.Backward(dOut)
-	g2 := n.FlattenGrads()
+	g2 := flatGrads(n)
 	for i := range g1 {
 		if !almost(g2[i], 2*g1[i]) {
 			t.Fatalf("gradient accumulation broken at %d: %v vs %v", i, g2[i], 2*g1[i])
@@ -208,7 +233,7 @@ func TestBackwardAccumulates(t *testing.T) {
 }
 
 func TestMLPTrunkShape(t *testing.T) {
-	n := MLPTrunk(11, 256, rng.New(1))
+	n := MLPTrunk(nil, 11, 256, rng.New(1))
 	if n.InDim() != 11 || n.OutDim() != 256 {
 		t.Fatalf("MLPTrunk dims %d->%d", n.InDim(), n.OutDim())
 	}
@@ -219,7 +244,7 @@ func TestMLPTrunkShape(t *testing.T) {
 }
 
 func TestCNNTrunkShapeTableII(t *testing.T) {
-	n := CNNTrunk(3, 44, 44, rng.New(1))
+	n := CNNTrunk(nil, 3, 44, 44, rng.New(1))
 	if n.OutDim() != 256 {
 		t.Fatalf("CNNTrunk out %d, want 256", n.OutDim())
 	}
@@ -242,8 +267,8 @@ func TestCNNTrunkShapeTableII(t *testing.T) {
 }
 
 func TestWithHeadAppends(t *testing.T) {
-	trunk := MLPTrunk(5, 8, rng.New(1))
-	head := WithHead(trunk, 3, 0.01, rng.New(2))
+	trunk := MLPTrunk(nil, 5, 8, rng.New(1))
+	head := WithHead(nil, trunk, 3, 0.01, rng.New(2))
 	if head.OutDim() != 3 {
 		t.Fatalf("head out %d", head.OutDim())
 	}
@@ -253,8 +278,8 @@ func TestWithHeadAppends(t *testing.T) {
 }
 
 func TestDenseScaledGain(t *testing.T) {
-	a := NewDense(4, 4, rng.New(3))
-	b := NewDenseScaled(4, 4, 0.01, rng.New(3))
+	a := NewDense(nil, 4, 4, rng.New(3))
+	b := NewDenseScaled(nil, 4, 4, 0.01, rng.New(3))
 	for i := range a.W.Data {
 		if !almost(b.W.Data[i], 0.01*a.W.Data[i]) {
 			t.Fatal("gain scaling wrong")
@@ -263,7 +288,7 @@ func TestDenseScaledGain(t *testing.T) {
 }
 
 func TestForwardShapePanics(t *testing.T) {
-	n := NewNetwork(3, NewDense(3, 2, rng.New(1)))
+	n := NewNetwork(3, NewDense(nil, 3, 2, rng.New(1)))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong input width accepted")
@@ -278,8 +303,8 @@ func TestForwardShapePanics(t *testing.T) {
 // and for the CNN (whose first layer is the costly one to skip).
 func TestBackwardParamsBitEqualToBackward(t *testing.T) {
 	nets := map[string]func() *Network{
-		"mlp": func() *Network { return WithHead(MLPTrunk(11, 24, rng.New(5)), 3, 0.01, rng.New(6)) },
-		"cnn": func() *Network { return WithHead(CNNTrunk(3, 20, 20, rng.New(7)), 4, 0.01, rng.New(8)) },
+		"mlp": func() *Network { return WithHead(nil, MLPTrunk(nil, 11, 24, rng.New(5)), 3, 0.01, rng.New(6)) },
+		"cnn": func() *Network { return WithHead(nil, CNNTrunk(nil, 3, 20, 20, rng.New(7)), 4, 0.01, rng.New(8)) },
 	}
 	for name, build := range nets {
 		full, learner := build(), build()
@@ -294,7 +319,7 @@ func TestBackwardParamsBitEqualToBackward(t *testing.T) {
 			learner.Forward(in)
 			learner.BackwardParams(dOut)
 		}
-		want, got := full.FlattenGrads(), learner.FlattenGrads()
+		want, got := flatGrads(full), flatGrads(learner)
 		nonzero := 0
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -319,7 +344,7 @@ func TestSteadyStatePassesDoNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		l     Layer
 		inDim int
-	}{{NewDense(11, 64, r), 11}, {NewConv2D(shape, r), shape.InSize()}} {
+	}{{NewDense(nil, 11, 64, r), 11}, {NewConv2D(nil, shape, r), shape.InSize()}} {
 		l, inDim := tc.l, tc.inDim
 		in := randIn(r, 8, inDim)
 		dOut := randIn(r, 8, l.OutDim(inDim))

@@ -12,6 +12,8 @@ package optim
 import (
 	"fmt"
 	"math"
+
+	"stellaris/internal/tensor"
 )
 
 // Optimizer updates a flat parameter vector in place from a gradient of
@@ -119,13 +121,7 @@ func (a *Adam) Step(params, grad []float64) {
 	a.t++
 	c1 := 1 - math.Pow(a.beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.beta2, float64(a.t))
-	for i, g := range grad {
-		a.m[i] = a.beta1*a.m[i] + (1-a.beta1)*g
-		a.v[i] = a.beta2*a.v[i] + (1-a.beta2)*g*g
-		mHat := a.m[i] / c1
-		vHat := a.v[i] / c2
-		params[i] -= a.lr * mHat / (math.Sqrt(vHat) + a.eps)
-	}
+	tensor.AdamStep(params, grad, a.m, a.v, a.lr, a.beta1, a.beta2, a.eps, c1, c2)
 }
 
 // RMSProp implements Hinton's RMSProp with optional centered variance,

@@ -3,9 +3,9 @@ package tensor
 import "math"
 
 // useAVX2 selects the assembly micro-kernels of kernel_amd64.s under
-// MatMul, MatMulATB, MatMulABT, Axpy and TanhInto. It is set once,
-// here, from what the CPU and the OS report; the tests clear it to run
-// the Go kernels on the same box.
+// MatMul, MatMulATB, MatMulABT, Axpy, Scale, AdamStep and TanhInto. It
+// is set once, here, from what the CPU and the OS report; the tests
+// clear it to run the Go kernels on the same box.
 var useAVX2 = hasAVX2()
 
 // tanhOK says that tanhAVX2 returns math.Tanh's bits in this process.
@@ -70,3 +70,14 @@ func dot1RowAVX2(d, a, b *float64, k, n8 int)
 
 //go:noescape
 func tanhAVX2(dst, src *float64, n4 int)
+
+//go:noescape
+func scaleAVX2(x *float64, n4 int, alpha float64)
+
+//go:noescape
+func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64)
+
+// HostClassOne is the tanh probe's verdict: this process's math.Tanh is
+// host class 1's (amd64, math.Exp on its FMA arm; DESIGN.md §8), the
+// class every pinned output hash was taken on.
+func HostClassOne() bool { return tanhOK }

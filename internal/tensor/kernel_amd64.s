@@ -562,3 +562,76 @@ tanh_loop:
 	JLT     tanh_loop
 	VZEROUPPER
 	RET
+
+// func scaleAVX2(x *float64, n4 int, alpha float64)
+//
+// x[i] *= alpha for i < n4, n4 a positive multiple of 4: Scale's
+// multiply, four lanes at a time.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), DI
+	MOVQ         n4+8(FP), CX
+	VBROADCASTSD alpha+16(FP), Y0
+	XORQ         AX, AX
+
+scale_loop:
+	VMULPD  (DI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     scale_loop
+	VZEROUPPER
+	RET
+
+// func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64)
+//
+// One Adam step on coordinates i < n4, n4 a positive multiple of 4,
+// each lane the operations of AdamStep's Go loop in its order, k holding
+// its coefficients β₁, 1-β₁, β₂, 1-β₂, c₁, c₂, lr and ε:
+//
+//	m = β₁·m + (1-β₁)·g
+//	v = β₂·v + ((1-β₂)·g)·g
+//	p = p - (lr·(m/c₁)) / (√(v/c₂) + ε)
+//
+// VDIVPD and VSQRTPD round as DIVSD and SQRTSD do.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-48
+	MOVQ         p+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R8
+	MOVQ         v+24(FP), R9
+	MOVQ         n4+32(FP), CX
+	MOVQ         k+40(FP), DX
+	VBROADCASTSD 0(DX), Y0
+	VBROADCASTSD 8(DX), Y1
+	VBROADCASTSD 16(DX), Y2
+	VBROADCASTSD 24(DX), Y3
+	VBROADCASTSD 32(DX), Y4
+	VBROADCASTSD 40(DX), Y5
+	VBROADCASTSD 48(DX), Y6
+	VBROADCASTSD 56(DX), Y7
+	XORQ         AX, AX
+
+adam_loop:
+	VMOVUPD (SI)(AX*8), Y8
+	VMULPD  (R8)(AX*8), Y0, Y9
+	VMULPD  Y8, Y1, Y10
+	VADDPD  Y10, Y9, Y9
+	VMOVUPD Y9, (R8)(AX*8)
+	VMULPD  (R9)(AX*8), Y2, Y10
+	VMULPD  Y8, Y3, Y11
+	VMULPD  Y8, Y11, Y11
+	VADDPD  Y11, Y10, Y10
+	VMOVUPD Y10, (R9)(AX*8)
+	VDIVPD  Y4, Y9, Y9
+	VDIVPD  Y5, Y10, Y10
+	VSQRTPD Y10, Y10
+	VADDPD  Y7, Y10, Y10
+	VMULPD  Y9, Y6, Y9
+	VDIVPD  Y10, Y9, Y9
+	VMOVUPD (DI)(AX*8), Y11
+	VSUBPD  Y9, Y11, Y11
+	VMOVUPD Y11, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     adam_loop
+	VZEROUPPER
+	RET

@@ -20,3 +20,11 @@ func dot4RowsAVX2(d *float64, ldd int, a, b *float64, k, n4 int) { panic("tensor
 func dot1RowAVX2(d, a, b *float64, k, n8 int) { panic("tensor: no AVX2") }
 
 func tanhAVX2(dst, src *float64, n4 int) { panic("tensor: no AVX2") }
+
+func scaleAVX2(x *float64, n4 int, alpha float64) { panic("tensor: no AVX2") }
+
+func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64) { panic("tensor: no AVX2") }
+
+// HostClassOne is the tanh probe's verdict; no port but amd64 is host
+// class 1 (DESIGN.md §8).
+func HostClassOne() bool { return false }

@@ -389,3 +389,135 @@ func FuzzTanh(f *testing.F) {
 		})
 	})
 }
+
+// refScale and refAdam are the scalar loops Scale and AdamStep are
+// held to, written out here as the products' references are, so that
+// the Go path is checked as well as the assembly.
+func refScale(alpha float64, x []float64) {
+	for i := range x {
+		x[i] *= alpha
+	}
+}
+
+func refAdam(p, g, m, v []float64, lr, beta1, beta2, eps, c1, c2 float64) {
+	for i, gi := range g {
+		m[i] = beta1*m[i] + (1-beta1)*gi
+		v[i] = beta2*v[i] + (1-beta2)*gi*gi
+		mHat := m[i] / c1
+		vHat := v[i] / c2
+		p[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
+	}
+}
+
+// requireSameVec is requireSameBits for a vector.
+func requireSameVec(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	requireSameBits(t, what, 1, 1, len(want), MatFrom(1, len(got), got), MatFrom(1, len(want), want))
+}
+
+// requireScaleMatches scales n values of the given mix, a sub-slice at
+// an odd offset of a canary-filled array, and holds them to refScale's
+// bits and their surroundings to the canaries.
+func requireScaleMatches(t *testing.T, r *rng.RNG, n, mix, offs int, alpha float64) {
+	t.Helper()
+	off := 1 + 2*(offs&3)
+	x, back := guardedMat(1, n, off)
+	fillMix(r, x.Data, mix)
+	want := append([]float64(nil), x.Data...)
+	Scale(alpha, x.Data)
+	refScale(alpha, want)
+	requireSameVec(t, "Scale", x.Data, want)
+	requireCanaries(t, "Scale", 1, 1, n, back, off, n)
+}
+
+// requireAdamMatches takes one Adam step of the given rate at step
+// count step (β₁ 0.9, β₂ 0.999, ε 1e-8, as optim.Adam) on n coordinates
+// of the given mix — every operand at an odd offset of a canary-filled
+// array, the moments as a run leaves them, or of the mix themselves —
+// and holds p, m and v to refAdam's bits and their surroundings to the
+// canaries.
+func requireAdamMatches(t *testing.T, r *rng.RNG, n, mix, offs int, lr float64, step int) {
+	t.Helper()
+	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	c1 := 1 - math.Pow(beta1, float64(step))
+	c2 := 1 - math.Pow(beta2, float64(step))
+	off := func(i int) int { return 1 + 2*(offs>>(2*i)&3) }
+	var ops [4]*Mat
+	var backs [4][]float64
+	for i := range ops {
+		ops[i], backs[i] = guardedMat(1, n, off(i))
+		fillMix(r, ops[i].Data, mix)
+	}
+	p, g, m, v := ops[0].Data, ops[1].Data, ops[2].Data, ops[3].Data
+	if mix != special {
+		for i := range v {
+			v[i] *= v[i] // a second moment is a mean of squares
+		}
+	}
+	wp, wm, wv := append([]float64(nil), p...), append([]float64(nil), m...), append([]float64(nil), v...)
+	AdamStep(p, g, m, v, lr, beta1, beta2, eps, c1, c2)
+	refAdam(wp, g, wm, wv, lr, beta1, beta2, eps, c1, c2)
+	requireSameVec(t, "AdamStep p", p, wp)
+	requireSameVec(t, "AdamStep m", m, wm)
+	requireSameVec(t, "AdamStep v", v, wv)
+	for i, back := range backs {
+		requireCanaries(t, "AdamStep", 1, 1, n, back, off(i), n)
+	}
+}
+
+// TestScaleAndAdamBitIdenticalToScalarLoops holds the two elementwise
+// kernels to their scalar loops on both paths: every length 0…19 (every
+// tail), lengths around a parameter slab's, every value mix, rates of
+// every size and sign, and step counts from the first to where the bias
+// corrections round to 1.
+func TestScaleAndAdamBitIdenticalToScalarLoops(t *testing.T) {
+	bothKernelPaths(t, func(t *testing.T) {
+		r := rng.New(30)
+		lrs := []float64{3e-4, 1, -2.5, 0, math.Copysign(0, -1), 5e-324, math.Inf(1), math.NaN()}
+		steps := []int{1, 2, 3, 10, 1000, 100000}
+		for n := 0; n < 20; n++ {
+			for mix := 0; mix < numMixes; mix++ {
+				for i, lr := range lrs {
+					requireScaleMatches(t, r, n, mix, r.Intn(1<<10), lr)
+					requireAdamMatches(t, r, n, mix, r.Intn(1<<10), lr, steps[i%len(steps)])
+				}
+			}
+		}
+		for _, n := range []int{1021, 1024, 1027} {
+			for mix := 0; mix < numMixes; mix++ {
+				requireScaleMatches(t, r, n, mix, r.Intn(1<<10), r.NormFloat64())
+				requireAdamMatches(t, r, n, mix, r.Intn(1<<10), 3e-4, 1+r.Intn(50))
+			}
+		}
+	})
+}
+
+func TestAdamStepLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AdamStep with a short moment did not panic")
+		}
+	}()
+	AdamStep(make([]float64, 8), make([]float64, 8), make([]float64, 8), make([]float64, 7), 1, 0.9, 0.999, 1e-8, 0.1, 0.001)
+}
+
+// FuzzScale and FuzzAdamStep are the same assertions with the length,
+// the operands' offsets, the value mix, the values' seed, the factor or
+// rate, and the step count taken from the fuzz input.
+func FuzzScale(f *testing.F) {
+	f.Add(uint16(11), uint8(0), uint8(special), 0.5, uint64(1))
+	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, alpha float64, seed uint64) {
+		bothKernelPaths(t, func(t *testing.T) {
+			requireScaleMatches(t, rng.New(seed), int(n%600), int(mix%numMixes), int(offs), alpha)
+		})
+	})
+}
+
+func FuzzAdamStep(f *testing.F) {
+	f.Add(uint16(11), uint8(0), uint8(special), 3e-4, uint32(1), uint64(1))
+	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, lr float64, step uint32, seed uint64) {
+		bothKernelPaths(t, func(t *testing.T) {
+			requireAdamMatches(t, rng.New(seed), int(n%600), int(mix%numMixes), int(offs), lr, 1+int(step%200000))
+		})
+	})
+}

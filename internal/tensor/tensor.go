@@ -65,6 +65,13 @@
 // every host without the kernel, and the last len mod 4 elements on
 // every host, call it, and no Go port of it exists to drift.
 //
+// Scale and AdamStep are elementwise, so their lanes are simply four
+// coordinates: scaleAVX2 is Scale's multiply, and adamAVX2 is the Adam
+// step's multiplies, adds, three divides and square root, each its own
+// rounding (VDIVPD and VSQRTPD round as DIVSD and SQRTSD do), in the Go
+// loop's order. That loop is the portable path, and the last len mod 4
+// coordinates take it on every host.
+//
 // The rule, for all of it, is that each lane executes the reference's
 // own instruction sequence. For the three products the reference is a
 // Go loop, gc never fuses x*y + z on amd64 at any GOAMD64 level, and so
@@ -351,8 +358,46 @@ func Axpy(alpha float64, x, y []float64) {
 
 // Scale computes x *= alpha in place.
 func Scale(alpha float64, x []float64) {
-	for i := range x {
+	n4 := 0
+	if useAVX2 {
+		if n4 = len(x) &^ 3; n4 > 0 {
+			scaleAVX2(&x[0], n4, alpha)
+		}
+	}
+	for i := n4; i < len(x); i++ {
 		x[i] *= alpha
+	}
+}
+
+// AdamStep applies one Adam update to every coordinate of p, given the
+// gradient g and the moments m and v (all of p's length), the rate lr,
+// the decays beta1 and beta2, eps, and the bias corrections c1 and c2
+// of this step:
+//
+//	m[i] = beta1*m[i] + (1-beta1)*g[i]
+//	v[i] = beta2*v[i] + (1-beta2)*g[i]*g[i]
+//	p[i] -= lr*(m[i]/c1) / (math.Sqrt(v[i]/c2) + eps)
+//
+// The Go loop below is the reference; on amd64 with AVX2 adamAVX2 runs
+// it four coordinates at a time, each lane the same operations in the
+// same order, so both paths give the same bits.
+func AdamStep(p, g, m, v []float64, lr, beta1, beta2, eps, c1, c2 float64) {
+	if len(g) != len(p) || len(m) != len(p) || len(v) != len(p) {
+		panic(fmt.Sprintf("tensor: AdamStep lengths %d, %d, %d, %d", len(p), len(g), len(m), len(v)))
+	}
+	n4 := 0
+	if useAVX2 {
+		if n4 = len(p) &^ 3; n4 > 0 {
+			k := [8]float64{beta1, 1 - beta1, beta2, 1 - beta2, c1, c2, lr, eps}
+			adamAVX2(&p[0], &g[0], &m[0], &v[0], n4, &k)
+		}
+	}
+	for i := n4; i < len(p); i++ {
+		m[i] = beta1*m[i] + (1-beta1)*g[i]
+		v[i] = beta2*v[i] + (1-beta2)*g[i]*g[i]
+		mHat := m[i] / c1
+		vHat := v[i] / c2
+		p[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
 
