@@ -67,8 +67,8 @@ func NewModelHidden(e env.Env, hidden int, seed uint64) *Model {
 	}
 	s := nn.NewSlab(size(dist.ParamDim()) + size(1))
 	m := &Model{Dist: dist, slab: s}
-	m.Policy = nn.WithHead(s, trunk(s, rp), dist.ParamDim(), 0.01, rph)
-	m.Critic = nn.WithHead(s, trunk(s, rc), 1, 1.0, rch)
+	m.Policy = nn.WithHead(trunk(s, rp), dist.ParamDim(), 0.01, rph)
+	m.Critic = nn.WithHead(trunk(s, rc), 1, 1.0, rch)
 	if m.NumParams() != len(s.W) {
 		panic(fmt.Sprintf("algo: model has %d parameters, its slab %d", m.NumParams(), len(s.W)))
 	}

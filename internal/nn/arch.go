@@ -8,7 +8,7 @@ import (
 // MLPTrunk builds the paper's MuJoCo trunk (Table II) on s: two fully
 // connected layers of `hidden` units with Tanh activations.
 func MLPTrunk(s *Slab, inDim, hidden int, r *rng.RNG) *Network {
-	return NewNetwork(inDim,
+	return NewNetwork(s, inDim,
 		NewDense(s, inDim, hidden, r),
 		NewTanh(),
 		NewDense(s, hidden, hidden, r),
@@ -17,21 +17,19 @@ func MLPTrunk(s *Slab, inDim, hidden int, r *rng.RNG) *Network {
 }
 
 // MLPSize is the parameter count of MLPTrunk(inDim, hidden) under an
-// outDim-wide head: the Slab it takes.
+// outDim-wide head: the Slab it takes. It and CNNSize list the layers
+// their trunks build; algo.NewModelHidden panics if a trunk and its
+// size disagree.
 func MLPSize(inDim, hidden, outDim int) int {
-	return denseSize(inDim, hidden) + denseSize(hidden, hidden) + denseSize(hidden, outDim)
+	return DenseSize(inDim, hidden) + DenseSize(hidden, hidden) + DenseSize(hidden, outDim)
 }
 
 // CNNSize is the parameter count of CNNTrunk(channels, height, width)
 // under an outDim-wide head: the Slab it takes.
 func CNNSize(channels, height, width, outDim int) int {
 	c1, c2 := cnnShapes(channels, height, width)
-	return convSize(c1) + convSize(c2) + denseSize(c2.OutSize(), cnnHidden) + denseSize(cnnHidden, outDim)
+	return ConvSize(c1) + ConvSize(c2) + DenseSize(c2.OutSize(), cnnHidden) + DenseSize(cnnHidden, outDim)
 }
-
-func denseSize(in, out int) int { return out*in + out }
-
-func convSize(s tensor.ConvShape) int { return s.OutC*s.PatchSize() + s.OutC }
 
 // cnnHidden is the width of CNNTrunk's dense stage.
 const cnnHidden = 256
@@ -58,7 +56,7 @@ func cnnShapes(channels, height, width int) (c1, c2 tensor.ConvShape) {
 // over the flattened 32-channel map.
 func CNNTrunk(s *Slab, channels, height, width int, r *rng.RNG) *Network {
 	c1, c2 := cnnShapes(channels, height, width)
-	return NewNetwork(channels*height*width,
+	return NewNetwork(s, channels*height*width,
 		NewConv2D(s, c1, r),
 		NewReLU(),
 		NewConv2D(s, c2, r),
@@ -69,12 +67,12 @@ func CNNTrunk(s *Slab, channels, height, width int, r *rng.RNG) *Network {
 }
 
 // WithHead appends a linear output head of width outDim (gain-scaled for
-// policy heads), built on s, to a trunk and returns the combined
-// network. The trunk's layers are shared by reference; callers own the
-// result exclusively.
-func WithHead(s *Slab, trunk *Network, outDim int, gain float64, r *rng.RNG) *Network {
+// policy heads), built on the trunk's Slab, to a trunk and returns the
+// combined network. The trunk's layers are shared by reference; callers
+// own the result exclusively.
+func WithHead(trunk *Network, outDim int, gain float64, r *rng.RNG) *Network {
 	layers := make([]Layer, len(trunk.Layers), len(trunk.Layers)+1)
 	copy(layers, trunk.Layers)
-	layers = append(layers, NewDenseScaled(s, trunk.OutDim(), outDim, gain, r))
-	return NewNetwork(trunk.InDim(), layers...)
+	layers = append(layers, NewDenseScaled(trunk.slab, trunk.OutDim(), outDim, gain, r))
+	return NewNetwork(trunk.slab, trunk.InDim(), layers...)
 }

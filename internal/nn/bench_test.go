@@ -11,10 +11,11 @@ import (
 // Tanh) on one 256-sample batch — the learner function's inner loop.
 func BenchmarkMLPForwardBackward(b *testing.B) {
 	r := rng.New(1)
-	net := NewNetwork(11,
-		NewDense(nil, 11, 256, r), NewTanh(),
-		NewDense(nil, 256, 256, r), NewTanh(),
-		NewDense(nil, 256, 6, r),
+	s := NewSlab(MLPSize(11, 256, 6))
+	net := NewNetwork(s, 11,
+		NewDense(s, 11, 256, r), NewTanh(),
+		NewDense(s, 256, 256, r), NewTanh(),
+		NewDense(s, 256, 6, r),
 	)
 	in := randIn(r, 256, 11)
 	dOut := tensor.NewMat(256, 6)
@@ -34,7 +35,7 @@ func BenchmarkMLPForwardBackward(b *testing.B) {
 // reduced 20x20 frame on an 8-sample batch.
 func BenchmarkCNNForwardBackward(b *testing.B) {
 	r := rng.New(2)
-	net := CNNTrunk(nil, 3, 20, 20, r)
+	net := CNNTrunk(NewSlab(CNNSize(3, 20, 20, 0)), 3, 20, 20, r)
 	in := randIn(r, 8, net.InDim())
 	dOut := tensor.NewMat(8, net.OutDim())
 	for i := range dOut.Data {

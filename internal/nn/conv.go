@@ -28,17 +28,18 @@ type Conv2D struct {
 	dW               *tensor.Mat
 }
 
+// ConvSize is the number of weights a Conv2D layer of shape takes from
+// its Slab: OutC filters of PatchSize for W, then OutC for b.
+func ConvSize(shape tensor.ConvShape) int { return shape.OutC*shape.PatchSize() + shape.OutC }
+
 // NewConv2D creates a convolution layer on s with He-uniform initialized
 // filters (the conventional pairing with ReLU trunks), seeded from r.
 func NewConv2D(s *Slab, shape tensor.ConvShape, r *rng.RNG) *Conv2D {
 	if err := shape.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Conv2D{
-		Shape: shape,
-		W:     s.param(fmt.Sprintf("conv%d.W", shape.OutC), shape.OutC*shape.PatchSize()),
-		B:     s.param(fmt.Sprintf("conv%d.b", shape.OutC), shape.OutC),
-	}
+	c := &Conv2D{Shape: shape}
+	c.W, c.B = s.weightsAndBias(fmt.Sprintf("conv%d", shape.OutC), ConvSize(shape), shape.OutC)
 	c.w = tensor.Mat{Rows: shape.OutC, Cols: shape.PatchSize(), Data: c.W.Data}
 	limit := math.Sqrt(6.0 / float64(shape.PatchSize()))
 	for i := range c.W.Data {

@@ -21,15 +21,15 @@ type Dense struct {
 	dW     *tensor.Mat // reused gradient scratch
 }
 
+// DenseSize is the number of weights a Dense layer from in to out takes
+// from its Slab: out*in for W, then out for b.
+func DenseSize(in, out int) int { return out*in + out }
+
 // NewDense creates a dense layer on s with Xavier-uniform weights, the
 // initialization the paper's Tanh MLPs use, seeded from r.
 func NewDense(s *Slab, in, out int, r *rng.RNG) *Dense {
-	d := &Dense{
-		In:  in,
-		Out: out,
-		W:   s.param(fmt.Sprintf("dense%dx%d.W", out, in), out*in),
-		B:   s.param(fmt.Sprintf("dense%dx%d.b", out, in), out),
-	}
+	d := &Dense{In: in, Out: out}
+	d.W, d.B = s.weightsAndBias(fmt.Sprintf("dense%dx%d", out, in), DenseSize(in, out), out)
 	d.w = tensor.Mat{Rows: out, Cols: in, Data: d.W.Data}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.W.Data {

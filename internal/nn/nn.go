@@ -12,8 +12,8 @@
 // the same offsets. A model reads and writes both in place — a fetched
 // policy is decoded straight into the weights, and a learner's gradient
 // is the gradient vector itself, owned by the Slab and valid until its
-// next ZeroGrad (algo.Model.Grads). A layer built on a nil Slab owns its
-// parameters (a network standing alone, as in the package tests).
+// next ZeroGrad (algo.Model.Grads). Every layer with parameters is built
+// on a Slab; there is no other storage.
 //
 // Layers cache activations from the most recent Forward call, so a
 // Network must not be shared across goroutines; each learner function
@@ -26,7 +26,11 @@
 // (Model.Act/Values already do).
 package nn
 
-import "stellaris/internal/tensor"
+import (
+	"fmt"
+
+	"stellaris/internal/tensor"
+)
 
 // Param is one learnable tensor with its accumulated gradient.
 type Param struct {
@@ -50,23 +54,39 @@ type Slab struct {
 // NewSlab returns a Slab of n weights, all zero until layers take them.
 func NewSlab(n int) *Slab { return &Slab{W: make([]float64, n)} }
 
-// param takes the next n weights as a Param. On a nil Slab the Param
-// owns its weights and gradients.
-func (s *Slab) param(name string, n int) *Param {
-	if s == nil {
-		return &Param{Name: name, Data: make([]float64, n), Grad: make([]float64, n)}
+// weightsAndBias takes a layer's next n weights as two Params: name.W,
+// the first n-bias of them, and name.b, the last bias.
+func (s *Slab) weightsAndBias(name string, n, bias int) (w, b *Param) {
+	if n > len(s.W)-s.off {
+		panic(fmt.Sprintf("nn: %s takes %d weights, its slab has %d left", name, n, len(s.W)-s.off))
 	}
+	return s.param(name+".W", n-bias), s.param(name+".b", bias)
+}
+
+// param takes the next n weights as a Param.
+func (s *Slab) param(name string, n int) *Param {
 	p := &Param{Name: name, Data: s.W[s.off : s.off+n : s.off+n]}
+	if s.G != nil {
+		p.Grad = s.G[s.off : s.off+n : s.off+n]
+	}
 	s.off += n
 	s.params = append(s.params, p)
 	return p
 }
 
-// ZeroGrad clears G. The first call allocates it and points every
-// Param.Grad at its window.
+// ZeroGrad clears G, allocating it on the first call.
 func (s *Slab) ZeroGrad() {
+	if s.G == nil {
+		s.allocGrad()
+		return
+	}
+	clear(s.G)
+}
+
+// allocGrad allocates G, unless it exists, and points every Param.Grad
+// at its window.
+func (s *Slab) allocGrad() {
 	if s.G != nil {
-		clear(s.G)
 		return
 	}
 	s.G = make([]float64, len(s.W))
@@ -101,7 +121,9 @@ type Layer interface {
 	// next Forward call.
 	Forward(in *tensor.Mat) *tensor.Mat
 	// Backward consumes dL/dOut and returns dL/dIn, accumulating
-	// parameter gradients into Params().Grad.
+	// parameter gradients into Params().Grad. Those exist once the
+	// layer's Slab has gradients: called on its own, a layer needs its
+	// Slab's ZeroGrad first (a Network's Backward sees to it).
 	Backward(dOut *tensor.Mat) *tensor.Mat
 	// BackwardParams is Backward without dL/dIn: it accumulates the same
 	// parameter gradients, bit for bit, and skips the work only the
@@ -116,15 +138,17 @@ type Layer interface {
 	Name() string
 }
 
-// Network is a sequential stack of layers.
+// Network is a sequential stack of layers, all built on one Slab.
 type Network struct {
 	Layers []Layer
 	inDim  int
+	slab   *Slab
 }
 
-// NewNetwork assembles layers for a fixed per-sample input width.
-func NewNetwork(inDim int, layers ...Layer) *Network {
-	return &Network{Layers: layers, inDim: inDim}
+// NewNetwork assembles layers built on s for a fixed per-sample input
+// width.
+func NewNetwork(s *Slab, inDim int, layers ...Layer) *Network {
+	return &Network{Layers: layers, inDim: inDim, slab: s}
 }
 
 // InDim returns the per-sample input width.
@@ -149,8 +173,10 @@ func (n *Network) Forward(in *tensor.Mat) *tensor.Mat {
 }
 
 // Backward propagates dL/dOut back through all layers, accumulating
-// parameter gradients, and returns dL/dIn.
+// parameter gradients, and returns dL/dIn. The first Backward or
+// ZeroGrad on any network of a Slab allocates the Slab's gradients.
 func (n *Network) Backward(dOut *tensor.Mat) *tensor.Mat {
+	n.slab.allocGrad()
 	d := dOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		d = n.Layers[i].Backward(d)
@@ -165,6 +191,7 @@ func (n *Network) BackwardParams(dOut *tensor.Mat) {
 	if len(n.Layers) == 0 {
 		return
 	}
+	n.slab.allocGrad()
 	d := dOut
 	for i := len(n.Layers) - 1; i > 0; i-- {
 		d = n.Layers[i].Backward(d)
@@ -190,9 +217,10 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// ZeroGrad clears all accumulated gradients. A network built on a Slab
-// has gradients only once the Slab's ZeroGrad has allocated them.
+// ZeroGrad clears this network's accumulated gradients, allocating the
+// Slab's on the first call.
 func (n *Network) ZeroGrad() {
+	n.slab.allocGrad()
 	for _, p := range n.Params() {
 		clear(p.Grad)
 	}

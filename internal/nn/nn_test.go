@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"stellaris/internal/rng"
@@ -107,25 +108,28 @@ func randIn(r *rng.RNG, rows, cols int) *tensor.Mat {
 
 func TestDenseGradients(t *testing.T) {
 	r := rng.New(1)
-	n := NewNetwork(5, NewDense(nil, 5, 4, r))
+	s := NewSlab(DenseSize(5, 4))
+	n := NewNetwork(s, 5, NewDense(s, 5, 4, r))
 	checkGradients(t, n, randIn(r, 3, 5), 11)
 }
 
 func TestTanhMLPGradients(t *testing.T) {
 	r := rng.New(2)
-	n := NewNetwork(6,
-		NewDense(nil, 6, 8, r), NewTanh(),
-		NewDense(nil, 8, 8, r), NewTanh(),
-		NewDense(nil, 8, 3, r),
+	s := NewSlab(MLPSize(6, 8, 3))
+	n := NewNetwork(s, 6,
+		NewDense(s, 6, 8, r), NewTanh(),
+		NewDense(s, 8, 8, r), NewTanh(),
+		NewDense(s, 8, 3, r),
 	)
 	checkGradients(t, n, randIn(r, 4, 6), 13)
 }
 
 func TestReLUMLPGradients(t *testing.T) {
 	r := rng.New(3)
-	n := NewNetwork(6,
-		NewDense(nil, 6, 10, r), NewReLU(),
-		NewDense(nil, 10, 2, r),
+	s := NewSlab(DenseSize(6, 10) + DenseSize(10, 2))
+	n := NewNetwork(s, 6,
+		NewDense(s, 6, 10, r), NewReLU(),
+		NewDense(s, 10, 2, r),
 	)
 	// Shift inputs away from the ReLU kink to keep finite differences
 	// valid.
@@ -139,10 +143,11 @@ func TestConvNetGradients(t *testing.T) {
 	if err := c1.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := NewNetwork(c1.InSize(),
-		NewConv2D(nil, c1, r),
+	s := NewSlab(ConvSize(c1) + DenseSize(c1.OutSize(), 4))
+	n := NewNetwork(s, c1.InSize(),
+		NewConv2D(s, c1, r),
 		NewTanh(), // smooth activation keeps the numeric check tight
-		NewDense(nil, c1.OutSize(), 4, r),
+		NewDense(s, c1.OutSize(), 4, r),
 	)
 	checkGradients(t, n, randIn(r, 2, c1.InSize()), 19)
 }
@@ -154,7 +159,7 @@ func TestConvNetGradients(t *testing.T) {
 func TestParamsRoundTrip(t *testing.T) {
 	r := rng.New(5)
 	s := NewSlab(MLPSize(7, 16, 3))
-	n := WithHead(s, MLPTrunk(s, 7, 16, r), 3, 0.01, r)
+	n := WithHead(MLPTrunk(s, 7, 16, r), 3, 0.01, r)
 	if n.NumParams() != len(s.W) {
 		t.Fatalf("NumParams %d != slab length %d", n.NumParams(), len(s.W))
 	}
@@ -164,7 +169,7 @@ func TestParamsRoundTrip(t *testing.T) {
 		}
 	}
 	s2 := NewSlab(len(s.W))
-	m := WithHead(s2, MLPTrunk(s2, 7, 16, rng.New(99)), 3, 0.01, rng.New(98))
+	m := WithHead(MLPTrunk(s2, 7, 16, rng.New(99)), 3, 0.01, rng.New(98))
 	copy(s2.W, s.W)
 	in := randIn(r, 2, 7)
 	a := n.Forward(in)
@@ -188,8 +193,8 @@ func TestParamsRoundTrip(t *testing.T) {
 // scaling the vector scales every Param.Grad, and ZeroGrad clears it.
 func TestZeroGradAndScale(t *testing.T) {
 	r := rng.New(6)
-	s := NewSlab(denseSize(3, 2))
-	n := NewNetwork(3, NewDense(s, 3, 2, r))
+	s := NewSlab(DenseSize(3, 2))
+	n := NewNetwork(s, 3, NewDense(s, 3, 2, r))
 	s.ZeroGrad()
 	in := randIn(r, 2, 3)
 	w := []float64{1, 1, 1, 1}
@@ -210,11 +215,54 @@ func TestZeroGradAndScale(t *testing.T) {
 	}
 }
 
+// TestBackwardBeforeZeroGrad holds a network to its Slab's gradients
+// however it is first driven: a Backward with no ZeroGrad before it
+// allocates them and accumulates what a cleared pass does, and a
+// network's ZeroGrad on a fresh Slab leaves every Param a gradient.
+func TestBackwardBeforeZeroGrad(t *testing.T) {
+	build := func() (*Slab, *Network) {
+		s := NewSlab(MLPSize(4, 8, 2))
+		return s, WithHead(MLPTrunk(s, 4, 8, rng.New(1)), 2, 1, rng.New(2))
+	}
+	r := rng.New(3)
+	in, dOut := randIn(r, 3, 4), randIn(r, 3, 2)
+	s1, first := build()
+	first.Forward(in)
+	first.Backward(dOut)
+	s2, cleared := build()
+	s2.ZeroGrad()
+	cleared.Forward(in)
+	cleared.Backward(dOut)
+	for i := range s1.G {
+		if math.Float64bits(s1.G[i]) != math.Float64bits(s2.G[i]) {
+			t.Fatalf("gradient %d = %v before any ZeroGrad, %v after one", i, s1.G[i], s2.G[i])
+		}
+	}
+	_, fresh := build()
+	fresh.ZeroGrad()
+	for _, p := range fresh.Params() {
+		if len(p.Grad) != len(p.Data) {
+			t.Fatalf("%s: %d gradients for %d weights after a network's ZeroGrad", p.Name, len(p.Grad), len(p.Data))
+		}
+	}
+}
+
+// TestSlabOverflowPanics refuses a layer that does not fit its Slab.
+func TestSlabOverflowPanics(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "slab has 5 left") {
+			t.Fatalf("overflowing layer: recovered %q", msg)
+		}
+	}()
+	NewDense(NewSlab(5), 3, 2, rng.New(1))
+}
+
 func almost(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(a)) }
 
 func TestBackwardAccumulates(t *testing.T) {
 	r := rng.New(7)
-	n := NewNetwork(3, NewDense(nil, 3, 2, r))
+	s := NewSlab(DenseSize(3, 2))
+	n := NewNetwork(s, 3, NewDense(s, 3, 2, r))
 	in := randIn(r, 2, 3)
 	w := []float64{1, -1, 0.5, 2}
 	analyticGrads(n, in, w)
@@ -233,7 +281,7 @@ func TestBackwardAccumulates(t *testing.T) {
 }
 
 func TestMLPTrunkShape(t *testing.T) {
-	n := MLPTrunk(nil, 11, 256, rng.New(1))
+	n := MLPTrunk(NewSlab(MLPSize(11, 256, 0)), 11, 256, rng.New(1))
 	if n.InDim() != 11 || n.OutDim() != 256 {
 		t.Fatalf("MLPTrunk dims %d->%d", n.InDim(), n.OutDim())
 	}
@@ -244,9 +292,13 @@ func TestMLPTrunkShape(t *testing.T) {
 }
 
 func TestCNNTrunkShapeTableII(t *testing.T) {
-	n := CNNTrunk(nil, 3, 44, 44, rng.New(1))
+	s := NewSlab(CNNSize(3, 44, 44, 6))
+	n := CNNTrunk(s, 3, 44, 44, rng.New(1))
 	if n.OutDim() != 256 {
 		t.Fatalf("CNNTrunk out %d, want 256", n.OutDim())
+	}
+	if got := WithHead(n, 6, 0.01, rng.New(2)).NumParams(); got != len(s.W) {
+		t.Fatalf("CNNTrunk with a 6-wide head has %d parameters, CNNSize says %d", got, len(s.W))
 	}
 	conv1, ok := n.Layers[0].(*Conv2D)
 	if !ok {
@@ -267,8 +319,8 @@ func TestCNNTrunkShapeTableII(t *testing.T) {
 }
 
 func TestWithHeadAppends(t *testing.T) {
-	trunk := MLPTrunk(nil, 5, 8, rng.New(1))
-	head := WithHead(nil, trunk, 3, 0.01, rng.New(2))
+	trunk := MLPTrunk(NewSlab(MLPSize(5, 8, 3)), 5, 8, rng.New(1))
+	head := WithHead(trunk, 3, 0.01, rng.New(2))
 	if head.OutDim() != 3 {
 		t.Fatalf("head out %d", head.OutDim())
 	}
@@ -278,8 +330,8 @@ func TestWithHeadAppends(t *testing.T) {
 }
 
 func TestDenseScaledGain(t *testing.T) {
-	a := NewDense(nil, 4, 4, rng.New(3))
-	b := NewDenseScaled(nil, 4, 4, 0.01, rng.New(3))
+	a := NewDense(NewSlab(DenseSize(4, 4)), 4, 4, rng.New(3))
+	b := NewDenseScaled(NewSlab(DenseSize(4, 4)), 4, 4, 0.01, rng.New(3))
 	for i := range a.W.Data {
 		if !almost(b.W.Data[i], 0.01*a.W.Data[i]) {
 			t.Fatal("gain scaling wrong")
@@ -288,7 +340,8 @@ func TestDenseScaledGain(t *testing.T) {
 }
 
 func TestForwardShapePanics(t *testing.T) {
-	n := NewNetwork(3, NewDense(nil, 3, 2, rng.New(1)))
+	s := NewSlab(DenseSize(3, 2))
+	n := NewNetwork(s, 3, NewDense(s, 3, 2, rng.New(1)))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong input width accepted")
@@ -303,8 +356,12 @@ func TestForwardShapePanics(t *testing.T) {
 // and for the CNN (whose first layer is the costly one to skip).
 func TestBackwardParamsBitEqualToBackward(t *testing.T) {
 	nets := map[string]func() *Network{
-		"mlp": func() *Network { return WithHead(nil, MLPTrunk(nil, 11, 24, rng.New(5)), 3, 0.01, rng.New(6)) },
-		"cnn": func() *Network { return WithHead(nil, CNNTrunk(nil, 3, 20, 20, rng.New(7)), 4, 0.01, rng.New(8)) },
+		"mlp": func() *Network {
+			return WithHead(MLPTrunk(NewSlab(MLPSize(11, 24, 3)), 11, 24, rng.New(5)), 3, 0.01, rng.New(6))
+		},
+		"cnn": func() *Network {
+			return WithHead(CNNTrunk(NewSlab(CNNSize(3, 20, 20, 4)), 3, 20, 20, rng.New(7)), 4, 0.01, rng.New(8))
+		},
 	}
 	for name, build := range nets {
 		full, learner := build(), build()
@@ -341,10 +398,13 @@ func TestBackwardParamsBitEqualToBackward(t *testing.T) {
 func TestSteadyStatePassesDoNotAllocate(t *testing.T) {
 	r := rng.New(10)
 	shape := tensor.ConvShape{InC: 3, InH: 20, InW: 20, OutC: 16, KH: 8, KW: 8, Stride: 4}
-	for _, tc := range []struct {
+	s := NewSlab(DenseSize(11, 64) + ConvSize(shape))
+	layers := []struct {
 		l     Layer
 		inDim int
-	}{{NewDense(nil, 11, 64, r), 11}, {NewConv2D(nil, shape, r), shape.InSize()}} {
+	}{{NewDense(s, 11, 64, r), 11}, {NewConv2D(s, shape, r), shape.InSize()}}
+	s.ZeroGrad()
+	for _, tc := range layers {
 		l, inDim := tc.l, tc.inDim
 		in := randIn(r, 8, inDim)
 		dOut := randIn(r, 8, l.OutDim(inDim))
