@@ -6,14 +6,14 @@
 // system: learner functions ship gradients, and the parameter function
 // ships policy weights, as contiguous []float64 through the cache. That
 // mirrors the paper's use of serialized PyTorch state dicts over Redis.
-// Here the flat vector is also the storage: layers built on a Slab carve
-// every Param.Data out of its one weight vector, in build order, and the
-// first ZeroGrad carves every Param.Grad out of one gradient vector at
-// the same offsets. A model reads and writes both in place — a fetched
-// policy is decoded straight into the weights, and a learner's gradient
-// is the gradient vector itself, owned by the Slab and valid until its
-// next ZeroGrad (algo.Model.Grads). Every layer with parameters is built
-// on a Slab; there is no other storage.
+// Here the flat vector is also the storage: every layer with parameters
+// is built on a Slab and carves its Param.Data out of the Slab's one
+// weight vector, in build order, and the first ZeroGrad or Backward
+// carves every Param.Grad out of one gradient vector at the same
+// offsets. A model reads and writes both in place — a fetched policy is
+// decoded straight into the weights, and a learner's gradient is the
+// gradient vector itself, owned by the Slab and valid until its next
+// ZeroGrad (algo.Model.Grads).
 //
 // Layers cache activations from the most recent Forward call, so a
 // Network must not be shared across goroutines; each learner function
