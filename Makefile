@@ -5,7 +5,7 @@ GO ?= go
 COVERPROFILE ?= coverage.out
 FUZZTIME ?= 5s
 
-.PHONY: build test race stable cover fmt vet cross nofma lint leaktest loc benchmark benchmark-ab fuzz-short ci
+.PHONY: build test race stable cover fmt vet cross nofma lint leaktest live-smoke loc benchmark benchmark-ab fuzz-short ci
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,31 @@ lint:
 # recovery/resume tests run in `make race` already.
 leaktest:
 	$(GO) test -race -count=1 ./internal/leaktest ./internal/cache ./internal/live ./internal/obs
+
+# End to end through the built examples/live_cluster, whose flags bind
+# live.Options: a single-server run; a 3-shard cluster with every
+# gray-failure knob and a shared retry budget; and a shard-kill
+# failover, whose printed "resilience:" retries, reconnects and timeouts
+# must equal cache_client_events_total in its metrics.prom (an absent
+# series counts as 0). Any non-zero exit fails the target.
+LIVE_SMOKE_DIR ?= .live_smoke
+live-smoke:
+	rm -rf $(LIVE_SMOKE_DIR) && mkdir -p $(LIVE_SMOKE_DIR)
+	$(GO) build -o $(LIVE_SMOKE_DIR)/live_cluster ./examples/live_cluster
+	$(LIVE_SMOKE_DIR)/live_cluster -updates 8
+	$(LIVE_SMOKE_DIR)/live_cluster -shards 3 -shard-followers -updates 4 \
+		-degrade-latency 25ms -hedge-reads -breaker-threshold 3 -retry-rate 50
+	$(LIVE_SMOKE_DIR)/live_cluster -shards 3 -shard-followers -updates 64 -kill-shard-after 20ms \
+		-obs-dir $(LIVE_SMOKE_DIR)/obs > $(LIVE_SMOKE_DIR)/failover.txt || { cat $(LIVE_SMOKE_DIR)/failover.txt; exit 1; }
+	@cat $(LIVE_SMOKE_DIR)/failover.txt
+	@set -e; line=$$(grep '^resilience:' $(LIVE_SMOKE_DIR)/failover.txt); \
+	for pair in retry:retries reconnect:reconnects timeout:timeouts; do \
+		event=$${pair%%:*}; word=$${pair#*:}; \
+		printed=$$(echo "$$line" | grep -oE "[0-9]+ $$word" | cut -d' ' -f1); \
+		prom=$$(awk -v s="cache_client_events_total{event=\"$$event\"}" '$$1 == s {n += $$2} END {print n + 0}' $(LIVE_SMOKE_DIR)/obs/metrics.prom); \
+		echo "live-smoke: $$word printed $$printed, metrics.prom $$prom"; \
+		test "$$printed" = "$$prom" || { echo "live-smoke: the resilience line disagrees with metrics.prom"; exit 1; }; \
+	done
 
 # Short live fuzz of the cache wire codec and framing, and of the tensor
 # kernels against their references (the scalar loops, math.Tanh), Scale
@@ -165,4 +190,4 @@ benchmark-ab:
 	@jq -rs '$(AB_PAIRS)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 	$(AB_DIR)/bin/head compare $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 
-ci: build fmt vet cross nofma lint race leaktest cover stable
+ci: build fmt vet cross nofma lint race leaktest live-smoke cover stable

@@ -16,7 +16,16 @@
 // fault-injecting proxy (drops, delays, corruption, connection closes at
 // the given per-chunk rate) to demonstrate the pipeline degrading
 // gracefully; the resilience counters in the summary show the recovery
-// work performed.
+// work performed. They are read from the run's metrics registry, so they
+// count every cache connection the run opened, the ones replaced on
+// failover included, and equal cache_client_events_total in -obs-dir's
+// metrics.prom.
+//
+// The cache flags (-op-timeout, -attempts, -degrade-latency,
+// -degrade-window, -hedge-reads, -breaker-threshold, -retry-rate,
+// -retry-burst) fill live.Options.Cache, the one cache.DialOptions every
+// connection of the run dials with; -retry-rate builds the one retry
+// budget they share.
 //
 // -shards self-hosts a sharded cache cluster (DESIGN.md §11) instead of
 // a single server; -shard-followers gives every shard a replicating
@@ -74,6 +83,8 @@ func main() {
 	var partitionShardAfter, brownoutShardAfter, brownoutFloor time.Duration
 	var fleetWatch bool
 	var logLevel string
+	var retryRate float64
+	var retryBurst int
 	flag.StringVar(&opt.CacheAddr, "cache", "", "stellaris-cached address (empty = in-process)")
 	flag.StringVar(&opt.Env, "env", "cartpole", "environment")
 	flag.IntVar(&opt.Actors, "actors", 4, "actor workers")
@@ -84,8 +95,8 @@ func main() {
 	flag.IntVar(&opt.Hidden, "hidden", 64, "MLP width")
 	flag.Float64Var(&opt.LearningRate, "lr", 0.0003, "learning rate")
 	flag.Uint64Var(&opt.Seed, "seed", 1, "seed")
-	flag.DurationVar(&opt.CacheOpTimeout, "op-timeout", 5*time.Second, "per-operation cache deadline")
-	flag.IntVar(&opt.CacheAttempts, "attempts", 4, "tries per cache operation (transport errors only)")
+	flag.DurationVar(&opt.Cache.OpTimeout, "op-timeout", 0, "per-operation cache deadline (0 = the cache's default)")
+	flag.IntVar(&opt.Cache.Attempts, "attempts", 0, "tries per cache operation, transport errors only (0 = the cache's default)")
 	flag.StringVar(&opt.CheckpointDir, "checkpoint-dir", "", "persist crash-safe checkpoints here (empty disables)")
 	flag.IntVar(&opt.CheckpointEvery, "checkpoint-every", 0, "updates between checkpoints (0 = once per staleness round)")
 	flag.BoolVar(&opt.Resume, "resume", false, "resume from the newest checkpoint (directory, then cache mirror)")
@@ -100,18 +111,21 @@ func main() {
 	flag.DurationVar(&partitionShardAfter, "partition-shard-after", 0, "partition drill: blackhole the head shard's responses this long into the run (needs -shard-followers)")
 	flag.DurationVar(&brownoutShardAfter, "brownout-shard-after", 0, "brownout drill: floor the head shard's per-chunk latency this long into the run (needs -shard-followers)")
 	flag.DurationVar(&brownoutFloor, "brownout-floor", 40*time.Millisecond, "brownout drill: per-chunk latency floor")
-	flag.DurationVar(&opt.CacheDegradeLatency, "degrade-latency", 0, "evacuate a shard whose latency EWMA crosses this (0 disables gray-failure detection)")
-	flag.IntVar(&opt.CacheDegradeWindow, "degrade-window", 0, "gray-failure observation window in ops (0 = default 16)")
-	flag.BoolVar(&opt.CacheHedgeReads, "hedge-reads", false, "race reads against the follower once a shard is suspect (half of -degrade-latency)")
-	flag.IntVar(&opt.CacheBreakerThreshold, "breaker-threshold", 0, "open a per-shard circuit breaker after this many consecutive transport failures (0 disables)")
-	flag.Float64Var(&opt.CacheRetryRate, "retry-rate", 0, "global cache retry budget in tokens/second shared across workers (0 = unbudgeted)")
-	flag.IntVar(&opt.CacheRetryBurst, "retry-burst", 0, "retry budget bucket depth (0 = derived from -retry-rate)")
+	flag.DurationVar(&opt.Cache.DegradeLatency, "degrade-latency", 0, "evacuate a shard whose latency EWMA crosses this (0 disables gray-failure detection)")
+	flag.IntVar(&opt.Cache.DegradeWindow, "degrade-window", 0, "gray-failure observation window in ops (0 = default 16)")
+	flag.BoolVar(&opt.Cache.HedgeReads, "hedge-reads", false, "race reads against the follower once a shard is suspect (half of -degrade-latency)")
+	flag.IntVar(&opt.Cache.BreakerThreshold, "breaker-threshold", 0, "open a per-shard circuit breaker after this many consecutive transport failures (0 disables)")
+	flag.Float64Var(&retryRate, "retry-rate", 0, "global cache retry budget in tokens/second shared across workers (0 = unbudgeted)")
+	flag.IntVar(&retryBurst, "retry-burst", 0, "retry budget bucket depth (0 = derived from -retry-rate)")
 	flag.StringVar(&obsAddr, "obs-addr", "", "metrics/pprof HTTP address (e.g. :9090; empty disables)")
 	flag.StringVar(&obsDir, "obs-dir", "", "periodically dump metrics.{json,csv,prom} here")
 	flag.DurationVar(&obsEvery, "obs-every", 5*time.Second, "dump interval for -obs-dir")
 	flag.BoolVar(&fleetWatch, "fleet", false, "run an in-process fleet collector (DESIGN.md §12) watching the run's obs endpoint; serves a live dashboard and prints a fleet summary (requires -obs-addr)")
 	flag.StringVar(&logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
+	if retryRate > 0 {
+		opt.Cache.RetryBudget = cache.NewRetryBudget(retryRate, retryBurst)
+	}
 
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: obs.ParseLogLevel(logLevel)}))
 	fatal := func(msg string, args ...any) {
@@ -172,8 +186,8 @@ func main() {
 		}()
 		opt.CacheAddr = paddr
 		// Tighter deadlines recover faster under injected faults.
-		opt.CacheOpTimeout = 250 * time.Millisecond
-		opt.CacheAttempts = 10
+		opt.Cache.OpTimeout = 250 * time.Millisecond
+		opt.Cache.Attempts = 10
 	}
 
 	if shards > 0 {
@@ -266,10 +280,10 @@ func main() {
 		}
 		if brownoutShardAfter > 0 {
 			victim := victimOf("-brownout-shard-after")
-			if opt.CacheDegradeLatency <= 0 {
+			if opt.Cache.DegradeLatency <= 0 {
 				// Without the detector the run would just crawl; arm it at
 				// the floor so the browned-out shard is evacuated.
-				opt.CacheDegradeLatency = brownoutFloor
+				opt.Cache.DegradeLatency = brownoutFloor
 			}
 			timer := time.AfterFunc(brownoutShardAfter, func() {
 				proxies[victim].BrownoutNow(brownoutFloor, 0)

@@ -57,12 +57,12 @@ type DialOptions struct {
 	// reconnects). Default 5s.
 	DialTimeout time.Duration
 	// OpTimeout is the per-round-trip deadline, applied with
-	// SetDeadline before every request. Default 10s; negative disables
+	// SetDeadline before every request. Default 5s; negative disables
 	// deadlines entirely.
 	OpTimeout time.Duration
 	// Attempts is the total number of tries per operation (first try
 	// included). Only transport errors are retried — ErrNotFound and
-	// server '!' responses return immediately. Default 3; 1 disables
+	// server '!' responses return immediately. Default 4; 1 disables
 	// retries.
 	Attempts int
 	// BackoffBase is the sleep before the first retry; each further
@@ -74,8 +74,9 @@ type DialOptions struct {
 	Seed uint64
 	// Obs mirrors the client's fault-tolerance events and per-op
 	// latencies into a shared metrics registry (families are aggregated
-	// across every client dialed with the same registry). Nil disables
-	// registry exposition; per-client Stats always work.
+	// across every client dialed with the same registry, and
+	// RegistryStats reads them back). Nil disables registry exposition;
+	// per-client Stats always work.
 	Obs *obs.Registry
 	// Lineage, when set, records a put/fetched hop into the shared
 	// lineage store for every successful Put/Get of a data key (traj/ or
@@ -121,8 +122,8 @@ type DialOptions struct {
 
 const (
 	defaultDialTimeout = 5 * time.Second
-	defaultOpTimeout   = 10 * time.Second
-	defaultAttempts    = 3
+	defaultOpTimeout   = 5 * time.Second
+	defaultAttempts    = 4
 	defaultBackoffBase = 10 * time.Millisecond
 	defaultBackoffMax  = time.Second
 )
@@ -182,6 +183,10 @@ type Client struct {
 	m          *clientMetrics
 }
 
+// clientEventsFamily counts every client's fault-tolerance events by
+// kind; RegistryStats sums it.
+const clientEventsFamily = "cache_client_events_total"
+
 // clientMetrics is the client's view into a shared obs registry.
 type clientMetrics struct {
 	events    *obs.CounterVec      // cache_client_events_total{event}
@@ -223,7 +228,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	}
 	if opts.Obs != nil {
 		c.m = &clientMetrics{
-			events:    opts.Obs.CounterVec("cache_client_events_total", "fault-tolerance events across clients", "event"),
+			events:    opts.Obs.CounterVec(clientEventsFamily, "fault-tolerance events across clients", "event"),
 			opSeconds: perOp[obs.Histogram]{with: opts.Obs.HistogramVec("cache_client_op_seconds", "full round-trip latency (incl. retries) by opcode", obs.LatencyBuckets, "op").With},
 		}
 	}

@@ -35,12 +35,12 @@ func (d Direction) String() string {
 
 // Partition is one scripted asymmetric partition: once AfterOps request
 // frames have completed, every chunk flowing in Drop's direction is
-// silently blackholed for For (<= 0 means until healed). Like the kill
-// schedule, the chunk that completes the threshold frame is already
-// inside the window — a ClientToServer partition at AfterOps N
-// blackholes request N itself. The other direction keeps flowing — a
-// ServerToClient partition yields the classic deposed-leader shape
-// where writes still LAND but their acks never return.
+// silently blackholed for For (<= 0 means until healed). The chunk
+// that completes the threshold frame is already inside the window — a
+// ClientToServer partition at AfterOps N blackholes request N itself.
+// The other direction keeps flowing — a ServerToClient partition
+// yields the classic deposed-leader shape where writes still LAND but
+// their acks never return.
 type Partition struct {
 	AfterOps int64
 	Drop     Direction
@@ -82,40 +82,16 @@ type FaultConfig struct {
 	// Seed drives the fault RNG streams.
 	Seed uint64
 
-	// KillAfterOps, when > 0, severs every proxied connection each time
-	// that many further request frames complete (a repeating kill
-	// schedule), then refuses connections for Downtime. Ops are counted
-	// by parsing client→server length-prefixed frames, not bytes, so the
-	// schedule is independent of TCP chunking and — for a sequential
-	// client — fully deterministic: two identical runs kill at the same
-	// operations.
-	KillAfterOps int64
-	// Downtime is how long the proxy stays dark after each KillAfterOps
-	// kill (new connections are accepted and immediately closed, which a
-	// retrying client experiences as a dead server). Zero means kill
-	// without a dark window.
-	Downtime time.Duration
-	// Schedule lists explicit outages at cumulative completed-op
-	// thresholds, consumed in order; it composes with (and is checked
-	// before) the repeating KillAfterOps schedule. Thresholds should be
-	// increasing.
-	Schedule []Outage
 	// Partitions lists scripted asymmetric partitions at cumulative
-	// completed-op thresholds, consumed in order (see Partition). They
-	// can also be triggered directly via PartitionNow.
+	// completed-op thresholds, consumed in order (see Partition). Ops
+	// are counted by parsing client→server length-prefixed frames, not
+	// bytes, so the schedule is independent of TCP chunking. They can
+	// also be triggered directly via PartitionNow.
 	Partitions []Partition
 	// Brownouts lists scripted latency-floor windows at cumulative
 	// completed-op thresholds, consumed in order (see Brownout). They
 	// can also be triggered directly via BrownoutNow.
 	Brownouts []Brownout
-}
-
-// Outage is one scripted downtime window: once AfterOps request frames
-// have completed in total, all connections are severed and the proxy
-// stays dark for Downtime.
-type Outage struct {
-	AfterOps int64
-	Downtime time.Duration
 }
 
 // FaultStats counts faults actually injected.
@@ -128,9 +104,6 @@ type FaultStats struct {
 	Conns int64
 	// Ops counts completed client→server request frames observed.
 	Ops int64
-	// Outages counts kill/downtime windows triggered by KillAfterOps or
-	// the scripted Schedule.
-	Outages int64
 	// Partitions and Brownouts count windows activated (scripted or via
 	// the *Now methods); PartitionDrops counts chunks blackholed by an
 	// active partition and BrownoutHolds counts chunks held at the
@@ -163,15 +136,11 @@ type FaultProxy struct {
 	closes      atomic.Int64
 	accepted    atomic.Int64
 
-	// Kill/outage schedule state. ops counts completed request frames;
-	// downUntil is the UnixNano until which the proxy refuses traffic.
+	// ops counts completed request frames, which trigger the scripted
+	// windows.
 	ops       atomic.Int64
-	downUntil atomic.Int64
-	outages   atomic.Int64
 	schedMu   sync.Mutex
-	pending   []Outage
-	nextKill  int64
-	scheduled bool // any op-count-triggered behavior configured
+	scheduled bool // any op-count-triggered window configured
 
 	// Partition/brownout window state: UnixNano deadlines (MaxInt64 =
 	// until healed), indexed by Direction for partitions; the brownout
@@ -198,12 +167,9 @@ func NewFaultProxy(target string, cfg FaultConfig) *FaultProxy {
 		cfg:    cfg,
 		conns:  make(map[net.Conn]struct{}),
 	}
-	p.pending = append([]Outage(nil), cfg.Schedule...)
-	p.nextKill = cfg.KillAfterOps
 	p.pendingPart = append([]Partition(nil), cfg.Partitions...)
 	p.pendingBrown = append([]Brownout(nil), cfg.Brownouts...)
-	p.scheduled = cfg.KillAfterOps > 0 || len(cfg.Schedule) > 0 ||
-		len(cfg.Partitions) > 0 || len(cfg.Brownouts) > 0
+	p.scheduled = len(cfg.Partitions) > 0 || len(cfg.Brownouts) > 0
 	return p
 }
 
@@ -276,7 +242,6 @@ func (p *FaultProxy) Stats() FaultStats {
 		Closes:         p.closes.Load(),
 		Conns:          p.accepted.Load(),
 		Ops:            p.ops.Load(),
-		Outages:        p.outages.Load(),
 		Partitions:     p.partitions.Load(),
 		Brownouts:      p.brownouts.Load(),
 		PartitionDrops: p.partDrops.Load(),
@@ -343,18 +308,11 @@ func (p *FaultProxy) acceptLoop() {
 	}
 }
 
-// down reports whether the proxy is inside an outage window.
-func (p *FaultProxy) down() bool {
-	return time.Now().UnixNano() < p.downUntil.Load()
-}
-
-// noteOps folds n newly completed request frames into the outage,
-// partition, and brownout schedules; a true return means an outage
-// fired and the caller's connection is already severed (window
-// activations do not sever).
-func (p *FaultProxy) noteOps(n int) bool {
+// noteOps folds n newly completed request frames into the partition
+// and brownout schedules.
+func (p *FaultProxy) noteOps(n int) {
 	if n == 0 || !p.scheduled {
-		return false
+		return
 	}
 	total := p.ops.Add(int64(n))
 	p.schedMu.Lock()
@@ -368,40 +326,7 @@ func (p *FaultProxy) noteOps(n int) bool {
 		p.pendingBrown = p.pendingBrown[1:]
 		p.BrownoutNow(bo.Floor, bo.For)
 	}
-	var downtime time.Duration
-	trigger := false
-	if len(p.pending) > 0 && total >= p.pending[0].AfterOps {
-		downtime = p.pending[0].Downtime
-		p.pending = p.pending[1:]
-		trigger = true
-	} else if p.cfg.KillAfterOps > 0 && total >= p.nextKill {
-		downtime = p.cfg.Downtime
-		for p.nextKill <= total {
-			p.nextKill += p.cfg.KillAfterOps
-		}
-		trigger = true
-	}
 	p.schedMu.Unlock()
-	if !trigger {
-		return false
-	}
-	p.outages.Add(1)
-	if downtime > 0 {
-		p.downUntil.Store(time.Now().Add(downtime).UnixNano())
-	}
-	p.sever()
-	return true
-}
-
-// sever force-closes every proxied connection (both sides), simulating a
-// crashed cache server. The listener stays up; serve refuses new
-// connections while the downtime window lasts.
-func (p *FaultProxy) sever() {
-	p.mu.Lock()
-	for c := range p.conns {
-		_ = c.Close()
-	}
-	p.mu.Unlock()
 }
 
 // frameParser incrementally recognizes length-prefixed request frames in
@@ -443,14 +368,6 @@ func (fp *frameParser) feed(b []byte) int {
 }
 
 func (p *FaultProxy) serve(client net.Conn, id uint64) {
-	if p.down() {
-		// Outage window: the "server" is dark. The accept itself cannot
-		// be suppressed without dropping the listener, but closing the
-		// connection before any byte flows reads as a dead server to a
-		// retrying client.
-		_ = client.Close()
-		return
-	}
 	upstream, err := net.DialTimeout("tcp", p.target, 5*time.Second)
 	if err != nil {
 		_ = client.Close()
@@ -499,9 +416,7 @@ const deliveryQueueDepth = 32
 // pump copies src → dst in chunks, rolling each chunk against the fault
 // rates. Returning closes both ends (via serve's defer), which is how a
 // Close fault propagates to the peer direction too. A non-nil fp counts
-// completed request frames for the outage schedule; a chunk that crosses
-// a kill threshold is NOT forwarded, so the triggering request fails
-// deterministically instead of racing its response against the sever.
+// completed request frames for the partition and brownout schedules.
 //
 // Held chunks (random delay, brownout floor) ride a bounded FIFO
 // delivery queue drained by a writer goroutine, so the reader keeps
@@ -546,9 +461,8 @@ func (p *FaultProxy) pump(src, dst net.Conn, dir Direction, r *rng.RNG, fp *fram
 		n, err := src.Read(buf)
 		if n > 0 {
 			chunk := buf[:n]
-			if fp != nil && p.noteOps(fp.feed(chunk)) {
-				_ = src.Close()
-				return
+			if fp != nil {
+				p.noteOps(fp.feed(chunk))
 			}
 			if p.partitioned(dir) {
 				// Asymmetric partition: this direction is blackholed. No

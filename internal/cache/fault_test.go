@@ -166,3 +166,18 @@ func TestFaultProxyUnreachableTarget(t *testing.T) {
 		t.Fatal("op through proxy with dead upstream succeeded")
 	}
 }
+
+func TestFrameParserChunkIndependence(t *testing.T) {
+	// One 9-byte request frame (4-byte length prefix + 5-byte body)
+	// followed by another, split at every possible boundary, must always
+	// count exactly 2 frames.
+	frame := []byte{0, 0, 0, 5, 'P', 0, 0, 0, 0}
+	stream := append(append([]byte(nil), frame...), frame...)
+	for cut := 1; cut < len(stream); cut++ {
+		fp := &frameParser{}
+		got := fp.feed(stream[:cut]) + fp.feed(stream[cut:])
+		if got != 2 {
+			t.Fatalf("cut %d: counted %d frames, want 2", cut, got)
+		}
+	}
+}

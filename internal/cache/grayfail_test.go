@@ -271,3 +271,29 @@ func TestRetryBudgetCapsRetryStorm(t *testing.T) {
 		t.Fatal("budget never reported exhaustion during the storm")
 	}
 }
+
+// TestRetryBudgetDefaultBurst: a burst below 1 defaults to one second
+// of refill, max(1, ceil(rate)) tokens; an explicit burst is kept.
+func TestRetryBudgetDefaultBurst(t *testing.T) {
+	for _, c := range []struct {
+		rate        float64
+		burst, want int
+	}{
+		{rate: 50, want: 50},
+		{rate: 2.5, want: 3},
+		{rate: 0.2, want: 1},
+		{rate: 0, want: 1},
+		{rate: 50, burst: -1, want: 50},
+		{rate: 50, burst: 7, want: 7},
+	} {
+		b := NewRetryBudget(c.rate, c.burst)
+		allowed := 0
+		for b.Allow() {
+			allowed++
+		}
+		if allowed != c.want {
+			t.Errorf("NewRetryBudget(%v, %d) let %d retries through a full bucket, want %d",
+				c.rate, c.burst, allowed, c.want)
+		}
+	}
+}

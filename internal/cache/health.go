@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,13 +220,14 @@ type RetryBudget struct {
 }
 
 // NewRetryBudget returns a budget refilling at perSecond tokens/s with
-// the given burst capacity (the bucket starts full).
+// the given burst capacity (the bucket starts full). A burst below 1
+// holds one second of refill, ceil(perSecond) tokens.
 func NewRetryBudget(perSecond float64, burst int) *RetryBudget {
 	if perSecond <= 0 {
 		perSecond = 1
 	}
 	if burst < 1 {
-		burst = 1
+		burst = int(math.Ceil(perSecond))
 	}
 	return &RetryBudget{
 		rate: perSecond, burst: float64(burst), tokens: float64(burst), last: time.Now(),

@@ -225,6 +225,11 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 }
 
 func TestDialOptionsDefaults(t *testing.T) {
+	// The one defaults table for every cache connection, a live run's
+	// included.
+	if defaultOpTimeout != 5*time.Second || defaultAttempts != 4 {
+		t.Fatalf("op timeout %v, attempts %d; want 5s and 4", defaultOpTimeout, defaultAttempts)
+	}
 	o := DialOptions{}.withDefaults()
 	if o.DialTimeout != defaultDialTimeout || o.OpTimeout != defaultOpTimeout ||
 		o.Attempts != defaultAttempts || o.BackoffBase != defaultBackoffBase ||

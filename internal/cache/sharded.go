@@ -58,6 +58,10 @@ type ShardedStats struct {
 	RetryBudgetExhausted int64
 }
 
+// shardEventsFamily counts every sharded client's recovery events by
+// kind and shard; RegistryStats sums it over shards.
+const shardEventsFamily = "cache_shard_events_total"
+
 // ShardedClient is a Conn backed by a cluster of cache servers. Safe
 // for concurrent use.
 type ShardedClient struct {
@@ -137,7 +141,7 @@ func DialSharded(topo *cluster.Topology, opts DialOptions) (*ShardedClient, erro
 		watchStop: make(chan struct{}),
 	}
 	if opts.Obs != nil {
-		sc.events = opts.Obs.CounterVec("cache_shard_events_total",
+		sc.events = opts.Obs.CounterVec(shardEventsFamily,
 			"Cluster recovery events by kind and shard.", "event", "shard")
 	}
 	for _, sh := range sc.topo.Shards {
@@ -707,7 +711,7 @@ func (sc *ShardedClient) getAny(key string) ([]byte, error) {
 // Stats implements Conn, aggregating the per-shard clients' counters.
 // Clients replaced by failover stop contributing their history, so the
 // aggregate can briefly dip; ShardedStats().Failovers records that the
-// dip had a cause.
+// dip had a cause, and RegistryStats keeps the whole history.
 func (sc *ShardedClient) Stats() ClientStats {
 	var agg ClientStats
 	for _, slot := range sc.slots {
@@ -741,6 +745,37 @@ func (sc *ShardedClient) ShardedStats() ShardedStats {
 		BreakerOpens:         sc.breakerOpens.Load(),
 		RetryBudgetExhausted: exhausted,
 	}
+}
+
+// RegistryStats reads back the recovery events that every client
+// dialed with reg (DialOptions.Obs) recorded there:
+// cache_client_events_total, and cache_shard_events_total summed over
+// its shard label. Unlike Stats and ShardedStats it keeps the history
+// of closed clients and of clients replaced on failover.
+// TopologyRefreshes and TopologyVersion have no family and read zero.
+func RegistryStats(reg *obs.Registry) ShardedStats {
+	var st ShardedStats
+	byEvent := map[string]map[string]*int64{
+		clientEventsFamily: {
+			"retry":                  &st.Retries,
+			"reconnect":              &st.Reconnects,
+			"timeout":                &st.Timeouts,
+			"retry-budget-exhausted": &st.RetryBudgetExhausted,
+		},
+		shardEventsFamily: {
+			"failover":      &st.Failovers,
+			"gray-failover": &st.GrayFailovers,
+			"fenced-write":  &st.FencedWrites,
+			"hedged-read":   &st.HedgedReads,
+			"breaker-open":  &st.BreakerOpens,
+		},
+	}
+	for _, p := range reg.Snapshot().Counters {
+		if n := byEvent[p.Name][p.Labels["event"]]; n != nil {
+			*n += int64(p.Value)
+		}
+	}
+	return st
 }
 
 // Close implements Conn: stops the topology watch and closes every

@@ -36,8 +36,8 @@ func chaosTrain(t *testing.T, rate float64, opt Options) (*Report, cache.FaultSt
 	opt.CacheAddr = paddr
 	// Tight deadlines + a generous retry budget keep recovery fast
 	// relative to the injected faults.
-	opt.CacheOpTimeout = 250 * time.Millisecond
-	opt.CacheAttempts = 10
+	opt.Cache.OpTimeout = 250 * time.Millisecond
+	opt.Cache.Attempts = 10
 	rep, err := Train(opt)
 	if err != nil {
 		t.Fatalf("Train through %v: %v", proxy, err)
@@ -111,12 +111,15 @@ func TestLiveTrainQuietProxyNoRecoveryCounters(t *testing.T) {
 	}
 }
 
+// TestLiveResilienceDefaults: a run leaves its connections' policy to
+// the cache's one defaults table (TestDialOptionsDefaults pins 5s and
+// 4 attempts) and defaults only its own fallback bound.
 func TestLiveResilienceDefaults(t *testing.T) {
 	o, err := Options{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.CacheOpTimeout != 5*time.Second || o.CacheAttempts != 4 || o.MaxStaleFallbacks != 50 {
+	if o.Cache != (cache.DialOptions{}) || o.MaxStaleFallbacks != 50 {
 		t.Fatalf("resilience defaults wrong: %+v", o)
 	}
 }

@@ -140,8 +140,8 @@ func TestChaosShardKillFailover(t *testing.T) {
 	opt.Updates = 4
 	opt.ActorSteps = 16
 	opt.BatchSize = 32
-	opt.CacheOpTimeout = 250 * time.Millisecond
-	opt.CacheAttempts = 10
+	opt.Cache.OpTimeout = 250 * time.Millisecond
+	opt.Cache.Attempts = 10
 	opt.Obs = reg
 
 	// The victim is the shard owning the head pointer: the run cannot
@@ -183,6 +183,37 @@ func TestChaosShardKillFailover(t *testing.T) {
 	}
 	if rep.ShardFailovers < 1 {
 		t.Fatalf("shard killed but report shows no failover: %+v", rep)
+	}
+	// Every cache counter of the Report is its registry family, summed
+	// over shards: the clients a failover replaced keep their history.
+	events := func(family, event string) int64 {
+		var n float64
+		for _, p := range rep.Obs.Counters {
+			if p.Name == family && p.Labels["event"] == event {
+				n += p.Value
+			}
+		}
+		return int64(n)
+	}
+	const client, shard = "cache_client_events_total", "cache_shard_events_total"
+	for _, c := range []struct {
+		field         string
+		got           int64
+		family, event string
+	}{
+		{"CacheRetries", rep.CacheRetries, client, "retry"},
+		{"CacheReconnects", rep.CacheReconnects, client, "reconnect"},
+		{"CacheTimeouts", rep.CacheTimeouts, client, "timeout"},
+		{"RetryBudgetExhausted", rep.RetryBudgetExhausted, client, "retry-budget-exhausted"},
+		{"ShardFailovers", rep.ShardFailovers, shard, "failover"},
+		{"GrayFailovers", rep.GrayFailovers, shard, "gray-failover"},
+		{"FencedWrites", rep.FencedWrites, shard, "fenced-write"},
+		{"HedgedReads", rep.HedgedReads, shard, "hedged-read"},
+		{"BreakerOpens", rep.BreakerOpens, shard, "breaker-open"},
+	} {
+		if want := events(c.family, c.event); c.got != want {
+			t.Errorf("Report.%s = %d, %s{event=%q} = %d", c.field, c.got, c.family, c.event, want)
+		}
 	}
 
 	// No lineage mislinks across the failover: every held chain

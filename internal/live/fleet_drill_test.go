@@ -129,8 +129,8 @@ func TestChaosFleetTelemetry(t *testing.T) {
 	opt.Updates = 24
 	opt.ActorSteps = 16
 	opt.BatchSize = 32
-	opt.CacheOpTimeout = 2 * time.Second
-	opt.CacheAttempts = 2
+	opt.Cache.OpTimeout = 2 * time.Second
+	opt.Cache.Attempts = 2
 	opt.Obs = obs.NewRegistry()
 
 	type trainResult struct {

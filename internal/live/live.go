@@ -23,8 +23,6 @@ package live
 
 import (
 	"fmt"
-	"math"
-	"sync"
 	"time"
 
 	"stellaris/internal/cache"
@@ -37,7 +35,8 @@ import (
 type Options struct {
 	// CacheAddr connects to an external stellaris-cached server; empty
 	// starts an in-process server on a loopback port (still exercising
-	// the full TCP path).
+	// the full TCP path). Either way the run sees it as a one-shard
+	// topology.
 	CacheAddr string
 	// Cluster, when set, connects every worker to a sharded cache
 	// cluster instead of a single server (DESIGN.md §11): keys route by
@@ -47,6 +46,18 @@ type Options struct {
 	// behaves — byte for byte on the wire — like a single server, so
 	// Lockstep determinism carries over unchanged.
 	Cluster *cluster.Topology
+	// Cache is the fault-tolerance policy of every run connection (each
+	// a cache.ShardedClient). Zero fields take the cache's defaults; the
+	// run fills Seed, Obs, Lineage and LineageName per connection. Set
+	// RetryBudget to share one retry token bucket across every worker
+	// connection, so N workers hammering a dead shard cannot multiply
+	// into a reconnect storm. Evacuation and hedged reads need a shard
+	// with a follower (DESIGN.md §11.6). Under Lockstep, withDefaults
+	// zeroes RetryBudget, DegradeLatency, DegradeWindow, HedgeReads,
+	// BreakerThreshold and BreakerCooldown: the deterministic schedule
+	// must stay a pure function of the options, and budget denial,
+	// evacuation, hedging and breaker trips each race the wall clock.
+	Cache cache.DialOptions
 	// Env names the environment; FrameSize/Hidden as in core.Config.
 	Env       string
 	FrameSize int
@@ -70,48 +81,10 @@ type Options struct {
 	SmoothV         int
 	Rho             float64
 	UpdatesPerRound int
-	// CacheOpTimeout bounds every cache round trip (SetDeadline on the
-	// connection); default 5s.
-	CacheOpTimeout time.Duration
-	// CacheAttempts is the total tries per cache operation — transport
-	// errors are retried with exponential backoff and jitter, protocol
-	// errors are not. Default 4.
-	CacheAttempts int
 	// MaxStaleFallbacks bounds how many consecutive failed weight
 	// fetches a worker tolerates (reusing its stale copy) before the
 	// worker is restarted; default 50.
 	MaxStaleFallbacks int
-
-	// Cache robustness knobs (DESIGN.md §11). All default to off, and
-	// withDefaults zeroes them under Lockstep: the deterministic schedule
-	// must stay a pure function of the options, and hedging, evacuation,
-	// breaker trips and budget denial each depend on wall-clock racing.
-	//
-	// CacheDegradeLatency arms the sharded client's gray-failure
-	// detector: a shard whose latency EWMA crosses this threshold (or
-	// whose windowed transport-error rate crosses one half) is evacuated
-	// onto its follower exactly like a dead one. Zero disables; only
-	// meaningful in cluster mode.
-	CacheDegradeLatency time.Duration
-	// CacheDegradeWindow is the detector's sliding observation window
-	// (ops per shard); zero keeps the cache client's default (16).
-	CacheDegradeWindow int
-	// CacheHedgeReads races hot-path reads (weights head, batch gets)
-	// against the follower once a shard's latency EWMA passes HALF of
-	// CacheDegradeLatency. Requires CacheDegradeLatency and a cluster.
-	CacheHedgeReads bool
-	// CacheBreakerThreshold arms a per-shard circuit breaker: after this
-	// many consecutive transport failures the shard fails fast locally
-	// for a cooldown instead of burning timeouts. Zero disables.
-	CacheBreakerThreshold int
-	// CacheRetryRate caps the GLOBAL cache retry rate (tokens per
-	// second) across every worker connection, so N workers hammering one
-	// dead shard cannot multiply into a reconnect storm. Zero leaves
-	// retries unbudgeted. First attempts are never metered.
-	CacheRetryRate float64
-	// CacheRetryBurst is the retry budget's bucket depth; defaults to
-	// max(1, ceil(CacheRetryRate)) when a rate is set.
-	CacheRetryBurst int
 
 	// CheckpointDir enables crash-safe training: every CheckpointEvery
 	// policy updates the run persists its full state (weights, optimizer
@@ -158,15 +131,16 @@ type Options struct {
 	// Options.Obs — the flight recorder is the lineage store's ring.
 	FlightDir string
 
-	// Obs receives the run's metrics: the live_* families the Report
-	// reads its counts from, cache client events and — for an in-process
-	// server — cache_server_*. Families accumulate, so a Registry should
-	// observe exactly one run. Nil keeps the run's metrics private: the
-	// Report still reads them, but lineage with its flight recorder,
-	// /buildinfo's run identity, the cache metrics and Report.Obs need a
-	// caller's registry. A caller that serves the registry over HTTP
-	// owns that endpoint, and so is also the one to announce it to the
-	// fleet collector (cache.StartHeartbeat, DESIGN.md §12.1).
+	// Obs receives the run's metrics: the live_* families and the cache
+	// client and shard event families the Report reads its counts from,
+	// and — for an in-process server — cache_server_*. Families
+	// accumulate, so a Registry should observe exactly one run. Nil keeps
+	// the run's metrics private: the Report still reads them, but
+	// lineage with its flight recorder, /buildinfo's run identity, the
+	// server metrics and Report.Obs need a caller's registry. A caller
+	// that serves the registry over HTTP owns that endpoint, and so is
+	// also the one to announce it to the fleet collector
+	// (cache.StartHeartbeat, DESIGN.md §12.1).
 	Obs *obs.Registry
 }
 
@@ -215,23 +189,13 @@ func (o Options) withDefaults() (Options, error) {
 	if o.UpdatesPerRound <= 0 {
 		o.UpdatesPerRound = 8
 	}
-	if o.CacheOpTimeout == 0 {
-		o.CacheOpTimeout = 5 * time.Second
-	}
-	if o.CacheAttempts <= 0 {
-		o.CacheAttempts = 4
-	}
 	if o.MaxStaleFallbacks <= 0 {
 		o.MaxStaleFallbacks = 50
 	}
 	if o.Lockstep {
-		o.CacheDegradeLatency, o.CacheDegradeWindow, o.CacheHedgeReads = 0, 0, false
-		o.CacheBreakerThreshold, o.CacheRetryRate, o.CacheRetryBurst = 0, 0, 0
-	}
-	if o.CacheRetryRate > 0 && o.CacheRetryBurst <= 0 {
-		if o.CacheRetryBurst = int(math.Ceil(o.CacheRetryRate)); o.CacheRetryBurst < 1 {
-			o.CacheRetryBurst = 1
-		}
+		c := &o.Cache
+		c.RetryBudget, c.DegradeLatency, c.DegradeWindow, c.HedgeReads = nil, 0, 0, false
+		c.BreakerThreshold, c.BreakerCooldown = 0, 0
 	}
 	if o.CheckpointDir != "" && o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = o.UpdatesPerRound
@@ -262,12 +226,14 @@ type Report struct {
 	Elapsed           time.Duration
 	FinalWeights      []float64
 
-	// Resilience counters, aggregated over every cache client the run
-	// opened plus the workers' graceful-degradation fallbacks. All stay
-	// zero on a healthy cache.
+	// Resilience counters: the cache events of every connection the run
+	// opened, plus the workers' graceful-degradation fallbacks. All stay
+	// zero on a healthy cache. The cache counters are read from the
+	// run's registry (cache.RegistryStats), so they include closed
+	// worker connections and the clients replaced on failover.
 	//
-	// CacheRetries/CacheReconnects/CacheTimeouts mirror
-	// cache.ClientStats summed across workers.
+	// CacheRetries/CacheReconnects/CacheTimeouts are the retry,
+	// reconnect and timeout events of cache_client_events_total.
 	CacheRetries    int64
 	CacheReconnects int64
 	CacheTimeouts   int64
@@ -280,7 +246,7 @@ type Report struct {
 	// live_dropped_payloads_total, which breaks it down by reason.
 	DroppedPayloads int64
 	// ShardFailovers counts shard leaders replaced by their follower
-	// (cluster mode only), summed across every worker's sharded client —
+	// (cluster mode only), summed across every worker's connection —
 	// each client fails over independently, so one dead leader typically
 	// shows up here once per worker that hit it.
 	ShardFailovers int64
@@ -301,10 +267,10 @@ type Report struct {
 	// HedgedReads counts reads raced against a suspect shard's follower.
 	HedgedReads int64
 	// BreakerOpens counts per-shard circuit-breaker closed→open
-	// transitions across the run's sharded clients.
+	// transitions across the run's connections.
 	BreakerOpens int64
 	// RetryBudgetExhausted counts retries denied by the shared
-	// CacheRetryRate token bucket.
+	// Cache.RetryBudget token bucket.
 	RetryBudgetExhausted int64
 
 	// Crash-recovery accounting. ActorRestarts/LearnerRestarts count
@@ -357,69 +323,21 @@ func Train(opt Options) (*Report, error) {
 		return nil, err
 	}
 	defer r.close()
-
-	if int(r.version.Load()) >= opt.Updates {
-		// The checkpoint already covers the requested updates; nothing to
-		// train.
-		return r.buildReport(), nil
-	}
-	if opt.Lockstep {
+	// A checkpoint may already cover the requested updates.
+	switch {
+	case int(r.version.Load()) >= opt.Updates:
+	case opt.Lockstep:
 		err = r.runLockstep(loaded)
-	} else {
+	default:
 		err = r.runAsync()
 	}
+	// Every connection is closed (close is idempotent) before the Report
+	// reads their events.
+	r.close()
 	if err != nil {
 		return nil, err
 	}
 	return r.buildReport(), nil
-}
-
-// clientPool tracks every cache connection a run opens — single-server
-// clients or sharded cluster clients — so their fault-tolerance
-// counters can be aggregated into the Report (counters stay readable
-// after Close).
-type clientPool struct {
-	mu      sync.Mutex
-	clients []cache.Conn
-}
-
-func (p *clientPool) add(c cache.Conn) {
-	p.mu.Lock()
-	p.clients = append(p.clients, c)
-	p.mu.Unlock()
-}
-
-func (p *clientPool) stats() cache.ClientStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var sum cache.ClientStats
-	for _, c := range p.clients {
-		s := c.Stats()
-		sum.Retries += s.Retries
-		sum.Reconnects += s.Reconnects
-		sum.Timeouts += s.Timeouts
-	}
-	return sum
-}
-
-// shardedStats sums the resilience counters across the run's sharded
-// clients; all-zero outside cluster mode. RetryBudgetExhausted is NOT
-// summed here — the budget is shared, so it is read once from the run.
-func (p *clientPool) shardedStats() cache.ShardedStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var sum cache.ShardedStats
-	for _, c := range p.clients {
-		if sc, ok := c.(*cache.ShardedClient); ok {
-			s := sc.ShardedStats()
-			sum.Failovers += s.Failovers
-			sum.GrayFailovers += s.GrayFailovers
-			sum.FencedWrites += s.FencedWrites
-			sum.HedgedReads += s.HedgedReads
-			sum.BreakerOpens += s.BreakerOpens
-		}
-	}
-	return sum
 }
 
 // publishWeights stores the run's current weight vector under version,

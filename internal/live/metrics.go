@@ -33,9 +33,12 @@ var (
 
 // liveMetrics is the run's view into an obs registry, and the one store
 // of what the Report counts: drops, stale-weight reuses, restarts,
-// checkpoint writes, flight dumps and consumed-trajectory lag. newRun
-// builds it on Options.Obs, or on a private registry without one.
+// checkpoint writes, flight dumps and consumed-trajectory lag, and —
+// through every run connection dialed with reg — the cache events.
+// newRun builds it on Options.Obs, or on a private registry without one.
 type liveMetrics struct {
+	reg *obs.Registry
+
 	iterSeconds   *obs.HistogramVec // live_iteration_seconds{role,worker}
 	queueDepth    *obs.GaugeVec     // live_queue_depth{queue}
 	staleness     *obs.Histogram    // live_staleness
@@ -63,6 +66,7 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 		reg = obs.NewRegistry()
 	}
 	m := &liveMetrics{
+		reg: reg,
 		iterSeconds: reg.HistogramVec("live_iteration_seconds",
 			"wall time of one worker loop iteration", obs.LatencyBuckets, "role", "worker"),
 		queueDepth: reg.GaugeVec("live_queue_depth",

@@ -131,8 +131,8 @@ func TestChaosPartitionFailover(t *testing.T) {
 	opt.Updates = 4
 	opt.ActorSteps = 16
 	opt.BatchSize = 32
-	opt.CacheOpTimeout = 250 * time.Millisecond
-	opt.CacheAttempts = 2
+	opt.Cache.OpTimeout = 250 * time.Millisecond
+	opt.Cache.Attempts = 2
 	opt.Obs = reg
 
 	victim := headVictim(t, lc.topo)
@@ -211,11 +211,11 @@ func TestChaosBrownoutEvacuation(t *testing.T) {
 	opt.Updates = 16
 	opt.ActorSteps = 16
 	opt.BatchSize = 32
-	opt.CacheOpTimeout = 2 * time.Second
-	opt.CacheAttempts = 2
-	opt.CacheDegradeLatency = 30 * time.Millisecond
-	opt.CacheDegradeWindow = 4
-	opt.CacheHedgeReads = true
+	opt.Cache.OpTimeout = 2 * time.Second
+	opt.Cache.Attempts = 2
+	opt.Cache.DegradeLatency = 30 * time.Millisecond
+	opt.Cache.DegradeWindow = 4
+	opt.Cache.HedgeReads = true
 	opt.Obs = reg
 
 	victim := headVictim(t, lc.topo)

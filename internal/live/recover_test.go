@@ -511,8 +511,8 @@ func TestChaosPanicsAndCacheBounce(t *testing.T) {
 	opt.CacheAddr = addr
 	opt.CheckpointDir = t.TempDir()
 	opt.CheckpointEvery = 2
-	opt.CacheOpTimeout = 250 * time.Millisecond
-	opt.CacheAttempts = 10
+	opt.Cache.OpTimeout = 250 * time.Millisecond
+	opt.Cache.Attempts = 10
 	opt.RestartBudget = 1000
 	opt.RestartBackoff = time.Millisecond
 	opt.panicHook = func(role string, id int) bool {

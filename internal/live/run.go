@@ -9,6 +9,7 @@ import (
 
 	"stellaris/internal/algo"
 	"stellaris/internal/cache"
+	"stellaris/internal/cache/cluster"
 	"stellaris/internal/ckpt"
 	"stellaris/internal/env"
 	"stellaris/internal/istrunc"
@@ -37,17 +38,12 @@ type run struct {
 	lin       *lineage.Store
 	flightSeq atomic.Int64
 
-	srv      *cache.Server
-	addr     string
-	pool     *clientPool
-	dial     func(name string) (cache.Conn, error)
+	srv *cache.Server
+	// dial opens one run connection, named for its lineage hops.
+	dial     func(name string) (*cache.ShardedClient, error)
 	paramCli cache.Conn
 	// paramIter is the parameter step's live_iteration_seconds child.
 	paramIter *obs.Histogram
-
-	// budget is the retry token bucket shared by every worker connection
-	// (nil unless Options.CacheRetryRate is set).
-	budget *cache.RetryBudget
 
 	// subs registers every weight subscriber the workers open so their
 	// head-regression counters (failover artifacts) can be folded into
@@ -118,7 +114,6 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		opt:       opt,
 		m:         m,
 		st:        &runState{m: m},
-		pool:      &clientPool{},
 		paramIter: m.iterHist("param", 0),
 		done:      make(chan struct{}),
 		errCh:     make(chan error, opt.Actors+opt.Learners+2),
@@ -138,65 +133,44 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		opt.Obs.SetInfo("mode", map[bool]string{true: "lockstep", false: "async"}[opt.Lockstep])
 	}
 
-	// Cache: a sharded cluster, an external server, or an in-process TCP
-	// server.
-	r.addr = opt.CacheAddr
-	if r.addr == "" && opt.Cluster == nil {
-		r.srv = cache.NewServer(nil)
-		if opt.Obs != nil {
-			r.srv.Instrument(opt.Obs)
+	// Cache: a sharded cluster, or one shard — an external server or an
+	// in-process TCP server.
+	topo := opt.Cluster
+	if topo == nil {
+		addr := opt.CacheAddr
+		if addr == "" {
+			r.srv = cache.NewServer(nil)
+			if opt.Obs != nil {
+				r.srv.Instrument(opt.Obs)
+			}
+			r.srv.InstrumentLineage(r.lin)
+			var err error
+			if addr, err = r.srv.Listen("127.0.0.1:0"); err != nil {
+				return nil, nil, err
+			}
 		}
-		r.srv.InstrumentLineage(r.lin)
-		addr, err := r.srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		r.addr = addr
+		topo = &cluster.Topology{Version: 1, Shards: []cluster.Shard{{ID: 0, Addr: addr}}}
 	}
 	// One connection per worker keeps request streams independent. Every
-	// connection shares the run's retry/deadline policy and is registered
-	// so its fault-tolerance counters can be folded into the Report; name
-	// labels the connection's lineage hops with the owning worker.
-	if opt.CacheRetryRate > 0 {
-		r.budget = cache.NewRetryBudget(opt.CacheRetryRate, opt.CacheRetryBurst)
-	}
+	// connection shares Options.Cache and records its events into the
+	// run's registry, where the Report reads them.
 	var dialSeq atomic.Uint64
-	r.dial = func(name string) (cache.Conn, error) {
-		dopts := cache.DialOptions{
-			OpTimeout:   opt.CacheOpTimeout,
-			Attempts:    opt.CacheAttempts,
-			Seed:        opt.Seed + dialSeq.Add(1),
-			Obs:         opt.Obs,
-			Lineage:     r.lin,
-			LineageName: name,
-			// All zero under Lockstep (withDefaults).
-			RetryBudget:      r.budget,
-			DegradeLatency:   opt.CacheDegradeLatency,
-			DegradeWindow:    opt.CacheDegradeWindow,
-			HedgeReads:       opt.CacheHedgeReads,
-			BreakerThreshold: opt.CacheBreakerThreshold,
-		}
-		if opt.Cluster != nil {
-			sc, err := cache.DialSharded(opt.Cluster, dopts)
-			if err != nil {
-				return nil, err
-			}
-			// Promotions performed by other workers propagate through the
-			// shared topology document. Lockstep keeps the watch off: its
-			// wire schedule must stay a pure function of the options, and
-			// with one worker there is nobody to learn promotions from.
-			if !opt.Lockstep {
-				sc.StartTopologyWatch(topologyWatchEvery)
-			}
-			r.pool.add(sc)
-			return sc, nil
-		}
-		cli, err := cache.DialWith(r.addr, dopts)
+	r.dial = func(name string) (*cache.ShardedClient, error) {
+		dopts := opt.Cache
+		dopts.Seed = opt.Seed + dialSeq.Add(1)
+		dopts.Obs, dopts.Lineage, dopts.LineageName = m.reg, r.lin, name
+		sc, err := cache.DialSharded(topo, dopts)
 		if err != nil {
 			return nil, err
 		}
-		r.pool.add(cli)
-		return cli, nil
+		// Promotions performed by other workers propagate through the
+		// shared topology document. Lockstep keeps the watch off: its
+		// wire schedule must stay a pure function of the options, and
+		// with one worker there is nobody to learn promotions from.
+		if opt.Cluster != nil && !opt.Lockstep {
+			sc.StartTopologyWatch(topologyWatchEvery)
+		}
+		return sc, nil
 	}
 
 	template, err := env.NewSized(opt.Env, opt.FrameSize)
@@ -229,11 +203,12 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 	r.agg.UpdatesPerRound = opt.UpdatesPerRound
 	r.agg.MaxQueue = 4 * opt.Learners
 
-	r.paramCli, err = r.dial("param")
+	paramCli, err := r.dial("param")
 	if err != nil {
 		r.close()
 		return nil, nil, err
 	}
+	r.paramCli = paramCli
 	r.pub = &cache.WeightsPublisher{C: r.paramCli}
 
 	var loaded *ckpt.Checkpoint
@@ -261,8 +236,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 }
 
 // close releases the run's own resources (the parameter client and the
-// in-process server). Worker clients close with their goroutines; the
-// pool keeps references only for post-close counter reads.
+// in-process server). Worker clients close with their goroutines.
 func (r *run) close() {
 	if r.paramCli != nil {
 		_ = r.paramCli.Close()
@@ -487,34 +461,31 @@ func (r *run) applyCheckpoint(c *ckpt.Checkpoint) error {
 // Its event counts are read from the run's metrics, whichever registry
 // holds them.
 func (r *run) buildReport() *Report {
-	cst := r.pool.stats()
 	m := r.m
+	cs := cache.RegistryStats(m.reg)
 	rep := &Report{
-		Updates:            int(r.version.Load()),
-		Episodes:           int(r.episodes.Load()),
-		Elapsed:            time.Since(r.start),
-		FinalWeights:       r.weights,
-		CacheRetries:       cst.Retries,
-		CacheReconnects:    cst.Reconnects,
-		CacheTimeouts:      cst.Timeouts,
-		StaleWeightReuses:  m.staleReuse.Value(),
-		DroppedPayloads:    total(m.drops, dropReasons),
-		WeightRegressions:  r.subRegressions(),
-		ActorRestarts:      m.restarts.With("actor").Value(),
-		LearnerRestarts:    m.restarts.With("learner").Value(),
-		CheckpointsWritten: m.ckptWrites.Value(),
-		FlightDumps:        total(m.flightDumps, flightReasons),
-		Resumed:            r.resumed,
-		ResumedFromVersion: int(r.resumedFrom),
-	}
-	ss := r.pool.shardedStats()
-	rep.ShardFailovers = ss.Failovers
-	rep.GrayFailovers = ss.GrayFailovers
-	rep.FencedWrites = ss.FencedWrites
-	rep.HedgedReads = ss.HedgedReads
-	rep.BreakerOpens = ss.BreakerOpens
-	if r.budget != nil {
-		rep.RetryBudgetExhausted = r.budget.Exhausted()
+		Updates:              int(r.version.Load()),
+		Episodes:             int(r.episodes.Load()),
+		Elapsed:              time.Since(r.start),
+		FinalWeights:         r.weights,
+		CacheRetries:         cs.Retries,
+		CacheReconnects:      cs.Reconnects,
+		CacheTimeouts:        cs.Timeouts,
+		ShardFailovers:       cs.Failovers,
+		GrayFailovers:        cs.GrayFailovers,
+		FencedWrites:         cs.FencedWrites,
+		HedgedReads:          cs.HedgedReads,
+		BreakerOpens:         cs.BreakerOpens,
+		RetryBudgetExhausted: cs.RetryBudgetExhausted,
+		StaleWeightReuses:    m.staleReuse.Value(),
+		DroppedPayloads:      total(m.drops, dropReasons),
+		WeightRegressions:    r.subRegressions(),
+		ActorRestarts:        m.restarts.With("actor").Value(),
+		LearnerRestarts:      m.restarts.With("learner").Value(),
+		CheckpointsWritten:   m.ckptWrites.Value(),
+		FlightDumps:          total(m.flightDumps, flightReasons),
+		Resumed:              r.resumed,
+		ResumedFromVersion:   int(r.resumedFrom),
 	}
 	if r.lin != nil {
 		ls := r.lin.Stats()

@@ -5,17 +5,15 @@ import "fmt"
 // State is a serializable snapshot of an optimizer's internal moments,
 // captured for crash-safe training: checkpoints persist it so a resumed
 // run continues the update trajectory bit-identically instead of
-// restarting Adam/RMSProp accumulators from zero.
+// restarting Adam's accumulators from zero.
 type State struct {
 	// Name is the optimizer kind the state was exported from; Restore
 	// refuses a mismatch.
 	Name string
-	// Step is the update count (Adam's bias-correction t); zero for
-	// optimizers without a time index.
+	// Step is the update count (Adam's bias-correction t).
 	Step int64
-	// Vecs are the per-coordinate moment vectors. Their meaning depends
-	// on Name: sgd {velocity}, adam {m, v}, rmsprop {sq}. A nil vector
-	// means the buffer is not yet allocated (no step taken).
+	// Vecs are the per-coordinate moment vectors, {m, v} for adam. A
+	// nil vector means the buffer is not yet allocated (no step taken).
 	Vecs [][]float64
 }
 
@@ -41,20 +39,6 @@ func checkName(got State, want string) error {
 }
 
 // State implements Optimizer.
-func (s *SGD) State() State {
-	return State{Name: s.Name(), Vecs: [][]float64{cloneVec(s.vel)}}
-}
-
-// Restore implements Optimizer.
-func (s *SGD) Restore(st State) error {
-	if err := checkName(st, s.Name()); err != nil {
-		return err
-	}
-	s.vel = st.vec(0)
-	return nil
-}
-
-// State implements Optimizer.
 func (a *Adam) State() State {
 	return State{Name: a.Name(), Step: int64(a.t), Vecs: [][]float64{cloneVec(a.m), cloneVec(a.v)}}
 }
@@ -66,19 +50,5 @@ func (a *Adam) Restore(st State) error {
 	}
 	a.t = int(st.Step)
 	a.m, a.v = st.vec(0), st.vec(1)
-	return nil
-}
-
-// State implements Optimizer.
-func (r *RMSProp) State() State {
-	return State{Name: r.Name(), Vecs: [][]float64{cloneVec(r.sq)}}
-}
-
-// Restore implements Optimizer.
-func (r *RMSProp) Restore(st State) error {
-	if err := checkName(st, r.Name()); err != nil {
-		return err
-	}
-	r.sq = st.vec(0)
 	return nil
 }
