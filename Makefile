@@ -56,7 +56,7 @@ lint:
 # proxy at aggressive rates, AOF compaction, the learner-panic +
 # server-bounce drill of DESIGN.md "Crash recovery", and the cluster
 # drills of §11 — shard-kill failover, asymmetric partition fenced by
-# term, brownout evacuation, fleet telemetry), and these suites are
+# term, fleet telemetry), and these suites are
 # wired with leaktest.Check, so every Close/Stop path is exercised and
 # any goroutine outliving its test fails the build — the dynamic
 # complement of the static goroleak check above. The fast
@@ -65,9 +65,9 @@ leaktest:
 	$(GO) test -race -count=1 ./internal/leaktest ./internal/cache ./internal/live ./internal/obs
 
 # End to end through the built examples/live_cluster, whose flags bind
-# live.Options: a single-server run; a 3-shard cluster with every
-# gray-failure knob and a shared retry budget; and a shard-kill
-# failover, whose printed "resilience:" retries, reconnects and timeouts
+# live.Options: a single-server run; a 3-shard cluster with followers;
+# and a shard-kill failover, whose printed "resilience:" retries,
+# reconnects and timeouts
 # must equal cache_client_events_total in its metrics.prom (an absent
 # series counts as 0). Any non-zero exit fails the target.
 LIVE_SMOKE_DIR ?= .live_smoke
@@ -75,8 +75,7 @@ live-smoke:
 	rm -rf $(LIVE_SMOKE_DIR) && mkdir -p $(LIVE_SMOKE_DIR)
 	$(GO) build -o $(LIVE_SMOKE_DIR)/live_cluster ./examples/live_cluster
 	$(LIVE_SMOKE_DIR)/live_cluster -updates 8
-	$(LIVE_SMOKE_DIR)/live_cluster -shards 3 -shard-followers -updates 4 \
-		-degrade-latency 25ms -hedge-reads -breaker-threshold 3 -retry-rate 50
+	$(LIVE_SMOKE_DIR)/live_cluster -shards 3 -shard-followers -updates 4
 	$(LIVE_SMOKE_DIR)/live_cluster -shards 3 -shard-followers -updates 64 -kill-shard-after 20ms \
 		-obs-dir $(LIVE_SMOKE_DIR)/obs > $(LIVE_SMOKE_DIR)/failover.txt || { cat $(LIVE_SMOKE_DIR)/failover.txt; exit 1; }
 	@cat $(LIVE_SMOKE_DIR)/failover.txt
@@ -128,12 +127,16 @@ nofma:
 
 # Line counts as ROADMAP.md and CHANGES.md report them: the tracked
 # files (git ls-files) outside _test.go files, testdata/ directories and
-# benchmark/, Go and assembly apart. `make loc` on two commits gives a
-# change's net non-test LOC.
-LOC_FILES = git ls-files -- '*$(1)' ':!:*_test.go' ':!:**/testdata/**' ':!:benchmark/**' | xargs cat | wc -l
+# benchmark/, Go and assembly apart, then the non-test Go lines of each
+# internal/* directory (its subdirectories counted apart). `make loc` on
+# two commits gives a change's net non-test LOC.
+LOC_LIST = git ls-files -- '*$(1)' ':!:*_test.go' ':!:**/testdata/**' ':!:benchmark/**'
+LOC_FILES = $(call LOC_LIST,$(1)) | xargs cat | wc -l
 loc:
 	@echo "non-test Go lines: $$($(call LOC_FILES,.go))"
 	@echo "assembly lines:    $$($(call LOC_FILES,.s))"
+	@$(call LOC_LIST,.go) | grep '^internal/' | xargs wc -l | \
+		awk '$$2 != "total" { sub("/[^/]+$$", "", $$2); n[$$2] += $$1 } END { for (d in n) printf "  %-28s %6d\n", d, n[d] }' | sort
 
 # The repo's benchmark (benchmark/README.md, BENCHMARK.json): every
 # workload, or WORKLOAD=<name>, at SEED.

@@ -19,13 +19,10 @@
 //
 //	stellaris-cached -addr :6380 -fault-addr :6381 -fault-drop 0.05 -fault-close 0.01
 //
-// The proxy also scripts the two structured failure shapes (ISSUE 9):
-// an asymmetric partition that blackholes one direction after N request
-// frames, and a brownout window that floors per-chunk latency without
-// injecting a single error — the gray failure a liveness probe misses.
+// The proxy also scripts an asymmetric partition that blackholes one
+// direction after N request frames (DESIGN.md §11.7):
 //
 //	stellaris-cached -addr :6380 -fault-partition-after 100 -fault-partition-drop s2c
-//	stellaris-cached -addr :6380 -fault-brownout-after 100 -fault-brownout-floor 25ms -fault-brownout-for 10s
 //
 // In a sharded cluster (DESIGN.md §11) each shard runs one leader plus
 // an optional follower. A follower serves reads and writes like any
@@ -72,9 +69,6 @@ func main() {
 	partAfter := flag.Int64("fault-partition-after", 0, "chaos proxy: partition after this many request frames (0 disables)")
 	partDrop := flag.String("fault-partition-drop", "s2c", "chaos proxy: partition direction to blackhole (c2s or s2c)")
 	partFor := flag.Duration("fault-partition-for", 0, "chaos proxy: partition duration (0 = until the process exits)")
-	brownAfter := flag.Int64("fault-brownout-after", 0, "chaos proxy: brownout after this many request frames (0 disables)")
-	brownFloor := flag.Duration("fault-brownout-floor", 25*time.Millisecond, "chaos proxy: per-chunk latency floor during the brownout")
-	brownFor := flag.Duration("fault-brownout-for", 0, "chaos proxy: brownout duration (0 = until the process exits)")
 	followerOf := flag.String("follower-of", "", "replicate from this leader address (promote with SIGHUP)")
 	shardID := flag.Int("shard-id", -1, "shard label for log lines and metrics (-1 = unsharded)")
 	obsID := flag.String("obs-id", "", "self-register as this fleet instance ID so stellaris-obsd discovers the server (requires -obs-addr)")
@@ -200,14 +194,10 @@ func main() {
 		}
 		cfg.Partitions = []cache.Partition{{AfterOps: *partAfter, Drop: dir, For: *partFor}}
 	}
-	if *brownAfter > 0 {
-		cfg.Brownouts = []cache.Brownout{{AfterOps: *brownAfter, Floor: *brownFloor, For: *brownFor}}
-	}
 	var proxy *cache.FaultProxy
 	// The proxy comes up whenever any fault is configured — random
-	// per-chunk rates OR a scheduled partition/brownout window.
-	if *faultDrop > 0 || *faultDelay > 0 || *faultCorrupt > 0 || *faultClose > 0 ||
-		*partAfter > 0 || *brownAfter > 0 {
+	// per-chunk rates OR a scheduled partition.
+	if *faultDrop > 0 || *faultDelay > 0 || *faultCorrupt > 0 || *faultClose > 0 || *partAfter > 0 {
 		proxy = cache.NewFaultProxy(bound, cfg)
 		pbound, err := proxy.Listen(*faultAddr)
 		if err != nil {
@@ -230,9 +220,9 @@ func main() {
 		st := proxy.Stats()
 		fmt.Printf("chaos proxy injected: %d drops, %d delays, %d corruptions, %d closes over %d conns\n",
 			st.Drops, st.Delays, st.Corruptions, st.Closes, st.Conns)
-		if st.Partitions > 0 || st.Brownouts > 0 {
-			fmt.Printf("chaos proxy scheduled: %d partitions (%d chunks dropped), %d brownouts (%d chunks held)\n",
-				st.Partitions, st.PartitionDrops, st.Brownouts, st.BrownoutHolds)
+		if st.Partitions > 0 {
+			fmt.Printf("chaos proxy scheduled: %d partitions (%d chunks dropped)\n",
+				st.Partitions, st.PartitionDrops)
 		}
 		if err := proxy.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "stellaris-cached: chaos proxy close:", err)

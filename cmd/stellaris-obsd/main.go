@@ -20,7 +20,7 @@
 // metrics (it watches itself) under /metrics and /metrics.json.
 //
 // Alert rules default to a built-in set (instance down, shard
-// unserved, retry-budget exhaustion); -rules replaces them with a JSON
+// unserved); -rules replaces them with a JSON
 // array of fleet.Rule documents. With -profile-dir set, rules marked
 // "profile": true capture a heap + CPU profile from the offending
 // instance the moment they fire, keeping the newest -profile-keep
@@ -111,11 +111,6 @@ func defaultRules() []fleet.Rule {
 			Instance: fleet.FleetInstance, Kind: fleet.KindValue,
 			Below: true, Threshold: 0.05, ForSec: 8, Severity: "page",
 			Profile: true,
-		},
-		{
-			Name: "retry-budget-exhausted", Metric: "fleet_retry_exhausted_rate",
-			Instance: fleet.FleetInstance, Threshold: 0.5, ForSec: 5,
-			Severity: "warn",
 		},
 	}
 }

@@ -21,11 +21,11 @@
 // failover included, and equal cache_client_events_total in -obs-dir's
 // metrics.prom.
 //
-// The cache flags (-op-timeout, -attempts, -degrade-latency,
-// -degrade-window, -hedge-reads, -breaker-threshold, -retry-rate,
-// -retry-burst) fill live.Options.Cache, the one cache.DialOptions every
-// connection of the run dials with; -retry-rate builds the one retry
-// budget they share.
+// The cache flags (-op-timeout, -attempts) fill live.Options.Cache, the
+// one cache.DialOptions every connection of the run dials with. Under
+// faults a connection does what DESIGN.md §11.6 lists: per-op
+// deadlines, retry with backoff, reconnect, failover to the follower,
+// and term-fenced writes.
 //
 // -shards self-hosts a sharded cache cluster (DESIGN.md §11) instead of
 // a single server; -shard-followers gives every shard a replicating
@@ -33,15 +33,11 @@
 // weights head mid-run to demonstrate follower failover — the summary's
 // cluster line shows the failovers the workers rode through.
 //
-// Two softer drills exercise the PR 9 robustness stack end to end:
 // -partition-shard-after asymmetrically partitions the head shard
-// (requests land, responses blackhole — the deposed-leader shape write
-// fencing exists for), and -brownout-shard-after slows it down without
-// a single error (the gray failure -degrade-latency detects). Both need
-// -shard-followers:
+// instead (requests land, responses blackhole — the deposed-leader shape
+// write fencing exists for). It also needs -shard-followers:
 //
 //	live_cluster -shards 3 -shard-followers -partition-shard-after 2s
-//	live_cluster -shards 3 -shard-followers -brownout-shard-after 2s -degrade-latency 25ms -hedge-reads
 //
 // -obs-addr serves live metrics (Prometheus text at /metrics, JSON at
 // /metrics.json, pprof under /debug/pprof/) while the run is in flight;
@@ -80,11 +76,9 @@ func main() {
 	var shards int
 	var shardFollowers bool
 	var killShardAfter time.Duration
-	var partitionShardAfter, brownoutShardAfter, brownoutFloor time.Duration
+	var partitionShardAfter time.Duration
 	var fleetWatch bool
 	var logLevel string
-	var retryRate float64
-	var retryBurst int
 	flag.StringVar(&opt.CacheAddr, "cache", "", "stellaris-cached address (empty = in-process)")
 	flag.StringVar(&opt.Env, "env", "cartpole", "environment")
 	flag.IntVar(&opt.Actors, "actors", 4, "actor workers")
@@ -109,23 +103,12 @@ func main() {
 	flag.BoolVar(&shardFollowers, "shard-followers", false, "give every self-hosted shard a replicating follower (enables failover)")
 	flag.DurationVar(&killShardAfter, "kill-shard-after", 0, "failover drill: hard-kill the shard owning the weights head this long into the run (needs -shard-followers)")
 	flag.DurationVar(&partitionShardAfter, "partition-shard-after", 0, "partition drill: blackhole the head shard's responses this long into the run (needs -shard-followers)")
-	flag.DurationVar(&brownoutShardAfter, "brownout-shard-after", 0, "brownout drill: floor the head shard's per-chunk latency this long into the run (needs -shard-followers)")
-	flag.DurationVar(&brownoutFloor, "brownout-floor", 40*time.Millisecond, "brownout drill: per-chunk latency floor")
-	flag.DurationVar(&opt.Cache.DegradeLatency, "degrade-latency", 0, "evacuate a shard whose latency EWMA crosses this (0 disables gray-failure detection)")
-	flag.IntVar(&opt.Cache.DegradeWindow, "degrade-window", 0, "gray-failure observation window in ops (0 = default 16)")
-	flag.BoolVar(&opt.Cache.HedgeReads, "hedge-reads", false, "race reads against the follower once a shard is suspect (half of -degrade-latency)")
-	flag.IntVar(&opt.Cache.BreakerThreshold, "breaker-threshold", 0, "open a per-shard circuit breaker after this many consecutive transport failures (0 disables)")
-	flag.Float64Var(&retryRate, "retry-rate", 0, "global cache retry budget in tokens/second shared across workers (0 = unbudgeted)")
-	flag.IntVar(&retryBurst, "retry-burst", 0, "retry budget bucket depth (0 = derived from -retry-rate)")
 	flag.StringVar(&obsAddr, "obs-addr", "", "metrics/pprof HTTP address (e.g. :9090; empty disables)")
 	flag.StringVar(&obsDir, "obs-dir", "", "periodically dump metrics.{json,csv,prom} here")
 	flag.DurationVar(&obsEvery, "obs-every", 5*time.Second, "dump interval for -obs-dir")
 	flag.BoolVar(&fleetWatch, "fleet", false, "run an in-process fleet collector (DESIGN.md §12) watching the run's obs endpoint; serves a live dashboard and prints a fleet summary (requires -obs-addr)")
 	flag.StringVar(&logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
-	if retryRate > 0 {
-		opt.Cache.RetryBudget = cache.NewRetryBudget(retryRate, retryBurst)
-	}
 
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: obs.ParseLogLevel(logLevel)}))
 	fatal := func(msg string, args ...any) {
@@ -194,10 +177,10 @@ func main() {
 		if opt.CacheAddr != "" || chaos > 0 {
 			fatal("-shards self-hosts the cache cluster; it is incompatible with -cache and -chaos")
 		}
-		// The partition/brownout drills need a fault proxy in front of
-		// every leader, so the drill can fault the data plane while
-		// replication (leader→follower, dialed directly) keeps flowing.
-		drill := partitionShardAfter > 0 || brownoutShardAfter > 0
+		// The partition drill needs a fault proxy in front of every
+		// leader, so the drill can fault the data plane while replication
+		// (leader→follower, dialed directly) keeps flowing.
+		drill := partitionShardAfter > 0
 		topo := &cluster.Topology{Version: 1}
 		leaders := make([]*cache.Server, shards)
 		replicas := make([]*cache.Replica, shards)
@@ -278,21 +261,7 @@ func main() {
 			})
 			defer timer.Stop()
 		}
-		if brownoutShardAfter > 0 {
-			victim := victimOf("-brownout-shard-after")
-			if opt.Cache.DegradeLatency <= 0 {
-				// Without the detector the run would just crawl; arm it at
-				// the floor so the browned-out shard is evacuated.
-				opt.Cache.DegradeLatency = brownoutFloor
-			}
-			timer := time.AfterFunc(brownoutShardAfter, func() {
-				proxies[victim].BrownoutNow(brownoutFloor, 0)
-				fmt.Printf("chaos: browned out shard %d (owns %s) — per-chunk latency floored at %v, zero errors; gray-failure detection must evacuate it\n",
-					victim, cache.KeyWeightsHead, brownoutFloor)
-			})
-			defer timer.Stop()
-		}
-	} else if shardFollowers || killShardAfter > 0 || partitionShardAfter > 0 || brownoutShardAfter > 0 {
+	} else if shardFollowers || killShardAfter > 0 || partitionShardAfter > 0 {
 		fatal("-shard-followers and the shard drills need -shards")
 	}
 
@@ -364,12 +333,11 @@ func main() {
 		rep.CacheRetries, rep.CacheReconnects, rep.CacheTimeouts,
 		rep.StaleWeightReuses, rep.DroppedPayloads)
 	if rep.ShardFailovers+rep.WeightRegressions > 0 {
-		fmt.Printf("cluster: %d shard failovers (%d gray), %d weight-head regressions ridden through\n",
-			rep.ShardFailovers, rep.GrayFailovers, rep.WeightRegressions)
+		fmt.Printf("cluster: %d shard failovers, %d weight-head regressions ridden through\n",
+			rep.ShardFailovers, rep.WeightRegressions)
 	}
-	if rep.FencedWrites+rep.HedgedReads+rep.BreakerOpens+rep.RetryBudgetExhausted > 0 {
-		fmt.Printf("robustness: %d fenced writes, %d hedged reads, %d breaker opens, %d budget-denied retries\n",
-			rep.FencedWrites, rep.HedgedReads, rep.BreakerOpens, rep.RetryBudgetExhausted)
+	if rep.FencedWrites > 0 {
+		fmt.Printf("robustness: %d fenced writes\n", rep.FencedWrites)
 	}
 	if rep.Resumed {
 		fmt.Printf("resumed from checkpoint at version %d\n", rep.ResumedFromVersion)

@@ -112,35 +112,6 @@ func TestFaultProxyAsymmetricPartition(t *testing.T) {
 	})
 }
 
-// TestFaultProxyBrownoutLatencyFloor proves a brownout is a pure
-// slowdown: no errors, every chunk held at least the floor.
-func TestFaultProxyBrownoutLatencyFloor(t *testing.T) {
-	leaktest.Check(t)
-	_, proxy, paddr := chaosProxiedStore(t, FaultConfig{Seed: 5})
-	cl, err := DialWith(paddr, DialOptions{OpTimeout: 5 * time.Second, Attempts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Put("traj/fast", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	const floor = 40 * time.Millisecond
-	proxy.BrownoutNow(floor, 0)
-	start := time.Now()
-	if err := cl.Put("traj/slow", []byte("v")); err != nil {
-		t.Fatalf("brownout must not inject errors: %v", err)
-	}
-	if rtt := time.Since(start); rtt < floor {
-		t.Fatalf("browned-out round trip %v beat the %v floor", rtt, floor)
-	}
-	st := proxy.Stats()
-	if st.Brownouts != 1 || st.BrownoutHolds == 0 {
-		t.Fatalf("brownout stats = %+v, want 1 brownout with holds", st)
-	}
-}
-
 // TestFaultProxyScheduledPartition exercises the op-count trigger: the
 // partition arms exactly after the configured number of completed
 // request frames, deterministically for a sequential client.

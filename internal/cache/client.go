@@ -85,39 +85,6 @@ type DialOptions struct {
 	// driving this client ("actor/0#1").
 	Lineage     *lineage.Store
 	LineageName string
-	// RetryBudget, when set, is a token bucket every retry (not first
-	// attempt) must draw from before sleeping its backoff. Share one
-	// budget across a worker fleet to bound GLOBAL retry pressure
-	// against a dead shard (see RetryBudget). Nil leaves retries
-	// bounded only by the per-op Attempts policy.
-	RetryBudget *RetryBudget
-
-	// The remaining knobs configure ShardedClient's gray-failure
-	// machinery (DESIGN.md §11.6) and are ignored by single-server
-	// clients.
-
-	// DegradeLatency arms gray-failure detection: once a shard's
-	// latency EWMA crosses it (or its windowed transport-error rate
-	// crosses one half) with a full observation window, the shard is
-	// treated as failed — evacuated onto its follower — even though it
-	// still answers. Zero disables detection entirely.
-	DegradeLatency time.Duration
-	// DegradeWindow is the sliding outcome window size backing the
-	// error rate and the warm-up grace (default 16 ops).
-	DegradeWindow int
-	// HedgeReads additionally races reads on a suspect shard — latency
-	// EWMA past HALF of DegradeLatency, i.e. before the evacuation
-	// threshold — against its follower, returning the first answer:
-	// latency insurance for the weights/head hot path while a slowdown
-	// is mild or still being confirmed. Requires DegradeLatency.
-	HedgeReads bool
-	// BreakerThreshold arms a per-shard circuit breaker: after this
-	// many consecutive transport failures the shard sheds requests
-	// (ErrBreakerOpen) for BreakerCooldown before probing again. Zero
-	// disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is the open-state dwell (default 500ms).
-	BreakerCooldown time.Duration
 }
 
 const (
@@ -306,18 +273,6 @@ func (c *Client) roundTrip(req request) (byte, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
 		if attempt > 0 {
-			if rb := c.opts.RetryBudget; rb != nil && !rb.Allow() {
-				// The shared budget is dry: some other worker is already
-				// retrying against this outage. Fail fast rather than pile
-				// a backoff schedule onto the storm.
-				if c.m != nil {
-					c.m.events.With("retry-budget-exhausted").Inc()
-				}
-				return 0, nil, &TransportError{
-					Op: req.wireOp(), Key: req.key, Attempts: attempt,
-					Err: fmt.Errorf("retry budget exhausted: %w", lastErr),
-				}
-			}
 			c.event(&c.retries, "retry")
 			// Sleep with the mutex released: holding it through the
 			// backoff schedule would stall every concurrent operation —

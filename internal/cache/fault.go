@@ -47,17 +47,6 @@ type Partition struct {
 	For      time.Duration
 }
 
-// Brownout is one scripted gray-failure window: once AfterOps request
-// frames have completed, every chunk in BOTH directions is held at
-// least Floor before forwarding for For (<= 0 means until healed). No
-// hard errors are injected — the shard is alive, just persistently
-// slow, which is exactly the failure shape dead-man detection misses.
-type Brownout struct {
-	AfterOps int64
-	Floor    time.Duration
-	For      time.Duration
-}
-
 // FaultConfig sets per-chunk fault probabilities for a FaultProxy. Each
 // chunk of bytes copied in either direction rolls independently against
 // the rates, in the order Close → Drop → Corrupt → Delay (a closed
@@ -88,10 +77,6 @@ type FaultConfig struct {
 	// bytes, so the schedule is independent of TCP chunking. They can
 	// also be triggered directly via PartitionNow.
 	Partitions []Partition
-	// Brownouts lists scripted latency-floor windows at cumulative
-	// completed-op thresholds, consumed in order (see Brownout). They
-	// can also be triggered directly via BrownoutNow.
-	Brownouts []Brownout
 }
 
 // FaultStats counts faults actually injected.
@@ -104,14 +89,11 @@ type FaultStats struct {
 	Conns int64
 	// Ops counts completed client→server request frames observed.
 	Ops int64
-	// Partitions and Brownouts count windows activated (scripted or via
-	// the *Now methods); PartitionDrops counts chunks blackholed by an
-	// active partition and BrownoutHolds counts chunks held at the
-	// brownout latency floor.
+	// Partitions counts windows activated (scripted or via
+	// PartitionNow); PartitionDrops counts chunks blackholed by an
+	// active partition.
 	Partitions     int64
-	Brownouts      int64
 	PartitionDrops int64
-	BrownoutHolds  int64
 }
 
 // FaultProxy is a chaos TCP proxy that sits between a cache Client and
@@ -137,23 +119,16 @@ type FaultProxy struct {
 	accepted    atomic.Int64
 
 	// ops counts completed request frames, which trigger the scripted
-	// windows.
-	ops       atomic.Int64
-	schedMu   sync.Mutex
-	scheduled bool // any op-count-triggered window configured
+	// partitions.
+	ops     atomic.Int64
+	schedMu sync.Mutex
 
-	// Partition/brownout window state: UnixNano deadlines (MaxInt64 =
-	// until healed), indexed by Direction for partitions; the brownout
-	// floor is stored in nanoseconds alongside its deadline.
-	partUntil    [2]atomic.Int64
-	brownUntil   atomic.Int64
-	brownFloorNS atomic.Int64
-	pendingPart  []Partition // guarded by schedMu
-	pendingBrown []Brownout  // guarded by schedMu
-	partitions   atomic.Int64
-	brownouts    atomic.Int64
-	partDrops    atomic.Int64
-	brownHolds   atomic.Int64
+	// Partition window state: UnixNano deadlines (MaxInt64 = until
+	// healed), indexed by Direction.
+	partUntil   [2]atomic.Int64
+	pendingPart []Partition // guarded by schedMu
+	partitions  atomic.Int64
+	partDrops   atomic.Int64
 }
 
 // NewFaultProxy returns a proxy forwarding to target ("host:port") with
@@ -168,8 +143,6 @@ func NewFaultProxy(target string, cfg FaultConfig) *FaultProxy {
 		conns:  make(map[net.Conn]struct{}),
 	}
 	p.pendingPart = append([]Partition(nil), cfg.Partitions...)
-	p.pendingBrown = append([]Brownout(nil), cfg.Brownouts...)
-	p.scheduled = len(cfg.Partitions) > 0 || len(cfg.Brownouts) > 0
 	return p
 }
 
@@ -190,34 +163,15 @@ func (p *FaultProxy) PartitionNow(dir Direction, d time.Duration) {
 	p.partitions.Add(1)
 }
 
-// BrownoutNow activates a latency-floor window immediately: every chunk
-// in both directions is held at least floor before forwarding, for d
-// (<= 0: until Heal). No errors are injected.
-func (p *FaultProxy) BrownoutNow(floor, d time.Duration) {
-	p.brownFloorNS.Store(int64(floor))
-	p.brownUntil.Store(windowDeadline(d))
-	p.brownouts.Add(1)
-}
-
-// Heal ends any active partition and brownout windows.
+// Heal ends any active partition window.
 func (p *FaultProxy) Heal() {
 	p.partUntil[ClientToServer].Store(0)
 	p.partUntil[ServerToClient].Store(0)
-	p.brownUntil.Store(0)
 }
 
 // partitioned reports whether dir is inside an active partition window.
 func (p *FaultProxy) partitioned(dir Direction) bool {
 	return time.Now().UnixNano() < p.partUntil[dir].Load()
-}
-
-// brownoutFloor returns the active latency floor, or zero outside a
-// brownout window.
-func (p *FaultProxy) brownoutFloor() time.Duration {
-	if time.Now().UnixNano() >= p.brownUntil.Load() {
-		return 0
-	}
-	return time.Duration(p.brownFloorNS.Load())
 }
 
 // Listen starts accepting on addr (port 0 picks a free port) and
@@ -243,9 +197,7 @@ func (p *FaultProxy) Stats() FaultStats {
 		Conns:          p.accepted.Load(),
 		Ops:            p.ops.Load(),
 		Partitions:     p.partitions.Load(),
-		Brownouts:      p.brownouts.Load(),
 		PartitionDrops: p.partDrops.Load(),
-		BrownoutHolds:  p.brownHolds.Load(),
 	}
 }
 
@@ -309,9 +261,9 @@ func (p *FaultProxy) acceptLoop() {
 }
 
 // noteOps folds n newly completed request frames into the partition
-// and brownout schedules.
+// schedule.
 func (p *FaultProxy) noteOps(n int) {
-	if n == 0 || !p.scheduled {
+	if n == 0 || len(p.cfg.Partitions) == 0 {
 		return
 	}
 	total := p.ops.Add(int64(n))
@@ -320,11 +272,6 @@ func (p *FaultProxy) noteOps(n int) {
 		part := p.pendingPart[0]
 		p.pendingPart = p.pendingPart[1:]
 		p.PartitionNow(part.Drop, part.For)
-	}
-	for len(p.pendingBrown) > 0 && total >= p.pendingBrown[0].AfterOps {
-		bo := p.pendingBrown[0]
-		p.pendingBrown = p.pendingBrown[1:]
-		p.BrownoutNow(bo.Floor, bo.For)
 	}
 	p.schedMu.Unlock()
 }
@@ -416,16 +363,15 @@ const deliveryQueueDepth = 32
 // pump copies src → dst in chunks, rolling each chunk against the fault
 // rates. Returning closes both ends (via serve's defer), which is how a
 // Close fault propagates to the peer direction too. A non-nil fp counts
-// completed request frames for the partition and brownout schedules.
+// completed request frames for the partition schedule.
 //
-// Held chunks (random delay, brownout floor) ride a bounded FIFO
-// delivery queue drained by a writer goroutine, so the reader keeps
-// consuming src while an earlier chunk waits out its hold. Aggregate
-// added latency over a burst is therefore bounded by the LARGEST single
-// hold (≤ MaxDelay + brownout floor), not the sum of holds — the old
-// inline sleep serialized every hold behind the previous one, silently
-// inflating effective delay far past MaxDelay on multi-chunk frames.
-// FIFO ordering preserves the byte stream exactly.
+// Delayed chunks ride a bounded FIFO delivery queue drained by a
+// writer goroutine, so the reader keeps consuming src while an earlier
+// chunk waits out its hold. Aggregate added latency over a burst is
+// therefore bounded by the LARGEST single hold (≤ MaxDelay), not the
+// sum of holds — the old inline sleep serialized every hold behind the
+// previous one, silently inflating effective delay far past MaxDelay on
+// multi-chunk frames. FIFO ordering preserves the byte stream exactly.
 func (p *FaultProxy) pump(src, dst net.Conn, dir Direction, r *rng.RNG, fp *frameParser) {
 	q := make(chan delivery, deliveryQueueDepth)
 	var writer sync.WaitGroup
@@ -484,10 +430,7 @@ func (p *FaultProxy) pump(src, dst net.Conn, dir Direction, r *rng.RNG, fp *fram
 				p.corruptions.Add(1)
 				chunk[r.Intn(n)] ^= 0xFF
 			}
-			hold := p.brownoutFloor()
-			if hold > 0 {
-				p.brownHolds.Add(1)
-			}
+			var hold time.Duration
 			if p.cfg.DelayRate > 0 && r.Float64() < p.cfg.DelayRate {
 				p.delays.Add(1)
 				hold += time.Duration(1 + r.Intn(int(p.cfg.MaxDelay)))

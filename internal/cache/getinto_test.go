@@ -3,7 +3,6 @@ package cache
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -105,58 +104,4 @@ func TestGetIntoSurvivesDroppedChunks(t *testing.T) {
 			t.Fatalf("read %d: %d bytes, %v", i, len(got), err)
 		}
 	}
-}
-
-// TestHedgedGetIntoLeavesBufferAlone: a hedged read races the leader and
-// its follower, and the loser may still be reading when the winner
-// returns — so a hedged GetInto reads into fresh memory, and the
-// caller's buffer is the caller's again the moment it returns. The test
-// writes it at once: under -race, a leg still reading into it is a
-// reported race.
-func TestHedgedGetIntoLeavesBufferAlone(t *testing.T) {
-	leaktest.Check(t)
-	s := startBrownoutShard(t)
-	sc, err := DialSharded(s.topology(), DialOptions{
-		OpTimeout: 2 * time.Second, Attempts: 1,
-		DegradeLatency: 220 * time.Millisecond, DegradeWindow: 4,
-		HedgeReads: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	hot := []byte("hot")
-	if err := sc.Put("traj/h", hot); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() error {
-		_, err := s.followerStore.Get("traj/h")
-		return err
-	})
-	s.proxy.BrownoutNow(60*time.Millisecond, 0)
-	buf := make([]byte, 0, 64)
-	scribble := func() { copy(buf[:cap(buf)], filled(0xee, cap(buf))) }
-	waitFor(t, 10*time.Second, func() error {
-		before := sc.ShardedStats().HedgedReads
-		scribble()
-		v, err := sc.GetInto("traj/h", buf)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(v, hot) {
-			return fmt.Errorf("got %q", v)
-		}
-		if sc.ShardedStats().HedgedReads == before {
-			return errors.New("not hedged yet")
-		}
-		if &v[0] == &buf[:1][0] {
-			t.Fatal("a hedged read returned the caller's buffer")
-		}
-		scribble()
-		time.Sleep(300 * time.Millisecond) // the losing leg finishes
-		if !bytes.Equal(buf[:cap(buf)], filled(0xee, cap(buf))) {
-			t.Fatal("a hedged read wrote the caller's buffer")
-		}
-		return nil
-	})
 }

@@ -34,12 +34,8 @@ import (
 type ShardedStats struct {
 	ClientStats
 	// Failovers counts shard leaders replaced by their follower after
-	// transport exhaustion (gray-failure evacuations included).
+	// transport exhaustion.
 	Failovers int64
-	// GrayFailovers counts the subset of Failovers triggered by the
-	// health score (alive-but-degraded leader) rather than transport
-	// exhaustion.
-	GrayFailovers int64
 	// TopologyRefreshes counts newer topology documents adopted (watch
 	// or post-failover refresh).
 	TopologyRefreshes int64
@@ -48,14 +44,6 @@ type ShardedStats struct {
 	// FencedWrites counts writes refused by a server holding a newer
 	// shard term (each forces a topology refresh before the retry).
 	FencedWrites int64
-	// HedgedReads counts reads raced against a degraded shard's
-	// follower.
-	HedgedReads int64
-	// BreakerOpens counts closed→open circuit-breaker transitions.
-	BreakerOpens int64
-	// RetryBudgetExhausted counts retries denied by the shared
-	// DialOptions.RetryBudget (zero when no budget is installed).
-	RetryBudgetExhausted int64
 }
 
 // shardEventsFamily counts every sharded client's recovery events by
@@ -72,19 +60,16 @@ type ShardedClient struct {
 	topo  *cluster.Topology
 	slots []*shardSlot
 
-	closed        atomic.Bool
-	failovers     obs.Counter
-	grayFailovers obs.Counter
-	refreshes     obs.Counter
-	fencedWrites  obs.Counter
-	hedgedReads   obs.Counter
-	breakerOpens  atomic.Int64 // shared with every slot's breaker
+	closed       atomic.Bool
+	failovers    obs.Counter
+	refreshes    obs.Counter
+	fencedWrites obs.Counter
 
 	// events mirrors the recovery counters above into the caller's
 	// registry as cache_shard_events_total{event,shard} when
 	// DialOptions.Obs is set — the per-shard series the fleet collector's
-	// derived failover/fence/breaker/hedge rates are computed from. Nil
-	// without a registry.
+	// derived failover and fence rates are computed from. Nil without a
+	// registry.
 	events *obs.CounterVec
 
 	watchOnce sync.Once
@@ -107,15 +92,11 @@ type shardSlot struct {
 	// seeded from the topology, bumped on every local promotion, and
 	// stamped onto data-plane writes (see fencedDo).
 	term int64
-	// hcli is a lazily dialed client to the CURRENT follower address,
-	// used for hedged reads and follower topology teaching. Invalidated
+	// fcli is a lazily dialed client to the CURRENT follower address:
+	// the topology-teaching client (see followerClient). Invalidated
 	// whenever the follower address moves.
-	hcli     *Client
-	hcliAddr string
-
-	// health and brk self-synchronize; they sit outside slot.mu.
-	health *shardHealth
-	brk    *breaker
+	fcli     *Client
+	fcliAddr string
 }
 
 func (s *shardSlot) client() (*Client, int64) {
@@ -152,13 +133,8 @@ func DialSharded(topo *cluster.Topology, opts DialOptions) (*ShardedClient, erro
 			}
 			return nil, err
 		}
-		id := sh.ID
 		sc.slots = append(sc.slots, &shardSlot{
-			id: id, cli: cli, addr: sh.Addr, follower: sh.Follower,
-			term:   sh.Term,
-			health: newShardHealth(opts.DegradeWindow),
-			brk: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, &sc.breakerOpens,
-				func() { sc.event("breaker-open", id) }),
+			id: sh.ID, cli: cli, addr: sh.Addr, follower: sh.Follower, term: sh.Term,
 		})
 	}
 	return sc, nil
@@ -185,68 +161,17 @@ func (sc *ShardedClient) do(key string, op func(*Client) error) error {
 }
 
 func (sc *ShardedClient) doSlot(slot *shardSlot, op func(*Client) error) error {
-	if !slot.brk.allow() {
-		return &ErrBreakerOpen{Shard: slot.id}
-	}
 	cli, epoch := slot.client()
-	start := time.Now()
 	err := op(cli)
 	var te *TransportError
-	transport := err != nil && errors.As(err, &te)
-	slot.health.note(time.Since(start), transport)
-	slot.brk.note(!transport)
-	if err == nil {
-		// Success — but a persistently slow shard is a gray failure:
-		// evacuate it through the same epoch-guarded promotion a dead one
-		// gets. The health reset inside failover re-arms the warm-up
-		// grace, so a freshly promoted follower cannot be re-judged until
-		// a full window of its own ops has accumulated.
-		if sc.degraded(slot) {
-			sc.failover(slot, epoch, true)
-		}
-		return nil
-	}
-	if !transport {
+	if err == nil || !errors.As(err, &te) {
 		return err
 	}
-	if !sc.failover(slot, epoch, false) {
+	if !sc.failover(slot, epoch) {
 		return err
 	}
 	cli, _ = slot.client()
 	return op(cli)
-}
-
-// Health levels from the gray-failure score: suspect shards get their
-// reads hedged (latency insurance while the slowdown is mild or still
-// being confirmed); degraded shards are evacuated outright.
-const (
-	healthOK       = iota
-	healthSuspect  // latency EWMA past half the threshold: hedge reads
-	healthDegraded // past the full threshold (or error rate): evacuate
-)
-
-// healthLevel scores slot against the configured gray-failure
-// thresholds. Detection is armed only when DegradeLatency is set and
-// the observation window has filled.
-func (sc *ShardedClient) healthLevel(slot *shardSlot) int {
-	if sc.opts.DegradeLatency <= 0 {
-		return healthOK
-	}
-	ewma, errRate, filled := slot.health.snapshot()
-	if !filled {
-		return healthOK
-	}
-	switch {
-	case ewma >= sc.opts.DegradeLatency || errRate >= degradeErrorRate:
-		return healthDegraded
-	case ewma >= sc.opts.DegradeLatency/2:
-		return healthSuspect
-	}
-	return healthOK
-}
-
-func (sc *ShardedClient) degraded(slot *shardSlot) bool {
-	return sc.healthLevel(slot) >= healthDegraded
 }
 
 // failover promotes slot's follower: dial it, swap it in as the leader
@@ -256,11 +181,7 @@ func (sc *ShardedClient) degraded(slot *shardSlot) bool {
 // one promotion. Returns false when there is nothing to promote (no
 // follower, follower also dead, client closed, or a concurrent caller
 // already failed over — in which case the caller should simply retry).
-// gray marks a promotion triggered by the gray-failure detector rather
-// than a transport error; it is counted only when THIS call performs
-// the swap, so racing degraded callers cannot inflate GrayFailovers
-// past Failovers.
-func (sc *ShardedClient) failover(slot *shardSlot, epoch int64, gray bool) bool {
+func (sc *ShardedClient) failover(slot *shardSlot, epoch int64) bool {
 	if sc.closed.Load() {
 		return false
 	}
@@ -301,17 +222,8 @@ func (sc *ShardedClient) failover(slot *shardSlot, epoch int64, gray bool) bool 
 	slot.term++
 	slot.mu.Unlock()
 	_ = old.Close()
-	// The new leader starts with a clean health score and a closed
-	// breaker — judging it by its predecessor's latencies would
-	// evacuate straight back.
-	slot.health.reset()
-	slot.brk.reset()
 	sc.failovers.Inc()
 	sc.event("failover", slot.id)
-	if gray {
-		sc.grayFailovers.Inc()
-		sc.event("gray-failover", slot.id)
-	}
 
 	// Best-effort: record the new leadership in the shared topology so
 	// watching clients converge without each one rediscovering the dead
@@ -389,26 +301,18 @@ func (sc *ShardedClient) Put(key string, val []byte) error {
 }
 
 // Get implements Cache. The topology key is answered by the first shard
-// that has it; reads on a degraded shard are optionally hedged against
-// its follower.
+// that has it.
 func (sc *ShardedClient) Get(key string) ([]byte, error) { return sc.GetInto(key, nil) }
 
 // GetInto is Get reading into buf as Client.GetInto does, routed and
-// failed over exactly as Get. A hedged read and the topology key's scan
-// read into fresh memory: a hedge's losing leg may still be reading
-// when the winner returns, and must not be reading into buf.
+// failed over exactly as Get. The topology key's scan reads into fresh
+// memory.
 func (sc *ShardedClient) GetInto(key string, buf []byte) ([]byte, error) {
 	if key == cluster.TopologyKey {
 		return sc.getAny(key)
 	}
-	slot := sc.slotFor(key)
-	if sc.shouldHedge(slot) {
-		if v, err, ok := sc.getHedged(slot, key); ok {
-			return v, err
-		}
-	}
 	var v []byte
-	err := sc.doSlot(slot, func(c *Client) error {
+	err := sc.doSlot(sc.slotFor(key), func(c *Client) error {
 		var e error
 		v, e = c.GetInto(key, buf)
 		return e
@@ -498,17 +402,6 @@ func (sc *ShardedClient) GetN(keys []string) ([][]byte, error) {
 		for j, i := range idx {
 			sub[j] = keys[i]
 		}
-		if sc.shouldHedge(slot) {
-			if vals, err, ok := sc.getNHedged(slot, sub); ok {
-				if err != nil {
-					return nil, err
-				}
-				for j, i := range idx {
-					out[i] = vals[j]
-				}
-				continue
-			}
-		}
 		err := sc.doSlot(slot, func(c *Client) error {
 			vals, e := c.GetN(sub)
 			if e != nil {
@@ -526,93 +419,24 @@ func (sc *ShardedClient) GetN(keys []string) ([][]byte, error) {
 	return out, nil
 }
 
-// ---- hedged reads ----
+// ---- topology-key fan-out ----
 
-// shouldHedge reports whether reads on slot should race the follower:
-// hedging is enabled, the leader's health score is at least suspect,
-// and a follower exists to hedge against.
-func (sc *ShardedClient) shouldHedge(slot *shardSlot) bool {
-	if !sc.opts.HedgeReads || sc.healthLevel(slot) < healthSuspect {
-		return false
-	}
-	slot.mu.Lock()
-	f := slot.follower
-	slot.mu.Unlock()
-	return f != ""
-}
-
-// hedge races op against the slot's leader and follower, returning the
-// first successful answer (or, if both fail, the leader's error). The
-// losing goroutine is never abandoned mid-channel: the result channel
-// is buffered for both, so each sender completes its straight-line
-// body — bounded by the client's OpTimeout — and exits. ok=false means
-// the follower was undialable and the caller should take the normal
-// path.
-func (sc *ShardedClient) hedge(slot *shardSlot, op func(*Client) (any, error)) (any, error, bool) {
-	fcli := sc.followerClient(slot)
-	if fcli == nil {
-		return nil, nil, false
-	}
-	cli, _ := slot.client()
-	sc.hedgedReads.Inc()
-	sc.event("hedged-read", slot.id)
-	type res struct {
-		v      any
-		err    error
-		leader bool
-	}
-	ch := make(chan res, 2)
-	go func() {
-		v, err := op(cli)
-		ch <- res{v, err, true}
-	}()
-	go func() {
-		v, err := op(fcli)
-		ch <- res{v, err, false}
-	}()
-	first := <-ch
-	if first.err == nil {
-		return first.v, nil, true
-	}
-	second := <-ch
-	if second.err == nil {
-		return second.v, nil, true
-	}
-	if first.leader {
-		return nil, first.err, true
-	}
-	return nil, second.err, true
-}
-
-func (sc *ShardedClient) getHedged(slot *shardSlot, key string) ([]byte, error, bool) {
-	v, err, ok := sc.hedge(slot, func(c *Client) (any, error) { return c.Get(key) })
-	if !ok || err != nil {
-		return nil, err, ok
-	}
-	return v.([]byte), nil, true
-}
-
-func (sc *ShardedClient) getNHedged(slot *shardSlot, keys []string) ([][]byte, error, bool) {
-	v, err, ok := sc.hedge(slot, func(c *Client) (any, error) { return c.GetN(keys) })
-	if !ok || err != nil {
-		return nil, err, ok
-	}
-	return v.([][]byte), nil, true
-}
-
-// followerClient returns a cached client to slot's CURRENT follower
-// address, dialing one (outside any lock) when missing or stale. Nil
-// when the shard has no follower or the follower is undialable.
+// followerClient returns the topology-teaching client: a cached
+// client to slot's CURRENT follower address, dialed (outside any lock)
+// when missing or stale. broadcastTopology writes every topology
+// document through it, which is how a deposed leader sitting in the
+// follower position learns the new term. Nil when the shard has no
+// follower or the follower is undialable.
 func (sc *ShardedClient) followerClient(slot *shardSlot) *Client {
 	slot.mu.Lock()
 	f := slot.follower
-	if slot.hcli != nil && slot.hcliAddr == f {
-		c := slot.hcli
+	if slot.fcli != nil && slot.fcliAddr == f {
+		c := slot.fcli
 		slot.mu.Unlock()
 		return c
 	}
-	stale := slot.hcli
-	slot.hcli = nil
+	stale := slot.fcli
+	slot.fcli = nil
 	slot.mu.Unlock()
 	if stale != nil {
 		_ = stale.Close()
@@ -620,28 +444,26 @@ func (sc *ShardedClient) followerClient(slot *shardSlot) *Client {
 	if f == "" {
 		return nil
 	}
-	// A hedge client never retries: its whole purpose is the fast
-	// second opinion, and the primary path already owns the backoff
-	// schedule.
-	hopts := sc.opts
-	hopts.Attempts = 1
-	hopts.Obs = nil
-	cli, err := DialWith(f, hopts)
+	// One attempt, no registry: the teaching write is best-effort, and
+	// an unreachable deposed leader is fenced by the first stamped write
+	// it sees instead.
+	fopts := sc.opts
+	fopts.Attempts = 1
+	fopts.Obs = nil
+	cli, err := DialWith(f, fopts)
 	if err != nil {
 		return nil
 	}
 	slot.mu.Lock()
-	if sc.closed.Load() || slot.follower != f || slot.hcli != nil {
+	if sc.closed.Load() || slot.follower != f || slot.fcli != nil {
 		slot.mu.Unlock()
 		_ = cli.Close()
 		return nil
 	}
-	slot.hcli, slot.hcliAddr = cli, f
+	slot.fcli, slot.fcliAddr = cli, f
 	slot.mu.Unlock()
 	return cli
 }
-
-// ---- topology-key fan-out ----
 
 // broadcastTopology writes a topology document to every shard leader
 // AND every reachable follower. The follower leg is what closes the
@@ -730,20 +552,12 @@ func (sc *ShardedClient) ShardedStats() ShardedStats {
 	sc.mu.Lock()
 	ver := sc.topo.Version
 	sc.mu.Unlock()
-	var exhausted int64
-	if sc.opts.RetryBudget != nil {
-		exhausted = sc.opts.RetryBudget.Exhausted()
-	}
 	return ShardedStats{
-		ClientStats:          sc.Stats(),
-		Failovers:            sc.failovers.Value(),
-		GrayFailovers:        sc.grayFailovers.Value(),
-		TopologyRefreshes:    sc.refreshes.Value(),
-		TopologyVersion:      ver,
-		FencedWrites:         sc.fencedWrites.Value(),
-		HedgedReads:          sc.hedgedReads.Value(),
-		BreakerOpens:         sc.breakerOpens.Load(),
-		RetryBudgetExhausted: exhausted,
+		ClientStats:       sc.Stats(),
+		Failovers:         sc.failovers.Value(),
+		TopologyRefreshes: sc.refreshes.Value(),
+		TopologyVersion:   ver,
+		FencedWrites:      sc.fencedWrites.Value(),
 	}
 }
 
@@ -757,17 +571,13 @@ func RegistryStats(reg *obs.Registry) ShardedStats {
 	var st ShardedStats
 	byEvent := map[string]map[string]*int64{
 		clientEventsFamily: {
-			"retry":                  &st.Retries,
-			"reconnect":              &st.Reconnects,
-			"timeout":                &st.Timeouts,
-			"retry-budget-exhausted": &st.RetryBudgetExhausted,
+			"retry":     &st.Retries,
+			"reconnect": &st.Reconnects,
+			"timeout":   &st.Timeouts,
 		},
 		shardEventsFamily: {
-			"failover":      &st.Failovers,
-			"gray-failover": &st.GrayFailovers,
-			"fenced-write":  &st.FencedWrites,
-			"hedged-read":   &st.HedgedReads,
-			"breaker-open":  &st.BreakerOpens,
+			"failover":     &st.Failovers,
+			"fenced-write": &st.FencedWrites,
 		},
 	}
 	for _, p := range reg.Snapshot().Counters {
@@ -789,11 +599,11 @@ func (sc *ShardedClient) Close() error {
 	var firstErr error
 	for _, slot := range sc.slots {
 		slot.mu.Lock()
-		cli, hcli := slot.cli, slot.hcli
-		slot.hcli = nil
+		cli, fcli := slot.cli, slot.fcli
+		slot.fcli = nil
 		slot.mu.Unlock()
-		if hcli != nil {
-			_ = hcli.Close()
+		if fcli != nil {
+			_ = fcli.Close()
 		}
 		if err := cli.Close(); err != nil && firstErr == nil {
 			firstErr = err

@@ -230,7 +230,7 @@ func (s *WeightsSub) Fetch() ([]float64, int, error) {
 }
 
 // get reads key into the receive buffer, keeping the larger array when
-// the value did not fit (or a hedged read returned fresh memory).
+// the value did not fit.
 func (s *WeightsSub) get(key string) ([]byte, error) {
 	raw, err := s.C.GetInto(key, s.buf)
 	if cap(raw) > cap(s.buf) {

@@ -81,11 +81,9 @@ var replicaBlockingMethods = map[string]bool{
 // round-trip methods that are not part of the interface: the
 // term-stamped write variants (each rides the same wire round trip as
 // its plain counterpart, plus a topology refresh on a fence) and the
-// hedged-read internals (each fans a read out to leader AND follower
-// and may dial the follower first).
+// topology-teaching client's lookup (which may dial the follower).
 var extraBlockingCacheMethods = map[string]bool{
 	"PutFenced": true, "DeleteFenced": true,
-	"hedge": true, "getHedged": true, "getNHedged": true,
 	"followerClient": true,
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"stellaris/internal/cache"
+	"stellaris/internal/leaktest"
 	"stellaris/internal/obs"
 )
 
@@ -81,6 +82,46 @@ func TestChaosLiveTrainThroughFaultProxy(t *testing.T) {
 	}
 }
 
+// TestTrainRidesOutAPartitionAtStart: the first weight publish takes
+// the same retrying path as every later one. The proxy blackholes every
+// request from the first frame on for 300ms, longer than one publish's
+// two 50ms attempts, and the run must still start and finish.
+func TestTrainRidesOutAPartitionAtStart(t *testing.T) {
+	leaktest.Check(t)
+	srv := cache.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy := cache.NewFaultProxy(addr, cache.FaultConfig{
+		Partitions: []cache.Partition{{AfterOps: 0, Drop: cache.ClientToServer, For: 300 * time.Millisecond}},
+	})
+	paddr, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	opt := tinyOpts()
+	opt.Updates = 2
+	opt.ActorSteps = 16
+	opt.BatchSize = 32
+	opt.CacheAddr = paddr
+	opt.Cache.OpTimeout = 50 * time.Millisecond
+	opt.Cache.Attempts = 2
+	rep, err := Train(opt)
+	if err != nil {
+		t.Fatalf("Train behind a partition at start: %v", err)
+	}
+	if rep.Updates < opt.Updates {
+		t.Fatalf("completed %d/%d updates", rep.Updates, opt.Updates)
+	}
+	if st := proxy.Stats(); st.Partitions != 1 || st.PartitionDrops == 0 {
+		t.Fatalf("the partition never bit: %+v", st)
+	}
+}
+
 func ratename(rate float64) string {
 	if rate < 0.1 {
 		return "rate5pct"
@@ -113,7 +154,8 @@ func TestLiveTrainQuietProxyNoRecoveryCounters(t *testing.T) {
 
 // TestLiveResilienceDefaults: a run leaves its connections' policy to
 // the cache's one defaults table (TestDialOptionsDefaults pins 5s and
-// 4 attempts) and defaults only its own fallback bound.
+// 4 attempts) and defaults only its own fallback bound. A caller's
+// Cache comes back unchanged in both schedules.
 func TestLiveResilienceDefaults(t *testing.T) {
 	o, err := Options{}.withDefaults()
 	if err != nil {
@@ -121,5 +163,18 @@ func TestLiveResilienceDefaults(t *testing.T) {
 	}
 	if o.Cache != (cache.DialOptions{}) || o.MaxStaleFallbacks != 50 {
 		t.Fatalf("resilience defaults wrong: %+v", o)
+	}
+	set := cache.DialOptions{
+		DialTimeout: time.Second, OpTimeout: 250 * time.Millisecond, Attempts: 3,
+		BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
+	}
+	for _, lockstep := range []bool{false, true} {
+		o, err := Options{Cache: set, Lockstep: lockstep}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Cache != set {
+			t.Fatalf("lockstep %v: Cache = %+v, want %+v", lockstep, o.Cache, set)
+		}
 	}
 }

@@ -204,12 +204,8 @@ func TestChaosShardKillFailover(t *testing.T) {
 		{"CacheRetries", rep.CacheRetries, client, "retry"},
 		{"CacheReconnects", rep.CacheReconnects, client, "reconnect"},
 		{"CacheTimeouts", rep.CacheTimeouts, client, "timeout"},
-		{"RetryBudgetExhausted", rep.RetryBudgetExhausted, client, "retry-budget-exhausted"},
 		{"ShardFailovers", rep.ShardFailovers, shard, "failover"},
-		{"GrayFailovers", rep.GrayFailovers, shard, "gray-failover"},
 		{"FencedWrites", rep.FencedWrites, shard, "fenced-write"},
-		{"HedgedReads", rep.HedgedReads, shard, "hedged-read"},
-		{"BreakerOpens", rep.BreakerOpens, shard, "breaker-open"},
 	} {
 		if want := events(c.family, c.event); c.got != want {
 			t.Errorf("Report.%s = %d, %s{event=%q} = %d", c.field, c.got, c.family, c.event, want)

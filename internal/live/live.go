@@ -48,15 +48,8 @@ type Options struct {
 	Cluster *cluster.Topology
 	// Cache is the fault-tolerance policy of every run connection (each
 	// a cache.ShardedClient). Zero fields take the cache's defaults; the
-	// run fills Seed, Obs, Lineage and LineageName per connection. Set
-	// RetryBudget to share one retry token bucket across every worker
-	// connection, so N workers hammering a dead shard cannot multiply
-	// into a reconnect storm. Evacuation and hedged reads need a shard
-	// with a follower (DESIGN.md §11.6). Under Lockstep, withDefaults
-	// zeroes RetryBudget, DegradeLatency, DegradeWindow, HedgeReads,
-	// BreakerThreshold and BreakerCooldown: the deterministic schedule
-	// must stay a pure function of the options, and budget denial,
-	// evacuation, hedging and breaker trips each race the wall clock.
+	// run fills Seed, Obs, Lineage and LineageName per connection
+	// (DESIGN.md §11.6).
 	Cache cache.DialOptions
 	// Env names the environment; FrameSize/Hidden as in core.Config.
 	Env       string
@@ -192,11 +185,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxStaleFallbacks <= 0 {
 		o.MaxStaleFallbacks = 50
 	}
-	if o.Lockstep {
-		c := &o.Cache
-		c.RetryBudget, c.DegradeLatency, c.DegradeWindow, c.HedgeReads = nil, 0, 0, false
-		c.BreakerThreshold, c.BreakerCooldown = 0, 0
-	}
 	if o.CheckpointDir != "" && o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = o.UpdatesPerRound
 	}
@@ -256,22 +244,10 @@ type Report struct {
 	// version can move backwards, and the subscribers re-anchor rather
 	// than silently serving an older vector as if it were newer.
 	WeightRegressions int64
-	// GrayFailovers is the subset of ShardFailovers triggered by the
-	// gray-failure detector (alive-but-slow shard) rather than a
-	// transport error.
-	GrayFailovers int64
 	// FencedWrites counts writes refused by a shard holding a newer
 	// leadership term than the client's topology view — each one forced
 	// a topology refresh before the retry (split-brain protection).
 	FencedWrites int64
-	// HedgedReads counts reads raced against a suspect shard's follower.
-	HedgedReads int64
-	// BreakerOpens counts per-shard circuit-breaker closed→open
-	// transitions across the run's connections.
-	BreakerOpens int64
-	// RetryBudgetExhausted counts retries denied by the shared
-	// Cache.RetryBudget token bucket.
-	RetryBudgetExhausted int64
 
 	// Crash-recovery accounting. ActorRestarts/LearnerRestarts count
 	// supervisor restarts by role; CheckpointsWritten counts successful
@@ -342,19 +318,15 @@ func Train(opt Options) (*Report, error) {
 
 // publishWeights stores the run's current weight vector under version,
 // then the head naming it (cache.WeightsPublisher), in both schedules.
+// It retries through an extended outage, backing off between rounds,
+// until stop is set or the budget (16 rounds on top of the client's own
+// per-op retries) runs out. The first publish at start takes the same
+// path, so a transient fault then does not end the run.
 func (r *run) publishWeights(version int) error {
-	return r.pub.Publish(version, r.weights, lineage.Meta{
-		ID: lineage.WeightsID(version), Kind: lineage.KindWeights, Origin: "param",
-	})
-}
-
-// publishWeightsPersistent retries publishWeights through an extended
-// outage, backing off between rounds, until stop is set or the budget
-// (16 rounds on top of the client's own per-op retries) runs out.
-func (r *run) publishWeightsPersistent(version int) error {
+	meta := lineage.Meta{ID: lineage.WeightsID(version), Kind: lineage.KindWeights, Origin: "param"}
 	var err error
 	for round := 0; round < 16; round++ {
-		if err = r.publishWeights(version); err == nil {
+		if err = r.pub.Publish(version, r.weights, meta); err == nil {
 			return nil
 		}
 		select {

@@ -464,28 +464,24 @@ func (r *run) buildReport() *Report {
 	m := r.m
 	cs := cache.RegistryStats(m.reg)
 	rep := &Report{
-		Updates:              int(r.version.Load()),
-		Episodes:             int(r.episodes.Load()),
-		Elapsed:              time.Since(r.start),
-		FinalWeights:         r.weights,
-		CacheRetries:         cs.Retries,
-		CacheReconnects:      cs.Reconnects,
-		CacheTimeouts:        cs.Timeouts,
-		ShardFailovers:       cs.Failovers,
-		GrayFailovers:        cs.GrayFailovers,
-		FencedWrites:         cs.FencedWrites,
-		HedgedReads:          cs.HedgedReads,
-		BreakerOpens:         cs.BreakerOpens,
-		RetryBudgetExhausted: cs.RetryBudgetExhausted,
-		StaleWeightReuses:    m.staleReuse.Value(),
-		DroppedPayloads:      total(m.drops, dropReasons),
-		WeightRegressions:    r.subRegressions(),
-		ActorRestarts:        m.restarts.With("actor").Value(),
-		LearnerRestarts:      m.restarts.With("learner").Value(),
-		CheckpointsWritten:   m.ckptWrites.Value(),
-		FlightDumps:          total(m.flightDumps, flightReasons),
-		Resumed:              r.resumed,
-		ResumedFromVersion:   int(r.resumedFrom),
+		Updates:            int(r.version.Load()),
+		Episodes:           int(r.episodes.Load()),
+		Elapsed:            time.Since(r.start),
+		FinalWeights:       r.weights,
+		CacheRetries:       cs.Retries,
+		CacheReconnects:    cs.Reconnects,
+		CacheTimeouts:      cs.Timeouts,
+		ShardFailovers:     cs.Failovers,
+		FencedWrites:       cs.FencedWrites,
+		StaleWeightReuses:  m.staleReuse.Value(),
+		DroppedPayloads:    total(m.drops, dropReasons),
+		WeightRegressions:  r.subRegressions(),
+		ActorRestarts:      m.restarts.With("actor").Value(),
+		LearnerRestarts:    m.restarts.With("learner").Value(),
+		CheckpointsWritten: m.ckptWrites.Value(),
+		FlightDumps:        total(m.flightDumps, flightReasons),
+		Resumed:            r.resumed,
+		ResumedFromVersion: int(r.resumedFrom),
 	}
 	if r.lin != nil {
 		ls := r.lin.Stats()

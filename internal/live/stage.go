@@ -277,7 +277,7 @@ func (r *run) absorb(note gradNote) error {
 		}
 		r.recordWeightsProduced(nv, traces)
 	}
-	if err := r.publishWeightsPersistent(nv); err != nil {
+	if err := r.publishWeights(nv); err != nil {
 		return err
 	}
 	// live_staleness observes the same per-update means that

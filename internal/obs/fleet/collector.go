@@ -626,20 +626,11 @@ func (c *Collector) derive(now float64, instances []InstanceStatus, topo *cluste
 		gauge("fleet_drop_rate", parseLabels(labels), rate)
 	}
 
-	// Cluster recovery event rates (failover/fence/breaker/hedge), per
-	// event kind and shard, summed across every observing client.
+	// Cluster recovery event rates (failover/fence), per event kind and
+	// shard, summed across every observing client.
 	for labels, rate := range sumByLabels("cache_shard_events_total") {
 		gauge("fleet_shard_event_rate", parseLabels(labels), rate)
 	}
-
-	// Retry-budget exhaustion across every client.
-	exhausted := 0.0
-	for labels, rate := range sumByLabels("cache_client_events_total") {
-		if strings.Contains(labels, "event=retry-budget-exhausted") {
-			exhausted += rate
-		}
-	}
-	gauge("fleet_retry_exhausted_rate", nil, exhausted)
 
 	// Checkpoint cadence: fleet-wide checkpoint writes per second.
 	ckpt := 0.0
