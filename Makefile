@@ -153,16 +153,17 @@ benchmark:
 # alternating which side goes first; pair i runs both sides at seed
 # SEED+i-1. The runs are gathered into $(AB_DIR)/base/result.json and
 # $(AB_DIR)/head/result.json (needs jq; each is stamped with the commit
-# its side was built from), the per-pair updates_per_s and wall_s are
-# listed, and `benchmark compare` has the last word and sets the exit
-# status.
+# its side was built from), the per-pair updates_per_s, cycles_per_s,
+# wall_s and alloc_mb are listed (a workload without cycles leaves that
+# column empty), and `benchmark compare` has the last word and sets the
+# exit status.
 PAIRS ?= 10
 AB_SECONDS ?= 20
 AB_DIR ?= .bench_ab
 AB_MERGE = reduce .[] as $$f (null; if . == null then $$f else reduce ($$f.workloads | to_entries[]) as $$w (.; \
 	if .workloads[$$w.key] then .workloads[$$w.key].runs += $$w.value.runs else .workloads[$$w.key] = $$w.value end) end)
 AB_PAIRS = map(.workloads) as [$$a, $$b] | $$a | keys_unsorted[] | . as $$w | range($$a[$$w].runs | length) | . as $$i \
-	| [$$w, $$a[$$w].runs[$$i].seed, ($$a[$$w].runs[$$i].metrics | .updates_per_s, .wall_s), ($$b[$$w].runs[$$i].metrics | .updates_per_s, .wall_s)] | @tsv
+	| [$$w, $$a[$$w].runs[$$i].seed, ($$a, $$b | .[$$w].runs[$$i].metrics | .updates_per_s, .cycles_per_s, .wall_s, .alloc_mb)] | @tsv
 benchmark-ab:
 	@test -n "$(BASE)" || { echo "usage: make benchmark-ab BASE=<ref> [WORKLOAD=name] [SEED=1] [PAIRS=10] [AB_SECONDS=20]"; exit 2; }
 	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)/bin
@@ -180,7 +181,7 @@ benchmark-ab:
 			out=$(AB_DIR)/$$side/runs/$$w-$$i; mkdir -p $$out; \
 			$(AB_DIR)/bin/$$side --workload $$w --seed $$(($(SEED) + i - 1)) --seconds $(AB_SECONDS) --out $$out > $$out/stdout.txt \
 				|| { cat $$out/stdout.txt; exit 1; }; \
-			grep -E 'output hash|^    (updates_per_s|wall_s|alloc_mb) ' $$out/stdout.txt; \
+			grep -E 'output hash|^    (updates_per_s|cycles_per_s|wall_s|alloc_mb) ' $$out/stdout.txt; \
 		done; \
 	done; done; \
 	base=$$(git rev-parse "$(BASE)^{commit}"); head=$$(git rev-parse HEAD)$$(git diff --quiet HEAD || echo +uncommitted); \
@@ -189,7 +190,7 @@ benchmark-ab:
 		jq -s --arg commit "$$commit" '$(AB_MERGE) | .provenance.commit = $$commit' \
 			$$(ls -v $(AB_DIR)/$$side/runs/*/result.json) > $(AB_DIR)/$$side/result.json; \
 	done
-	@printf 'workload\tseed\tbase updates_per_s\tbase wall_s\thead updates_per_s\thead wall_s\n'
+	@printf 'workload\tseed\tbase updates_per_s\tbase cycles_per_s\tbase wall_s\tbase alloc_mb\thead updates_per_s\thead cycles_per_s\thead wall_s\thead alloc_mb\n'
 	@jq -rs '$(AB_PAIRS)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 	$(AB_DIR)/bin/head compare $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 

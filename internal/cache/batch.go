@@ -26,30 +26,30 @@ func BatchGet(c Cache, keys []string) ([][]byte, error) { return c.GetN(keys) }
 
 // ---- MemCache ----
 
-// GetN implements Cache under a single lock acquisition.
+// GetN implements Cache under a single lock acquisition, copying each
+// value out while it holds a reference to it.
 func (c *MemCache) GetN(keys []string) ([][]byte, error) {
-	out := c.viewN(keys)
-	for i, v := range out {
+	vals := c.viewN(keys)
+	out := make([][]byte, len(keys))
+	for i, v := range vals {
 		if v != nil {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			out[i] = cp
+			out[i] = append(make([]byte, 0, len(v.b)), v.b...)
+			v.release()
 		}
 	}
 	return out, nil
 }
 
-// viewN is GetN without the copies: the stored slices themselves (see
-// view), nil for a missing key and only for a missing key.
-func (c *MemCache) viewN(keys []string) [][]byte {
-	out := make([][]byte, len(keys))
+// viewN is GetN without the copies: the stored values themselves, each
+// with a reference the caller must release (see view); nil for a
+// missing key and only for a missing key.
+func (c *MemCache) viewN(keys []string) []*value {
+	out := make([]*value, len(keys))
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for i, k := range keys {
-		if v, ok := c.data[k]; ok {
-			if v == nil {
-				v = []byte{} // stored empty (a nil Put, a recovered empty value): found
-			}
+		if v := c.data[k]; v != nil {
+			v.retain()
 			out[i] = v
 		}
 	}
@@ -149,10 +149,10 @@ func parseGetNReq(b []byte) ([]string, error) {
 	return keys, nil
 }
 
-func getNRespSize(vals [][]byte) int {
+func getNRespSize(vals []*value) int {
 	n := 4
 	for _, v := range vals {
-		n += 5 + len(v)
+		n += 5 + len(v.bytes())
 	}
 	return n
 }
@@ -201,7 +201,7 @@ func (c *Client) GetN(keys []string) ([][]byte, error) {
 		}
 		return [][]byte{v}, nil
 	}
-	blob := appendGetNReq(grabFrame(getNReqSize(keys)), keys)
+	blob := appendGetNReq(getBuf(getNReqSize(keys))[:0], keys)
 	status, payload, err := c.roundTrip(request{op: 'g', val: blob})
 	Recycle(blob)
 	if err != nil {

@@ -19,14 +19,15 @@ package cache
 // values round-trip bit-exactly via math.Float64bits, which is what
 // lets lockstep determinism checks pass across an encode/decode cycle.
 //
-// Encoders size the payload exactly, draw the backing buffer from a
-// sync.Pool, and append straight-line — steady-state encoding is
-// allocation-free once callers return buffers with Recycle. Decoders
-// validate every count against the bytes actually remaining before
-// allocating, so adversarial inputs fail with an error instead of a
-// panic or an outsized allocation (FuzzBinCodecRoundTrip enforces
-// this), and validate the whole payload before the first float lands,
-// so a decode into caller memory that fails has written nothing.
+// Encoders size the payload exactly, draw the backing buffer from the
+// package's size-classed pool (pool.go), and append straight-line —
+// steady-state encoding is allocation-free once callers return buffers
+// with Recycle. Decoders validate every count against the bytes
+// actually remaining before allocating, so adversarial inputs fail with
+// an error instead of a panic or an outsized allocation
+// (FuzzBinCodecRoundTrip enforces this), and validate the whole payload
+// before the first float lands, so a decode into caller memory that
+// fails has written nothing.
 //
 // A slab is little-endian IEEE-754 bit patterns, which is what a
 // little-endian host keeps in memory: there encoding and decoding a
@@ -38,7 +39,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"unsafe"
 
 	"stellaris/internal/obs/lineage"
@@ -58,37 +58,6 @@ const (
 
 	tlvTagMeta = 1
 )
-
-// ---- frame buffer pool ----
-
-var framePool sync.Pool
-
-// grabFrame returns a zero-length buffer with capacity ≥ n, reusing a
-// pooled one when possible.
-func grabFrame(n int) []byte {
-	if p, _ := framePool.Get().(*[]byte); p != nil && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]byte, 0, n)
-}
-
-// Recycle returns an encoded payload's buffer to the codec frame pool.
-// Callers may recycle a buffer as soon as the bytes have been handed
-// off (Client.Put writes before returning; MemCache.Put copies), and
-// must not touch it afterwards. Recycling buffers the codec did not
-// produce is harmless — with one exception, which is the server-side
-// rule: memory handed to a store (MemCache.putOwned — a request frame's
-// tail on the server, a record's frame on a follower) is shared with
-// every later reader of that key and is never pooled. Nor is a receive
-// buffer handed to GetInto while anything still reads what landed in
-// it: the next encode would write over those bytes.
-func Recycle(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	framePool.Put(&b)
-}
 
 // ---- append-side helpers ----
 
@@ -310,8 +279,8 @@ func openBin(b []byte) (byte, *binReader, lineage.Meta, error) {
 // ---- weights ----
 
 // EncodeWeights encodes a weight message. The buffer may be returned to
-// the frame pool with Recycle once handed off. The error is always nil:
-// the signature is the uniform encode-then-put shape callers share with
+// the pool with Recycle once handed off. The error is always nil: the
+// signature is the uniform encode-then-put shape callers share with
 // EncodeTrajectory, which can fail.
 func EncodeWeights(w *WeightsMsg) ([]byte, error) {
 	body := 8 + 4 + 8*len(w.Weights)
@@ -320,7 +289,7 @@ func EncodeWeights(w *WeightsMsg) ([]byte, error) {
 	if tlv > 0 {
 		tlvOff = binHeader + body
 	}
-	buf := grabFrame(binHeader + body + tlv)
+	buf := getBuf(binHeader + body + tlv)[:0]
 	buf = appendBinHeader(buf, binKindWeights, tlvOff)
 	buf = appendI64(buf, int64(w.Version))
 	buf = appendF64Slab(buf, w.Weights)
@@ -376,7 +345,7 @@ func EncodeGrad(g *GradMsg) ([]byte, error) {
 	if tlv > 0 {
 		tlvOff = binHeader + body
 	}
-	buf := grabFrame(binHeader + body + tlv)
+	buf := getBuf(binHeader + body + tlv)[:0]
 	buf = appendBinHeader(buf, binKindGrad, tlvOff)
 	buf = appendI64(buf, int64(g.LearnerID))
 	buf = appendI64(buf, int64(g.BornVersion))
@@ -457,7 +426,7 @@ func EncodeTrajectory(t *replay.Trajectory) ([]byte, error) {
 		tlvOff = binHeader + body
 	}
 
-	buf := grabFrame(binHeader + body + tlv)
+	buf := getBuf(binHeader + body + tlv)[:0]
 	buf = appendBinHeader(buf, binKindTrajectory, tlvOff)
 	buf = appendI64(buf, int64(t.ActorID))
 	buf = appendI64(buf, int64(t.PolicyVersion))

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNotFound reports a missing key.
@@ -55,42 +56,88 @@ type Cache interface {
 // Replication streams (replica.go) observe mutations through taps
 // registered with attachTap.
 //
-// Invariant: a stored value is immutable. A key is overwritten by
-// replacing its slice in the map, never by writing into it, so the
-// slice a reader obtained under the lock stays valid and unchanged
-// after the lock is released. The server's responses (view), the
-// replication taps and snapshots, and the follower's store all share
-// stored slices on that guarantee; the public Put/Get/GetN keep it by
-// copying in and out, so callers own what they pass and receive.
+// Invariant: a stored value is immutable while anyone holds a reference
+// to it (see value). A key is overwritten by replacing its value in the
+// map, never by writing into it, and the old value's buffer returns to
+// the pool only when its last reference is dropped. The server's
+// responses (view, viewN), the replication taps and snapshots, and the
+// follower's store all share stored values on that guarantee; the
+// public Put/Get/GetN keep it by copying in and out, so callers own
+// what they pass and receive.
 type MemCache struct {
 	mu   sync.RWMutex
-	data map[string][]byte
+	data map[string]*value
 	p    *persister
 	taps map[*tap]struct{}
 }
 
+// value is one stored value: its bytes, the pooled buffer they live in,
+// and a count of the references to it. The store holds one; every
+// reader that uses the bytes after the store's lock is gone (a server
+// response until it is written, a replication record until its batch
+// is written, an in-process Get while it copies) takes one under the
+// lock and drops it when done. The bytes never change while the count
+// is above zero; the last release returns buf to the pool.
+type value struct {
+	b    []byte
+	buf  []byte // nil when b is not pool memory: nothing to return
+	refs atomic.Int32
+}
+
+// newValue wraps b, which lives in buf, with the store's reference.
+func newValue(b, buf []byte) *value {
+	v := &value{b: b, buf: buf}
+	v.refs.Store(1)
+	return v
+}
+
+// bytes returns the value's bytes; nil for no value.
+func (v *value) bytes() []byte {
+	if v == nil {
+		return nil
+	}
+	return v.b
+}
+
+// retain takes a reference. The caller must already hold one, or hold
+// the store's lock while the store holds one.
+func (v *value) retain() { v.refs.Add(1) }
+
+// release drops a reference; the last one returns the buffer to the
+// pool. A nil value has none to drop.
+func (v *value) release() {
+	if v != nil && v.refs.Add(-1) == 0 && v.buf != nil {
+		putBuf(v.buf)
+	}
+}
+
 // NewMemCache returns an empty in-process cache.
 func NewMemCache() *MemCache {
-	return &MemCache{data: make(map[string][]byte)}
+	return &MemCache{data: make(map[string]*value)}
 }
 
 // Put implements Cache. With persistence enabled the append error (if
 // any) is returned after the in-memory write: memory stays the source of
 // truth for this process, but the caller learns durability was lost.
 func (c *MemCache) Put(key string, val []byte) error {
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	return c.putOwned(key, cp)
+	b, buf := storeBuf(len(val))
+	copy(b, val)
+	return c.putOwned(key, b, buf)
 }
 
-// putOwned stores val itself rather than a copy: the caller gives the
-// slice up and must never write to, pool or reuse its memory again
-// (see the immutability invariant on MemCache).
-func (c *MemCache) putOwned(key string, val []byte) error {
+// putOwned stores val itself rather than a copy. val lives in buf, a
+// buffer from the pool (or nil when val is not pool memory), and the
+// store takes both over: the caller must never write to, pool or reuse
+// either again. buf returns to the pool when the value is deleted or
+// overwritten and its last reader is done.
+func (c *MemCache) putOwned(key string, val, buf []byte) error {
+	v := newValue(val, buf)
 	c.mu.Lock()
-	c.data[key] = val
-	err := c.logLocked(aofPut, key, val)
+	old := c.data[key]
+	c.data[key] = v
+	err := c.logLocked(aofPut, key, v)
 	c.mu.Unlock()
+	old.release()
 	return err
 }
 
@@ -99,29 +146,36 @@ func (c *MemCache) Get(key string) ([]byte, error) { return c.GetInto(key, nil) 
 
 // GetInto implements Cache, copying the value out of the store.
 func (c *MemCache) GetInto(key string, buf []byte) ([]byte, error) {
-	v, ok := c.view(key)
-	if !ok {
+	v := c.view(key)
+	if v == nil {
 		return nil, ErrNotFound{Key: key}
 	}
-	out := sized(buf, len(v))
-	copy(out, v)
+	out := sized(buf, len(v.b))
+	copy(out, v.b)
+	v.release()
 	return out, nil
 }
 
-// view returns the stored slice itself, for readers that only read it.
-func (c *MemCache) view(key string) ([]byte, bool) {
+// view returns the stored value with a reference the caller must
+// release once it no longer reads the bytes; nil when key is absent.
+func (c *MemCache) view(key string) *value {
 	c.mu.RLock()
-	v, ok := c.data[key]
+	v := c.data[key]
+	if v != nil {
+		v.retain()
+	}
 	c.mu.RUnlock()
-	return v, ok
+	return v
 }
 
 // Delete implements Cache.
 func (c *MemCache) Delete(key string) error {
 	c.mu.Lock()
+	old := c.data[key]
 	delete(c.data, key)
 	err := c.logLocked(aofDelete, key, nil)
 	c.mu.Unlock()
+	old.release()
 	return err
 }
 
@@ -153,27 +207,32 @@ func (c *MemCache) Len() (int, error) {
 // snapshot rather than journaling the reset.
 func (c *MemCache) resetForSync() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.data = make(map[string][]byte)
+	old := c.data
+	c.data = make(map[string]*value)
 	c.tapLocked(aofReset, "", nil)
-	if c.p == nil {
-		return nil
+	var err error
+	if c.p != nil {
+		if err = c.p.compact(c.data); err != nil {
+			err = fmt.Errorf("cache: compact after sync reset: %w", err)
+		}
 	}
-	if err := c.p.compact(c.data); err != nil {
-		return fmt.Errorf("cache: compact after sync reset: %w", err)
+	c.mu.Unlock()
+	for _, v := range old {
+		v.release()
 	}
-	return nil
+	return err
 }
 
 // ---- replication taps ----
 
 // tapRec is one mutation on its way to a follower. val is the stored
-// slice itself (immutable, see MemCache), not a copy; the stream
-// goroutine frames and checksums the record outside the store's lock.
+// value itself, not a copy, with a reference the record holds until
+// the stream goroutine has written it: the stream frames and checksums
+// the record outside the store's lock.
 type tapRec struct {
 	op  byte
 	key string
-	val []byte
+	val *value
 }
 
 // tap feeds mutation records to one replication stream. Sends happen
@@ -195,13 +254,15 @@ const replTapBuffer = 1024
 // observe every mutation after the snapshot. The handoff happens under
 // one lock acquisition, so no mutation is lost or duplicated between
 // snapshot and stream — and it is short: the snapshot shares the stored
-// slices, so attaching costs O(keys) under the lock, not O(bytes).
+// values, a reference each, so attaching costs O(keys) under the lock,
+// not O(bytes).
 func (c *MemCache) attachTap() (snapshot []tapRec, t *tap) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snapshot = make([]tapRec, 0, 1+len(c.data))
 	snapshot = append(snapshot, tapRec{op: aofReset})
 	for k, v := range c.data {
+		v.retain()
 		snapshot = append(snapshot, tapRec{op: aofPut, key: k, val: v})
 	}
 	t = &tap{ch: make(chan tapRec, replTapBuffer)}
@@ -212,33 +273,40 @@ func (c *MemCache) attachTap() (snapshot []tapRec, t *tap) {
 	return snapshot, t
 }
 
-// detachTap unregisters t; safe to call after an overflow already
-// killed it.
+// detachTap unregisters t, safe to call after an overflow already
+// killed it, and drops the references of the records it still buffers.
 func (c *MemCache) detachTap(t *tap) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.taps[t]; !ok {
-		return
+	if _, ok := c.taps[t]; ok {
+		delete(c.taps, t)
+		if !t.dead {
+			t.dead = true
+			close(t.ch)
+		}
 	}
-	delete(c.taps, t)
-	if !t.dead {
-		t.dead = true
-		close(t.ch)
+	c.mu.Unlock()
+	for rec := range t.ch {
+		rec.val.release()
 	}
 }
 
 // tapLocked fans one mutation out to every live tap; called with c.mu
 // held (which is what makes close-after-overflow safe: no sender can
-// race the close). val is shared read-only, never copied.
-func (c *MemCache) tapLocked(op byte, key string, val []byte) {
+// race the close). val is shared read-only, never copied: each record
+// sent carries a reference of its own.
+func (c *MemCache) tapLocked(op byte, key string, val *value) {
 	rec := tapRec{op: op, key: key, val: val}
 	for t := range c.taps {
 		if t.dead {
 			continue
 		}
+		if val != nil {
+			val.retain()
+		}
 		select {
 		case t.ch <- rec:
 		default:
+			val.release()
 			// Follower too far behind: kill the tap. Its stream ends,
 			// the connection drops, and the reconnect does a full
 			// resync — bounded memory here beats unbounded divergence

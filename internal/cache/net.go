@@ -36,10 +36,13 @@ import (
 
 const maxFrame = 256 << 20 // 256 MiB guards against corrupt length words
 
+// frame is one request. value is the tail of the buffer the whole frame
+// was read into, and buf is that buffer when it came from the pool.
 type frame struct {
 	op    byte
 	key   string
 	value []byte
+	buf   []byte
 }
 
 // frameWriter puts whole protocol messages on one connection. The bytes
@@ -48,13 +51,16 @@ type frame struct {
 // staged but sent from where it already lives — the caller's slice on a
 // client, the store's own slice on a server — so flush hands the kernel
 // the message (or a batch of replication records) in one vectored write
-// and no value is copied in user space on its way out. Not safe for
-// concurrent use: every connection has one writer at a time.
+// and no value is copied in user space on its way out. A stored value
+// queued this way is held by a reference that flush drops once the
+// bytes are written. Not safe for concurrent use: every connection has
+// one writer at a time.
 type frameWriter struct {
 	w    io.Writer
 	sent *obs.Counter // bytes written; nil when the connection is not instrumented
 	hdr  []byte       // framing bytes of the pending messages, in wire order
 	cuts []cut        // where the pending values go between them
+	held []*value     // stored values among them, released by flush
 	iov  [][]byte     // backing array of bufs, reused across flushes
 	bufs net.Buffers
 }
@@ -104,24 +110,32 @@ func (w *frameWriter) resp(status byte, payload []byte) {
 	w.value(payload)
 }
 
+// stored queues the bytes of v, a stored value the caller holds a
+// reference to; flush drops that reference.
+func (w *frameWriter) stored(v *value) {
+	w.value(v.b)
+	w.held = append(w.held, v)
+}
+
 // errResp queues a '!' response carrying a formatted message.
 func (w *frameWriter) errResp(format string, args ...any) {
 	w.resp('!', []byte(fmt.Sprintf(format, args...)))
 }
 
 // getNResp queues a '+' response whose payload is the GetN response
-// blob (batch.go) for vals; a nil entry is a missing key.
-func (w *frameWriter) getNResp(vals [][]byte) {
+// blob (batch.go) for vals, held as stored does; a nil entry is a
+// missing key.
+func (w *frameWriter) getNResp(vals []*value) {
 	w.respHead('+', getNRespSize(vals))
 	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(vals)))
 	for _, v := range vals {
-		found := byte(1)
 		if v == nil {
-			found = 0
+			w.hdr = append(w.hdr, 0, 0, 0, 0, 0)
+			continue
 		}
-		w.hdr = append(w.hdr, found)
-		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(v)))
-		w.value(v)
+		w.hdr = append(w.hdr, 1)
+		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(v.b)))
+		w.stored(v)
 	}
 }
 
@@ -146,9 +160,13 @@ func (w *frameWriter) flush() error {
 		w.sent.Add(n)
 	}
 	// Drop every reference to a value: the writer outlives the message.
+	for _, v := range w.held {
+		v.release()
+	}
+	clear(w.held)
 	clear(w.cuts)
 	clear(iov)
-	w.hdr, w.cuts = w.hdr[:0], w.cuts[:0]
+	w.hdr, w.cuts, w.held = w.hdr[:0], w.cuts[:0], w.held[:0]
 	return err
 }
 
@@ -159,6 +177,8 @@ func writeFrame(w io.Writer, op byte, key string, value []byte) error {
 	return fw.flush()
 }
 
+// readFrame reads one request into a buffer from storeBuf. The caller
+// owns f.buf: it hands it to the store with the value or returns it.
 func readFrame(r io.Reader) (frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -168,19 +188,22 @@ func readFrame(r io.Reader) (frame, error) {
 	if total < 5 || total > maxFrame {
 		return frame{}, fmt.Errorf("cache: bad frame length %d", total)
 	}
-	body := make([]byte, total)
+	body, buf := storeBuf(int(total))
 	if _, err := io.ReadFull(r, body); err != nil {
+		putBuf(buf)
 		return frame{}, err
 	}
 	op := body[0]
 	keyLen := binary.BigEndian.Uint32(body[1:5])
 	if keyLen > total-5 { // not 5+keyLen > total: that sum wraps for keyLen near 2^32
+		putBuf(buf)
 		return frame{}, fmt.Errorf("cache: bad key length %d in frame %d", keyLen, total)
 	}
 	return frame{
 		op:    op,
 		key:   string(body[5 : 5+keyLen]),
 		value: body[5+keyLen:],
+		buf:   buf,
 	}, nil
 }
 
@@ -189,19 +212,29 @@ func readFrame(r io.Reader) (frame, error) {
 // fresh memory otherwise (see sized); either way it is read once and
 // never copied.
 func readResp(r io.Reader, buf []byte) (byte, []byte, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	status, n, err := readRespHead(r)
+	if err != nil {
 		return 0, nil, err
 	}
-	total := binary.BigEndian.Uint32(head[:4])
-	if total < 1 || total > maxFrame {
-		return 0, nil, fmt.Errorf("cache: bad response length %d", total)
-	}
-	payload := sized(buf, int(total-1))
+	payload := sized(buf, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return head[4], payload, nil
+	return status, payload, nil
+}
+
+// readRespHead reads a response's length word and status byte and
+// returns the status and the payload length still to read.
+func readRespHead(r io.Reader) (byte, int, error) {
+	var head [5]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return 0, 0, err
+	}
+	total := binary.BigEndian.Uint32(head[:4])
+	if total < 1 || total > maxFrame {
+		return 0, 0, fmt.Errorf("cache: bad response length %d", total)
+	}
+	return head[4], int(total - 1), nil
 }
 
 // sized returns buf resliced to n bytes when its array holds them and a
@@ -428,6 +461,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.m != nil {
 				s.m.ops.of('R').Inc()
 			}
+			putBuf(f.buf)
 			s.streamReplication(conn, fw)
 			return
 		}
@@ -438,14 +472,18 @@ func (s *Server) serveConn(conn net.Conn) {
 			in.Add(int64(9 + len(f.key) + len(f.value)))
 			start = time.Now()
 		}
-		s.handle(fw, f)
+		kept := s.handle(fw, f)
 		// Counted before the reply leaves: a client that has its answer
 		// must find the op in the registry. The latency keeps covering
 		// handle + the write.
 		if s.m != nil {
 			s.m.ops.of(f.op).Inc()
 		}
-		if err := fw.flush(); err != nil {
+		err = fw.flush()
+		if !kept {
+			putBuf(f.buf)
+		}
+		if err != nil {
 			return
 		}
 		if s.m != nil {
@@ -455,39 +493,44 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handle applies one request to the store and queues its response on w.
+// It reports whether the store kept f.buf; if not, the caller returns
+// it to the pool once the response is written.
 //
-// Who owns a frame (DESIGN.md §10.1): f.value is the tail of a buffer
-// readFrame allocated for this request alone, so a put hands it to the
-// store as it is (putOwned) and nothing here may pool, reuse or write
-// to it afterwards; a get answers with the store's own slice (view),
-// which is immutable and therefore safe to leave queued on w after the
-// store's lock is gone.
-func (s *Server) handle(w *frameWriter, f frame) {
+// Who owns a frame (DESIGN.md §10.1): f.value is the tail of f.buf, a
+// pool buffer readFrame drew for this request alone, so a put hands
+// both to the store as they are (putOwned) and nothing here may read,
+// pool, reuse or write to them afterwards: another connection may
+// overwrite the key at once and drop the last reference. A get answers
+// with the store's own value (view) and a reference to it, which flush
+// drops after the response is written.
+func (s *Server) handle(w *frameWriter, f frame) (kept bool) {
 	// Key-addressed ops require a key; 'K' (prefix scan) and 'L' (len)
 	// legitimately take an empty operand.
 	switch f.op {
 	case 'P', 'G', 'D':
 		if f.key == "" {
 			w.errResp("empty key for op %q", f.op)
-			return
+			return false
 		}
 	}
 	switch f.op {
 	case 'P':
-		_ = s.store.putOwned(f.key, f.value)
 		if f.key == cluster.TopologyKey {
 			s.learnTopology(f.value)
 		}
+		_ = s.store.putOwned(f.key, f.value, f.buf)
 		s.lineageHop(lineage.HopPut, f.key)
 		w.resp('+', nil)
+		return true
 	case 'G':
-		v, ok := s.store.view(f.key)
-		if !ok {
+		v := s.store.view(f.key)
+		if v == nil {
 			w.resp('-', nil)
-			return
+			return false
 		}
 		s.lineageHop(lineage.HopFetched, f.key)
-		w.resp('+', v)
+		w.respHead('+', len(v.b))
+		w.stored(v)
 	case 'D':
 		_ = s.store.Delete(f.key)
 		w.resp('+', nil)
@@ -501,12 +544,12 @@ func (s *Server) handle(w *frameWriter, f frame) {
 		keys, err := parseGetNReq(f.value)
 		if err != nil {
 			w.errResp("%v", err)
-			return
+			return false
 		}
 		for i, k := range keys {
 			if k == "" {
 				w.errResp("empty key at index %d in batched get", i)
-				return
+				return false
 			}
 		}
 		vals := s.store.viewN(keys)
@@ -527,7 +570,7 @@ func (s *Server) handle(w *frameWriter, f frame) {
 		// a server that never saw the topology doc.
 		if len(f.value) < 9 {
 			w.errResp("short fenced envelope")
-			return
+			return false
 		}
 		reqTerm := int64(binary.BigEndian.Uint64(f.value[:8]))
 		inner := f.value[8]
@@ -535,21 +578,22 @@ func (s *Server) handle(w *frameWriter, f frame) {
 		case 'P', 'D':
 		default:
 			w.errResp("op %q not allowed in fenced envelope", inner)
-			return
+			return false
 		}
 		if reqTerm < 0 {
 			w.errResp("negative term in fenced envelope")
-			return
+			return false
 		}
 		if cur := s.term.Load(); reqTerm < cur {
 			w.resp('F', strconv.AppendInt(nil, cur, 10))
-			return
+			return false
 		}
 		s.advanceTerm(reqTerm)
-		s.handle(w, frame{op: inner, key: f.key, value: f.value[9:]})
+		return s.handle(w, frame{op: inner, key: f.key, value: f.value[9:], buf: f.buf})
 	default:
 		w.errResp("unknown op %q", f.op)
 	}
+	return false
 }
 
 // Replication stream tuning. The keepalive bounds how long a follower
@@ -570,7 +614,7 @@ const (
 
 // replFrameSize is the size on the stream of r: a '+' response frame
 // around one AOF record.
-func replFrameSize(r tapRec) int { return 5 + recordSize(r.key, r.val) }
+func replFrameSize(r tapRec) int { return 5 + recordSize(r.key, r.val.bytes()) }
 
 // replBatchLen reports how many records from the front of recs share
 // the next write: as many as fit both batch bounds, and at least one.
@@ -586,15 +630,19 @@ func replBatchLen(recs []tapRec) int {
 	return n
 }
 
-// record queues r as one replication frame. The record is framed and
-// checksummed here, by the stream goroutine, not under the store's
-// lock: the tap only passed the stored slice along.
+// record queues r as one replication frame, taking over the record's
+// reference (flush drops it). The record is framed and checksummed
+// here, by the stream goroutine, not under the store's lock: the tap
+// only passed the stored value along.
 func (w *frameWriter) record(r tapRec) {
-	w.respHead('+', recordSize(r.key, r.val))
+	val := r.val.bytes()
+	w.respHead('+', recordSize(r.key, val))
 	body := len(w.hdr) + 4
-	w.hdr = appendRecordHeader(w.hdr, r.op, r.key, len(r.val))
-	sum := crc32.Update(crc32.ChecksumIEEE(w.hdr[body:]), crc32.IEEETable, r.val)
-	w.value(r.val)
+	w.hdr = appendRecordHeader(w.hdr, r.op, r.key, len(val))
+	sum := crc32.Update(crc32.ChecksumIEEE(w.hdr[body:]), crc32.IEEETable, val)
+	if r.val != nil {
+		w.stored(r.val)
+	}
 	w.hdr = binary.BigEndian.AppendUint32(w.hdr, sum)
 }
 
@@ -626,17 +674,21 @@ func (s *Server) streamReplication(conn net.Conn, w *frameWriter) {
 		}
 		return w.flush()
 	}
-	// send writes recs in order, as few writes as the batch bounds allow.
+	// send writes recs in order, as few writes as the batch bounds
+	// allow, and drops every record's reference, written or not.
 	send := func(recs []tapRec) error {
 		for len(recs) > 0 {
 			n := replBatchLen(recs)
 			for _, r := range recs[:n] {
 				w.record(r)
 			}
+			recs = recs[n:]
 			if err := flush(); err != nil {
+				for _, r := range recs {
+					r.val.release()
+				}
 				return err
 			}
-			recs = recs[n:]
 		}
 		return nil
 	}

@@ -168,12 +168,12 @@ func (c *MemCache) Close() error {
 // followers hear about a mutation even when its local journaling fails
 // — memory is the source of truth, and the taps mirror memory. Nil
 // persister (in-memory store) skips the journal.
-func (c *MemCache) logLocked(op byte, key string, val []byte) error {
+func (c *MemCache) logLocked(op byte, key string, val *value) error {
 	c.tapLocked(op, key, val)
 	if c.p == nil {
 		return nil
 	}
-	if err := c.p.append(op, key, val); err != nil {
+	if err := c.p.append(op, key, val.bytes()); err != nil {
 		return fmt.Errorf("cache: persist %c %q: %w", op, key, err)
 	}
 	if c.p.ops >= compactOps || c.p.aofBytes >= compactBytes {
@@ -259,8 +259,9 @@ func (p *persister) append(op byte, key string, val []byte) error {
 }
 
 // compact writes a full snapshot of the given state and truncates the
-// op log. Called with the owning cache's mutex held.
-func (p *persister) compact(data map[string][]byte) error {
+// op log. Called with the owning cache's mutex held, which is what lets
+// it read the values without references of their own.
+func (p *persister) compact(data map[string]*value) error {
 	if err := p.writeSnapshot(data); err != nil {
 		return err
 	}
@@ -285,14 +286,14 @@ func (p *persister) compact(data map[string][]byte) error {
 	return nil
 }
 
-func (p *persister) writeSnapshot(data map[string][]byte) error {
+func (p *persister) writeSnapshot(data map[string]*value) error {
 	payload := make([]byte, 0, 1024)
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(data)))
 	for k, v := range data {
 		payload = binary.BigEndian.AppendUint32(payload, uint32(len(k)))
 		payload = append(payload, k...)
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(v)))
-		payload = append(payload, v...)
+		payload = binary.BigEndian.AppendUint32(payload, uint32(len(v.b)))
+		payload = append(payload, v.b...)
 	}
 
 	out := make([]byte, 0, len(snapMagic)+4+8+len(payload)+4)
@@ -396,7 +397,7 @@ func (p *persister) loadSnapshot(c *MemCache) error {
 		if !ok || off+int(vl) > len(payload) {
 			return corrupt
 		}
-		c.data[k] = append([]byte(nil), payload[off:off+int(vl)]...)
+		c.data[k] = newValue(append([]byte(nil), payload[off:off+int(vl)]...), nil)
 		off += int(vl)
 	}
 	return nil
@@ -425,7 +426,7 @@ func (p *persister) replayAOF(c *MemCache) (int64, error) {
 		key := string(kb)
 		switch op {
 		case aofPut:
-			c.data[key] = append([]byte(nil), val...)
+			c.data[key] = newValue(append([]byte(nil), val...), nil)
 		case aofDelete:
 			delete(c.data, key)
 		default:

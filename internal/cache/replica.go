@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -237,42 +238,62 @@ func (r *Replica) syncOnce() error {
 		if err := conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout)); err != nil {
 			return err
 		}
-		status, payload, err := readResp(br, nil) // a record's frame becomes a stored value: fresh memory
+		status, n, err := readRespHead(br)
 		if err != nil {
 			return err
 		}
-		if status != '+' {
-			// '!' means the leader predates replication (or refused);
-			// retrying cannot help, but the loop's backoff makes the
-			// repeated failure cheap and a later leader upgrade heals it.
-			return fmt.Errorf("cache: leader %s refused replication: %s", r.leader, payload)
-		}
-		if len(payload) == 0 {
+		if n == 0 && status == '+' {
 			continue // keepalive
 		}
-		op, kb, val, n := scanRecord(payload)
-		if n == 0 || n != len(payload) {
-			return fmt.Errorf("cache: replication stream from %s: corrupt record (%d bytes)", r.leader, len(payload))
+		// A record's frame becomes the stored value: it comes from
+		// storeBuf, and goes back to the pool unless a put keeps it.
+		payload, buf := storeBuf(n)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			putBuf(buf)
+			return err
 		}
-		if err := r.ApplyRecord(op, string(kb), val); err != nil {
+		kept, err := r.applyFrame(status, payload, buf)
+		if !kept {
+			putBuf(buf)
+		}
+		if err != nil {
 			return err
 		}
 		r.records.Inc()
 	}
 }
 
+// applyFrame applies the record in one frame of the stream. It reports
+// whether the store kept buf, the payload's pool buffer (or nil); if
+// not, the caller returns it to the pool.
+func (r *Replica) applyFrame(status byte, payload, buf []byte) (kept bool, err error) {
+	if status != '+' {
+		// '!' means the leader predates replication (or refused);
+		// retrying cannot help, but the loop's backoff makes the
+		// repeated failure cheap and a later leader upgrade heals it.
+		return false, fmt.Errorf("cache: leader %s refused replication: %s", r.leader, payload)
+	}
+	op, kb, val, n := scanRecord(payload)
+	if n == 0 || n != len(payload) {
+		return false, fmt.Errorf("cache: replication stream from %s: corrupt record (%d bytes)", r.leader, len(payload))
+	}
+	if op == aofPut {
+		return true, r.store.putOwned(string(kb), val, buf)
+	}
+	return false, r.ApplyRecord(op, string(kb), nil)
+}
+
 // ApplyRecord applies one replicated mutation record to the follower's
 // store through the same mutation surface clients use, so a persistent
 // follower journals everything it mirrors and its own crash recovery
 // stays coherent. It takes ownership of val: a put stores the slice
-// itself (for the stream, the frame the record arrived in), so the
-// caller must not touch it again.
+// itself, so the caller must not touch it again.
 func (r *Replica) ApplyRecord(op byte, key string, val []byte) error {
 	switch op {
 	case aofReset:
 		return r.store.resetForSync()
 	case aofPut:
-		return r.store.putOwned(key, val)
+		return r.store.putOwned(key, val, nil)
 	case aofDelete:
 		return r.store.Delete(key)
 	default:

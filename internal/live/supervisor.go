@@ -35,6 +35,13 @@ func (r *run) supervise(role string, id int, body func(ready func()) error) {
 		if err == nil {
 			return // clean stop
 		}
+		if panicked {
+			// A crash (as opposed to a mere error) ships with its
+			// postmortem: the flight recorder holds the lineage events that
+			// immediately preceded the panic. That holds for a panic the
+			// run's end overtook, too.
+			r.flightDump(flightPanicRestart)
+		}
 		if r.stop.Load() {
 			// The pipeline is already shutting down; a worker error now is
 			// an artifact of teardown (closed server, cancelled cache ops),
@@ -43,12 +50,6 @@ func (r *run) supervise(role string, id int, body func(ready func()) error) {
 		}
 		restarts++
 		r.m.restarts.With(role).Inc()
-		if panicked {
-			// A crash (as opposed to a mere error) ships with its
-			// postmortem: the flight recorder holds the lineage events that
-			// immediately preceded the panic.
-			r.flightDump(flightPanicRestart)
-		}
 		if restarts > r.opt.RestartBudget {
 			r.fail(fmt.Errorf("live: %s %d: restart budget (%d) exhausted, last error: %w",
 				role, id, r.opt.RestartBudget, err))
