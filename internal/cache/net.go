@@ -159,15 +159,20 @@ func (w *frameWriter) flush() error {
 	if w.sent != nil {
 		w.sent.Add(n)
 	}
-	// Drop every reference to a value: the writer outlives the message.
+	w.discard()
+	return err
+}
+
+// discard forgets everything queued and drops every reference to a
+// value: the writer outlives the message.
+func (w *frameWriter) discard() {
 	for _, v := range w.held {
 		v.release()
 	}
 	clear(w.held)
 	clear(w.cuts)
-	clear(iov)
+	clear(w.iov)
 	w.hdr, w.cuts, w.held = w.hdr[:0], w.cuts[:0], w.held[:0]
-	return err
 }
 
 // writeFrame writes one plain request frame to w.
@@ -670,6 +675,7 @@ func (s *Server) streamReplication(conn net.Conn, w *frameWriter) {
 
 	flush := func() error {
 		if err := conn.SetWriteDeadline(time.Now().Add(replWriteTimeout)); err != nil {
+			w.discard()
 			return err
 		}
 		return w.flush()
@@ -715,6 +721,9 @@ func (s *Server) streamReplication(conn net.Conn, w *frameWriter) {
 				select {
 				case rec, ok := <-t.ch:
 					if !ok {
+						for _, r := range ready {
+							r.val.release()
+						}
 						return
 					}
 					ready = append(ready, rec)

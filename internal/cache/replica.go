@@ -277,10 +277,7 @@ func (r *Replica) applyFrame(status byte, payload, buf []byte) (kept bool, err e
 	if n == 0 || n != len(payload) {
 		return false, fmt.Errorf("cache: replication stream from %s: corrupt record (%d bytes)", r.leader, len(payload))
 	}
-	if op == aofPut {
-		return true, r.store.putOwned(string(kb), val, buf)
-	}
-	return false, r.ApplyRecord(op, string(kb), nil)
+	return op == aofPut, r.applyRecord(op, string(kb), val, buf)
 }
 
 // ApplyRecord applies one replicated mutation record to the follower's
@@ -289,11 +286,17 @@ func (r *Replica) applyFrame(status byte, payload, buf []byte) (kept bool, err e
 // stays coherent. It takes ownership of val: a put stores the slice
 // itself, so the caller must not touch it again.
 func (r *Replica) ApplyRecord(op byte, key string, val []byte) error {
+	return r.applyRecord(op, key, val, nil)
+}
+
+// applyRecord is ApplyRecord for a val that lives in buf, a pool buffer
+// (or nil): a put hands both to the store.
+func (r *Replica) applyRecord(op byte, key string, val, buf []byte) error {
 	switch op {
 	case aofReset:
 		return r.store.resetForSync()
 	case aofPut:
-		return r.store.putOwned(key, val, nil)
+		return r.store.putOwned(key, val, buf)
 	case aofDelete:
 		return r.store.Delete(key)
 	default:

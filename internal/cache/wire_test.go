@@ -538,11 +538,8 @@ func TestChaosReplicationCorruptionConverges(t *testing.T) {
 
 // allocatedDuring returns the bytes the whole process allocated while f
 // ran (f must wait for any goroutine whose allocations it means to
-// count). The collector is off meanwhile: a collection empties the
-// buffer pool by design, and one that happens to fall inside f would
-// charge f with refilling it.
+// count).
 func allocatedDuring(f func()) uint64 {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
@@ -584,25 +581,26 @@ func TestAttachTapAllocatesPerKeyNotPerByte(t *testing.T) {
 // units of the value size. A fenced, replicated put draws the leader's
 // request frame and the follower's record frame from the pool (each
 // handed to its store, not copied), and an overwrite returns the frames
-// of the value it replaces, so in steady state a put allocates no
-// value-sized memory; so does a delete, and a GetInto into a buffer
-// that holds the value. A plain get needs the client's response buffer.
+// of the value it replaces; a plain get needs the client's response
+// buffer.
 //
-// The test runs on one P, as testing.AllocsPerRun does: sync.Pool keeps
-// a buffer per P that other Ps cannot take, so with two Ps a lone frame
-// returned on one and wanted on the other is a fresh allocation, which
-// is the pool's locality, not a failure to recycle.
+// The first bounds hold as the servers run: at the default GOMAXPROCS,
+// with the collector on, and under the race detector (which makes
+// sync.Pool drop buffers at random). The steady state is pinned on one
+// P with the collector off: there a put allocates no value-sized
+// memory, nor does a put → GetInto → delete cycle. One P, as
+// testing.AllocsPerRun uses: sync.Pool keeps a buffer per P that other
+// Ps cannot take, so with two Ps a lone frame returned on one and
+// wanted on the other is a fresh allocation. The collector off: a
+// collection empties the pool by design, and one that falls inside the
+// measurement would charge it with refilling the pool.
 func TestRoundTripAllocationPin(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop buffers at random: recycled frames are allocated again")
-	}
 	leaktest.Check(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const size, rounds = 64 << 10, 40
 	leader := NewMemCache()
 	srv, addr := startLeader(t, leader)
 	defer srv.Close()
-	_, rep := startFollower(t, addr)
+	follower, rep := startFollower(t, addr)
 	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -629,14 +627,11 @@ func TestRoundTripAllocationPin(t *testing.T) {
 			}
 		}
 		replicated(from, int64(n))
-	}
-	replicated(0, 1) // the follower's sync has begun: every put below reaches it as a record
-	put(3)           // connections, buffers and the fence term settle
-
-	if per := float64(allocatedDuring(func() { put(rounds) })) / rounds / size; per >= 0.5 {
-		t.Errorf("a fenced, replicated overwrite allocates %.2f x the value size, want < 0.5", per)
-	} else {
-		t.Logf("put: %.2f x the value size", per)
+		v := follower.view("grad/0")
+		if v == nil || len(v.b) != size || v.b[0] != stamp {
+			t.Fatalf("follower holds %d bytes after the puts, not the last one", len(v.bytes()))
+		}
+		v.release()
 	}
 	get := func() {
 		for i := 0; i < rounds; i++ {
@@ -644,11 +639,6 @@ func TestRoundTripAllocationPin(t *testing.T) {
 				t.Fatal(len(v), err)
 			}
 		}
-	}
-	if per := float64(allocatedDuring(get)) / rounds / size; per >= 1.5 {
-		t.Errorf("a get allocates %.2f x the value size, want < 1.5", per)
-	} else {
-		t.Logf("get: %.2f x the value size", per)
 	}
 	into := make([]byte, 0, size)
 	cycle := func(n int) {
@@ -667,13 +657,34 @@ func TestRoundTripAllocationPin(t *testing.T) {
 			}
 		}
 		replicated(from, 2*int64(n))
+		if v := follower.view("grad/0"); v != nil {
+			v.release()
+			t.Fatal("follower still holds the deleted key")
+		}
 	}
+	pin := func(what string, f func(), bound float64) {
+		t.Helper()
+		if per := float64(allocatedDuring(f)) / rounds / size; per >= bound {
+			t.Errorf("%s allocates %.2f x the value size, want < %.1f", what, per, bound)
+		} else {
+			t.Logf("%s: %.2f x the value size", what, per)
+		}
+	}
+	replicated(0, 1) // the follower's sync has begun: every put below reaches it as a record
+	put(3)           // connections, buffers and the fence term settle
+
+	pin("a fenced, replicated put", func() { put(rounds) }, 2.5)
+	pin("a get", get, 1.5)
+	if raceEnabled {
+		return
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	put(3)
+	pin("in steady state, a fenced, replicated overwrite", func() { put(rounds) }, 0.5)
 	cycle(3)
-	if per := float64(allocatedDuring(func() { cycle(rounds) })) / rounds / size; per >= 0.5 {
-		t.Errorf("a replicated put, GetInto and delete allocate %.2f x the value size, want < 0.5", per)
-	} else {
-		t.Logf("put, GetInto, delete: %.2f x the value size", per)
-	}
+	pin("in steady state, a replicated put, GetInto and delete", func() { cycle(rounds) }, 0.5)
 }
 
 // TestServerCountsEveryByteOut: cache_server_frame_bytes_total{dir="out"}
