@@ -155,8 +155,11 @@ benchmark:
 # $(AB_DIR)/head/result.json (needs jq; each is stamped with the commit
 # its side was built from), the per-pair updates_per_s, cycles_per_s,
 # wall_s and alloc_mb are listed (a workload without cycles leaves that
-# column empty), and `benchmark compare` has the last word and sets the
-# exit status.
+# column empty), each pair of a workload with an output hash
+# (lockstep_fat, des_sweep) says whether base and head agree, ending
+# with "output hashes equal in N/N pairs" (informational: a same-bits
+# change reads N/N), and `benchmark compare` has the last word and sets
+# the exit status.
 PAIRS ?= 10
 AB_SECONDS ?= 20
 AB_DIR ?= .bench_ab
@@ -164,6 +167,10 @@ AB_MERGE = reduce .[] as $$f (null; if . == null then $$f else reduce ($$f.workl
 	if .workloads[$$w.key] then .workloads[$$w.key].runs += $$w.value.runs else .workloads[$$w.key] = $$w.value end) end)
 AB_PAIRS = map(.workloads) as [$$a, $$b] | $$a | keys_unsorted[] | . as $$w | range($$a[$$w].runs | length) | . as $$i \
 	| [$$w, $$a[$$w].runs[$$i].seed, ($$a, $$b | .[$$w].runs[$$i].metrics | .updates_per_s, .cycles_per_s, .wall_s, .alloc_mb)] | @tsv
+AB_HASHES = map(.workloads) as [$$a, $$b] | [$$a | keys_unsorted[] as $$w | range($$a[$$w].runs | length) as $$i \
+	| $$a[$$w].runs[$$i] | select(.hash) | {w: $$w, seed, base: .hash, head: ($$b[$$w].runs[$$i].hash // "none")}] \
+	| (.[] | "\(.w)\tseed \(.seed)\tbase \(.base[:12])\thead \(.head[:12])\t\(if .base == .head then "equal" else "DIFFERENT" end)"), \
+	if length > 0 then "output hashes equal in \(map(select(.base == .head)) | length)/\(length) pairs" else empty end
 benchmark-ab:
 	@test -n "$(BASE)" || { echo "usage: make benchmark-ab BASE=<ref> [WORKLOAD=name] [SEED=1] [PAIRS=10] [AB_SECONDS=20]"; exit 2; }
 	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)/bin
@@ -192,6 +199,7 @@ benchmark-ab:
 	done
 	@printf 'workload\tseed\tbase updates_per_s\tbase cycles_per_s\tbase wall_s\tbase alloc_mb\thead updates_per_s\thead cycles_per_s\thead wall_s\thead alloc_mb\n'
 	@jq -rs '$(AB_PAIRS)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
+	@jq -rs '$(AB_HASHES)' $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 	$(AB_DIR)/bin/head compare $(AB_DIR)/base/result.json $(AB_DIR)/head/result.json
 
 ci: build fmt vet cross nofma lint race leaktest live-smoke cover stable

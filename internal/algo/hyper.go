@@ -14,9 +14,6 @@ type Hyper struct {
 	BatchSize int
 	// MinibatchSize is the SGD minibatch within a learner pass.
 	MinibatchSize int
-	// SGDIters is the number of passes a learner makes over its batch
-	// while accumulating one submitted gradient.
-	SGDIters int
 	// ClipParam is the surrogate clipping range ε.
 	ClipParam float64
 	// KLCoeff weights the KL(π_new ‖ μ) penalty.
@@ -48,7 +45,6 @@ func PPOHyper(continuous bool) Hyper {
 		Lambda:        0.95,
 		BatchSize:     256,
 		MinibatchSize: 128,
-		SGDIters:      1,
 		ClipParam:     0.3,
 		KLCoeff:       0.2,
 		KLTarget:      0.01,
@@ -72,7 +68,6 @@ func IMPACTHyper(continuous bool) Hyper {
 		Lambda:           0.95,
 		BatchSize:        256,
 		MinibatchSize:    128,
-		SGDIters:         1,
 		ClipParam:        0.4,
 		KLCoeff:          1.0,
 		KLTarget:         0.01,

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"slices"
 
 	"stellaris/internal/replay"
 	"stellaris/internal/rng"
@@ -42,11 +43,14 @@ func (im *IMPACT) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra,
 	}
 	n := b.Len()
 
-	// Pass 1: behavior-vs-current ratios for V-trace, plus target-network
-	// log-probs for the surrogate. The target pass temporarily loads the
-	// target weights into the model — one model replica per learner
-	// function keeps this race-free.
-	obsAll := m.gather(b.Obs, nil)
+	// Pass 1, one forward per network over the permuted batch:
+	// target-network log-probs for the surrogate, then the critic's
+	// values and the behavior-vs-current ratios for V-trace. The target
+	// pass temporarily loads the target weights into the model — one
+	// model replica per learner function keeps this race-free.
+	mbs := replay.Minibatches(n, h.MinibatchSize, r)
+	perm := slices.Concat(mbs...)
+	obs := m.gather(b.Obs, perm)
 
 	targetLP := make([]float64, n)
 	if extra.TargetWeights != nil {
@@ -54,21 +58,25 @@ func (im *IMPACT) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra,
 		if err := m.SetWeights(extra.TargetWeights); err != nil {
 			panic(err)
 		}
-		tOut := m.Policy.Forward(obsAll)
-		for i := 0; i < n; i++ {
-			targetLP[i] = m.Dist.LogProb(tOut.Row(i), b.Actions[i])
+		tOut := m.Policy.Forward(obs)
+		for row, i := range perm {
+			targetLP[i] = m.Dist.LogProb(tOut.Row(row), b.Actions[i])
 		}
 		if err := m.SetWeights(saved); err != nil {
 			panic(err)
 		}
 	}
 
+	// The current policy forwards after the target pass, so with one
+	// minibatch its layers hold the activations the backward pass needs.
 	m.ZeroGrad()
-	values := m.valuesOf(obsAll)
-	curOut := m.Policy.Forward(obsAll)
+	vOut := m.Critic.Forward(obs)
+	params := m.Policy.Forward(obs)
+	values := make([]float64, n)
 	rhos := make([]float64, n)
-	for i := 0; i < n; i++ {
-		lp := m.Dist.LogProb(curOut.Row(i), b.Actions[i])
+	for row, i := range perm {
+		values[i] = vOut.At(row, 0)
+		lp := m.Dist.LogProb(params.Row(row), b.Actions[i])
 		rhos[i] = math.Exp(lp - b.BehaviorLP[i])
 		if extra.TargetWeights == nil {
 			targetLP[i] = lp
@@ -82,60 +90,61 @@ func (im *IMPACT) Compute(m *Model, b *replay.Batch, tr Truncation, extra Extra,
 	cap_ := tr.Cap()
 	g := &Grad{}
 	st := &g.Stats
+	invN := 1.0 / float64(n)
 
-	for iter := 0; iter < max(h.SGDIters, 1); iter++ {
-		for _, idx := range replay.Minibatches(n, h.MinibatchSize, r) {
-			obs := m.gather(b.Obs, idx)
-			params := m.Policy.Forward(obs)
-			dParams := tensor.NewMat(len(idx), params.Cols)
-			vOut := m.Critic.Forward(obs)
-			dV := tensor.NewMat(len(idx), 1)
-			invN := 1.0 / float64(n*max(h.SGDIters, 1))
-
-			for row, i := range idx {
-				prow := params.Row(row)
-				newLP := m.Dist.LogProb(prow, b.Actions[i])
-				// Behavior ratio feeds the truncation tracker (Eq. 2 is
-				// defined against the actor policy μ).
-				behRatio := math.Exp(newLP - b.BehaviorLP[i])
-				st.observeRatio(behRatio)
-				// Surrogate ratio is against the target network.
-				ratio := math.Exp(newLP - targetLP[i])
-
-				// Eq. 2 binds on the behavior ratio: the coefficient is
-				// damped by cap/behRatio so the effective IS weight is
-				// pulled back to the cap rather than zeroed.
-				truncScale := 1.0
-				if behRatio > cap_ {
-					truncScale = cap_ / behRatio
-					st.Truncated++
-				}
-				a := adv[i]
-				rEff := ratio * truncScale
-				clipped := clampF(rEff, 1-h.ClipParam, 1+h.ClipParam)
-				st.PolicyLoss += -math.Min(rEff*a, clipped*a)
-				active := (a >= 0 && rEff <= 1+h.ClipParam) || (a < 0 && rEff >= 1-h.ClipParam)
-				if active {
-					m.Dist.GradLogProb(dParams.Row(row), prow, b.Actions[i], -a*rEff*invN)
-				}
-				st.Entropy += m.Dist.Entropy(prow)
-				if h.EntropyCoeff != 0 {
-					m.Dist.GradEntropy(dParams.Row(row), prow, -h.EntropyCoeff*invN)
-				}
-				if b.BehaviorPR[i] != nil {
-					kl := m.Dist.KL(prow, b.BehaviorPR[i])
-					st.KL += kl
-					if klc != 0 {
-						m.Dist.GradKLP(dParams.Row(row), prow, b.BehaviorPR[i], klc*invN)
-					}
-				}
-				diff := vOut.At(row, 0) - vs[i]
-				st.ValueLoss += diff * diff
-				dV.Set(row, 0, 2*h.VFCoeff*diff*invN)
-			}
-			m.Policy.BackwardParams(dParams)
-			m.Critic.BackwardParams(dV)
+	for _, idx := range mbs {
+		// With one minibatch both networks already hold its activations.
+		if len(mbs) > 1 {
+			obs = m.gather(b.Obs, idx)
+			params = m.Policy.Forward(obs)
+			vOut = m.Critic.Forward(obs)
 		}
+		dParams := tensor.NewMat(len(idx), params.Cols)
+		dV := tensor.NewMat(len(idx), 1)
+
+		for row, i := range idx {
+			prow := params.Row(row)
+			newLP := m.Dist.LogProb(prow, b.Actions[i])
+			// Behavior ratio feeds the truncation tracker (Eq. 2 is
+			// defined against the actor policy μ).
+			behRatio := math.Exp(newLP - b.BehaviorLP[i])
+			st.observeRatio(behRatio)
+			// Surrogate ratio is against the target network.
+			ratio := math.Exp(newLP - targetLP[i])
+
+			// Eq. 2 binds on the behavior ratio: the coefficient is
+			// damped by cap/behRatio so the effective IS weight is
+			// pulled back to the cap rather than zeroed.
+			truncScale := 1.0
+			if behRatio > cap_ {
+				truncScale = cap_ / behRatio
+				st.Truncated++
+			}
+			a := adv[i]
+			rEff := ratio * truncScale
+			clipped := clampF(rEff, 1-h.ClipParam, 1+h.ClipParam)
+			st.PolicyLoss += -math.Min(rEff*a, clipped*a)
+			active := (a >= 0 && rEff <= 1+h.ClipParam) || (a < 0 && rEff >= 1-h.ClipParam)
+			if active {
+				m.Dist.GradLogProb(dParams.Row(row), prow, b.Actions[i], -a*rEff*invN)
+			}
+			st.Entropy += m.Dist.Entropy(prow)
+			if h.EntropyCoeff != 0 {
+				m.Dist.GradEntropy(dParams.Row(row), prow, -h.EntropyCoeff*invN)
+			}
+			if b.BehaviorPR[i] != nil {
+				kl := m.Dist.KL(prow, b.BehaviorPR[i])
+				st.KL += kl
+				if klc != 0 {
+					m.Dist.GradKLP(dParams.Row(row), prow, b.BehaviorPR[i], klc*invN)
+				}
+			}
+			diff := vOut.At(row, 0) - vs[i]
+			st.ValueLoss += diff * diff
+			dV.Set(row, 0, 2*h.VFCoeff*diff*invN)
+		}
+		m.Policy.BackwardParams(dParams)
+		m.Critic.BackwardParams(dV)
 	}
 	st.finalize()
 	g.Data = m.Grads()

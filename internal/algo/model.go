@@ -109,43 +109,21 @@ func (m *Model) Grads() []float64 { return m.slab.G }
 // the gradient slab on the first call.
 func (m *Model) ZeroGrad() { m.slab.ZeroGrad() }
 
-// gather copies the observation rows idx selects (every row, in order,
-// when idx is nil) into the model's scratch matrix and returns it. The
-// matrix is valid until the next gather: a learner pass forwards and
-// backpropagates one minibatch before it gathers the next.
+// gather copies the observation rows idx selects, in idx's order, into
+// the model's scratch matrix and returns it. The matrix is valid until
+// the next gather: a learner pass forwards and backpropagates one
+// minibatch before it gathers the next.
 func (m *Model) gather(obs [][]float64, idx []int) *tensor.Mat {
 	rows, cols := len(idx), len(obs[0])
-	if idx == nil {
-		rows = len(obs)
-	}
 	n := rows * cols
 	if cap(m.batch.Data) < n {
 		m.batch.Data = make([]float64, n)
 	}
 	m.batch = tensor.Mat{Rows: rows, Cols: cols, Data: m.batch.Data[:n]}
-	for r := 0; r < rows; r++ {
-		i := r
-		if idx != nil {
-			i = idx[r]
-		}
+	for r, i := range idx {
 		copy(m.batch.Row(r), obs[i])
 	}
 	return &m.batch
-}
-
-// Values runs the critic over all observations in b and returns V(s_t).
-func (m *Model) Values(b *replay.Batch) []float64 {
-	return m.valuesOf(m.gather(b.Obs, nil))
-}
-
-// valuesOf runs the critic over the rows of obs.
-func (m *Model) valuesOf(obs *tensor.Mat) []float64 {
-	out := m.Critic.Forward(obs)
-	v := make([]float64, obs.Rows)
-	for i := range v {
-		v[i] = out.At(i, 0)
-	}
-	return v
 }
 
 // ActGreedy returns the mode action for one observation (evaluation).

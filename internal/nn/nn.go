@@ -23,7 +23,7 @@
 // Layers also own their output buffers: the matrix returned by Forward
 // or Backward is reused by that layer's next Forward/Backward call.
 // Callers that need results to outlive the next pass must copy them
-// (Model.Act/Values already do).
+// (Model.Act already does).
 package nn
 
 import (
