@@ -56,7 +56,7 @@ lint:
 # proxy at aggressive rates, AOF compaction, the learner-panic +
 # server-bounce drill of DESIGN.md "Crash recovery", and the cluster
 # drills of §11 — shard-kill failover, asymmetric partition fenced by
-# term, fleet telemetry), and these suites are
+# term), and these suites are
 # wired with leaktest.Check, so every Close/Stop path is exercised and
 # any goroutine outliving its test fails the build — the dynamic
 # complement of the static goroleak check above. The fast

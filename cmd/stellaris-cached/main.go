@@ -71,8 +71,6 @@ func main() {
 	partFor := flag.Duration("fault-partition-for", 0, "chaos proxy: partition duration (0 = until the process exits)")
 	followerOf := flag.String("follower-of", "", "replicate from this leader address (promote with SIGHUP)")
 	shardID := flag.Int("shard-id", -1, "shard label for log lines and metrics (-1 = unsharded)")
-	obsID := flag.String("obs-id", "", "self-register as this fleet instance ID so stellaris-obsd discovers the server (requires -obs-addr)")
-	hbEvery := flag.Duration("heartbeat-every", time.Second, "self-registration heartbeat interval")
 	flag.Parse()
 
 	var store *cache.MemCache
@@ -84,12 +82,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("persisting keyspace to %s\n", *persistDir)
-	} else if *followerOf != "" || *obsID != "" {
+	} else if *followerOf != "" {
 		// A follower needs an explicit store handle: the replica applies
-		// the leader's records to the same store the server serves. Fleet
-		// self-registration needs one too: the server heartbeats into its
-		// OWN store, so the record lives on the shard that wrote it and
-		// obsd finds it with a cross-shard scan.
+		// the leader's records to the same store the server serves.
 		store = cache.NewMemCache()
 	}
 	srv := cache.NewServer(store)
@@ -98,7 +93,6 @@ func main() {
 		// topology writes and refuses stale term-stamped writes.
 		srv.SetShardID(*shardID)
 	}
-	obsHTTP := ""
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		srv.Instrument(reg)
@@ -125,7 +119,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer hs.Close()
-		obsHTTP = hs.Addr()
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", hs.Addr())
 		fmt.Printf("causal trace on http://%s/trace.chrome.json (open in ui.perfetto.dev)\n", hs.Addr())
 	}
@@ -139,26 +132,6 @@ func main() {
 		label = fmt.Sprintf(" (shard %d)", *shardID)
 	}
 	fmt.Printf("stellaris-cached listening on %s%s\n", bound, label)
-
-	// Fleet self-registration (DESIGN.md §12): heartbeat into this
-	// server's own store so the record rides replication and failover
-	// with the rest of the keyspace.
-	var hb *cache.Heartbeat
-	if *obsID != "" {
-		if obsHTTP == "" {
-			fmt.Fprintln(os.Stderr, "stellaris-cached: -obs-id requires -obs-addr (there is nothing to scrape otherwise)")
-			os.Exit(2)
-		}
-		role := "cached"
-		if *followerOf != "" {
-			role = "follower"
-		}
-		hb = cache.StartHeartbeat(store, cache.Instance{
-			ID: *obsID, Role: role, Addr: obsHTTP, CacheAddr: bound,
-			Shard: *shardID, PID: os.Getpid(),
-		}, *hbEvery)
-		fmt.Printf("registered as %q in fleet registry%s\n", *obsID, label)
-	}
 
 	var replica *cache.Replica
 	if *followerOf != "" {
@@ -210,9 +183,6 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	if hb != nil {
-		hb.Stop()
-	}
 	if replica != nil {
 		replica.Stop()
 	}

@@ -12,10 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"stellaris"
-	"stellaris/internal/cache"
 	"stellaris/internal/core"
 	"stellaris/internal/env"
 	"stellaris/internal/obs"
@@ -34,9 +32,6 @@ func main() {
 		evalEps    = flag.Int("eval", 0, "after training, greedy-evaluate this many episodes")
 		obsAddr    = flag.String("obs-addr", "", "metrics/pprof HTTP address (e.g. :9090; empty disables)")
 		obsDir     = flag.String("obs-dir", "", "write metrics.{json,csv,prom} snapshots here when the run ends")
-		obsID      = flag.String("obs-id", "", "self-register as this fleet instance ID so stellaris-obsd discovers the run (requires -obs-addr and -obs-cache)")
-		obsCache   = flag.String("obs-cache", "", "cache address the self-registration heartbeat writes to")
-		hbEvery    = flag.Duration("heartbeat-every", time.Second, "self-registration heartbeat interval")
 	)
 	flag.StringVar(&cfg.Env, "env", "hopper", "environment name")
 	flag.StringVar(&cfg.Algo, "algo", "ppo", "algorithm: ppo or impact")
@@ -88,24 +83,6 @@ func main() {
 		defer hs.Close()
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (pprof under /debug/pprof/)\n", hs.Addr())
 		fmt.Fprintf(os.Stderr, "causal trace on http://%s/trace.chrome.json once training starts (open in ui.perfetto.dev)\n", hs.Addr())
-		// Fleet self-registration (DESIGN.md §12): announce the obs
-		// endpoint into the cache tier so stellaris-obsd scrapes the run.
-		if *obsID != "" {
-			if *obsCache == "" {
-				fatal(fmt.Errorf("-obs-id requires -obs-cache"))
-			}
-			hbConn, err := cache.Dial(*obsCache)
-			if err != nil {
-				fatal(fmt.Errorf("obs-cache dial: %w", err))
-			}
-			hb := cache.StartHeartbeat(hbConn, cache.Instance{
-				ID: *obsID, Role: "train", Addr: hs.Addr(), Shard: -1, PID: os.Getpid(),
-			}, *hbEvery)
-			defer func() { hb.Stop(); _ = hbConn.Close() }()
-			fmt.Fprintf(os.Stderr, "registered as %q in fleet registry at %s\n", *obsID, *obsCache)
-		}
-	} else if *obsID != "" {
-		fatal(fmt.Errorf("-obs-id requires -obs-addr (there is nothing to scrape otherwise)"))
 	}
 
 	t, err := core.NewTrainer(cfg)

@@ -56,8 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -65,7 +63,6 @@ import (
 	"stellaris/internal/cache/cluster"
 	"stellaris/internal/live"
 	"stellaris/internal/obs"
-	"stellaris/internal/obs/fleet"
 )
 
 func main() {
@@ -77,7 +74,6 @@ func main() {
 	var shardFollowers bool
 	var killShardAfter time.Duration
 	var partitionShardAfter time.Duration
-	var fleetWatch bool
 	var logLevel string
 	flag.StringVar(&opt.CacheAddr, "cache", "", "stellaris-cached address (empty = in-process)")
 	flag.StringVar(&opt.Env, "env", "cartpole", "environment")
@@ -106,7 +102,6 @@ func main() {
 	flag.StringVar(&obsAddr, "obs-addr", "", "metrics/pprof HTTP address (e.g. :9090; empty disables)")
 	flag.StringVar(&obsDir, "obs-dir", "", "periodically dump metrics.{json,csv,prom} here")
 	flag.DurationVar(&obsEvery, "obs-every", 5*time.Second, "dump interval for -obs-dir")
-	flag.BoolVar(&fleetWatch, "fleet", false, "run an in-process fleet collector (DESIGN.md §12) watching the run's obs endpoint; serves a live dashboard and prints a fleet summary (requires -obs-addr)")
 	flag.StringVar(&logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 
@@ -119,14 +114,12 @@ func main() {
 	if obsAddr != "" || obsDir != "" {
 		opt.Obs = obs.NewRegistry()
 	}
-	var obsBound string
 	if obsAddr != "" {
 		hs, err := obs.Serve(obsAddr, opt.Obs)
 		if err != nil {
 			fatal("obs serve failed", "err", err.Error())
 		}
 		defer hs.Close()
-		obsBound = hs.Addr()
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", hs.Addr())
 		fmt.Printf("causal trace on http://%s/trace.chrome.json (open in ui.perfetto.dev)\n", hs.Addr())
 	}
@@ -265,65 +258,9 @@ func main() {
 		fatal("-shard-followers and the shard drills need -shards")
 	}
 
-	// -fleet: an in-process stellaris-obsd watching the run through its
-	// own obs endpoint — live dashboard while training, fleet summary
-	// after (DESIGN.md §12).
-	var fcol *fleet.Collector
-	var fstop, fdone chan struct{}
-	if fleetWatch {
-		if obsBound == "" {
-			fatal("-fleet requires -obs-addr (the collector scrapes that endpoint)")
-		}
-		var err error
-		fcol, err = fleet.New(fleet.Config{
-			Clock:   opt.Obs.Now,
-			Targets: []string{obsBound},
-			Rules: []fleet.Rule{
-				{Name: "instance-down", Metric: "fleet_instance_up",
-					Instance: fleet.FleetInstance, Below: true, Threshold: 0.5,
-					ForSec: 3, Severity: "page"},
-				{Name: "updates-stalled", Metric: "live_updates_total",
-					Kind: fleet.KindRate, WindowSec: 10, Below: true,
-					Threshold: 0.01, ForSec: 5, Severity: "warn"},
-			},
-			Log: lg.With("component", "fleet"),
-		})
-		if err != nil {
-			fatal("fleet collector failed", "err", err.Error())
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal("fleet listen failed", "err", err.Error())
-		}
-		fsrv := &http.Server{Handler: fcol.Handler()}
-		go func() { _ = fsrv.Serve(ln) }()
-		defer fsrv.Close()
-		fstop, fdone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(fdone)
-			tick := time.NewTicker(500 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					fcol.Tick()
-				case <-fstop:
-					return
-				}
-			}
-		}()
-		fmt.Printf("fleet dashboard on http://%s/dash (fleet state at /fleet.json)\n", ln.Addr())
-	}
-
 	rep, err := live.Train(opt)
 	if err != nil {
 		fatal("fatal error", "err", err.Error())
-	}
-	if fcol != nil {
-		close(fstop)
-		<-fdone
-		fcol.Tick() // one final round so the summary sees the run's last samples
-		fcol.Close()
 	}
 	fmt.Printf("live training: %d updates in %v across %d actors + %d learners\n",
 		rep.Updates, rep.Elapsed.Round(1e6), opt.Actors, opt.Learners)
@@ -349,14 +286,5 @@ func main() {
 	if rep.TraceEvents > 0 {
 		fmt.Printf("lineage: %d trace events, max depth %d, %d flight dumps\n",
 			rep.TraceEvents, rep.MaxLineageDepth, rep.FlightDumps)
-	}
-	if fcol != nil {
-		view := fcol.View()
-		fmt.Printf("fleet: %d collection rounds, %d instances watched, %d series, %d alert transitions\n",
-			view.Ticks, len(view.Instances), view.Series, len(view.Events))
-		for _, ev := range view.Events {
-			fmt.Printf("  alert %-8s %s severity=%s value=%.4g t=%.1fs trace=%s\n",
-				ev.State, ev.Rule, ev.Severity, ev.Value, ev.TimeSec, ev.Trace)
-		}
 	}
 }

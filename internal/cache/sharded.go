@@ -67,9 +67,8 @@ type ShardedClient struct {
 
 	// events mirrors the recovery counters above into the caller's
 	// registry as cache_shard_events_total{event,shard} when
-	// DialOptions.Obs is set — the per-shard series the fleet collector's
-	// derived failover and fence rates are computed from. Nil without a
-	// registry.
+	// DialOptions.Obs is set, so /metrics says which shard failed over
+	// or fenced a write. Nil without a registry.
 	events *obs.CounterVec
 
 	watchOnce sync.Once
@@ -503,14 +502,9 @@ func (sc *ShardedClient) deleteAll(key string) error {
 	return firstErr
 }
 
-// GetAny reads key from the first shard that answers, bypassing hash
-// routing. Records written by a process directly into its own shard's
-// store — heartbeat self-registrations under KeyObsInstancePrefix — are
-// not hash-placed, so discovery readers must scan rather than route.
-func (sc *ShardedClient) GetAny(key string) ([]byte, error) {
-	return sc.getAny(key)
-}
-
+// getAny reads key from the first shard that answers, bypassing hash
+// routing: the topology document is written to every shard, so any
+// live one can serve it.
 func (sc *ShardedClient) getAny(key string) ([]byte, error) {
 	var lastErr error
 	for _, slot := range sc.slots {

@@ -281,7 +281,6 @@ func TestDESClockedDetection(t *testing.T) {
 		"stellaris/internal/core",
 		"stellaris/internal/serverless",
 		"stellaris/internal/obs/lineage",
-		"stellaris/internal/obs/fleet",
 	} {
 		if !des[want] {
 			t.Errorf("%s should be DES-clocked", want)

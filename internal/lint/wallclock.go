@@ -30,15 +30,12 @@ const simclockPath = "stellaris/internal/simclock"
 // engine itself plus every package that imports it (internal/core,
 // internal/serverless, and any future consumer — the import *is* the
 // declaration that the package's notion of time is the DES). The
-// lineage store and the fleet collector are clock-agnostic by contract
-// (their timestamps come from an injected func() float64 that may be a
-// DES clock — the collector's Tick must work under a simulated fleet),
-// so they are held to the same rule even though they cannot import
-// simclock themselves.
+// lineage store is clock-agnostic by contract (its timestamps come from
+// an injected func() float64 that may be a DES clock), so it is held to
+// the same rule even though it cannot import simclock itself.
 func desClocked(p *Package) bool {
 	if strings.HasSuffix(p.Path, "internal/simclock") ||
-		strings.HasSuffix(p.Path, "internal/obs/lineage") ||
-		strings.HasSuffix(p.Path, "internal/obs/fleet") {
+		strings.HasSuffix(p.Path, "internal/obs/lineage") {
 		return true
 	}
 	return importsPath(p, simclockPath)

@@ -30,24 +30,12 @@ type liveCluster struct {
 }
 
 func startLiveCluster(t *testing.T, shards int, faults cache.FaultConfig) *liveCluster {
-	return startLiveClusterObs(t, shards, faults, nil, nil)
-}
-
-// startLiveClusterObs is startLiveCluster with per-shard obs wiring:
-// regs[i] instruments shard i's leader server and fregs[i] its
-// follower, BEFORE the servers listen (Instrument is not safe once
-// connections are live). Nil slices skip instrumentation — the fleet
-// telemetry drill is the only caller that needs it.
-func startLiveClusterObs(t *testing.T, shards int, faults cache.FaultConfig, regs, fregs []*obs.Registry) *liveCluster {
 	t.Helper()
 	lc := &liveCluster{topo: &cluster.Topology{Version: 1}}
 	for i := 0; i < shards; i++ {
 		store := cache.NewMemCache()
 		srv := cache.NewServer(store)
 		srv.SetShardID(i)
-		if regs != nil {
-			srv.Instrument(regs[i])
-		}
 		laddr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -62,9 +50,6 @@ func startLiveClusterObs(t *testing.T, shards int, faults cache.FaultConfig, reg
 		fstore := cache.NewMemCache()
 		fsrv := cache.NewServer(fstore)
 		fsrv.SetShardID(i)
-		if fregs != nil {
-			fsrv.Instrument(fregs[i])
-		}
 		faddr, err := fsrv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

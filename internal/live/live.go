@@ -131,9 +131,7 @@ type Options struct {
 	// the run's metrics private: the Report still reads them, but
 	// lineage with its flight recorder, /buildinfo's run identity, the
 	// server metrics and Report.Obs need a caller's registry. A caller
-	// that serves the registry over HTTP owns that endpoint, and so is
-	// also the one to announce it to the fleet collector
-	// (cache.StartHeartbeat, DESIGN.md §12.1).
+	// that serves the registry over HTTP (obs.Serve) owns that endpoint.
 	Obs *obs.Registry
 }
 

@@ -5,6 +5,7 @@ package live
 
 import (
 	"errors"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -168,6 +169,12 @@ func TestChaosPartitionFailover(t *testing.T) {
 	}
 	if rep.ShardFailovers < 1 {
 		t.Fatalf("partitioned shard never failed over: %+v", rep)
+	}
+	// Which shard stopped serving is read off the run's own registry:
+	// the failover is counted against the partitioned shard.
+	failover := map[string]string{"event": "failover", "shard": strconv.Itoa(victim)}
+	if p, ok := rep.Obs.Find("cache_shard_events_total", failover); !ok || p.Value < 1 {
+		t.Fatalf("cache_shard_events_total{event=failover,shard=%d} = %v (present %v), want >= 1", victim, p.Value, ok)
 	}
 	assertChainsIntact(t, rep)
 

@@ -403,12 +403,6 @@ type HistogramPoint struct {
 // SnapshotSchema is the current /metrics.json schema version. Bump it
 // on any change a tolerant decoder could not absorb silently (renamed
 // fields, changed units); adding fields does not require a bump.
-// Neither did dropping the "spans" array: it was omitempty, so an older
-// reader takes its absence for a run without spans, and a snapshot that
-// still carries one decodes with it skipped
-// (fleet/testdata/metrics_v1_spans.json). Consumers (the fleet
-// collector) must accept snapshots with a missing version field
-// (pre-versioning emitters decode as 0) and with unknown fields.
 const SnapshotSchema = 1
 
 // Snapshot is a point-in-time copy of a registry, ready for JSON/CSV

@@ -9,8 +9,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,35 +62,6 @@ func TestQuantileJSONRoundTrip(t *testing.T) {
 	}
 	if got := hv.With("actor").Quantile(0.99); !math.IsInf(got, 1) {
 		t.Fatalf("registry p99 = %v, want +Inf", got)
-	}
-}
-
-// TestSnapshotWithSpansDecodes reads a frozen /metrics.json from a
-// writer that still carried the "spans" array: the decode skips it and
-// keeps everything else, at the unchanged schema version.
-func TestSnapshotWithSpansDecodes(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("fleet", "testdata", "metrics_v1_spans.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"spans"`) {
-		t.Fatal("fixture lost its spans array")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if snap.Schema != SnapshotSchema || snap.TimeSec != 1 {
-		t.Fatalf("schema %d at %v s, want %d at 1 s", snap.Schema, snap.TimeSec, SnapshotSchema)
-	}
-	if p, ok := snap.Find("live_dropped_payloads_total", map[string]string{"reason": "backpressure"}); !ok || p.Value != 1 {
-		t.Fatalf("labeled counter: %+v ok=%v", p, ok)
-	}
-	if p, ok := snap.Find("live_queue_depth", map[string]string{"queue": "traj"}); !ok || p.Value != 3 {
-		t.Fatalf("labeled gauge: %+v ok=%v", p, ok)
-	}
-	if h, ok := snap.FindHistogram("live_staleness", nil); !ok || h.Count != 2 || h.Sum != 2 || !math.IsInf(h.Buckets[len(h.Buckets)-1].UpperBound, 1) {
-		t.Fatalf("histogram: %+v ok=%v", h, ok)
 	}
 }
 
