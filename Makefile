@@ -121,8 +121,13 @@ cross:
 # math.Tanh returns other bits for about one input in 280. The tanh
 # kernel must notice at init and stand down (internal/tensor asserts
 # that it has), and everything that pins outputs by tolerance or by
-# self-consistency must still pass on such a host.
+# self-consistency must still pass on such a host. The first line logs
+# which kernel levels (AVX-512, AVX2, the tanh kernels) this host runs
+# as detected, so that a runner's log says which legs of the kernel
+# tests ran; it fails where the CPU lists avx512f but the 512-bit
+# kernels are off.
 nofma:
+	$(GO) test -count=1 -v -run '^TestAVX512KernelsInUseWhereTheCPUHasThem$$' ./internal/tensor
 	GODEBUG=cpu.fma=off $(GO) test -short ./internal/tensor ./internal/nn ./internal/algo ./internal/optim ./internal/core
 
 # Line counts as ROADMAP.md and CHANGES.md report them: the tracked

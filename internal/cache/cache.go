@@ -44,8 +44,6 @@ type Cache interface {
 	GetN(keys []string) ([][]byte, error)
 	// Delete removes key (no error if absent).
 	Delete(key string) error
-	// Keys returns all keys with the given prefix, sorted.
-	Keys(prefix string) ([]string, error)
 	// Len returns the number of stored keys.
 	Len() (int, error)
 }
@@ -179,7 +177,8 @@ func (c *MemCache) Delete(key string) error {
 	return err
 }
 
-// Keys implements Cache.
+// Keys returns all keys with the given prefix, sorted: a store's key
+// space as a test reads it. It is not an op on the wire.
 func (c *MemCache) Keys(prefix string) ([]string, error) {
 	c.mu.RLock()
 	var out []string

@@ -451,21 +451,6 @@ func (c *Client) Delete(key string) error {
 	return respErr(status, payload, err, key)
 }
 
-// Keys implements Cache.
-func (c *Client) Keys(prefix string) ([]string, error) {
-	status, payload, err := c.roundTrip(request{op: 'K', key: prefix})
-	if err != nil {
-		return nil, err
-	}
-	if status != '+' {
-		return nil, errors.New(string(payload))
-	}
-	if len(payload) == 0 {
-		return nil, nil
-	}
-	return strings.Split(string(payload), "\n"), nil
-}
-
 // Len implements Cache.
 func (c *Client) Len() (int, error) {
 	status, payload, err := c.roundTrip(request{op: 'L'})

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,7 @@ import (
 // Wire protocol (the Redis stand-in): each message is a length-prefixed
 // frame. Requests are  [u32 frameLen][u8 op][u32 keyLen][key][value] and
 // responses are       [u32 frameLen][u8 status][payload].
-// Ops: 'P' put, 'G' get, 'D' delete, 'K' keys, 'L' len,
+// Ops: 'P' put, 'G' get, 'D' delete, 'L' len,
 // 'g' batched get (a blob in the value field; see batch.go),
 // 'R' replication subscribe (hijacks the connection into a one-way
 // stream of '+' frames carrying AOF records; see replica.go and
@@ -336,8 +335,6 @@ func opName(op byte) string {
 		return "get"
 	case 'D':
 		return "delete"
-	case 'K':
-		return "keys"
 	case 'L':
 		return "len"
 	case 'g':
@@ -509,8 +506,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // with the store's own value (view) and a reference to it, which flush
 // drops after the response is written.
 func (s *Server) handle(w *frameWriter, f frame) (kept bool) {
-	// Key-addressed ops require a key; 'K' (prefix scan) and 'L' (len)
-	// legitimately take an empty operand.
+	// Key-addressed ops require a key; 'L' (len) legitimately takes an
+	// empty operand.
 	switch f.op {
 	case 'P', 'G', 'D':
 		if f.key == "" {
@@ -539,9 +536,6 @@ func (s *Server) handle(w *frameWriter, f frame) (kept bool) {
 	case 'D':
 		_ = s.store.Delete(f.key)
 		w.resp('+', nil)
-	case 'K':
-		keys, _ := s.store.Keys(f.key)
-		w.resp('+', []byte(strings.Join(keys, "\n")))
 	case 'L':
 		n, _ := s.store.Len()
 		w.resp('+', strconv.AppendInt(nil, int64(n), 10))

@@ -65,29 +65,6 @@ func TestClientIncrAndLen(t *testing.T) {
 	}
 }
 
-func TestClientKeys(t *testing.T) {
-	_, cli := startServer(t)
-	for i := 0; i < 3; i++ {
-		if err := cli.Put(fmt.Sprintf("grad/%d", i), []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cli.Put("weights/latest", []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := cli.Keys("grad/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 3 || keys[0] != "grad/0" {
-		t.Fatalf("Keys = %v", keys)
-	}
-	empty, err := cli.Keys("zzz")
-	if err != nil || empty != nil {
-		t.Fatalf("empty prefix gave %v, %v", empty, err)
-	}
-}
-
 func TestLargePayload(t *testing.T) {
 	_, cli := startServer(t)
 	// A policy-weights-sized payload (1 MiB).

@@ -29,7 +29,7 @@ func TestSizeClassesBoundSlack(t *testing.T) {
 		if class >= numClasses {
 			t.Fatalf("%d bytes fall outside the pool (class %d)", n, class)
 		}
-		if size < n || (n > minClass && 8*size > 9*n) {
+		if size < n || (n > minClass && 8*int64(size) > 9*int64(n)) { // int64: 9n passes 2^31 on a 32-bit int
 			t.Fatalf("%d bytes get a %d-byte buffer", n, size)
 		}
 		if class < prev || (class > 0 && classSize(class-1) >= n) {

@@ -110,9 +110,10 @@ func TestServerBadKeyLength(t *testing.T) {
 	checkHealthy(t, addr)
 }
 
-// 'I' was the counter op; the store holds bytes under keys only, so it
-// is answered like any other byte the protocol does not define — bare
-// or inside a fenced envelope.
+// 'I' was the counter op and 'K' the key listing; the store holds
+// bytes under keys and serves them by key only, so each is answered
+// like any other byte the protocol does not define — bare or inside a
+// fenced envelope.
 func TestServerUnknownOpcode(t *testing.T) {
 	addr := rawServer(t)
 	envelope := func(inner byte) []byte {
@@ -131,6 +132,8 @@ func TestServerUnknownOpcode(t *testing.T) {
 		// blob ([u32 count][u32 keyLen][key][u32 valLen][val]).
 		{"p", 'p', []byte{0, 0, 0, 1, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'v'}},
 		{"T around p", 'T', append(envelope('p'), 0, 0, 0, 1, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'v')},
+		// The retired key listing, with a prefix.
+		{"K", 'K', nil},
 	} {
 		conn := rawDial(t, addr)
 		if err := writeFrame(conn, tc.op, "key", tc.value); err != nil {
@@ -162,15 +165,12 @@ func TestServerEmptyKeyOps(t *testing.T) {
 			t.Fatalf("op %q empty key → status %q payload %q; want '!'", op, status, payload)
 		}
 	}
-	// 'K' (prefix scan) and 'L' (len) accept an empty operand.
+	// 'L' (len) accepts an empty operand.
 	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Keys(""); err != nil {
-		t.Fatalf("Keys(\"\"): %v", err)
-	}
 	if _, err := cli.Len(); err != nil {
 		t.Fatalf("Len(): %v", err)
 	}

@@ -20,7 +20,6 @@ package cache
 
 import (
 	"errors"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -328,32 +327,6 @@ func (sc *ShardedClient) Delete(key string) error {
 	return sc.fencedDo(slot, func(c *Client, term int64) error {
 		return c.DeleteFenced(term, key)
 	})
-}
-
-// Keys implements Cache: fan out to every shard, merge sorted, dedupe
-// (the topology key legitimately exists on all shards).
-func (sc *ShardedClient) Keys(prefix string) ([]string, error) {
-	var all []string
-	for _, slot := range sc.slots {
-		err := sc.doSlot(slot, func(c *Client) error {
-			ks, e := c.Keys(prefix)
-			if e == nil {
-				all = append(all, ks...)
-			}
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(all)
-	out := all[:0]
-	for i, k := range all {
-		if i == 0 || k != all[i-1] {
-			out = append(out, k)
-		}
-	}
-	return out, nil
 }
 
 // Len implements Cache as the sum of per-shard lengths. Keys replicated

@@ -96,15 +96,14 @@ func TestShardedClientBasicOps(t *testing.T) {
 		t.Fatal("Get of missing key succeeded")
 	}
 
-	// Keys merges sorted across shards; Len sums.
-	keys, err := sc.Keys("traj/")
-	if err != nil || len(keys) != n {
-		t.Fatalf("Keys: %d keys, %v", len(keys), err)
+	// Every key is on exactly one shard; Len sums.
+	held := 0
+	for _, st := range tc.stores {
+		keys, _ := st.Keys("traj/")
+		held += len(keys)
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("Keys not sorted/deduped at %d: %q >= %q", i, keys[i-1], keys[i])
-		}
+	if held != n {
+		t.Fatalf("the shards hold %d traj/ keys, want %d", held, n)
 	}
 	if l, err := sc.Len(); err != nil || l != n {
 		t.Fatalf("Len = %d, %v", l, err)
@@ -169,11 +168,6 @@ func TestShardedClientTopologyKeyOnEveryShard(t *testing.T) {
 	got, err := sc.FetchTopology()
 	if err != nil || got.Version != 1 || len(got.Shards) != 3 {
 		t.Fatalf("FetchTopology: %+v, %v", got, err)
-	}
-	// Keys must dedupe the replicated doc.
-	ks, err := sc.Keys("sys/")
-	if err != nil || len(ks) != 1 || ks[0] != cluster.TopologyKey {
-		t.Fatalf("Keys(sys/) = %v, %v", ks, err)
 	}
 }
 
@@ -424,9 +418,6 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		if _, err := c.GetN([]string{"grad/a", "grad/b", "nope"}); err != nil {
 			return err
 		}
-		if _, err := c.Keys("traj/"); err != nil {
-			return err
-		}
 		if _, err := c.Len(); err != nil {
 			return err
 		}
@@ -479,7 +470,7 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		}
 		ops = append(ops, fr.op)
 	}
-	if want := "PGPgKLDPG"; string(ops) != want {
+	if want := "PGPgLDPG"; string(ops) != want {
 		t.Fatalf("ops on the wire %q, want %q", ops, want)
 	}
 }

@@ -318,7 +318,7 @@ func TestWeightsOverNetwork(t *testing.T) {
 			fetch(v)
 		}
 	}
-	keys, err := pubCli.Keys("weights")
+	keys, err := srv.store.Keys("weights")
 	if err != nil || len(keys) != 2 || keys[0] != KeyWeightsHead || keys[1] != KeyWeightsLatest {
 		t.Fatalf("weight keys %v (err %v), want the head and the vector only", keys, err)
 	}

@@ -99,7 +99,8 @@ func TestLiveTrainExternalCache(t *testing.T) {
 // than once per published version plus once per regression.
 func TestLiveTrainPublishesVectorThenHead(t *testing.T) {
 	leaktest.Check(t)
-	srv := cache.NewServer(nil)
+	mem := cache.NewMemCache()
+	srv := cache.NewServer(mem)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestLiveTrainPublishesVectorThenHead(t *testing.T) {
 	if err := r.runAsync(); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := r.paramCli.Keys("weights")
+	keys, err := mem.Keys("weights")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -600,17 +599,6 @@ func (s *reuseStore) Delete(key string) error {
 		delete(s.vals, key)
 	}
 	return nil
-}
-
-func (s *reuseStore) Keys(prefix string) ([]string, error) {
-	var ks []string
-	for k := range s.vals {
-		if strings.HasPrefix(k, prefix) {
-			ks = append(ks, k)
-		}
-	}
-	sort.Strings(ks)
-	return ks, nil
 }
 
 func (s *reuseStore) Len() (int, error)        { return len(s.vals), nil }

@@ -144,55 +144,11 @@ func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	return []byte(strconv.FormatFloat(v, 'g', -1, 64)), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler (inverse of MarshalJSON).
-func (f *JSONFloat) UnmarshalJSON(data []byte) error {
-	s := strings.Trim(string(data), `"`)
-	switch s {
-	case "+Inf", "Inf":
-		*f = JSONFloat(math.Inf(1))
-		return nil
-	case "-Inf":
-		*f = JSONFloat(math.Inf(-1))
-		return nil
-	case "NaN":
-		*f = JSONFloat(math.NaN())
-		return nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return err
-	}
-	*f = JSONFloat(v)
-	return nil
-}
-
 // MarshalJSON renders the upper bound as a string because the overflow
 // bucket's bound is +Inf, which encoding/json cannot represent as a
 // number.
 func (b Bucket) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf(`{"le":%q,"count":%d}`, formatFloat(b.UpperBound), b.CumCount)), nil
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (b *Bucket) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		LE    string `json:"le"`
-		Count int64  `json:"count"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if raw.LE == "+Inf" {
-		b.UpperBound = math.Inf(1)
-	} else {
-		v, err := strconv.ParseFloat(raw.LE, 64)
-		if err != nil {
-			return err
-		}
-		b.UpperBound = v
-	}
-	b.CumCount = raw.Count
-	return nil
 }
 
 // WriteJSON renders the snapshot as indented JSON.

@@ -51,17 +51,17 @@ func TestHTTPExpositionRoundTrip(t *testing.T) {
 		t.Fatalf("/metrics missing histogram:\n%s", prom)
 	}
 
-	var snap Snapshot
+	var snap map[string]any
 	if err := json.Unmarshal(get("/metrics.json"), &snap); err != nil {
 		t.Fatalf("metrics.json: %v", err)
 	}
-	p, ok := snap.Find("live_dropped_payloads_total", map[string]string{"reason": "put-failed"})
-	if !ok || p.Value != 3 {
-		t.Fatalf("json snapshot lost the counter: %+v ok=%v", p, ok)
+	p := servedSeries(t, snap, "counters", "live_dropped_payloads_total", map[string]string{"reason": "put-failed"})
+	if servedFloat(t, p["value"]) != 3 {
+		t.Fatalf("json snapshot lost the counter: %v", p)
 	}
-	h, ok := snap.FindHistogram("cache_client_op_seconds", nil)
-	if !ok || h.Count != 1 || h.Sum != 0.002 {
-		t.Fatalf("json snapshot lost the histogram: %+v ok=%v", h, ok)
+	h := servedSeries(t, snap, "histograms", "cache_client_op_seconds", nil)
+	if servedFloat(t, h["count"]) != 1 || servedFloat(t, h["sum"]) != 0.002 {
+		t.Fatalf("json snapshot lost the histogram: %v", h)
 	}
 
 	if csvBody := string(get("/metrics.csv")); !strings.Contains(csvBody, "kind,name,labels") {

@@ -68,28 +68,34 @@ func BenchmarkDot4096(b *testing.B) {
 	}
 }
 
-// benchKernel times one product at every shape of kernelShapes, on the
-// assembly path (/avx2, skipped where the CPU has none) and on the Go
-// path (/go): `go test -bench MatMul` here is the kernel rung of the
-// benchmark ladder, A/B, on any box, and reads the same products as the
-// ladder's tensor.matmul_us / matmul_abt_us / matmul_atb_us. operands
-// builds dst, x, y for an m, k, n.
+// atLevel runs b's loop on kernel path l of levels, skipping where have
+// is false.
+func atLevel(b *testing.B, l int, have bool, loop func()) {
+	if !have {
+		b.Skipf("not in use on this CPU: %s", levelsInUse())
+	}
+	defer setLevel(levels[l].avx512, levels[l].avx2)()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loop()
+	}
+}
+
+// benchKernel times one product at every shape of kernelShapes at each
+// kernel level, skipping a level the CPU lacks: `go test -bench MatMul`
+// here is the kernel rung of the benchmark ladder, A/B, on any box, and
+// reads the same products as the ladder's tensor.matmul_us /
+// matmul_abt_us / matmul_atb_us. operands builds dst, x, y for an m, k,
+// n.
 func benchKernel(b *testing.B, kernel func(dst, x, y *Mat), operands func(r *rng.RNG, m, k, n int) (dst, x, y *Mat)) {
 	r := rng.New(1)
 	for _, s := range kernelShapes {
 		dst, x, y := operands(r, s[0], s[1], s[2])
-		for _, path := range []string{"avx2", "go"} {
-			b.Run(fmt.Sprintf("%dx%d·%d/%s", s[0], s[1], s[2], path), func(b *testing.B) {
-				if path == "avx2" && !useAVX2 {
-					b.Skip("no AVX2 on this CPU")
-				}
-				defer func(was bool) { useAVX2 = was }(useAVX2)
-				useAVX2 = path == "avx2"
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					kernel(dst, x, y)
-				}
+		have := [len(levels)]bool{useAVX512, useAVX2, true}
+		for i, l := range levels {
+			b.Run(fmt.Sprintf("%dx%d·%d/%s", s[0], s[1], s[2], l.name), func(b *testing.B) {
+				atLevel(b, i, have[i], func() { kernel(dst, x, y) })
 			})
 		}
 	}
@@ -116,9 +122,9 @@ func BenchmarkMatMulABT(b *testing.B) {
 // BenchmarkTanh times TanhInto on one Act layer (64 values) and on one
 // 128 x 64 batch, with N(0, σ) inputs: σ = 0.2 is a fresh policy (all
 // rational arm), 1 a trained one (half the inputs reach math.Exp) and 3
-// mostly the exp arm. /avx2 is the kernel (skipped where it is not in
-// use), /go the math.Tanh loop; ns/elem is the activation rung, A/B, on
-// any box.
+// mostly the exp arm. /avx512 and /avx2 are the kernels (skipped where
+// not in use), /go the math.Tanh loop; ns/elem is the activation rung,
+// A/B, on any box.
 func BenchmarkTanh(b *testing.B) {
 	r := rng.New(1)
 	for _, n := range []int{64, 8192} {
@@ -127,18 +133,10 @@ func BenchmarkTanh(b *testing.B) {
 			for i := range src {
 				src[i] = sigma * r.NormFloat64()
 			}
-			for _, path := range []string{"avx2", "go"} {
-				b.Run(fmt.Sprintf("%d/σ=%v/%s", n, sigma, path), func(b *testing.B) {
-					if path == "avx2" && !(useAVX2 && tanhOK) {
-						b.Skip("the tanh kernel is not in use here")
-					}
-					defer func(was bool) { useAVX2 = was }(useAVX2)
-					useAVX2 = path == "avx2"
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						TanhInto(dst, src)
-					}
+			have := [len(levels)]bool{useAVX512 && tanh512OK, useAVX2 && tanhOK, true}
+			for i, l := range levels {
+				b.Run(fmt.Sprintf("%d/σ=%v/%s", n, sigma, l.name), func(b *testing.B) {
+					atLevel(b, i, have[i], func() { TanhInto(dst, src) })
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 				})
 			}

@@ -8,20 +8,33 @@ import "math"
 // clear it to run the Go kernels on the same box.
 var useAVX2 = hasAVX2()
 
+// useAVX512 selects, under useAVX2, the kernels of kernel_amd64.s that
+// put eight outputs in the eight lanes of a 512-bit register: they take
+// the part of a row that fills whole steps of theirs and leave the rest
+// to the AVX2 kernels. Set once, here, like useAVX2, and cleared by the
+// tests to run the AVX2 path on the same box.
+var useAVX512 = useAVX2 && hasAVX512()
+
 // tanhOK says that tanhAVX2 returns math.Tanh's bits in this process.
 // The kernel is a transcription of what math.Tanh executes where
 // math.Exp takes its FMA arm; on a host or under a GODEBUG where it
 // takes the other arm, or under a toolchain that has rewritten either
 // function, the probe finds the difference and TanhInto stays on
 // math.Tanh. It is measured once, here, and never assumed.
-var tanhOK = useAVX2 && hasFMA() && tanhProbe()
+var tanhOK = useAVX2 && hasFMA() && tanhProbe(tanhAVX2)
+
+// tanh512OK is tanhOK for tanhAVX512, found by the same probe on its
+// own: each kernel is admitted only by its own results.
+var tanh512OK = useAVX512 && hasFMA() && tanhProbe(tanhAVX512)
 
 // tanhProbeBits are inputs at and beside every branch point of
 // math.Tanh, followed by sixteen on which the FMA and the non-FMA arm
 // of math.Exp round tanh to different bits. Those were searched for
 // (go1.24, about one input in 280 of [0.625, 8] separates the arms), so
-// a random table of this size would most likely hold none.
-var tanhProbeBits = [28]uint64{
+// a random table of this size would most likely hold none. Four more
+// zeros pad it to a multiple of eight, so that every entry goes through
+// the vector loop of either kernel and none through a tail.
+var tanhProbeBits = [32]uint64{
 	0x0000000000000000, 0x8000000000000000, // ±0
 	0x3fe3ffffffffffff, 0x3fe4000000000000, 0x3fe4000000000001, // 0.625
 	0x404601e678fc457b, 0x404601e678fc457c, // 0.5*MAXLOG
@@ -32,14 +45,17 @@ var tanhProbeBits = [28]uint64{
 	0xbfea9f9704b0d10c, 0x3ffb343d3b48f770, 0x3ff89210942cde32, 0x3ff8da513b3f6a46,
 	0x3fe95e6cf20f4ccf, 0x3fec6b5e8388ec5c, 0xbfec486eea1cf5a0, 0xbff4c3dffa823c5d,
 	0x3fe99cca7fbd0a1c, 0x4000106ba9376b64, 0xbff3b9cfa6b96396, 0x3ff3c155f8b54ea6,
+	0, 0, 0, 0,
 }
 
-func tanhProbe() bool {
+// tanhProbe runs kernel over tanhProbeBits and says whether every
+// result has math.Tanh's bits.
+func tanhProbe(kernel func(dst, src *float64, n int)) bool {
 	var in, out [len(tanhProbeBits)]float64
 	for i, b := range tanhProbeBits {
 		in[i] = math.Float64frombits(b)
 	}
-	tanhAVX2(&out[0], &in[0], len(in))
+	kernel(&out[0], &in[0], len(in))
 	for i, x := range in {
 		if math.Float64bits(out[i]) != math.Float64bits(math.Tanh(x)) {
 			return false
@@ -56,20 +72,34 @@ func hasAVX2() bool
 
 func hasFMA() bool
 
+func hasAVX512() bool
+
 //go:noescape
 func axpyAVX2(x, y *float64, n int, alpha float64)
+
+//go:noescape
+func axpyAVX512(x, y *float64, n16 int, alpha float64)
 
 //go:noescape
 func axpy4AVX2(d *float64, n int, b *float64, off *[4]int, coef *[4]float64)
 
 //go:noescape
+func axpy4AVX512(d *float64, n16 int, b *float64, off *[4]int, coef *[4]float64)
+
+//go:noescape
 func dot4RowsAVX2(d *float64, ldd int, a, b *float64, k, n4 int)
+
+//go:noescape
+func dot4RowsAVX512(d *float64, ldd int, a, b *float64, k, n8 int)
 
 //go:noescape
 func dot1RowAVX2(d, a, b *float64, k, n8 int)
 
 //go:noescape
 func tanhAVX2(dst, src *float64, n4 int)
+
+//go:noescape
+func tanhAVX512(dst, src *float64, n8 int)
 
 //go:noescape
 func scaleAVX2(x *float64, n4 int, alpha float64)

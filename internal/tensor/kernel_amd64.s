@@ -1,15 +1,16 @@
-// AVX2 micro-kernels under MatMul, MatMulATB, MatMulABT and TanhInto.
-// See the "Kernels" section of the package comment for the rule they
-// obey: the four lanes of a vector hold four independent outputs, and
-// each lane executes the instruction sequence of its scalar reference.
-// For the products that means every output is still accumulated over k
-// in ascending order, and a product and the add that consumes it stay
-// two instructions (VMULPD, VADDPD), each rounding once, exactly as the
-// Go loops in tensor.go do: no FMA, no horizontal add. tanhAVX2's
-// reference is math.Tanh, whose exp is assembly with FMAs in it, and it
-// has exactly those. All loads and stores are unaligned-safe (VMOVUPD),
-// and every routine ends in VZEROUPPER so that the SSE code gc emits
-// around it never pays the AVX-SSE transition.
+// AVX2 and AVX-512F micro-kernels under MatMul, MatMulATB, MatMulABT
+// and TanhInto. See the "Kernels" section of the package comment for
+// the rule they obey: the lanes of a vector (four at 256 bits, eight at
+// 512) hold independent outputs, and each lane executes the instruction
+// sequence of its scalar reference. For the products that means every
+// output is still accumulated over k in ascending order, and a product
+// and the add that consumes it stay two instructions (VMULPD, VADDPD),
+// each rounding once, exactly as the Go loops in tensor.go do: no FMA,
+// no horizontal add. The tanh kernels' reference is math.Tanh, whose exp
+// is assembly with FMAs in it, and they have exactly those. All loads
+// and stores are unaligned-safe (VMOVUPD), and every routine ends in
+// VZEROUPPER so that the SSE code gc emits around it never pays the
+// AVX-SSE transition.
 
 #include "textflag.h"
 
@@ -194,9 +195,10 @@ axpy4_done:
 	VPERM2F128 $0x31, Y10, Y8, Y6; \
 	VPERM2F128 $0x31, Y11, Y9, Y7
 
-// STEP4 is one k-step of four outputs: acc += col * (the element of a at
-// mem, broadcast), product and sum rounded separately.
-#define STEP4(mem, col, tmp, acc) \
+// STEP is one k-step of a vector of outputs (four in a Y register,
+// eight in a Z): acc += col * (the element of a at mem, broadcast),
+// product and sum rounded separately.
+#define STEP(mem, col, tmp, acc) \
 	VBROADCASTSD mem, tmp; \
 	VMULPD       col, tmp, tmp; \
 	VADDPD       tmp, acc, acc
@@ -236,22 +238,22 @@ dot4_k4:
 	VMOVUPD (DX)(R10*2), Y6
 	VMOVUPD (R12), Y7
 	TRANSPOSE4
-	STEP4((SI), Y4, Y8, Y0)
-	STEP4((SI)(R10*1), Y4, Y9, Y1)
-	STEP4((SI)(R10*2), Y4, Y10, Y2)
-	STEP4((R11), Y4, Y11, Y3)
-	STEP4(8(SI), Y5, Y12, Y0)
-	STEP4(8(SI)(R10*1), Y5, Y13, Y1)
-	STEP4(8(SI)(R10*2), Y5, Y14, Y2)
-	STEP4(8(R11), Y5, Y8, Y3)
-	STEP4(16(SI), Y6, Y9, Y0)
-	STEP4(16(SI)(R10*1), Y6, Y10, Y1)
-	STEP4(16(SI)(R10*2), Y6, Y11, Y2)
-	STEP4(16(R11), Y6, Y12, Y3)
-	STEP4(24(SI), Y7, Y13, Y0)
-	STEP4(24(SI)(R10*1), Y7, Y14, Y1)
-	STEP4(24(SI)(R10*2), Y7, Y8, Y2)
-	STEP4(24(R11), Y7, Y9, Y3)
+	STEP((SI), Y4, Y8, Y0)
+	STEP((SI)(R10*1), Y4, Y9, Y1)
+	STEP((SI)(R10*2), Y4, Y10, Y2)
+	STEP((R11), Y4, Y11, Y3)
+	STEP(8(SI), Y5, Y12, Y0)
+	STEP(8(SI)(R10*1), Y5, Y13, Y1)
+	STEP(8(SI)(R10*2), Y5, Y14, Y2)
+	STEP(8(R11), Y5, Y8, Y3)
+	STEP(16(SI), Y6, Y9, Y0)
+	STEP(16(SI)(R10*1), Y6, Y10, Y1)
+	STEP(16(SI)(R10*2), Y6, Y11, Y2)
+	STEP(16(R11), Y6, Y12, Y3)
+	STEP(24(SI), Y7, Y13, Y0)
+	STEP(24(SI)(R10*1), Y7, Y14, Y1)
+	STEP(24(SI)(R10*2), Y7, Y8, Y2)
+	STEP(24(R11), Y7, Y9, Y3)
 	ADDQ    $32, SI
 	ADDQ    $32, R11
 	ADDQ    $32, DX
@@ -267,10 +269,10 @@ dot4_k1:
 	VMOVSD      (DX)(R10*2), X5
 	VMOVHPD     (R12), X5, X5
 	VINSERTF128 $1, X5, Y4, Y4
-	STEP4((SI), Y4, Y8, Y0)
-	STEP4((SI)(R10*1), Y4, Y9, Y1)
-	STEP4((SI)(R10*2), Y4, Y10, Y2)
-	STEP4((R11), Y4, Y11, Y3)
+	STEP((SI), Y4, Y8, Y0)
+	STEP((SI)(R10*1), Y4, Y9, Y1)
+	STEP((SI)(R10*2), Y4, Y10, Y2)
+	STEP((R11), Y4, Y11, Y3)
 	ADDQ        $8, SI
 	ADDQ        $8, R11
 	ADDQ        $8, DX
@@ -633,5 +635,326 @@ adam_loop:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JLT     adam_loop
+	VZEROUPPER
+	RET
+
+// The AVX-512F kernels below run the kernel above of the same name,
+// eight lanes at a time in place of four: the same instructions per
+// lane, in the same order, on ZMM registers. Each takes only the part of
+// a row that fills whole steps of its own (the Go caller passes n16 or
+// n8) and leaves the rest to the AVX2 kernel. Only AVX512F instructions
+// are used, so that hasAVX512 has one bit to check.
+
+// func hasAVX512() bool
+//
+// Leaf 7 EBX bit 16 (AVX512F), and XCR0 bits 5, 6 and 7 (the OS saves
+// the opmask registers, the upper halves of ZMM0-15 and ZMM16-31) beside
+// bits 1 and 2. Only read where hasAVX2 has already answered yes, which
+// covers OSXSAVE.
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
+	JCC  no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+no512:
+	RET
+
+// func axpyAVX512(x, y *float64, n16 int, alpha float64)
+//
+// axpyAVX2's loop8 for j < n16, n16 a positive multiple of 16: sixteen
+// elements per step in Z1 and Z2.
+TEXT ·axpyAVX512(SB), NOSPLIT, $0-32
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         n16+16(FP), CX
+	VBROADCASTSD alpha+24(FP), Z0
+	XORQ         AX, AX
+
+axpyz_loop:
+	VMULPD  (SI)(AX*8), Z0, Z1
+	VMULPD  64(SI)(AX*8), Z0, Z2
+	VADDPD  (DI)(AX*8), Z1, Z1
+	VADDPD  64(DI)(AX*8), Z2, Z2
+	VMOVUPD Z1, (DI)(AX*8)
+	VMOVUPD Z2, 64(DI)(AX*8)
+	ADDQ    $16, AX
+	CMPQ    AX, CX
+	JLT     axpyz_loop
+	VZEROUPPER
+	RET
+
+// func axpy4AVX512(d *float64, n16 int, b *float64, off *[4]int, coef *[4]float64)
+//
+// axpy4AVX2's loop8 for j < n16, n16 a positive multiple of 16: sixteen
+// elements per step in Z4 and Z5, each taking its four products in
+// order.
+TEXT ·axpy4AVX512(SB), NOSPLIT, $0-40
+	MOVQ         d+0(FP), DI
+	MOVQ         n16+8(FP), CX
+	MOVQ         b+16(FP), SI
+	MOVQ         off+24(FP), AX
+	MOVQ         coef+32(FP), DX
+	VBROADCASTSD (DX), Z0
+	VBROADCASTSD 8(DX), Z1
+	VBROADCASTSD 16(DX), Z2
+	VBROADCASTSD 24(DX), Z3
+	MOVQ         8(AX), R8
+	MOVQ         16(AX), R9
+	MOVQ         24(AX), R10
+	MOVQ         (AX), AX
+	LEAQ         (SI)(R8*8), R8
+	LEAQ         (SI)(R9*8), R9
+	LEAQ         (SI)(R10*8), R10
+	LEAQ         (SI)(AX*8), SI
+	XORQ         AX, AX
+
+axpy4z_loop:
+	VMOVUPD (DI)(AX*8), Z4
+	VMOVUPD 64(DI)(AX*8), Z5
+	VMULPD  (SI)(AX*8), Z0, Z6
+	VMULPD  64(SI)(AX*8), Z0, Z7
+	VMULPD  (R8)(AX*8), Z1, Z8
+	VMULPD  64(R8)(AX*8), Z1, Z9
+	VMULPD  (R9)(AX*8), Z2, Z10
+	VMULPD  64(R9)(AX*8), Z2, Z11
+	VMULPD  (R10)(AX*8), Z3, Z12
+	VMULPD  64(R10)(AX*8), Z3, Z13
+	VADDPD  Z6, Z4, Z4
+	VADDPD  Z7, Z5, Z5
+	VADDPD  Z8, Z4, Z4
+	VADDPD  Z9, Z5, Z5
+	VADDPD  Z10, Z4, Z4
+	VADDPD  Z11, Z5, Z5
+	VADDPD  Z12, Z4, Z4
+	VADDPD  Z13, Z5, Z5
+	VMOVUPD Z4, (DI)(AX*8)
+	VMOVUPD Z5, 64(DI)(AX*8)
+	ADDQ    $16, AX
+	CMPQ    AX, CX
+	JLT     axpy4z_loop
+	VZEROUPPER
+	RET
+
+// TRANSPOSE8 is TRANSPOSE4 for eight rows of b, r0…r7, loaded four k
+// apiece as Z4 = r0|r2, Z5 = r1|r3, Z6 = r4|r6, Z7 = r5|r7 (low|high
+// 256 bits). The unpacks interleave within 128-bit lanes, as in
+// TRANSPOSE4 (Z8 = r0[0] r1[0] | r0[2] r1[2] | r2[0] r3[0] | r2[2] r3[2],
+// Z9 the odd elements, Z10 and Z11 the same of r4…r7), and VSHUFF64X2
+// gathers the lanes of one k: Z4…Z7 come out as the columns k+0…k+3,
+// each r0…r7 in lane order.
+#define TRANSPOSE8 \
+	VUNPCKLPD  Z5, Z4, Z8; \
+	VUNPCKHPD  Z5, Z4, Z9; \
+	VUNPCKLPD  Z7, Z6, Z10; \
+	VUNPCKHPD  Z7, Z6, Z11; \
+	VSHUFF64X2 $0x88, Z10, Z8, Z4; \
+	VSHUFF64X2 $0x88, Z11, Z9, Z5; \
+	VSHUFF64X2 $0xDD, Z10, Z8, Z6; \
+	VSHUFF64X2 $0xDD, Z11, Z9, Z7
+
+// func dot4RowsAVX512(d *float64, ldd int, a, b *float64, k, n8 int)
+//
+// dot4RowsAVX2 in 4 x 8 tiles, n8 a positive multiple of 8: Z0…Z3 hold
+// d[r][j:j+8], each from zero and over ascending p. Rows j…j+7 of b are
+// (DX), (DX)(R10*1), (DX)(R10*2), then the same from R12 (row j+3) and
+// R14 (row j+6).
+TEXT ·dot4RowsAVX512(SB), NOSPLIT, $0-48
+	MOVQ d+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ b+24(FP), DX
+	MOVQ k+32(FP), R10
+	MOVQ n8+40(FP), R9
+	SHLQ $3, R8               // bytes per row of d
+	SHLQ $3, R10              // bytes per row of a and of b
+	LEAQ (R10)(R10*2), AX     // 3 rows
+	LEAQ (SI)(AX*1), R11      // row 3 of a
+	LEAQ (DX)(AX*1), R12      // row j+3 of b
+	LEAQ (R12)(AX*1), R14     // row j+6 of b
+	LEAQ (R10)(AX*2), R13     // 7 rows of b, in bytes
+
+dot4z_tile:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ   k+32(FP), CX
+
+dot4z_k4:
+	CMPQ         CX, $4
+	JLT          dot4z_k1
+	VMOVUPD      (DX), Y4                 // rows j and j+2
+	VINSERTF64X4 $1, (DX)(R10*2), Z4, Z4
+	VMOVUPD      (DX)(R10*1), Y5          // j+1 and j+3
+	VINSERTF64X4 $1, (R12), Z5, Z5
+	VMOVUPD      (R12)(R10*1), Y6         // j+4 and j+6
+	VINSERTF64X4 $1, (R14), Z6, Z6
+	VMOVUPD      (R12)(R10*2), Y7         // j+5 and j+7
+	VINSERTF64X4 $1, (R14)(R10*1), Z7, Z7
+	TRANSPOSE8
+	STEP((SI), Z4, Z16, Z0)
+	STEP((SI)(R10*1), Z4, Z17, Z1)
+	STEP((SI)(R10*2), Z4, Z18, Z2)
+	STEP((R11), Z4, Z19, Z3)
+	STEP(8(SI), Z5, Z20, Z0)
+	STEP(8(SI)(R10*1), Z5, Z21, Z1)
+	STEP(8(SI)(R10*2), Z5, Z22, Z2)
+	STEP(8(R11), Z5, Z23, Z3)
+	STEP(16(SI), Z6, Z24, Z0)
+	STEP(16(SI)(R10*1), Z6, Z25, Z1)
+	STEP(16(SI)(R10*2), Z6, Z26, Z2)
+	STEP(16(R11), Z6, Z27, Z3)
+	STEP(24(SI), Z7, Z28, Z0)
+	STEP(24(SI)(R10*1), Z7, Z29, Z1)
+	STEP(24(SI)(R10*2), Z7, Z30, Z2)
+	STEP(24(R11), Z7, Z31, Z3)
+	ADDQ         $32, SI
+	ADDQ         $32, R11
+	ADDQ         $32, DX
+	ADDQ         $32, R12
+	ADDQ         $32, R14
+	SUBQ         $4, CX
+	JMP          dot4z_k4
+
+dot4z_k1:
+	TESTQ        CX, CX
+	JEQ          dot4z_store
+	VMOVSD       (DX), X4                 // one k of rows j…j+7, in lane order
+	VMOVHPD      (DX)(R10*1), X4, X4
+	VMOVSD       (DX)(R10*2), X5
+	VMOVHPD      (R12), X5, X5
+	VINSERTF128  $1, X5, Y4, Y4
+	VMOVSD       (R12)(R10*1), X6
+	VMOVHPD      (R12)(R10*2), X6, X6
+	VMOVSD       (R14), X7
+	VMOVHPD      (R14)(R10*1), X7, X7
+	VINSERTF128  $1, X7, Y6, Y6
+	VINSERTF64X4 $1, Y6, Z4, Z4
+	STEP((SI), Z4, Z16, Z0)
+	STEP((SI)(R10*1), Z4, Z17, Z1)
+	STEP((SI)(R10*2), Z4, Z18, Z2)
+	STEP((R11), Z4, Z19, Z3)
+	ADDQ         $8, SI
+	ADDQ         $8, R11
+	ADDQ         $8, DX
+	ADDQ         $8, R12
+	ADDQ         $8, R14
+	DECQ         CX
+	JMP          dot4z_k1
+
+dot4z_store:
+	LEAQ    (DI)(R8*2), AX
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, (DI)(R8*1)
+	VMOVUPD Z2, (AX)
+	VMOVUPD Z3, (AX)(R8*1)
+	ADDQ    $64, DI
+	SUBQ    R10, SI           // back to the start of the four rows of a
+	SUBQ    R10, R11
+	ADDQ    R13, DX           // on from row j+1 to row j+8 of b
+	ADDQ    R13, R12
+	ADDQ    R13, R14
+	SUBQ    $8, R9
+	JNE     dot4z_tile
+	VZEROUPPER
+	RET
+
+// func tanhAVX512(dst, src *float64, n8 int)
+//
+// tanhAVX2 on eight inputs per pass, n8 a positive multiple of 8, with
+// the same instructions per lane on the same constants (broadcast from
+// their first element), Z for Y. The selects are merges under compare
+// masks where tanhAVX2 blends under compare vectors, and the bit
+// operations are the integer forms (VPANDQ, VPXORQ, VPORQ), which are
+// the AVX512F ones and give the same bits. Z0 = x, Z1 = z = |x|,
+// Z13 = 2.0, Z14 = 1.0, Z15 = 0.0.
+TEXT ·tanhAVX512(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n8+16(FP), CX
+	XORQ         AX, AX
+	VBROADCASTSD TWO, Z13
+	VBROADCASTSD ONE, Z14
+	VPXORQ       Z15, Z15, Z15
+
+tanhz_loop:
+	VMOVUPD     (SI)(AX*8), Z0
+	VPANDQ.BCST ABSMASK, Z0, Z1
+
+	// default: the rational approximation.
+	VMULPD      Z0, Z0, Z2
+	VMULPD.BCST P0, Z2, Z3
+	VADDPD.BCST P1, Z3, Z3
+	VMULPD      Z2, Z3, Z3
+	VADDPD.BCST P2, Z3, Z3
+	VADDPD.BCST Q0, Z2, Z4
+	VMULPD      Z2, Z4, Z4
+	VADDPD.BCST Q1, Z4, Z4
+	VMULPD      Z2, Z4, Z4
+	VADDPD.BCST Q2, Z4, Z4
+	VMULPD      Z2, Z0, Z5
+	VMULPD      Z3, Z5, Z5
+	VDIVPD      Z4, Z5, Z5
+	VADDPD      Z5, Z0, Z5
+
+	// z >= 0.625: s = Exp(2*z), clamped as in tanhAVX2.
+	VADDPD            Z1, Z1, Z6
+	VMINPD.BCST       CLAMP, Z6, Z6
+	VMULPD.BCST       LOG2E, Z6, Z7
+	VCVTPD2DQ         Z7, Y8
+	VCVTDQ2PD         Y8, Z7
+	VFNMADD231PD.BCST LN2U, Z7, Z6
+	VFNMADD231PD.BCST LN2L, Z7, Z6
+	VMULPD.BCST       SIXTEENTH, Z6, Z6
+	VBROADCASTSD      C8, Z7
+	VFMADD213PD.BCST  C7, Z6, Z7
+	VFMADD213PD.BCST  C6, Z6, Z7
+	VFMADD213PD.BCST  C5, Z6, Z7
+	VFMADD213PD.BCST  C4, Z6, Z7
+	VFMADD213PD.BCST  C3, Z6, Z7
+	VFMADD213PD.BCST  HALF, Z6, Z7
+	VFMADD213PD       Z14, Z6, Z7
+	VMULPD            Z7, Z6, Z6
+	VADDPD            Z13, Z6, Z7
+	VMULPD            Z7, Z6, Z6
+	VADDPD            Z13, Z6, Z7
+	VMULPD            Z7, Z6, Z6
+	VADDPD            Z13, Z6, Z7
+	VMULPD            Z7, Z6, Z6
+	VADDPD            Z13, Z6, Z7
+	VFMADD213PD       Z14, Z7, Z6
+	VPMOVSXDQ         Y8, Z8
+	VPADDQ.BCST       BIAS, Z8, Z8
+	VPSLLQ            $52, Z8, Z8
+	VMULPD            Z8, Z6, Z6
+
+	// z = 1 - 2/(s+1), negated where x < 0.
+	VADDPD Z14, Z6, Z6
+	VDIVPD Z6, Z13, Z6
+	VSUBPD Z6, Z14, Z6
+	VPXORQ Z1, Z0, Z9
+	VPORQ  Z9, Z6, Z6
+
+	// The switch, last case first so that the first case wins.
+	VCMPPD.BCST $0x1D, ARM, Z1, K1  // z >= 0.625
+	VMOVAPD     Z6, K1, Z5
+	VCMPPD.BCST $0x1E, SAT, Z1, K2  // z > 0.5*MAXLOG: ±1
+	VPORQ       Z9, Z14, Z11
+	VMOVAPD     Z11, K2, Z5
+	VCMPPD      $0x00, Z15, Z0, K3  // x == 0: x, which keeps -0
+	VMOVAPD     Z0, K3, Z5
+
+	VMOVUPD Z5, (DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     tanhz_loop
 	VZEROUPPER
 	RET

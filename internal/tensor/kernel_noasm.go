@@ -6,8 +6,14 @@ package tensor
 // only path, and the routines below exist to let that file compile.
 var useAVX2 = false
 
+// useAVX512 is useAVX2's 512-bit level, likewise never set here.
+var useAVX512 = false
+
 // tanhOK is the amd64 probe's verdict; there is no kernel to probe here.
 const tanhOK = false
+
+// tanh512OK is the amd64 probe's verdict on tanhAVX512.
+const tanh512OK = false
 
 func axpyAVX2(x, y *float64, n int, alpha float64) { panic("tensor: no AVX2") }
 
@@ -15,11 +21,21 @@ func axpy4AVX2(d *float64, n int, b *float64, off *[4]int, coef *[4]float64) {
 	panic("tensor: no AVX2")
 }
 
+func axpyAVX512(x, y *float64, n16 int, alpha float64) { panic("tensor: no AVX-512") }
+
+func axpy4AVX512(d *float64, n16 int, b *float64, off *[4]int, coef *[4]float64) {
+	panic("tensor: no AVX-512")
+}
+
 func dot4RowsAVX2(d *float64, ldd int, a, b *float64, k, n4 int) { panic("tensor: no AVX2") }
+
+func dot4RowsAVX512(d *float64, ldd int, a, b *float64, k, n8 int) { panic("tensor: no AVX-512") }
 
 func dot1RowAVX2(d, a, b *float64, k, n8 int) { panic("tensor: no AVX2") }
 
 func tanhAVX2(dst, src *float64, n4 int) { panic("tensor: no AVX2") }
+
+func tanhAVX512(dst, src *float64, n8 int) { panic("tensor: no AVX-512") }
 
 func scaleAVX2(x *float64, n4 int, alpha float64) { panic("tensor: no AVX2") }
 

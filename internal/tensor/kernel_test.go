@@ -174,40 +174,62 @@ func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 	}
 }
 
-// bothKernelPaths runs f with useAVX2 as detected and again with it
-// forced off, so that assembly ≡ tiled Go ≡ scalar reference.
-func bothKernelPaths(t *testing.T, f func(t *testing.T)) {
-	bothPaths(t, useAVX2, "no AVX2 on this CPU (or this GOARCH): the Go kernels are the only path here", f)
+// levels are the kernel paths every kernel test and benchmark runs, and
+// the useAVX512 and useAVX2 that select each: the 512-bit kernels with
+// the AVX2 ones taking what is left (/avx512), the AVX2 kernels alone
+// (/avx2) and the Go kernels (/go).
+var levels = [...]struct {
+	name         string
+	avx512, avx2 bool
+}{{"avx512", true, true}, {"avx2", false, true}, {"go", false, false}}
+
+// setLevel selects a kernel path and returns what restores the one init
+// detected.
+func setLevel(avx512, avx2 bool) (restore func()) {
+	was512, was2 := useAVX512, useAVX2
+	useAVX512, useAVX2 = avx512, avx2
+	return func() { useAVX512, useAVX2 = was512, was2 }
 }
 
-// bothPaths is bothKernelPaths for a kernel that is in use only when
-// have is true; its avx2 leg skips, giving why, when it is not.
-func bothPaths(t *testing.T, have bool, why string, f func(t *testing.T)) {
-	t.Run("avx2", func(t *testing.T) {
-		if !have {
-			t.Skip(why)
-		}
-		f(t)
-	})
-	t.Run("go", func(t *testing.T) {
-		defer func(was bool) { useAVX2 = was }(useAVX2)
-		useAVX2 = false
-		f(t)
-	})
+// levelsInUse says which kernels init found in use in this process.
+func levelsInUse() string {
+	return fmt.Sprintf("useAVX512 %v, useAVX2 %v, tanh512OK %v, tanhOK %v", useAVX512, useAVX2, tanh512OK, tanhOK)
+}
+
+// eachKernelPath runs f on every kernel path this CPU has, so that each
+// ≡ the scalar reference. A level the CPU lacks skips.
+func eachKernelPath(t *testing.T, f func(t *testing.T)) {
+	eachPath(t, useAVX512, useAVX2, f)
+}
+
+// eachPath is eachKernelPath for a kernel that is in use at the avx512
+// level only when have512 is true and at the avx2 level only when have2
+// is.
+func eachPath(t *testing.T, have512, have2 bool, f func(t *testing.T)) {
+	have := [len(levels)]bool{have512, have2, true}
+	for i, l := range levels {
+		t.Run(l.name, func(t *testing.T) {
+			if !have[i] {
+				t.Skipf("the %s kernel is not in use on this CPU (or this GOARCH); %s", l.name, levelsInUse())
+			}
+			defer setLevel(l.avx512, l.avx2)()
+			f(t)
+		})
+	}
 }
 
 // TestKernelsBitIdenticalToScalarLoops holds the kernels' contract on
-// both paths: the same bits as the scalar reference at every m, k, n in
-// 0…9 under every value mix (every k mod 4, n mod 4 and mod 8, m mod 3
-// and mod 4 tail, nonzero-count mod 4, and the empty products), at random
-// shapes up to 19 and three long thin ones (a chunk boundary at 32 rows),
-// and at the shapes the workloads run.
+// every path: the same bits as the scalar reference at every m in 0…9
+// and k, n in 0…17 under every value mix (every k mod 4, n mod 4, mod 8
+// and mod 16, m mod 3 and mod 4 tail, nonzero-count mod 4, and the empty
+// products), at random shapes up to 19 and three long thin ones (a chunk
+// boundary at 32 rows), and at the shapes the workloads run.
 func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
-	bothKernelPaths(t, func(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
 		r := rng.New(14)
 		for m := 0; m <= 9; m++ {
-			for k := 0; k <= 9; k++ {
-				for n := 0; n <= 9; n++ {
+			for k := 0; k <= 17; k++ {
+				for n := 0; n <= 17; n++ {
 					for mix := 0; mix < numMixes; mix++ {
 						requireKernelsMatch(t, r, m, k, n, mix, r.Intn(1<<10))
 					}
@@ -230,7 +252,7 @@ func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 func FuzzKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(4), uint8(dense), uint16(0), uint64(1))
 	f.Fuzz(func(t *testing.T, m, k, n, mix uint8, offs uint16, seed uint64) {
-		bothKernelPaths(t, func(t *testing.T) {
+		eachKernelPath(t, func(t *testing.T) {
 			requireKernelsMatch(t, rng.New(seed), int(m%48), int(k%80), int(n%48), int(mix%numMixes), int(offs))
 		})
 	})
@@ -333,17 +355,16 @@ func requireTanhMatches(t *testing.T, r *rng.RNG, n, mix, offs int) {
 	requireCanaries(t, "TanhInto in place", 1, 1, n, srcBack, offSrc, n)
 }
 
-func bothTanhPaths(t *testing.T, f func(t *testing.T)) {
-	bothPaths(t, useAVX2 && tanhOK, fmt.Sprintf("the tanh kernel is not in use here (useAVX2 %v, tanhOK %v): math.Tanh is the only path",
-		useAVX2, tanhOK), f)
+func eachTanhPath(t *testing.T, f func(t *testing.T)) {
+	eachPath(t, useAVX512 && tanh512OK, useAVX2 && tanhOK, f)
 }
 
-// TestTanhBitIdenticalToMath holds TanhInto's contract on both paths:
+// TestTanhBitIdenticalToMath holds TanhInto's contract on every path:
 // math.Tanh's bits over a million values of every mix, over the
 // specials in every lane, at every length around the kernel/tail split
 // with unaligned operands between canaries, and in place.
 func TestTanhBitIdenticalToMath(t *testing.T) {
-	bothTanhPaths(t, func(t *testing.T) {
+	eachTanhPath(t, func(t *testing.T) {
 		r := rng.New(21)
 		src, dst := make([]float64, 1<<20), make([]float64, 1<<20)
 		for mix := 0; mix < numTanhMixes; mix++ {
@@ -351,12 +372,12 @@ func TestTanhBitIdenticalToMath(t *testing.T) {
 			TanhInto(dst, src)
 			requireTanhBits(t, dst, src)
 		}
-		for lane := 0; lane < 4; lane++ { // every special in every lane, and in the tail
+		for lane := 0; lane < 8; lane++ { // every special in every lane, and in the tails
 			in := tanhSpecials[lane:]
 			TanhInto(dst, in)
 			requireTanhBits(t, dst, in)
 		}
-		for _, span := range [][2]int{{0, 9}, {61, 67}} {
+		for _, span := range [][2]int{{0, 17}, {61, 67}} {
 			for n := span[0]; n <= span[1]; n++ {
 				for mix := 0; mix < numTanhMixes; mix++ {
 					for offs := 0; offs < 16; offs++ {
@@ -369,7 +390,7 @@ func TestTanhBitIdenticalToMath(t *testing.T) {
 }
 
 func TestTanhIntoShortDstPanics(t *testing.T) {
-	bothTanhPaths(t, func(t *testing.T) {
+	eachTanhPath(t, func(t *testing.T) {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("TanhInto with len(dst) < len(src) did not panic")
@@ -384,7 +405,7 @@ func TestTanhIntoShortDstPanics(t *testing.T) {
 func FuzzTanh(f *testing.F) {
 	f.Add(uint16(8), uint8(0), uint8(tanhUnit), uint64(1))
 	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, seed uint64) {
-		bothTanhPaths(t, func(t *testing.T) {
+		eachTanhPath(t, func(t *testing.T) {
 			requireTanhMatches(t, rng.New(seed), int(n%600), int(mix%numTanhMixes), int(offs))
 		})
 	})
@@ -466,12 +487,12 @@ func requireAdamMatches(t *testing.T, r *rng.RNG, n, mix, offs int, lr float64, 
 }
 
 // TestScaleAndAdamBitIdenticalToScalarLoops holds the two elementwise
-// kernels to their scalar loops on both paths: every length 0…19 (every
+// kernels to their scalar loops on every path: every length 0…19 (every
 // tail), lengths around a parameter slab's, every value mix, rates of
 // every size and sign, and step counts from the first to where the bias
 // corrections round to 1.
 func TestScaleAndAdamBitIdenticalToScalarLoops(t *testing.T) {
-	bothKernelPaths(t, func(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
 		r := rng.New(30)
 		lrs := []float64{3e-4, 1, -2.5, 0, math.Copysign(0, -1), 5e-324, math.Inf(1), math.NaN()}
 		steps := []int{1, 2, 3, 10, 1000, 100000}
@@ -492,6 +513,49 @@ func TestScaleAndAdamBitIdenticalToScalarLoops(t *testing.T) {
 	})
 }
 
+// requireAxpyMatches adds alpha times n values of the given mix to n
+// others, each a sub-slice at an odd offset of a canary-filled array,
+// and holds y to the scalar loop's bits and its surroundings to the
+// canaries.
+func requireAxpyMatches(t *testing.T, r *rng.RNG, n, mix, offs int, alpha float64) {
+	t.Helper()
+	offX, offY := 1+2*(offs&3), 1+2*(offs>>2&3)
+	x, _ := guardedMat(1, n, offX)
+	y, back := guardedMat(1, n, offY)
+	fillMix(r, x.Data, mix)
+	fillMix(r, y.Data, mix)
+	want := append([]float64(nil), y.Data...)
+	for i, xv := range x.Data {
+		want[i] += alpha * xv
+	}
+	Axpy(alpha, x.Data, y.Data)
+	requireSameVec(t, "Axpy", y.Data, want)
+	requireCanaries(t, "Axpy", 1, 1, n, back, offY, n)
+}
+
+// TestAxpyBitIdenticalToScalarLoop holds Axpy to y[i] += alpha*x[i] on
+// every path: every length 0…40 (every tail of the 16-, 8- and 4-wide
+// steps), lengths around a parameter slab's, every value mix, and
+// factors of every size and sign.
+func TestAxpyBitIdenticalToScalarLoop(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		r := rng.New(31)
+		alphas := []float64{3e-4, 1, -2.5, 0, math.Copysign(0, -1), 5e-324, math.Inf(1), math.NaN()}
+		for n := 0; n <= 40; n++ {
+			for mix := 0; mix < numMixes; mix++ {
+				for _, alpha := range alphas {
+					requireAxpyMatches(t, r, n, mix, r.Intn(1<<10), alpha)
+				}
+			}
+		}
+		for _, n := range []int{1021, 1024, 1027} {
+			for mix := 0; mix < numMixes; mix++ {
+				requireAxpyMatches(t, r, n, mix, r.Intn(1<<10), r.NormFloat64())
+			}
+		}
+	})
+}
+
 func TestAdamStepLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -507,7 +571,7 @@ func TestAdamStepLengthMismatchPanics(t *testing.T) {
 func FuzzScale(f *testing.F) {
 	f.Add(uint16(11), uint8(0), uint8(special), 0.5, uint64(1))
 	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, alpha float64, seed uint64) {
-		bothKernelPaths(t, func(t *testing.T) {
+		eachKernelPath(t, func(t *testing.T) {
 			requireScaleMatches(t, rng.New(seed), int(n%600), int(mix%numMixes), int(offs), alpha)
 		})
 	})
@@ -516,7 +580,7 @@ func FuzzScale(f *testing.F) {
 func FuzzAdamStep(f *testing.F) {
 	f.Add(uint16(11), uint8(0), uint8(special), 3e-4, uint32(1), uint64(1))
 	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, lr float64, step uint32, seed uint64) {
-		bothKernelPaths(t, func(t *testing.T) {
+		eachKernelPath(t, func(t *testing.T) {
 			requireAdamMatches(t, rng.New(seed), int(n%600), int(mix%numMixes), int(offs), lr, 1+int(step%200000))
 		})
 	})

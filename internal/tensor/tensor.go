@@ -40,29 +40,36 @@
 // which lets the compiler drop their bounds checks.
 //
 // On amd64 with AVX2 (detected once at init; there is no switch) the
-// innermost loops are the assembly of kernel_amd64.s, which puts four
-// independent outputs in the four lanes of a vector: VMULPD and VADDPD
-// are the scalar multiply and the scalar add done four times over, lane
-// by lane, so each output sees the operations of the Go loop in the
-// order of the Go loop. Axpy and the four-row pass under MatMul and
-// MatMulATB take 8, then 4, then 1 elements of the dst row per step;
-// MatMulABT computes 4 x 4 tiles (1 x 8 for one row) by transposing a
-// 4 x 4 block of b in registers, so that the lanes of an accumulator are
-// four dot products advancing through k together. Rows and columns left
-// over by the tiles go to the Go kernels. The assembly is handed only
-// pointers into slices Go has already sliced to their full extent, so a
-// wrong shape panics in Go.
+// innermost loops are the assembly of kernel_amd64.s, which puts
+// independent outputs in the lanes of a vector, one output per lane:
+// VMULPD and VADDPD are the scalar multiply and the scalar add done once
+// per lane, so each output sees the operations of the Go loop in the
+// order of the Go loop. There are two widths. The AVX2 kernels hold four
+// outputs in a 256-bit register; where the CPU also has AVX-512F (and
+// the OS saves its registers) the 512-bit kernels hold eight, with the
+// same instructions per lane, take the part of a row that fills their
+// steps, and leave the rest to the AVX2 kernels. Axpy and the four-row
+// pass under MatMul and MatMulATB take 16 (512-bit), then 8, 4 and 1
+// elements of the dst row per step; MatMulABT computes 4 x 8 tiles at
+// 512 bits and 4 x 4 tiles at 256 (1 x 8 for one row, at 256 bits only)
+// by transposing a block of b in registers, so that the lanes of an
+// accumulator are dot products advancing through k together. Rows and
+// columns left over by the tiles go to the Go kernels. Each level is
+// the whole path on a CPU that lacks the one above it. The assembly is
+// handed only pointers into slices Go has already sliced to their full
+// extent, so a wrong shape panics in Go.
 //
 // TanhInto, the activation between the products, is the same idea
 // applied to a function call: a batch of pre-activations is that many
-// independent math.Tanh calls, and tanhAVX2 makes four at a time. Each
+// independent math.Tanh calls, and tanhAVX512 makes eight at a time,
+// tanhAVX2 four (the selects are mask merges at 512 bits). Each
 // lane goes through all three arms of the switch in math/tanh.go — the
 // rational approximation, 1 - 2/(Exp(2z)+1) with math.Exp's amd64
 // assembly inlined, and ±1 — written with the instructions the scalar
 // code executes for that arm, in its order, on constants the assembler
 // rounds from the same literals; compares then keep, per lane, the arm
 // the switch would have taken. The reference is math.Tanh itself:
-// every host without the kernel, and the last len mod 4 elements on
+// every host without a kernel, and the last len mod 4 elements on
 // every host, call it, and no Go port of it exists to drift.
 //
 // Scale and AdamStep are elementwise, so their lanes are simply four
@@ -75,22 +82,24 @@
 // The rule, for all of it, is that each lane executes the reference's
 // own instruction sequence. For the three products the reference is a
 // Go loop, gc never fuses x*y + z on amd64 at any GOAMD64 level, and so
-// their kernels are a multiply then an add and never an FMA, on either
+// their kernels are a multiply then an add and never an FMA, on any
 // path. For tanh the reference is whatever math.Tanh executes on this
 // host, and math.Exp is assembly that takes an FMA arm where the CPU has
 // FMA (and Go's GODEBUG=cpu.fma=off does not forbid it) and a
 // multiply-add arm elsewhere; between 0.625 and 8 the two give tanh
-// different bits for about one input in 280. tanhAVX2 is a
+// different bits for about one input in 280. Both tanh kernels are a
 // transcription of the FMA arm only, and that the host's math.Tanh is
-// the function it transcribes is checked, not assumed: at init the
+// the function they transcribe is checked, not assumed: at init each
 // kernel runs on a fixed table — every branch point of tanh and its
-// neighbours, and sixteen inputs found to separate the two arms — and is
-// used only if every result has math.Tanh's bits. A host on the other
-// arm, or a toolchain that rewrites math.Exp or math.Tanh, thereby keeps
-// the scalar loop and its own bits;
+// neighbours, and sixteen inputs found to separate the two arms — and
+// is used only if every result has math.Tanh's bits. A host on the
+// other arm, or a toolchain that rewrites math.Exp or math.Tanh,
+// thereby keeps the scalar loop and its own bits;
 // TestTanhKernelStandsDownWithoutFMAExp holds the check to both answers.
 // Outputs are therefore reproducible per host class (amd64 with FMA,
-// amd64 without, each other port), as math.Tanh's always were.
+// amd64 without, each other port), as math.Tanh's always were; the
+// 512-bit kernels move no bit, so they are inside the first class, not
+// a class of their own.
 //
 // On ports whose compiler does fuse (arm64, ppc64le, s390x) only the Go
 // path exists, and a kernel and its reference stay identical only if
@@ -206,7 +215,15 @@ func addScaledRows(d, a []float64, stride int, b []float64, rows int) {
 		c++
 		if c == 4 {
 			if useAVX2 {
-				axpy4AVX2(&d[0], n, &b[0], &off, &coef)
+				j := 0
+				if useAVX512 {
+					if j = n &^ 15; j > 0 {
+						axpy4AVX512(&d[0], j, &b[0], &off, &coef)
+					}
+				}
+				if j < n {
+					axpy4AVX2(&d[j], n-j, &b[j], &off, &coef)
+				}
 			} else {
 				axpy4(d, b[off[0]:off[0]+n], b[off[1]:off[1]+n], b[off[2]:off[2]+n], b[off[3]:off[3]+n],
 					coef[0], coef[1], coef[2], coef[3])
@@ -222,7 +239,8 @@ func addScaledRows(d, a []float64, stride int, b []float64, rows int) {
 // axpy4 computes d += a0*b0 + a1*b1 + a2*b2 + a3*b3 elementwise, adding
 // the four products to each d[j] one after another in that order: four
 // Axpy calls with one load and one store of d where they make four.
-// axpy4AVX2 does the same to eight, four or one d[j] per step.
+// axpy4AVX512 does the same to sixteen d[j] per step, axpy4AVX2 to
+// eight, four or one.
 func axpy4(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
 	for j, v := range d {
@@ -243,13 +261,22 @@ func MatMulABT(dst, a, b *Mat) {
 	}
 	i := 0
 	if m, k, n := a.Rows, a.Cols, b.Rows; useAVX2 && k > 0 && n >= 4 {
-		// 4 x 4 tiles in assembly; the n mod 4 columns left of each four
-		// rows go to the Go kernels, as do the m mod 4 rows below.
-		n4 := n &^ 3
+		// 4 x 8 tiles, then 4 x 4, in assembly; the n mod 4 columns left
+		// of each four rows go to the Go kernels, as do the m mod 4 rows
+		// below.
+		n8, n4 := 0, n&^3
+		if useAVX512 {
+			n8 = n &^ 7
+		}
 		bTile, bRest := b.Data[:n4*k], b.Data[n4*k:]
 		for ; i+4 <= m; i += 4 {
 			d, ar := dst.Data[i*n:(i+4)*n], a.Data[i*k:(i+4)*k]
-			dot4RowsAVX2(&d[0], n, &ar[0], &bTile[0], k, n4)
+			if n8 > 0 {
+				dot4RowsAVX512(&d[0], n, &ar[0], &bTile[0], k, n8)
+			}
+			if n8 < n4 {
+				dot4RowsAVX2(&d[n8], n, &ar[0], &bTile[n8*k], k, n4-n8)
+			}
 			if n4 < n {
 				dot3Rows(d[n4:n], d[n+n4:2*n], d[2*n+n4:3*n], ar[:k], ar[k:2*k], ar[2*k:3*k], bRest)
 				dot1Row(d[3*n+n4:], ar[3*k:], bRest)
@@ -348,7 +375,15 @@ func Axpy(alpha float64, x, y []float64) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	if useAVX2 && len(x) > 0 {
-		axpyAVX2(&x[0], &y[0], len(x), alpha)
+		j := 0
+		if useAVX512 {
+			if j = len(x) &^ 15; j > 0 {
+				axpyAVX512(&x[0], &y[0], j, alpha)
+			}
+		}
+		if j < len(x) {
+			axpyAVX2(&x[j], &y[j], len(x)-j, alpha)
+		}
 		return
 	}
 	for i, xv := range x {
@@ -407,14 +442,20 @@ func TanhInto(dst, src []float64) {
 	if len(dst) < len(src) {
 		panic(fmt.Sprintf("tensor: TanhInto dst length %d < src length %d", len(dst), len(src)))
 	}
-	n4 := 0
-	if useAVX2 && tanhOK {
-		if n4 = len(src) &^ 3; n4 > 0 {
-			tanhAVX2(&dst[0], &src[0], n4)
+	n := 0
+	if useAVX2 {
+		if useAVX512 && tanh512OK {
+			if n = len(src) &^ 7; n > 0 {
+				tanhAVX512(&dst[0], &src[0], n)
+			}
+		}
+		if n4 := len(src) &^ 3; tanhOK && n4 > n {
+			tanhAVX2(&dst[n], &src[n], n4-n)
+			n = n4
 		}
 	}
 	dst = dst[:len(src)]
-	for i := n4; i < len(src); i++ {
+	for i := n; i < len(src); i++ {
 		dst[i] = math.Tanh(src[i])
 	}
 }
