@@ -88,16 +88,18 @@ live-smoke:
 		test "$$printed" = "$$prom" || { echo "live-smoke: the resilience line disagrees with metrics.prom"; exit 1; }; \
 	done
 
-# Short live fuzz of the cache wire codec and framing, and of the tensor
-# kernels against their references (the scalar loops, math.Tanh), Scale
-# and the Adam step among them. The checked-in corpora under
-# internal/cache/testdata/fuzz and
+# Short live fuzz of the cache wire codec and framing, of the checkpoint
+# decoder, and of the tensor kernels against their references (the
+# scalar loops, math.Tanh), Scale and the Adam step among them. The
+# checked-in corpora under internal/cache/testdata/fuzz,
+# internal/ckpt/testdata/fuzz and
 # internal/tensor/testdata/fuzz replay on every plain `go test`; this
 # target additionally explores new inputs for FUZZTIME per fuzz target
 # (go's -fuzz accepts one target at a time).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzBinCodecRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzTanh$$' -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzScale$$' -fuzztime $(FUZZTIME) ./internal/tensor
@@ -105,16 +107,18 @@ fuzz-short:
 
 # The !amd64 twin of internal/tensor's assembly kernels, and everything
 # above it (internal/optim's Adam step among them), built for a port
-# that has none. Compiles from the local GOROOT: no network, no emulator. Then the cache's payload codec on a
-# 32-bit int — run, natively, as a 386 binary on an amd64 Linux host:
-# crafted counts must not wrap, and the one-copy slab path runs there
-# too — and vetted for a big-endian port (s390x), where the
-# per-element slab loop is the only path and must build.
+# that has none. Compiles from the local GOROOT: no network, no emulator. Then
+# every format read through internal/wire (payload, batch blob, record,
+# snapshot, checkpoint, lineage meta) on a 32-bit int — run, natively,
+# as 386 binaries on an amd64 Linux host: crafted counts and lengths
+# must not wrap, and the one-copy slab path runs there too — and the
+# cache vetted for a big-endian port (s390x), where the per-element
+# slab loop is the only path and must build.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/optim
-	GOARCH=386 $(GO) test -short ./internal/cache
-	GOARCH=s390x $(GO) vet ./internal/cache
+	GOARCH=386 $(GO) test -short ./internal/cache ./internal/ckpt ./internal/wire ./internal/obs/lineage
+	GOARCH=s390x $(GO) vet ./internal/cache ./internal/wire
 
 # The second amd64 host class (DESIGN.md §8): with GODEBUG=cpu.fma=off
 # math.Exp takes its non-FMA arm, as it does on a CPU without FMA, so

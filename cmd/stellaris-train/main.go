@@ -20,9 +20,16 @@ import (
 )
 
 func main() {
+	// Every default below is the one core.Config.Normalize fills in; the
+	// flags whose zero means "the algorithm's or the paper's default" keep
+	// their zero.
+	def, err := core.Config{Seed: 1}.Normalize()
+	if err != nil {
+		fatal(err)
+	}
 	var cfg core.Config
 	var (
-		agg        = flag.String("agg", "stellaris", "aggregator: stellaris, softsync, ssp, async, sync")
+		agg        = flag.String("agg", string(def.Aggregator), "aggregator: stellaris, softsync, ssp, async, sync")
 		serverless = flag.Bool("serverless", true, "serverless learners (false = serverful)")
 		slActors   = flag.Bool("serverless-actors", false, "serverless actors")
 		out        = flag.String("o", "", "CSV output path (default stdout)")
@@ -33,21 +40,21 @@ func main() {
 		obsAddr    = flag.String("obs-addr", "", "metrics/pprof HTTP address (e.g. :9090; empty disables)")
 		obsDir     = flag.String("obs-dir", "", "write metrics.{json,csv,prom} snapshots here when the run ends")
 	)
-	flag.StringVar(&cfg.Env, "env", "hopper", "environment name")
-	flag.StringVar(&cfg.Algo, "algo", "ppo", "algorithm: ppo or impact")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
-	flag.IntVar(&cfg.Rounds, "rounds", 50, "training rounds")
-	flag.IntVar(&cfg.UpdatesPerRound, "updates-per-round", 8, "policy updates per round")
-	flag.IntVar(&cfg.NumActors, "actors", 8, "number of actors")
-	flag.IntVar(&cfg.ActorSteps, "actor-steps", 128, "timesteps per actor trajectory")
+	flag.StringVar(&cfg.Env, "env", def.Env, "environment name")
+	flag.StringVar(&cfg.Algo, "algo", def.Algo, "algorithm: ppo or impact")
+	flag.Uint64Var(&cfg.Seed, "seed", def.Seed, "random seed")
+	flag.IntVar(&cfg.Rounds, "rounds", def.Rounds, "training rounds")
+	flag.IntVar(&cfg.UpdatesPerRound, "updates-per-round", def.UpdatesPerRound, "policy updates per round")
+	flag.IntVar(&cfg.NumActors, "actors", def.NumActors, "number of actors")
+	flag.IntVar(&cfg.ActorSteps, "actor-steps", def.ActorSteps, "timesteps per actor trajectory")
 	flag.IntVar(&cfg.BatchSize, "batch", 0, "learner batch size (0 = algorithm default)")
 	flag.IntVar(&cfg.Hidden, "hidden", 0, "MLP width (0 = paper's 256)")
 	flag.IntVar(&cfg.FrameSize, "frame", 0, "image frame edge (0 = default 44)")
-	flag.IntVar(&cfg.GPUs, "gpus", 1, "GPUs backing learner functions")
-	flag.IntVar(&cfg.LearnersPerGPU, "learners-per-gpu", 4, "learner slots per GPU")
-	flag.Float64Var(&cfg.DecayD, "d", 0.96, "staleness decay factor d (Eq. 3)")
-	flag.IntVar(&cfg.SmoothV, "v", 3, "learning-rate smoothness v (Eq. 4)")
-	flag.Float64Var(&cfg.Rho, "rho", 1.0, "IS truncation threshold rho (Eq. 2)")
+	flag.IntVar(&cfg.GPUs, "gpus", def.GPUs, "GPUs backing learner functions")
+	flag.IntVar(&cfg.LearnersPerGPU, "learners-per-gpu", def.LearnersPerGPU, "learner slots per GPU")
+	flag.Float64Var(&cfg.DecayD, "d", def.DecayD, "staleness decay factor d (Eq. 3)")
+	flag.IntVar(&cfg.SmoothV, "v", def.SmoothV, "learning-rate smoothness v (Eq. 4)")
+	flag.Float64Var(&cfg.Rho, "rho", def.Rho, "IS truncation threshold rho (Eq. 2)")
 	flag.BoolVar(&cfg.DisableTruncation, "no-trunc", false, "disable IS truncation")
 	flag.BoolVar(&cfg.SyncActors, "sync-actors", false, "synchronous actors (Fig. 1a)")
 	flag.BoolVar(&cfg.HPC, "hpc", false, "use HPC-cluster instance types")

@@ -5,8 +5,8 @@ package cache
 // small-payload traffic (learners assembling batches).
 //
 // On the wire (see DESIGN.md §10): op 'g' carries a GetN request in the
-// frame's value field; the key field is unused. Blobs are big-endian
-// like the rest of the frame layer.
+// frame's value field; the key field is unused. Blobs are little-endian
+// and read through wire.Reader, like the payload codec.
 //
 //	GetN request blob:  u32 count, then count × [u32 keyLen][key]
 //	GetN response blob: u32 count, then count × [u8 found][u32 valLen][val]
@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"stellaris/internal/obs/lineage"
+	"stellaris/internal/wire"
 )
 
 // BatchGet is c.GetN(keys). Benchmark only: it stays because
@@ -63,62 +64,6 @@ const (
 	minGetNRspRec = 5 // found byte + empty value
 )
 
-// blobCursor reads length-prefixed fields out of a batch blob with the
-// same validate-before-allocate discipline as binReader.
-type blobCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *blobCursor) u32(what string) int {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) < 4 {
-		c.err = fmt.Errorf("cache: batch blob: truncated %s", what)
-		return 0
-	}
-	v := int(binary.BigEndian.Uint32(c.b))
-	c.b = c.b[4:]
-	return v
-}
-
-func (c *blobCursor) bytes(n int, what string) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(c.b) {
-		c.err = fmt.Errorf("cache: batch blob: %s length %d exceeds %d remaining", what, n, len(c.b))
-		return nil
-	}
-	v := c.b[:n]
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *blobCursor) u8(what string) byte {
-	if v := c.bytes(1, what); v != nil {
-		return v[0]
-	}
-	return 0
-}
-
-func (c *blobCursor) count(what string, minRec int) int {
-	n := c.u32(what)
-	if c.err == nil && n > len(c.b)/minRec {
-		c.err = fmt.Errorf("cache: batch blob: %s count %d exceeds %d remaining bytes", what, n, len(c.b))
-		return 0
-	}
-	return n
-}
-
-func (c *blobCursor) finish() error {
-	if c.err == nil && len(c.b) != 0 {
-		c.err = fmt.Errorf("cache: batch blob: %d trailing bytes", len(c.b))
-	}
-	return c.err
-}
-
 func getNReqSize(keys []string) int {
 	n := 4
 	for _, k := range keys {
@@ -128,23 +73,22 @@ func getNReqSize(keys []string) int {
 }
 
 func appendGetNReq(b []byte, keys []string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(keys)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
 	for _, k := range keys {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(k)))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(k)))
 		b = append(b, k...)
 	}
 	return b
 }
 
 func parseGetNReq(b []byte) ([]string, error) {
-	cur := &blobCursor{b: b}
-	n := cur.count("getn count", minGetNReqRec)
-	keys := make([]string, 0, n)
-	for i := 0; i < n && cur.err == nil; i++ {
-		keys = append(keys, string(cur.bytes(cur.u32("key length"), "key")))
+	r := wire.NewReader(b)
+	keys := make([]string, r.Count(minGetNReqRec))
+	for i := range keys {
+		keys[i] = r.String()
 	}
-	if err := cur.finish(); err != nil {
-		return nil, err
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("cache: batch blob: getn request: %w", err)
 	}
 	return keys, nil
 }
@@ -159,28 +103,26 @@ func getNRespSize(vals []*value) int {
 
 // parseGetNResp splits a GetN response blob into its entries. The
 // entries alias b — the buffer readResp allocated for this one response
-// and nobody else holds — each with its capacity clipped to its length,
-// so they are as independently retainable as Get's result without a
-// copy apiece. A key that was found with an empty value yields a
-// non-nil empty entry; only a missing key yields nil.
+// and nobody else holds — each with its capacity clipped to its length
+// by wire.Reader.Bytes, so they are as independently retainable as
+// Get's result without a copy apiece. A key that was found with an
+// empty value yields a non-nil empty entry; only a missing key yields
+// nil.
 func parseGetNResp(b []byte, want int) ([][]byte, error) {
-	cur := &blobCursor{b: b}
-	n := cur.count("getn response count", minGetNRspRec)
-	if cur.err == nil && n != want {
+	r := wire.NewReader(b)
+	n := r.Count(minGetNRspRec)
+	if r.Err() == nil && n != want {
 		return nil, fmt.Errorf("cache: batch blob: getn response count %d != %d requested", n, want)
 	}
-	out := make([][]byte, 0, n)
-	for i := 0; i < n && cur.err == nil; i++ {
-		found := cur.u8("found flag")
-		val := cur.bytes(cur.u32("value length"), "value")
-		if found != 0 {
-			out = append(out, val[:len(val):len(val)])
-		} else {
-			out = append(out, nil)
+	out := make([][]byte, n)
+	for i := range out {
+		found := r.U8()
+		if val := r.Bytes(r.Count(1)); found != 0 {
+			out[i] = val
 		}
 	}
-	if err := cur.finish(); err != nil {
-		return nil, err
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("cache: batch blob: getn response: %w", err)
 	}
 	return out, nil
 }

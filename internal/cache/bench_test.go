@@ -2,6 +2,8 @@ package cache
 
 import (
 	"testing"
+
+	"stellaris/internal/wire"
 )
 
 // benchVectors are the weight sizes the benchmark's workloads move: the
@@ -25,11 +27,11 @@ func BenchmarkDecodeWeights(b *testing.B) {
 		for _, path := range []string{"copy", "loop"} {
 			for _, dst := range []string{"into", "alloc"} {
 				b.Run(v.name+"/"+path+"/"+dst, func(b *testing.B) {
-					if path == "copy" && !slabIsMemory {
+					if path == "copy" && !wire.SlabIsMemory {
 						b.Skip("big-endian host: no copy path")
 					}
-					defer func(was bool) { slabIsMemory = was }(slabIsMemory)
-					slabIsMemory = path == "copy"
+					defer func(was bool) { wire.SlabIsMemory = was }(wire.SlabIsMemory)
+					wire.SlabIsMemory = path == "copy"
 					var w []float64
 					if dst == "into" {
 						w = make([]float64, v.n)

@@ -8,21 +8,22 @@ import (
 	"testing"
 
 	"stellaris/internal/obs/lineage"
+	"stellaris/internal/wire"
 )
 
-// bothSlabPaths runs f on the copy path (slabIsMemory as detected) and
+// bothSlabPaths runs f on the copy path (wire.SlabIsMemory as detected) and
 // again with it forced off, so that the one-copy slab ≡ the per-element
 // loop ≡ the wire format. On a big-endian host the copy leg skips.
 func bothSlabPaths(t *testing.T, f func(t *testing.T)) {
 	t.Run("copy", func(t *testing.T) {
-		if !slabIsMemory {
+		if !wire.SlabIsMemory {
 			t.Skip("big-endian host: the per-element loop is the only path here")
 		}
 		f(t)
 	})
 	t.Run("loop", func(t *testing.T) {
-		defer func(was bool) { slabIsMemory = was }(slabIsMemory)
-		slabIsMemory = false
+		defer func(was bool) { wire.SlabIsMemory = was }(wire.SlabIsMemory)
+		wire.SlabIsMemory = false
 		f(t)
 	})
 }
@@ -67,21 +68,21 @@ func requireBits(t *testing.T, what string, got, want []float64) {
 // offsets of larger buffers on both sides and canaries past the vector.
 func TestSlabPathsAgreeBitForBit(t *testing.T) {
 	xs := make([]float64, len(slabSpecials))
-	var wire []byte
+	var slab []byte
 	for i, b := range slabSpecials {
 		xs[i] = math.Float64frombits(b)
-		wire = binary.LittleEndian.AppendUint64(wire, b)
+		slab = binary.LittleEndian.AppendUint64(slab, b)
 	}
 	bothSlabPaths(t, func(t *testing.T) {
 		for _, off := range []int{0, 1, 3, 7} {
 			prefix := filled(0xa5, off)
-			enc := appendF64Raw(append([]byte(nil), prefix...), xs)
-			if !bytes.Equal(enc[:off], prefix) || !bytes.Equal(enc[off:], wire) {
-				t.Fatalf("offset %d: encoded % x, want % x", off, enc[off:], wire)
+			enc := wire.AppendF64s(append([]byte(nil), prefix...), xs)
+			if !bytes.Equal(enc[:off], prefix) || !bytes.Equal(enc[off:], slab) {
+				t.Fatalf("offset %d: encoded % x, want % x", off, enc[off:], slab)
 			}
-			src := append(append(filled(0x5a, off), wire...), filled(0x5a, 5)...)
+			src := append(append(filled(0x5a, off), slab...), filled(0x5a, 5)...)
 			back := canaries(len(xs) + 3)
-			got := f64sInto(back[:1], src[off:off+len(wire)])
+			got := wire.F64sInto(back[:1], src[off:off+len(slab)])
 			if &got[0] != &back[0] {
 				t.Fatalf("offset %d: a vector with room was not reused", off)
 			}

@@ -126,14 +126,14 @@ func (w *frameWriter) errResp(format string, args ...any) {
 // missing key.
 func (w *frameWriter) getNResp(vals []*value) {
 	w.respHead('+', getNRespSize(vals))
-	w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(vals)))
+	w.hdr = binary.LittleEndian.AppendUint32(w.hdr, uint32(len(vals)))
 	for _, v := range vals {
 		if v == nil {
 			w.hdr = append(w.hdr, 0, 0, 0, 0, 0)
 			continue
 		}
 		w.hdr = append(w.hdr, 1)
-		w.hdr = binary.BigEndian.AppendUint32(w.hdr, uint32(len(v.b)))
+		w.hdr = binary.LittleEndian.AppendUint32(w.hdr, uint32(len(v.b)))
 		w.stored(v)
 	}
 }
@@ -642,7 +642,7 @@ func (w *frameWriter) record(r tapRec) {
 	if r.val != nil {
 		w.stored(r.val)
 	}
-	w.hdr = binary.BigEndian.AppendUint32(w.hdr, sum)
+	w.hdr = binary.LittleEndian.AppendUint32(w.hdr, sum)
 }
 
 // streamReplication serves one follower: an atomic full-state snapshot

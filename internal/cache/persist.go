@@ -4,10 +4,11 @@
 // append-only file (AOF) and periodically compacts it into a full
 // snapshot, so `stellaris-cached -persist <dir>` recovers its entire
 // keyspace after a crash or restart. The layout in the persistence
-// directory:
+// directory, every integer little-endian and every length read back
+// through wire.Reader:
 //
 //	cache.snap  full state at the last compaction
-//	            magic "STLSNAP1" | u32 version | u64 payloadLen
+//	            magic "STLSNAP1" | u32 version (3) | u64 payloadLen
 //	            | payload | u32 CRC-32(payload)
 //	            payload = u32 count | count × (u32 keyLen | key
 //	                    | u32 valLen | val)
@@ -19,7 +20,10 @@
 // Recovery loads the snapshot, replays the AOF, and stops at the first
 // torn or corrupt record — a crash mid-append loses at most the final
 // record, never the keyspace. The torn tail is truncated away and the
-// store compacts immediately so the next crash window starts clean.
+// store compacts immediately so the next crash window starts clean. A
+// snapshot of another version is refused before the AOF is read, so a
+// directory an earlier build wrote (big-endian, versions 1 and 2) is an
+// error, never a log truncated as a "torn tail".
 //
 // Appends are buffered and flushed to the OS per operation but only
 // fsynced at compaction and Close: the durability target is process
@@ -37,6 +41,7 @@ import (
 	"path/filepath"
 
 	"stellaris/internal/obs"
+	"stellaris/internal/wire"
 )
 
 const (
@@ -51,13 +56,15 @@ const (
 
 const (
 	snapMagic = "STLSNAP1"
-	// snapVersion 2 is the value section alone; version 1 followed it
-	// with a counter section and is refused by loadSnapshot.
-	snapVersion = 2
+	// snapVersion 3 is the value section alone, little-endian. Version 2
+	// was the same section big-endian and version 1 followed it with a
+	// counter section; loadSnapshot refuses both.
+	snapVersion = 3
 	snapName    = "cache.snap"
 	aofName     = "cache.aof"
 
-	// maxRecord bounds replay allocations (matches the protocol frame cap).
+	// maxRecord bounds a record body and a snapshot payload (matches the
+	// protocol frame cap).
 	maxRecord = 256 << 20
 
 	// Compaction triggers: whichever of ops-since-snapshot or AOF bytes
@@ -192,18 +199,18 @@ func (c *MemCache) logLocked(op byte, key string, val *value) error {
 func appendRecord(b []byte, op byte, key string, val []byte) []byte {
 	start := len(b) + 4
 	b = append(appendRecordHeader(b, op, key, len(val)), val...)
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // appendRecordHeader appends everything of a record that precedes its
 // value; the replication stream sends the value from the store's own
 // slice (frameWriter.record) instead of copying it behind the header.
 func appendRecordHeader(b []byte, op byte, key string, valLen int) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(1+4+len(key)+4+valLen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(1+4+len(key)+4+valLen))
 	b = append(b, op)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(key)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
 	b = append(b, key...)
-	return binary.BigEndian.AppendUint32(b, uint32(valLen))
+	return binary.LittleEndian.AppendUint32(b, uint32(valLen))
 }
 
 // recordSize is the encoded size of a record.
@@ -216,29 +223,20 @@ func recordSize(key string, val []byte) int { return 4 + 1 + 4 + len(key) + 4 + 
 // stream stop trusting the input there. The returned key and val alias
 // b; callers that retain them must copy.
 func scanRecord(b []byte) (op byte, key []byte, val []byte, n int) {
-	if len(b) < 4 {
+	r := wire.NewReader(b)
+	body := r.Bytes(r.Count(1))
+	sum := r.U32()
+	if r.Err() != nil || len(body) > maxRecord || crc32.ChecksumIEEE(body) != sum {
 		return 0, nil, nil, 0
 	}
-	blen := int(binary.BigEndian.Uint32(b))
-	if blen < 9 || blen > maxRecord || 4+blen+4 > len(b) {
+	br := wire.NewReader(body)
+	op = br.U8()
+	key = br.Bytes(br.Count(1))
+	val = br.Bytes(br.Count(1))
+	if br.Finish() != nil {
 		return 0, nil, nil, 0
 	}
-	body := b[4 : 4+blen]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b[4+blen:]) {
-		return 0, nil, nil, 0
-	}
-	op = body[0]
-	kl := int(binary.BigEndian.Uint32(body[1:]))
-	if 5+kl+4 > blen {
-		return 0, nil, nil, 0
-	}
-	key = body[5 : 5+kl]
-	vl := int(binary.BigEndian.Uint32(body[5+kl:]))
-	if 5+kl+4+vl > blen {
-		return 0, nil, nil, 0
-	}
-	val = body[5+kl+4 : 5+kl+4+vl]
-	return op, key, val, 4 + blen + 4
+	return op, key, val, 4 + len(body) + 4
 }
 
 func (p *persister) append(op byte, key string, val []byte) error {
@@ -288,20 +286,20 @@ func (p *persister) compact(data map[string]*value) error {
 
 func (p *persister) writeSnapshot(data map[string]*value) error {
 	payload := make([]byte, 0, 1024)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(data)))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(data)))
 	for k, v := range data {
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(k)))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(k)))
 		payload = append(payload, k...)
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(v.b)))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(v.b)))
 		payload = append(payload, v.b...)
 	}
 
 	out := make([]byte, 0, len(snapMagic)+4+8+len(payload)+4)
 	out = append(out, snapMagic...)
-	out = binary.BigEndian.AppendUint32(out, snapVersion)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, snapVersion)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 
 	path := filepath.Join(p.dir, snapName)
 	tmp, err := os.CreateTemp(p.dir, ".snap-*")
@@ -349,56 +347,26 @@ func (p *persister) loadSnapshot(c *MemCache) error {
 	if len(b) < hdr+4 || string(b[:len(snapMagic)]) != snapMagic {
 		return errors.New("cache: snapshot corrupt (bad header)")
 	}
-	if v := binary.BigEndian.Uint32(b[len(snapMagic):]); v != snapVersion {
-		return fmt.Errorf("cache: snapshot version %d unsupported", v)
+	r := wire.NewReader(b[len(snapMagic):])
+	if v := r.U32(); v != snapVersion {
+		return fmt.Errorf("cache: snapshot version %d unsupported (want %d)", v, snapVersion)
 	}
-	plen := binary.BigEndian.Uint64(b[len(snapMagic)+4:])
-	if plen > maxRecord || hdr+int(plen)+4 != len(b) {
+	plen := r.U64()
+	payload := r.Bytes(len(b) - hdr - 4)
+	if plen > maxRecord || plen != uint64(len(payload)) {
 		return errors.New("cache: snapshot corrupt (bad length)")
 	}
-	payload := b[hdr : hdr+int(plen)]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[hdr+int(plen):]) {
+	if crc32.ChecksumIEEE(payload) != r.U32() {
 		return errors.New("cache: snapshot corrupt (checksum mismatch)")
 	}
 
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(payload) {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint32(payload[off:])
-		off += 4
-		return v, true
+	pr := wire.NewReader(payload)
+	for n := pr.Count(8); n > 0 && pr.Err() == nil; n-- { // an entry is at least its two lengths
+		k, v := pr.String(), pr.Bytes(pr.Count(1))
+		c.data[k] = newValue(append([]byte(nil), v...), nil)
 	}
-	str := func(n uint32) (string, bool) {
-		if off+int(n) > len(payload) {
-			return "", false
-		}
-		s := string(payload[off : off+int(n)])
-		off += int(n)
-		return s, true
-	}
-	corrupt := errors.New("cache: snapshot corrupt (truncated payload)")
-
-	nd, ok := u32()
-	if !ok {
-		return corrupt
-	}
-	for i := uint32(0); i < nd; i++ {
-		kl, ok := u32()
-		if !ok {
-			return corrupt
-		}
-		k, ok := str(kl)
-		if !ok {
-			return corrupt
-		}
-		vl, ok := u32()
-		if !ok || off+int(vl) > len(payload) {
-			return corrupt
-		}
-		c.data[k] = newValue(append([]byte(nil), payload[off:off+int(vl)]...), nil)
-		off += int(vl)
+	if err := pr.Finish(); err != nil {
+		return fmt.Errorf("cache: snapshot corrupt: %w", err)
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ func TestPersistTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var torn []byte
-	torn = binary.BigEndian.AppendUint32(torn, 500)
+	torn = binary.LittleEndian.AppendUint32(torn, 500)
 	torn = append(torn, aofPut, 0, 0)
 	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
@@ -128,36 +128,53 @@ func TestPersistCorruptSnapshotRejected(t *testing.T) {
 	}
 }
 
-// A version-1 snapshot (values followed by a counter section) is refused
-// by the version check, and the refusal leaves the directory as it was:
-// nothing is compacted over a file this build cannot read.
+// A snapshot of an earlier version is refused by the version check,
+// and the refusal leaves the directory as it was: nothing is compacted
+// over a file this build cannot read, and the AOF beside it is not
+// replayed (so not cut back as a torn tail). Version 1 followed the
+// values with a counter section; version 2 is this layout big-endian,
+// and a file its own build wrote reads here as version 2<<24.
 func TestPersistV1SnapshotRefused(t *testing.T) {
-	dir := t.TempDir()
-	payload := binary.BigEndian.AppendUint32(nil, 0)    // no values
-	payload = binary.BigEndian.AppendUint32(payload, 0) // no counters
-	snap := append([]byte(snapMagic), 0, 0, 0, 1)
-	snap = binary.BigEndian.AppendUint64(snap, uint64(len(payload)))
-	snap = append(snap, payload...)
-	snap = binary.BigEndian.AppendUint32(snap, crc32.ChecksumIEEE(payload))
-	aof := appendRecord(nil, aofPut, "k", []byte("v"))
-	if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
-		t.Fatal(err)
+	snapshot := func(order binary.AppendByteOrder, version uint32, sections int) []byte {
+		var payload []byte
+		for range sections {
+			payload = order.AppendUint32(payload, 0) // an empty section
+		}
+		snap := order.AppendUint32([]byte(snapMagic), version)
+		snap = order.AppendUint64(snap, uint64(len(payload)))
+		snap = append(snap, payload...)
+		return order.AppendUint32(snap, crc32.ChecksumIEEE(payload))
 	}
-	if err := os.WriteFile(filepath.Join(dir, aofName), aof, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		snap []byte
+		want string
+	}{
+		{"v1", snapshot(binary.LittleEndian, 1, 2), "snapshot version 1 unsupported"},
+		{"v2", snapshot(binary.LittleEndian, 2, 1), "snapshot version 2 unsupported"},
+		{"v2 as its build wrote it", snapshot(binary.BigEndian, 2, 1), fmt.Sprintf("snapshot version %d unsupported", 2<<24)},
+	} {
+		dir := t.TempDir()
+		aof := appendRecord(nil, aofPut, "k", []byte("v"))
+		if err := os.WriteFile(filepath.Join(dir, snapName), tc.snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, aofName), aof, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	_, err := NewPersistentMemCache(dir)
-	if err == nil || !strings.Contains(err.Error(), "snapshot version 1 unsupported") {
-		t.Fatalf("v1 snapshot: err = %v, want the version error", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("directory has %d entries (%v), want the two files written", len(entries), err)
-	}
-	for name, want := range map[string][]byte{snapName: snap, aofName: aof} {
-		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s changed by the refused open (%v)", name, err)
+		_, err := NewPersistentMemCache(dir)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s snapshot: err = %v, want the version error", tc.name, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 2 {
+			t.Fatalf("%s: directory has %d entries (%v), want the two files written", tc.name, len(entries), err)
+		}
+		for name, want := range map[string][]byte{snapName: tc.snap, aofName: aof} {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s changed by the refused open (%v)", tc.name, name, err)
+			}
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"stellaris/internal/obs/lineage"
+	"stellaris/internal/wire"
 )
 
 const (
@@ -220,7 +221,7 @@ func (s *WeightsSub) Fetch() ([]float64, int, error) {
 	if s.bound && len(slab) != 8*len(s.w) {
 		return nil, 0, fmt.Errorf("cache: weights v%d hold %d values, the bound model %d", msg.Version, len(slab)/8, len(s.w))
 	}
-	msg.Weights = f64sInto(s.w, slab)
+	msg.Weights = wire.F64sInto(s.w, slab)
 	if !haveHead {
 		hv = msg.Version
 	}

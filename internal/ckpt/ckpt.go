@@ -13,16 +13,18 @@
 // The on-disk format is stdlib-only (encoding/binary + CRC-32):
 //
 //	magic "STLCKPT1" (8 bytes)
-//	u32   format version (currently 1)
+//	u32   format version (currently 2)
 //	u64   payload length
 //	payload (see Encode)
 //	u32   CRC-32 (IEEE) of the payload
 //
-// All integers are big-endian, matching the cache wire protocol. Writes
-// go through an O_EXCL temp file, fsync, and atomic rename, so a crash
-// mid-write never corrupts the previous checkpoint; Load verifies the
-// checksum, so a torn or bit-rotted file is rejected rather than
-// resumed from.
+// All integers are little-endian, like the cache payload codec, and
+// Decode reads them through wire.Reader. Version 1 was the same layout
+// big-endian; it is refused, so LoadLatest skips such a generation like
+// any other it cannot decode. Writes go through an O_EXCL temp file,
+// fsync, and atomic rename, so a crash mid-write never corrupts the
+// previous checkpoint; Load verifies the checksum, so a torn or
+// bit-rotted file is rejected rather than resumed from.
 package ckpt
 
 import (
@@ -39,6 +41,7 @@ import (
 
 	"stellaris/internal/optim"
 	"stellaris/internal/rng"
+	"stellaris/internal/wire"
 )
 
 // CacheKey is the reserved cache key mirroring the latest checkpoint, so
@@ -50,8 +53,9 @@ const CacheKey = "sys/ckpt/latest"
 // magic identifies a Stellaris checkpoint file.
 const magic = "STLCKPT1"
 
-// formatVersion is bumped on incompatible payload changes.
-const formatVersion = 1
+// formatVersion is bumped on incompatible payload changes. Version 1
+// was big-endian.
+const formatVersion = 2
 
 // headerLen is magic + format version + payload length.
 const headerLen = 8 + 4 + 8
@@ -238,164 +242,82 @@ type Checkpoint struct {
 
 // --- binary encoding -------------------------------------------------
 
-type writer struct{ buf []byte }
+// Per-element byte floors of the payload's counted sections: a vector's
+// own count, a queued gradient's five fixed fields and its count, and a
+// worker's RNG words, spare, flag and sequence number.
+const (
+	vecFloor    = 4
+	queuedFloor = 5*8 + 4
+	workerFloor = 4*8 + 8 + 1 + 8
+)
 
-func (w *writer) u8(v uint8)    { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32)  { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)  { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *writer) vec(v []float64) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.f64(x)
-	}
+func appendStr(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
-type reader struct {
-	buf []byte
-	off int
-	err error
+func appendVec(b []byte, v []float64) []byte {
+	return wire.AppendF64s(binary.LittleEndian.AppendUint32(b, uint32(len(v))), v)
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("ckpt: truncated payload at offset %d", r.off)
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// count reads a length prefix and bounds it by the remaining bytes
-// divided by the per-element floor, preventing huge allocations from a
-// corrupt prefix.
-func (r *reader) count(elemFloor int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n*elemFloor > len(r.buf)-r.off {
-		r.fail()
-		return 0
-	}
-	return n
-}
-
-func (r *reader) vec() []float64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.f64()
-	}
-	return v
-}
-
-func (w *writer) fingerprint(fp Fingerprint) {
-	w.str(fp.Env)
-	w.str(fp.Algo)
+func appendFingerprint(b []byte, fp Fingerprint) []byte {
+	le := binary.LittleEndian
+	b = appendStr(b, fp.Env)
+	b = appendStr(b, fp.Algo)
 	for _, v := range []int{fp.Hidden, fp.FrameSize, fp.Actors, fp.Learners,
 		fp.ActorSteps, fp.BatchSize, fp.UpdatesPerRound, fp.SmoothV} {
-		w.i64(int64(v))
+		b = le.AppendUint64(b, uint64(v))
 	}
-	w.u64(fp.Seed)
-	w.f64(fp.DecayD)
-	w.f64(fp.Rho)
-	w.f64(fp.LearningRate)
+	b = le.AppendUint64(b, fp.Seed)
+	b = le.AppendUint64(b, math.Float64bits(fp.DecayD))
+	b = le.AppendUint64(b, math.Float64bits(fp.Rho))
+	return le.AppendUint64(b, math.Float64bits(fp.LearningRate))
 }
 
-func (r *reader) fingerprint() Fingerprint {
+func readFingerprint(r *wire.Reader) Fingerprint {
 	var fp Fingerprint
-	fp.Env = r.str()
-	fp.Algo = r.str()
+	fp.Env = r.String()
+	fp.Algo = r.String()
 	for _, p := range []*int{&fp.Hidden, &fp.FrameSize, &fp.Actors, &fp.Learners,
 		&fp.ActorSteps, &fp.BatchSize, &fp.UpdatesPerRound, &fp.SmoothV} {
-		*p = int(r.i64())
+		*p = int(r.I64())
 	}
-	fp.Seed = r.u64()
-	fp.DecayD = r.f64()
-	fp.Rho = r.f64()
-	fp.LearningRate = r.f64()
+	fp.Seed = r.U64()
+	fp.DecayD = r.F64()
+	fp.Rho = r.F64()
+	fp.LearningRate = r.F64()
 	return fp
 }
 
-func (w *writer) workers(ws []WorkerState) {
-	w.u32(uint32(len(ws)))
+func appendWorkers(b []byte, ws []WorkerState) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(ws)))
 	for _, s := range ws {
 		for _, x := range s.RNG.S {
-			w.u64(x)
+			b = le.AppendUint64(b, x)
 		}
-		w.f64(s.RNG.Spare)
+		b = le.AppendUint64(b, math.Float64bits(s.RNG.Spare))
+		var spare byte
 		if s.RNG.HasSpare {
-			w.u8(1)
-		} else {
-			w.u8(0)
+			spare = 1
 		}
-		w.i64(s.Seq)
+		b = le.AppendUint64(append(b, spare), uint64(s.Seq))
 	}
+	return b
 }
 
-func (r *reader) workers() []WorkerState {
-	n := r.count(4*8 + 8 + 1 + 8)
-	if r.err != nil || n == 0 {
+func readWorkers(r *wire.Reader) []WorkerState {
+	n := r.Count(workerFloor)
+	if n == 0 {
 		return nil
 	}
 	ws := make([]WorkerState, n)
 	for i := range ws {
 		for j := range ws[i].RNG.S {
-			ws[i].RNG.S[j] = r.u64()
+			ws[i].RNG.S[j] = r.U64()
 		}
-		ws[i].RNG.Spare = r.f64()
-		ws[i].RNG.HasSpare = r.u8() == 1
-		ws[i].Seq = r.i64()
+		ws[i].RNG.Spare = r.F64()
+		ws[i].RNG.HasSpare = r.U8() == 1
+		ws[i].Seq = r.I64()
 	}
 	return ws
 }
@@ -403,50 +325,51 @@ func (r *reader) workers() []WorkerState {
 // Encode serializes the checkpoint into the framed, checksummed binary
 // format.
 func Encode(c *Checkpoint) []byte {
-	var w writer
-	w.u8(uint8(c.Mode))
-	w.fingerprint(c.Fp)
-	w.i64(c.Version)
-	w.i64(c.Round)
-	w.vec(c.Weights)
-	w.str(c.Opt.Name)
-	w.i64(c.Opt.Step)
-	w.u32(uint32(len(c.Opt.Vecs)))
+	le := binary.LittleEndian
+	b := make([]byte, headerLen, headerLen+1024+8*len(c.Weights)*(1+len(c.Opt.Vecs)))
+	b = append(b, uint8(c.Mode))
+	b = appendFingerprint(b, c.Fp)
+	b = le.AppendUint64(b, uint64(c.Version))
+	b = le.AppendUint64(b, uint64(c.Round))
+	b = appendVec(b, c.Weights)
+	b = appendStr(b, c.Opt.Name)
+	b = le.AppendUint64(b, uint64(c.Opt.Step))
+	b = le.AppendUint32(b, uint32(len(c.Opt.Vecs)))
 	for _, v := range c.Opt.Vecs {
-		w.vec(v)
+		b = appendVec(b, v)
 	}
-	w.f64(c.DeltaMax)
-	w.f64(c.StaleSum)
-	w.i64(c.StaleN)
-	w.f64(c.GroupMin)
-	w.i64(c.GroupCount)
-	w.u32(uint32(len(c.Queue)))
+	b = le.AppendUint64(b, math.Float64bits(c.DeltaMax))
+	b = le.AppendUint64(b, math.Float64bits(c.StaleSum))
+	b = le.AppendUint64(b, uint64(c.StaleN))
+	b = le.AppendUint64(b, math.Float64bits(c.GroupMin))
+	b = le.AppendUint64(b, uint64(c.GroupCount))
+	b = le.AppendUint32(b, uint32(len(c.Queue)))
 	for _, q := range c.Queue {
-		w.i64(int64(q.LearnerID))
-		w.i64(int64(q.BornVersion))
-		w.i64(int64(q.Samples))
-		w.f64(q.MeanRatio)
-		w.f64(q.KL)
-		w.vec(q.Grad)
+		b = le.AppendUint64(b, uint64(q.LearnerID))
+		b = le.AppendUint64(b, uint64(q.BornVersion))
+		b = le.AppendUint64(b, uint64(q.Samples))
+		b = le.AppendUint64(b, math.Float64bits(q.MeanRatio))
+		b = le.AppendUint64(b, math.Float64bits(q.KL))
+		b = appendVec(b, q.Grad)
 	}
-	w.i64(c.Episodes)
-	w.vec(c.Returns)
-	w.workers(c.Actors)
-	w.workers(c.Learners)
+	b = le.AppendUint64(b, uint64(c.Episodes))
+	b = appendVec(b, c.Returns)
+	b = appendWorkers(b, c.Actors)
+	b = appendWorkers(b, c.Learners)
 
-	payload := w.buf
-	out := make([]byte, 0, headerLen+len(payload)+4)
-	out = append(out, magic...)
-	out = binary.BigEndian.AppendUint32(out, formatVersion)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return out
+	// The header was left room for at the front, so the payload is
+	// checksummed where it lies instead of copied behind one.
+	payload := b[headerLen:]
+	copy(b, magic)
+	le.PutUint32(b[8:], formatVersion)
+	le.PutUint64(b[12:], uint64(len(payload)))
+	return le.AppendUint32(b, crc32.ChecksumIEEE(payload))
 }
 
 // Decode parses and verifies an encoded checkpoint. It never panics on
-// malformed input: every read is bounds-checked and the CRC is verified
-// before field decoding begins.
+// malformed input: the CRC is verified before field decoding begins,
+// and every field is read through wire.Reader, which holds each count
+// to the bytes remaining before anything is allocated.
 func Decode(b []byte) (*Checkpoint, error) {
 	if len(b) < headerLen+4 {
 		return nil, fmt.Errorf("ckpt: %d bytes is too short for a checkpoint", len(b))
@@ -454,59 +377,57 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if string(b[:8]) != magic {
 		return nil, errors.New("ckpt: bad magic (not a checkpoint)")
 	}
-	if v := binary.BigEndian.Uint32(b[8:]); v != formatVersion {
+	h := wire.NewReader(b[8:])
+	if v := h.U32(); v != formatVersion {
 		return nil, fmt.Errorf("ckpt: unsupported format version %d (want %d)", v, formatVersion)
 	}
-	plen := binary.BigEndian.Uint64(b[12:])
-	if plen > maxPayload || headerLen+int(plen)+4 != len(b) {
+	plen := h.U64()
+	payload := h.Bytes(len(b) - headerLen - 4)
+	if plen > maxPayload || plen != uint64(len(payload)) {
 		return nil, fmt.Errorf("ckpt: payload length %d inconsistent with file size %d", plen, len(b))
 	}
-	payload := b[headerLen : headerLen+int(plen)]
-	want := binary.BigEndian.Uint32(b[headerLen+int(plen):])
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	if got, want := crc32.ChecksumIEEE(payload), h.U32(); got != want {
 		return nil, fmt.Errorf("ckpt: checksum mismatch (got %08x, want %08x)", got, want)
 	}
 
-	r := &reader{buf: payload}
+	r := wire.NewReader(payload)
 	c := &Checkpoint{}
-	c.Mode = Mode(r.u8())
-	c.Fp = r.fingerprint()
-	c.Version = r.i64()
-	c.Round = r.i64()
-	c.Weights = r.vec()
-	c.Opt.Name = r.str()
-	c.Opt.Step = r.i64()
-	if n := r.count(4); r.err == nil && n > 0 {
+	c.Mode = Mode(r.U8())
+	c.Fp = readFingerprint(&r)
+	c.Version = r.I64()
+	c.Round = r.I64()
+	c.Weights = r.F64s(nil)
+	c.Opt.Name = r.String()
+	c.Opt.Step = r.I64()
+	if n := r.Count(vecFloor); n > 0 {
 		c.Opt.Vecs = make([][]float64, n)
 		for i := range c.Opt.Vecs {
-			c.Opt.Vecs[i] = r.vec()
+			c.Opt.Vecs[i] = r.F64s(nil)
 		}
 	}
-	c.DeltaMax = r.f64()
-	c.StaleSum = r.f64()
-	c.StaleN = r.i64()
-	c.GroupMin = r.f64()
-	c.GroupCount = r.i64()
-	if n := r.count(5*8 + 4); r.err == nil && n > 0 {
+	c.DeltaMax = r.F64()
+	c.StaleSum = r.F64()
+	c.StaleN = r.I64()
+	c.GroupMin = r.F64()
+	c.GroupCount = r.I64()
+	if n := r.Count(queuedFloor); n > 0 {
 		c.Queue = make([]QueuedGrad, n)
 		for i := range c.Queue {
-			c.Queue[i].LearnerID = int(r.i64())
-			c.Queue[i].BornVersion = int(r.i64())
-			c.Queue[i].Samples = int(r.i64())
-			c.Queue[i].MeanRatio = r.f64()
-			c.Queue[i].KL = r.f64()
-			c.Queue[i].Grad = r.vec()
+			q := &c.Queue[i]
+			q.LearnerID = int(r.I64())
+			q.BornVersion = int(r.I64())
+			q.Samples = int(r.I64())
+			q.MeanRatio = r.F64()
+			q.KL = r.F64()
+			q.Grad = r.F64s(nil)
 		}
 	}
-	c.Episodes = r.i64()
-	c.Returns = r.vec()
-	c.Actors = r.workers()
-	c.Learners = r.workers()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after payload", len(payload)-r.off)
+	c.Episodes = r.I64()
+	c.Returns = r.F64s(nil)
+	c.Actors = readWorkers(&r)
+	c.Learners = readWorkers(&r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("ckpt: payload: %w", err)
 	}
 	return c, nil
 }

@@ -1,6 +1,10 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -109,35 +113,134 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
+		want   string // in the error, when set
 	}{
-		{"empty", func(b []byte) []byte { return nil }},
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
-		{"bad version", func(b []byte) []byte { b[11] = 99; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"flipped payload bit", func(b []byte) []byte { b[headerLen+5] ^= 0x01; return b }},
-		{"flipped crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0xde, 0xad) }},
+		{"empty", func(b []byte) []byte { return nil }, ""},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, ""},
+		{"bad version", func(b []byte) []byte { b[11] = 99; return b }, ""},
+		// Version 1 was big-endian: its own build's file reads as 1<<24.
+		{"version 1", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 1); return b }, "format version 1 "},
+		{"version 1 as its build wrote it", func(b []byte) []byte { binary.BigEndian.PutUint32(b[8:], 1); return b }, "format version 16777216 "},
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, ""},
+		{"flipped payload bit", func(b []byte) []byte { b[headerLen+5] ^= 0x01; return b }, ""},
+		{"flipped crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ""},
+		{"trailing garbage", func(b []byte) []byte { return append(b, 0xde, 0xad) }, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := append([]byte(nil), b...)
-			if _, err := Decode(tc.mutate(cp)); err == nil {
+			_, err := Decode(tc.mutate(cp))
+			if err == nil {
 				t.Fatal("corrupt checkpoint decoded without error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to name %q", err, tc.want)
 			}
 		})
 	}
 }
 
+// reseal rewrites b's CRC over whatever its payload bytes now are, so a
+// mutated checkpoint gets past the checksum to the field parser.
+func reseal(b []byte) []byte {
+	if len(b) >= headerLen+4 {
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[headerLen:len(b)-4]))
+	}
+	return b
+}
+
 // Decode must survive arbitrary mutations without panicking — a corrupt
 // length prefix must not trigger a huge allocation or out-of-bounds read.
+// Each mutated input is resealed, so the mutations reach the parser
+// rather than stopping at the CRC.
 func TestDecodeFuzzSafety(t *testing.T) {
 	b := Encode(sampleCheckpoint(3))
 	r := rng.New(1234)
+	parsed := 0
 	for i := 0; i < 500; i++ {
 		cp := append([]byte(nil), b...)
 		for k := 0; k < 4; k++ {
 			cp[r.Intn(len(cp))] ^= byte(1 << r.Intn(8))
 		}
-		_, _ = Decode(cp) // must not panic
+		if _, err := Decode(reseal(cp)); err == nil || strings.Contains(err.Error(), "ckpt: payload") {
+			parsed++ // decoded, or refused by the field parser
+		}
+	}
+	t.Logf("%d of 500 mutated checkpoints reached the field parser", parsed)
+	if parsed < 250 {
+		t.Fatalf("only %d of 500 mutated checkpoints reached the field parser", parsed)
+	}
+}
+
+// TestCraftedLengthsFailCleanly: a resealed checkpoint whose count or
+// length field no payload could back is refused, never a panic or an
+// allocation of its size — including counts whose byte size wraps a
+// 32-bit int (2^29+1 weights is 8 bytes there) and lengths a 32-bit
+// int reads as negative. `make cross` runs this under GOARCH=386.
+func TestCraftedLengthsFailCleanly(t *testing.T) {
+	c := sampleCheckpoint(3)
+	c.Fp.Env, c.Fp.Algo = "", ""
+	b := Encode(c)
+	// Field offsets in the payload of a fingerprint with empty strings.
+	const (
+		envAt     = headerLen + 1
+		weightsAt = envAt + 4 + 4 + 8*8 + 8 + 3*8 + 8 + 8
+		optNameAt = weightsAt + 4 + 4*8
+	)
+	if got := binary.LittleEndian.Uint32(b[weightsAt:]); got != 4 {
+		t.Fatalf("weights count at offset %d reads %d, want 4", weightsAt, got)
+	}
+	for _, n := range []uint32{1<<29 + 1, 1<<31 + 1, math.MaxUint32 - 15} {
+		for name, at := range map[string]int{"env length": envAt, "weights count": weightsAt, "optimizer name length": optNameAt} {
+			t.Run(fmt.Sprintf("%s %#x", name, n), func(t *testing.T) {
+				cp := append([]byte(nil), b...)
+				binary.LittleEndian.PutUint32(cp[at:], n)
+				if got, err := Decode(reseal(cp)); err == nil {
+					t.Fatalf("decoded %d weights", len(got.Weights))
+				}
+			})
+		}
+	}
+}
+
+// FuzzCheckpointDecode: Decode never panics, on the raw input or on the
+// input resealed behind a valid header and CRC (so it reaches the field
+// parser); whatever it accepts re-encodes to a checkpoint that decodes
+// to the same bits; and a checkpoint carrying the input's bytes as
+// weights round-trips bit for bit (every NaN payload included).
+func FuzzCheckpointDecode(f *testing.F) {
+	f.Add(Encode(sampleCheckpoint(3)))
+	f.Add([]byte{})
+	f.Add([]byte(magic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = Decode(data)
+		sealed := reseal(append(append(make([]byte, headerLen), data...), 0, 0, 0, 0))
+		copy(sealed, magic)
+		binary.LittleEndian.PutUint32(sealed[8:], formatVersion)
+		binary.LittleEndian.PutUint64(sealed[12:], uint64(len(data)))
+		if c, err := Decode(sealed); err == nil {
+			requireRoundTrip(t, c)
+		}
+		c := sampleCheckpoint(1)
+		c.Weights = make([]float64, len(data)/8)
+		for i := range c.Weights {
+			c.Weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		requireRoundTrip(t, c)
+	})
+}
+
+// requireRoundTrip holds Decode(Encode(c)) to c bit for bit: Encode
+// writes every field's bits, floats by Float64bits, so equal encodings
+// are equal checkpoints.
+func requireRoundTrip(t *testing.T, c *Checkpoint) {
+	t.Helper()
+	enc := Encode(c)
+	got, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("Decode(Encode): %v", err)
+	}
+	if again := Encode(got); !bytes.Equal(again, enc) {
+		t.Fatalf("round trip changed the checkpoint: %d bytes, then %d", len(enc), len(again))
 	}
 }
 
@@ -204,28 +307,34 @@ func TestWriteDirPrunesAndLoadLatest(t *testing.T) {
 }
 
 func TestLoadLatestSkipsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	for v := int64(1); v <= 3; v++ {
-		if _, err := WriteDir(dir, sampleCheckpoint(v)); err != nil {
+	// Corrupt the newest generation, or give it the format version an
+	// earlier build wrote; recovery must fall back to v2 either way.
+	for name, mutate := range map[string]func([]byte){
+		"flipped crc":      func(b []byte) { b[len(b)-1] ^= 0xff },
+		"format version 1": func(b []byte) { binary.BigEndian.PutUint32(b[8:], 1) },
+	} {
+		dir := t.TempDir()
+		for v := int64(1); v <= 3; v++ {
+			if _, err := WriteDir(dir, sampleCheckpoint(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		newest := filepath.Join(dir, fileName(3))
+		b, err := os.ReadFile(newest)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Corrupt the newest generation; recovery must fall back to v2.
-	newest := filepath.Join(dir, fileName(3))
-	b, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0xff
-	if err := os.WriteFile(newest, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := LoadLatest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Version != 2 {
-		t.Fatalf("fell back to version %d, want 2", c.Version)
+		mutate(b)
+		if err := os.WriteFile(newest, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := LoadLatest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Version != 2 {
+			t.Fatalf("%s: fell back to version %d, want 2", name, c.Version)
+		}
 	}
 }
 

@@ -97,14 +97,6 @@ func (r *Recorder) TotalCost() float64 {
 	return r.Rows[len(r.Rows)-1].CostUSD
 }
 
-// TotalWall returns the final cumulative virtual time.
-func (r *Recorder) TotalWall() float64 {
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	return r.Rows[len(r.Rows)-1].WallSec
-}
-
 // Histogram is a simple fixed-bin histogram for the staleness PDFs of
 // Fig. 3(b).
 type Histogram struct {

@@ -57,11 +57,8 @@ func TestTotals(t *testing.T) {
 	if r.TotalCost() != 0.04 {
 		t.Fatalf("TotalCost %v", r.TotalCost())
 	}
-	if r.TotalWall() != 6 {
-		t.Fatalf("TotalWall %v", r.TotalWall())
-	}
 	empty := NewRecorder()
-	if empty.TotalCost() != 0 || empty.TotalWall() != 0 {
+	if empty.TotalCost() != 0 {
 		t.Fatal("empty totals nonzero")
 	}
 }

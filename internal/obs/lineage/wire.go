@@ -3,6 +3,8 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
+
+	"stellaris/internal/wire"
 )
 
 // Binary wire form of Meta, carried in the cache binary codec's TLV
@@ -36,21 +38,10 @@ func (m *Meta) AppendBinary(b []byte) []byte {
 // input must contain exactly one Meta (trailing bytes are an error, as
 // the enclosing TLV length delimits the value).
 func MetaFromBinary(b []byte) (Meta, error) {
-	var fields [4]string
-	for i := range fields {
-		if len(b) < 4 {
-			return Meta{}, fmt.Errorf("lineage: meta field %d: truncated length", i)
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if n < 0 || n > len(b) {
-			return Meta{}, fmt.Errorf("lineage: meta field %d: length %d exceeds %d remaining", i, n, len(b))
-		}
-		fields[i] = string(b[:n])
-		b = b[n:]
+	r := wire.NewReader(b)
+	m := Meta{ID: r.String(), Kind: r.String(), Origin: r.String(), Parent: r.String()}
+	if err := r.Finish(); err != nil {
+		return Meta{}, fmt.Errorf("lineage: meta: %w", err)
 	}
-	if len(b) != 0 {
-		return Meta{}, fmt.Errorf("lineage: %d trailing bytes after meta", len(b))
-	}
-	return Meta{ID: fields[0], Kind: fields[1], Origin: fields[2], Parent: fields[3]}, nil
+	return m, nil
 }
