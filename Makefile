@@ -112,12 +112,14 @@ fuzz-short:
 # snapshot, checkpoint, lineage meta) on a 32-bit int — run, natively,
 # as 386 binaries on an amd64 Linux host: crafted counts and lengths
 # must not wrap, and the one-copy slab path runs there too — and the
+# tensor kernels' Go path and kernel_noasm.go, held to the scalar loops
+# off amd64 (the tests' /avx512 and /avx2 legs skip there); then the
 # cache vetted for a big-endian port (s390x), where the per-element
 # slab loop is the only path and must build.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/optim
-	GOARCH=386 $(GO) test -short ./internal/cache ./internal/ckpt ./internal/wire ./internal/obs/lineage
+	GOARCH=386 $(GO) test -short ./internal/cache ./internal/ckpt ./internal/wire ./internal/obs/lineage ./internal/tensor
 	GOARCH=s390x $(GO) vet ./internal/cache ./internal/wire
 
 # The second amd64 host class (DESIGN.md §8): with GODEBUG=cpu.fma=off

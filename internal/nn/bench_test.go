@@ -7,27 +7,37 @@ import (
 	"stellaris/internal/tensor"
 )
 
-// BenchmarkMLPForwardBackward measures the paper's MuJoCo trunk (2x256
-// Tanh) on one 256-sample batch — the learner function's inner loop.
+// BenchmarkMLPForwardBackward measures one learner pass through a
+// hopper MLP (11 observations in, 6 distribution parameters out, Tanh
+// between): the paper's MuJoCo trunk (2x256) on a 256-sample batch, and
+// the des_sweep learner's shape (2x64) on its 512-sample batch, whose
+// products are the kernel benchmarks' 512x64·64, 512x6·64 and 512x64·11.
 func BenchmarkMLPForwardBackward(b *testing.B) {
-	r := rng.New(1)
-	s := NewSlab(MLPSize(11, 256, 6))
-	net := NewNetwork(s, 11,
-		NewDense(s, 11, 256, r), NewTanh(),
-		NewDense(s, 256, 256, r), NewTanh(),
-		NewDense(s, 256, 6, r),
-	)
-	in := randIn(r, 256, 11)
-	dOut := tensor.NewMat(256, 6)
-	for i := range dOut.Data {
-		dOut.Data[i] = 0.01
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
-		net.Forward(in)
-		net.Backward(dOut)
+	for _, c := range []struct {
+		name          string
+		hidden, batch int
+	}{{"2x256/batch256", 256, 256}, {"2x64/batch512", 64, 512}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := rng.New(1)
+			s := NewSlab(MLPSize(11, c.hidden, 6))
+			net := NewNetwork(s, 11,
+				NewDense(s, 11, c.hidden, r), NewTanh(),
+				NewDense(s, c.hidden, c.hidden, r), NewTanh(),
+				NewDense(s, c.hidden, 6, r),
+			)
+			in := randIn(r, c.batch, 11)
+			dOut := tensor.NewMat(c.batch, 6)
+			for i := range dOut.Data {
+				dOut.Data[i] = 0.01
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.ZeroGrad()
+				net.Forward(in)
+				net.Backward(dOut)
+			}
+		})
 	}
 }
 

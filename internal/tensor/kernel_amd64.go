@@ -11,8 +11,10 @@ var useAVX2 = hasAVX2()
 // useAVX512 selects, under useAVX2, the kernels of kernel_amd64.s that
 // put eight outputs in the eight lanes of a 512-bit register: they take
 // the part of a row that fills whole steps of theirs and leave the rest
-// to the AVX2 kernels. Set once, here, like useAVX2, and cleared by the
-// tests to run the AVX2 path on the same box.
+// to the AVX2 kernels, but for sumRowsAVX512, which masks its last
+// columns and takes all of MatMul and MatMulATB. Set once, here, like
+// useAVX2, and cleared by the tests to run the AVX2 path on the same
+// box.
 var useAVX512 = useAVX2 && hasAVX512()
 
 // tanhOK says that tanhAVX2 returns math.Tanh's bits in this process.
@@ -81,10 +83,10 @@ func axpyAVX2(x, y *float64, n int, alpha float64)
 func axpyAVX512(x, y *float64, n16 int, alpha float64)
 
 //go:noescape
-func axpy4AVX2(d *float64, n int, b *float64, off *[4]int, coef *[4]float64)
+func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
 
 //go:noescape
-func axpy4AVX512(d *float64, n16 int, b *float64, off *[4]int, coef *[4]float64)
+func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
 
 //go:noescape
 func dot4RowsAVX2(d *float64, ldd int, a, b *float64, k, n4 int)

@@ -1,16 +1,21 @@
-// AVX2 and AVX-512F micro-kernels under MatMul, MatMulATB, MatMulABT
-// and TanhInto. See the "Kernels" section of the package comment for
-// the rule they obey: the lanes of a vector (four at 256 bits, eight at
-// 512) hold independent outputs, and each lane executes the instruction
-// sequence of its scalar reference. For the products that means every
-// output is still accumulated over k in ascending order, and a product
-// and the add that consumes it stay two instructions (VMULPD, VADDPD),
-// each rounding once, exactly as the Go loops in tensor.go do: no FMA,
-// no horizontal add. The tanh kernels' reference is math.Tanh, whose exp
-// is assembly with FMAs in it, and they have exactly those. All loads
-// and stores are unaligned-safe (VMOVUPD), and every routine ends in
-// VZEROUPPER so that the SSE code gc emits around it never pays the
-// AVX-SSE transition.
+// AVX2 and AVX-512F micro-kernels under MatMul, MatMulATB, MatMulABT,
+// Axpy, Scale, AdamStep and TanhInto. See the "Kernels" section of the
+// package comment for the rule they obey: the lanes of a vector (four
+// at 256 bits, eight at 512) hold independent outputs, and each lane
+// executes the instruction sequence of its scalar reference. For the
+// products that means every output is still accumulated over k in
+// ascending order, and a product and the add that consumes it stay two
+// instructions (VMULPD, VADDPD), each rounding once, exactly as the Go
+// loops in tensor.go do: no FMA, no horizontal add. MatMul and
+// MatMulATB share one register-tiled kernel per width (sumRowsAVX2,
+// sumRowsAVX512), which skips a zero coefficient per lane: a VCMPPD
+// NEQ_UQ mask, merged into the add at 512 bits and blended against the
+// accumulator at 256. The tanh kernels' reference is math.Tanh, whose
+// exp is assembly with FMAs in it, and they have exactly those. All
+// loads and stores are unaligned-safe (VMOVUPD; masked at 512 bits
+// where a tile passes the end of a row, so that no lane past it is
+// read or written), and every routine ends in VZEROUPPER so that the
+// SSE code gc emits around it never pays the AVX-SSE transition.
 
 #include "textflag.h"
 
@@ -90,93 +95,200 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// func axpy4AVX2(d *float64, n int, b *float64, off *[4]int, coef *[4]float64)
+// ROW256 is one k-step of one row of a 4 x 8 tile at 256 bits: the
+// coefficient at coef, broadcast, times the eight elements of b in Y8
+// and Y9, added into acc0 and acc1 only where the coefficient is not
+// zero. VCMPPD $4 is NEQ_UQ, true for a NaN, so that a NaN coefficient
+// is added as the Go loop adds it; each sum is blended against the
+// accumulator it came from. Y15 is zero.
+#define ROW256(coef, acc0, acc1) \
+	VBROADCASTSD coef, Y10; \
+	VCMPPD       $4, Y15, Y10, Y11; \
+	VMULPD       Y8, Y10, Y12; \
+	VMULPD       Y9, Y10, Y13; \
+	VADDPD       Y12, acc0, Y12; \
+	VADDPD       Y13, acc1, Y13; \
+	VBLENDVPD    Y11, Y12, acc0, acc0; \
+	VBLENDVPD    Y11, Y13, acc1, acc1
+
+// ADD256 is one k-step of four columns of a tile one row high: the
+// coefficient in Y10 times b at off(DX), added into acc.
+#define ADD256(off, acc) \
+	VMULPD off(DX), Y10, Y12; \
+	VADDPD Y12, acc, acc
+
+// func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
 //
-// d[j] = (((d[j] + coef[0]*b[off[0]+j]) + coef[1]*b[off[1]+j]) +
-// coef[2]*b[off[2]+j]) + coef[3]*b[off[3]+j] for j < n: the four adds of
-// one element are a chain in Y4 (or Y5, or X4), in the order axpy4 in
-// tensor.go makes them.
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-40
-	MOVQ         d+0(FP), DI
-	MOVQ         n+8(FP), CX
-	MOVQ         b+16(FP), SI
-	MOVQ         off+24(FP), AX
-	MOVQ         coef+32(FP), DX
-	VBROADCASTSD (DX), Y0
-	VBROADCASTSD 8(DX), Y1
-	VBROADCASTSD 16(DX), Y2
-	VBROADCASTSD 24(DX), Y3
-	MOVQ         8(AX), R8
-	MOVQ         16(AX), R9
-	MOVQ         24(AX), R10
-	MOVQ         (AX), AX
-	LEAQ         (SI)(R8*8), R8   // rows off[1], off[2], off[3] of b
-	LEAQ         (SI)(R9*8), R9
-	LEAQ         (SI)(R10*8), R10
-	LEAQ         (SI)(AX*8), SI   // row off[0]
-	XORQ         AX, AX           // j
-	MOVQ         CX, DX
-	ANDQ         $-8, DX          // n rounded down to the 8 lanes of a step
-	JEQ          axpy4_loop4
+// d[i*n+j] = Σ_p a[i*rs+p*cs]*b[p*n+j] for i < m and j < n, k > 0,
+// n >= 8 and n >= 32 where m < 4: each output summed from +0 over
+// ascending p, a term added only where its coefficient is not zero.
+// Four rows of d at a time, in 4 x 8 tiles whose sums stay in Y0…Y7 for
+// all of k and are stored once. Where n is no multiple of 8 the last
+// tile of a row ends at n, and where m is none of 4 the last four rows
+// end at m: each overlaps the tile before it and stores its outputs
+// again with the same bits. Rows of 32 or more go one at a time instead
+// of the last four, as do all rows where m < 4, in tiles one row high
+// and 32 wide (eight sums in flight), the last of a row again ending at
+// n. SI and R11 walk rows 0 and 3 of a tile's coefficients (rows 1 and
+// 2 are (SI)(R10*1) and (SI)(R10*2)), DX the rows of b; BX is the
+// tile's column in bytes.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ   d+0(FP), DI
+	MOVQ   m+8(FP), R14
+	MOVQ   n+16(FP), R9
+	MOVQ   a+24(FP), R8
+	MOVQ   rs+32(FP), R10
+	MOVQ   cs+40(FP), R12
+	SHLQ   $3, R9             // bytes per row of d and of b
+	SHLQ   $3, R10            // bytes from one row's coefficients to the next
+	SHLQ   $3, R12            // bytes from one k-step's coefficient to the next
+	VXORPD Y15, Y15, Y15
+	CMPQ   R14, $4
+	JLT    sum2_row1
 
-axpy4_loop8:
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VMULPD  32(SI)(AX*8), Y0, Y7
-	VMULPD  (R8)(AX*8), Y1, Y8
-	VMULPD  32(R8)(AX*8), Y1, Y9
-	VMULPD  (R9)(AX*8), Y2, Y10
-	VMULPD  32(R9)(AX*8), Y2, Y11
-	VMULPD  (R10)(AX*8), Y3, Y12
-	VMULPD  32(R10)(AX*8), Y3, Y13
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VADDPD  Y10, Y4, Y4
-	VADDPD  Y11, Y5, Y5
-	VADDPD  Y12, Y4, Y4
-	VADDPD  Y13, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ    $8, AX
-	CMPQ    AX, DX
-	JLT     axpy4_loop8
+sum2_rows4:
+	XORQ BX, BX
 
-axpy4_loop4:
-	LEAQ    4(AX), DX
-	CMPQ    DX, CX
-	JGT     axpy4_tail
-	VMOVUPD (DI)(AX*8), Y4
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VMULPD  (R8)(AX*8), Y1, Y8
-	VMULPD  (R9)(AX*8), Y2, Y10
-	VMULPD  (R10)(AX*8), Y3, Y12
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y10, Y4, Y4
-	VADDPD  Y12, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	MOVQ    DX, AX
+sum2_cols4:
+	CMPQ BX, R9
+	JGE  sum2_next4
+	LEAQ 64(BX), AX
+	CMPQ AX, R9
+	JLE  sum2_tile4
+	LEAQ -64(R9), BX          // the last tile ends at n
 
-axpy4_tail:
-	CMPQ   AX, CX
-	JGE    axpy4_done
-	VMOVSD (DI)(AX*8), X4
-	VMULSD (SI)(AX*8), X0, X6
-	VMULSD (R8)(AX*8), X1, X8
-	VMULSD (R9)(AX*8), X2, X10
-	VMULSD (R10)(AX*8), X3, X12
-	VADDSD X6, X4, X4
-	VADDSD X8, X4, X4
-	VADDSD X10, X4, X4
-	VADDSD X12, X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
-	JMP    axpy4_tail
+sum2_tile4:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R8, SI
+	LEAQ   (R10)(R10*2), AX
+	LEAQ   (R8)(AX*1), R11
+	MOVQ   b+48(FP), DX
+	ADDQ   BX, DX
+	MOVQ   k+56(FP), CX
 
-axpy4_done:
+sum2_k4:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	ROW256((SI), Y0, Y1)
+	ROW256((SI)(R10*1), Y2, Y3)
+	ROW256((SI)(R10*2), Y4, Y5)
+	ROW256((R11), Y6, Y7)
+	ADDQ    R12, SI
+	ADDQ    R12, R11
+	ADDQ    R9, DX
+	DECQ    CX
+	JNE     sum2_k4
+
+	LEAQ    (DI)(BX*1), AX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, (AX)(R9*1)
+	VMOVUPD Y3, 32(AX)(R9*1)
+	LEAQ    (AX)(R9*2), AX
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, 32(AX)
+	VMOVUPD Y6, (AX)(R9*1)
+	VMOVUPD Y7, 32(AX)(R9*1)
+	ADDQ    $64, BX
+	JMP     sum2_cols4
+
+sum2_next4:
+	LEAQ  (DI)(R9*4), DI
+	LEAQ  (R8)(R10*4), R8
+	SUBQ  $4, R14
+	CMPQ  R14, $4
+	JGE   sum2_rows4
+	TESTQ R14, R14
+	JEQ   sum2_done
+	CMPQ  R9, $256
+	JGE   sum2_row1           // rows of 32 or more go on one at a time
+	MOVQ  $4, AX
+	SUBQ  R14, AX             // else the last four rows end at m
+	MOVQ  AX, CX
+	IMULQ R9, CX
+	SUBQ  CX, DI
+	IMULQ R10, AX
+	SUBQ  AX, R8
+	MOVQ  $4, R14
+	JMP   sum2_rows4
+
+sum2_row1:
+	TESTQ R14, R14
+	JEQ   sum2_done
+	XORQ  BX, BX
+
+sum2_cols1:
+	CMPQ BX, R9
+	JGE  sum2_next1
+	LEAQ 256(BX), AX
+	CMPQ AX, R9
+	JLE  sum2_tile1
+	LEAQ -256(R9), BX         // the last tile ends at n
+
+sum2_tile1:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R8, SI
+	MOVQ   b+48(FP), DX
+	ADDQ   BX, DX
+	MOVQ   k+56(FP), CX
+
+sum2_k1:
+	// One coefficient per k-step: a zero one skips the step by branch,
+	// as the Go loop does, where a taller tile masks lanes. VUCOMISD
+	// sets ZF for equal or unordered and PF for unordered, so a NaN
+	// coefficient falls through and is added.
+	VBROADCASTSD (SI), Y10
+	VUCOMISD     X15, X10
+	JNE          2(PC)
+	JPC          sum2_k1next
+	ADD256(0, Y0)
+	ADD256(32, Y1)
+	ADD256(64, Y2)
+	ADD256(96, Y3)
+	ADD256(128, Y4)
+	ADD256(160, Y5)
+	ADD256(192, Y6)
+	ADD256(224, Y7)
+
+sum2_k1next:
+	ADDQ R12, SI
+	ADDQ R9, DX
+	DECQ CX
+	JNE  sum2_k1
+
+	LEAQ    (DI)(BX*1), AX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	VMOVUPD Y4, 128(AX)
+	VMOVUPD Y5, 160(AX)
+	VMOVUPD Y6, 192(AX)
+	VMOVUPD Y7, 224(AX)
+	ADDQ    $256, BX
+	JMP     sum2_cols1
+
+sum2_next1:
+	ADDQ R9, DI
+	ADDQ R10, R8
+	DECQ R14
+	JMP  sum2_row1
+
+sum2_done:
 	VZEROUPPER
 	RET
 
@@ -640,10 +752,12 @@ adam_loop:
 
 // The AVX-512F kernels below run the kernel above of the same name,
 // eight lanes at a time in place of four: the same instructions per
-// lane, in the same order, on ZMM registers. Each takes only the part of
-// a row that fills whole steps of its own (the Go caller passes n16 or
-// n8) and leaves the rest to the AVX2 kernel. Only AVX512F instructions
-// are used, so that hasAVX512 has one bit to check.
+// lane, in the same order, on ZMM registers. Each but sumRowsAVX512
+// takes only the part of a row that fills whole steps of its own (the
+// Go caller passes n16 or n8) and leaves the rest to the AVX2 kernel;
+// sumRowsAVX512 masks its last columns and takes the whole product.
+// Only AVX512F instructions are used, so that hasAVX512 has one bit to
+// check.
 
 // func hasAVX512() bool
 //
@@ -691,55 +805,238 @@ axpyz_loop:
 	VZEROUPPER
 	RET
 
-// func axpy4AVX512(d *float64, n16 int, b *float64, off *[4]int, coef *[4]float64)
-//
-// axpy4AVX2's loop8 for j < n16, n16 a positive multiple of 16: sixteen
-// elements per step in Z4 and Z5, each taking its four products in
-// order.
-TEXT ·axpy4AVX512(SB), NOSPLIT, $0-40
-	MOVQ         d+0(FP), DI
-	MOVQ         n16+8(FP), CX
-	MOVQ         b+16(FP), SI
-	MOVQ         off+24(FP), AX
-	MOVQ         coef+32(FP), DX
-	VBROADCASTSD (DX), Z0
-	VBROADCASTSD 8(DX), Z1
-	VBROADCASTSD 16(DX), Z2
-	VBROADCASTSD 24(DX), Z3
-	MOVQ         8(AX), R8
-	MOVQ         16(AX), R9
-	MOVQ         24(AX), R10
-	MOVQ         (AX), AX
-	LEAQ         (SI)(R8*8), R8
-	LEAQ         (SI)(R9*8), R9
-	LEAQ         (SI)(R10*8), R10
-	LEAQ         (SI)(AX*8), SI
-	XORQ         AX, AX
+// ROW512 is ROW256 at 512 bits, for a 4 x 16 tile with b in Z8 and
+// Z9: the compare writes its lanes to the mask register kreg, and the
+// adds merge under it, so that a lane whose coefficient is zero keeps
+// its accumulator. Z31 is zero. ROW512W is the same for a 4 x 32 tile,
+// b in Z16…Z19.
+#define ROW512(coef, kreg, acc0, acc1) \
+	VBROADCASTSD coef, Z10; \
+	VCMPPD       $4, Z31, Z10, kreg; \
+	VMULPD       Z8, Z10, Z12; \
+	VMULPD       Z9, Z10, Z13; \
+	VADDPD       Z12, acc0, kreg, acc0; \
+	VADDPD       Z13, acc1, kreg, acc1
 
-axpy4z_loop:
-	VMOVUPD (DI)(AX*8), Z4
-	VMOVUPD 64(DI)(AX*8), Z5
-	VMULPD  (SI)(AX*8), Z0, Z6
-	VMULPD  64(SI)(AX*8), Z0, Z7
-	VMULPD  (R8)(AX*8), Z1, Z8
-	VMULPD  64(R8)(AX*8), Z1, Z9
-	VMULPD  (R9)(AX*8), Z2, Z10
-	VMULPD  64(R9)(AX*8), Z2, Z11
-	VMULPD  (R10)(AX*8), Z3, Z12
-	VMULPD  64(R10)(AX*8), Z3, Z13
-	VADDPD  Z6, Z4, Z4
-	VADDPD  Z7, Z5, Z5
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-	VADDPD  Z10, Z4, Z4
-	VADDPD  Z11, Z5, Z5
-	VADDPD  Z12, Z4, Z4
-	VADDPD  Z13, Z5, Z5
-	VMOVUPD Z4, (DI)(AX*8)
-	VMOVUPD Z5, 64(DI)(AX*8)
-	ADDQ    $16, AX
-	CMPQ    AX, CX
-	JLT     axpy4z_loop
+#define ROW512W(coef, kreg, acc0, acc1, acc2, acc3) \
+	VBROADCASTSD coef, Z20; \
+	VCMPPD       $4, Z31, Z20, kreg; \
+	VMULPD       Z16, Z20, Z21; \
+	VMULPD       Z17, Z20, Z22; \
+	VMULPD       Z18, Z20, Z23; \
+	VMULPD       Z19, Z20, Z24; \
+	VADDPD       Z21, acc0, kreg, acc0; \
+	VADDPD       Z22, acc1, kreg, acc1; \
+	VADDPD       Z23, acc2, kreg, acc2; \
+	VADDPD       Z24, acc3, kreg, acc3
+
+// COLMASK512 sets K5 and K6 to the lanes of a 16-column tile at column
+// byte offset BX that lie inside a row of n (R9 bytes): all sixteen but
+// in the last tile of a row whose n is no multiple of 16.
+#define COLMASK512 \
+	MOVQ    R9, CX; \
+	SUBQ    BX, CX; \
+	SHRQ    $3, CX; \
+	MOVL    $16, AX; \
+	CMPQ    CX, AX; \
+	CMOVQGT AX, CX; \
+	MOVL    $1, AX; \
+	SHLL    CX, AX; \
+	DECL    AX; \
+	KMOVW   AX, K5; \
+	SHRL    $8, AX; \
+	KMOVW   AX, K6
+
+// func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
+//
+// sumRowsAVX2 at 512 bits, for every n > 0: four rows of d at a time in
+// 4 x 32 tiles, the sums in Z0…Z15, then 4 x 16 tiles (Z0…Z7) for the
+// n mod 32 columns left, which load b under the column masks K5 and
+// K6, zeroing the lanes past n and reading none of their memory, and
+// store under them. Where m is no multiple of 4 the last four rows end
+// at m, as in sumRowsAVX2; fewer than four rows go one at a time in
+// tiles one row high and 16 wide, under the same column masks. The
+// row masks are K1, K2, K3 and K7 (K4 is a macro of this file).
+TEXT ·sumRowsAVX512(SB), NOSPLIT, $0-64
+	MOVQ   d+0(FP), DI
+	MOVQ   m+8(FP), R14
+	MOVQ   n+16(FP), R9
+	MOVQ   a+24(FP), R8
+	MOVQ   rs+32(FP), R10
+	MOVQ   cs+40(FP), R12
+	SHLQ   $3, R9
+	SHLQ   $3, R10
+	SHLQ   $3, R12
+	VPXORQ Z31, Z31, Z31
+	CMPQ   R14, $4
+	JLT    sumz_row1
+
+sumz_rows4:
+	XORQ BX, BX
+
+sumz_wide4:
+	LEAQ   256(BX), AX
+	CMPQ   AX, R9
+	JGT    sumz_tile4
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	MOVQ   R8, SI
+	LEAQ   (R10)(R10*2), AX
+	LEAQ   (R8)(AX*1), R11
+	MOVQ   b+48(FP), DX
+	ADDQ   BX, DX
+	MOVQ   k+56(FP), CX
+
+sumz_kw4:
+	VMOVUPD (DX), Z16
+	VMOVUPD 64(DX), Z17
+	VMOVUPD 128(DX), Z18
+	VMOVUPD 192(DX), Z19
+	ROW512W((SI), K1, Z0, Z1, Z2, Z3)
+	ROW512W((SI)(R10*1), K2, Z4, Z5, Z6, Z7)
+	ROW512W((SI)(R10*2), K3, Z8, Z9, Z10, Z11)
+	ROW512W((R11), K7, Z12, Z13, Z14, Z15)
+	ADDQ    R12, SI
+	ADDQ    R12, R11
+	ADDQ    R9, DX
+	DECQ    CX
+	JNE     sumz_kw4
+
+	LEAQ    (DI)(BX*1), AX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, 64(AX)
+	VMOVUPD Z2, 128(AX)
+	VMOVUPD Z3, 192(AX)
+	VMOVUPD Z4, (AX)(R9*1)
+	VMOVUPD Z5, 64(AX)(R9*1)
+	VMOVUPD Z6, 128(AX)(R9*1)
+	VMOVUPD Z7, 192(AX)(R9*1)
+	LEAQ    (AX)(R9*2), AX
+	VMOVUPD Z8, (AX)
+	VMOVUPD Z9, 64(AX)
+	VMOVUPD Z10, 128(AX)
+	VMOVUPD Z11, 192(AX)
+	VMOVUPD Z12, (AX)(R9*1)
+	VMOVUPD Z13, 64(AX)(R9*1)
+	VMOVUPD Z14, 128(AX)(R9*1)
+	VMOVUPD Z15, 192(AX)(R9*1)
+	ADDQ    $256, BX
+	JMP     sumz_wide4
+
+sumz_tile4:
+	CMPQ   BX, R9
+	JGE    sumz_next4
+	COLMASK512
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ   R8, SI
+	LEAQ   (R10)(R10*2), AX
+	LEAQ   (R8)(AX*1), R11
+	MOVQ   b+48(FP), DX
+	ADDQ   BX, DX
+	MOVQ   k+56(FP), CX
+
+sumz_k4:
+	VMOVUPD.Z (DX), K5, Z8
+	VMOVUPD.Z 64(DX), K6, Z9
+	ROW512((SI), K1, Z0, Z1)
+	ROW512((SI)(R10*1), K2, Z2, Z3)
+	ROW512((SI)(R10*2), K3, Z4, Z5)
+	ROW512((R11), K7, Z6, Z7)
+	ADDQ      R12, SI
+	ADDQ      R12, R11
+	ADDQ      R9, DX
+	DECQ      CX
+	JNE       sumz_k4
+
+	LEAQ    (DI)(BX*1), AX
+	VMOVUPD Z0, K5, (AX)
+	VMOVUPD Z1, K6, 64(AX)
+	VMOVUPD Z2, K5, (AX)(R9*1)
+	VMOVUPD Z3, K6, 64(AX)(R9*1)
+	LEAQ    (AX)(R9*2), AX
+	VMOVUPD Z4, K5, (AX)
+	VMOVUPD Z5, K6, 64(AX)
+	VMOVUPD Z6, K5, (AX)(R9*1)
+	VMOVUPD Z7, K6, 64(AX)(R9*1)
+	ADDQ    $128, BX
+	JMP     sumz_tile4
+
+sumz_next4:
+	LEAQ    (DI)(R9*4), DI
+	LEAQ    (R8)(R10*4), R8
+	SUBQ    $4, R14
+	CMPQ    R14, $4
+	JGE     sumz_rows4
+	TESTQ   R14, R14
+	JEQ     sumz_done
+	MOVQ    $4, AX
+	SUBQ    R14, AX
+	MOVQ    AX, CX
+	IMULQ   R9, CX
+	SUBQ    CX, DI
+	IMULQ   R10, AX
+	SUBQ    AX, R8
+	MOVQ    $4, R14
+	JMP     sumz_rows4
+
+sumz_row1:
+	TESTQ R14, R14
+	JEQ   sumz_done
+	XORQ  BX, BX
+
+sumz_cols1:
+	CMPQ   BX, R9
+	JGE    sumz_next1
+	COLMASK512
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	MOVQ   R8, SI
+	MOVQ   b+48(FP), DX
+	ADDQ   BX, DX
+	MOVQ   k+56(FP), CX
+
+sumz_k1:
+	VMOVUPD.Z (DX), K5, Z8
+	VMOVUPD.Z 64(DX), K6, Z9
+	ROW512((SI), K1, Z0, Z1)
+	ADDQ      R12, SI
+	ADDQ      R9, DX
+	DECQ      CX
+	JNE       sumz_k1
+
+	VMOVUPD Z0, K5, (DI)(BX*1)
+	VMOVUPD Z1, K6, 64(DI)(BX*1)
+	ADDQ    $128, BX
+	JMP     sumz_cols1
+
+sumz_next1:
+	ADDQ R9, DI
+	ADDQ R10, R8
+	DECQ R14
+	JMP  sumz_row1
+
+sumz_done:
 	VZEROUPPER
 	RET
 

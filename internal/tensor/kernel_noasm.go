@@ -17,13 +17,13 @@ const tanh512OK = false
 
 func axpyAVX2(x, y *float64, n int, alpha float64) { panic("tensor: no AVX2") }
 
-func axpy4AVX2(d *float64, n int, b *float64, off *[4]int, coef *[4]float64) {
+func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int) {
 	panic("tensor: no AVX2")
 }
 
 func axpyAVX512(x, y *float64, n16 int, alpha float64) { panic("tensor: no AVX-512") }
 
-func axpy4AVX512(d *float64, n16 int, b *float64, off *[4]int, coef *[4]float64) {
+func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int) {
 	panic("tensor: no AVX-512")
 }
 

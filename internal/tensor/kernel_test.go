@@ -60,12 +60,17 @@ func refMatMulABT(dst, a, b *Mat) {
 
 // kernelShapes are the m, k, n of the products the benchmark workloads
 // run: an actor's batch-1 forward, the async and DES trunk batches, one
-// sample of the frame-20 CNN's first convolution, and the first and
-// last layers of the hopper policy (11 observations in, 6 distribution
-// parameters out), whose k and n are no multiple of 4.
+// sample of the frame-20 CNN's first and second convolutions, and the
+// first and last layers of the hopper policy (11 observations in, 6
+// distribution parameters out), whose k and n are no multiple of 4. The
+// last three are learner-pass products at the DES batch: the policy
+// head's (as MatMulATB, a dst of 6 rows, no multiple of 4) and the
+// first layer's weight gradient (as MatMulATB, 11 columns: a column
+// tail under every tile).
 var kernelShapes = [][3]int{
 	{1, 64, 64}, {128, 64, 64}, {512, 64, 64}, {16, 192, 16},
 	{1, 11, 64}, {1, 64, 6}, {128, 11, 64},
+	{512, 6, 64}, {512, 64, 11}, {1, 32, 256},
 }
 
 // canary is what surrounds every operand of the kernel tests in its
@@ -219,17 +224,18 @@ func eachPath(t *testing.T, have512, have2 bool, f func(t *testing.T)) {
 }
 
 // TestKernelsBitIdenticalToScalarLoops holds the kernels' contract on
-// every path: the same bits as the scalar reference at every m in 0…9
-// and k, n in 0…17 under every value mix (every k mod 4, n mod 4, mod 8
-// and mod 16, m mod 3 and mod 4 tail, nonzero-count mod 4, and the empty
-// products), at random shapes up to 19 and three long thin ones (a chunk
-// boundary at 32 rows), and at the shapes the workloads run.
+// every path: the same bits as the scalar reference at every m in 0…9,
+// k in 0…17 and n in 0…65 under every value mix (two full tiles and one
+// more in m and in n at every level, the largest tile four rows high
+// being 4 x 32: every k mod 4, n mod 4, mod 8, mod 16 and mod 32, m mod
+// 3 and mod 4 tail, and the empty products), at random shapes up to 19
+// and three long thin ones, and at the shapes the workloads run.
 func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		r := rng.New(14)
 		for m := 0; m <= 9; m++ {
 			for k := 0; k <= 17; k++ {
-				for n := 0; n <= 17; n++ {
+				for n := 0; n <= 65; n++ {
 					for mix := 0; mix < numMixes; mix++ {
 						requireKernelsMatch(t, r, m, k, n, mix, r.Intn(1<<10))
 					}

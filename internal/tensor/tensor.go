@@ -24,17 +24,22 @@
 // with canaries around dst and with ±0, denormals, ±Inf and NaN among
 // the operands.
 //
-// The portable path is plain Go, tiled over independent outputs because
-// gc does not vectorize and a scalar loop is bound by its dependent adds
-// and by the loads and stores around them:
+// MatMul and MatMulATB are one routine, sumScaledRows: row i of dst is
+// Σ_p a(i, p) · (row p of b), and the two differ only in the strides
+// at which a(i, p) is read. The portable path is plain Go, tiled over
+// independent outputs or over k because gc does not vectorize and a
+// scalar loop is bound by its dependent adds and by the loads and
+// stores around them:
 //
 //   - MatMulABT computes a 3 x 2 block of dot products per pass over k
 //     (six add chains in flight, five loads per six multiply-adds where
 //     a lone Dot has one chain and two loads per multiply-add), 1 x 4
 //     for leftover rows and for batch-1 inputs.
 //   - MatMul and MatMulATB add four scaled rows of b to a dst row per
-//     pass, so the row is loaded and stored once per four k-steps;
-//     MatMulATB walks k in chunks so that b streams through once.
+//     pass where none of the four coefficients is zero, so the row is
+//     loaded and stored once per four k-steps, and the nonzero ones
+//     of the four one at a time otherwise: a coefficient is skipped
+//     with an if, as the scalar loops skipped it.
 //
 // Operands are re-sliced to one common length before the inner loops,
 // which lets the compiler drop their bounds checks.
@@ -47,17 +52,42 @@
 // order of the Go loop. There are two widths. The AVX2 kernels hold four
 // outputs in a 256-bit register; where the CPU also has AVX-512F (and
 // the OS saves its registers) the 512-bit kernels hold eight, with the
-// same instructions per lane, take the part of a row that fills their
-// steps, and leave the rest to the AVX2 kernels. Axpy and the four-row
-// pass under MatMul and MatMulATB take 16 (512-bit), then 8, 4 and 1
-// elements of the dst row per step; MatMulABT computes 4 x 8 tiles at
-// 512 bits and 4 x 4 tiles at 256 (1 x 8 for one row, at 256 bits only)
-// by transposing a block of b in registers, so that the lanes of an
-// accumulator are dot products advancing through k together. Rows and
-// columns left over by the tiles go to the Go kernels. Each level is
-// the whole path on a CPU that lacks the one above it. The assembly is
-// handed only pointers into slices Go has already sliced to their full
-// extent, so a wrong shape panics in Go.
+// same instructions per lane.
+//
+// MatMul and MatMulATB are register tiles, an outer product per k-step:
+// a segment of row p of b is loaded once, one coefficient per row of
+// the tile is broadcast, and each product is added into its row's
+// accumulators only in the lanes where VCMPPD with predicate 4 (NEQ_UQ:
+// not equal, or unordered, so that a NaN coefficient is added as the Go
+// loop adds it) says the coefficient is not zero. At 512 bits that is a
+// merge mask on the add; at 256 bits the sum is blended (VBLENDVPD)
+// against the accumulator it came from. The accumulators start at +0,
+// stay in registers for all of k and are stored once, so dst is
+// written but never zeroed or read. sumRowsAVX512 takes four rows of
+// dst at a time in 4 x 32 tiles, then 4 x 16 for the columns left, whose
+// loads and stores are masked at n; sumRowsAVX2 takes 4 x 8 tiles, and
+// where n is no multiple of 8 the last tile of a row ends at n and
+// overlaps the one before it, storing its outputs again with the same
+// bits. Rows a multiple of four leaves over are the last four rows
+// again, ending at m, except at 256 bits in rows 32 wide or more: there
+// they go one at a time, as do products of fewer than four rows, in
+// tiles one row high and 32 wide (eight accumulators), the last of a
+// row ending at n. A one-row tile has a single coefficient per k-step,
+// so it skips a zero one with a branch, as the Go loop does, rather
+// than by lane. A product narrower than 8, or of fewer than four rows
+// narrower than 32, takes the Go path where there is no AVX-512; at 512
+// bits fewer than four rows go one at a time in masked tiles 16 wide.
+//
+// MatMulABT computes 4 x 8 tiles at 512 bits and 4 x 4 tiles at 256
+// (1 x 8 for one row, at 256 bits only) by transposing a block of b in
+// registers, so that the lanes of an accumulator are dot products
+// advancing through k together; Axpy takes 16 (512-bit), then 8, 4 and
+// 1 elements per step. These 512-bit kernels take the part of a row
+// that fills their steps and leave the rest to the AVX2 kernels, and
+// rows and columns left over by the tiles go to the Go kernels. Each
+// level is the whole path on a CPU that lacks the one above it. The
+// assembly is handed only pointers into slices Go has already sliced to
+// their full extent, so a wrong shape panics in Go.
 //
 // TanhInto, the activation between the products, is the same idea
 // applied to a function call: a batch of pre-activations is that many
@@ -164,16 +194,8 @@ func MatMul(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		addScaledRows(dst.Row(i), a.Row(i), 1, b.Data, b.Rows)
-	}
+	sumScaledRows(dst, a.Data, a.Cols, 1, b)
 }
-
-// atbChunk is how many rows of a and b MatMulATB consumes per sweep over
-// dst: b's chunk stays cached while every dst row takes its share of it,
-// and dst is re-read once per chunk rather than once per row.
-const atbChunk = 32
 
 // MatMulATB computes dst = aᵀ * b (a is k x m, b is k x n, dst is m x n).
 // Used by backward passes to accumulate weight gradients.
@@ -182,73 +204,72 @@ func MatMulATB(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch (%dx%d)ᵀ*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	m, n := a.Cols, b.Cols
-	for k0 := 0; k0 < a.Rows; k0 += atbChunk {
-		k1 := min(k0+atbChunk, a.Rows)
-		ac, bc := a.Data[k0*m:k1*m], b.Data[k0*n:k1*n]
-		for i := 0; i < m; i++ {
-			addScaledRows(dst.Row(i), ac[i:], m, bc, k1-k0)
-		}
-	}
+	sumScaledRows(dst, a.Data, 1, a.Cols, b)
 }
 
-// addScaledRows computes d += Σ_k a[k*stride] * (row k of b) over b's
-// rows, each len(d) wide, in ascending k. Zero coefficients are skipped,
-// as the scalar loops this replaces did (which also keeps 0·Inf out of
-// d); the others are applied four rows per pass over d.
-func addScaledRows(d, a []float64, stride int, b []float64, rows int) {
-	n := len(d)
-	if n == 0 {
+// sumScaledRows sets row i of dst to Σ_p a[i*rs+p*cs] * (row p of b)
+// over b's rows: MatMul is rs = k, cs = 1 and MatMulATB rs = 1, cs = m,
+// the only difference between the two. Each output is summed from +0
+// in ascending p, and a coefficient equal to zero adds nothing, as the
+// scalar loops skipped it (which also keeps 0·Inf out of dst). The
+// assembly keeps the sums in register tiles for all of p (see the
+// package comment); the Go path is sumScaledRow, one row at a time.
+func sumScaledRows(dst *Mat, a []float64, rs, cs int, b *Mat) {
+	m, n, k := dst.Rows, dst.Cols, b.Rows
+	if m == 0 || n == 0 {
 		return
 	}
-	b = b[:rows*n] // every off+n below is inside it: the assembly gets no other proof
-	var off [4]int
-	var coef [4]float64
-	c := 0
-	for k := 0; k < rows; k++ {
-		v := a[k*stride]
-		if v == 0 {
-			continue
-		}
-		off[c], coef[c] = k*n, v
-		c++
-		if c == 4 {
-			if useAVX2 {
-				j := 0
-				if useAVX512 {
-					if j = n &^ 15; j > 0 {
-						axpy4AVX512(&d[0], j, &b[0], &off, &coef)
-					}
-				}
-				if j < n {
-					axpy4AVX2(&d[j], n-j, &b[j], &off, &coef)
-				}
-			} else {
-				axpy4(d, b[off[0]:off[0]+n], b[off[1]:off[1]+n], b[off[2]:off[2]+n], b[off[3]:off[3]+n],
-					coef[0], coef[1], coef[2], coef[3])
-			}
-			c = 0
-		}
+	if k == 0 {
+		dst.Zero()
+		return
 	}
-	for q := 0; q < c; q++ {
-		Axpy(coef[q], b[off[q]:off[q]+n], d)
+	// The last element each operand is read at: the assembly gets no
+	// other proof that the shapes fit.
+	d, a, bd := dst.Data[:m*n], a[:(m-1)*rs+(k-1)*cs+1], b.Data[:k*n]
+	switch {
+	case useAVX512:
+		sumRowsAVX512(&d[0], m, n, &a[0], rs, cs, &bd[0], k)
+		return
+	case useAVX2 && n >= 8 && (m >= 4 || n >= 32):
+		sumRowsAVX2(&d[0], m, n, &a[0], rs, cs, &bd[0], k)
+		return
+	}
+	for i := 0; i < m; i++ {
+		sumScaledRow(d[i*n:(i+1)*n], a[i*rs:], cs, bd)
 	}
 }
 
-// axpy4 computes d += a0*b0 + a1*b1 + a2*b2 + a3*b3 elementwise, adding
-// the four products to each d[j] one after another in that order: four
-// Axpy calls with one load and one store of d where they make four.
-// axpy4AVX512 does the same to sixteen d[j] per step, axpy4AVX2 to
-// eight, four or one.
-func axpy4(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
-	for j, v := range d {
-		v += a0 * b0[j]
-		v += a1 * b1[j]
-		v += a2 * b2[j]
-		v += a3 * b3[j]
-		d[j] = v
+// sumScaledRow is the Go path of sumScaledRows for one row: d = Σ_p
+// a[p*cs] * b[p*len(d):(p+1)*len(d)] over the rows of b, four k-steps
+// per pass over d where none of their coefficients is zero, else the
+// nonzero ones of the four one pass each.
+func sumScaledRow(d, a []float64, cs int, b []float64) {
+	n := len(d)
+	k := len(b) / n
+	clear(d)
+	for p := 0; p < k; p += 4 {
+		if p+4 <= k {
+			c0, c1, c2, c3 := a[p*cs], a[(p+1)*cs], a[(p+2)*cs], a[(p+3)*cs]
+			if c0 != 0 && c1 != 0 && c2 != 0 && c3 != 0 {
+				b0, b1, b2, b3 := b[p*n:][:n], b[(p+1)*n:][:n], b[(p+2)*n:][:n], b[(p+3)*n:][:n]
+				for j, v := range d {
+					v += c0 * b0[j]
+					v += c1 * b1[j]
+					v += c2 * b2[j]
+					v += c3 * b3[j]
+					d[j] = v
+				}
+				continue
+			}
+		}
+		for q := p; q < min(p+4, k); q++ {
+			if c := a[q*cs]; c != 0 {
+				bq := b[q*n:][:n]
+				for j := range d {
+					d[j] += c * bq[j]
+				}
+			}
+		}
 	}
 }
 
