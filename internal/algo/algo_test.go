@@ -389,3 +389,49 @@ func TestModelSlabLayout(t *testing.T) {
 		})
 	}
 }
+
+// TestRolloutPackLivesOneRollout holds Rollout's pack to the rollout it
+// was made for. A model rolls out, takes another weight vector with
+// SetWeights, and rolls out again; a twin that never packs (it is
+// driven one step per Rollout, too few rows for a pack to pay) does the
+// same. Both trajectories, and a greedy action after a third weight
+// vector is loaded outside any rollout, must have the twin's bits: a
+// packed copy kept from the first rollout would show in the second.
+func TestRolloutPackLivesOneRollout(t *testing.T) {
+	const steps = 64
+	weights := [][]float64{NewModelHidden(env.MustNew("hopper"), 64, 2).Weights(), NewModelHidden(env.MustNew("hopper"), 64, 3).Weights()}
+	packing, twin := NewModelHidden(env.MustNew("hopper"), 64, 1), NewModelHidden(env.MustNew("hopper"), 64, 1)
+	ePacking, eTwin := env.MustNew("hopper"), env.MustNew("hopper")
+	rPacking, rTwin := rng.New(4), rng.New(4)
+	var epPacking, epTwin Episode
+	for burst := 0; burst < 2; burst++ {
+		got := packing.Rollout(ePacking, rPacking, &epPacking, steps, nil)
+		var want []replay.Step
+		for i := 0; i < steps; i++ {
+			want = append(want, twin.Rollout(eTwin, rTwin, &epTwin, 1, nil).Steps...)
+		}
+		for i, w := range want {
+			g := got.Steps[i]
+			same := len(g.Action) == len(w.Action) && math.Float64bits(g.LogProb) == math.Float64bits(w.LogProb)
+			for j := range w.DistParams {
+				same = same && math.Float64bits(g.DistParams[j]) == math.Float64bits(w.DistParams[j])
+			}
+			if !same {
+				t.Fatalf("rollout %d, step %d: log-prob %v, params %v; a model that never packs gives %v, %v",
+					burst, i, g.LogProb, g.DistParams, w.LogProb, w.DistParams)
+			}
+		}
+		for _, m := range []*Model{packing, twin} {
+			if err := m.SetWeights(weights[burst]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	obs := epPacking.Obs
+	got, want := packing.ActGreedy(obs), twin.ActGreedy(obs)
+	for j, w := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(w) {
+			t.Fatalf("ActGreedy after the rollouts: action %v, a model that never packs %v", got, want)
+		}
+	}
+}

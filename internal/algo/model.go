@@ -164,7 +164,14 @@ type Episode struct {
 // then per step the action sample, then the reset after a terminal
 // step. onEpisode, when set, receives each finished episode's return.
 // The caller stamps identity (ActorID, PolicyVersion, Trace).
+//
+// The weights hold still for the whole burst (a DES replica belongs to
+// its future, and a live actor fetches before it rolls out), so the
+// policy is packed for the burst's steps (nn.Network.Pack) and unpacked
+// on the way out: no packed copy outlives the rollout.
 func (m *Model) Rollout(e env.Env, r *rng.RNG, ep *Episode, steps int, onEpisode func(ret float64)) *replay.Trajectory {
+	m.Policy.Pack(steps)
+	defer m.Policy.Unpack()
 	if ep.Obs == nil {
 		ep.Obs, ep.Return = e.Reset(r), 0
 	}

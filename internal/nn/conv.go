@@ -19,6 +19,8 @@ type Conv2D struct {
 	W, B  *Param
 
 	w        tensor.Mat  // W.Data viewed as an OutC x PatchSize matrix
+	wt       *tensor.Mat // Wᵀ, PatchSize x OutC, while Network.Pack holds it
+	packed   bool        // Forward reads wt, not w
 	cols     *tensor.Mat // im2col of the last Forward's batch
 	lastRows int
 
@@ -86,7 +88,11 @@ func (c *Conv2D) Forward(in *tensor.Mat) *tensor.Mat {
 		s.Im2Col(&block, in.Row(i))
 	}
 	res := ensureMat(&c.res, in.Rows*positions, s.OutC)
-	tensor.MatMulABT(res, cols, &c.w)
+	if c.packed {
+		tensor.MatMulABTPacked(res, cols, c.wt)
+	} else {
+		tensor.MatMulABT(res, cols, &c.w)
+	}
 	// res rows are position-major, the output layout is channel-major:
 	// transpose while scattering into the flat row.
 	out := ensureMat(&c.out, in.Rows, s.OutSize())
@@ -101,6 +107,14 @@ func (c *Conv2D) Forward(in *tensor.Mat) *tensor.Mat {
 	}
 	return out
 }
+
+// pack packs W for a run of forwards over rows samples, each
+// OutH·OutW rows of the product.
+func (c *Conv2D) pack(rows int) {
+	c.packed = packWeights(&c.wt, &c.w, rows*c.Shape.OutH*c.Shape.OutW)
+}
+
+func (c *Conv2D) unpack() { c.packed = false }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dOut *tensor.Mat) *tensor.Mat {

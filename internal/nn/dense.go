@@ -15,6 +15,8 @@ type Dense struct {
 	W, B    *Param
 
 	w      tensor.Mat  // W.Data viewed as an Out x In matrix
+	wt     *tensor.Mat // Wᵀ, In x Out, while Network.Pack holds it
+	packed bool        // Forward reads wt, not w
 	lastIn *tensor.Mat // cached for backward
 	out    *tensor.Mat // reused forward output buffer
 	dIn    *tensor.Mat // reused buffer
@@ -69,10 +71,18 @@ func (d *Dense) Forward(in *tensor.Mat) *tensor.Mat {
 	}
 	d.lastIn = in
 	out := ensureMat(&d.out, in.Rows, d.Out)
-	tensor.MatMulABT(out, in, &d.w)
+	if d.packed {
+		tensor.MatMulABTPacked(out, in, d.wt)
+	} else {
+		tensor.MatMulABT(out, in, &d.w)
+	}
 	tensor.AddBiasRows(out, d.B.Data)
 	return out
 }
+
+func (d *Dense) pack(rows int) { d.packed = packWeights(&d.wt, &d.w, rows) }
+
+func (d *Dense) unpack() { d.packed = false }
 
 // Backward implements Layer.
 func (d *Dense) Backward(dOut *tensor.Mat) *tensor.Mat {

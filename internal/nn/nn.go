@@ -199,6 +199,53 @@ func (n *Network) BackwardParams(dOut *tensor.Mat) {
 	n.Layers[0].BackwardParams(d)
 }
 
+// packer is a layer whose forward product is MatMulABT on its weights
+// (Dense, Conv2D), which it can run on a packed Wᵀ instead.
+type packer interface {
+	// pack readies the layer for forwards over rows samples in all, on
+	// weights that hold still: where the pack pays (tensor.PackPays), it
+	// transposes W and its forwards read that copy until unpack.
+	pack(rows int)
+	unpack()
+}
+
+// packWeights transposes w into *wt, allocating *wt on the first pack,
+// and says so, where a pack serving the given rows of products pays;
+// otherwise it leaves *wt as it is and says not.
+func packWeights(wt **tensor.Mat, w *tensor.Mat, rows int) bool {
+	if !tensor.PackPays(rows, w.Rows) {
+		return false
+	}
+	if *wt == nil {
+		*wt = tensor.NewPacked(w.Cols, w.Rows)
+	}
+	tensor.Transpose(*wt, w)
+	return true
+}
+
+// Pack readies n for a run of forwards over rows samples in all (a
+// rollout's steps) on weights that hold still until Unpack: each layer
+// whose product pays for a pack over those rows transposes its weights
+// once, and its forwards read that copy. Weights written between Pack
+// and Unpack go unseen by those forwards; a Pack after the write sees
+// them. A layer allocates its copy on its first pack only.
+func (n *Network) Pack(rows int) {
+	for _, l := range n.Layers {
+		if p, ok := l.(packer); ok {
+			p.pack(rows)
+		}
+	}
+}
+
+// Unpack returns every layer of n to reading its weights in place.
+func (n *Network) Unpack() {
+	for _, l := range n.Layers {
+		if p, ok := l.(packer); ok {
+			p.unpack()
+		}
+	}
+}
+
 // Params returns all learnable parameters in layer order.
 func (n *Network) Params() []*Param {
 	var ps []*Param

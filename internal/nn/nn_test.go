@@ -418,3 +418,82 @@ func TestSteadyStatePassesDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// packNets are the two trunks a rollout packs, with heads: the MLP at
+// hopper's widths and the frame-20 CNN, whose first convolution's
+// product has 16 rows a sample.
+func packNets() map[string]func() *Network {
+	return map[string]func() *Network{
+		"mlp": func() *Network {
+			return WithHead(MLPTrunk(NewSlab(MLPSize(11, 64, 6)), 11, 64, rng.New(5)), 6, 0.01, rng.New(6))
+		},
+		"cnn": func() *Network {
+			return WithHead(CNNTrunk(NewSlab(CNNSize(3, 20, 20, 6)), 3, 20, 20, rng.New(7)), 6, 0.01, rng.New(8))
+		},
+	}
+}
+
+// TestPackedForwardBitEqualToUnpacked holds a packed network to the
+// same network unpacked: every batch-1 and batch-32 forward between
+// Pack and Unpack has the unpacked forward's bits. A layer packs where
+// tensor.PackPays for all the rows its product will see (a
+// convolution's are the samples times its positions), so where the CPU
+// has the tile kernels the rollout-sized pack reaches the 64-wide
+// hidden layers, and a pack for one row reaches none.
+func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
+	for name, build := range packNets() {
+		packed, plain := build(), build()
+		r := rng.New(11)
+		for _, rows := range []int{1, 64} {
+			packed.Pack(rows)
+			hidden := 0
+			for _, l := range packed.Layers {
+				var got, want bool
+				switch l := l.(type) {
+				case *Dense:
+					got, want = l.packed, tensor.PackPays(rows, l.Out)
+					if got && l.Out == 64 {
+						hidden++
+					}
+				case *Conv2D:
+					got, want = l.packed, tensor.PackPays(rows*l.Shape.OutH*l.Shape.OutW, l.Shape.OutC)
+				}
+				if got != want {
+					t.Fatalf("%s: %s packed = %v after Pack(%d), want %v", name, l.Name(), got, rows, want)
+				}
+			}
+			if wantHidden := tensor.PackPays(64, 64) && rows == 64 && name == "mlp"; wantHidden != (hidden == 2) {
+				t.Fatalf("%s: %d hidden layers packed after Pack(%d)", name, hidden, rows)
+			}
+			for _, batch := range []int{1, 32} {
+				in := randIn(r, batch, packed.InDim())
+				got, want := packed.Forward(in), plain.Forward(in)
+				for i, w := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+						t.Fatalf("%s: packed for %d rows, batch %d: output %d = %v, unpacked %v", name, rows, batch, i, got.Data[i], w)
+					}
+				}
+			}
+			packed.Unpack()
+		}
+	}
+}
+
+// TestPackedForwardsDoNotAllocate pins the cost of a rollout's pack:
+// once a network has been packed, packing it again, forwarding one
+// sample and unpacking allocate nothing.
+func TestPackedForwardsDoNotAllocate(t *testing.T) {
+	for name, build := range packNets() {
+		n := build()
+		in := randIn(rng.New(12), 1, n.InDim())
+		step := func() {
+			n.Pack(64)
+			n.Forward(in)
+			n.Unpack()
+		}
+		step()
+		if a := testing.AllocsPerRun(20, step); a != 0 {
+			t.Errorf("%s: %v allocations per Pack, batch-1 Forward and Unpack after the first, want 0", name, a)
+		}
+	}
+}

@@ -143,3 +143,54 @@ func BenchmarkTanh(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkABTPackRows times MatMulABT's two forms at the weight shapes
+// k x n the workloads forward through (hopper's 64 x 64 and 11 x 64,
+// cartpole's 256 x 256 and 4 x 256, the frame-20 CNN's 192 x 16,
+// 256 x 32 and 32 x 256), and at narrow heads (64 x 6, 64 x 4, 64 x 1),
+// over m rows: /dot is the product on b as it lies (dotRows), /pack
+// transposes b into scratch and runs the tile (MatMulABT where
+// PackPays), /packed is the tile on a bᵀ packed beforehand
+// (MatMulABTPacked). packRows is the m from which /pack is no slower
+// than /dot at every shape 8 columns wide or more.
+func BenchmarkABTPackRows(b *testing.B) {
+	r := rng.New(1)
+	shapes := [][2]int{{64, 64}, {11, 64}, {256, 256}, {4, 256}, {192, 16}, {256, 32}, {32, 256}, {64, 6}, {64, 4}, {64, 1}}
+	for _, kn := range shapes {
+		k, n := kn[0], kn[1]
+		w, wt := randMat(r, n, k), NewPacked(k, n)
+		Transpose(wt, w)
+		for _, m := range []int{1, 8, 16, 20, 24, 28, 32, 64} {
+			a, dst := randMat(r, m, k), NewMat(m, n)
+			have := [len(levels)]bool{useAVX512, useAVX2, true}
+			for i, l := range levels {
+				name := fmt.Sprintf("%dx%d·%d/%s", m, k, n, l.name)
+				b.Run(name+"/dot", func(b *testing.B) { atLevel(b, i, have[i], func() { dotRows(dst, a, w) }) })
+				b.Run(name+"/pack", func(b *testing.B) {
+					atLevel(b, i, have[i], func() {
+						bt := takePack(k, n)
+						Transpose(bt, w)
+						sumScaledRows(dst, a.Data, k, 1, bt, skipNone)
+						givePack(bt)
+					})
+				})
+				b.Run(name+"/packed", func(b *testing.B) { atLevel(b, i, have[i], func() { MatMulABTPacked(dst, a, wt) }) })
+			}
+		}
+	}
+}
+
+// BenchmarkTranspose times the pack alone at the same weight shapes.
+func BenchmarkTranspose(b *testing.B) {
+	r := rng.New(1)
+	for _, kn := range [][2]int{{64, 64}, {11, 64}, {256, 256}, {4, 256}, {192, 16}, {256, 32}, {32, 256}} {
+		k, n := kn[0], kn[1]
+		w, wt := randMat(r, n, k), NewPacked(k, n)
+		have := [len(levels)]bool{useAVX512, useAVX2, true}
+		for i, l := range levels {
+			b.Run(fmt.Sprintf("%dx%d/%s", n, k, l.name), func(b *testing.B) {
+				atLevel(b, i, have[i], func() { Transpose(wt, w) })
+			})
+		}
+	}
+}

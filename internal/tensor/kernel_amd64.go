@@ -3,18 +3,20 @@ package tensor
 import "math"
 
 // useAVX2 selects the assembly micro-kernels of kernel_amd64.s under
-// MatMul, MatMulATB, MatMulABT, Axpy, Scale, AdamStep and TanhInto. It
-// is set once, here, from what the CPU and the OS report; the tests
-// clear it to run the Go kernels on the same box.
+// MatMul, MatMulATB, MatMulABT and its pack (Transpose), Axpy, Scale,
+// AdamStep and TanhInto. It is set once, here, from what the CPU and
+// the OS report; the tests clear it to run the Go kernels on the same
+// box. Without it no pack pays (PackPays): the Go form of the tile is
+// slower than the Go dot products, so MatMulABT never packs there.
 var useAVX2 = hasAVX2()
 
 // useAVX512 selects, under useAVX2, the kernels of kernel_amd64.s that
 // put eight outputs in the eight lanes of a 512-bit register: they take
 // the part of a row that fills whole steps of theirs and leave the rest
 // to the AVX2 kernels, but for sumRowsAVX512, which masks its last
-// columns and takes all of MatMul and MatMulATB. Set once, here, like
-// useAVX2, and cleared by the tests to run the AVX2 path on the same
-// box.
+// columns and takes all of MatMul, MatMulATB and MatMulABTPacked. Set
+// once, here, like useAVX2, and cleared by the tests to run the AVX2
+// path on the same box.
 var useAVX512 = useAVX2 && hasAVX512()
 
 // tanhOK says that tanhAVX2 returns math.Tanh's bits in this process.
@@ -83,10 +85,16 @@ func axpyAVX2(x, y *float64, n int, alpha float64)
 func axpyAVX512(x, y *float64, n16 int, alpha float64)
 
 //go:noescape
-func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
+func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
 
 //go:noescape
-func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
+func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
+
+//go:noescape
+func transposeAVX2(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+
+//go:noescape
+func transposeAVX512(dst *float64, ldd int, src *float64, lds int, rows, cols int)
 
 //go:noescape
 func dot4RowsAVX2(d *float64, ldd int, a, b *float64, k, n4 int)

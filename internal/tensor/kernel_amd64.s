@@ -6,11 +6,13 @@
 // products that means every output is still accumulated over k in
 // ascending order, and a product and the add that consumes it stay two
 // instructions (VMULPD, VADDPD), each rounding once, exactly as the Go
-// loops in tensor.go do: no FMA, no horizontal add. MatMul and
-// MatMulATB share one register-tiled kernel per width (sumRowsAVX2,
-// sumRowsAVX512), which skips a zero coefficient per lane: a VCMPPD
-// NEQ_UQ mask, merged into the add at 512 bits and blended against the
-// accumulator at 256. The tanh kernels' reference is math.Tanh, whose
+// loops in tensor.go do: no FMA, no horizontal add. MatMul, MatMulATB
+// and MatMulABT on a packed bᵀ share one register-tiled kernel per
+// width (sumRowsAVX2, sumRowsAVX512), which skips a coefficient equal
+// to a comparand z per lane (z = 0 for the first two, NaN, which no
+// coefficient equals, for the third): a VCMPPD NEQ_UQ mask, merged into
+// the add at 512 bits and blended against the accumulator at 256. The
+// pack is transposeAVX2/transposeAVX512, a copy through registers. The tanh kernels' reference is math.Tanh, whose
 // exp is assembly with FMAs in it, and they have exactly those. All
 // loads and stores are unaligned-safe (VMOVUPD; masked at 512 bits
 // where a tile passes the end of a row, so that no lane past it is
@@ -98,9 +100,10 @@ axpy_done:
 // ROW256 is one k-step of one row of a 4 x 8 tile at 256 bits: the
 // coefficient at coef, broadcast, times the eight elements of b in Y8
 // and Y9, added into acc0 and acc1 only where the coefficient is not
-// zero. VCMPPD $4 is NEQ_UQ, true for a NaN, so that a NaN coefficient
-// is added as the Go loop adds it; each sum is blended against the
-// accumulator it came from. Y15 is zero.
+// the comparand z in Y15. VCMPPD $4 is NEQ_UQ, true for a NaN on either
+// side, so that a NaN coefficient is added as the Go loop adds it, and
+// every coefficient is added where z is NaN; each sum is blended
+// against the accumulator it came from.
 #define ROW256(coef, acc0, acc1) \
 	VBROADCASTSD coef, Y10; \
 	VCMPPD       $4, Y15, Y10, Y11; \
@@ -111,17 +114,27 @@ axpy_done:
 	VBLENDVPD    Y11, Y12, acc0, acc0; \
 	VBLENDVPD    Y11, Y13, acc1, acc1
 
+// ROW256ALL is ROW256 where z is NaN and every term is added: the same
+// multiplies and adds, with no compare and no blend.
+#define ROW256ALL(coef, acc0, acc1) \
+	VBROADCASTSD coef, Y10; \
+	VMULPD       Y8, Y10, Y12; \
+	VMULPD       Y9, Y10, Y13; \
+	VADDPD       Y12, acc0, acc0; \
+	VADDPD       Y13, acc1, acc1
+
 // ADD256 is one k-step of four columns of a tile one row high: the
 // coefficient in Y10 times b at off(DX), added into acc.
 #define ADD256(off, acc) \
 	VMULPD off(DX), Y10, Y12; \
 	VADDPD Y12, acc, acc
 
-// func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
+// func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
 //
 // d[i*n+j] = Σ_p a[i*rs+p*cs]*b[p*n+j] for i < m and j < n, k > 0,
 // n >= 8 and n >= 32 where m < 4: each output summed from +0 over
-// ascending p, a term added only where its coefficient is not zero.
+// ascending p, a term added only where its coefficient is not equal to
+// z (z = 0 skips zero coefficients, z = NaN none).
 // Four rows of d at a time, in 4 x 8 tiles whose sums stay in Y0…Y7 for
 // all of k and are stored once. Where n is no multiple of 8 the last
 // tile of a row ends at n, and where m is none of 4 the last four rows
@@ -131,8 +144,9 @@ axpy_done:
 // and 32 wide (eight sums in flight), the last of a row again ending at
 // n. SI and R11 walk rows 0 and 3 of a tile's coefficients (rows 1 and
 // 2 are (SI)(R10*1) and (SI)(R10*2)), DX the rows of b; BX is the
-// tile's column in bytes.
-TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-64
+// tile's column in bytes. R13 is 1 where z is NaN: the 4 x 8 tiles then
+// run sum2_k4all, ROW256ALL for ROW256, since every lane is added.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-72
 	MOVQ   d+0(FP), DI
 	MOVQ   m+8(FP), R14
 	MOVQ   n+16(FP), R9
@@ -141,10 +155,14 @@ TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-64
 	MOVQ   cs+40(FP), R12
 	SHLQ   $3, R9             // bytes per row of d and of b
 	SHLQ   $3, R10            // bytes from one row's coefficients to the next
-	SHLQ   $3, R12            // bytes from one k-step's coefficient to the next
-	VXORPD Y15, Y15, Y15
-	CMPQ   R14, $4
-	JLT    sum2_row1
+	SHLQ         $3, R12      // bytes from one k-step's coefficient to the next
+	VBROADCASTSD z+64(FP), Y15
+	XORL         R13, R13
+	VUCOMISD     X15, X15
+	JPC          2(PC)        // z is a number: the 4 x 8 tiles mask
+	INCL         R13          // z is NaN: they add every term
+	CMPQ         R14, $4
+	JLT          sum2_row1
 
 sum2_rows4:
 	XORQ BX, BX
@@ -172,6 +190,8 @@ sum2_tile4:
 	MOVQ   b+48(FP), DX
 	ADDQ   BX, DX
 	MOVQ   k+56(FP), CX
+	TESTL  R13, R13
+	JNE    sum2_k4all
 
 sum2_k4:
 	VMOVUPD (DX), Y8
@@ -185,7 +205,22 @@ sum2_k4:
 	ADDQ    R9, DX
 	DECQ    CX
 	JNE     sum2_k4
+	JMP     sum2_store4
 
+sum2_k4all:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	ROW256ALL((SI), Y0, Y1)
+	ROW256ALL((SI)(R10*1), Y2, Y3)
+	ROW256ALL((SI)(R10*2), Y4, Y5)
+	ROW256ALL((R11), Y6, Y7)
+	ADDQ    R12, SI
+	ADDQ    R12, R11
+	ADDQ    R9, DX
+	DECQ    CX
+	JNE     sum2_k4all
+
+sum2_store4:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Y0, (AX)
 	VMOVUPD Y1, 32(AX)
@@ -247,10 +282,11 @@ sum2_tile1:
 	MOVQ   k+56(FP), CX
 
 sum2_k1:
-	// One coefficient per k-step: a zero one skips the step by branch,
-	// as the Go loop does, where a taller tile masks lanes. VUCOMISD
-	// sets ZF for equal or unordered and PF for unordered, so a NaN
-	// coefficient falls through and is added.
+	// One coefficient per k-step: one equal to z skips the step by
+	// branch, as the Go loop does, where a taller tile masks lanes.
+	// VUCOMISD sets ZF for equal or unordered and PF for unordered, so
+	// a NaN coefficient, or any coefficient against a NaN z, falls
+	// through and is added.
 	VBROADCASTSD (SI), Y10
 	VUCOMISD     X15, X10
 	JNE          2(PC)
@@ -306,6 +342,58 @@ sum2_done:
 	VPERM2F128 $0x20, Y11, Y9, Y5; \
 	VPERM2F128 $0x31, Y10, Y8, Y6; \
 	VPERM2F128 $0x31, Y11, Y9, Y7
+
+// func transposeAVX2(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+//
+// dst[p*ldd+j] = src[j*lds+p] for j < rows and p < cols, both positive
+// multiples of 4: MatMulABT's pack of b into bᵀ. One 4 x 4 block per
+// step, four rows of src loaded four elements apiece, turned by
+// TRANSPOSE4 and stored as four rows of dst. The steps walk along four
+// rows of dst, so that its stores run on in order (a walk down the
+// rows of src instead stores to rows ldd apart, which at 256 wide fall
+// in a few cache sets and run at a sixth of the speed), then on to the
+// next four. A copy: no lane is computed.
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ lds+24(FP), R10
+	MOVQ cols+40(FP), R9
+	SHLQ $3, R8               // bytes per row of dst
+	SHLQ $3, R10              // bytes per row of src
+	LEAQ (R8)(R8*2), R13      // 3 rows of dst
+	LEAQ (R10)(R10*2), BX     // 3 rows of src
+
+tr4_cols:
+	MOVQ SI, DX               // row j of src, at column p
+	LEAQ (SI)(BX*1), R12      // row j+3
+	MOVQ DI, AX               // row p of dst, at column j
+	LEAQ (DI)(R13*1), R11     // row p+3
+	MOVQ rows+32(FP), CX
+
+tr4_block:
+	VMOVUPD (DX), Y4
+	VMOVUPD (DX)(R10*1), Y5
+	VMOVUPD (DX)(R10*2), Y6
+	VMOVUPD (R12), Y7
+	TRANSPOSE4
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, (AX)(R8*1)
+	VMOVUPD Y6, (AX)(R8*2)
+	VMOVUPD Y7, (R11)
+	LEAQ    (DX)(R10*4), DX
+	LEAQ    (R12)(R10*4), R12
+	ADDQ    $32, AX
+	ADDQ    $32, R11
+	SUBQ    $4, CX
+	JNE     tr4_block
+
+	ADDQ $32, SI              // on to column p+4 of src
+	LEAQ (DI)(R8*4), DI       // and row p+4 of dst
+	SUBQ $4, R9
+	JNE  tr4_cols
+	VZEROUPPER
+	RET
 
 // STEP is one k-step of a vector of outputs (four in a Y register,
 // eight in a Z): acc += col * (the element of a at mem, broadcast),
@@ -807,8 +895,8 @@ axpyz_loop:
 
 // ROW512 is ROW256 at 512 bits, for a 4 x 16 tile with b in Z8 and
 // Z9: the compare writes its lanes to the mask register kreg, and the
-// adds merge under it, so that a lane whose coefficient is zero keeps
-// its accumulator. Z31 is zero. ROW512W is the same for a 4 x 32 tile,
+// adds merge under it, so that a lane whose coefficient equals the
+// comparand z in Z31 keeps its accumulator. ROW512W is the same for a 4 x 32 tile,
 // b in Z16…Z19.
 #define ROW512(coef, kreg, acc0, acc1) \
 	VBROADCASTSD coef, Z10; \
@@ -830,6 +918,27 @@ axpyz_loop:
 	VADDPD       Z23, acc2, kreg, acc2; \
 	VADDPD       Z24, acc3, kreg, acc3
 
+// ROW512ALL and ROW512WALL are ROW512 and ROW512W where z is NaN and
+// every term is added: the same multiplies and adds, with no compare
+// and no merge mask.
+#define ROW512ALL(coef, acc0, acc1) \
+	VBROADCASTSD coef, Z10; \
+	VMULPD       Z8, Z10, Z12; \
+	VMULPD       Z9, Z10, Z13; \
+	VADDPD       Z12, acc0, acc0; \
+	VADDPD       Z13, acc1, acc1
+
+#define ROW512WALL(coef, acc0, acc1, acc2, acc3) \
+	VBROADCASTSD coef, Z20; \
+	VMULPD       Z16, Z20, Z21; \
+	VMULPD       Z17, Z20, Z22; \
+	VMULPD       Z18, Z20, Z23; \
+	VMULPD       Z19, Z20, Z24; \
+	VADDPD       Z21, acc0, acc0; \
+	VADDPD       Z22, acc1, acc1; \
+	VADDPD       Z23, acc2, acc2; \
+	VADDPD       Z24, acc3, acc3
+
 // COLMASK512 sets K5 and K6 to the lanes of a 16-column tile at column
 // byte offset BX that lie inside a row of n (R9 bytes): all sixteen but
 // in the last tile of a row whose n is no multiple of 16.
@@ -847,7 +956,7 @@ axpyz_loop:
 	SHRL    $8, AX; \
 	KMOVW   AX, K6
 
-// func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int)
+// func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
 //
 // sumRowsAVX2 at 512 bits, for every n > 0: four rows of d at a time in
 // 4 x 32 tiles, the sums in Z0…Z15, then 4 x 16 tiles (Z0…Z7) for the
@@ -856,8 +965,10 @@ axpyz_loop:
 // store under them. Where m is no multiple of 4 the last four rows end
 // at m, as in sumRowsAVX2; fewer than four rows go one at a time in
 // tiles one row high and 16 wide, under the same column masks. The
-// row masks are K1, K2, K3 and K7 (K4 is a macro of this file).
-TEXT ·sumRowsAVX512(SB), NOSPLIT, $0-64
+// row masks are K1, K2, K3 and K7 (K4 is a macro of this file). R13 is
+// 1 where z is NaN: every k-loop then runs its ALL form, which neither
+// compares nor masks, since every lane is added.
+TEXT ·sumRowsAVX512(SB), NOSPLIT, $0-72
 	MOVQ   d+0(FP), DI
 	MOVQ   m+8(FP), R14
 	MOVQ   n+16(FP), R9
@@ -866,10 +977,14 @@ TEXT ·sumRowsAVX512(SB), NOSPLIT, $0-64
 	MOVQ   cs+40(FP), R12
 	SHLQ   $3, R9
 	SHLQ   $3, R10
-	SHLQ   $3, R12
-	VPXORQ Z31, Z31, Z31
-	CMPQ   R14, $4
-	JLT    sumz_row1
+	SHLQ         $3, R12
+	VBROADCASTSD z+64(FP), Z31
+	XORL         R13, R13
+	VUCOMISD     X31, X31
+	JPC          2(PC)
+	INCL         R13
+	CMPQ         R14, $4
+	JLT          sumz_row1
 
 sumz_rows4:
 	XORQ BX, BX
@@ -900,6 +1015,8 @@ sumz_wide4:
 	MOVQ   b+48(FP), DX
 	ADDQ   BX, DX
 	MOVQ   k+56(FP), CX
+	TESTL  R13, R13
+	JNE    sumz_kw4all
 
 sumz_kw4:
 	VMOVUPD (DX), Z16
@@ -915,7 +1032,24 @@ sumz_kw4:
 	ADDQ    R9, DX
 	DECQ    CX
 	JNE     sumz_kw4
+	JMP     sumz_storew4
 
+sumz_kw4all:
+	VMOVUPD (DX), Z16
+	VMOVUPD 64(DX), Z17
+	VMOVUPD 128(DX), Z18
+	VMOVUPD 192(DX), Z19
+	ROW512WALL((SI), Z0, Z1, Z2, Z3)
+	ROW512WALL((SI)(R10*1), Z4, Z5, Z6, Z7)
+	ROW512WALL((SI)(R10*2), Z8, Z9, Z10, Z11)
+	ROW512WALL((R11), Z12, Z13, Z14, Z15)
+	ADDQ    R12, SI
+	ADDQ    R12, R11
+	ADDQ    R9, DX
+	DECQ    CX
+	JNE     sumz_kw4all
+
+sumz_storew4:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Z0, (AX)
 	VMOVUPD Z1, 64(AX)
@@ -955,6 +1089,8 @@ sumz_tile4:
 	MOVQ   b+48(FP), DX
 	ADDQ   BX, DX
 	MOVQ   k+56(FP), CX
+	TESTL  R13, R13
+	JNE    sumz_k4all
 
 sumz_k4:
 	VMOVUPD.Z (DX), K5, Z8
@@ -968,7 +1104,22 @@ sumz_k4:
 	ADDQ      R9, DX
 	DECQ      CX
 	JNE       sumz_k4
+	JMP       sumz_store4
 
+sumz_k4all:
+	VMOVUPD.Z (DX), K5, Z8
+	VMOVUPD.Z 64(DX), K6, Z9
+	ROW512ALL((SI), Z0, Z1)
+	ROW512ALL((SI)(R10*1), Z2, Z3)
+	ROW512ALL((SI)(R10*2), Z4, Z5)
+	ROW512ALL((R11), Z6, Z7)
+	ADDQ      R12, SI
+	ADDQ      R12, R11
+	ADDQ      R9, DX
+	DECQ      CX
+	JNE       sumz_k4all
+
+sumz_store4:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Z0, K5, (AX)
 	VMOVUPD Z1, K6, 64(AX)
@@ -1015,6 +1166,8 @@ sumz_cols1:
 	MOVQ   b+48(FP), DX
 	ADDQ   BX, DX
 	MOVQ   k+56(FP), CX
+	TESTL  R13, R13
+	JNE    sumz_k1all
 
 sumz_k1:
 	VMOVUPD.Z (DX), K5, Z8
@@ -1024,6 +1177,18 @@ sumz_k1:
 	ADDQ      R9, DX
 	DECQ      CX
 	JNE       sumz_k1
+	JMP       sumz_store1
+
+sumz_k1all:
+	VMOVUPD.Z (DX), K5, Z8
+	VMOVUPD.Z 64(DX), K6, Z9
+	ROW512ALL((SI), Z0, Z1)
+	ADDQ      R12, SI
+	ADDQ      R9, DX
+	DECQ      CX
+	JNE       sumz_k1all
+
+sumz_store1:
 
 	VMOVUPD Z0, K5, (DI)(BX*1)
 	VMOVUPD Z1, K6, 64(DI)(BX*1)
@@ -1056,6 +1221,74 @@ sumz_done:
 	VSHUFF64X2 $0x88, Z11, Z9, Z5; \
 	VSHUFF64X2 $0xDD, Z10, Z8, Z6; \
 	VSHUFF64X2 $0xDD, Z11, Z9, Z7
+
+// func transposeAVX512(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+//
+// transposeAVX2 in 8 x 4 blocks, rows a positive multiple of 8: eight
+// rows of src loaded as TRANSPOSE8 takes them, and each of the four
+// rows of dst it gives stored whole, eight elements in one Z. Rows
+// j…j+7 of src are (DX), (DX)(R10*1), (DX)(R10*2), then the same from
+// R12 (row j+3) and R14 (row j+6).
+TEXT ·transposeAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ lds+24(FP), R10
+	MOVQ cols+40(FP), R9
+	SHLQ $3, R8               // bytes per row of dst
+	SHLQ $3, R10              // bytes per row of src
+	LEAQ (R8)(R8*2), R13      // 3 rows of dst
+	LEAQ (R10)(R10*2), BX     // 3 rows of src
+
+tr8_cols:
+	MOVQ SI, DX               // row j of src, at column p
+	LEAQ (SI)(BX*1), R12      // row j+3
+	LEAQ (R12)(BX*1), R14     // row j+6
+	MOVQ DI, AX               // row p of dst, at column j
+	LEAQ (DI)(R13*1), R11     // row p+3
+	MOVQ rows+32(FP), CX
+
+tr8_block:
+	VMOVUPD      (DX), Y4                 // rows j and j+2, columns p…p+3
+	VINSERTF64X4 $1, (DX)(R10*2), Z4, Z4
+	VMOVUPD      (DX)(R10*1), Y5          // j+1 and j+3
+	VINSERTF64X4 $1, (R12), Z5, Z5
+	VMOVUPD      (R12)(R10*1), Y6         // j+4 and j+6
+	VINSERTF64X4 $1, (R14), Z6, Z6
+	VMOVUPD      (R12)(R10*2), Y7         // j+5 and j+7
+	VINSERTF64X4 $1, (R14)(R10*1), Z7, Z7
+	TRANSPOSE8
+	VMOVUPD      Z4, (AX)
+	VMOVUPD      Z5, (AX)(R8*1)
+	VMOVUPD      Z6, (AX)(R8*2)
+	VMOVUPD      Z7, (R11)
+	VMOVUPD      32(DX), Y4               // the same rows, columns p+4…p+7
+	VINSERTF64X4 $1, 32(DX)(R10*2), Z4, Z4
+	VMOVUPD      32(DX)(R10*1), Y5
+	VINSERTF64X4 $1, 32(R12), Z5, Z5
+	VMOVUPD      32(R12)(R10*1), Y6
+	VINSERTF64X4 $1, 32(R14), Z6, Z6
+	VMOVUPD      32(R12)(R10*2), Y7
+	VINSERTF64X4 $1, 32(R14)(R10*1), Z7, Z7
+	TRANSPOSE8
+	VMOVUPD      Z4, (AX)(R8*4)           // rows p+4…p+7 of dst
+	VMOVUPD      Z5, (R11)(R8*2)
+	VMOVUPD      Z6, (R11)(R13*1)
+	VMOVUPD      Z7, (R11)(R8*4)
+	LEAQ         (DX)(R10*8), DX
+	LEAQ         (R12)(R10*8), R12
+	LEAQ         (R14)(R10*8), R14
+	ADDQ         $64, AX
+	ADDQ         $64, R11
+	SUBQ         $8, CX
+	JNE          tr8_block
+
+	ADDQ $64, SI              // on to column p+8 of src
+	LEAQ (DI)(R8*8), DI       // and row p+8 of dst
+	SUBQ $8, R9
+	JNE  tr8_cols
+	VZEROUPPER
+	RET
 
 // func dot4RowsAVX512(d *float64, ldd int, a, b *float64, k, n8 int)
 //

@@ -17,13 +17,21 @@ const tanh512OK = false
 
 func axpyAVX2(x, y *float64, n int, alpha float64) { panic("tensor: no AVX2") }
 
-func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int) {
+func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64) {
+	panic("tensor: no AVX2")
+}
+
+func transposeAVX2(dst *float64, ldd int, src *float64, lds int, rows, cols int) {
 	panic("tensor: no AVX2")
 }
 
 func axpyAVX512(x, y *float64, n16 int, alpha float64) { panic("tensor: no AVX-512") }
 
-func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int) {
+func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64) {
+	panic("tensor: no AVX-512")
+}
+
+func transposeAVX512(dst *float64, ldd int, src *float64, lds int, rows, cols int) {
 	panic("tensor: no AVX-512")
 }
 

@@ -63,14 +63,18 @@ func refMatMulABT(dst, a, b *Mat) {
 // sample of the frame-20 CNN's first and second convolutions, and the
 // first and last layers of the hopper policy (11 observations in, 6
 // distribution parameters out), whose k and n are no multiple of 4. The
-// last three are learner-pass products at the DES batch: the policy
+// next three are learner-pass products at the DES batch: the policy
 // head's (as MatMulATB, a dst of 6 rows, no multiple of 4) and the
 // first layer's weight gradient (as MatMulATB, 11 columns: a column
-// tail under every tile).
+// tail under every tile). Then the DES batch's forwards through the
+// policy head and the critic head (as MatMulABT, 6 columns and 1: no
+// tile of 8 columns), and the frame-20 CNN's two convolutions over a
+// learner's 128-sample batch (16 positions and 1 a sample).
 var kernelShapes = [][3]int{
 	{1, 64, 64}, {128, 64, 64}, {512, 64, 64}, {16, 192, 16},
 	{1, 11, 64}, {1, 64, 6}, {128, 11, 64},
 	{512, 6, 64}, {512, 64, 11}, {1, 32, 256},
+	{512, 64, 6}, {512, 64, 1}, {1, 256, 32}, {2048, 192, 16}, {128, 256, 32},
 }
 
 // canary is what surrounds every operand of the kernel tests in its
@@ -141,11 +145,13 @@ func requireSameBits(t *testing.T, what string, m, k, n int, got, want *Mat) {
 	}
 }
 
-// requireKernelsMatch runs the three products at one shape on operands
-// of the given mix, each a sub-slice at an odd offset (offs picks them)
-// of a larger array, and holds the results to the scalar loops' bits
-// and dst's surroundings to their canaries: the assembly may not store
+// requireKernelsMatch runs the products at one shape on operands of the
+// given mix, each a sub-slice at an odd offset (offs picks them) of a
+// larger array, and holds the results to the scalar loops' bits and
+// dst's surroundings to their canaries: the assembly may not store
 // outside its n, and the race detector would not see it if it did.
+// MatMulABTPacked runs on bᵀ as Transpose packs it, between canaries of
+// its own, and the pack is held to the element-by-element transpose.
 func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 	t.Helper()
 	off := func(i int) int { return 1 + 2*(offs>>(2*i)&3) }
@@ -155,7 +161,8 @@ func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 	at, _ := guardedMat(k, m, off(2))
 	b, _ := guardedMat(k, n, off(3))
 	bt, _ := guardedMat(n, k, off(4))
-	for _, x := range []*Mat{got, a, at, b, bt} { // got starts dirty: kernels must overwrite
+	packed, packedBack := guardedMat(k, n, 1+2*(offs>>10&3))
+	for _, x := range []*Mat{got, a, at, b, bt, packed} { // got and packed start dirty: kernels must overwrite
 		fillMix(r, x.Data, mix)
 	}
 	if mix == sparse && len(a.Data) > 0 && len(b.Data) > 0 {
@@ -163,17 +170,28 @@ func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 		a.Data[r.Intn(len(a.Data))], at.Data[r.Intn(len(at.Data))] = 0, 0
 		b.Data[r.Intn(len(b.Data))] = math.Inf(1)
 	}
+	Transpose(packed, bt)
+	requireCanaries(t, "Transpose", m, k, n, packedBack, 1+2*(offs>>10&3), k*n)
+	for p := 0; p < k; p++ {
+		for j := 0; j < n; j++ {
+			if g, w := packed.At(p, j), bt.At(j, p); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("Transpose of %dx%d: element (%d, %d) = %v (%#x), want %v (%#x)", n, k, p, j,
+					g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
 	for _, p := range []struct {
 		what        string
 		kernel, ref func(dst, a, b *Mat)
-		a, b        *Mat
+		a, b, refB  *Mat
 	}{
-		{"MatMul", MatMul, refMatMul, a, b},
-		{"MatMulATB", MatMulATB, refMatMulATB, at, b},
-		{"MatMulABT", MatMulABT, refMatMulABT, a, bt},
+		{"MatMul", MatMul, refMatMul, a, b, b},
+		{"MatMulATB", MatMulATB, refMatMulATB, at, b, b},
+		{"MatMulABT", MatMulABT, refMatMulABT, a, bt, bt},
+		{"MatMulABTPacked", MatMulABTPacked, refMatMulABT, a, packed, bt},
 	} {
 		p.kernel(got, p.a, p.b)
-		p.ref(want, p.a, p.b)
+		p.ref(want, p.a, p.refB)
 		requireSameBits(t, p.what, m, k, n, got, want)
 		requireCanaries(t, p.what, m, k, n, back, off(0), m*n)
 	}
@@ -224,20 +242,26 @@ func eachPath(t *testing.T, have512, have2 bool, f func(t *testing.T)) {
 }
 
 // TestKernelsBitIdenticalToScalarLoops holds the kernels' contract on
-// every path: the same bits as the scalar reference at every m in 0…9,
-// k in 0…17 and n in 0…65 under every value mix (two full tiles and one
-// more in m and in n at every level, the largest tile four rows high
-// being 4 x 32: every k mod 4, n mod 4, mod 8, mod 16 and mod 32, m mod
-// 3 and mod 4 tail, and the empty products), at random shapes up to 19
+// every path: the same bits as the scalar reference at every m in 0…9
+// and packRows-1…packRows+4, k in 0…17 and n in 0…65 under every value
+// mix (two full tiles and one more in m and in n at every level, the
+// largest tile four rows high being 4 x 32: every k mod 4, n mod 4,
+// mod 8, mod 16 and mod 32, m mod 3 and mod 4 tail, and the empty
+// products; and MatMulABT on both sides of its pack, with every mod 4
+// and mod 8 tail of the transpose's blocks), at random shapes up to 19
 // and three long thin ones, and at the shapes the workloads run.
 func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		r := rng.New(14)
-		for m := 0; m <= 9; m++ {
+		ms := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+		for m := packRows - 1; m <= packRows+4; m++ {
+			ms = append(ms, m)
+		}
+		for _, m := range ms {
 			for k := 0; k <= 17; k++ {
 				for n := 0; n <= 65; n++ {
 					for mix := 0; mix < numMixes; mix++ {
-						requireKernelsMatch(t, r, m, k, n, mix, r.Intn(1<<10))
+						requireKernelsMatch(t, r, m, k, n, mix, r.Intn(1<<12))
 					}
 				}
 			}
@@ -248,7 +272,7 @@ func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 			shapes = append(shapes, [3]int{1 + r.Intn(19), 1 + r.Intn(19), 1 + r.Intn(19)})
 		}
 		for trial, s := range shapes {
-			requireKernelsMatch(t, r, s[0], s[1], s[2], trial%numMixes, r.Intn(1<<10))
+			requireKernelsMatch(t, r, s[0], s[1], s[2], trial%numMixes, r.Intn(1<<12))
 		}
 	})
 }
@@ -589,5 +613,22 @@ func FuzzAdamStep(f *testing.F) {
 		eachKernelPath(t, func(t *testing.T) {
 			requireAdamMatches(t, rng.New(seed), int(n%600), int(mix%numMixes), int(offs), lr, 1+int(step%200000))
 		})
+	})
+}
+
+// TestMatMulABTPackAllocatesNothing pins the scratch of MatMulABT's
+// per-call pack: after a first call at a shape, a product from
+// packRows rows up takes its bᵀ buffer from the store and hands it
+// back, allocating nothing, including a smaller product after a larger.
+func TestMatMulABTPackAllocatesNothing(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		r := rng.New(15)
+		for _, s := range [][3]int{{512, 64, 64}, {packRows, 64, 64}, {128, 256, 32}, {packRows, 11, 64}} {
+			a, b, dst := randMat(r, s[0], s[1]), randMat(r, s[2], s[1]), NewMat(s[0], s[2])
+			MatMulABT(dst, a, b)
+			if n := testing.AllocsPerRun(20, func() { MatMulABT(dst, a, b) }); n != 0 {
+				t.Errorf("MatMulABT %dx%d·%d: %v allocations per call, want 0", s[0], s[1], s[2], n)
+			}
+		}
 	})
 }

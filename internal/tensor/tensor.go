@@ -26,20 +26,28 @@
 //
 // MatMul and MatMulATB are one routine, sumScaledRows: row i of dst is
 // Σ_p a(i, p) · (row p of b), and the two differ only in the strides
-// at which a(i, p) is read. The portable path is plain Go, tiled over
-// independent outputs or over k because gc does not vectorize and a
-// scalar loop is bound by its dependent adds and by the loads and
-// stores around them:
+// at which a(i, p) is read. MatMulABT is the same routine on bᵀ, with a
+// comparand that skips no coefficient: Dot, its reference, adds 0·b
+// where the others skip it, so a(i, p) = 0 against an infinite b(j, p)
+// gives NaN there and nothing in MatMul. Where a product has rows
+// enough to pay for it (PackPays), MatMulABT transposes b into scratch
+// (Transpose) and runs that; shorter products take dot products of the
+// rows of a and b (dotRows). A caller that holds b still over many
+// short products packs it once itself (NewPacked, Transpose) and runs
+// each on MatMulABTPacked: nn's layers do, for the length of a rollout.
+// The portable path is plain Go, tiled over independent outputs or over
+// k because gc does not vectorize and a scalar loop is bound by its
+// dependent adds and by the loads and stores around them:
 //
-//   - MatMulABT computes a 3 x 2 block of dot products per pass over k
+//   - dotRows computes a 3 x 2 block of dot products per pass over k
 //     (six add chains in flight, five loads per six multiply-adds where
 //     a lone Dot has one chain and two loads per multiply-add), 1 x 4
 //     for leftover rows and for batch-1 inputs.
-//   - MatMul and MatMulATB add four scaled rows of b to a dst row per
-//     pass where none of the four coefficients is zero, so the row is
-//     loaded and stored once per four k-steps, and the nonzero ones
-//     of the four one at a time otherwise: a coefficient is skipped
-//     with an if, as the scalar loops skipped it.
+//   - sumScaledRows adds four scaled rows of b to a dst row per pass
+//     where none of the four coefficients equals the comparand, so the
+//     row is loaded and stored once per four k-steps, and the others of
+//     the four one at a time otherwise: a coefficient is skipped with
+//     an if, as the scalar loops skipped it.
 //
 // Operands are re-sliced to one common length before the inner loops,
 // which lets the compiler drop their bounds checks.
@@ -54,37 +62,45 @@
 // the OS saves its registers) the 512-bit kernels hold eight, with the
 // same instructions per lane.
 //
-// MatMul and MatMulATB are register tiles, an outer product per k-step:
-// a segment of row p of b is loaded once, one coefficient per row of
-// the tile is broadcast, and each product is added into its row's
+// sumScaledRows is a register tile, an outer product per k-step: a
+// segment of row p of b is loaded once, one coefficient per row of the
+// tile is broadcast, and each product is added into its row's
 // accumulators only in the lanes where VCMPPD with predicate 4 (NEQ_UQ:
 // not equal, or unordered, so that a NaN coefficient is added as the Go
-// loop adds it) says the coefficient is not zero. At 512 bits that is a
+// loop adds it, and every coefficient is where the comparand is NaN)
+// says the coefficient is not the comparand. At 512 bits that is a
 // merge mask on the add; at 256 bits the sum is blended (VBLENDVPD)
-// against the accumulator it came from. The accumulators start at +0,
-// stay in registers for all of k and are stored once, so dst is
-// written but never zeroed or read. sumRowsAVX512 takes four rows of
-// dst at a time in 4 x 32 tiles, then 4 x 16 for the columns left, whose
-// loads and stores are masked at n; sumRowsAVX2 takes 4 x 8 tiles, and
-// where n is no multiple of 8 the last tile of a row ends at n and
-// overlaps the one before it, storing its outputs again with the same
-// bits. Rows a multiple of four leaves over are the last four rows
-// again, ending at m, except at 256 bits in rows 32 wide or more: there
-// they go one at a time, as do products of fewer than four rows, in
-// tiles one row high and 32 wide (eight accumulators), the last of a
-// row ending at n. A one-row tile has a single coefficient per k-step,
-// so it skips a zero one with a branch, as the Go loop does, rather
-// than by lane. A product narrower than 8, or of fewer than four rows
-// narrower than 32, takes the Go path where there is no AVX-512; at 512
-// bits fewer than four rows go one at a time in masked tiles 16 wide.
+// against the accumulator it came from. Where the comparand is NaN the
+// tiles take loops with neither compare nor mask nor blend (the one-row
+// tile at 256 bits keeps its branch, which never skips). The
+// accumulators start at +0, stay in registers for all of k and are
+// stored once, so dst is written but never zeroed or read.
+// sumRowsAVX512 takes four rows of dst at a time in 4 x 32 tiles, then
+// 4 x 16 for the columns left, whose loads and stores are masked at n;
+// sumRowsAVX2 takes 4 x 8 tiles, and where n is no multiple of 8 the
+// last tile of a row ends at n and overlaps the one before it, storing
+// its outputs again with the same bits. Rows a multiple of four leaves
+// over are the last four rows again, ending at m, except at 256 bits in
+// rows 32 wide or more: there they go one at a time, as do products of
+// fewer than four rows, in tiles one row high and 32 wide (eight
+// accumulators), the last of a row ending at n. A one-row tile has a
+// single coefficient per k-step, so it skips one equal to the
+// comparand with a branch, as the Go loop does, rather than by lane. A
+// product narrower than 8, or of fewer than four rows narrower than 32,
+// takes the Go path where there is no AVX-512; at 512 bits fewer than
+// four rows go one at a time in masked tiles 16 wide.
 //
-// MatMulABT computes 4 x 8 tiles at 512 bits and 4 x 4 tiles at 256
-// (1 x 8 for one row, at 256 bits only) by transposing a block of b in
-// registers, so that the lanes of an accumulator are dot products
-// advancing through k together; Axpy takes 16 (512-bit), then 8, 4 and
-// 1 elements per step. These 512-bit kernels take the part of a row
-// that fills their steps and leave the rest to the AVX2 kernels, and
-// rows and columns left over by the tiles go to the Go kernels. Each
+// Transpose moves 8 x 8 blocks at 512 bits (two TRANSPOSE8 of eight
+// rows by four columns) and 4 x 4 at 256 (TRANSPOSE4), walking along
+// the rows of dst so that its stores run in order. dotRows, for the
+// products too short for a pack, computes 4 x 8 tiles at 512 bits and
+// 4 x 4 tiles at 256 (1 x 8 for one row, at 256 bits only) by
+// transposing a block of b in registers, so that the lanes of an
+// accumulator are dot products advancing through k together; Axpy
+// takes 16 (512-bit), then 8, 4 and 1 elements per step. These 512-bit
+// kernels take the part of a row that fills their steps and leave the
+// rest to the AVX2 kernels, and rows and columns left over by the tiles
+// go to the Go kernels. Each
 // level is the whole path on a CPU that lacks the one above it. The
 // assembly is handed only pointers into slices Go has already sliced to
 // their full extent, so a wrong shape panics in Go.
@@ -140,6 +156,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Mat is a dense row-major matrix.
@@ -194,7 +211,7 @@ func MatMul(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	sumScaledRows(dst, a.Data, a.Cols, 1, b)
+	sumScaledRows(dst, a.Data, a.Cols, 1, b, 0)
 }
 
 // MatMulATB computes dst = aᵀ * b (a is k x m, b is k x n, dst is m x n).
@@ -204,17 +221,19 @@ func MatMulATB(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch (%dx%d)ᵀ*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	sumScaledRows(dst, a.Data, 1, a.Cols, b)
+	sumScaledRows(dst, a.Data, 1, a.Cols, b, 0)
 }
 
 // sumScaledRows sets row i of dst to Σ_p a[i*rs+p*cs] * (row p of b)
 // over b's rows: MatMul is rs = k, cs = 1 and MatMulATB rs = 1, cs = m,
-// the only difference between the two. Each output is summed from +0
-// in ascending p, and a coefficient equal to zero adds nothing, as the
-// scalar loops skipped it (which also keeps 0·Inf out of dst). The
+// the only difference between the two, and MatMulABT is MatMul on bᵀ.
+// Each output is summed from +0 in ascending p, and a coefficient equal
+// to z adds nothing: z = 0 skips zero coefficients, as the scalar loops
+// of MatMul and MatMulATB skipped them (which also keeps 0·Inf out of
+// dst), and z = NaN (skipNone) skips none, as Dot skips none. The
 // assembly keeps the sums in register tiles for all of p (see the
 // package comment); the Go path is sumScaledRow, one row at a time.
-func sumScaledRows(dst *Mat, a []float64, rs, cs int, b *Mat) {
+func sumScaledRows(dst *Mat, a []float64, rs, cs int, b *Mat, z float64) {
 	m, n, k := dst.Rows, dst.Cols, b.Rows
 	if m == 0 || n == 0 {
 		return
@@ -228,29 +247,33 @@ func sumScaledRows(dst *Mat, a []float64, rs, cs int, b *Mat) {
 	d, a, bd := dst.Data[:m*n], a[:(m-1)*rs+(k-1)*cs+1], b.Data[:k*n]
 	switch {
 	case useAVX512:
-		sumRowsAVX512(&d[0], m, n, &a[0], rs, cs, &bd[0], k)
+		sumRowsAVX512(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z)
 		return
 	case useAVX2 && n >= 8 && (m >= 4 || n >= 32):
-		sumRowsAVX2(&d[0], m, n, &a[0], rs, cs, &bd[0], k)
+		sumRowsAVX2(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z)
 		return
 	}
 	for i := 0; i < m; i++ {
-		sumScaledRow(d[i*n:(i+1)*n], a[i*rs:], cs, bd)
+		sumScaledRow(d[i*n:(i+1)*n], a[i*rs:], cs, bd, z)
 	}
 }
 
+// skipNone is the comparand under which sumScaledRows adds every term:
+// no coefficient equals a NaN.
+var skipNone = math.NaN()
+
 // sumScaledRow is the Go path of sumScaledRows for one row: d = Σ_p
 // a[p*cs] * b[p*len(d):(p+1)*len(d)] over the rows of b, four k-steps
-// per pass over d where none of their coefficients is zero, else the
-// nonzero ones of the four one pass each.
-func sumScaledRow(d, a []float64, cs int, b []float64) {
+// per pass over d where none of their coefficients equals z, else the
+// other ones of the four one pass each.
+func sumScaledRow(d, a []float64, cs int, b []float64, z float64) {
 	n := len(d)
 	k := len(b) / n
 	clear(d)
 	for p := 0; p < k; p += 4 {
 		if p+4 <= k {
 			c0, c1, c2, c3 := a[p*cs], a[(p+1)*cs], a[(p+2)*cs], a[(p+3)*cs]
-			if c0 != 0 && c1 != 0 && c2 != 0 && c3 != 0 {
+			if c0 != z && c1 != z && c2 != z && c3 != z {
 				b0, b1, b2, b3 := b[p*n:][:n], b[(p+1)*n:][:n], b[(p+2)*n:][:n], b[(p+3)*n:][:n]
 				for j, v := range d {
 					v += c0 * b0[j]
@@ -263,7 +286,7 @@ func sumScaledRow(d, a []float64, cs int, b []float64) {
 			}
 		}
 		for q := p; q < min(p+4, k); q++ {
-			if c := a[q*cs]; c != 0 {
+			if c := a[q*cs]; c != z {
 				bq := b[q*n:][:n]
 				for j := range d {
 					d[j] += c * bq[j]
@@ -273,13 +296,145 @@ func sumScaledRow(d, a []float64, cs int, b []float64) {
 	}
 }
 
+// packRows is the fewest rows a pack of b must serve (EXPERIMENTS.md,
+// "MatMulABT on the outer-product tile"): from 24 rows on, a product on
+// bᵀ transposed into scratch for the call, pack included, ran no slower
+// (within 1 %) than the dot-product kernels on b at every weight shape
+// the workloads forward through, at both vector widths.
+const packRows = 24
+
+// PackPays says whether a pack of an n x k b pays for itself over m
+// rows of a: packRows rows or more, on a CPU with the tile kernels,
+// into 8 columns or more, or 5 or more at 512 bits. Narrower products
+// stay on the dot kernels: the AVX2 tile is 8 wide and leaves anything
+// narrower to Go, and at 4 columns or fewer a 512-bit tile idles 12 of
+// its 16 lanes or more (at 4 the dot kernels' own 4 x 4 tile is 1.5x
+// faster). MatMulABT packs per call by it, and a caller whose b
+// holds still over several products (nn's layers over a rollout) packs
+// once by it, m being all the rows the pack will serve.
+func PackPays(m, n int) bool {
+	return m >= packRows && (useAVX2 && n >= 8 || useAVX512 && n > 4)
+}
+
 // MatMulABT computes dst = a * bᵀ (a is m x k, b is n x k, dst is m x n).
 // Used by forward passes and to propagate deltas through dense layers.
+// Where PackPays, it transposes b into scratch and runs
+// MatMulABTPacked on it; otherwise it takes dot products of the rows.
 func MatMulABT(dst, a, b *Mat) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	if m, k, n := a.Rows, a.Cols, b.Rows; k > 0 && PackPays(m, n) {
+		bt := takePack(k, n)
+		Transpose(bt, b)
+		sumScaledRows(dst, a.Data, k, 1, bt, skipNone)
+		givePack(bt)
+		return
+	}
+	dotRows(dst, a, b)
+}
+
+// MatMulABTPacked computes dst = a * bᵀ from bt = bᵀ as Transpose leaves
+// it (a is m x k, bt is k x n, dst is m x n), with MatMulABT's bits: it
+// is MatMul with no coefficient skipped, each output summed from +0
+// over ascending k as Dot sums it. A layer whose weights hold still
+// over many products packs them once into a NewPacked matrix and runs
+// each product here.
+func MatMulABTPacked(dst, a, bt *Mat) {
+	if a.Cols != bt.Rows || dst.Rows != a.Rows || dst.Cols != bt.Cols {
+		panic(fmt.Sprintf("tensor: MatMulABTPacked shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
+			a.Rows, a.Cols, bt.Rows, bt.Cols, dst.Rows, dst.Cols))
+	}
+	sumScaledRows(dst, a.Data, a.Cols, 1, bt, skipNone)
+}
+
+// Transpose sets dst to srcᵀ (src is r x c, dst is c x r); dst must not
+// alias src. Where there is AVX2 the assembly moves 4 x 4 blocks (8 x 8
+// at 512 bits, where c mod 8 < 4) through registers, so that each store
+// writes a run of a row of dst rather than one element of it; the rows
+// and columns the blocks leave go element by element.
+func Transpose(dst, src *Mat) {
+	r, c := src.Rows, src.Cols
+	if dst.Rows != c || dst.Cols != r {
+		panic(fmt.Sprintf("tensor: Transpose shape mismatch (%dx%d)ᵀ->(%dx%d)", r, c, dst.Rows, dst.Cols))
+	}
+	d, s := dst.Data[:r*c], src.Data[:r*c]
+	j, c4 := 0, c&^3 // rows of src the assembly takes, and its columns
+	if useAVX2 && c4 > 0 {
+		if c8 := c &^ 7; useAVX512 && c8 == c4 {
+			if j = r &^ 7; j > 0 {
+				transposeAVX512(&d[0], r, &s[0], c, j, c8)
+			}
+		}
+		if r4 := r &^ 3; r4 > j {
+			transposeAVX2(&d[j], r, &s[j*c], c, r4-j, c4)
+			j = r4
+		}
+	}
+	for i := 0; i < j; i++ {
+		for p := c4; p < c; p++ {
+			d[p*r+i] = s[i*c+p]
+		}
+	}
+	for ; j < r; j++ {
+		for p, v := range s[j*c : (j+1)*c] {
+			d[p*r+j] = v
+		}
+	}
+}
+
+// NewPacked returns a zeroed k x n matrix to hold a bᵀ for
+// MatMulABTPacked. Its storage runs on packTail elements past the last
+// row, the first and last of them written: the 512-bit tile loads the
+// last columns of a row under a mask, up to 120 bytes past the end of
+// bᵀ, and a masked load whose idle lanes reach a page never touched
+// pays a fault-suppression assist every time (a 1x64·2 product ran
+// 220-500 ns so placed, 40 ns otherwise; EXPERIMENTS.md).
+func NewPacked(k, n int) *Mat {
+	buf := make([]float64, k*n+packTail)
+	buf[k*n], buf[len(buf)-1] = 0, 0 // each page the tail reaches is present
+	return &Mat{Rows: k, Cols: n, Data: buf[:k*n]}
+}
+
+const packTail = 16
+
+// packs is the scratch MatMulABT transposes b into: a call takes a
+// buffer, grows it if it is short, and hands it back, so that a process
+// holds one per product in flight at once, each as large as the largest
+// b it has packed, and allocates nothing in steady state. Unlike a
+// sync.Pool's, its buffers outlive a garbage collection.
+var packs struct {
+	sync.Mutex
+	free []*Mat
+}
+
+// takePack returns a k x n matrix of scratch from packs.
+func takePack(k, n int) *Mat {
+	var bt *Mat
+	packs.Lock()
+	if l := len(packs.free); l > 0 {
+		bt, packs.free = packs.free[l-1], packs.free[:l-1]
+	}
+	packs.Unlock()
+	if bt == nil || cap(bt.Data) < k*n+packTail {
+		return NewPacked(k, n)
+	}
+	bt.Rows, bt.Cols, bt.Data = k, n, bt.Data[:k*n]
+	return bt
+}
+
+// givePack returns bt to packs.
+func givePack(bt *Mat) {
+	packs.Lock()
+	packs.free = append(packs.free, bt)
+	packs.Unlock()
+}
+
+// dotRows is MatMulABT on b as it lies, for the products too short to
+// pay for a pack: each output a dot product of a row of a and a row of
+// b, in register tiles.
+func dotRows(dst, a, b *Mat) {
 	i := 0
 	if m, k, n := a.Rows, a.Cols, b.Rows; useAVX2 && k > 0 && n >= 4 {
 		// 4 x 8 tiles, then 4 x 4, in assembly; the n mod 4 columns left
