@@ -18,9 +18,8 @@ type Conv2D struct {
 	Shape tensor.ConvShape
 	W, B  *Param
 
-	w        tensor.Mat  // W.Data viewed as an OutC x PatchSize matrix
-	wt       *tensor.Mat // Wᵀ, PatchSize x OutC, while Network.Pack holds it
-	packed   bool        // Forward reads wt, not w
+	weightMat // W as an OutC x PatchSize matrix
+
 	cols     *tensor.Mat // im2col of the last Forward's batch
 	lastRows int
 
@@ -88,11 +87,7 @@ func (c *Conv2D) Forward(in *tensor.Mat) *tensor.Mat {
 		s.Im2Col(&block, in.Row(i))
 	}
 	res := ensureMat(&c.res, in.Rows*positions, s.OutC)
-	if c.packed {
-		tensor.MatMulABTPacked(res, cols, c.wt)
-	} else {
-		tensor.MatMulABT(res, cols, &c.w)
-	}
+	c.product(res, cols)
 	// res rows are position-major, the output layout is channel-major:
 	// transpose while scattering into the flat row.
 	out := ensureMat(&c.out, in.Rows, s.OutSize())
@@ -111,10 +106,9 @@ func (c *Conv2D) Forward(in *tensor.Mat) *tensor.Mat {
 // pack packs W for a run of forwards over rows samples, each
 // OutH·OutW rows of the product.
 func (c *Conv2D) pack(rows int) {
-	c.packed = packWeights(&c.wt, &c.w, rows*c.Shape.OutH*c.Shape.OutW)
+	positions := c.Shape.OutH * c.Shape.OutW
+	c.packed = c.transpose(rows*positions, positions)
 }
-
-func (c *Conv2D) unpack() { c.packed = false }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dOut *tensor.Mat) *tensor.Mat {

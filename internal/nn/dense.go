@@ -14,9 +14,7 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	w      tensor.Mat  // W.Data viewed as an Out x In matrix
-	wt     *tensor.Mat // Wᵀ, In x Out, while Network.Pack holds it
-	packed bool        // Forward reads wt, not w
+	weightMat
 	lastIn *tensor.Mat // cached for backward
 	out    *tensor.Mat // reused forward output buffer
 	dIn    *tensor.Mat // reused buffer
@@ -71,18 +69,12 @@ func (d *Dense) Forward(in *tensor.Mat) *tensor.Mat {
 	}
 	d.lastIn = in
 	out := ensureMat(&d.out, in.Rows, d.Out)
-	if d.packed {
-		tensor.MatMulABTPacked(out, in, d.wt)
-	} else {
-		tensor.MatMulABT(out, in, &d.w)
-	}
+	d.product(out, in)
 	tensor.AddBiasRows(out, d.B.Data)
 	return out
 }
 
-func (d *Dense) pack(rows int) { d.packed = packWeights(&d.wt, &d.w, rows) }
-
-func (d *Dense) unpack() { d.packed = false }
+func (d *Dense) pack(rows int) { d.packed = d.transpose(rows, 1) }
 
 // Backward implements Layer.
 func (d *Dense) Backward(dOut *tensor.Mat) *tensor.Mat {

@@ -202,33 +202,55 @@ func (n *Network) BackwardParams(dOut *tensor.Mat) {
 // packer is a layer whose forward product is MatMulABT on its weights
 // (Dense, Conv2D), which it can run on a packed Wᵀ instead.
 type packer interface {
-	// pack readies the layer for forwards over rows samples in all, on
-	// weights that hold still: where the pack pays (tensor.PackPays), it
-	// transposes W and its forwards read that copy until unpack.
+	// pack readies the layer for forwards over rows samples in all, one
+	// at a time, on weights that hold still: where the pack pays
+	// (tensor.PackPays), it transposes W and its forwards read that
+	// copy until unpack.
 	pack(rows int)
 	unpack()
 }
 
-// packWeights transposes w into *wt, allocating *wt on the first pack,
-// and says so, where a pack serving the given rows of products pays;
-// otherwise it leaves *wt as it is and says not.
-func packWeights(wt **tensor.Mat, w *tensor.Mat, rows int) bool {
-	if !tensor.PackPays(rows, w.Rows) {
+// weightMat is the weight matrix W of a layer whose forward is in·Wᵀ,
+// with the packed Wᵀ (wt) that forward may run on instead.
+type weightMat struct {
+	w      tensor.Mat  // W.Data viewed as an Out x In matrix
+	wt     *tensor.Mat // Wᵀ, In x Out, allocated on the first pack
+	packed bool        // wt holds W until unpack (Network.Pack)
+}
+
+// transpose packs W into wt, allocating wt on the first pack, and says
+// so, where a pack serving m rows of products, rows rows each, pays;
+// otherwise it leaves wt as it is and says not.
+func (w *weightMat) transpose(m, rows int) bool {
+	if !tensor.PackPays(m, rows, w.w.Rows) {
 		return false
 	}
-	if *wt == nil {
-		*wt = tensor.NewPacked(w.Cols, w.Rows)
+	if w.wt == nil {
+		w.wt = tensor.NewPacked(w.w.Cols, w.w.Rows)
 	}
-	tensor.Transpose(*wt, w)
+	tensor.Transpose(w.wt, &w.w)
 	return true
 }
 
-// Pack readies n for a run of forwards over rows samples in all (a
-// rollout's steps) on weights that hold still until Unpack: each layer
-// whose product pays for a pack over those rows transposes its weights
-// once, and its forwards read that copy. Weights written between Pack
-// and Unpack go unseen by those forwards; a Pack after the write sees
-// them. A layer allocates its copy on its first pack only.
+// product sets out = in·Wᵀ: on the pack Network.Pack made, if any, else
+// on a pack made for this product where its rows pay for one, else on
+// W as it lies. The three give the same bits.
+func (w *weightMat) product(out, in *tensor.Mat) {
+	if w.packed || w.transpose(in.Rows, in.Rows) {
+		tensor.MatMulABTPacked(out, in, w.wt)
+		return
+	}
+	tensor.MatMulABT(out, in, &w.w)
+}
+
+func (w *weightMat) unpack() { w.packed = false }
+
+// Pack readies n for a run of forwards over rows samples in all, one at
+// a time (a rollout's steps), on weights that hold still until Unpack:
+// each layer whose product pays for a pack over those rows transposes
+// its weights once, and its forwards read that copy. Weights written
+// between Pack and Unpack go unseen by those forwards; a Pack after the
+// write sees them. A layer allocates its copy on its first pack only.
 func (n *Network) Pack(rows int) {
 	for _, l := range n.Layers {
 		if p, ok := l.(packer); ok {

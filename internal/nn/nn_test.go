@@ -433,13 +433,17 @@ func packNets() map[string]func() *Network {
 	}
 }
 
-// TestPackedForwardBitEqualToUnpacked holds a packed network to the
-// same network unpacked: every batch-1 and batch-32 forward between
-// Pack and Unpack has the unpacked forward's bits. A layer packs where
-// tensor.PackPays for all the rows its product will see (a
-// convolution's are the samples times its positions), so where the CPU
-// has the tile kernels the rollout-sized pack reaches the 64-wide
-// hidden layers, and a pack for one row reaches none.
+// TestPackedForwardBitEqualToUnpacked holds a layer's three ways to its
+// product to the same bits. A network packed for a rollout (Pack) and
+// the same network unpacked give the same batch-1 and batch-32
+// forwards; the unpacked network's batch-32 forward, where
+// tensor.PackPays for its rows, packs for that product alone, and each
+// of its rows equals a batch-1 forward, which packs for nothing (one
+// row, or a convolution's 16 positions). Pack packs a layer where
+// PackPays for all the rows its products will see, one sample's rows
+// at a time, so where the CPU has the tile kernels the rollout-sized
+// pack reaches the 64-wide hidden layers, and a pack for one row
+// reaches none.
 func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
 	for name, build := range packNets() {
 		packed, plain := build(), build()
@@ -451,26 +455,45 @@ func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
 				var got, want bool
 				switch l := l.(type) {
 				case *Dense:
-					got, want = l.packed, tensor.PackPays(rows, l.Out)
+					got, want = l.packed, tensor.PackPays(rows, 1, l.Out)
 					if got && l.Out == 64 {
 						hidden++
 					}
 				case *Conv2D:
-					got, want = l.packed, tensor.PackPays(rows*l.Shape.OutH*l.Shape.OutW, l.Shape.OutC)
+					positions := l.Shape.OutH * l.Shape.OutW
+					got, want = l.packed, tensor.PackPays(rows*positions, positions, l.Shape.OutC)
 				}
 				if got != want {
 					t.Fatalf("%s: %s packed = %v after Pack(%d), want %v", name, l.Name(), got, rows, want)
 				}
 			}
-			if wantHidden := tensor.PackPays(64, 64) && rows == 64 && name == "mlp"; wantHidden != (hidden == 2) {
+			if wantHidden := tensor.PackPays(64, 1, 64) && rows == 64 && name == "mlp"; wantHidden != (hidden == 2) {
 				t.Fatalf("%s: %d hidden layers packed after Pack(%d)", name, hidden, rows)
 			}
 			for _, batch := range []int{1, 32} {
 				in := randIn(r, batch, packed.InDim())
-				got, want := packed.Forward(in), plain.Forward(in)
-				for i, w := range want.Data {
+				got := packed.Forward(in)
+				want := append([]float64(nil), plain.Forward(in).Data...)
+				for i, w := range want {
 					if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
 						t.Fatalf("%s: packed for %d rows, batch %d: output %d = %v, unpacked %v", name, rows, batch, i, got.Data[i], w)
+					}
+				}
+				if batch == 1 {
+					continue
+				}
+				for _, l := range plain.Layers {
+					if d, ok := l.(*Dense); ok && (d.wt != nil) != tensor.PackPays(batch, batch, d.Out) {
+						t.Fatalf("%s: %s packed for a batch of %d: %v", name, d.Name(), batch, d.wt != nil)
+					}
+				}
+				out := len(want) / batch
+				for i := 0; i < batch; i++ {
+					one := plain.Forward(tensor.MatFrom(1, in.Cols, in.Row(i)))
+					for j, v := range one.Data {
+						if w := want[i*out+j]; math.Float64bits(v) != math.Float64bits(w) {
+							t.Fatalf("%s: batch %d, row %d: output %d = %v, batch-1 forward %v", name, batch, i, j, w, v)
+						}
 					}
 				}
 			}
@@ -479,21 +502,24 @@ func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
 	}
 }
 
-// TestPackedForwardsDoNotAllocate pins the cost of a rollout's pack:
-// once a network has been packed, packing it again, forwarding one
-// sample and unpacking allocate nothing.
+// TestPackedForwardsDoNotAllocate pins the cost of the packs: once a
+// network has been packed, packing it again, forwarding one sample,
+// unpacking, and forwarding a batch that packs for its own product
+// allocate nothing.
 func TestPackedForwardsDoNotAllocate(t *testing.T) {
 	for name, build := range packNets() {
 		n := build()
-		in := randIn(rng.New(12), 1, n.InDim())
+		r := rng.New(12)
+		in, batch := randIn(r, 1, n.InDim()), randIn(r, 32, n.InDim())
 		step := func() {
 			n.Pack(64)
 			n.Forward(in)
 			n.Unpack()
+			n.Forward(batch)
 		}
 		step()
 		if a := testing.AllocsPerRun(20, step); a != 0 {
-			t.Errorf("%s: %v allocations per Pack, batch-1 Forward and Unpack after the first, want 0", name, a)
+			t.Errorf("%s: %v allocations per Pack, batch-1 Forward, Unpack and batch-32 Forward after the first, want 0", name, a)
 		}
 	}
 }

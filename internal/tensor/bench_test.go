@@ -119,6 +119,25 @@ func BenchmarkMatMulABT(b *testing.B) {
 	})
 }
 
+// BenchmarkMatMulABTPack is MatMulABT as a layer's forward runs it: on
+// bᵀ transposed for the call where PackPays, else on b as it lies.
+func BenchmarkMatMulABTPack(b *testing.B) {
+	var bt *Mat
+	benchKernel(b, func(dst, x, y *Mat) {
+		if !PackPays(x.Rows, x.Rows, y.Rows) {
+			MatMulABT(dst, x, y)
+			return
+		}
+		if bt == nil || bt.Rows != y.Cols || bt.Cols != y.Rows {
+			bt = NewPacked(y.Cols, y.Rows)
+		}
+		Transpose(bt, y)
+		MatMulABTPacked(dst, x, bt)
+	}, func(r *rng.RNG, m, k, n int) (dst, x, y *Mat) {
+		return NewMat(m, n), randMat(r, m, k), randMat(r, n, k)
+	})
+}
+
 // BenchmarkTanh times TanhInto on one Act layer (64 values) and on one
 // 128 x 64 batch, with N(0, σ) inputs: σ = 0.2 is a fresh policy (all
 // rational arm), 1 a trained one (half the inputs reach math.Exp) and 3
@@ -148,11 +167,11 @@ func BenchmarkTanh(b *testing.B) {
 // k x n the workloads forward through (hopper's 64 x 64 and 11 x 64,
 // cartpole's 256 x 256 and 4 x 256, the frame-20 CNN's 192 x 16,
 // 256 x 32 and 32 x 256), and at narrow heads (64 x 6, 64 x 4, 64 x 1),
-// over m rows: /dot is the product on b as it lies (dotRows), /pack
-// transposes b into scratch and runs the tile (MatMulABT where
-// PackPays), /packed is the tile on a bᵀ packed beforehand
-// (MatMulABTPacked). packRows is the m from which /pack is no slower
-// than /dot at every shape 8 columns wide or more.
+// over m rows: /dot is the product on b as it lies (MatMulABT), /pack
+// transposes b and runs the tile (a layer's forward where PackPays),
+// /packed is the tile on a bᵀ packed beforehand (a layer packed for a
+// rollout). packRows is the m from which /pack is no slower than /dot
+// at every shape 8 columns wide or more.
 func BenchmarkABTPackRows(b *testing.B) {
 	r := rng.New(1)
 	shapes := [][2]int{{64, 64}, {11, 64}, {256, 256}, {4, 256}, {192, 16}, {256, 32}, {32, 256}, {64, 6}, {64, 4}, {64, 1}}
@@ -165,13 +184,11 @@ func BenchmarkABTPackRows(b *testing.B) {
 			have := [len(levels)]bool{useAVX512, useAVX2, true}
 			for i, l := range levels {
 				name := fmt.Sprintf("%dx%d·%d/%s", m, k, n, l.name)
-				b.Run(name+"/dot", func(b *testing.B) { atLevel(b, i, have[i], func() { dotRows(dst, a, w) }) })
+				b.Run(name+"/dot", func(b *testing.B) { atLevel(b, i, have[i], func() { MatMulABT(dst, a, w) }) })
 				b.Run(name+"/pack", func(b *testing.B) {
 					atLevel(b, i, have[i], func() {
-						bt := takePack(k, n)
-						Transpose(bt, w)
-						sumScaledRows(dst, a.Data, k, 1, bt, skipNone)
-						givePack(bt)
+						Transpose(wt, w)
+						MatMulABTPacked(dst, a, wt)
 					})
 				})
 				b.Run(name+"/packed", func(b *testing.B) { atLevel(b, i, have[i], func() { MatMulABTPacked(dst, a, wt) }) })

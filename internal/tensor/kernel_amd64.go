@@ -3,11 +3,12 @@ package tensor
 import "math"
 
 // useAVX2 selects the assembly micro-kernels of kernel_amd64.s under
-// MatMul, MatMulATB, MatMulABT and its pack (Transpose), Axpy, Scale,
-// AdamStep and TanhInto. It is set once, here, from what the CPU and
-// the OS report; the tests clear it to run the Go kernels on the same
-// box. Without it no pack pays (PackPays): the Go form of the tile is
-// slower than the Go dot products, so MatMulABT never packs there.
+// MatMul, MatMulATB, MatMulABT, MatMulABTPacked and its pack
+// (Transpose), Axpy, Scale, AdamStep and TanhInto. It is set once,
+// here, from what the CPU and the OS report; the tests clear it to run
+// the Go kernels on the same box. Without it no pack pays (PackPays):
+// the Go form of the tile is slower than the Go dot products, so no
+// layer packs its weights there.
 var useAVX2 = hasAVX2()
 
 // useAVX512 selects, under useAVX2, the kernels of kernel_amd64.s that

@@ -1,23 +1,25 @@
 // AVX2 and AVX-512F micro-kernels under MatMul, MatMulATB, MatMulABT,
-// Axpy, Scale, AdamStep and TanhInto. See the "Kernels" section of the
-// package comment for the rule they obey: the lanes of a vector (four
-// at 256 bits, eight at 512) hold independent outputs, and each lane
-// executes the instruction sequence of its scalar reference. For the
-// products that means every output is still accumulated over k in
-// ascending order, and a product and the add that consumes it stay two
-// instructions (VMULPD, VADDPD), each rounding once, exactly as the Go
-// loops in tensor.go do: no FMA, no horizontal add. MatMul, MatMulATB
-// and MatMulABT on a packed bᵀ share one register-tiled kernel per
-// width (sumRowsAVX2, sumRowsAVX512), which skips a coefficient equal
-// to a comparand z per lane (z = 0 for the first two, NaN, which no
+// MatMulABTPacked, Axpy, Scale, AdamStep and TanhInto. See the
+// "Kernels" section of the package comment for the rule they obey: the
+// lanes of a vector (four at 256 bits, eight at 512) hold independent
+// outputs, and each lane executes the instruction sequence of its
+// scalar reference. For the products that means every output is still
+// accumulated over k in ascending order, and a product and the add
+// that consumes it stay two instructions (VMULPD, VADDPD), each
+// rounding once, exactly as the Go loops in tensor.go do: no FMA, no
+// horizontal add. MatMul, MatMulATB and MatMulABTPacked (MatMulABT on
+// a packed bᵀ) share one register-tiled kernel per width
+// (sumRowsAVX2, sumRowsAVX512), which skips a coefficient equal to a
+// comparand z per lane (z = 0 for the first two, NaN, which no
 // coefficient equals, for the third): a VCMPPD NEQ_UQ mask, merged into
 // the add at 512 bits and blended against the accumulator at 256. The
-// pack is transposeAVX2/transposeAVX512, a copy through registers. The tanh kernels' reference is math.Tanh, whose
-// exp is assembly with FMAs in it, and they have exactly those. All
-// loads and stores are unaligned-safe (VMOVUPD; masked at 512 bits
-// where a tile passes the end of a row, so that no lane past it is
-// read or written), and every routine ends in VZEROUPPER so that the
-// SSE code gc emits around it never pays the AVX-SSE transition.
+// pack is transposeAVX2/transposeAVX512, a copy through registers. The
+// tanh kernels' reference is math.Tanh, whose exp is assembly with
+// FMAs in it, and they have exactly those. All loads and stores are
+// unaligned-safe (VMOVUPD; masked at 512 bits where a tile passes the
+// end of a row, so that no lane past it is read or written), and every
+// routine ends in VZEROUPPER so that the SSE code gc emits around it
+// never pays the AVX-SSE transition.
 
 #include "textflag.h"
 
@@ -346,8 +348,8 @@ sum2_done:
 // func transposeAVX2(dst *float64, ldd int, src *float64, lds int, rows, cols int)
 //
 // dst[p*ldd+j] = src[j*lds+p] for j < rows and p < cols, both positive
-// multiples of 4: MatMulABT's pack of b into bᵀ. One 4 x 4 block per
-// step, four rows of src loaded four elements apiece, turned by
+// multiples of 4: the pack of b into bᵀ for MatMulABTPacked. One 4 x 4
+// block per step, four rows of src loaded four elements apiece, turned by
 // TRANSPOSE4 and stored as four rows of dst. The steps walk along four
 // rows of dst, so that its stores run on in order (a walk down the
 // rows of src instead stores to rows ldd apart, which at 256 wide fall

@@ -243,12 +243,13 @@ func eachPath(t *testing.T, have512, have2 bool, f func(t *testing.T)) {
 
 // TestKernelsBitIdenticalToScalarLoops holds the kernels' contract on
 // every path: the same bits as the scalar reference at every m in 0…9
-// and packRows-1…packRows+4, k in 0…17 and n in 0…65 under every value
-// mix (two full tiles and one more in m and in n at every level, the
-// largest tile four rows high being 4 x 32: every k mod 4, n mod 4,
-// mod 8, mod 16 and mod 32, m mod 3 and mod 4 tail, and the empty
-// products; and MatMulABT on both sides of its pack, with every mod 4
-// and mod 8 tail of the transpose's blocks), at random shapes up to 19
+// and packRows-1…packRows+4 (the batches on either side of the one
+// from which a layer packs its weights), k in 0…17 and n in 0…65 under
+// every value mix (two full tiles and one more in m and in n at every
+// level, the largest tile four rows high being 4 x 32: every k mod 4,
+// n mod 4, mod 8, mod 16 and mod 32, m mod 3 and mod 4 tail, and the
+// empty products; and MatMulABTPacked beside MatMulABT, with every
+// mod 4 and mod 8 tail of the transpose's blocks), at random shapes up to 19
 // and three long thin ones, and at the shapes the workloads run.
 func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
@@ -286,6 +287,37 @@ func FuzzKernels(f *testing.F) {
 			requireKernelsMatch(t, rng.New(seed), int(m%48), int(k%80), int(n%48), int(mix%numMixes), int(offs))
 		})
 	})
+}
+
+// TestPackPaysOnlyOnTheTile holds PackPays to its rule at each level: a
+// pack must serve packRows rows, 5 columns or more, in products that
+// run on a tile kernel. At 256 bits a product of fewer than 4 rows
+// under 32 wide goes to the Go form of the tile, slower than the dot
+// kernels, so a rollout's batch-1 forwards do not pack there; nothing
+// packs on the Go path.
+func TestPackPaysOnlyOnTheTile(t *testing.T) {
+	for _, c := range []struct {
+		m, rows, n int
+		want       [len(levels)]bool // avx512, avx2, go
+	}{
+		{64, 1, 64, [3]bool{true, true, false}},
+		{64, 1, 16, [3]bool{true, false, false}},
+		{64, 4, 16, [3]bool{true, true, false}},
+		{64, 1, 32, [3]bool{true, true, false}},
+		{packRows, packRows, 8, [3]bool{true, true, false}},
+		{packRows - 1, packRows - 1, 64, [3]bool{false, false, false}},
+		{64, 64, 6, [3]bool{true, false, false}},
+		{64, 64, 4, [3]bool{false, false, false}},
+	} {
+		for i, l := range levels {
+			restore := setLevel(l.avx512, l.avx2)
+			got := PackPays(c.m, c.rows, c.n)
+			restore()
+			if got != c.want[i] {
+				t.Errorf("/%s: PackPays(%d, %d, %d) = %v, want %v", l.name, c.m, c.rows, c.n, got, c.want[i])
+			}
+		}
+	}
 }
 
 func TestKernelsEmptyInnerDimension(t *testing.T) {
@@ -613,22 +645,5 @@ func FuzzAdamStep(f *testing.F) {
 		eachKernelPath(t, func(t *testing.T) {
 			requireAdamMatches(t, rng.New(seed), int(n%600), int(mix%numMixes), int(offs), lr, 1+int(step%200000))
 		})
-	})
-}
-
-// TestMatMulABTPackAllocatesNothing pins the scratch of MatMulABT's
-// per-call pack: after a first call at a shape, a product from
-// packRows rows up takes its bᵀ buffer from the store and hands it
-// back, allocating nothing, including a smaller product after a larger.
-func TestMatMulABTPackAllocatesNothing(t *testing.T) {
-	eachKernelPath(t, func(t *testing.T) {
-		r := rng.New(15)
-		for _, s := range [][3]int{{512, 64, 64}, {packRows, 64, 64}, {128, 256, 32}, {packRows, 11, 64}} {
-			a, b, dst := randMat(r, s[0], s[1]), randMat(r, s[2], s[1]), NewMat(s[0], s[2])
-			MatMulABT(dst, a, b)
-			if n := testing.AllocsPerRun(20, func() { MatMulABT(dst, a, b) }); n != 0 {
-				t.Errorf("MatMulABT %dx%d·%d: %v allocations per call, want 0", s[0], s[1], s[2], n)
-			}
-		}
 	})
 }

@@ -26,20 +26,19 @@
 //
 // MatMul and MatMulATB are one routine, sumScaledRows: row i of dst is
 // Σ_p a(i, p) · (row p of b), and the two differ only in the strides
-// at which a(i, p) is read. MatMulABT is the same routine on bᵀ, with a
-// comparand that skips no coefficient: Dot, its reference, adds 0·b
-// where the others skip it, so a(i, p) = 0 against an infinite b(j, p)
-// gives NaN there and nothing in MatMul. Where a product has rows
-// enough to pay for it (PackPays), MatMulABT transposes b into scratch
-// (Transpose) and runs that; shorter products take dot products of the
-// rows of a and b (dotRows). A caller that holds b still over many
-// short products packs it once itself (NewPacked, Transpose) and runs
-// each on MatMulABTPacked: nn's layers do, for the length of a rollout.
+// at which a(i, p) is read. MatMulABTPacked is the same routine on bᵀ,
+// with a comparand that skips no coefficient: Dot, its reference, adds
+// 0·b where the others skip it, so a(i, p) = 0 against an infinite
+// b(j, p) gives NaN there and nothing in MatMul. MatMulABT takes dot
+// products of the rows of a and b as they lie, with the same bits. A
+// caller whose b serves rows enough to pay for a pack (PackPays)
+// transposes it (NewPacked, Transpose) and runs MatMulABTPacked: nn's
+// layers do, once per batched forward and once per rollout.
 // The portable path is plain Go, tiled over independent outputs or over
 // k because gc does not vectorize and a scalar loop is bound by its
 // dependent adds and by the loads and stores around them:
 //
-//   - dotRows computes a 3 x 2 block of dot products per pass over k
+//   - MatMulABT computes a 3 x 2 block of dot products per pass over k
 //     (six add chains in flight, five loads per six multiply-adds where
 //     a lone Dot has one chain and two loads per multiply-add), 1 x 4
 //     for leftover rows and for batch-1 inputs.
@@ -92,16 +91,15 @@
 //
 // Transpose moves 8 x 8 blocks at 512 bits (two TRANSPOSE8 of eight
 // rows by four columns) and 4 x 4 at 256 (TRANSPOSE4), walking along
-// the rows of dst so that its stores run in order. dotRows, for the
-// products too short for a pack, computes 4 x 8 tiles at 512 bits and
-// 4 x 4 tiles at 256 (1 x 8 for one row, at 256 bits only) by
-// transposing a block of b in registers, so that the lanes of an
-// accumulator are dot products advancing through k together; Axpy
-// takes 16 (512-bit), then 8, 4 and 1 elements per step. These 512-bit
-// kernels take the part of a row that fills their steps and leave the
-// rest to the AVX2 kernels, and rows and columns left over by the tiles
-// go to the Go kernels. Each
-// level is the whole path on a CPU that lacks the one above it. The
+// the rows of dst so that its stores run in order. MatMulABT computes
+// 4 x 8 tiles at 512 bits and 4 x 4 tiles at 256 (1 x 8 for one row,
+// at 256 bits only) by transposing a block of b in registers, so that
+// the lanes of an accumulator are dot products advancing through k
+// together; Axpy takes 16 (512-bit), then 8, 4 and 1 elements per step.
+// These 512-bit kernels take the part of a row that fills their steps
+// and leave the rest to the AVX2 kernels, and rows and columns left
+// over by the tiles go to the Go kernels. Each level is the whole path
+// on a CPU that lacks the one above it. The
 // assembly is handed only pointers into slices Go has already sliced to
 // their full extent, so a wrong shape panics in Go.
 //
@@ -156,7 +154,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Mat is a dense row-major matrix.
@@ -226,7 +223,8 @@ func MatMulATB(dst, a, b *Mat) {
 
 // sumScaledRows sets row i of dst to Σ_p a[i*rs+p*cs] * (row p of b)
 // over b's rows: MatMul is rs = k, cs = 1 and MatMulATB rs = 1, cs = m,
-// the only difference between the two, and MatMulABT is MatMul on bᵀ.
+// the only difference between the two, and MatMulABTPacked is MatMul
+// on bᵀ.
 // Each output is summed from +0 in ascending p, and a coefficient equal
 // to z adds nothing: z = 0 skips zero coefficients, as the scalar loops
 // of MatMul and MatMulATB skipped them (which also keeps 0·Inf out of
@@ -249,7 +247,7 @@ func sumScaledRows(dst *Mat, a []float64, rs, cs int, b *Mat, z float64) {
 	case useAVX512:
 		sumRowsAVX512(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z)
 		return
-	case useAVX2 && n >= 8 && (m >= 4 || n >= 32):
+	case tileTakes(m, n):
 		sumRowsAVX2(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z)
 		return
 	}
@@ -298,41 +296,32 @@ func sumScaledRow(d, a []float64, cs int, b []float64, z float64) {
 
 // packRows is the fewest rows a pack of b must serve (EXPERIMENTS.md,
 // "MatMulABT on the outer-product tile"): from 24 rows on, a product on
-// bᵀ transposed into scratch for the call, pack included, ran no slower
-// (within 1 %) than the dot-product kernels on b at every weight shape
-// the workloads forward through, at both vector widths.
+// bᵀ transposed for the call, pack included, ran no slower (within 1 %)
+// than the dot-product kernels on b at every weight shape the workloads
+// forward through, at both vector widths.
 const packRows = 24
 
-// PackPays says whether a pack of an n x k b pays for itself over m
-// rows of a: packRows rows or more, on a CPU with the tile kernels,
-// into 8 columns or more, or 5 or more at 512 bits. Narrower products
-// stay on the dot kernels: the AVX2 tile is 8 wide and leaves anything
-// narrower to Go, and at 4 columns or fewer a 512-bit tile idles 12 of
-// its 16 lanes or more (at 4 the dot kernels' own 4 x 4 tile is 1.5x
-// faster). MatMulABT packs per call by it, and a caller whose b
-// holds still over several products (nn's layers over a rollout) packs
-// once by it, m being all the rows the pack will serve.
-func PackPays(m, n int) bool {
-	return m >= packRows && (useAVX2 && n >= 8 || useAVX512 && n > 4)
+// PackPays says whether it pays to transpose an n x k b once and run m
+// rows of a through MatMulABTPacked on it, in products of rows rows
+// each, rather than MatMulABT on b as it lies: m must be packRows or
+// more, and each product must run on the tile kernels in 5 columns or
+// more. A product the tile leaves to the Go path (see tileTakes; at 256
+// bits, one 8 to 31 wide and of fewer than 4 rows) runs slower packed
+// than on the dot kernels, and so does one 4 columns wide or narrower,
+// where a 512-bit tile idles 12 of its 16 lanes or more (at 4 the dot
+// kernels' own 4 x 4 tile is 1.5x faster). nn's layers pack by it, for
+// one batched product (m = rows) or for the batch-1 forwards of a
+// rollout (m its steps).
+func PackPays(m, rows, n int) bool {
+	return m >= packRows && n > 4 && tileTakes(rows, n)
 }
 
-// MatMulABT computes dst = a * bᵀ (a is m x k, b is n x k, dst is m x n).
-// Used by forward passes and to propagate deltas through dense layers.
-// Where PackPays, it transposes b into scratch and runs
-// MatMulABTPacked on it; otherwise it takes dot products of the rows.
-func MatMulABT(dst, a, b *Mat) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	if m, k, n := a.Rows, a.Cols, b.Rows; k > 0 && PackPays(m, n) {
-		bt := takePack(k, n)
-		Transpose(bt, b)
-		sumScaledRows(dst, a.Data, k, 1, bt, skipNone)
-		givePack(bt)
-		return
-	}
-	dotRows(dst, a, b)
+// tileTakes says whether sumScaledRows runs an m x n product on a tile
+// kernel rather than on the Go path: every product at 512 bits; at 256
+// bits, one 8 columns wide or more, in 4 rows or more or 32 columns or
+// more.
+func tileTakes(m, n int) bool {
+	return useAVX512 || useAVX2 && n >= 8 && (m >= 4 || n >= 32)
 }
 
 // MatMulABTPacked computes dst = a * bᵀ from bt = bᵀ as Transpose leaves
@@ -399,42 +388,17 @@ func NewPacked(k, n int) *Mat {
 
 const packTail = 16
 
-// packs is the scratch MatMulABT transposes b into: a call takes a
-// buffer, grows it if it is short, and hands it back, so that a process
-// holds one per product in flight at once, each as large as the largest
-// b it has packed, and allocates nothing in steady state. Unlike a
-// sync.Pool's, its buffers outlive a garbage collection.
-var packs struct {
-	sync.Mutex
-	free []*Mat
-}
-
-// takePack returns a k x n matrix of scratch from packs.
-func takePack(k, n int) *Mat {
-	var bt *Mat
-	packs.Lock()
-	if l := len(packs.free); l > 0 {
-		bt, packs.free = packs.free[l-1], packs.free[:l-1]
+// MatMulABT computes dst = a * bᵀ (a is m x k, b is n x k, dst is m x n).
+// Used by forward passes and to propagate deltas through dense layers.
+// It takes dot products of the rows of a and b as they lie; a caller
+// that runs rows enough on one b to pay for a pack (PackPays) packs it
+// (NewPacked, Transpose) and runs MatMulABTPacked instead, with the
+// same bits.
+func MatMulABT(dst, a, b *Mat) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	packs.Unlock()
-	if bt == nil || cap(bt.Data) < k*n+packTail {
-		return NewPacked(k, n)
-	}
-	bt.Rows, bt.Cols, bt.Data = k, n, bt.Data[:k*n]
-	return bt
-}
-
-// givePack returns bt to packs.
-func givePack(bt *Mat) {
-	packs.Lock()
-	packs.free = append(packs.free, bt)
-	packs.Unlock()
-}
-
-// dotRows is MatMulABT on b as it lies, for the products too short to
-// pay for a pack: each output a dot product of a row of a and a row of
-// b, in register tiles.
-func dotRows(dst, a, b *Mat) {
 	i := 0
 	if m, k, n := a.Rows, a.Cols, b.Rows; useAVX2 && k > 0 && n >= 4 {
 		// 4 x 8 tiles, then 4 x 4, in assembly; the n mod 4 columns left
