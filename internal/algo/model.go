@@ -117,7 +117,9 @@ func (m *Model) gather(obs [][]float64, idx []int) *tensor.Mat {
 	rows, cols := len(idx), len(obs[0])
 	n := rows * cols
 	if cap(m.batch.Data) < n {
-		m.batch.Data = make([]float64, n)
+		// A NewVec: the first layer's weight gradient reads this as
+		// MatMulATB's b, whose last row the tile loads under a mask.
+		m.batch.Data = tensor.NewVec(n)
 	}
 	m.batch = tensor.Mat{Rows: rows, Cols: cols, Data: m.batch.Data[:n]}
 	for r, i := range idx {

@@ -34,13 +34,7 @@ func (t *Tanh) Backward(dOut *tensor.Mat) *tensor.Mat {
 		panic("nn: Tanh.Backward before Forward")
 	}
 	dIn := ensureMat(&t.dIn, dOut.Rows, dOut.Cols)
-	// One common length lets the compiler drop the bounds checks.
-	g := dOut.Data
-	y := t.lastOut.Data[:len(g)]
-	d := dIn.Data[:len(g)]
-	for i, gi := range g {
-		d[i] = gi * (1 - y[i]*y[i])
-	}
+	tensor.TanhGradInto(dIn.Data, dOut.Data, t.lastOut.Data)
 	return dIn
 }
 
@@ -71,15 +65,7 @@ func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) Forward(in *tensor.Mat) *tensor.Mat {
 	r.lastIn = in
 	out := ensureMat(&r.out, in.Rows, in.Cols)
-	// The buffer is reused across calls, so negative lanes must be
-	// written explicitly rather than relying on fresh zeroed storage.
-	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
+	tensor.ReLUMask(out.Data, in.Data, in.Data) // in where in > 0: max(in, 0)
 	return out
 }
 
@@ -89,16 +75,7 @@ func (r *ReLU) Backward(dOut *tensor.Mat) *tensor.Mat {
 		panic("nn: ReLU.Backward before Forward")
 	}
 	dIn := ensureMat(&r.dIn, dOut.Rows, dOut.Cols)
-	g := dOut.Data
-	x := r.lastIn.Data[:len(g)]
-	d := dIn.Data[:len(g)]
-	for i, gi := range g {
-		if x[i] > 0 {
-			d[i] = gi
-		} else {
-			d[i] = 0
-		}
-	}
+	tensor.ReLUMask(dIn.Data, dOut.Data, r.lastIn.Data)
 	return dIn
 }
 

@@ -12,8 +12,8 @@ import (
 // flattened images. W has shape OutC x (InC*KH*KW), one filter per row.
 // The batch's receptive fields are laid out by im2col as one
 // (rows·positions) x PatchSize matrix, sample after sample, so the
-// forward pass is a single product for the whole batch:
-// res = cols * Wᵀ, then out[i][oc][p] = res[i·positions+p][oc] + b[oc].
+// forward pass is a single product for the whole batch, the bias added
+// with it: res = cols * Wᵀ + b, then out[i][oc][p] = res[i·positions+p][oc].
 type Conv2D struct {
 	Shape tensor.ConvShape
 	W, B  *Param
@@ -73,6 +73,12 @@ func (c *Conv2D) sample(m *tensor.Mat, i int) tensor.Mat {
 	return tensor.Mat{Rows: positions, Cols: m.Cols, Data: m.Data[i*positions*m.Cols : (i+1)*positions*m.Cols]}
 }
 
+// channels returns row i of m, a channel-major output or its gradient,
+// as the OutC x positions matrix it is.
+func (c *Conv2D) channels(m *tensor.Mat, i int) tensor.Mat {
+	return tensor.Mat{Rows: c.Shape.OutC, Cols: c.Shape.OutH * c.Shape.OutW, Data: m.Row(i)}
+}
+
 // Forward implements Layer.
 func (c *Conv2D) Forward(in *tensor.Mat) *tensor.Mat {
 	s := &c.Shape
@@ -87,18 +93,13 @@ func (c *Conv2D) Forward(in *tensor.Mat) *tensor.Mat {
 		s.Im2Col(&block, in.Row(i))
 	}
 	res := ensureMat(&c.res, in.Rows*positions, s.OutC)
-	c.product(res, cols)
+	c.product(res, cols, c.B.Data)
 	// res rows are position-major, the output layout is channel-major:
-	// transpose while scattering into the flat row.
+	// each sample's block of res, transposed, is its output row.
 	out := ensureMat(&c.out, in.Rows, s.OutSize())
 	for i := 0; i < in.Rows; i++ {
-		orow := out.Row(i)
-		for p := 0; p < positions; p++ {
-			rrow := res.Row(i*positions + p)
-			for oc, bias := range c.B.Data {
-				orow[oc*positions+p] = rrow[oc] + bias
-			}
-		}
+		block, row := c.sample(res, i), c.channels(out, i)
+		tensor.Transpose(&row, &block)
 	}
 	return out
 }
@@ -141,13 +142,8 @@ func (c *Conv2D) BackwardParams(dOut *tensor.Mat) {
 	// Re-transpose the channel-major flat gradient to position-major rows.
 	dRes := ensureMat(&c.dRes, dOut.Rows*positions, s.OutC)
 	for i := 0; i < dOut.Rows; i++ {
-		drow := dOut.Row(i)
-		for p := 0; p < positions; p++ {
-			rrow := dRes.Row(i*positions + p)
-			for oc := range rrow {
-				rrow[oc] = drow[oc*positions+p]
-			}
-		}
+		block, row := c.sample(dRes, i), c.channels(dOut, i)
+		tensor.Transpose(&block, &row)
 	}
 	tensor.SumRows(c.B.Grad, dRes)
 	dW := ensureMat(&c.dW, s.OutC, s.PatchSize())

@@ -69,8 +69,7 @@ func (d *Dense) Forward(in *tensor.Mat) *tensor.Mat {
 	}
 	d.lastIn = in
 	out := ensureMat(&d.out, in.Rows, d.Out)
-	d.product(out, in)
-	tensor.AddBiasRows(out, d.B.Data)
+	d.product(out, in, d.B.Data)
 	return out
 }
 

@@ -52,7 +52,9 @@ type Slab struct {
 }
 
 // NewSlab returns a Slab of n weights, all zero until layers take them.
-func NewSlab(n int) *Slab { return &Slab{W: make([]float64, n)} }
+// W is a tensor.NewVec: the tile reads its last bias, the head's, under
+// a mask that reaches past its end.
+func NewSlab(n int) *Slab { return &Slab{W: tensor.NewVec(n)} }
 
 // weightsAndBias takes a layer's next n weights as two Params: name.W,
 // the first n-bias of them, and name.b, the last bias.
@@ -226,21 +228,23 @@ func (w *weightMat) transpose(m, rows int) bool {
 		return false
 	}
 	if w.wt == nil {
-		w.wt = tensor.NewPacked(w.w.Cols, w.w.Rows)
+		w.wt = tensor.NewMat(w.w.Cols, w.w.Rows)
 	}
 	tensor.Transpose(w.wt, &w.w)
 	return true
 }
 
-// product sets out = in·Wᵀ: on the pack Network.Pack made, if any, else
-// on a pack made for this product where its rows pay for one, else on
-// W as it lies. The three give the same bits.
-func (w *weightMat) product(out, in *tensor.Mat) {
+// product sets out = in·Wᵀ + bias: on the pack Network.Pack made, if
+// any, else on a pack made for this product where its rows pay for
+// one, the bias added in the tile's registers, else on W as it lies,
+// then AddBiasRows. The three give the same bits.
+func (w *weightMat) product(out, in *tensor.Mat, bias []float64) {
 	if w.packed || w.transpose(in.Rows, in.Rows) {
-		tensor.MatMulABTPacked(out, in, w.wt)
+		tensor.MatMulABTPacked(out, in, w.wt, bias)
 		return
 	}
 	tensor.MatMulABT(out, in, &w.w)
+	tensor.AddBiasRows(out, bias)
 }
 
 func (w *weightMat) unpack() { w.packed = false }

@@ -439,7 +439,10 @@ func packNets() map[string]func() *Network {
 // forwards; the unpacked network's batch-32 forward, where
 // tensor.PackPays for its rows, packs for that product alone, and each
 // of its rows equals a batch-1 forward, which packs for nothing (one
-// row, or a convolution's 16 positions). Pack packs a layer where
+// row, or a convolution's 16 positions): a Dense's and a Conv2D's bias
+// added in the tile's registers has the bits of MatMulABT and then
+// AddBiasRows, for weights and biases drawn at random (a fresh layer's
+// biases are zero). Pack packs a layer where
 // PackPays for all the rows its products will see, one sample's rows
 // at a time, so where the CPU has the tile kernels the rollout-sized
 // pack reaches the 64-wide hidden layers, and a pack for one row
@@ -448,6 +451,9 @@ func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
 	for name, build := range packNets() {
 		packed, plain := build(), build()
 		r := rng.New(11)
+		weights := randIn(r, 1, packed.NumParams()).Data
+		setParams(packed, weights)
+		setParams(plain, weights)
 		for _, rows := range []int{1, 64} {
 			packed.Pack(rows)
 			hidden := 0
@@ -483,8 +489,18 @@ func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
 					continue
 				}
 				for _, l := range plain.Layers {
-					if d, ok := l.(*Dense); ok && (d.wt != nil) != tensor.PackPays(batch, batch, d.Out) {
-						t.Fatalf("%s: %s packed for a batch of %d: %v", name, d.Name(), batch, d.wt != nil)
+					var got, want bool
+					switch l := l.(type) {
+					case *Dense:
+						got, want = l.wt != nil, tensor.PackPays(batch, batch, l.Out)
+					case *Conv2D:
+						rows := batch * l.Shape.OutH * l.Shape.OutW
+						got, want = l.wt != nil, tensor.PackPays(rows, rows, l.Shape.OutC)
+					default:
+						continue
+					}
+					if got != want {
+						t.Fatalf("%s: %s packed for a batch of %d: %v", name, l.Name(), batch, got)
 					}
 				}
 				out := len(want) / batch

@@ -119,20 +119,26 @@ func BenchmarkMatMulABT(b *testing.B) {
 	})
 }
 
-// BenchmarkMatMulABTPack is MatMulABT as a layer's forward runs it: on
-// bᵀ transposed for the call where PackPays, else on b as it lies.
+// BenchmarkMatMulABTPack is MatMulABT as a layer's forward runs it,
+// bias and all: on bᵀ transposed for the call, the bias added in the
+// tile, where PackPays, else on b as it lies and then AddBiasRows.
 func BenchmarkMatMulABTPack(b *testing.B) {
 	var bt *Mat
+	var bias []float64
 	benchKernel(b, func(dst, x, y *Mat) {
+		if len(bias) != y.Rows {
+			bias = NewVec(y.Rows)
+		}
 		if !PackPays(x.Rows, x.Rows, y.Rows) {
 			MatMulABT(dst, x, y)
+			AddBiasRows(dst, bias)
 			return
 		}
 		if bt == nil || bt.Rows != y.Cols || bt.Cols != y.Rows {
-			bt = NewPacked(y.Cols, y.Rows)
+			bt = NewMat(y.Cols, y.Rows)
 		}
 		Transpose(bt, y)
-		MatMulABTPacked(dst, x, bt)
+		MatMulABTPacked(dst, x, bt, bias)
 	}, func(r *rng.RNG, m, k, n int) (dst, x, y *Mat) {
 		return NewMat(m, n), randMat(r, m, k), randMat(r, n, k)
 	})
@@ -177,7 +183,7 @@ func BenchmarkABTPackRows(b *testing.B) {
 	shapes := [][2]int{{64, 64}, {11, 64}, {256, 256}, {4, 256}, {192, 16}, {256, 32}, {32, 256}, {64, 6}, {64, 4}, {64, 1}}
 	for _, kn := range shapes {
 		k, n := kn[0], kn[1]
-		w, wt := randMat(r, n, k), NewPacked(k, n)
+		w, wt := randMat(r, n, k), NewMat(k, n)
 		Transpose(wt, w)
 		for _, m := range []int{1, 8, 16, 20, 24, 28, 32, 64} {
 			a, dst := randMat(r, m, k), NewMat(m, n)
@@ -188,10 +194,10 @@ func BenchmarkABTPackRows(b *testing.B) {
 				b.Run(name+"/pack", func(b *testing.B) {
 					atLevel(b, i, have[i], func() {
 						Transpose(wt, w)
-						MatMulABTPacked(dst, a, wt)
+						MatMulABTPacked(dst, a, wt, nil)
 					})
 				})
-				b.Run(name+"/packed", func(b *testing.B) { atLevel(b, i, have[i], func() { MatMulABTPacked(dst, a, wt) }) })
+				b.Run(name+"/packed", func(b *testing.B) { atLevel(b, i, have[i], func() { MatMulABTPacked(dst, a, wt, nil) }) })
 			}
 		}
 	}
@@ -202,7 +208,7 @@ func BenchmarkTranspose(b *testing.B) {
 	r := rng.New(1)
 	for _, kn := range [][2]int{{64, 64}, {11, 64}, {256, 256}, {4, 256}, {192, 16}, {256, 32}, {32, 256}} {
 		k, n := kn[0], kn[1]
-		w, wt := randMat(r, n, k), NewPacked(k, n)
+		w, wt := randMat(r, n, k), NewMat(k, n)
 		have := [len(levels)]bool{useAVX512, useAVX2, true}
 		for i, l := range levels {
 			b.Run(fmt.Sprintf("%dx%d/%s", n, k, l.name), func(b *testing.B) {
@@ -210,4 +216,49 @@ func BenchmarkTranspose(b *testing.B) {
 			})
 		}
 	}
+}
+
+// elementwiseShapes are the activation and bias-gradient shapes the
+// workloads run: a 128 x 256 and a 512 x 64 learner batch, an actor's
+// 1 x 256 and one sample of the frame-20 CNN's second layer, 1 x 32.
+var elementwiseShapes = [][2]int{{128, 256}, {1, 256}, {1, 32}, {512, 64}}
+
+// benchElementwise times kernel over rows x cols values at every level,
+// N(0, 1) inputs (half of them negative, so that the Go loops' branch
+// mispredicts as it does in a ReLU layer); /go is the loop the layers
+// ran before the kernels, at every level.
+func benchElementwise(b *testing.B, kernel func(dst, g, x []float64, m *Mat)) {
+	r := rng.New(1)
+	for _, s := range elementwiseShapes {
+		g, x, dst := randMat(r, s[0], s[1]), randMat(r, s[0], s[1]), make([]float64, s[0]*s[1])
+		have := [len(levels)]bool{useAVX512, useAVX2, true}
+		for i, l := range levels {
+			b.Run(fmt.Sprintf("%dx%d/%s", s[0], s[1], l.name), func(b *testing.B) {
+				atLevel(b, i, have[i], func() { kernel(dst, g.Data, x.Data, g) })
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/elem")
+			})
+		}
+	}
+}
+
+// BenchmarkReLU times ReLU's forward (ReLUMask with g = x) and backward.
+func BenchmarkReLU(b *testing.B) {
+	b.Run("forward", func(b *testing.B) {
+		benchElementwise(b, func(dst, _, x []float64, _ *Mat) { ReLUMask(dst, x, x) })
+	})
+	b.Run("backward", func(b *testing.B) {
+		benchElementwise(b, func(dst, g, x []float64, _ *Mat) { ReLUMask(dst, g, x) })
+	})
+}
+
+// BenchmarkTanhBackward times TanhGradInto, tanh's backward.
+func BenchmarkTanhBackward(b *testing.B) {
+	benchElementwise(b, func(dst, g, y []float64, _ *Mat) { TanhGradInto(dst, g, y) })
+}
+
+// BenchmarkSumRows times a bias gradient: the column sums of a batch
+// of output gradients, into a row as wide (ns/elem is per summed
+// element).
+func BenchmarkSumRows(b *testing.B) {
+	benchElementwise(b, func(dst, _, _ []float64, m *Mat) { SumRows(dst[:m.Cols], m) })
 }

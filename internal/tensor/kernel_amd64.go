@@ -3,8 +3,10 @@ package tensor
 import "math"
 
 // useAVX2 selects the assembly micro-kernels of kernel_amd64.s under
-// MatMul, MatMulATB, MatMulABT, MatMulABTPacked and its pack
-// (Transpose), Axpy, Scale, AdamStep and TanhInto. It is set once,
+// MatMul, MatMulATB, MatMulABT, MatMulABTPacked with its bias epilogue
+// and its pack (Transpose), Axpy and SumRows on it, Scale, AdamStep,
+// TanhInto, ReLUMask and TanhGradInto: each lane executes the
+// reference's own instruction sequence. It is set once,
 // here, from what the CPU and the OS report; the tests clear it to run
 // the Go kernels on the same box. Without it no pack pays (PackPays):
 // the Go form of the tile is slower than the Go dot products, so no
@@ -86,10 +88,10 @@ func axpyAVX2(x, y *float64, n int, alpha float64)
 func axpyAVX512(x, y *float64, n16 int, alpha float64)
 
 //go:noescape
-func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
+func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64, bias *float64)
 
 //go:noescape
-func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
+func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64, bias *float64)
 
 //go:noescape
 func transposeAVX2(dst *float64, ldd int, src *float64, lds int, rows, cols int)
@@ -111,6 +113,18 @@ func tanhAVX2(dst, src *float64, n4 int)
 
 //go:noescape
 func tanhAVX512(dst, src *float64, n8 int)
+
+//go:noescape
+func reluMaskAVX2(dst, grad, x *float64, n4 int)
+
+//go:noescape
+func reluMaskAVX512(dst, grad, x *float64, n8 int)
+
+//go:noescape
+func tanhGradAVX2(dst, grad, y *float64, n4 int)
+
+//go:noescape
+func tanhGradAVX512(dst, grad, y *float64, n8 int)
 
 //go:noescape
 func scaleAVX2(x *float64, n4 int, alpha float64)

@@ -1,5 +1,6 @@
 // AVX2 and AVX-512F micro-kernels under MatMul, MatMulATB, MatMulABT,
-// MatMulABTPacked, Axpy, Scale, AdamStep and TanhInto. See the
+// MatMulABTPacked, Axpy, Scale, AdamStep, TanhInto, ReLUMask and
+// TanhGradInto. See the
 // "Kernels" section of the package comment for the rule they obey: the
 // lanes of a vector (four at 256 bits, eight at 512) hold independent
 // outputs, and each lane executes the instruction sequence of its
@@ -12,7 +13,9 @@
 // (sumRowsAVX2, sumRowsAVX512), which skips a coefficient equal to a
 // comparand z per lane (z = 0 for the first two, NaN, which no
 // coefficient equals, for the third): a VCMPPD NEQ_UQ mask, merged into
-// the add at 512 bits and blended against the accumulator at 256. The
+// the add at 512 bits and blended against the accumulator at 256. A
+// bias is added to the finished sums before their one store, the bias
+// the first operand of the VADDPD, as in AddBiasRows. The
 // pack is transposeAVX2/transposeAVX512, a copy through registers. The
 // tanh kernels' reference is math.Tanh, whose exp is assembly with
 // FMAs in it, and they have exactly those. All loads and stores are
@@ -131,12 +134,20 @@ axpy_done:
 	VMULPD off(DX), Y10, Y12; \
 	VADDPD Y12, acc, acc
 
-// func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
+// BIAS256 adds four columns of the bias, at off(CX), to the finished
+// sums in acc: bias + acc, the bias the first operand as AddBiasRows
+// has it, so that of two NaNs the bias's is kept, as there.
+#define BIAS256(off, acc) \
+	VMOVUPD off(CX), Y8; \
+	VADDPD  acc, Y8, acc
+
+// func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64, bias *float64)
 //
-// d[i*n+j] = Σ_p a[i*rs+p*cs]*b[p*n+j] for i < m and j < n, k > 0,
-// n >= 8 and n >= 32 where m < 4: each output summed from +0 over
-// ascending p, a term added only where its coefficient is not equal to
-// z (z = 0 skips zero coefficients, z = NaN none).
+// d[i*n+j] = Σ_p a[i*rs+p*cs]*b[p*n+j] (+ bias[j] where bias is not
+// nil) for i < m and j < n, k > 0, n >= 8 and n >= 32 where m < 4: each
+// output summed from +0 over ascending p, a term added only where its
+// coefficient is not equal to z (z = 0 skips zero coefficients, z = NaN
+// none), and the bias added to the finished sum before its one store.
 // Four rows of d at a time, in 4 x 8 tiles whose sums stay in Y0…Y7 for
 // all of k and are stored once. Where n is no multiple of 8 the last
 // tile of a row ends at n, and where m is none of 4 the last four rows
@@ -148,7 +159,7 @@ axpy_done:
 // 2 are (SI)(R10*1) and (SI)(R10*2)), DX the rows of b; BX is the
 // tile's column in bytes. R13 is 1 where z is NaN: the 4 x 8 tiles then
 // run sum2_k4all, ROW256ALL for ROW256, since every lane is added.
-TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-72
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-80
 	MOVQ   d+0(FP), DI
 	MOVQ   m+8(FP), R14
 	MOVQ   n+16(FP), R9
@@ -223,6 +234,20 @@ sum2_k4all:
 	JNE     sum2_k4all
 
 sum2_store4:
+	MOVQ    bias+72(FP), CX
+	TESTQ   CX, CX
+	JEQ     sum2_put4
+	ADDQ    BX, CX
+	BIAS256(0, Y0)
+	BIAS256(32, Y1)
+	BIAS256(0, Y2)
+	BIAS256(32, Y3)
+	BIAS256(0, Y4)
+	BIAS256(32, Y5)
+	BIAS256(0, Y6)
+	BIAS256(32, Y7)
+
+sum2_put4:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Y0, (AX)
 	VMOVUPD Y1, 32(AX)
@@ -308,6 +333,20 @@ sum2_k1next:
 	DECQ CX
 	JNE  sum2_k1
 
+	MOVQ  bias+72(FP), CX
+	TESTQ CX, CX
+	JEQ   sum2_put1
+	ADDQ  BX, CX
+	BIAS256(0, Y0)
+	BIAS256(32, Y1)
+	BIAS256(64, Y2)
+	BIAS256(96, Y3)
+	BIAS256(128, Y4)
+	BIAS256(160, Y5)
+	BIAS256(192, Y6)
+	BIAS256(224, Y7)
+
+sum2_put1:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Y0, (AX)
 	VMOVUPD Y1, 32(AX)
@@ -786,6 +825,58 @@ scale_loop:
 	VZEROUPPER
 	RET
 
+// func reluMaskAVX2(dst, grad, x *float64, n4 int)
+//
+// dst[i] = grad[i] where x[i] > 0, else +0, for i < n4, n4 a positive
+// multiple of 4: ReLUMask's Go loop, four lanes at a time. VCMPPD
+// $0x1E is GT_OQ, false for a NaN x as the loop's x > 0 is, and the
+// AND with its all-ones or all-zeros lanes moves grad's bits or +0.
+TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   grad+8(FP), SI
+	MOVQ   x+16(FP), DX
+	MOVQ   n4+24(FP), CX
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+
+relu_loop:
+	VMOVUPD (DX)(AX*8), Y1
+	VCMPPD  $0x1E, Y0, Y1, Y1
+	VANDPD  (SI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     relu_loop
+	VZEROUPPER
+	RET
+
+// func tanhGradAVX2(dst, grad, y *float64, n4 int)
+//
+// dst[i] = grad[i] * (1 - y[i]*y[i]) for i < n4, n4 a positive
+// multiple of 4: TanhGradInto's Go loop, four lanes at a time, as gc
+// compiles it: y·y, 1 minus that, then that times grad, each rounded
+// (no FMA), and the last multiply with 1 - y² as its first operand, so
+// that of two NaNs it keeps the same one.
+TEXT ·tanhGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    grad+8(FP), SI
+	MOVQ    y+16(FP), DX
+	MOVQ    n4+24(FP), CX
+	VMOVUPD ONE, Y0
+	XORQ    AX, AX
+
+tgrad_loop:
+	VMOVUPD (DX)(AX*8), Y1
+	VMULPD  Y1, Y1, Y1
+	VSUBPD  Y1, Y0, Y1
+	VMULPD  (SI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     tgrad_loop
+	VZEROUPPER
+	RET
+
 // func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64)
 //
 // One Adam step on coordinates i < n4, n4 a positive multiple of 4,
@@ -941,6 +1032,12 @@ axpyz_loop:
 	VADDPD       Z23, acc2, acc2; \
 	VADDPD       Z24, acc3, acc3
 
+// BIAS512 adds the bias in bias0 and bias1 to the finished sums of
+// one row of a tile, acc0 and acc1, bias first as in BIAS256.
+#define BIAS512(bias0, bias1, acc0, acc1) \
+	VADDPD acc0, bias0, acc0; \
+	VADDPD acc1, bias1, acc1
+
 // COLMASK512 sets K5 and K6 to the lanes of a 16-column tile at column
 // byte offset BX that lie inside a row of n (R9 bytes): all sixteen but
 // in the last tile of a row whose n is no multiple of 16.
@@ -958,19 +1055,19 @@ axpyz_loop:
 	SHRL    $8, AX; \
 	KMOVW   AX, K6
 
-// func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64)
+// func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64, bias *float64)
 //
 // sumRowsAVX2 at 512 bits, for every n > 0: four rows of d at a time in
 // 4 x 32 tiles, the sums in Z0…Z15, then 4 x 16 tiles (Z0…Z7) for the
-// n mod 32 columns left, which load b under the column masks K5 and
-// K6, zeroing the lanes past n and reading none of their memory, and
-// store under them. Where m is no multiple of 4 the last four rows end
+// n mod 32 columns left, which load b and the bias under the column
+// masks K5 and K6, zeroing the lanes past n and reading none of their
+// memory, and store under them. Where m is no multiple of 4 the last four rows end
 // at m, as in sumRowsAVX2; fewer than four rows go one at a time in
 // tiles one row high and 16 wide, under the same column masks. The
 // row masks are K1, K2, K3 and K7 (K4 is a macro of this file). R13 is
 // 1 where z is NaN: every k-loop then runs its ALL form, which neither
 // compares nor masks, since every lane is added.
-TEXT ·sumRowsAVX512(SB), NOSPLIT, $0-72
+TEXT ·sumRowsAVX512(SB), NOSPLIT, $0-80
 	MOVQ   d+0(FP), DI
 	MOVQ   m+8(FP), R14
 	MOVQ   n+16(FP), R9
@@ -1052,6 +1149,23 @@ sumz_kw4all:
 	JNE     sumz_kw4all
 
 sumz_storew4:
+	MOVQ    bias+72(FP), CX
+	TESTQ   CX, CX
+	JEQ     sumz_putw4
+	VMOVUPD (CX)(BX*1), Z16
+	VMOVUPD 64(CX)(BX*1), Z17
+	VMOVUPD 128(CX)(BX*1), Z18
+	VMOVUPD 192(CX)(BX*1), Z19
+	BIAS512(Z16, Z17, Z0, Z1)
+	BIAS512(Z18, Z19, Z2, Z3)
+	BIAS512(Z16, Z17, Z4, Z5)
+	BIAS512(Z18, Z19, Z6, Z7)
+	BIAS512(Z16, Z17, Z8, Z9)
+	BIAS512(Z18, Z19, Z10, Z11)
+	BIAS512(Z16, Z17, Z12, Z13)
+	BIAS512(Z18, Z19, Z14, Z15)
+
+sumz_putw4:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Z0, (AX)
 	VMOVUPD Z1, 64(AX)
@@ -1122,6 +1236,17 @@ sumz_k4all:
 	JNE       sumz_k4all
 
 sumz_store4:
+	MOVQ      bias+72(FP), CX
+	TESTQ     CX, CX
+	JEQ       sumz_put4
+	VMOVUPD.Z (CX)(BX*1), K5, Z8
+	VMOVUPD.Z 64(CX)(BX*1), K6, Z9
+	BIAS512(Z8, Z9, Z0, Z1)
+	BIAS512(Z8, Z9, Z2, Z3)
+	BIAS512(Z8, Z9, Z4, Z5)
+	BIAS512(Z8, Z9, Z6, Z7)
+
+sumz_put4:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Z0, K5, (AX)
 	VMOVUPD Z1, K6, 64(AX)
@@ -1191,7 +1316,14 @@ sumz_k1all:
 	JNE       sumz_k1all
 
 sumz_store1:
+	MOVQ      bias+72(FP), CX
+	TESTQ     CX, CX
+	JEQ       sumz_put1
+	VMOVUPD.Z (CX)(BX*1), K5, Z8
+	VMOVUPD.Z 64(CX)(BX*1), K6, Z9
+	BIAS512(Z8, Z9, Z0, Z1)
 
+sumz_put1:
 	VMOVUPD Z0, K5, (DI)(BX*1)
 	VMOVUPD Z1, K6, 64(DI)(BX*1)
 	ADDQ    $128, BX
@@ -1488,5 +1620,53 @@ tanhz_loop:
 	ADDQ    $8, AX
 	CMPQ    AX, CX
 	JLT     tanhz_loop
+	VZEROUPPER
+	RET
+
+// func reluMaskAVX512(dst, grad, x *float64, n8 int)
+//
+// reluMaskAVX2 on eight lanes, n8 a positive multiple of 8: the GT_OQ
+// compare writes K1, and grad is loaded under it, zeroing the other
+// lanes.
+TEXT ·reluMaskAVX512(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   grad+8(FP), SI
+	MOVQ   x+16(FP), DX
+	MOVQ   n8+24(FP), CX
+	VPXORQ Z0, Z0, Z0
+	XORQ   AX, AX
+
+reluz_loop:
+	VMOVUPD   (DX)(AX*8), Z1
+	VCMPPD    $0x1E, Z0, Z1, K1
+	VMOVUPD.Z (SI)(AX*8), K1, Z2
+	VMOVUPD   Z2, (DI)(AX*8)
+	ADDQ      $8, AX
+	CMPQ      AX, CX
+	JLT       reluz_loop
+	VZEROUPPER
+	RET
+
+// func tanhGradAVX512(dst, grad, y *float64, n8 int)
+//
+// tanhGradAVX2 on eight lanes, n8 a positive multiple of 8, with the
+// same instructions on the same operands.
+TEXT ·tanhGradAVX512(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         y+16(FP), DX
+	MOVQ         n8+24(FP), CX
+	VBROADCASTSD ONE, Z0
+	XORQ         AX, AX
+
+tgradz_loop:
+	VMOVUPD (DX)(AX*8), Z1
+	VMULPD  Z1, Z1, Z1
+	VSUBPD  Z1, Z0, Z1
+	VMULPD  (SI)(AX*8), Z1, Z1
+	VMOVUPD Z1, (DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     tgradz_loop
 	VZEROUPPER
 	RET

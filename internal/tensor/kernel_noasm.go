@@ -17,7 +17,7 @@ const tanh512OK = false
 
 func axpyAVX2(x, y *float64, n int, alpha float64) { panic("tensor: no AVX2") }
 
-func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64) {
+func sumRowsAVX2(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64, bias *float64) {
 	panic("tensor: no AVX2")
 }
 
@@ -27,7 +27,7 @@ func transposeAVX2(dst *float64, ldd int, src *float64, lds int, rows, cols int)
 
 func axpyAVX512(x, y *float64, n16 int, alpha float64) { panic("tensor: no AVX-512") }
 
-func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64) {
+func sumRowsAVX512(d *float64, m, n int, a *float64, rs, cs int, b *float64, k int, z float64, bias *float64) {
 	panic("tensor: no AVX-512")
 }
 
@@ -44,6 +44,14 @@ func dot1RowAVX2(d, a, b *float64, k, n8 int) { panic("tensor: no AVX2") }
 func tanhAVX2(dst, src *float64, n4 int) { panic("tensor: no AVX2") }
 
 func tanhAVX512(dst, src *float64, n8 int) { panic("tensor: no AVX-512") }
+
+func reluMaskAVX2(dst, grad, x *float64, n4 int) { panic("tensor: no AVX2") }
+
+func reluMaskAVX512(dst, grad, x *float64, n8 int) { panic("tensor: no AVX-512") }
+
+func tanhGradAVX2(dst, grad, y *float64, n4 int) { panic("tensor: no AVX2") }
+
+func tanhGradAVX512(dst, grad, y *float64, n8 int) { panic("tensor: no AVX-512") }
 
 func scaleAVX2(x *float64, n4 int, alpha float64) { panic("tensor: no AVX2") }
 

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"stellaris/internal/rng"
@@ -54,6 +55,17 @@ func refMatMulABT(dst, a, b *Mat) {
 		drow := dst.Row(i)
 		for j := 0; j < b.Rows; j++ {
 			drow[j] = Dot(arow, b.Row(j))
+		}
+	}
+}
+
+// refAddBiasRows is AddBiasRows' loop, the bias MatMulABTPacked adds in
+// its registers held to it.
+func refAddBiasRows(m *Mat, bias []float64) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j, bv := range bias {
+			row[j] += bv
 		}
 	}
 }
@@ -151,7 +163,10 @@ func requireSameBits(t *testing.T, what string, m, k, n int, got, want *Mat) {
 // dst's surroundings to their canaries: the assembly may not store
 // outside its n, and the race detector would not see it if it did.
 // MatMulABTPacked runs on bᵀ as Transpose packs it, between canaries of
-// its own, and the pack is held to the element-by-element transpose.
+// its own, and the pack is held to the element-by-element transpose;
+// where bit 14 of offs is clear it adds a bias of the same mix, held to
+// refAddBiasRows after refMatMulABT, and to its bits exactly where the
+// bias is NaN (the add keeps the bias's NaN, whatever the sum).
 func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 	t.Helper()
 	off := func(i int) int { return 1 + 2*(offs>>(2*i)&3) }
@@ -162,8 +177,13 @@ func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 	b, _ := guardedMat(k, n, off(3))
 	bt, _ := guardedMat(n, k, off(4))
 	packed, packedBack := guardedMat(k, n, 1+2*(offs>>10&3))
-	for _, x := range []*Mat{got, a, at, b, bt, packed} { // got and packed start dirty: kernels must overwrite
+	biasMat, _ := guardedMat(1, n, off(6))
+	for _, x := range []*Mat{got, a, at, b, bt, packed, biasMat} { // got and packed start dirty: kernels must overwrite
 		fillMix(r, x.Data, mix)
+	}
+	var bias []float64
+	if offs>>14&1 == 0 {
+		bias = biasMat.Data
 	}
 	if mix == sparse && len(a.Data) > 0 && len(b.Data) > 0 {
 		// A non-finite b under a zero coefficient must stay out of dst.
@@ -180,6 +200,13 @@ func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 			}
 		}
 	}
+	packedBias := func(dst, a, bt *Mat) { MatMulABTPacked(dst, a, bt, bias) }
+	refBias := func(dst, a, b *Mat) {
+		refMatMulABT(dst, a, b)
+		if bias != nil {
+			refAddBiasRows(dst, bias)
+		}
+	}
 	for _, p := range []struct {
 		what        string
 		kernel, ref func(dst, a, b *Mat)
@@ -188,12 +215,23 @@ func requireKernelsMatch(t *testing.T, r *rng.RNG, m, k, n, mix, offs int) {
 		{"MatMul", MatMul, refMatMul, a, b, b},
 		{"MatMulATB", MatMulATB, refMatMulATB, at, b, b},
 		{"MatMulABT", MatMulABT, refMatMulABT, a, bt, bt},
-		{"MatMulABTPacked", MatMulABTPacked, refMatMulABT, a, packed, bt},
+		{"MatMulABTPacked", packedBias, refBias, a, packed, bt},
 	} {
 		p.kernel(got, p.a, p.b)
 		p.ref(want, p.a, p.refB)
 		requireSameBits(t, p.what, m, k, n, got, want)
 		requireCanaries(t, p.what, m, k, n, back, off(0), m*n)
+	}
+	for j, bv := range bias {
+		if !math.IsNaN(bv) {
+			continue
+		}
+		for i := 0; i < m; i++ {
+			if g, w := math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)); g != w {
+				t.Fatalf("MatMulABTPacked %dx%dx%d: element (%d, %d) = %#x under a NaN bias %#x, reference %#x",
+					m, k, n, i, j, g, math.Float64bits(bv), w)
+			}
+		}
 	}
 }
 
@@ -214,9 +252,28 @@ func setLevel(avx512, avx2 bool) (restore func()) {
 	return func() { useAVX512, useAVX2 = was512, was2 }
 }
 
-// levelsInUse says which kernels init found in use in this process.
+// levelsInUse says which kernels init found in use in this process,
+// by level and then by name.
 func levelsInUse() string {
-	return fmt.Sprintf("useAVX512 %v, useAVX2 %v, tanh512OK %v, tanhOK %v", useAVX512, useAVX2, tanh512OK, tanhOK)
+	var in []string
+	for _, k := range []struct {
+		on    bool
+		names string
+	}{
+		{useAVX512, "sumRowsAVX512 (its bias epilogue too), transposeAVX512, dot4RowsAVX512, axpyAVX512 (Axpy, SumRows), reluMaskAVX512, tanhGradAVX512"},
+		{useAVX512 && tanh512OK, "tanhAVX512"},
+		{useAVX2, "sumRowsAVX2 (its bias epilogue too), transposeAVX2, dot4RowsAVX2, dot1RowAVX2, axpyAVX2 (Axpy, SumRows), scaleAVX2, adamAVX2, reluMaskAVX2, tanhGradAVX2"},
+		{useAVX2 && tanhOK, "tanhAVX2"},
+	} {
+		if k.on {
+			in = append(in, k.names)
+		}
+	}
+	if len(in) == 0 {
+		in = append(in, "the Go loops only")
+	}
+	return fmt.Sprintf("useAVX512 %v, useAVX2 %v, tanh512OK %v, tanhOK %v; kernels in use: %s",
+		useAVX512, useAVX2, tanh512OK, tanhOK, strings.Join(in, ", "))
 }
 
 // eachKernelPath runs f on every kernel path this CPU has, so that each
@@ -248,9 +305,10 @@ func eachPath(t *testing.T, have512, have2 bool, f func(t *testing.T)) {
 // every value mix (two full tiles and one more in m and in n at every
 // level, the largest tile four rows high being 4 x 32: every k mod 4,
 // n mod 4, mod 8, mod 16 and mod 32, m mod 3 and mod 4 tail, and the
-// empty products; and MatMulABTPacked beside MatMulABT, with every
-// mod 4 and mod 8 tail of the transpose's blocks), at random shapes up to 19
-// and three long thin ones, and at the shapes the workloads run.
+// empty products; and MatMulABTPacked, with and without a bias, beside
+// MatMulABT, with every mod 4 and mod 8 tail of the transpose's
+// blocks), at random shapes up to 19 and three long thin ones, and at
+// the shapes the workloads run.
 func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		r := rng.New(14)
@@ -262,7 +320,7 @@ func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 			for k := 0; k <= 17; k++ {
 				for n := 0; n <= 65; n++ {
 					for mix := 0; mix < numMixes; mix++ {
-						requireKernelsMatch(t, r, m, k, n, mix, r.Intn(1<<12))
+						requireKernelsMatch(t, r, m, k, n, mix, r.Intn(1<<15))
 					}
 				}
 			}
@@ -273,7 +331,7 @@ func TestKernelsBitIdenticalToScalarLoops(t *testing.T) {
 			shapes = append(shapes, [3]int{1 + r.Intn(19), 1 + r.Intn(19), 1 + r.Intn(19)})
 		}
 		for trial, s := range shapes {
-			requireKernelsMatch(t, r, s[0], s[1], s[2], trial%numMixes, r.Intn(1<<12))
+			requireKernelsMatch(t, r, s[0], s[1], s[2], trial%numMixes, r.Intn(1<<15))
 		}
 	})
 }
@@ -644,6 +702,181 @@ func FuzzAdamStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, lr float64, step uint32, seed uint64) {
 		eachKernelPath(t, func(t *testing.T) {
 			requireAdamMatches(t, rng.New(seed), int(n%600), int(mix%numMixes), int(offs), lr, 1+int(step%200000))
+		})
+	})
+}
+
+// The element-wise loops of nn's activations and of the bias gradient
+// as they were before they became kernels, kept verbatim as the
+// references of ReLUMask, TanhGradInto and SumRows.
+
+func refReLUForward(out, in []float64) {
+	for i, v := range in {
+		if v > 0 {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+func refReLUBackward(d, g, x []float64) {
+	for i, gi := range g {
+		if x[i] > 0 {
+			d[i] = gi
+		} else {
+			d[i] = 0
+		}
+	}
+}
+
+func refTanhBackward(d, g, y []float64) {
+	for i, gi := range g {
+		d[i] = gi * (1 - y[i]*y[i])
+	}
+}
+
+func refSumRows(dst []float64, m *Mat) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j, v := range row {
+			dst[j] += v
+		}
+	}
+}
+
+// anyBits is a value mix of the element-wise tests beside fillMix's:
+// uniformly random bit patterns, subnormals among them, and one value
+// in four a NaN of random sign and payload (signalling ones among
+// them), so that two NaNs meet in one operation often enough to show
+// which of them a kernel keeps.
+const anyBits = numMixes
+
+func fillElementwise(r *rng.RNG, data []float64, mix int) {
+	if mix != anyBits {
+		fillMix(r, data, mix)
+		return
+	}
+	for i := range data {
+		b := r.Uint64()
+		if r.Intn(4) == 0 {
+			b |= 0x7ff0000000000001
+		}
+		data[i] = math.Float64frombits(b)
+	}
+}
+
+// requireSameVecBits holds got to want bit for bit, NaN payloads
+// included: each element-wise kernel executes its loop's instructions
+// on its loop's operands, so even which NaN comes out is the loop's.
+func requireSameVecBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i, w := range want {
+		if g := got[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s, %d elements: element %d = %v (%#x), reference %v (%#x)", what, len(want), i,
+				g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// requireElementwiseMatch runs ReLU's forward and backward (ReLUMask)
+// and TanhGradInto on n values of the given mix, and SumRows on rows x n
+// of them, every operand a sub-slice at an odd offset of a
+// canary-filled array and dst starting dirty, and holds each result to
+// its reference's bits and dst's surroundings to their canaries; then
+// the two ReLU forms and TanhGradInto again with dst the first operand.
+func requireElementwiseMatch(t *testing.T, r *rng.RNG, n, rows, mix, offs int) {
+	t.Helper()
+	off := func(i int) int { return 1 + 2*(offs>>(2*i)&3) }
+	dst, back := guardedMat(1, n, off(0))
+	g, _ := guardedMat(1, n, off(1))
+	x, _ := guardedMat(1, n, off(2))
+	m, _ := guardedMat(rows, n, off(3))
+	for _, v := range []*Mat{dst, g, x, m} {
+		fillElementwise(r, v.Data, mix)
+	}
+	want := make([]float64, n)
+	for _, c := range []struct {
+		what      string
+		kernel    func(dst []float64)
+		reference func(dst []float64)
+	}{
+		{"ReLU forward", func(d []float64) { ReLUMask(d, x.Data, x.Data) }, func(d []float64) { refReLUForward(d, x.Data) }},
+		{"ReLU backward", func(d []float64) { ReLUMask(d, g.Data, x.Data) }, func(d []float64) { refReLUBackward(d, g.Data, x.Data) }},
+		{"TanhGradInto", func(d []float64) { TanhGradInto(d, g.Data, x.Data) }, func(d []float64) { refTanhBackward(d, g.Data, x.Data) }},
+		{"SumRows", func(d []float64) { SumRows(d, m) }, func(d []float64) { refSumRows(d, m) }},
+	} {
+		copy(want, dst.Data) // SumRows accumulates onto dst; the others overwrite it
+		c.kernel(dst.Data)
+		c.reference(want)
+		requireSameVecBits(t, c.what, dst.Data, want)
+		requireCanaries(t, c.what, rows, 1, n, back, off(0), n)
+	}
+	in := append([]float64(nil), x.Data...)
+	refReLUForward(want, in)
+	ReLUMask(x.Data, x.Data, x.Data)
+	requireSameVecBits(t, "ReLU forward in place", x.Data, want)
+	copy(x.Data, in)
+	refReLUBackward(want, g.Data, in)
+	ReLUMask(g.Data, g.Data, x.Data)
+	requireSameVecBits(t, "ReLU backward in place", g.Data, want)
+	fillElementwise(r, g.Data, mix)
+	refTanhBackward(want, g.Data, x.Data)
+	TanhGradInto(g.Data, g.Data, x.Data)
+	requireSameVecBits(t, "TanhGradInto in place", g.Data, want)
+}
+
+// TestElementwiseBitIdenticalToGoLoops holds ReLUMask, TanhGradInto and
+// SumRows to the loops nn ran before them on every path: every length
+// 0…40 (every len mod 4, mod 8 and mod 16 tail), 1…4 rows for SumRows,
+// every value mix and random bit patterns, then the workloads' shapes
+// (a 128 x 256 and a 512 x 64 batch, one row of 256 and of 32, the
+// 512 x 6 head) and one long row.
+func TestElementwiseBitIdenticalToGoLoops(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		r := rng.New(32)
+		for n := 0; n <= 40; n++ {
+			for mix := 0; mix <= anyBits; mix++ {
+				requireElementwiseMatch(t, r, n, 1+n%4, mix, r.Intn(1<<8))
+			}
+		}
+		for _, s := range [][2]int{{128, 256}, {512, 64}, {1, 256}, {1, 32}, {512, 6}, {3, 1027}} {
+			for mix := 0; mix <= anyBits; mix++ {
+				requireElementwiseMatch(t, r, s[1], s[0], mix, r.Intn(1<<8))
+			}
+		}
+	})
+}
+
+// TestElementwiseShortOperandsPanic holds ReLUMask and TanhGradInto to
+// their shapes: a dst or second operand shorter than g panics.
+func TestElementwiseShortOperandsPanic(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		long, short := make([]float64, 8), make([]float64, 7)
+		for _, f := range []func(){
+			func() { ReLUMask(short, long, long) }, func() { ReLUMask(long, long, short) },
+			func() { TanhGradInto(short, long, long) }, func() { TanhGradInto(long, long, short) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("an element-wise kernel with a short operand did not panic")
+					}
+				}()
+				f()
+			}()
+		}
+	})
+}
+
+// FuzzElementwise is the same assertion with the length, the rows of
+// SumRows, the operands' offsets, the value mix and the values' seed
+// taken from the fuzz input.
+func FuzzElementwise(f *testing.F) {
+	f.Add(uint16(11), uint8(3), uint8(0), uint8(anyBits), uint64(1))
+	f.Fuzz(func(t *testing.T, n uint16, rows, offs, mix uint8, seed uint64) {
+		eachKernelPath(t, func(t *testing.T) {
+			requireElementwiseMatch(t, rng.New(seed), int(n%600), int(rows%6), int(mix%(anyBits+1)), int(offs))
 		})
 	})
 }

@@ -32,7 +32,7 @@
 // b(j, p) gives NaN there and nothing in MatMul. MatMulABT takes dot
 // products of the rows of a and b as they lie, with the same bits. A
 // caller whose b serves rows enough to pay for a pack (PackPays)
-// transposes it (NewPacked, Transpose) and runs MatMulABTPacked: nn's
+// transposes it (Transpose) and runs MatMulABTPacked: nn's
 // layers do, once per batched forward and once per rollout.
 // The portable path is plain Go, tiled over independent outputs or over
 // k because gc does not vectorize and a scalar loop is bound by its
@@ -73,7 +73,12 @@
 // tiles take loops with neither compare nor mask nor blend (the one-row
 // tile at 256 bits keeps its branch, which never skips). The
 // accumulators start at +0, stay in registers for all of k and are
-// stored once, so dst is written but never zeroed or read.
+// stored once, so dst is written but never zeroed or read. A bias
+// (MatMulABTPacked's, a layer's) is added to them in the register just
+// before that store, on every store path alike: VADDPD with the bias as
+// its first operand, the one add AddBiasRows makes after the store, in
+// the operand order gc gives that loop (an add of two NaNs keeps its
+// first operand's, the bias's).
 // sumRowsAVX512 takes four rows of dst at a time in 4 x 32 tiles, then
 // 4 x 16 for the columns left, whose loads and stores are masked at n;
 // sumRowsAVX2 takes 4 x 8 tiles, and where n is no multiple of 8 the
@@ -121,7 +126,17 @@
 // step's multiplies, adds, three divides and square root, each its own
 // rounding (VDIVPD and VSQRTPD round as DIVSD and SQRTSD do), in the Go
 // loop's order. That loop is the portable path, and the last len mod 4
-// coordinates take it on every host.
+// coordinates take it on every host. The passes between a layer's
+// products are the same, eight lanes at 512 bits and four at 256:
+// ReLUMask (ReLU's backward, and with g = x its forward) compares x
+// against +0 with GT_OQ, false for a NaN as the Go loop's x > 0 is, and
+// moves g under the compare (a zeroing masked load at 512 bits, an AND
+// at 256), so that each lane holds g's bits or +0; TanhGradInto is a
+// multiply, a subtract and a multiply, g·(1 − y·y), with no FMA and
+// each operation's operands in the order gc gives the loop, so that
+// even which of two NaNs comes out is the loop's; and SumRows runs each
+// row of 8 columns or more through Axpy by 1 (1·x is x, a NaN quieted
+// as the add quiets it). The last len mod 4 elements take the Go loops.
 //
 // The rule, for all of it, is that each lane executes the reference's
 // own instruction sequence. For the three products the reference is a
@@ -162,13 +177,29 @@ type Mat struct {
 	Data       []float64 // len == Rows*Cols
 }
 
-// NewMat allocates a zeroed Rows x Cols matrix.
+// NewMat allocates a zeroed Rows x Cols matrix, its storage a NewVec.
 func NewMat(rows, cols int) *Mat {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dims %dx%d", rows, cols))
 	}
-	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat{Rows: rows, Cols: cols, Data: NewVec(rows * cols)}
 }
+
+// NewVec allocates n zeroed elements whose backing array runs on for
+// vecTail more, the first and last of those written, and whose capacity
+// ends at n. The 512-bit tile reads and writes the last columns of a
+// row under a mask, up to 120 bytes past its end (of b, of dst, of the
+// bias), and a masked access whose idle lanes reach a page never
+// touched pays a fault-suppression assist every time: a 1x64·2 product
+// ran 220-500 ns so placed, 40 ns otherwise (EXPERIMENTS.md). Every
+// matrix NewMat makes, and nn's weight slab, is such a vector.
+func NewVec(n int) []float64 {
+	buf := make([]float64, n+vecTail)
+	buf[n], buf[len(buf)-1] = 0, 0 // each page the tail reaches is present
+	return buf[:n:n]
+}
+
+const vecTail = 16
 
 // MatFrom wraps data as a Rows x Cols matrix without copying.
 func MatFrom(rows, cols int, data []float64) *Mat {
@@ -208,7 +239,7 @@ func MatMul(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	sumScaledRows(dst, a.Data, a.Cols, 1, b, 0)
+	sumScaledRows(dst, a.Data, a.Cols, 1, b, 0, nil)
 }
 
 // MatMulATB computes dst = aᵀ * b (a is k x m, b is k x n, dst is m x n).
@@ -218,41 +249,57 @@ func MatMulATB(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch (%dx%d)ᵀ*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	sumScaledRows(dst, a.Data, 1, a.Cols, b, 0)
+	sumScaledRows(dst, a.Data, 1, a.Cols, b, 0, nil)
 }
 
 // sumScaledRows sets row i of dst to Σ_p a[i*rs+p*cs] * (row p of b)
-// over b's rows: MatMul is rs = k, cs = 1 and MatMulATB rs = 1, cs = m,
-// the only difference between the two, and MatMulABTPacked is MatMul
-// on bᵀ.
+// over b's rows, plus bias where bias is not nil: MatMul is rs = k,
+// cs = 1 and MatMulATB rs = 1, cs = m, the only difference between the
+// two, and MatMulABTPacked is MatMul on bᵀ.
 // Each output is summed from +0 in ascending p, and a coefficient equal
 // to z adds nothing: z = 0 skips zero coefficients, as the scalar loops
 // of MatMul and MatMulATB skipped them (which also keeps 0·Inf out of
-// dst), and z = NaN (skipNone) skips none, as Dot skips none. The
-// assembly keeps the sums in register tiles for all of p (see the
-// package comment); the Go path is sumScaledRow, one row at a time.
-func sumScaledRows(dst *Mat, a []float64, rs, cs int, b *Mat, z float64) {
+// dst), and z = NaN (skipNone) skips none, as Dot skips none. The bias
+// is then added to each finished sum as AddBiasRows adds it, bias first
+// (which NaN an add of two NaNs gives is its first operand's). The
+// assembly keeps the sums in register tiles for all of p and adds the
+// bias in the register before the one store (see the package comment);
+// the Go path is sumScaledRow, one row at a time, then AddBiasRows.
+func sumScaledRows(dst *Mat, a []float64, rs, cs int, b *Mat, z float64, bias []float64) {
 	m, n, k := dst.Rows, dst.Cols, b.Rows
 	if m == 0 || n == 0 {
 		return
 	}
 	if k == 0 {
 		dst.Zero()
+		addBias(dst, bias)
 		return
 	}
 	// The last element each operand is read at: the assembly gets no
 	// other proof that the shapes fit.
 	d, a, bd := dst.Data[:m*n], a[:(m-1)*rs+(k-1)*cs+1], b.Data[:k*n]
+	var bp *float64
+	if bias != nil {
+		bp = &bias[:n][0]
+	}
 	switch {
 	case useAVX512:
-		sumRowsAVX512(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z)
+		sumRowsAVX512(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z, bp)
 		return
 	case tileTakes(m, n):
-		sumRowsAVX2(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z)
+		sumRowsAVX2(&d[0], m, n, &a[0], rs, cs, &bd[0], k, z, bp)
 		return
 	}
 	for i := 0; i < m; i++ {
 		sumScaledRow(d[i*n:(i+1)*n], a[i*rs:], cs, bd, z)
+	}
+	addBias(dst, bias)
+}
+
+// addBias is AddBiasRows where bias is not nil.
+func addBias(m *Mat, bias []float64) {
+	if bias != nil {
+		AddBiasRows(m, bias)
 	}
 }
 
@@ -324,18 +371,19 @@ func tileTakes(m, n int) bool {
 	return useAVX512 || useAVX2 && n >= 8 && (m >= 4 || n >= 32)
 }
 
-// MatMulABTPacked computes dst = a * bᵀ from bt = bᵀ as Transpose leaves
-// it (a is m x k, bt is k x n, dst is m x n), with MatMulABT's bits: it
-// is MatMul with no coefficient skipped, each output summed from +0
-// over ascending k as Dot sums it. A layer whose weights hold still
-// over many products packs them once into a NewPacked matrix and runs
-// each product here.
-func MatMulABTPacked(dst, a, bt *Mat) {
-	if a.Cols != bt.Rows || dst.Rows != a.Rows || dst.Cols != bt.Cols {
-		panic(fmt.Sprintf("tensor: MatMulABTPacked shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, bt.Rows, bt.Cols, dst.Rows, dst.Cols))
+// MatMulABTPacked computes dst = a * bᵀ + bias from bt = bᵀ as
+// Transpose leaves it (a is m x k, bt is k x n, dst is m x n, bias nil
+// or of n), with MatMulABT's and then AddBiasRows' bits: it is MatMul
+// with no coefficient skipped, each output summed from +0 over
+// ascending k as Dot sums it, and the bias added to each sum before it
+// is stored. A layer whose weights hold still over many products packs
+// them once into a NewMat and runs each product here.
+func MatMulABTPacked(dst, a, bt *Mat, bias []float64) {
+	if a.Cols != bt.Rows || dst.Rows != a.Rows || dst.Cols != bt.Cols || bias != nil && len(bias) != bt.Cols {
+		panic(fmt.Sprintf("tensor: MatMulABTPacked shape mismatch (%dx%d)*(%dx%d)+(%d)->(%dx%d)",
+			a.Rows, a.Cols, bt.Rows, bt.Cols, len(bias), dst.Rows, dst.Cols))
 	}
-	sumScaledRows(dst, a.Data, a.Cols, 1, bt, skipNone)
+	sumScaledRows(dst, a.Data, a.Cols, 1, bt, skipNone, bias)
 }
 
 // Transpose sets dst to srcᵀ (src is r x c, dst is c x r); dst must not
@@ -373,27 +421,11 @@ func Transpose(dst, src *Mat) {
 	}
 }
 
-// NewPacked returns a zeroed k x n matrix to hold a bᵀ for
-// MatMulABTPacked. Its storage runs on packTail elements past the last
-// row, the first and last of them written: the 512-bit tile loads the
-// last columns of a row under a mask, up to 120 bytes past the end of
-// bᵀ, and a masked load whose idle lanes reach a page never touched
-// pays a fault-suppression assist every time (a 1x64·2 product ran
-// 220-500 ns so placed, 40 ns otherwise; EXPERIMENTS.md).
-func NewPacked(k, n int) *Mat {
-	buf := make([]float64, k*n+packTail)
-	buf[k*n], buf[len(buf)-1] = 0, 0 // each page the tail reaches is present
-	return &Mat{Rows: k, Cols: n, Data: buf[:k*n]}
-}
-
-const packTail = 16
-
 // MatMulABT computes dst = a * bᵀ (a is m x k, b is n x k, dst is m x n).
 // Used by forward passes and to propagate deltas through dense layers.
 // It takes dot products of the rows of a and b as they lie; a caller
 // that runs rows enough on one b to pay for a pack (PackPays) packs it
-// (NewPacked, Transpose) and runs MatMulABTPacked instead, with the
-// same bits.
+// (Transpose) and runs MatMulABTPacked instead, with the same bits.
 func MatMulABT(dst, a, b *Mat) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
@@ -600,7 +632,8 @@ func TanhInto(dst, src []float64) {
 	}
 }
 
-// AddBiasRows adds bias to every row of m.
+// AddBiasRows adds bias to every row of m. MatMulABTPacked adds it in
+// its registers instead, with this loop's bits.
 func AddBiasRows(m *Mat, bias []float64) {
 	if len(bias) != m.Cols {
 		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), m.Cols))
@@ -613,10 +646,21 @@ func AddBiasRows(m *Mat, bias []float64) {
 	}
 }
 
-// SumRows accumulates the column sums of m into dst (dst += colsum).
+// SumRows accumulates the column sums of m into dst (dst += colsum),
+// row after row in ascending order. Where there is AVX2 and m is 8
+// columns wide or more, each row is an Axpy by 1, the columns in the
+// lanes: 1·x is x, a NaN quieted as the add would quiet it, and the add
+// has the operands of this loop. Narrower, a call per row costs more
+// than the row's adds (512 x 6 took 1.3x as long).
 func SumRows(dst []float64, m *Mat) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: SumRows dst length %d != cols %d", len(dst), m.Cols))
+	}
+	if useAVX2 && m.Cols >= 8 {
+		for i := 0; i < m.Rows; i++ {
+			Axpy(1, m.Row(i), dst)
+		}
+		return
 	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
@@ -624,6 +668,53 @@ func SumRows(dst []float64, m *Mat) {
 			dst[j] += v
 		}
 	}
+}
+
+// ReLUMask sets dst[i] = g[i] where x[i] > 0 and +0 elsewhere (a NaN
+// or −0 x included), for every i < len(g): ReLU's backward, and with
+// g = x its forward. dst may be g or x; a dst or x shorter than g
+// panics. The Go loop below is the reference, and the last len mod 4
+// elements take it on every host.
+func ReLUMask(dst, g, x []float64) {
+	x, dst = x[:len(g)], dst[:len(g)]
+	for i := elementwise(reluMaskAVX512, reluMaskAVX2, dst, g, x); i < len(g); i++ {
+		if x[i] > 0 {
+			dst[i] = g[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// TanhGradInto sets dst[i] = g[i] * (1 - y[i]*y[i]) for every
+// i < len(g): the backward of tanh, y its output. dst may be g or y; a
+// dst or y shorter than g panics. The Go loop below is the reference,
+// and the last len mod 4 elements take it on every host.
+func TanhGradInto(dst, g, y []float64) {
+	y, dst = y[:len(g)], dst[:len(g)]
+	for i := elementwise(tanhGradAVX512, tanhGradAVX2, dst, g, y); i < len(g); i++ {
+		dst[i] = g[i] * (1 - y[i]*y[i])
+	}
+}
+
+// elementwise runs an element-wise kernel of three equal-length
+// operands on as much of them as its widths take, k512 eight elements
+// a step where there is AVX-512 and k256 four, and returns how many it
+// did; the caller's Go loop does the rest.
+func elementwise(k512, k256 func(dst, g, x *float64, n int), dst, g, x []float64) int {
+	n := 0
+	if useAVX2 {
+		if useAVX512 {
+			if n = len(g) &^ 7; n > 0 {
+				k512(&dst[0], &g[0], &x[0], n)
+			}
+		}
+		if n4 := len(g) &^ 3; n4 > n {
+			k256(&dst[n], &g[n], &x[n], n4-n)
+			n = n4
+		}
+	}
+	return n
 }
 
 // Norm2 returns the Euclidean norm of x.
