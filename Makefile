@@ -90,8 +90,8 @@ live-smoke:
 
 # Short live fuzz of the cache wire codec and framing, of the checkpoint
 # decoder, and of the tensor kernels against their references (the
-# scalar loops, math.Tanh), Scale, the Adam step and the element-wise
-# passes (ReLU, tanh's backward, SumRows) among them. The
+# scalar loops, math.Tanh), Scale, the Adam step and ReLU's mask among
+# them. The
 # checked-in corpora under internal/cache/testdata/fuzz,
 # internal/ckpt/testdata/fuzz and
 # internal/tensor/testdata/fuzz replay on every plain `go test`; this
@@ -105,7 +105,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzTanh$$' -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzScale$$' -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzAdamStep$$' -fuzztime $(FUZZTIME) ./internal/tensor
-	$(GO) test -run '^$$' -fuzz '^FuzzElementwise$$' -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzReLUMask$$' -fuzztime $(FUZZTIME) ./internal/tensor
 
 # The !amd64 twin of internal/tensor's assembly kernels, and everything
 # above it (internal/optim's Adam step among them), built for a port

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"stellaris/internal/rng"
@@ -57,5 +58,23 @@ func BenchmarkCNNForwardBackward(b *testing.B) {
 		net.ZeroGrad()
 		net.Forward(in)
 		net.Backward(dOut)
+	}
+}
+
+// BenchmarkTanhBackward times Tanh's backward, g·(1 − y²), at the
+// workloads' activation shapes: a 128 x 256 and a 512 x 64 learner
+// batch, an actor's 1 x 256 and 1 x 32 (ns/elem is per element).
+func BenchmarkTanhBackward(b *testing.B) {
+	r := rng.New(3)
+	for _, s := range [][2]int{{128, 256}, {1, 256}, {1, 32}, {512, 64}} {
+		t := NewTanh()
+		t.Forward(randIn(r, s[0], s[1]))
+		g := randIn(r, s[0], s[1])
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t.Backward(g)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Data)), "ns/elem")
+		})
 	}
 }

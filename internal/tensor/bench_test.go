@@ -223,42 +223,44 @@ func BenchmarkTranspose(b *testing.B) {
 // 1 x 256 and one sample of the frame-20 CNN's second layer, 1 x 32.
 var elementwiseShapes = [][2]int{{128, 256}, {1, 256}, {1, 32}, {512, 64}}
 
-// benchElementwise times kernel over rows x cols values at every level,
-// N(0, 1) inputs (half of them negative, so that the Go loops' branch
-// mispredicts as it does in a ReLU layer); /go is the loop the layers
-// ran before the kernels, at every level.
-func benchElementwise(b *testing.B, kernel func(dst, g, x []float64, m *Mat)) {
-	r := rng.New(1)
-	for _, s := range elementwiseShapes {
-		g, x, dst := randMat(r, s[0], s[1]), randMat(r, s[0], s[1]), make([]float64, s[0]*s[1])
-		have := [len(levels)]bool{useAVX512, useAVX2, true}
-		for i, l := range levels {
-			b.Run(fmt.Sprintf("%dx%d/%s", s[0], s[1], l.name), func(b *testing.B) {
-				atLevel(b, i, have[i], func() { kernel(dst, g.Data, x.Data, g) })
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/elem")
-			})
+// BenchmarkReLU times ReLU's forward (ReLUMask with g = x) and backward
+// at every level, N(0, 1) inputs (half of them negative, so that the
+// Go loop's branch mispredicts as it does in a ReLU layer); /go is the
+// loop the layer ran before the kernels, at every level.
+func BenchmarkReLU(b *testing.B) {
+	for _, pass := range []struct {
+		name string
+		run  func(dst, g, x []float64)
+	}{
+		{"forward", func(dst, _, x []float64) { ReLUMask(dst, x, x) }},
+		{"backward", ReLUMask},
+	} {
+		r := rng.New(1)
+		for _, s := range elementwiseShapes {
+			g, x, dst := randMat(r, s[0], s[1]), randMat(r, s[0], s[1]), make([]float64, s[0]*s[1])
+			have := [len(levels)]bool{useAVX512, useAVX2, true}
+			for i, l := range levels {
+				b.Run(fmt.Sprintf("%s/%dx%d/%s", pass.name, s[0], s[1], l.name), func(b *testing.B) {
+					atLevel(b, i, have[i], func() { pass.run(dst, g.Data, x.Data) })
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/elem")
+				})
+			}
 		}
 	}
 }
 
-// BenchmarkReLU times ReLU's forward (ReLUMask with g = x) and backward.
-func BenchmarkReLU(b *testing.B) {
-	b.Run("forward", func(b *testing.B) {
-		benchElementwise(b, func(dst, _, x []float64, _ *Mat) { ReLUMask(dst, x, x) })
-	})
-	b.Run("backward", func(b *testing.B) {
-		benchElementwise(b, func(dst, g, x []float64, _ *Mat) { ReLUMask(dst, g, x) })
-	})
-}
-
-// BenchmarkTanhBackward times TanhGradInto, tanh's backward.
-func BenchmarkTanhBackward(b *testing.B) {
-	benchElementwise(b, func(dst, g, y []float64, _ *Mat) { TanhGradInto(dst, g, y) })
-}
-
-// BenchmarkSumRows times a bias gradient: the column sums of a batch
-// of output gradients, into a row as wide (ns/elem is per summed
-// element).
+// BenchmarkSumRows times a bias gradient, the column sums of a batch
+// of output gradients into a row as wide (ns/elem is per summed
+// element). It is a Go loop at every level.
 func BenchmarkSumRows(b *testing.B) {
-	benchElementwise(b, func(dst, _, _ []float64, m *Mat) { SumRows(dst[:m.Cols], m) })
+	r := rng.New(1)
+	for _, s := range elementwiseShapes {
+		m, dst := randMat(r, s[0], s[1]), make([]float64, s[1])
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				SumRows(dst, m)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(m.Data)), "ns/elem")
+		})
+	}
 }

@@ -4,9 +4,9 @@ import "math"
 
 // useAVX2 selects the assembly micro-kernels of kernel_amd64.s under
 // MatMul, MatMulATB, MatMulABT, MatMulABTPacked with its bias epilogue
-// and its pack (Transpose), Axpy and SumRows on it, Scale, AdamStep,
-// TanhInto, ReLUMask and TanhGradInto: each lane executes the
-// reference's own instruction sequence. It is set once,
+// and its pack (Transpose), Axpy, Scale, AdamStep, TanhInto and
+// ReLUMask: each lane executes the reference's own instruction
+// sequence. It is set once,
 // here, from what the CPU and the OS report; the tests clear it to run
 // the Go kernels on the same box. Without it no pack pays (PackPays):
 // the Go form of the tile is slower than the Go dot products, so no
@@ -119,12 +119,6 @@ func reluMaskAVX2(dst, grad, x *float64, n4 int)
 
 //go:noescape
 func reluMaskAVX512(dst, grad, x *float64, n8 int)
-
-//go:noescape
-func tanhGradAVX2(dst, grad, y *float64, n4 int)
-
-//go:noescape
-func tanhGradAVX512(dst, grad, y *float64, n8 int)
 
 //go:noescape
 func scaleAVX2(x *float64, n4 int, alpha float64)

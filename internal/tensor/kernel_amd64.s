@@ -1,6 +1,5 @@
 // AVX2 and AVX-512F micro-kernels under MatMul, MatMulATB, MatMulABT,
-// MatMulABTPacked, Axpy, Scale, AdamStep, TanhInto, ReLUMask and
-// TanhGradInto. See the
+// MatMulABTPacked, Axpy, Scale, AdamStep, TanhInto and ReLUMask. See the
 // "Kernels" section of the package comment for the rule they obey: the
 // lanes of a vector (four at 256 bits, eight at 512) hold independent
 // outputs, and each lane executes the instruction sequence of its
@@ -850,33 +849,6 @@ relu_loop:
 	VZEROUPPER
 	RET
 
-// func tanhGradAVX2(dst, grad, y *float64, n4 int)
-//
-// dst[i] = grad[i] * (1 - y[i]*y[i]) for i < n4, n4 a positive
-// multiple of 4: TanhGradInto's Go loop, four lanes at a time, as gc
-// compiles it: y·y, 1 minus that, then that times grad, each rounded
-// (no FMA), and the last multiply with 1 - y² as its first operand, so
-// that of two NaNs it keeps the same one.
-TEXT ·tanhGradAVX2(SB), NOSPLIT, $0-32
-	MOVQ    dst+0(FP), DI
-	MOVQ    grad+8(FP), SI
-	MOVQ    y+16(FP), DX
-	MOVQ    n4+24(FP), CX
-	VMOVUPD ONE, Y0
-	XORQ    AX, AX
-
-tgrad_loop:
-	VMOVUPD (DX)(AX*8), Y1
-	VMULPD  Y1, Y1, Y1
-	VSUBPD  Y1, Y0, Y1
-	VMULPD  (SI)(AX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     tgrad_loop
-	VZEROUPPER
-	RET
-
 // func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64)
 //
 // One Adam step on coordinates i < n4, n4 a positive multiple of 4,
@@ -1644,29 +1616,5 @@ reluz_loop:
 	ADDQ      $8, AX
 	CMPQ      AX, CX
 	JLT       reluz_loop
-	VZEROUPPER
-	RET
-
-// func tanhGradAVX512(dst, grad, y *float64, n8 int)
-//
-// tanhGradAVX2 on eight lanes, n8 a positive multiple of 8, with the
-// same instructions on the same operands.
-TEXT ·tanhGradAVX512(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         grad+8(FP), SI
-	MOVQ         y+16(FP), DX
-	MOVQ         n8+24(FP), CX
-	VBROADCASTSD ONE, Z0
-	XORQ         AX, AX
-
-tgradz_loop:
-	VMOVUPD (DX)(AX*8), Z1
-	VMULPD  Z1, Z1, Z1
-	VSUBPD  Z1, Z0, Z1
-	VMULPD  (SI)(AX*8), Z1, Z1
-	VMOVUPD Z1, (DI)(AX*8)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JLT     tgradz_loop
 	VZEROUPPER
 	RET

@@ -106,11 +106,17 @@ func TestAVX512KernelsInUseWhereTheCPUHasThem(t *testing.T) {
 // dst, the last elements of a fresh 32 KB NewVec (so that the lanes
 // past them fall on the page after) must take no longer than with both
 // inside an allocation: the fastest of five alternating rounds each,
-// within 2.5x and 100 ns. Without the tail the bias so placed read
-// 324 ns a product against 34 ns.
+// within 2.5x and 100 ns. A preempted round can break that bound on
+// working code, so the test fails only if each of three attempts does;
+// the missing tail breaks it every time (the bias so placed read 324 ns
+// a product against 34 ns). It is a timing test, so -short and the race
+// detector skip it.
 func TestMaskedTailsCostNothing(t *testing.T) {
 	if !useAVX512 {
 		t.Skipf("no masked tile on this CPU: %s", levelsInUse())
+	}
+	if testing.Short() || raceEnabled {
+		t.Skip("a timing test: not under -short or the race detector")
 	}
 	r := rng.New(33)
 	a, bt := randMat(r, 1, 64), randMat(r, 64, 6)
@@ -133,13 +139,19 @@ func TestMaskedTailsCostNothing(t *testing.T) {
 		{"bias", dst, NewVec(size)[size-6:]},
 		{"dst", MatFrom(1, 6, NewVec(size)[size-6:]), bias},
 	} {
-		placed, want := math.Inf(1), math.Inf(1)
-		for i := 0; i < 5; i++ {
-			placed, want = min(placed, round(c.dst, c.bias)), min(want, round(dst, bias))
+		var placed, want float64
+		for attempt := 0; attempt < 3; attempt++ {
+			placed, want = math.Inf(1), math.Inf(1)
+			for i := 0; i < 5; i++ {
+				placed, want = min(placed, round(c.dst, c.bias)), min(want, round(dst, bias))
+			}
+			t.Logf("%s at the end of a fresh NewVec: %.0f ns a product, %.0f ns inside an allocation", c.what, placed, want)
+			if placed <= 2.5*want+100 {
+				break
+			}
 		}
-		t.Logf("%s at the end of a fresh NewVec: %.0f ns a product, %.0f ns inside an allocation", c.what, placed, want)
 		if placed > 2.5*want+100 {
-			t.Errorf("%s at the end of a fresh NewVec: %.0f ns a product, against %.0f ns inside an allocation", c.what, placed, want)
+			t.Errorf("%s at the end of a fresh NewVec: %.0f ns a product, against %.0f ns inside an allocation, in each of three attempts", c.what, placed, want)
 		}
 	}
 }

@@ -49,10 +49,6 @@ func reluMaskAVX2(dst, grad, x *float64, n4 int) { panic("tensor: no AVX2") }
 
 func reluMaskAVX512(dst, grad, x *float64, n8 int) { panic("tensor: no AVX-512") }
 
-func tanhGradAVX2(dst, grad, y *float64, n4 int) { panic("tensor: no AVX2") }
-
-func tanhGradAVX512(dst, grad, y *float64, n8 int) { panic("tensor: no AVX-512") }
-
 func scaleAVX2(x *float64, n4 int, alpha float64) { panic("tensor: no AVX2") }
 
 func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64) { panic("tensor: no AVX2") }

@@ -260,9 +260,9 @@ func levelsInUse() string {
 		on    bool
 		names string
 	}{
-		{useAVX512, "sumRowsAVX512 (its bias epilogue too), transposeAVX512, dot4RowsAVX512, axpyAVX512 (Axpy, SumRows), reluMaskAVX512, tanhGradAVX512"},
+		{useAVX512, "sumRowsAVX512 (its bias epilogue too), transposeAVX512, dot4RowsAVX512, axpyAVX512, reluMaskAVX512"},
 		{useAVX512 && tanh512OK, "tanhAVX512"},
-		{useAVX2, "sumRowsAVX2 (its bias epilogue too), transposeAVX2, dot4RowsAVX2, dot1RowAVX2, axpyAVX2 (Axpy, SumRows), scaleAVX2, adamAVX2, reluMaskAVX2, tanhGradAVX2"},
+		{useAVX2, "sumRowsAVX2 (its bias epilogue too), transposeAVX2, dot4RowsAVX2, dot1RowAVX2, axpyAVX2, scaleAVX2, adamAVX2, reluMaskAVX2"},
 		{useAVX2 && tanhOK, "tanhAVX2"},
 	} {
 		if k.on {
@@ -706,9 +706,8 @@ func FuzzAdamStep(f *testing.F) {
 	})
 }
 
-// The element-wise loops of nn's activations and of the bias gradient
-// as they were before they became kernels, kept verbatim as the
-// references of ReLUMask, TanhGradInto and SumRows.
+// The loops of nn's ReLU layer as they were before they became
+// ReLUMask, kept verbatim as its references.
 
 func refReLUForward(out, in []float64) {
 	for i, v := range in {
@@ -730,26 +729,11 @@ func refReLUBackward(d, g, x []float64) {
 	}
 }
 
-func refTanhBackward(d, g, y []float64) {
-	for i, gi := range g {
-		d[i] = gi * (1 - y[i]*y[i])
-	}
-}
-
-func refSumRows(dst []float64, m *Mat) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v
-		}
-	}
-}
-
-// anyBits is a value mix of the element-wise tests beside fillMix's:
+// anyBits is a value mix of the ReLUMask tests beside fillMix's:
 // uniformly random bit patterns, subnormals among them, and one value
 // in four a NaN of random sign and payload (signalling ones among
-// them), so that two NaNs meet in one operation often enough to show
-// which of them a kernel keeps.
+// them), so that a NaN g meets a NaN x often enough to show which of
+// them the kernel keeps.
 const anyBits = numMixes
 
 func fillElementwise(r *rng.RNG, data []float64, mix int) {
@@ -767,8 +751,8 @@ func fillElementwise(r *rng.RNG, data []float64, mix int) {
 }
 
 // requireSameVecBits holds got to want bit for bit, NaN payloads
-// included: each element-wise kernel executes its loop's instructions
-// on its loop's operands, so even which NaN comes out is the loop's.
+// included: ReLUMask moves g's bits or writes +0, as its loop does, so
+// even which NaN comes out is the loop's.
 func requireSameVecBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i, w := range want {
@@ -779,20 +763,18 @@ func requireSameVecBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// requireElementwiseMatch runs ReLU's forward and backward (ReLUMask)
-// and TanhGradInto on n values of the given mix, and SumRows on rows x n
-// of them, every operand a sub-slice at an odd offset of a
-// canary-filled array and dst starting dirty, and holds each result to
-// its reference's bits and dst's surroundings to their canaries; then
-// the two ReLU forms and TanhGradInto again with dst the first operand.
-func requireElementwiseMatch(t *testing.T, r *rng.RNG, n, rows, mix, offs int) {
+// requireReLUMaskMatch runs ReLU's forward and backward (ReLUMask) on
+// n values of the given mix, every operand a sub-slice at an odd offset
+// of a canary-filled array and dst starting dirty, and holds each
+// result to its reference's bits and dst's surroundings to their
+// canaries; then both forms again with dst the first operand.
+func requireReLUMaskMatch(t *testing.T, r *rng.RNG, n, mix, offs int) {
 	t.Helper()
 	off := func(i int) int { return 1 + 2*(offs>>(2*i)&3) }
 	dst, back := guardedMat(1, n, off(0))
 	g, _ := guardedMat(1, n, off(1))
 	x, _ := guardedMat(1, n, off(2))
-	m, _ := guardedMat(rows, n, off(3))
-	for _, v := range []*Mat{dst, g, x, m} {
+	for _, v := range []*Mat{dst, g, x} {
 		fillElementwise(r, v.Data, mix)
 	}
 	want := make([]float64, n)
@@ -803,14 +785,11 @@ func requireElementwiseMatch(t *testing.T, r *rng.RNG, n, rows, mix, offs int) {
 	}{
 		{"ReLU forward", func(d []float64) { ReLUMask(d, x.Data, x.Data) }, func(d []float64) { refReLUForward(d, x.Data) }},
 		{"ReLU backward", func(d []float64) { ReLUMask(d, g.Data, x.Data) }, func(d []float64) { refReLUBackward(d, g.Data, x.Data) }},
-		{"TanhGradInto", func(d []float64) { TanhGradInto(d, g.Data, x.Data) }, func(d []float64) { refTanhBackward(d, g.Data, x.Data) }},
-		{"SumRows", func(d []float64) { SumRows(d, m) }, func(d []float64) { refSumRows(d, m) }},
 	} {
-		copy(want, dst.Data) // SumRows accumulates onto dst; the others overwrite it
 		c.kernel(dst.Data)
 		c.reference(want)
 		requireSameVecBits(t, c.what, dst.Data, want)
-		requireCanaries(t, c.what, rows, 1, n, back, off(0), n)
+		requireCanaries(t, c.what, 1, 1, n, back, off(0), n)
 	}
 	in := append([]float64(nil), x.Data...)
 	refReLUForward(want, in)
@@ -820,47 +799,41 @@ func requireElementwiseMatch(t *testing.T, r *rng.RNG, n, rows, mix, offs int) {
 	refReLUBackward(want, g.Data, in)
 	ReLUMask(g.Data, g.Data, x.Data)
 	requireSameVecBits(t, "ReLU backward in place", g.Data, want)
-	fillElementwise(r, g.Data, mix)
-	refTanhBackward(want, g.Data, x.Data)
-	TanhGradInto(g.Data, g.Data, x.Data)
-	requireSameVecBits(t, "TanhGradInto in place", g.Data, want)
 }
 
-// TestElementwiseBitIdenticalToGoLoops holds ReLUMask, TanhGradInto and
-// SumRows to the loops nn ran before them on every path: every length
-// 0…40 (every len mod 4, mod 8 and mod 16 tail), 1…4 rows for SumRows,
-// every value mix and random bit patterns, then the workloads' shapes
-// (a 128 x 256 and a 512 x 64 batch, one row of 256 and of 32, the
-// 512 x 6 head) and one long row.
-func TestElementwiseBitIdenticalToGoLoops(t *testing.T) {
+// TestReLUMaskBitIdenticalToGoLoops holds ReLUMask to the loops nn ran
+// before it on every path: every length 0…40 (every len mod 4, mod 8
+// and mod 16 tail), every value mix and random bit patterns, then the
+// workloads' shapes (a 128 x 256 and a 512 x 64 batch, one row of 256
+// and of 32) and one long row.
+func TestReLUMaskBitIdenticalToGoLoops(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		r := rng.New(32)
 		for n := 0; n <= 40; n++ {
 			for mix := 0; mix <= anyBits; mix++ {
-				requireElementwiseMatch(t, r, n, 1+n%4, mix, r.Intn(1<<8))
+				requireReLUMaskMatch(t, r, n, mix, r.Intn(1<<6))
 			}
 		}
-		for _, s := range [][2]int{{128, 256}, {512, 64}, {1, 256}, {1, 32}, {512, 6}, {3, 1027}} {
+		for _, n := range []int{128 * 256, 512 * 64, 256, 32, 3 * 1027} {
 			for mix := 0; mix <= anyBits; mix++ {
-				requireElementwiseMatch(t, r, s[1], s[0], mix, r.Intn(1<<8))
+				requireReLUMaskMatch(t, r, n, mix, r.Intn(1<<6))
 			}
 		}
 	})
 }
 
-// TestElementwiseShortOperandsPanic holds ReLUMask and TanhGradInto to
-// their shapes: a dst or second operand shorter than g panics.
-func TestElementwiseShortOperandsPanic(t *testing.T) {
+// TestReLUMaskShortOperandsPanic holds ReLUMask to its shapes: a dst or
+// x shorter than g panics.
+func TestReLUMaskShortOperandsPanic(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		long, short := make([]float64, 8), make([]float64, 7)
 		for _, f := range []func(){
 			func() { ReLUMask(short, long, long) }, func() { ReLUMask(long, long, short) },
-			func() { TanhGradInto(short, long, long) }, func() { TanhGradInto(long, long, short) },
 		} {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Fatal("an element-wise kernel with a short operand did not panic")
+						t.Fatal("ReLUMask with a short operand did not panic")
 					}
 				}()
 				f()
@@ -869,14 +842,14 @@ func TestElementwiseShortOperandsPanic(t *testing.T) {
 	})
 }
 
-// FuzzElementwise is the same assertion with the length, the rows of
-// SumRows, the operands' offsets, the value mix and the values' seed
-// taken from the fuzz input.
-func FuzzElementwise(f *testing.F) {
-	f.Add(uint16(11), uint8(3), uint8(0), uint8(anyBits), uint64(1))
-	f.Fuzz(func(t *testing.T, n uint16, rows, offs, mix uint8, seed uint64) {
+// FuzzReLUMask is the same assertion with the length, the operands'
+// offsets, the value mix and the values' seed taken from the fuzz
+// input.
+func FuzzReLUMask(f *testing.F) {
+	f.Add(uint16(11), uint8(0), uint8(anyBits), uint64(1))
+	f.Fuzz(func(t *testing.T, n uint16, offs, mix uint8, seed uint64) {
 		eachKernelPath(t, func(t *testing.T) {
-			requireElementwiseMatch(t, rng.New(seed), int(n%600), int(rows%6), int(mix%(anyBits+1)), int(offs))
+			requireReLUMaskMatch(t, rng.New(seed), int(n%600), int(mix%(anyBits+1)), int(offs))
 		})
 	})
 }

@@ -126,17 +126,12 @@
 // step's multiplies, adds, three divides and square root, each its own
 // rounding (VDIVPD and VSQRTPD round as DIVSD and SQRTSD do), in the Go
 // loop's order. That loop is the portable path, and the last len mod 4
-// coordinates take it on every host. The passes between a layer's
-// products are the same, eight lanes at 512 bits and four at 256:
-// ReLUMask (ReLU's backward, and with g = x its forward) compares x
-// against +0 with GT_OQ, false for a NaN as the Go loop's x > 0 is, and
-// moves g under the compare (a zeroing masked load at 512 bits, an AND
-// at 256), so that each lane holds g's bits or +0; TanhGradInto is a
-// multiply, a subtract and a multiply, g·(1 − y·y), with no FMA and
-// each operation's operands in the order gc gives the loop, so that
-// even which of two NaNs comes out is the loop's; and SumRows runs each
-// row of 8 columns or more through Axpy by 1 (1·x is x, a NaN quieted
-// as the add quiets it). The last len mod 4 elements take the Go loops.
+// coordinates take it on every host. ReLUMask, ReLU's backward and
+// with g = x its forward, is the same, eight lanes at 512 bits and four
+// at 256: it compares x against +0 with GT_OQ, false for a NaN as the
+// Go loop's x > 0 is, and moves g under the compare (a zeroing masked
+// load at 512 bits, an AND at 256), so that each lane holds g's bits or
+// +0. The last len mod 4 elements take the Go loop.
 //
 // The rule, for all of it, is that each lane executes the reference's
 // own instruction sequence. For the three products the reference is a
@@ -646,21 +641,10 @@ func AddBiasRows(m *Mat, bias []float64) {
 	}
 }
 
-// SumRows accumulates the column sums of m into dst (dst += colsum),
-// row after row in ascending order. Where there is AVX2 and m is 8
-// columns wide or more, each row is an Axpy by 1, the columns in the
-// lanes: 1·x is x, a NaN quieted as the add would quiet it, and the add
-// has the operands of this loop. Narrower, a call per row costs more
-// than the row's adds (512 x 6 took 1.3x as long).
+// SumRows accumulates the column sums of m into dst (dst += colsum).
 func SumRows(dst []float64, m *Mat) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: SumRows dst length %d != cols %d", len(dst), m.Cols))
-	}
-	if useAVX2 && m.Cols >= 8 {
-		for i := 0; i < m.Rows; i++ {
-			Axpy(1, m.Row(i), dst)
-		}
-		return
 	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
@@ -677,44 +661,23 @@ func SumRows(dst []float64, m *Mat) {
 // elements take it on every host.
 func ReLUMask(dst, g, x []float64) {
 	x, dst = x[:len(g)], dst[:len(g)]
-	for i := elementwise(reluMaskAVX512, reluMaskAVX2, dst, g, x); i < len(g); i++ {
+	i := 0
+	if useAVX512 {
+		if i = len(g) &^ 7; i > 0 {
+			reluMaskAVX512(&dst[0], &g[0], &x[0], i)
+		}
+	}
+	if n4 := len(g) &^ 3; useAVX2 && n4 > i {
+		reluMaskAVX2(&dst[i], &g[i], &x[i], n4-i)
+		i = n4
+	}
+	for ; i < len(g); i++ {
 		if x[i] > 0 {
 			dst[i] = g[i]
 		} else {
 			dst[i] = 0
 		}
 	}
-}
-
-// TanhGradInto sets dst[i] = g[i] * (1 - y[i]*y[i]) for every
-// i < len(g): the backward of tanh, y its output. dst may be g or y; a
-// dst or y shorter than g panics. The Go loop below is the reference,
-// and the last len mod 4 elements take it on every host.
-func TanhGradInto(dst, g, y []float64) {
-	y, dst = y[:len(g)], dst[:len(g)]
-	for i := elementwise(tanhGradAVX512, tanhGradAVX2, dst, g, y); i < len(g); i++ {
-		dst[i] = g[i] * (1 - y[i]*y[i])
-	}
-}
-
-// elementwise runs an element-wise kernel of three equal-length
-// operands on as much of them as its widths take, k512 eight elements
-// a step where there is AVX-512 and k256 four, and returns how many it
-// did; the caller's Go loop does the rest.
-func elementwise(k512, k256 func(dst, g, x *float64, n int), dst, g, x []float64) int {
-	n := 0
-	if useAVX2 {
-		if useAVX512 {
-			if n = len(g) &^ 7; n > 0 {
-				k512(&dst[0], &g[0], &x[0], n)
-			}
-		}
-		if n4 := len(g) &^ 3; n4 > n {
-			k256(&dst[n], &g[n], &x[n], n4-n)
-			n = n4
-		}
-	}
-	return n
 }
 
 // Norm2 returns the Euclidean norm of x.
