@@ -44,9 +44,10 @@ vet:
 # "Invariants"): wall-clock reads in DES packages, mixed atomic/plain
 # field access, blocking under a mutex (in the critical section or down
 # a call chain), lock-order deadlock cycles, leaked goroutines, global
-# math/rand, silently dropped cache errors, and stale //lint:allow
-# directives. Exits non-zero on any finding; the -budget flag fails the
-# run if module analysis outgrows its CI time box.
+# math/rand, silently dropped cache errors, exported names that only
+# tests or benchmark/ reach, and stale //lint:allow directives. Exits
+# non-zero on any finding; the -budget flag fails the run if module
+# analysis outgrows its CI time box.
 lint:
 	$(GO) run ./cmd/stellaris-lint -budget 120s ./...
 

@@ -56,15 +56,16 @@ type Grad struct {
 	Stats Stats
 }
 
-// Extra carries algorithm-specific inputs a learner fetches from the
-// cache alongside the batch.
+// Extra carries algorithm-specific inputs from the parameter function.
+// The DES (internal/core) fills both; live learners pass none.
 type Extra struct {
-	// TargetWeights is IMPACT's surrogate target network (nil for PPO).
+	// TargetWeights is IMPACT's surrogate target network (nil for PPO;
+	// nil for IMPACT takes the current weights as the target).
 	TargetWeights []float64
 	// KLCoeff, when positive, overrides the hyperparameter block's KL
-	// penalty coefficient. The parameter function adapts it toward the
-	// KL target (Table III) RLlib-style and ships the current value to
-	// each learner invocation.
+	// penalty coefficient. The DES parameter function adapts it toward
+	// the KL target (Table III) RLlib-style and ships the current value
+	// to each learner invocation.
 	KLCoeff float64
 }
 
@@ -72,8 +73,6 @@ type Extra struct {
 // implementations are stateless: every invocation corresponds to one
 // serverless learner-function execution.
 type Algorithm interface {
-	// Name returns the algorithm identifier ("ppo", "impact").
-	Name() string
 	// Hyper exposes the hyperparameter block (Table III).
 	Hyper() *Hyper
 	// NeedsTarget reports whether Extra.TargetWeights must be supplied.

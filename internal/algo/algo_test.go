@@ -6,6 +6,7 @@ import (
 
 	"stellaris/internal/env"
 	"stellaris/internal/nn"
+	"stellaris/internal/policy"
 	"stellaris/internal/replay"
 	"stellaris/internal/rng"
 )
@@ -71,7 +72,7 @@ func rollBatch(e env.Env, m *Model, n int, seed uint64) *replay.Batch {
 }
 
 func TestModelWeightsRoundTrip(t *testing.T) {
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m1 := NewModelHidden(e, 16, 1)
 	m2 := NewModelHidden(e, 16, 2)
 	w := m1.Weights()
@@ -90,20 +91,20 @@ func TestModelWeightsRoundTrip(t *testing.T) {
 }
 
 func TestModelDistMatchesActionSpace(t *testing.T) {
-	cont := NewModelHidden(env.MustNew("hopper"), 16, 1)
-	if cont.Dist.Name() != "diag_gaussian" {
-		t.Fatalf("hopper dist %q", cont.Dist.Name())
+	cont := NewModelHidden(env.NewHopper(), 16, 1)
+	if _, ok := cont.Dist.(*policy.DiagGaussian); !ok {
+		t.Fatalf("hopper dist %T", cont.Dist)
 	}
-	disc := NewModelHidden(env.MustNew("cartpole"), 16, 1)
-	if disc.Dist.Name() != "categorical" {
-		t.Fatalf("cartpole dist %q", disc.Dist.Name())
+	disc := NewModelHidden(env.NewCartPole(), 16, 1)
+	if _, ok := disc.Dist.(*policy.Categorical); !ok {
+		t.Fatalf("cartpole dist %T", disc.Dist)
 	}
 }
 
 func TestPPOGradientImprovesObjective(t *testing.T) {
 	// One small SGD step along -grad must increase the (clipped)
 	// surrogate objective / decrease the loss on the same batch.
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m := NewModelHidden(e, 16, 3)
 	p := NewPPO(false)
 	p.H.MinibatchSize = 0
@@ -130,7 +131,7 @@ func TestPPOGradientImprovesObjective(t *testing.T) {
 }
 
 func TestPPOOnPolicyRatiosNearOne(t *testing.T) {
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m := NewModelHidden(e, 16, 7)
 	p := NewPPO(false)
 	b := rollBatch(e, m, 64, 11)
@@ -146,7 +147,7 @@ func TestPPOOnPolicyRatiosNearOne(t *testing.T) {
 func TestPPOTruncationZeroesPositiveAdvGrad(t *testing.T) {
 	// With a cap far below every ratio, no surrogate gradient flows; only
 	// critic/KL/entropy terms remain. Check the truncation counter.
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m := NewModelHidden(e, 16, 9)
 	p := NewPPO(false)
 	b := rollBatch(e, m, 64, 13)
@@ -158,7 +159,7 @@ func TestPPOTruncationZeroesPositiveAdvGrad(t *testing.T) {
 }
 
 func TestPPOGradientFinite(t *testing.T) {
-	e := env.MustNew("hopper")
+	e := env.NewHopper()
 	m := NewModelHidden(e, 16, 15)
 	p := NewPPO(true)
 	p.H.MinibatchSize = 32
@@ -178,7 +179,7 @@ func TestPPOGradientFinite(t *testing.T) {
 }
 
 func TestPPOGradClipBoundsNorm(t *testing.T) {
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m := NewModelHidden(e, 16, 19)
 	p := NewPPO(false)
 	p.H.GradClip = 0.001
@@ -232,7 +233,7 @@ func TestVTraceTruncatesHighRatios(t *testing.T) {
 }
 
 func TestIMPACTGradientFinite(t *testing.T) {
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m := NewModelHidden(e, 16, 23)
 	im := NewIMPACT(false)
 	im.H.MinibatchSize = 32
@@ -256,7 +257,7 @@ func TestIMPACTGradientFinite(t *testing.T) {
 }
 
 func TestIMPACTRestoresWeightsAfterTargetPass(t *testing.T) {
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m := NewModelHidden(e, 16, 27)
 	before := m.Weights()
 	im := NewIMPACT(false)
@@ -274,7 +275,7 @@ func TestIMPACTRestoresWeightsAfterTargetPass(t *testing.T) {
 }
 
 func TestIMPACTNilTargetSelfTarget(t *testing.T) {
-	e := env.MustNew("cartpole")
+	e := env.NewCartPole()
 	m := NewModelHidden(e, 16, 31)
 	im := NewIMPACT(false)
 	b := rollBatch(e, m, 32, 33)
@@ -286,11 +287,11 @@ func TestIMPACTNilTargetSelfTarget(t *testing.T) {
 
 func TestAlgoInterfaces(t *testing.T) {
 	p := NewPPO(true)
-	if p.Name() != "ppo" || p.NeedsTarget() {
+	if p.NeedsTarget() {
 		t.Fatal("PPO interface wrong")
 	}
 	im := NewIMPACT(true)
-	if im.Name() != "impact" || !im.NeedsTarget() {
+	if !im.NeedsTarget() {
 		t.Fatal("IMPACT interface wrong")
 	}
 }
@@ -329,7 +330,7 @@ func TestModelSlabLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, e := range map[string]env.Env{"mlp": env.MustNew("cartpole"), "cnn": invaders} {
+	for name, e := range map[string]env.Env{"mlp": env.NewCartPole(), "cnn": invaders} {
 		t.Run(name, func(t *testing.T) {
 			m := NewModelHidden(e, 16, 7)
 			params := append(m.Policy.Params(), m.Critic.Params()...)
@@ -399,9 +400,9 @@ func TestModelSlabLayout(t *testing.T) {
 // packed copy kept from the first rollout would show in the second.
 func TestRolloutPackLivesOneRollout(t *testing.T) {
 	const steps = 64
-	weights := [][]float64{NewModelHidden(env.MustNew("hopper"), 64, 2).Weights(), NewModelHidden(env.MustNew("hopper"), 64, 3).Weights()}
-	packing, twin := NewModelHidden(env.MustNew("hopper"), 64, 1), NewModelHidden(env.MustNew("hopper"), 64, 1)
-	ePacking, eTwin := env.MustNew("hopper"), env.MustNew("hopper")
+	weights := [][]float64{NewModelHidden(env.NewHopper(), 64, 2).Weights(), NewModelHidden(env.NewHopper(), 64, 3).Weights()}
+	packing, twin := NewModelHidden(env.NewHopper(), 64, 1), NewModelHidden(env.NewHopper(), 64, 1)
+	ePacking, eTwin := env.NewHopper(), env.NewHopper()
 	rPacking, rTwin := rng.New(4), rng.New(4)
 	var epPacking, epTwin Episode
 	for burst := 0; burst < 2; burst++ {

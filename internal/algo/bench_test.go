@@ -22,7 +22,7 @@ var computeShapes = []struct {
 func BenchmarkPPOCompute(b *testing.B) {
 	for _, s := range computeShapes {
 		b.Run(s.name, func(b *testing.B) {
-			e := env.MustNew("hopper")
+			e := env.NewHopper()
 			m := NewModelHidden(e, 64, 1)
 			p := NewPPO(true)
 			p.H.MinibatchSize = s.size
@@ -41,7 +41,7 @@ func BenchmarkPPOCompute(b *testing.B) {
 func BenchmarkIMPACTCompute(b *testing.B) {
 	for _, s := range computeShapes {
 		b.Run(s.name, func(b *testing.B) {
-			e := env.MustNew("hopper")
+			e := env.NewHopper()
 			m := NewModelHidden(e, 64, 1)
 			im := NewIMPACT(true)
 			im.H.MinibatchSize = s.size
@@ -60,7 +60,7 @@ func BenchmarkIMPACTCompute(b *testing.B) {
 
 // BenchmarkActorSample measures policy-driven trajectory collection.
 func BenchmarkActorSample(b *testing.B) {
-	e := env.MustNew("hopper")
+	e := env.NewHopper()
 	m := NewModelHidden(e, 64, 1)
 	r := rng.New(4)
 	obs := e.Reset(r)

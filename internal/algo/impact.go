@@ -23,9 +23,6 @@ type IMPACT struct {
 // task class.
 func NewIMPACT(continuous bool) *IMPACT { return &IMPACT{H: IMPACTHyper(continuous)} }
 
-// Name implements Algorithm.
-func (im *IMPACT) Name() string { return "impact" }
-
 // Hyper implements Algorithm.
 func (im *IMPACT) Hyper() *Hyper { return &im.H }
 

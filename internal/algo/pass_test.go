@@ -31,7 +31,7 @@ func TestComputeBitIdenticalToForwardPerMinibatch(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		env  env.Env
-	}{{"hopper", env.MustNew("hopper")}, {"invaders", invaders}} {
+	}{{"hopper", env.NewHopper()}, {"invaders", invaders}} {
 		behavior := NewModelHidden(e.env, 32, 1)
 		b := rollBatch(e.env, behavior, rows, 2)
 		// The learner and the target are the behavior policy nudged two

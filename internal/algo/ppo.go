@@ -21,9 +21,6 @@ type PPO struct {
 // class.
 func NewPPO(continuous bool) *PPO { return &PPO{H: PPOHyper(continuous)} }
 
-// Name implements Algorithm.
-func (p *PPO) Name() string { return "ppo" }
-
 // Hyper implements Algorithm.
 func (p *PPO) Hyper() *Hyper { return &p.H }
 

@@ -29,8 +29,6 @@ type Signals struct {
 
 // Controller decides the actor count for the next round.
 type Controller interface {
-	// Name identifies the policy for logs.
-	Name() string
 	// Decide returns the desired actor count in [1, s.MaxActors].
 	Decide(s Signals) int
 }
@@ -48,13 +46,6 @@ func clampActors(n, max int) int {
 
 // Static keeps the actor count fixed — the non-scaling baselines.
 type Static struct{ N int }
-
-// NewStatic returns a fixed-count controller (0 = keep the configured
-// count).
-func NewStatic(n int) *Static { return &Static{N: n} }
-
-// Name implements Controller.
-func (s *Static) Name() string { return "static" }
 
 // Decide implements Controller.
 func (s *Static) Decide(sig Signals) int {
@@ -81,9 +72,6 @@ type Utilization struct {
 // NewUtilization returns the feedback controller with default band
 // [0.5, 0.9].
 func NewUtilization() *Utilization { return &Utilization{Low: 0.5, High: 0.9} }
-
-// Name implements Controller.
-func (u *Utilization) Name() string { return "utilization" }
 
 // Decide implements Controller.
 func (u *Utilization) Decide(s Signals) int {
@@ -119,12 +107,6 @@ func (u *Utilization) Decide(s Signals) int {
 type Schedule struct {
 	Fn func(round int) int
 }
-
-// NewSchedule wraps fn as a controller.
-func NewSchedule(fn func(round int) int) *Schedule { return &Schedule{Fn: fn} }
-
-// Name implements Controller.
-func (s *Schedule) Name() string { return "schedule" }
 
 // Decide implements Controller.
 func (s *Schedule) Decide(sig Signals) int {

@@ -14,7 +14,7 @@ func sig(active, max int, util float64, queue, pending int) Signals {
 }
 
 func TestStatic(t *testing.T) {
-	c := NewStatic(12)
+	c := &Static{N: 12}
 	if got := c.Decide(sig(4, 32, 0.5, 0, 0)); got != 12 {
 		t.Fatalf("static -> %d", got)
 	}
@@ -23,7 +23,7 @@ func TestStatic(t *testing.T) {
 		t.Fatalf("static clamp -> %d", got)
 	}
 	// Zero keeps the current count.
-	if got := NewStatic(0).Decide(sig(4, 8, 0.5, 0, 0)); got != 4 {
+	if got := (&Static{}).Decide(sig(4, 8, 0.5, 0, 0)); got != 4 {
 		t.Fatalf("static(0) -> %d", got)
 	}
 }
@@ -67,18 +67,18 @@ func TestUtilizationNeverBelowOne(t *testing.T) {
 }
 
 func TestSchedule(t *testing.T) {
-	c := NewSchedule(func(round int) int { return 2 * (round + 1) })
+	c := &Schedule{Fn: func(round int) int { return 2 * (round + 1) }}
 	if got := c.Decide(Signals{Round: 2, MaxActors: 100, ActiveActors: 1}); got != 6 {
 		t.Fatalf("schedule -> %d", got)
 	}
 	// Nil function holds.
-	if got := NewSchedule(nil).Decide(sig(5, 10, 0, 0, 0)); got != 5 {
+	if got := (&Schedule{}).Decide(sig(5, 10, 0, 0, 0)); got != 5 {
 		t.Fatalf("nil schedule -> %d", got)
 	}
 }
 
 func TestDecisionsAlwaysInRangeProperty(t *testing.T) {
-	controllers := []Controller{NewStatic(7), NewUtilization(), NewSchedule(func(r int) int { return r * 3 })}
+	controllers := []Controller{&Static{N: 7}, NewUtilization(), &Schedule{Fn: func(r int) int { return r * 3 }}}
 	f := func(active, max uint8, util float64, queue, pending uint8) bool {
 		s := Signals{
 			ActiveActors:       int(active%32) + 1,
@@ -106,11 +106,4 @@ func maxOf(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestNames(t *testing.T) {
-	if NewStatic(1).Name() != "static" || NewUtilization().Name() != "utilization" ||
-		NewSchedule(nil).Name() != "schedule" {
-		t.Fatal("controller names wrong")
-	}
 }

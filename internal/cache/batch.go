@@ -20,10 +20,8 @@ import (
 	"stellaris/internal/wire"
 )
 
-// BatchGet is c.GetN(keys). Benchmark only: it stays because
-// benchmark/cachemix.go and benchmark/ladder.go call it; drop it with the
-// next change to the benchmark, and call GetN everywhere else.
-func BatchGet(c Cache, keys []string) ([][]byte, error) { return c.GetN(keys) }
+// BatchGet is c.GetN(keys); call GetN everywhere else.
+func BatchGet(c Cache, keys []string) ([][]byte, error) { return c.GetN(keys) } //lint:allow reach benchmark-only: benchmark/cachemix.go and ladder.go call it
 
 // ---- MemCache ----
 

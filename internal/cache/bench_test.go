@@ -60,7 +60,7 @@ func BenchmarkGet(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

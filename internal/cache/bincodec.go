@@ -208,7 +208,7 @@ func EncodeGrad(g *GradMsg) ([]byte, error) {
 }
 
 // DecodeGrad decodes and validates a gradient payload.
-func DecodeGrad(b []byte) (*GradMsg, error) { return DecodeGradInto(nil, b) }
+func DecodeGrad(b []byte) (*GradMsg, error) { return DecodeGradInto(nil, b) } //lint:allow reach benchmark-only: benchmark/cachemix.go and ladder.go time it
 
 // DecodeGradInto is DecodeGrad with the gradient decoded into dst's
 // array when it holds it, as DecodeWeightsInto does: the parameter

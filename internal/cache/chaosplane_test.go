@@ -92,7 +92,7 @@ func TestFaultProxyAsymmetricPartition(t *testing.T) {
 	})
 
 	// Request direction blackholed: the write never arrives at all.
-	proxy.Heal()
+	heal(proxy)
 	proxy.PartitionNow(ClientToServer, 0)
 	if err := cl.Put("traj/lost", []byte("v")); err == nil {
 		t.Fatal("put under a request partition should time out")
@@ -106,7 +106,7 @@ func TestFaultProxyAsymmetricPartition(t *testing.T) {
 	}
 
 	// Healed: traffic flows again on a fresh connection.
-	proxy.Heal()
+	heal(proxy)
 	waitFor(t, 2*time.Second, func() error {
 		return cl.Put("traj/healed", []byte("v"))
 	})
@@ -141,5 +141,12 @@ func TestFaultProxyScheduledPartition(t *testing.T) {
 	}
 	if st := proxy.Stats(); st.Partitions != 1 {
 		t.Fatalf("Partitions = %d, want 1", st.Partitions)
+	}
+}
+
+// heal ends any active partition window on p.
+func heal(p *FaultProxy) {
+	for i := range p.partUntil {
+		p.partUntil[i].Store(0)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -44,7 +43,7 @@ func (e *TransportError) Unwrap() error { return e.Err }
 type Conn interface {
 	Cache
 	// Stats returns the fault-tolerance counters accumulated so far.
-	Stats() ClientStats
+	Stats() ClientStats //lint:allow reach benchmark-only: benchmark/tier.go and cachemix.go read it
 	// Close releases the connection(s).
 	Close() error
 }
@@ -180,9 +179,6 @@ func (r request) wireOp() byte {
 	return r.op
 }
 
-// Dial connects to a cache server with default DialOptions.
-func Dial(addr string) (*Client, error) { return DialWith(addr, DialOptions{}) }
-
 // DialWith connects to a cache server with an explicit fault-tolerance
 // policy. The initial connect is eager so configuration errors surface
 // immediately; it is not retried.
@@ -245,7 +241,7 @@ func (c *Client) Close() error {
 }
 
 // Stats returns the fault-tolerance counters accumulated so far.
-func (c *Client) Stats() ClientStats {
+func (c *Client) Stats() ClientStats { //lint:allow reach benchmark-only: benchmark/tier.go and cachemix.go read it
 	return ClientStats{
 		Retries:    c.retries.Value(),
 		Reconnects: c.reconnects.Value(),
@@ -449,18 +445,6 @@ func (c *Client) GetInto(key string, buf []byte) ([]byte, error) {
 func (c *Client) Delete(key string) error {
 	status, payload, err := c.roundTrip(request{op: 'D', key: key})
 	return respErr(status, payload, err, key)
-}
-
-// Len implements Cache.
-func (c *Client) Len() (int, error) {
-	status, payload, err := c.roundTrip(request{op: 'L'})
-	if err != nil {
-		return 0, err
-	}
-	if status != '+' {
-		return 0, errors.New(string(payload))
-	}
-	return strconv.Atoi(string(payload))
 }
 
 func respErr(status byte, payload []byte, err error, key string) error {

@@ -132,7 +132,7 @@ func TestServerBatchEmptyKeyRejected(t *testing.T) {
 
 	// Through the client the '!' is the call's error — the batch is not
 	// resent in some other form — and the connection keeps batching.
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

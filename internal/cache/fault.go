@@ -156,17 +156,11 @@ func windowDeadline(d time.Duration) int64 {
 }
 
 // PartitionNow activates an asymmetric partition immediately: chunks in
-// dir are blackholed for d (<= 0: until Heal). The reverse direction is
+// dir are blackholed for d (<= 0: until the proxy closes). The reverse direction is
 // untouched.
 func (p *FaultProxy) PartitionNow(dir Direction, d time.Duration) {
 	p.partUntil[dir].Store(windowDeadline(d))
 	p.partitions.Add(1)
-}
-
-// Heal ends any active partition window.
-func (p *FaultProxy) Heal() {
-	p.partUntil[ClientToServer].Store(0)
-	p.partUntil[ServerToClient].Store(0)
 }
 
 // partitioned reports whether dir is inside an active partition window.

@@ -99,7 +99,7 @@ func TestFaultProxyCorruptionSurfacesNoPanic(t *testing.T) {
 		t.Fatal("no corruptions injected at 50% corrupt rate")
 	}
 	// The server must still answer a clean client.
-	cli2, err := Dial(proxyTarget(proxy))
+	cli2, err := DialWith(proxyTarget(proxy), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,10 +101,10 @@ func TestSplitBrainFencedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() error {
-		if got := p.leader.Term(); got != 2 {
+		if got := p.leader.term.Load(); got != 2 {
 			return fmt.Errorf("deposed leader term %d, want 2", got)
 		}
-		if got := p.follower.Term(); got != 2 {
+		if got := p.follower.term.Load(); got != 2 {
 			return fmt.Errorf("promoted follower term %d, want 2", got)
 		}
 		return nil
@@ -201,7 +201,7 @@ func TestFencedWriteFailsClosedOnUnknownOp(t *testing.T) {
 			}
 		}
 	}()
-	cl, err := Dial(ln.Addr().String())
+	cl, err := DialWith(ln.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

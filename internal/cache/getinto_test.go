@@ -82,7 +82,7 @@ func TestGetIntoSurvivesDroppedChunks(t *testing.T) {
 	opts.OpTimeout = 100 * time.Millisecond
 	opts.Attempts = 30
 	proxy, cli := proxiedServer(t, FaultConfig{DropRate: 0.02, Seed: 21}, opts)
-	direct, err := Dial(proxyTarget(proxy))
+	direct, err := DialWith(proxyTarget(proxy), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // Wire protocol (the Redis stand-in): each message is a length-prefixed
 // frame. Requests are  [u32 frameLen][u8 op][u32 keyLen][key][value] and
 // responses are       [u32 frameLen][u8 status][payload].
-// Ops: 'P' put, 'G' get, 'D' delete, 'L' len,
+// Ops: 'P' put, 'G' get, 'D' delete,
 // 'g' batched get (a blob in the value field; see batch.go),
 // 'R' replication subscribe (hijacks the connection into a one-way
 // stream of '+' frames carrying AOF records; see replica.go and
@@ -335,8 +335,6 @@ func opName(op byte) string {
 		return "get"
 	case 'D':
 		return "delete"
-	case 'L':
-		return "len"
 	case 'g':
 		return "getn"
 	case 'R':
@@ -363,11 +361,6 @@ func NewServer(store *MemCache) *Server {
 // new topology). Call before Listen; a server with no shard ID still
 // learns terms from 'T' envelopes, just not from topology puts.
 func (s *Server) SetShardID(id int) { s.shardID = id }
-
-// Term reports the newest fencing term this server has learned, from
-// either a topology write or a fenced envelope. Zero means fencing has
-// never been engaged (no promotion has happened).
-func (s *Server) Term() int64 { return s.term.Load() }
 
 // advanceTerm ratchets the server's term monotonically upward.
 func (s *Server) advanceTerm(t int64) {
@@ -506,8 +499,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // with the store's own value (view) and a reference to it, which flush
 // drops after the response is written.
 func (s *Server) handle(w *frameWriter, f frame) (kept bool) {
-	// Key-addressed ops require a key; 'L' (len) legitimately takes an
-	// empty operand.
+	// Key-addressed ops require a key.
 	switch f.op {
 	case 'P', 'G', 'D':
 		if f.key == "" {
@@ -536,9 +528,6 @@ func (s *Server) handle(w *frameWriter, f frame) (kept bool) {
 	case 'D':
 		_ = s.store.Delete(f.key)
 		w.resp('+', nil)
-	case 'L':
-		n, _ := s.store.Len()
-		w.resp('+', strconv.AppendInt(nil, int64(n), 10))
 	case 'g':
 		keys, err := parseGetNReq(f.value)
 		if err != nil {

@@ -18,7 +18,7 @@ func startServer(t *testing.T) (*Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +55,13 @@ func TestClientServerRoundTrip(t *testing.T) {
 }
 
 func TestClientIncrAndLen(t *testing.T) {
-	_, cli := startServer(t)
+	srv, cli := startServer(t)
 	if err := cli.Put("a", nil); err != nil {
 		t.Fatal(err)
 	}
-	n, err := cli.Len()
+	n, err := srv.store.Len()
 	if err != nil || n != 1 {
-		t.Fatalf("Len = %d, %v", n, err)
+		t.Fatalf("server store Len = %d, %v", n, err)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cli, err := Dial(addr)
+			cli, err := DialWith(addr, DialOptions{})
 			if err != nil {
 				errs <- err
 				return
@@ -126,12 +126,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	n, err := cli.Len()
+	n, err := srv.store.Len()
 	if err != nil || n != 401 {
 		t.Fatalf("Len = %d, %v; want 401 (8 × 50 private keys and the shared one)", n, err)
 	}
@@ -148,7 +143,7 @@ func TestClientSharedStoreWithServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,13 +149,6 @@ func (c *MemCache) InstrumentPersistence(reg *obs.Registry) {
 	c.p.replayedC.Add(c.p.replayed)
 }
 
-// Persistent reports whether the store journals to disk.
-func (c *MemCache) Persistent() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.p != nil
-}
-
 // Close flushes and fsyncs the op log and detaches persistence; the
 // store remains usable in-memory. Safe to call on a non-persistent
 // store and safe to call twice.

@@ -21,7 +21,7 @@ func TestPersistRecoverKeyspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Persistent() {
+	if c.p == nil {
 		t.Fatal("store not persistent")
 	}
 	if err := c.Put("weights/latest", []byte("w1")); err != nil {

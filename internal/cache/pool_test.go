@@ -99,7 +99,7 @@ func TestLargeValuesAreLeftToTheCollector(t *testing.T) {
 	store := NewMemCache()
 	srv, addr := startLeader(t, store)
 	defer srv.Close()
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestReleasedFramesNeverReachAReader(t *testing.T) {
 		}
 	}
 	dial := func(a string) *Client {
-		c, err := Dial(a)
+		c, err := DialWith(a, DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestReleasedFramesNeverReachAReader(t *testing.T) {
 	if syncs < 2 {
 		t.Errorf("the follower full-synced %d times while the writers ran", syncs)
 	}
-	if want := max(lastTerm[0], lastTerm[1]); srv.Term() != want {
-		t.Fatalf("leader learned term %d from the topology writes, want %d", srv.Term(), want)
+	if want := max(lastTerm[0], lastTerm[1]); srv.term.Load() != want {
+		t.Fatalf("leader learned term %d from the topology writes, want %d", srv.term.Load(), want)
 	}
 }

@@ -46,7 +46,7 @@ func expectClosed(t *testing.T, conn net.Conn) {
 // checkHealthy asserts the server still serves clean clients.
 func checkHealthy(t *testing.T, addr string) {
 	t.Helper()
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatalf("server unreachable after abuse: %v", err)
 	}
@@ -110,7 +110,8 @@ func TestServerBadKeyLength(t *testing.T) {
 	checkHealthy(t, addr)
 }
 
-// 'I' was the counter op and 'K' the key listing; the store holds
+// 'I' was the counter op, 'K' the key listing and 'L' the key count;
+// the store holds
 // bytes under keys and serves them by key only, so each is answered
 // like any other byte the protocol does not define — bare or inside a
 // fenced envelope.
@@ -132,8 +133,9 @@ func TestServerUnknownOpcode(t *testing.T) {
 		// blob ([u32 count][u32 keyLen][key][u32 valLen][val]).
 		{"p", 'p', []byte{0, 0, 0, 1, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'v'}},
 		{"T around p", 'T', append(envelope('p'), 0, 0, 0, 1, 0, 0, 0, 1, 'k', 0, 0, 0, 1, 'v')},
-		// The retired key listing, with a prefix.
+		// The retired key listing and key count.
 		{"K", 'K', nil},
+		{"L", 'L', nil},
 	} {
 		conn := rawDial(t, addr)
 		if err := writeFrame(conn, tc.op, "key", tc.value); err != nil {
@@ -164,15 +166,6 @@ func TestServerEmptyKeyOps(t *testing.T) {
 		if status != '!' {
 			t.Fatalf("op %q empty key → status %q payload %q; want '!'", op, status, payload)
 		}
-	}
-	// 'L' (len) accepts an empty operand.
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Len(); err != nil {
-		t.Fatalf("Len(): %v", err)
 	}
 }
 

@@ -280,17 +280,11 @@ func (r *Replica) applyFrame(status byte, payload, buf []byte) (kept bool, err e
 	return op == aofPut, r.applyRecord(op, string(kb), val, buf)
 }
 
-// ApplyRecord applies one replicated mutation record to the follower's
+// applyRecord applies one replicated mutation record to the follower's
 // store through the same mutation surface clients use, so a persistent
 // follower journals everything it mirrors and its own crash recovery
-// stays coherent. It takes ownership of val: a put stores the slice
-// itself, so the caller must not touch it again.
-func (r *Replica) ApplyRecord(op byte, key string, val []byte) error {
-	return r.applyRecord(op, key, val, nil)
-}
-
-// applyRecord is ApplyRecord for a val that lives in buf, a pool buffer
-// (or nil): a put hands both to the store.
+// stays coherent. val lives in buf, a pool buffer (or nil), and a put
+// hands both to the store: the caller must not touch either again.
 func (r *Replica) applyRecord(op byte, key string, val, buf []byte) error {
 	switch op {
 	case aofReset:

@@ -184,7 +184,7 @@ func TestPromotedFollowerServesAndRefusesResync(t *testing.T) {
 	// server, and post-promotion leader writes no longer reach it.
 	fsrv, faddr := startLeader(t, follower)
 	defer fsrv.Close()
-	cli, err := Dial(faddr)
+	cli, err := DialWith(faddr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestReplicaRefusesUnknownRecordOps(t *testing.T) {
 	store := NewMemCache()
 	rep := NewReplica(store, "127.0.0.1:0", fastReplicaOpts())
 	for _, op := range []byte{'I', 'C', 'Z'} {
-		if err := rep.ApplyRecord(op, "k", make([]byte, 8)); err == nil {
+		if err := rep.applyRecord(op, "k", make([]byte, 8), nil); err == nil {
 			t.Errorf("record op %q applied", op)
 		}
 	}

@@ -37,9 +37,9 @@ type ShardedStats struct {
 	Failovers int64
 	// TopologyRefreshes counts newer topology documents adopted (watch
 	// or post-failover refresh).
-	TopologyRefreshes int64
+	TopologyRefreshes int64 //lint:allow reach benchmark-only: benchmark/cachemix.go reads it
 	// TopologyVersion is the version of the topology currently in use.
-	TopologyVersion int
+	TopologyVersion int //lint:allow reach benchmark-only: benchmark/cachemix.go reads it
 	// FencedWrites counts writes refused by a server holding a newer
 	// shard term (each forces a topology refresh before the retry).
 	FencedWrites int64
@@ -152,12 +152,8 @@ func (sc *ShardedClient) slotFor(key string) *shardSlot {
 	return sc.slots[sc.ring.Shard(key)]
 }
 
-// do runs op against key's shard, failing over onto the follower (and
-// retrying once) when the leader is transport-dead.
-func (sc *ShardedClient) do(key string, op func(*Client) error) error {
-	return sc.doSlot(sc.slotFor(key), op)
-}
-
+// doSlot runs op against slot's shard, failing over onto the follower
+// (and retrying once) when the leader is transport-dead.
 func (sc *ShardedClient) doSlot(slot *shardSlot, op func(*Client) error) error {
 	cli, epoch := slot.client()
 	err := op(cli)
@@ -329,27 +325,6 @@ func (sc *ShardedClient) Delete(key string) error {
 	})
 }
 
-// Len implements Cache as the sum of per-shard lengths. Keys replicated
-// to every shard (the topology key) are counted once per shard — Len is
-// a capacity gauge, not an exact cardinality, and the existing
-// interface has no way to dedupe counts without a full key scan.
-func (sc *ShardedClient) Len() (int, error) {
-	total := 0
-	for _, slot := range sc.slots {
-		err := sc.doSlot(slot, func(c *Client) error {
-			n, e := c.Len()
-			if e == nil {
-				total += n
-			}
-			return e
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
-}
-
 // ---- batched reads ----
 
 // GetN implements Cache: one batch per shard, results merged back
@@ -501,7 +476,7 @@ func (sc *ShardedClient) getAny(key string) ([]byte, error) {
 // Clients replaced by failover stop contributing their history, so the
 // aggregate can briefly dip; ShardedStats().Failovers records that the
 // dip had a cause, and RegistryStats keeps the whole history.
-func (sc *ShardedClient) Stats() ClientStats {
+func (sc *ShardedClient) Stats() ClientStats { //lint:allow reach benchmark-only: benchmark/tier.go and cachemix.go read it
 	var agg ClientStats
 	for _, slot := range sc.slots {
 		cli, _ := slot.client()
@@ -515,7 +490,7 @@ func (sc *ShardedClient) Stats() ClientStats {
 
 // ShardedStats returns the cluster-level view: aggregated client
 // counters plus failovers and topology refreshes.
-func (sc *ShardedClient) ShardedStats() ShardedStats {
+func (sc *ShardedClient) ShardedStats() ShardedStats { //lint:allow reach benchmark-only: benchmark/cachemix.go reads it
 	sc.mu.Lock()
 	ver := sc.topo.Version
 	sc.mu.Unlock()
@@ -584,7 +559,7 @@ func (sc *ShardedClient) Close() error {
 // PublishTopology writes t to every shard under cluster.TopologyKey and
 // adopts it locally. Use it to seed a fresh cluster or push an
 // operator-driven change.
-func (sc *ShardedClient) PublishTopology(t *cluster.Topology) error {
+func (sc *ShardedClient) PublishTopology(t *cluster.Topology) error { //lint:allow reach benchmark-only: benchmark/tier.go seeds its cluster with it
 	b, err := t.Encode()
 	if err != nil {
 		return err

@@ -96,7 +96,7 @@ func TestShardedClientBasicOps(t *testing.T) {
 		t.Fatal("Get of missing key succeeded")
 	}
 
-	// Every key is on exactly one shard; Len sums.
+	// Every key is on exactly one shard.
 	held := 0
 	for _, st := range tc.stores {
 		keys, _ := st.Keys("traj/")
@@ -104,9 +104,6 @@ func TestShardedClientBasicOps(t *testing.T) {
 	}
 	if held != n {
 		t.Fatalf("the shards hold %d traj/ keys, want %d", held, n)
-	}
-	if l, err := sc.Len(); err != nil || l != n {
-		t.Fatalf("Len = %d, %v", l, err)
 	}
 
 	if err := sc.Delete("traj/0"); err != nil {
@@ -418,9 +415,6 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		if _, err := c.GetN([]string{"grad/a", "grad/b", "nope"}); err != nil {
 			return err
 		}
-		if _, err := c.Len(); err != nil {
-			return err
-		}
 		if err := c.Delete("traj/1"); err != nil {
 			return err
 		}
@@ -453,7 +447,7 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		return proxy.bytes()
 	}
 
-	single := capture(func(addr string) (Conn, error) { return Dial(addr) })
+	single := capture(func(addr string) (Conn, error) { return DialWith(addr, DialOptions{}) })
 	sharded := capture(func(addr string) (Conn, error) {
 		return DialSharded(&cluster.Topology{Version: 1, Shards: []cluster.Shard{{ID: 0, Addr: addr}}}, DialOptions{})
 	})
@@ -470,7 +464,7 @@ func TestInteropShardedSingleShardWireIdentical(t *testing.T) {
 		}
 		ops = append(ops, fr.op)
 	}
-	if want := "PGPgLDPG"; string(ops) != want {
+	if want := "PGPgDPG"; string(ops) != want {
 		t.Fatalf("ops on the wire %q, want %q", ops, want)
 	}
 }

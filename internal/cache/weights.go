@@ -32,9 +32,8 @@ const (
 )
 
 // DeltaMsg is the diff BuildDelta computes between two versions of the
-// weight vector. Benchmark only: it stays because benchmark/ladder.go
-// times BuildDelta; nothing publishes or applies a delta.
-type DeltaMsg struct {
+// weight vector. Nothing publishes or applies a delta.
+type DeltaMsg struct { //lint:allow reach benchmark-only: benchmark/ladder.go times BuildDelta
 	Version     int
 	BaseVersion int
 	Len         int
@@ -43,15 +42,11 @@ type DeltaMsg struct {
 	Values  []float64
 }
 
-// Dense reports whether d replaces the whole vector.
-func (d *DeltaMsg) Dense() bool { return d.Indices == nil }
-
 // BuildDelta diffs next against base (same length) and returns the
 // sparse or dense delta taking baseVersion to version, whichever is
 // smaller: 12 bytes per changed entry against 8 per entry. Values are
 // compared by bit pattern, so NaNs and signed zeros diff exactly.
-// Benchmark only (see DeltaMsg).
-func BuildDelta(version, baseVersion int, base, next []float64) (*DeltaMsg, error) {
+func BuildDelta(version, baseVersion int, base, next []float64) (*DeltaMsg, error) { //lint:allow reach benchmark-only: benchmark/ladder.go times it
 	if len(base) != len(next) {
 		return nil, fmt.Errorf("cache: delta base has %d weights, next has %d", len(base), len(next))
 	}
@@ -135,9 +130,8 @@ type WeightsSub struct {
 
 // SubStats reports how a subscriber has been fetching weights.
 type SubStats struct {
-	// DeltaHits is always 0. Benchmark only: benchmark/cachemix.go still
-	// reads it.
-	DeltaHits int64
+	// DeltaHits is always 0.
+	DeltaHits int64 //lint:allow reach benchmark-only: benchmark/cachemix.go reads it
 	// FullFetches counts vector reads; Skipped counts Fetches answered
 	// from the cached copy because the head had not moved past it.
 	FullFetches int64

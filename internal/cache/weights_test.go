@@ -18,7 +18,7 @@ func TestBuildDeltaChoosesRepresentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Dense() || len(d.Indices) != 2 || d.Indices[0] != 3 || d.Indices[1] != 42 ||
+	if d.Indices == nil || len(d.Indices) != 2 || d.Indices[0] != 3 || d.Indices[1] != 42 ||
 		d.Values[0] != 1.5 || d.Values[1] != -2.5 {
 		t.Fatalf("2/100 changed should be sparse [3 42] → [1.5 -2.5], got %+v", d)
 	}
@@ -30,7 +30,7 @@ func TestBuildDeltaChoosesRepresentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Dense() || len(d.Values) != d.Len || d.Values[99] != 99 {
+	if d.Indices != nil || len(d.Values) != d.Len || d.Values[99] != 99 {
 		t.Fatalf("all-changed should be dense, got sparse nnz=%d", len(d.Indices))
 	}
 	if _, err := BuildDelta(1, 0, make([]float64, 2), make([]float64, 3)); err == nil {
@@ -286,12 +286,12 @@ func TestWeightsOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	pubCli, err := Dial(addr)
+	pubCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pubCli.Close()
-	subCli, err := Dial(addr)
+	subCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,12 +472,12 @@ func TestFetchAllocatesNoVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	pubCli, err := Dial(addr)
+	pubCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pubCli.Close()
-	subCli, err := Dial(addr)
+	subCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestStoredSlicesAreSharedNeverTorn(t *testing.T) {
 	srv, addr := startLeader(t, leader)
 	defer srv.Close()
 	follower, _ := startFollower(t, addr)
-	cli, err := Dial(addr) // one connection carries every request below
+	cli, err := DialWith(addr, DialOptions{}) // one connection carries every request below
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestGetNEmptyValueIsFound(t *testing.T) {
 	store := NewMemCache()
 	srv, addr := startLeader(t, store)
 	defer srv.Close()
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestRoundTripAllocationPin(t *testing.T) {
 	srv, addr := startLeader(t, leader)
 	defer srv.Close()
 	follower, rep := startFollower(t, addr)
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +719,7 @@ func TestServerCountsEveryByteOut(t *testing.T) {
 		t.Fatalf("stream opens with %q", r.op)
 	}
 
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,12 +95,12 @@ func TestFuturesDeterministicAcrossPoolWidths(t *testing.T) {
 			// Parks six of eight actors after round 0, wakes them after 1.
 			c := tinyConfig()
 			c.NumActors, c.Rounds = 8, 3
-			c.Autoscale = autoscale.NewSchedule(func(round int) int {
+			c.Autoscale = &autoscale.Schedule{Fn: func(round int) int {
 				if round%2 == 0 {
 					return 2
 				}
 				return 8
-			})
+			}}
 			return c
 		}},
 		{"wall-budget", func() Config {

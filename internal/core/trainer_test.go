@@ -292,7 +292,7 @@ func TestTrainerAutoscale(t *testing.T) {
 	cfg.Rounds = 3
 	// A schedule that shrinks to 2 actors after round 0 must still
 	// complete training and must cut the actor-sampling volume.
-	cfg.Autoscale = autoscale.NewSchedule(func(round int) int { return 2 })
+	cfg.Autoscale = &autoscale.Schedule{Fn: func(round int) int { return 2 }}
 	scaled := runCfg(t, cfg)
 	cfg.Autoscale = nil
 	static := runCfg(t, cfg)

@@ -21,16 +21,13 @@ type CartPole struct {
 // NewCartPole returns a CartPole environment.
 func NewCartPole() *CartPole { return &CartPole{} }
 
-// Name implements Env.
-func (c *CartPole) Name() string { return "cartpole" }
-
 // ObsDim implements Env.
 func (c *CartPole) ObsDim() int { return 4 }
 
 // ActionSpace implements Env.
 func (c *CartPole) ActionSpace() ActionSpace { return ActionSpace{N: 2} }
 
-// MaxEpisodeSteps implements Env.
+// MaxEpisodeSteps is the horizon after which episodes truncate.
 func (c *CartPole) MaxEpisodeSteps() int { return 500 }
 
 // Reset implements Env.

@@ -45,8 +45,6 @@ type ActionSpace struct {
 // instance (exactly as each serverless actor holds its own simulator
 // copy in the paper).
 type Env interface {
-	// Name returns the registry name of the environment.
-	Name() string
 	// ObsDim returns the flattened observation width.
 	ObsDim() int
 	// ActionSpace describes the action interface.
@@ -56,8 +54,6 @@ type Env interface {
 	// Step advances one timestep. For discrete spaces the action is a
 	// one-element slice holding the action index.
 	Step(action []float64) (obs []float64, reward float64, done bool)
-	// MaxEpisodeSteps is the horizon after which episodes truncate.
-	MaxEpisodeSteps() int
 }
 
 // Constructor builds a fresh environment instance.
@@ -101,15 +97,6 @@ func NewSized(name string, frameSize int) (Env, error) {
 		}
 	}
 	return New(name)
-}
-
-// MustNew is New but panics on error; for tests and examples.
-func MustNew(name string) Env {
-	e, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // Names returns the registered environment names in sorted order.

@@ -64,7 +64,11 @@ func TestAllEnvContracts(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			e := MustNew(name)
+			e, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			horizon := e.(interface{ MaxEpisodeSteps() int }).MaxEpisodeSteps()
 			r := rng.New(7)
 			obs := e.Reset(r)
 			if len(obs) != e.ObsDim() {
@@ -89,8 +93,8 @@ func TestAllEnvContracts(t *testing.T) {
 				if done {
 					break
 				}
-				if steps > e.MaxEpisodeSteps()+5 {
-					t.Fatalf("episode exceeded MaxEpisodeSteps %d", e.MaxEpisodeSteps())
+				if steps > horizon+5 {
+					t.Fatalf("episode exceeded MaxEpisodeSteps %d", horizon)
 				}
 			}
 			// Stepping after done is a no-op returning done.
@@ -104,7 +108,7 @@ func TestAllEnvContracts(t *testing.T) {
 				t.Fatal("Reset after done broken")
 			}
 			_, _, done = e.Step(randomAction(e.ActionSpace(), r))
-			if done && e.MaxEpisodeSteps() > 1 && name != "qberta" {
+			if done && horizon > 1 && name != "qberta" {
 				// qberta can legitimately die on step 1 (hop off apex).
 				t.Fatal("env terminated immediately after Reset")
 			}
@@ -116,7 +120,11 @@ func TestAllEnvContracts(t *testing.T) {
 // trajectories.
 func TestEnvDeterminism(t *testing.T) {
 	for _, name := range Names() {
-		e1, e2 := MustNew(name), MustNew(name)
+		e1, err1 := New(name)
+		e2, err2 := New(name)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
 		r1, r2 := rng.New(42), rng.New(42)
 		ar := rng.New(9)
 		o1 := e1.Reset(r1)

@@ -36,9 +36,6 @@ func NewGravitas(frameSize int) *Gravitas {
 	return &Gravitas{size: frameSize, fs: newFrameStack(frameSize)}
 }
 
-// Name implements Env.
-func (g *Gravitas) Name() string { return "gravitas" }
-
 // ObsDim implements Env.
 func (g *Gravitas) ObsDim() int { return 3 * g.size * g.size }
 
@@ -49,7 +46,7 @@ func (g *Gravitas) FrameSize() int { return g.size }
 // rotate-right, thrust, brake-thrust (retrograde).
 func (g *Gravitas) ActionSpace() ActionSpace { return ActionSpace{N: 5} }
 
-// MaxEpisodeSteps implements Env.
+// MaxEpisodeSteps is the horizon after which episodes truncate.
 func (g *Gravitas) MaxEpisodeSteps() int { return 400 }
 
 // Reset implements Env.

@@ -35,9 +35,6 @@ type Hopper struct {
 // NewHopper returns a SLIP hopper environment.
 func NewHopper() *Hopper { return &Hopper{} }
 
-// Name implements Env.
-func (h *Hopper) Name() string { return "hopper" }
-
 // ObsDim implements Env.
 func (h *Hopper) ObsDim() int { return 11 }
 
@@ -46,7 +43,7 @@ func (h *Hopper) ActionSpace() ActionSpace {
 	return ActionSpace{Continuous: true, Dim: 3, Low: -1, High: 1}
 }
 
-// MaxEpisodeSteps implements Env.
+// MaxEpisodeSteps is the horizon after which episodes truncate.
 func (h *Hopper) MaxEpisodeSteps() int { return 1000 }
 
 // Reset implements Env.

@@ -31,9 +31,6 @@ type Humanoid struct {
 // NewHumanoid returns the N-link humanoid environment.
 func NewHumanoid() *Humanoid { return &Humanoid{} }
 
-// Name implements Env.
-func (h *Humanoid) Name() string { return "humanoid" }
-
 // ObsDim implements Env.
 func (h *Humanoid) ObsDim() int { return 2 + 3*humanoidLinks + 1 } // 27
 
@@ -42,7 +39,7 @@ func (h *Humanoid) ActionSpace() ActionSpace {
 	return ActionSpace{Continuous: true, Dim: humanoidLinks + 1, Low: -1, High: 1}
 }
 
-// MaxEpisodeSteps implements Env.
+// MaxEpisodeSteps is the horizon after which episodes truncate.
 func (h *Humanoid) MaxEpisodeSteps() int { return 1000 }
 
 // Reset implements Env.

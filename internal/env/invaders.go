@@ -45,9 +45,6 @@ func NewInvaders(frameSize int) *Invaders {
 	return g
 }
 
-// Name implements Env.
-func (g *Invaders) Name() string { return "invaders" }
-
 // ObsDim implements Env.
 func (g *Invaders) ObsDim() int { return 3 * g.size * g.size }
 
@@ -58,7 +55,7 @@ func (g *Invaders) FrameSize() int { return g.size }
 // minimal set: noop, left, right, fire, left+fire, right+fire.
 func (g *Invaders) ActionSpace() ActionSpace { return ActionSpace{N: 6} }
 
-// MaxEpisodeSteps implements Env.
+// MaxEpisodeSteps is the horizon after which episodes truncate.
 func (g *Invaders) MaxEpisodeSteps() int { return 500 }
 
 // Reset implements Env.

@@ -42,9 +42,6 @@ func NewQberta(frameSize int) *Qberta {
 	return q
 }
 
-// Name implements Env.
-func (q *Qberta) Name() string { return "qberta" }
-
 // ObsDim implements Env.
 func (q *Qberta) ObsDim() int { return 3 * q.size * q.size }
 
@@ -55,7 +52,7 @@ func (q *Qberta) FrameSize() int { return q.size }
 // down-left, down-right.
 func (q *Qberta) ActionSpace() ActionSpace { return ActionSpace{N: 4} }
 
-// MaxEpisodeSteps implements Env.
+// MaxEpisodeSteps is the horizon after which episodes truncate.
 func (q *Qberta) MaxEpisodeSteps() int { return 400 }
 
 // Reset implements Env.

@@ -35,9 +35,6 @@ type walkerLeg struct {
 // NewWalker returns a dual-SLIP walker environment.
 func NewWalker() *Walker { return &Walker{} }
 
-// Name implements Env.
-func (w *Walker) Name() string { return "walker2d" }
-
 // ObsDim implements Env.
 func (w *Walker) ObsDim() int { return 17 }
 
@@ -46,7 +43,7 @@ func (w *Walker) ActionSpace() ActionSpace {
 	return ActionSpace{Continuous: true, Dim: 6, Low: -1, High: 1}
 }
 
-// MaxEpisodeSteps implements Env.
+// MaxEpisodeSteps is the horizon after which episodes truncate.
 func (w *Walker) MaxEpisodeSteps() int { return 1000 }
 
 // Reset implements Env.

@@ -101,20 +101,3 @@ func (t *Tracker) RestoreState(st TrackerState) {
 	t.count = st.Count
 	t.mu.Unlock()
 }
-
-// Cap returns the current effective ratio bound min(|group min|, ρ), or
-// +Inf when disabled.
-func (t *Tracker) Cap() float64 { return t.View().Cap() }
-
-// GroupSize returns the number of ratios observed in the current group.
-func (t *Tracker) GroupSize() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
-// Rho returns the configured clip threshold.
-func (t *Tracker) Rho() float64 { return t.rho }
-
-// Enabled reports whether truncation is active.
-func (t *Tracker) Enabled() bool { return t.enabled }

@@ -37,7 +37,7 @@ const maxWait = 2 * time.Second
 // Check arranges for the calling test to fail if goroutines are still
 // running when the test (including its later-registered cleanups) is
 // done.
-func Check(t testing.TB) {
+func Check(t testing.TB) { //lint:allow reach inspection accessor: the cache, live and obs tests call it
 	t.Helper()
 	t.Cleanup(func() {
 		if err := verify(maxWait); err != nil {

@@ -28,7 +28,7 @@ import (
 //   - sync.WaitGroup.Wait and sync.Cond.Wait
 //   - net.Conn Read/Write (any method named Read/Write declared in net)
 //     and net.Buffers.WriteTo (the vectored form of Write)
-//   - cache dials (Dial, DialWith, DialSharded)
+//   - cache dials (DialWith, DialSharded)
 //   - cache.Conn-derived data ops on any cache-package receiver except
 //     MemCache (whose ops are short in-memory critical sections)
 //   - cache.Replica Stop/Promote (both wait on the replication
@@ -139,7 +139,7 @@ func blockingCall(p *Package, call *ast.CallExpr) (string, bool) {
 	}
 	if sig.Recv() == nil {
 		switch name {
-		case "Dial", "DialWith", "DialSharded":
+		case "DialWith", "DialSharded":
 			return "cache." + name + " (network dial)", true
 		}
 		return "", false

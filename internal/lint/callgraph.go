@@ -121,6 +121,7 @@ type taggedFinding struct {
 }
 
 type graph struct {
+	pkgs   []*Package
 	nodes  []*funcNode
 	byDecl map[ast.Node]*funcNode
 	byObj  map[*types.Func]*funcNode
@@ -133,6 +134,7 @@ type graph struct {
 // single-directory invocation only sees chains inside that package.
 func buildGraph(pkgs []*Package) *graph {
 	g := &graph{
+		pkgs:   pkgs,
 		byDecl: make(map[ast.Node]*funcNode),
 		byObj:  make(map[*types.Func]*funcNode),
 		cache:  make(map[string][]taggedFinding),

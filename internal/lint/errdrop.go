@@ -9,9 +9,7 @@ import (
 // The errdrop check flags statements that silently discard the error
 // result of a cache data operation (any cache round trip in blockset.go's
 // list — the cache.Conn data ops and their fenced variants — on
-// any internal/cache implementation, MemCache included), a
-// replication-stream apply (Replica.ApplyRecord — a dropped apply error
-// is a follower silently diverging from its leader), or an
+// any internal/cache implementation, MemCache included) or an
 // os.Setenv-style call. On a
 // networked cache these errors are the *normal* signal of an outage —
 // dropping one on the floor is how a worker keeps running with state
@@ -85,7 +83,7 @@ func errdropTarget(p *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil || !(cacheRoundTrip(fn) || fn.Name() == "ApplyRecord") {
+	if sig.Recv() == nil || !cacheRoundTrip(fn) {
 		return "", false
 	}
 	recv := "cache.Cache"

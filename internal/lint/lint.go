@@ -3,7 +3,8 @@
 // bad at catching because violations are only *sometimes* wrong at
 // runtime: wall-clock reads inside DES-clocked code, mixed
 // atomic/plain access to a field, blocking operations under a mutex,
-// global (unseeded) randomness, and silently dropped cache errors.
+// global (unseeded) randomness, and silently dropped cache errors —
+// plus one about size: exported names that no product code reaches.
 //
 // The analyzer is built only on the standard library's go/ast,
 // go/parser, go/token and go/types — no golang.org/x/tools — so it
@@ -73,6 +74,7 @@ func Checks() []Check {
 		goroleakCheck(),
 		globalrandCheck(),
 		errdropCheck(),
+		reachCheck(),
 	}
 }
 

@@ -35,12 +35,6 @@ func fencedToo(c *cache.Client) {
 	_ = c.PutFenced(1, "k", nil) // fine: explicit shed decision
 }
 
-func replicationToo(r *cache.Replica) {
-	// A dropped apply error is a follower silently diverging from its
-	// leader — the worst possible failure mode for a promotion target.
-	r.ApplyRecord('P', "k", nil) // want "error from Replica.ApplyRecord discarded"
-}
-
 func handled(c cache.Cache) error {
 	if err := c.Put("k", nil); err != nil {
 		return err

@@ -138,7 +138,7 @@ func (b *box) replicaStopUnderLock(r *cache.Replica) {
 func (b *box) dialUnderLock() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c, err := cache.Dial("127.0.0.1:1") // want "cache.Dial (network dial) while holding b.mu"
+	c, err := cache.DialWith("127.0.0.1:1", cache.DialOptions{}) // want "cache.DialWith (network dial) while holding b.mu"
 	if err == nil {
 		b.ncl = c
 	}

@@ -1,0 +1,14 @@
+// Command app is the reach fixture's product code.
+package main
+
+import (
+	"fmt"
+
+	"stellaris/internal/lint/testdata/src/reach"
+)
+
+func main() {
+	var s reach.Shape = &reach.Square{Side: 2}
+	fmt.Println(reach.Used(), s.Area(), reach.Describe(reach.Box{}), reach.Code(2), reach.Err{})
+	reach.Stale()
+}

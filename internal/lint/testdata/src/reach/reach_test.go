@@ -1,0 +1,8 @@
+package reach
+
+import "testing"
+
+func TestOnlyTests(t *testing.T) {
+	OnlyTests()
+	_ = (&Square{Side: 1}).Diagonal()
+}

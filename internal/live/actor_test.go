@@ -36,7 +36,7 @@ func newTestRun(t *testing.T, opt Options) *run {
 // can run without the Train pipeline.
 func newTestActor(t *testing.T, c cache.Cache, globalVersion int64) *actor {
 	t.Helper()
-	r := newTestRun(t, Options{ActorSteps: 8, MaxStaleFallbacks: 2, Hidden: 16})
+	r := newTestRun(t, Options{ActorSteps: 8, maxStaleFallbacks: 2, Hidden: 16})
 	r.version.Store(globalVersion)
 	a, err := r.newActor(0, workerName("actor", 0, 0), c, rng.New(7))
 	if err != nil {
@@ -116,12 +116,12 @@ func TestActorStaleFallbackKeepsFetchedVersion(t *testing.T) {
 // weights were ever fetched.
 func TestActorFailsAfterMaxStaleFallbacks(t *testing.T) {
 	a := newTestActor(t, cache.NewMemCache(), 0) // empty cache: every fetch fails
-	for i := 0; i < a.opt.MaxStaleFallbacks; i++ {
+	for i := 0; i < a.opt.maxStaleFallbacks; i++ {
 		if _, ok, err := a.iterate(); ok || err != nil {
 			t.Fatalf("fallback %d: ok=%v err=%v", i, ok, err)
 		}
 	}
 	if _, _, err := a.iterate(); err == nil {
-		t.Fatalf("no error after %d+1 consecutive failed fetches", a.opt.MaxStaleFallbacks)
+		t.Fatalf("no error after %d+1 consecutive failed fetches", a.opt.maxStaleFallbacks)
 	}
 }

@@ -154,14 +154,15 @@ func TestLiveTrainQuietProxyNoRecoveryCounters(t *testing.T) {
 
 // TestLiveResilienceDefaults: a run leaves its connections' policy to
 // the cache's one defaults table (TestDialOptionsDefaults pins 5s and
-// 4 attempts) and defaults only its own fallback bound. A caller's
-// Cache comes back unchanged in both schedules.
+// 4 attempts) and defaults only its own test hooks: 50 stale fallbacks
+// and a 50ms restart backoff. A caller's Cache comes back unchanged in
+// both schedules.
 func TestLiveResilienceDefaults(t *testing.T) {
 	o, err := Options{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Cache != (cache.DialOptions{}) || o.MaxStaleFallbacks != 50 {
+	if o.Cache != (cache.DialOptions{}) || o.maxStaleFallbacks != 50 || o.restartBackoff != 50*time.Millisecond {
 		t.Fatalf("resilience defaults wrong: %+v", o)
 	}
 	set := cache.DialOptions{

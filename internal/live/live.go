@@ -74,10 +74,6 @@ type Options struct {
 	SmoothV         int
 	Rho             float64
 	UpdatesPerRound int
-	// MaxStaleFallbacks bounds how many consecutive failed weight
-	// fetches a worker tolerates (reusing its stale copy) before the
-	// worker is restarted; default 50.
-	MaxStaleFallbacks int
 
 	// CheckpointDir enables crash-safe training: every CheckpointEvery
 	// policy updates the run persists its full state (weights, optimizer
@@ -104,9 +100,6 @@ type Options struct {
 	// RestartBudget is how many times one actor or learner may be
 	// restarted after a panic or error before the run fails; default 8.
 	RestartBudget int
-	// RestartBackoff is the base delay before a worker restart, doubled
-	// per consecutive restart up to 2s; default 50ms.
-	RestartBackoff time.Duration
 	// ChaosPanicRate injects a seeded panic into learner iterations with
 	// the given probability — a built-in chaos drill for the supervision
 	// layer. Zero (the default) injects nothing.
@@ -114,6 +107,13 @@ type Options struct {
 	// panicHook, when set, is asked before every worker iteration and
 	// triggers a panic on true. Deterministic fault injection for tests.
 	panicHook func(role string, id int) bool
+	// restartBackoff is the base delay before a worker restart, doubled
+	// per consecutive restart up to 2s; default 50ms. Tests shorten it.
+	restartBackoff time.Duration
+	// maxStaleFallbacks bounds how many consecutive failed weight
+	// fetches a worker tolerates (reusing its stale copy) before the
+	// worker is restarted; default 50. Tests lower it.
+	maxStaleFallbacks int
 
 	// FlightDir is where the supervisor writes flight-recorder dumps —
 	// JSON postmortems holding the last lineage events recorded before a
@@ -180,8 +180,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.UpdatesPerRound <= 0 {
 		o.UpdatesPerRound = 8
 	}
-	if o.MaxStaleFallbacks <= 0 {
-		o.MaxStaleFallbacks = 50
+	if o.maxStaleFallbacks <= 0 {
+		o.maxStaleFallbacks = 50
 	}
 	if o.CheckpointDir != "" && o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = o.UpdatesPerRound
@@ -192,8 +192,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.RestartBudget <= 0 {
 		o.RestartBudget = 8
 	}
-	if o.RestartBackoff <= 0 {
-		o.RestartBackoff = 50 * time.Millisecond
+	if o.restartBackoff <= 0 {
+		o.restartBackoff = 50 * time.Millisecond
 	}
 	return o, nil
 }

@@ -178,13 +178,10 @@ func TestChaosPartitionFailover(t *testing.T) {
 	}
 	assertChainsIntact(t, rep)
 
-	// The promoted follower holds term 2 (topology seeded term 1, bumped
-	// once by the promotion) — the post-failover fenced writes taught it.
-	if got := lc.fservers[victim].Term(); got < 2 {
-		t.Fatalf("promoted follower term %d, want >= 2", got)
-	}
 	// A client still acting on the pre-partition view — term 1 — must be
-	// fenced off the promoted leader.
+	// fenced off the promoted leader, which holds term 2 or newer
+	// (topology seeded term 1, bumped once by the promotion): the
+	// post-failover fenced writes taught it.
 	stale, err := cache.DialWith(lc.topo.Shards[victim].Follower, cache.DialOptions{
 		OpTimeout: time.Second, Attempts: 1,
 	})
@@ -192,7 +189,11 @@ func TestChaosPartitionFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stale.Close()
-	if err := stale.PutFenced(1, "traj/stale", []byte("v")); !errors.As(err, new(*cache.ErrFenced)) {
+	var fe *cache.ErrFenced
+	if err := stale.PutFenced(1, "traj/stale", []byte("v")); !errors.As(err, &fe) {
 		t.Fatalf("pre-partition term accepted by the promoted leader: %v", err)
+	}
+	if fe.Term < 2 {
+		t.Fatalf("promoted follower term %d, want >= 2", fe.Term)
 	}
 }

@@ -227,7 +227,7 @@ func TestSupervisorRestartsWorkers(t *testing.T) {
 	var actorPanics, learnerPanics atomic.Int64
 	opt := tinyOpts()
 	opt.Updates = 2
-	opt.RestartBackoff = time.Millisecond
+	opt.restartBackoff = time.Millisecond
 	opt.panicHook = func(role string, id int) bool {
 		switch role {
 		case "actor":
@@ -255,7 +255,7 @@ func TestSupervisorRestartsWorkers(t *testing.T) {
 func TestSupervisorBudgetExhausted(t *testing.T) {
 	opt := tinyOpts()
 	opt.RestartBudget = 2
-	opt.RestartBackoff = time.Millisecond
+	opt.restartBackoff = time.Millisecond
 	opt.panicHook = func(role string, id int) bool { return role == "actor" }
 	_, err := Train(opt)
 	if err == nil || !strings.Contains(err.Error(), "restart budget") {
@@ -272,7 +272,7 @@ func TestHaltInterruptsRestartBackoff(t *testing.T) {
 	updates := reg.Counter("live_updates_total", "policy updates applied")
 	opt := tinyOpts()
 	opt.Obs = reg
-	opt.RestartBackoff = 2 * time.Second
+	opt.restartBackoff = 2 * time.Second
 	crashed := make(chan struct{}) // closed as learner 1 goes down; no rollout starts before
 	var once sync.Once
 	opt.panicHook = func(role string, id int) bool {
@@ -323,7 +323,7 @@ func TestRecoveryObsMetrics(t *testing.T) {
 	opt.Obs = reg
 	opt.CheckpointDir = t.TempDir()
 	opt.CheckpointEvery = 1
-	opt.RestartBackoff = time.Millisecond
+	opt.restartBackoff = time.Millisecond
 	opt.panicHook = func(role string, id int) bool {
 		return role == "learner" && learnerPanics.Add(1) <= 2
 	}
@@ -403,7 +403,7 @@ func TestReportSameWithoutRegistry(t *testing.T) {
 		var actors, learners atomic.Int64
 		opt := tinyOpts()
 		opt.CheckpointEvery = 2
-		opt.RestartBackoff = time.Millisecond
+		opt.restartBackoff = time.Millisecond
 		opt.panicHook = func(role string, id int) bool {
 			if role == "actor" {
 				return actors.Add(1) == 1
@@ -514,7 +514,7 @@ func TestChaosPanicsAndCacheBounce(t *testing.T) {
 	opt.Cache.OpTimeout = 250 * time.Millisecond
 	opt.Cache.Attempts = 10
 	opt.RestartBudget = 1000
-	opt.RestartBackoff = time.Millisecond
+	opt.restartBackoff = time.Millisecond
 	opt.panicHook = func(role string, id int) bool {
 		if role != "learner" {
 			return false

@@ -35,7 +35,7 @@ type weightView struct {
 	sub          *cache.WeightsSub
 	st           *runState
 	who          string // "actor 0", for the give-up error
-	maxFallbacks int    // Options.MaxStaleFallbacks
+	maxFallbacks int    // Options.maxStaleFallbacks
 	streak       int
 }
 
@@ -47,7 +47,7 @@ func (r *run) newWeightView(cli cache.Cache, w []float64, who string) weightView
 	sub.Bind(w)
 	return weightView{
 		sub: r.trackSub(sub),
-		st:  r.st, who: who, maxFallbacks: r.opt.MaxStaleFallbacks,
+		st:  r.st, who: who, maxFallbacks: r.opt.maxStaleFallbacks,
 	}
 }
 

@@ -60,7 +60,7 @@ func TestLearnerStep(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			r := newTestRun(t, Options{ActorSteps: 8, MaxStaleFallbacks: 2, Hidden: 16})
+			r := newTestRun(t, Options{ActorSteps: 8, maxStaleFallbacks: 2, Hidden: 16})
 			r.m = newLiveMetrics(reg)
 			r.st.m = r.m
 			mem := cache.NewMemCache()
@@ -181,9 +181,9 @@ func TestAbsorbCorruptGradient(t *testing.T) {
 // TestWeightViewFallback pins the one stale-weight fallback actors and
 // learners share: a failed fetch returns the stale copy WITH the version
 // it was fetched under, a success clears the streak, and the view gives
-// up after MaxStaleFallbacks consecutive failures.
+// up after maxStaleFallbacks consecutive failures.
 func TestWeightViewFallback(t *testing.T) {
-	r := newTestRun(t, Options{MaxStaleFallbacks: 2})
+	r := newTestRun(t, Options{maxStaleFallbacks: 2})
 	mem := cache.NewMemCache()
 	fresh := []float64{1, 2, 3}
 	v := r.newWeightView(mem, make([]float64, len(fresh)), "learner 0")
@@ -250,7 +250,7 @@ func TestWeightViewKeepsCopyOnCorruptSnapshot(t *testing.T) {
 		"wrong kind":    grad,
 	} {
 		t.Run(name, func(t *testing.T) {
-			r := newTestRun(t, Options{MaxStaleFallbacks: 2})
+			r := newTestRun(t, Options{maxStaleFallbacks: 2})
 			mem := cache.NewMemCache()
 			v := r.newWeightView(mem, make([]float64, len(good)), "actor 0")
 			if err := (&cache.WeightsPublisher{C: mem}).Publish(4, good, lineage.Meta{}); err != nil {
@@ -297,7 +297,7 @@ func TestWeightViewFetchAllocatesNoVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := cache.Dial(addr)
+	cli, err := cache.DialWith(addr, cache.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestAdmissionSurvivesWorkerPanics(t *testing.T) {
 	opt := tinyOpts()
 	opt.Updates = 8
 	opt.RestartBudget = 64
-	opt.RestartBackoff = time.Millisecond
+	opt.restartBackoff = time.Millisecond
 	var mu sync.Mutex
 	chaos := rng.New(23)
 	calls := map[string]int{}

@@ -60,7 +60,7 @@ func (r *run) supervise(role string, id int, body func(ready func()) error) {
 		if shift > 6 {
 			shift = 6
 		}
-		backoff := r.opt.RestartBackoff << uint(shift)
+		backoff := r.opt.restartBackoff << uint(shift)
 		if backoff > 2*time.Second {
 			backoff = 2 * time.Second
 		}

@@ -189,7 +189,7 @@ func TestFlightDumpOnPanicRestart(t *testing.T) {
 	opt.Updates = 2
 	opt.Obs = reg
 	opt.FlightDir = dir
-	opt.RestartBackoff = time.Millisecond
+	opt.restartBackoff = time.Millisecond
 	opt.panicHook = func(role string, id int) bool {
 		return role == "learner" && learnerPanics.Add(1) == 1
 	}

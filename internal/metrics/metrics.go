@@ -89,14 +89,6 @@ func (r *Recorder) FinalReward(window int) float64 {
 	return s / float64(window)
 }
 
-// TotalCost returns the final cumulative cost.
-func (r *Recorder) TotalCost() float64 {
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	return r.Rows[len(r.Rows)-1].CostUSD
-}
-
 // Histogram is a simple fixed-bin histogram for the staleness PDFs of
 // Fig. 3(b).
 type Histogram struct {
@@ -121,7 +113,7 @@ func (h *Histogram) ObserveAll(vs []int) {
 }
 
 // Total returns the observation count.
-func (h *Histogram) Total() int { return h.total }
+func (h *Histogram) Total() int { return h.total } //lint:allow reach inspection accessor: internal/core's tests read it
 
 // PDF returns (value, probability) pairs sorted by value.
 func (h *Histogram) PDF() (values []int, probs []float64) {

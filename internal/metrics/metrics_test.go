@@ -52,17 +52,6 @@ func TestFinalReward(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
-	r := sampleRecorder()
-	if r.TotalCost() != 0.04 {
-		t.Fatalf("TotalCost %v", r.TotalCost())
-	}
-	empty := NewRecorder()
-	if empty.TotalCost() != 0 {
-		t.Fatal("empty totals nonzero")
-	}
-}
-
 func TestHistogramPDF(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveAll([]int{0, 0, 1, 2, 2, 2})

@@ -12,9 +12,6 @@ type Tanh struct {
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
-// Name implements Layer.
-func (t *Tanh) Name() string { return "Tanh" }
-
 // OutDim implements Layer.
 func (t *Tanh) OutDim(in int) int { return in }
 
@@ -57,9 +54,6 @@ type ReLU struct {
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
-
-// Name implements Layer.
-func (r *ReLU) Name() string { return "ReLU" }
 
 // OutDim implements Layer.
 func (r *ReLU) OutDim(in int) int { return in }

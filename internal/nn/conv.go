@@ -49,8 +49,8 @@ func NewConv2D(s *Slab, shape tensor.ConvShape, r *rng.RNG) *Conv2D {
 	return c
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string {
+// name identifies the layer in panic messages.
+func (c *Conv2D) name() string {
 	s := c.Shape
 	return fmt.Sprintf("Conv2D(%dx%dx%d->%d@%dx%ds%d)", s.InC, s.InH, s.InW, s.OutC, s.KH, s.KW, s.Stride)
 }
@@ -58,7 +58,7 @@ func (c *Conv2D) Name() string {
 // OutDim implements Layer.
 func (c *Conv2D) OutDim(in int) int {
 	if in != c.Shape.InSize() {
-		panic(fmt.Sprintf("nn: %s fed width %d", c.Name(), in))
+		panic(fmt.Sprintf("nn: %s fed width %d", c.name(), in))
 	}
 	return c.Shape.OutSize()
 }
@@ -83,7 +83,7 @@ func (c *Conv2D) channels(m *tensor.Mat, i int) tensor.Mat {
 func (c *Conv2D) Forward(in *tensor.Mat) *tensor.Mat {
 	s := &c.Shape
 	if in.Cols != s.InSize() {
-		panic(fmt.Sprintf("nn: %s fed %d cols", c.Name(), in.Cols))
+		panic(fmt.Sprintf("nn: %s fed %d cols", c.name(), in.Cols))
 	}
 	c.lastRows = in.Rows
 	positions := s.OutH * s.OutW

@@ -48,13 +48,13 @@ func NewDenseScaled(s *Slab, in, out int, gain float64, r *rng.RNG) *Dense {
 	return d
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return fmt.Sprintf("Dense(%d->%d)", d.In, d.Out) }
+// name identifies the layer in panic messages.
+func (d *Dense) name() string { return fmt.Sprintf("Dense(%d->%d)", d.In, d.Out) }
 
 // OutDim implements Layer.
 func (d *Dense) OutDim(in int) int {
 	if in != d.In {
-		panic(fmt.Sprintf("nn: %s fed width %d", d.Name(), in))
+		panic(fmt.Sprintf("nn: %s fed width %d", d.name(), in))
 	}
 	return d.Out
 }
@@ -65,7 +65,7 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // Forward implements Layer.
 func (d *Dense) Forward(in *tensor.Mat) *tensor.Mat {
 	if in.Cols != d.In {
-		panic(fmt.Sprintf("nn: %s fed %d cols", d.Name(), in.Cols))
+		panic(fmt.Sprintf("nn: %s fed %d cols", d.name(), in.Cols))
 	}
 	d.lastIn = in
 	out := ensureMat(&d.out, in.Rows, d.Out)

@@ -136,8 +136,6 @@ type Layer interface {
 	Params() []*Param
 	// OutDim returns the per-sample output width given input width in.
 	OutDim(in int) int
-	// Name identifies the layer for diagnostics.
-	Name() string
 }
 
 // Network is a sequential stack of layers, all built on one Slab.
@@ -177,7 +175,7 @@ func (n *Network) Forward(in *tensor.Mat) *tensor.Mat {
 // Backward propagates dL/dOut back through all layers, accumulating
 // parameter gradients, and returns dL/dIn. The first Backward or
 // ZeroGrad on any network of a Slab allocates the Slab's gradients.
-func (n *Network) Backward(dOut *tensor.Mat) *tensor.Mat {
+func (n *Network) Backward(dOut *tensor.Mat) *tensor.Mat { //lint:allow reach benchmark-only: benchmark/ladder.go times it
 	n.slab.allocGrad()
 	d := dOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
@@ -292,7 +290,7 @@ func (n *Network) NumParams() int {
 
 // ZeroGrad clears this network's accumulated gradients, allocating the
 // Slab's on the first call.
-func (n *Network) ZeroGrad() {
+func (n *Network) ZeroGrad() { //lint:allow reach benchmark-only: benchmark/ladder.go times it
 	n.slab.allocGrad()
 	for _, p := range n.Params() {
 		clear(p.Grad)

@@ -414,7 +414,7 @@ func TestSteadyStatePassesDoNotAllocate(t *testing.T) {
 		}
 		pass()
 		if n := testing.AllocsPerRun(20, pass); n != 0 {
-			t.Errorf("%s: %v allocations per steady-state Forward+Backward, want 0", l.Name(), n)
+			t.Errorf("%T: %v allocations per steady-state Forward+Backward, want 0", l, n)
 		}
 	}
 }
@@ -470,7 +470,7 @@ func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
 					got, want = l.packed, tensor.PackPays(rows*positions, positions, l.Shape.OutC)
 				}
 				if got != want {
-					t.Fatalf("%s: %s packed = %v after Pack(%d), want %v", name, l.Name(), got, rows, want)
+					t.Fatalf("%s: %T packed = %v after Pack(%d), want %v", name, l, got, rows, want)
 				}
 			}
 			if wantHidden := tensor.PackPays(64, 1, 64) && rows == 64 && name == "mlp"; wantHidden != (hidden == 2) {
@@ -500,7 +500,7 @@ func TestPackedForwardBitEqualToUnpacked(t *testing.T) {
 						continue
 					}
 					if got != want {
-						t.Fatalf("%s: %s packed for a batch of %d: %v", name, l.Name(), batch, got)
+						t.Fatalf("%s: %T packed for a batch of %d: %v", name, l, batch, got)
 					}
 				}
 				out := len(want) / batch

@@ -296,7 +296,7 @@ func (s *Store) evictLocked() {
 
 // Timeline returns a copy of the artifact's recorded events in record
 // order (nil when unknown).
-func (s *Store) Timeline(id string) []Event {
+func (s *Store) Timeline(id string) []Event { //lint:allow reach inspection accessor: the cache, live and core tests read it
 	if s == nil {
 		return nil
 	}
@@ -311,7 +311,7 @@ func (s *Store) Timeline(id string) []Event {
 
 // Traces lists held trace IDs of the given kind ("" = all) in insertion
 // order.
-func (s *Store) Traces(kind string) []string {
+func (s *Store) Traces(kind string) []string { //lint:allow reach inspection accessor: the live and core tests read it
 	if s == nil {
 		return nil
 	}
@@ -327,19 +327,6 @@ func (s *Store) Traces(kind string) []string {
 	return out
 }
 
-// DepthOf returns the ancestry depth of a known trace (0 when unknown).
-func (s *Store) DepthOf(id string) int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tr := s.traces[id]; tr != nil {
-		return tr.depth
-	}
-	return 0
-}
-
 // Chain reconstructs the causal chain starting at id and following the
 // forward links downstream (a trajectory's consumed→gradient, the
 // gradient's aggregated→weights). Where the record is incomplete — an
@@ -347,7 +334,7 @@ func (s *Store) DepthOf(id string) int {
 // trace — the chain degrades to an explicit HopGap event rather than
 // mislinking or failing, so a chain is always returned and gaps are
 // visible rather than silent.
-func (s *Store) Chain(id string) []Event {
+func (s *Store) Chain(id string) []Event { //lint:allow reach inspection accessor: the live and core tests read it
 	if s == nil {
 		return nil
 	}
@@ -390,17 +377,8 @@ func (s *Store) Chain(id string) []Event {
 	return out
 }
 
-// Recent returns up to n of the most recent events across all traces in
-// chronological order — the flight recorder's view.
-func (s *Store) Recent(n int) []Event {
-	if s == nil || n <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recentLocked(n)
-}
-
+// recentLocked returns up to n of the most recent events across all
+// traces in chronological order — the flight recorder's view.
 func (s *Store) recentLocked(n int) []Event {
 	if n > s.ringN {
 		n = s.ringN

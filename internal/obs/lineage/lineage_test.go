@@ -67,10 +67,10 @@ func TestChainReconstruction(t *testing.T) {
 			t.Fatalf("timestamps regress at %d: %v then %v", i, chain[i-1].TimeSec, chain[i].TimeSec)
 		}
 	}
-	if d := s.DepthOf(grad); d != 2 {
+	if d := s.traces[grad].depth; d != 2 {
 		t.Fatalf("gradient depth %d, want 2 (child of weights/0)", d)
 	}
-	if d := s.DepthOf(traj); d != 2 {
+	if d := s.traces[traj].depth; d != 2 {
 		t.Fatalf("trajectory depth %d, want 2", d)
 	}
 }
@@ -175,7 +175,7 @@ func TestFlightRecorderRing(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.Record(Event{Trace: "t", Kind: KindTrajectory, Hop: HopPut})
 	}
-	recent := s.Recent(10)
+	recent := ringTail(s, 10)
 	if len(recent) != 4 {
 		t.Fatalf("ring holds %d events, want 4", len(recent))
 	}
@@ -297,8 +297,7 @@ func TestChromeTraceExport(t *testing.T) {
 func TestNilStoreIsSafe(t *testing.T) {
 	var s *Store
 	s.Record(Event{Trace: "x", Hop: HopPut})
-	if s.Timeline("x") != nil || s.Chain("x") != nil || s.Traces("") != nil ||
-		s.Recent(5) != nil || s.DepthOf("x") != 0 {
+	if s.Timeline("x") != nil || s.Chain("x") != nil || s.Traces("") != nil {
 		t.Fatal("nil store returned data")
 	}
 	if st := s.Stats(); st.Events != 0 {
@@ -359,7 +358,7 @@ func TestConcurrentRecord(t *testing.T) {
 				id := []string{"a", "b", "c"}[i%3]
 				s.Record(Event{Trace: id, Kind: KindTrajectory, Hop: HopPut})
 				s.Chain(id)
-				s.Recent(8)
+				ringTail(s, 8)
 			}
 		}(g)
 	}
@@ -373,4 +372,12 @@ func TestWeightsID(t *testing.T) {
 	if WeightsID(7) != "weights/7" {
 		t.Fatalf("WeightsID(7) = %q", WeightsID(7))
 	}
+}
+
+// ringTail is the flight recorder's ring as WriteFlightDump reads it: up
+// to n of the newest events, oldest first.
+func ringTail(s *Store, n int) []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recentLocked(n)
 }

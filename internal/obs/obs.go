@@ -162,9 +162,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Quantile estimates the q-quantile (0..1) from bucket counts, taking
 // each bucket's upper bound (conservative). Returns +Inf when the
 // target falls in the overflow bucket.
@@ -491,7 +488,7 @@ func (r *Registry) Snapshot() *Snapshot {
 // Find returns the first counter/gauge point with the given name whose
 // labels include every given key=value pair (convenience for tests and
 // report plumbing). ok is false when absent.
-func (s *Snapshot) Find(name string, labels map[string]string) (Point, bool) {
+func (s *Snapshot) Find(name string, labels map[string]string) (Point, bool) { //lint:allow reach inspection accessor: the cache, live and core tests read it
 	for _, set := range [][]Point{s.Counters, s.Gauges} {
 		for _, p := range set {
 			if p.Name == name && labelsMatch(p.Labels, labels) {
@@ -503,7 +500,7 @@ func (s *Snapshot) Find(name string, labels map[string]string) (Point, bool) {
 }
 
 // FindHistogram is Find for histograms.
-func (s *Snapshot) FindHistogram(name string, labels map[string]string) (HistogramPoint, bool) {
+func (s *Snapshot) FindHistogram(name string, labels map[string]string) (HistogramPoint, bool) { //lint:allow reach inspection accessor: the cache, live and core tests read it
 	for _, h := range s.Histograms {
 		if h.Name == name && labelsMatch(h.Labels, labels) {
 			return h, true

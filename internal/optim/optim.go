@@ -22,20 +22,13 @@ import (
 type Optimizer interface {
 	// Step applies one update: params ← params - f(grad).
 	Step(params, grad []float64)
-	// LR returns the current base learning rate α₀.
-	LR() float64
 	// SetLR replaces the base learning rate.
 	SetLR(lr float64)
-	// Reset clears the moment state (used when a fresh optimizer
-	// is reconstructed inside a new parameter-function invocation).
-	Reset()
 	// State exports the optimizer's moments for checkpointing.
 	State() State
 	// Restore replaces the moments with a previously exported State; it
 	// fails if the state came from a different optimizer kind.
 	Restore(State) error
-	// Name identifies the optimizer for logs and CSV output.
-	Name() string
 }
 
 func checkLen(params, grad []float64) {
@@ -58,17 +51,11 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }
+// name is the optimizer kind its State carries.
+func (a *Adam) name() string { return "adam" }
 
 // SetLR implements Optimizer.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// Reset implements Optimizer.
-func (a *Adam) Reset() { a.t, a.m, a.v = 0, nil, nil }
 
 // Step implements Optimizer.
 func (a *Adam) Step(params, grad []float64) {

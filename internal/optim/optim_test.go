@@ -44,8 +44,8 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 func TestSetLR(t *testing.T) {
 	o := NewAdam(0.1)
 	o.SetLR(0.5)
-	if o.LR() != 0.5 {
-		t.Fatalf("%s SetLR failed", o.Name())
+	if o.lr != 0.5 {
+		t.Fatalf("SetLR(0.5) left lr %v", o.lr)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestNewByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Name() != "adam" {
-		t.Fatalf(`New("adam").Name() = %q`, o.Name())
+	if _, ok := o.(*Adam); !ok {
+		t.Fatalf(`New("adam") = %T`, o)
 	}
 	for _, name := range []string{"sgd", "rmsprop", "bogus"} {
 		if _, err := New(name, 0.1); err == nil {
@@ -78,10 +78,12 @@ func TestAdamResetClearsState(t *testing.T) {
 	p := []float64{0}
 	a.Step(p, []float64{1})
 	first := p[0]
-	a.Reset()
+	if err := a.Restore(NewAdam(0.1).State()); err != nil {
+		t.Fatal(err)
+	}
 	p2 := []float64{0}
 	a.Step(p2, []float64{1})
 	if p2[0] != first {
-		t.Fatalf("post-Reset step %v != fresh step %v", p2[0], first)
+		t.Fatalf("step after restoring a fresh state %v != fresh step %v", p2[0], first)
 	}
 }

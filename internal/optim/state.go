@@ -40,12 +40,12 @@ func checkName(got State, want string) error {
 
 // State implements Optimizer.
 func (a *Adam) State() State {
-	return State{Name: a.Name(), Step: int64(a.t), Vecs: [][]float64{cloneVec(a.m), cloneVec(a.v)}}
+	return State{Name: a.name(), Step: int64(a.t), Vecs: [][]float64{cloneVec(a.m), cloneVec(a.v)}}
 }
 
 // Restore implements Optimizer.
 func (a *Adam) Restore(st State) error {
-	if err := checkName(st, a.Name()); err != nil {
+	if err := checkName(st, a.name()); err != nil {
 		return err
 	}
 	a.t = int(st.Step)

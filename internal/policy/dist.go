@@ -33,9 +33,6 @@ const (
 type Distribution interface {
 	// ParamDim returns the network head width for this distribution.
 	ParamDim() int
-	// ActionDim returns the action vector length (1 for categorical,
-	// the action-space dimension for Gaussians).
-	ActionDim() int
 	// Sample draws an action given one parameter row.
 	Sample(params []float64, r *rng.RNG) []float64
 	// Mode returns the distribution's most likely action (used for
@@ -54,8 +51,6 @@ type Distribution interface {
 	// GradKLP accumulates w · ∂D_KL(p‖q)/∂p into dst (gradient with
 	// respect to the first argument, the current policy).
 	GradKLP(dst, p, q []float64, w float64)
-	// Name identifies the distribution family.
-	Name() string
 }
 
 // clampLogStd bounds a raw network log-std output.
@@ -81,14 +76,8 @@ func NewDiagGaussian(dim int) *DiagGaussian {
 	return &DiagGaussian{Dim: dim}
 }
 
-// Name implements Distribution.
-func (g *DiagGaussian) Name() string { return "diag_gaussian" }
-
 // ParamDim implements Distribution.
 func (g *DiagGaussian) ParamDim() int { return 2 * g.Dim }
-
-// ActionDim implements Distribution.
-func (g *DiagGaussian) ActionDim() int { return g.Dim }
 
 // Sample implements Distribution.
 func (g *DiagGaussian) Sample(params []float64, r *rng.RNG) []float64 {
@@ -191,14 +180,8 @@ func NewCategorical(n int) *Categorical {
 	return &Categorical{N: n}
 }
 
-// Name implements Distribution.
-func (c *Categorical) Name() string { return "categorical" }
-
 // ParamDim implements Distribution.
 func (c *Categorical) ParamDim() int { return c.N }
-
-// ActionDim implements Distribution.
-func (c *Categorical) ActionDim() int { return 1 }
 
 // logSoftmax writes log-probabilities for logits into out.
 func (c *Categorical) logSoftmax(logits []float64, out []float64) {

@@ -74,7 +74,7 @@ func (c *Clock) At(t float64, fn func()) {
 
 // After schedules fn d seconds from now. Negative delays are clamped to
 // zero (an immediate event at the current instant).
-func (c *Clock) After(d float64, fn func()) {
+func (c *Clock) After(d float64, fn func()) { //lint:allow reach benchmark-only: benchmark/simrungs schedules with it
 	if d < 0 {
 		d = 0
 	}
@@ -94,7 +94,7 @@ func (c *Clock) Step() bool {
 }
 
 // Run fires events until none remain or Stop is called.
-func (c *Clock) Run() {
+func (c *Clock) Run() { //lint:allow reach benchmark-only: benchmark/simrungs runs the clock with it
 	c.stopped = false
 	for !c.stopped && c.Step() {
 	}

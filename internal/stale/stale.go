@@ -60,8 +60,6 @@ type Policy interface {
 	// Weight returns the aggregation weight for a gradient of
 	// staleness delta (Eq. 4 for Stellaris).
 	Weight(delta int) float64
-	// QueueLen reports how many gradients are delayed.
-	QueueLen() int
 }
 
 // Combined is the output of one aggregation.
@@ -201,12 +199,6 @@ func (s *Stellaris) roundOf(version int) int {
 // Name implements Policy.
 func (s *Stellaris) Name() string { return "stellaris" }
 
-// QueueLen implements Policy.
-func (s *Stellaris) QueueLen() int { return len(s.queue) }
-
-// DeltaMax returns the measured warmup maximum staleness.
-func (s *Stellaris) DeltaMax() float64 { return s.deltaMax }
-
 // Beta returns the staleness threshold β_k for round k (Eq. 3).
 func (s *Stellaris) Beta(round int) float64 {
 	dm := s.deltaMax
@@ -274,9 +266,6 @@ func NewSoftsync(c int) *Softsync {
 // Name implements Policy.
 func (s *Softsync) Name() string { return "softsync" }
 
-// QueueLen implements Policy.
-func (s *Softsync) QueueLen() int { return len(s.queue) }
-
 // Offer implements Policy.
 func (s *Softsync) Offer(e *Entry, _ int) []*Entry {
 	s.queue = append(s.queue, e)
@@ -311,9 +300,6 @@ func NewSSP(bound int) *SSP {
 // Name implements Policy.
 func (s *SSP) Name() string { return "ssp" }
 
-// QueueLen implements Policy.
-func (s *SSP) QueueLen() int { return 0 }
-
 // Offer implements Policy.
 func (s *SSP) Offer(e *Entry, _ int) []*Entry { return []*Entry{e} }
 
@@ -336,9 +322,6 @@ func NewPureAsync() *PureAsync { return &PureAsync{} }
 
 // Name implements Policy.
 func (p *PureAsync) Name() string { return "async" }
-
-// QueueLen implements Policy.
-func (p *PureAsync) QueueLen() int { return 0 }
 
 // Offer implements Policy.
 func (p *PureAsync) Offer(e *Entry, _ int) []*Entry { return []*Entry{e} }
@@ -365,9 +348,6 @@ func NewFullSync(n int) *FullSync {
 
 // Name implements Policy.
 func (f *FullSync) Name() string { return "sync" }
-
-// QueueLen implements Policy.
-func (f *FullSync) QueueLen() int { return len(f.queue) }
 
 // Offer implements Policy.
 func (f *FullSync) Offer(e *Entry, _ int) []*Entry {

@@ -30,8 +30,8 @@ func TestStellarisWarmupImmediate(t *testing.T) {
 			t.Fatalf("warmup offer at version %d returned %d entries", v, len(g))
 		}
 	}
-	if s.DeltaMax() != 2 {
-		t.Fatalf("warmup deltaMax %v, want 2", s.DeltaMax())
+	if s.deltaMax != 2 {
+		t.Fatalf("warmup deltaMax %v, want 2", s.deltaMax)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestStellarisDelaysAboveThreshold(t *testing.T) {
 	if g := s.Offer(entry(0, version-3), version); g != nil {
 		t.Fatal("stale gradient aggregated despite threshold")
 	}
-	if s.QueueLen() != 1 {
-		t.Fatalf("queue length %d", s.QueueLen())
+	if len(s.queue) != 1 {
+		t.Fatalf("queue length %d", len(s.queue))
 	}
 	// Fresh gradients dilute the average, but β≈0.002 needs many; the
 	// MaxQueue backstop eventually flushes.
@@ -73,7 +73,7 @@ func TestStellarisDelaysAboveThreshold(t *testing.T) {
 	if len(g) != 4 {
 		t.Fatalf("backstop flush returned %d entries, want 4", len(g))
 	}
-	if s.QueueLen() != 0 {
+	if len(s.queue) != 0 {
 		t.Fatal("queue not drained by flush")
 	}
 }
@@ -295,7 +295,7 @@ func TestStellarisLivenessProperty(t *testing.T) {
 				born = 0
 			}
 			group := s.Offer(entry(0, born), version)
-			if s.QueueLen() >= s.MaxQueue {
+			if len(s.queue) >= s.MaxQueue {
 				return false
 			}
 			if group != nil {

@@ -17,8 +17,8 @@ func TestStellarisStateRoundTrip(t *testing.T) {
 	if g := s.Offer(&Entry{LearnerID: 0, BornVersion: 0, Grad: []float64{2}, MeanRatio: 1}, 9); g != nil {
 		t.Fatalf("expected offer to queue, aggregated %d", len(g))
 	}
-	if s.QueueLen() != 1 {
-		t.Fatalf("queue length %d", s.QueueLen())
+	if len(s.queue) != 1 {
+		t.Fatalf("queue length %d", len(s.queue))
 	}
 
 	st := s.ExportState()
@@ -31,11 +31,11 @@ func TestStellarisStateRoundTrip(t *testing.T) {
 	r := NewStellaris()
 	r.D, r.V, r.UpdatesPerRound = s.D, s.V, s.UpdatesPerRound
 	r.RestoreState(st)
-	if r.DeltaMax() != st.DeltaMax {
-		t.Fatalf("deltaMax %v vs %v", r.DeltaMax(), st.DeltaMax)
+	if r.deltaMax != st.DeltaMax {
+		t.Fatalf("deltaMax %v vs %v", r.deltaMax, st.DeltaMax)
 	}
-	if r.QueueLen() != 1 {
-		t.Fatalf("restored queue length %d", r.QueueLen())
+	if len(r.queue) != 1 {
+		t.Fatalf("restored queue length %d", len(r.queue))
 	}
 	// The restored queue must flush under the same conditions: a fresh
 	// low-staleness offer brings the mean under β or hits MaxQueue the

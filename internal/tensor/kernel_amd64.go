@@ -129,4 +129,4 @@ func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64)
 // HostClassOne is the tanh probe's verdict: this process's math.Tanh is
 // host class 1's (amd64, math.Exp on its FMA arm; DESIGN.md §8), the
 // class every pinned output hash was taken on.
-func HostClassOne() bool { return tanhOK }
+func HostClassOne() bool { return tanhOK } //lint:allow reach inspection accessor: golden_test.go gates the pinned hashes on it

@@ -55,4 +55,4 @@ func adamAVX2(p, grad, m, v *float64, n4 int, k *[8]float64) { panic("tensor: no
 
 // HostClassOne is the tanh probe's verdict; no port but amd64 is host
 // class 1 (DESIGN.md §8).
-func HostClassOne() bool { return false }
+func HostClassOne() bool { return false } //lint:allow reach inspection accessor: golden_test.go gates the pinned hashes on it

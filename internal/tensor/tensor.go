@@ -213,13 +213,6 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice sharing m's storage.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	c := NewMat(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Zero sets all elements of m to zero.
 func (m *Mat) Zero() {
 	for i := range m.Data {

