@@ -54,8 +54,8 @@ lint:
 # The race-enabled pass WITHOUT -short over the cache tier, the live
 # trainer and obs HTTP. It is the one pass that runs every TestChaos*
 # drill (all of them live in internal/cache and internal/live: fault
-# proxy at aggressive rates, AOF compaction, the learner-panic +
-# server-bounce drill of DESIGN.md "Crash recovery", and the cluster
+# proxy at aggressive rates, the learner-panic + server-bounce drill of
+# DESIGN.md "Crash recovery", and the cluster
 # drills of §11 — shard-kill failover, asymmetric partition fenced by
 # term), and these suites are
 # wired with leaktest.Check, so every Close/Stop path is exercised and
@@ -112,7 +112,7 @@ fuzz-short:
 # above it (internal/optim's Adam step among them), built for a port
 # that has none. Compiles from the local GOROOT: no network, no emulator. Then
 # every format read through internal/wire (payload, batch blob, record,
-# snapshot, checkpoint, lineage meta) on a 32-bit int — run, natively,
+# checkpoint, lineage meta) on a 32-bit int — run, natively,
 # as 386 binaries on an amd64 Linux host: crafted counts and lengths
 # must not wrap, and the one-copy slab path runs there too — and the
 # tensor kernels' Go path and kernel_noasm.go, held to the scalar loops

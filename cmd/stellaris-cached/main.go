@@ -7,11 +7,11 @@
 //
 //	stellaris-cached -addr :6380
 //
-// With -persist the keyspace is journaled to disk (snapshot + append-only
-// op log) and recovered on restart, so a crashed or bounced cache server
-// comes back with its keyspace intact:
-//
-//	stellaris-cached -addr :6380 -persist /var/lib/stellaris/cache
+// The keyspace lives in memory only, as the paper's cache does: a
+// restarted server comes back empty. Trajectories and gradients in it
+// are shed and produced again, and the parameter function re-publishes
+// the weights a worker finds missing; a follower (below) is what keeps
+// the keyspace across the loss of a leader.
 //
 // For resilience drills the server can also expose a chaos endpoint: a
 // fault-injecting proxy in front of the real listener that drops,
@@ -57,7 +57,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
-	persistDir := flag.String("persist", "", "durability directory (snapshot + op log; empty keeps the store in-memory)")
 	obsAddr := flag.String("obs-addr", "", "metrics/pprof HTTP address (e.g. :9090; empty disables)")
 	faultAddr := flag.String("fault-addr", "127.0.0.1:6381", "chaos proxy listen address (used when any -fault-* rate > 0)")
 	faultDrop := flag.Float64("fault-drop", 0, "chaos proxy: per-chunk drop probability")
@@ -74,15 +73,7 @@ func main() {
 	flag.Parse()
 
 	var store *cache.MemCache
-	if *persistDir != "" {
-		var err error
-		store, err = cache.NewPersistentMemCache(*persistDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stellaris-cached: persist:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("persisting keyspace to %s\n", *persistDir)
-	} else if *followerOf != "" {
+	if *followerOf != "" {
 		// A follower needs an explicit store handle: the replica applies
 		// the leader's records to the same store the server serves.
 		store = cache.NewMemCache()
@@ -96,9 +87,6 @@ func main() {
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		srv.Instrument(reg)
-		if store != nil {
-			store.InstrumentPersistence(reg)
-		}
 		// Server-side causal tracing: the cache's own view of artifacts
 		// crossing its boundary (put/fetched hops on traj/ and grad/
 		// keys), served at /trace.chrome.json even when the workers live
@@ -201,11 +189,5 @@ func main() {
 	if err := srv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "stellaris-cached: close:", err)
 		os.Exit(1)
-	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "stellaris-cached: persist close:", err)
-			os.Exit(1)
-		}
 	}
 }

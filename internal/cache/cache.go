@@ -46,11 +46,11 @@ type Cache interface {
 	Delete(key string) error
 }
 
-// MemCache is an in-process Cache safe for concurrent use. A MemCache
-// opened with NewPersistentMemCache additionally journals every mutation
-// to disk (see persist.go); the zero-dir form is purely in-memory.
-// Replication streams (replica.go) observe mutations through taps
-// registered with attachTap.
+// MemCache is an in-process Cache safe for concurrent use, and purely
+// in-memory: a restarted server starts empty, and the parameter worker
+// re-publishes the weights a worker finds missing. Replication streams
+// (replica.go) observe mutations through taps registered with
+// attachTap.
 //
 // Invariant: a stored value is immutable while anyone holds a reference
 // to it (see value). A key is overwritten by replacing its value in the
@@ -63,7 +63,6 @@ type Cache interface {
 type MemCache struct {
 	mu   sync.RWMutex
 	data map[string]*value
-	p    *persister
 	taps map[*tap]struct{}
 }
 
@@ -112,13 +111,12 @@ func NewMemCache() *MemCache {
 	return &MemCache{data: make(map[string]*value)}
 }
 
-// Put implements Cache. With persistence enabled the append error (if
-// any) is returned after the in-memory write: memory stays the source of
-// truth for this process, but the caller learns durability was lost.
+// Put implements Cache; it never fails.
 func (c *MemCache) Put(key string, val []byte) error {
 	b, buf := storeBuf(len(val))
 	copy(b, val)
-	return c.putOwned(key, b, buf)
+	c.putOwned(key, b, buf)
+	return nil
 }
 
 // putOwned stores val itself rather than a copy. val lives in buf, a
@@ -126,15 +124,14 @@ func (c *MemCache) Put(key string, val []byte) error {
 // store takes both over: the caller must never write to, pool or reuse
 // either again. buf returns to the pool when the value is deleted or
 // overwritten and its last reader is done.
-func (c *MemCache) putOwned(key string, val, buf []byte) error {
+func (c *MemCache) putOwned(key string, val, buf []byte) {
 	v := newValue(val, buf)
 	c.mu.Lock()
 	old := c.data[key]
 	c.data[key] = v
-	err := c.logLocked(aofPut, key, v)
+	c.tapLocked(recPut, key, v)
 	c.mu.Unlock()
 	old.release()
-	return err
 }
 
 // Get implements Cache.
@@ -164,15 +161,15 @@ func (c *MemCache) view(key string) *value {
 	return v
 }
 
-// Delete implements Cache.
+// Delete implements Cache; it never fails.
 func (c *MemCache) Delete(key string) error {
 	c.mu.Lock()
 	old := c.data[key]
 	delete(c.data, key)
-	err := c.logLocked(aofDelete, key, nil)
+	c.tapLocked(recDelete, key, nil)
 	c.mu.Unlock()
 	old.release()
-	return err
+	return nil
 }
 
 // Keys returns all keys with the given prefix, sorted: a store's key
@@ -200,24 +197,16 @@ func (c *MemCache) Len() (int, error) { //lint:allow reach benchmark-only: bench
 
 // resetForSync clears the whole store at the head of a replication
 // full-sync, discarding whatever stale state a follower carried over
-// from a previous leader. A persistent store compacts to an empty
-// snapshot rather than journaling the reset.
-func (c *MemCache) resetForSync() error {
+// from a previous leader.
+func (c *MemCache) resetForSync() {
 	c.mu.Lock()
 	old := c.data
 	c.data = make(map[string]*value)
-	c.tapLocked(aofReset, "", nil)
-	var err error
-	if c.p != nil {
-		if err = c.p.compact(c.data); err != nil {
-			err = fmt.Errorf("cache: compact after sync reset: %w", err)
-		}
-	}
+	c.tapLocked(recReset, "", nil)
 	c.mu.Unlock()
 	for _, v := range old {
 		v.release()
 	}
-	return err
 }
 
 // ---- replication taps ----
@@ -257,10 +246,10 @@ func (c *MemCache) attachTap() (snapshot []tapRec, t *tap) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snapshot = make([]tapRec, 0, 1+len(c.data))
-	snapshot = append(snapshot, tapRec{op: aofReset})
+	snapshot = append(snapshot, tapRec{op: recReset})
 	for k, v := range c.data {
 		v.retain()
-		snapshot = append(snapshot, tapRec{op: aofPut, key: k, val: v})
+		snapshot = append(snapshot, tapRec{op: recPut, key: k, val: v})
 	}
 	t = &tap{ch: make(chan tapRec, replTapBuffer)}
 	if c.taps == nil {

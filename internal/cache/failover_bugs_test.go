@@ -54,7 +54,7 @@ func TestPublisherVersionGapStillBacksHead(t *testing.T) {
 }
 
 // TestSubscriberDetectsHeadRegression: after failover onto a follower
-// (or a restart from older persisted state) the head pointer can move
+// that lost recent publishes the head pointer can move
 // BACKWARDS. The subscriber used to fall silently into a full read,
 // overwriting a newer cached vector with an older one while downstream
 // PolicyVersion/staleness accounting assumed versions only grow. It

@@ -23,7 +23,7 @@ import (
 // Ops: 'P' put, 'G' get, 'D' delete,
 // 'g' batched get (a blob in the value field; see batch.go),
 // 'R' replication subscribe (hijacks the connection into a one-way
-// stream of '+' frames carrying AOF records; see replica.go and
+// stream of '+' frames carrying mutation records; see replica.go and
 // DESIGN.md §11.2), 'T' term-fenced write envelope
 // (value = [u64 term][u8 innerOp][inner value]; the inner op is one of
 // 'P', 'D' and is rejected with status 'F' when the carried
@@ -512,7 +512,7 @@ func (s *Server) handle(w *frameWriter, f frame) (kept bool) {
 		if f.key == cluster.TopologyKey {
 			s.learnTopology(f.value)
 		}
-		_ = s.store.putOwned(f.key, f.value, f.buf)
+		s.store.putOwned(f.key, f.value, f.buf)
 		s.lineageHop(lineage.HopPut, f.key)
 		w.resp('+', nil)
 		return true
@@ -601,7 +601,7 @@ const (
 )
 
 // replFrameSize is the size on the stream of r: a '+' response frame
-// around one AOF record.
+// around one mutation record.
 func replFrameSize(r tapRec) int { return 5 + recordSize(r.key, r.val.bytes()) }
 
 // replBatchLen reports how many records from the front of recs share

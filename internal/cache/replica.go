@@ -5,8 +5,8 @@ package cache
 // mirrors its keyspace: on every (re)connect it sends op 'R', receives
 // an atomic full-state snapshot (reset record, then a put per key),
 // and then applies the live mutation feed record by record.
-// Records reuse the AOF's CRC framing (persist.go), so what a follower
-// applies is byte-for-byte what a crash recovery would replay.
+// Each record is CRC-framed (scanRecord below), so a torn or corrupt
+// record ends the stream instead of reaching the follower's store.
 //
 // The failure model is crash-stop with promotion by redirection: when
 // the leader dies, clients (ShardedClient) start writing to the
@@ -17,8 +17,10 @@ package cache
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -26,7 +28,58 @@ import (
 
 	"stellaris/internal/obs"
 	"stellaris/internal/rng"
+	"stellaris/internal/wire"
 )
+
+// Record ops: the mutations a replication stream carries.
+const (
+	recPut    byte = 'P'
+	recDelete byte = 'D'
+	// recReset clears the entire store. It opens every full sync: the
+	// follower may hold stale state from a previous leader.
+	recReset byte = 'S'
+)
+
+// A record, the replication stream's payload, is CRC-framed:
+// u32 bodyLen | body | u32 CRC-32(body), body = u8 op | u32 keyLen |
+// key | u32 valLen | val, every integer little-endian.
+
+// appendRecordHeader appends everything of a record that precedes its
+// value; the replication stream sends the value from the store's own
+// slice (frameWriter.record) instead of copying it behind the header.
+func appendRecordHeader(b []byte, op byte, key string, valLen int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(1+4+len(key)+4+valLen))
+	b = append(b, op)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	return binary.LittleEndian.AppendUint32(b, uint32(valLen))
+}
+
+// recordSize is the encoded size of a record.
+func recordSize(key string, val []byte) int { return 4 + 1 + 4 + len(key) + 4 + len(val) + 4 }
+
+// scanRecord parses the CRC-framed record at the start of b. It returns
+// the bytes consumed, or n == 0 when b does not start with a complete,
+// checksum-valid record — torn tail and corruption look the same to the
+// caller, which is the point: the follower stops trusting the stream
+// there. The returned key and val alias b; callers that retain them
+// must copy.
+func scanRecord(b []byte) (op byte, key []byte, val []byte, n int) {
+	r := wire.NewReader(b)
+	body := r.Bytes(r.Count(1))
+	sum := r.U32()
+	if r.Err() != nil || len(body) > maxFrame || crc32.ChecksumIEEE(body) != sum {
+		return 0, nil, nil, 0
+	}
+	br := wire.NewReader(body)
+	op = br.U8()
+	key = br.Bytes(br.Count(1))
+	val = br.Bytes(br.Count(1))
+	if br.Finish() != nil {
+		return 0, nil, nil, 0
+	}
+	return op, key, val, 4 + len(body) + 4
+}
 
 // ErrReplicaClosed reports an operation on a stopped Replica.
 var ErrReplicaClosed = errors.New("cache: replica stopped")
@@ -277,23 +330,24 @@ func (r *Replica) applyFrame(status byte, payload, buf []byte) (kept bool, err e
 	if n == 0 || n != len(payload) {
 		return false, fmt.Errorf("cache: replication stream from %s: corrupt record (%d bytes)", r.leader, len(payload))
 	}
-	return op == aofPut, r.applyRecord(op, string(kb), val, buf)
+	return op == recPut, r.applyRecord(op, string(kb), val, buf)
 }
 
 // applyRecord applies one replicated mutation record to the follower's
-// store through the same mutation surface clients use, so a persistent
-// follower journals everything it mirrors and its own crash recovery
-// stays coherent. val lives in buf, a pool buffer (or nil), and a put
-// hands both to the store: the caller must not touch either again.
+// store through the same mutation surface clients use, so the store's
+// own taps see what it mirrors. val lives in buf, a pool buffer (or
+// nil), and a put hands both to the store: the caller must not touch
+// either again.
 func (r *Replica) applyRecord(op byte, key string, val, buf []byte) error {
 	switch op {
-	case aofReset:
-		return r.store.resetForSync()
-	case aofPut:
-		return r.store.putOwned(key, val, buf)
-	case aofDelete:
+	case recReset:
+		r.store.resetForSync()
+	case recPut:
+		r.store.putOwned(key, val, buf)
+	case recDelete:
 		return r.store.Delete(key)
 	default:
 		return fmt.Errorf("cache: replication: unknown record op %q", op)
 	}
+	return nil
 }

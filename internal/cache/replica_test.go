@@ -2,8 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"path/filepath"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -223,39 +224,45 @@ func TestReplicaTapOverflowForcesResync(t *testing.T) {
 	store.detachTap(tp) // must be safe after overflow
 }
 
-func TestPersistentFollowerJournalsReplicatedState(t *testing.T) {
-	leader := NewMemCache()
-	if err := leader.Put("traj/a", []byte("va")); err != nil {
-		t.Fatal(err)
-	}
-	srv, addr := startLeader(t, leader)
-	defer srv.Close()
+// appendRecord appends one whole record to b, framed and checksummed as
+// frameWriter.record streams it.
+func appendRecord(b []byte, op byte, key string, val []byte) []byte {
+	start := len(b) + 4
+	b = append(appendRecordHeader(b, op, key, len(val)), val...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+}
 
-	dir := filepath.Join(t.TempDir(), "follower")
-	follower, err := NewPersistentMemCache(dir)
-	if err != nil {
-		t.Fatal(err)
+// TestReplicaStopsAtTornRecord: a frame that holds less than the
+// record it declares (cut off mid-record), or a record whose checksum
+// fails, is not applied: the follower refuses the frame, which ends the
+// stream, and its store stays as it was. scanRecord takes nothing from
+// either.
+func TestReplicaStopsAtTornRecord(t *testing.T) {
+	store := NewMemCache()
+	rep := NewReplica(store, "127.0.0.1:0", fastReplicaOpts())
+	whole := appendRecord(nil, recPut, "k", []byte("value"))
+	flipped := append([]byte(nil), whole...)
+	flipped[len(flipped)-1] ^= 0xFF
+	for name, payload := range map[string][]byte{
+		"torn":           whole[:len(whole)-3],
+		"header only":    whole[:4],
+		"checksum fails": flipped,
+	} {
+		if _, _, _, n := scanRecord(payload); n != 0 {
+			t.Errorf("%s: scanned %d bytes", name, n)
+		}
+		if kept, err := rep.applyFrame('+', payload, nil); err == nil || kept {
+			t.Errorf("%s: applied (kept %v, err %v)", name, kept, err)
+		}
 	}
-	rep := NewReplica(follower, addr, fastReplicaOpts())
-	rep.Start()
-	waitFor(t, 5*time.Second, func() error {
-		_, err := follower.Get("traj/a")
-		return err
-	})
-	rep.Stop()
-	if err := follower.Close(); err != nil {
-		t.Fatal(err)
+	if n, _ := store.Len(); n != 0 {
+		t.Fatalf("refused frames left %d keys behind", n)
 	}
-
-	// Reopen from disk: the replicated state must survive via the
-	// follower's own journal.
-	re, err := NewPersistentMemCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	if kept, err := rep.applyFrame('+', whole, nil); err != nil || !kept {
+		t.Fatalf("whole record: kept %v, err %v", kept, err)
 	}
-	defer re.Close()
-	if v, err := re.Get("traj/a"); err != nil || !bytes.Equal(v, []byte("va")) {
-		t.Fatalf("reopened follower Get = %q, %v", v, err)
+	if v, err := store.Get("k"); err != nil || string(v) != "value" {
+		t.Fatalf("k = %q, %v", v, err)
 	}
 }
 

@@ -137,8 +137,8 @@ type SubStats struct {
 	FullFetches int64
 	Skipped     int64
 	// Regressions counts Fetches that observed the head pointer moving
-	// BACKWARDS — the signature of a failover onto a follower (or a
-	// restart from older persisted state) that lost recent publishes.
+	// BACKWARDS — the signature of a failover onto a follower that lost
+	// recent publishes.
 	// Each one resets the subscriber and re-fetches, so staleness
 	// accounting restarts from the regressed version instead of
 	// silently mixing old weights with new version numbers.
@@ -194,12 +194,12 @@ func (s *WeightsSub) Fetch() ([]float64, int, error) {
 			return s.w, s.ver, nil
 		case hv < s.head:
 			// The head moved backwards: the publisher's store lost recent
-			// versions (failover to a follower, restart from older persisted
-			// state). The regressed head IS the current policy now — but it
-			// must be adopted deliberately, not by silently overwriting a
-			// newer cached vector as if versions only ever grew. Reset so the
-			// refetch starts from nothing, and count it so live.Report can
-			// surface that staleness accounting has a discontinuity.
+			// versions (failover to a follower). The regressed head IS the
+			// current policy now — but it must be adopted deliberately, not
+			// by silently overwriting a newer cached vector as if versions
+			// only ever grew. Reset so the refetch starts from nothing, and
+			// count it so live.Report can surface that staleness accounting
+			// has a discontinuity.
 			s.regressions.Add(1)
 			s.Reset()
 		}

@@ -214,26 +214,34 @@ func TestGetNEmptyValueIsFound(t *testing.T) {
 	}
 }
 
-// TestPersistedEmptyValueIsFound: recovery must not turn an empty value
-// into the nil that means "missing".
-func TestPersistedEmptyValueIsFound(t *testing.T) {
-	dir := t.TempDir()
-	for pass := 0; pass < 3; pass++ { // written, replayed from the AOF, loaded from the snapshot
-		c, err := NewPersistentMemCache(dir)
-		if err != nil {
-			t.Fatal(err)
+// TestReplicatedEmptyValueIsFound: replication must not turn an empty
+// value into the nil that means "missing", whether the value reaches
+// the follower in its full sync or on the live feed.
+func TestReplicatedEmptyValueIsFound(t *testing.T) {
+	leaktest.Check(t)
+	leader := NewMemCache()
+	if err := leader.Put("synced", nil); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startLeader(t, leader)
+	defer srv.Close()
+	follower, _ := startFollower(t, addr)
+	waitFor(t, 5*time.Second, func() error {
+		_, err := follower.Get("synced")
+		return err
+	})
+	if err := leader.Put("fed", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() error {
+		_, err := follower.Get("fed")
+		return err
+	})
+	for i, v := range follower.viewN([]string{"synced", "fed"}) {
+		if v == nil {
+			t.Fatalf("empty value %d reads as missing", i)
 		}
-		if pass == 0 {
-			if err := c.Put("e", nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if v := c.viewN([]string{"e"}); v[0] == nil {
-			t.Fatalf("pass %d: empty value reads as missing", pass)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
+		v.release()
 	}
 }
 
@@ -245,9 +253,9 @@ func rec(op byte, key string, val []byte) tapRec {
 // TestReplBatchLen pins the two batch bounds and the lone oversize
 // record.
 func TestReplBatchLen(t *testing.T) {
-	small := rec(aofPut, "k", make([]byte, 100))
-	big := rec(aofPut, "k", make([]byte, replBatchBytes+1))
-	half := rec(aofPut, "k", make([]byte, replBatchBytes/2))
+	small := rec(recPut, "k", make([]byte, 100))
+	big := rec(recPut, "k", make([]byte, replBatchBytes+1))
+	half := rec(recPut, "k", make([]byte, replBatchBytes/2))
 	many := make([]tapRec, 3*replBatchRecords)
 	for i := range many {
 		many[i] = small
@@ -348,10 +356,10 @@ func TestReplicationBurstArrivesInOrder(t *testing.T) {
 		}
 		if i%5 == 3 {
 			_ = leader.Delete(key)
-			want = append(want, tapRec{op: aofDelete, key: key})
+			want = append(want, tapRec{op: recDelete, key: key})
 		} else {
 			_ = leader.Put(key, val)
-			want = append(want, rec(aofPut, key, val))
+			want = append(want, rec(recPut, key, val))
 		}
 	}
 
@@ -359,7 +367,7 @@ func TestReplicationBurstArrivesInOrder(t *testing.T) {
 	go func() { _, _ = readReplFrames(raw, got) }()
 	snapshot := 1 + 2*replBatchRecords
 	for i := 0; i < snapshot; i++ {
-		if r := nextRecord(t, got); (i == 0) != (r.op == aofReset) {
+		if r := nextRecord(t, got); (i == 0) != (r.op == recReset) {
 			t.Fatalf("snapshot record %d has op %q", i, r.op)
 		}
 	}
@@ -398,11 +406,11 @@ func nextRecord(t *testing.T, got <-chan *tapRec) *tapRec {
 func TestReplicaStopsAtCorruptRecordInBatch(t *testing.T) {
 	leaktest.Check(t)
 	recs := []tapRec{
-		{op: aofReset},
-		rec(aofPut, "a", []byte("first")),
-		rec(aofPut, "b", []byte("second")),
-		rec(aofPut, "c", []byte("third")),
-		rec(aofPut, "d", []byte("fourth")),
+		{op: recReset},
+		rec(recPut, "a", []byte("first")),
+		rec(recPut, "b", []byte("second")),
+		rec(recPut, "c", []byte("third")),
+		rec(recPut, "d", []byte("fourth")),
 	}
 	var batch bytes.Buffer
 	fw := frameWriter{w: &batch}
@@ -715,7 +723,7 @@ func TestServerCountsEveryByteOut(t *testing.T) {
 		n, err := readReplFrames(raw, got)
 		done <- tally{n, err}
 	}()
-	if r := nextRecord(t, got); r.op != aofReset {
+	if r := nextRecord(t, got); r.op != recReset {
 		t.Fatalf("stream opens with %q", r.op)
 	}
 
@@ -748,11 +756,11 @@ func TestServerCountsEveryByteOut(t *testing.T) {
 	responses += 5
 
 	mutations := []tapRec{
-		rec(aofPut, "grad/1", big), rec(aofPut, "traj/1", small),
-		rec(aofPut, "traj/2", small), {op: aofPut, key: "traj/3"},
-		{op: aofDelete, key: "traj/1"},
+		rec(recPut, "grad/1", big), rec(recPut, "traj/1", small),
+		rec(recPut, "traj/2", small), {op: recPut, key: "traj/3"},
+		{op: recDelete, key: "traj/1"},
 	}
-	stream := replFrameSize(tapRec{op: aofReset})
+	stream := replFrameSize(tapRec{op: recReset})
 	for _, m := range mutations {
 		if r := nextRecord(t, got); r.op != m.op || r.key != m.key || !bytes.Equal(r.val.bytes(), m.val.bytes()) {
 			t.Fatalf("stream carried %c %q, want %c %q", r.op, r.key, m.op, m.key)

@@ -8,7 +8,7 @@ import (
 
 // TestSimulatorDoesNotLinkTheCacheTier: the DES charges the cache hops
 // as latency and performs none of them, so nothing it imports, however
-// far down, may be the cache package (TCP client, server, persistence).
+// far down, may be the cache package (TCP client, server, replication).
 func TestSimulatorDoesNotLinkTheCacheTier(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {

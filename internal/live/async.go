@@ -232,7 +232,8 @@ func sendOrStop[T any](done <-chan struct{}, ch chan<- T, v T) bool {
 	}
 }
 
-// paramLoop feeds gradient notes to the parameter step, checkpoints
+// paramLoop feeds gradient notes to the parameter step, re-publishes
+// the weights when a worker found the cache without them, checkpoints
 // every CheckpointEvery updates (and once at completion) so a killed
 // process can resume, and stops the pipeline at Options.Updates.
 func (r *run) paramLoop(gradCh chan gradNote) {
@@ -240,6 +241,12 @@ func (r *run) paramLoop(gradCh chan gradNote) {
 		var note gradNote
 		select {
 		case note = <-gradCh:
+		case <-r.st.reseed:
+			if err := r.reseedWeights(); err != nil {
+				r.fail(err)
+				return
+			}
+			continue
 		case <-r.done:
 			return
 		}

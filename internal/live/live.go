@@ -335,3 +335,11 @@ func (r *run) publishWeights(version int) error {
 	}
 	return fmt.Errorf("live: publishing weights v%d failed persistently: %w", version, err)
 }
+
+// reseedWeights serves a worker's request (runState.reseed) for the
+// weights the cache lost: it publishes the current version again, which
+// every subscriber still holding it skips. Only r.weights' owner calls it.
+func (r *run) reseedWeights() error {
+	r.m.reseeds.Inc()
+	return r.publishWeights(int(r.version.Load()))
+}

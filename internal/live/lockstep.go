@@ -61,6 +61,9 @@ func (r *run) runLockstep(loaded *ckpt.Checkpoint) error {
 
 	ai := 0 // round-robin actor cursor; reset at checkpoint boundaries
 	for int(r.version.Load()) < opt.Updates {
+		if err := r.serveReseed(); err != nil {
+			return err
+		}
 		// Compute sweep: every learner gets a batch sampled for it and
 		// publishes a gradient through the cache. Updates are NOT applied
 		// during the sweep, so gradients computed later in the sweep are
@@ -78,6 +81,10 @@ func (r *run) runLockstep(loaded *ckpt.Checkpoint) error {
 					return err
 				}
 				if !ok {
+					// An actor with no weights may have asked for them.
+					if err := r.serveReseed(); err != nil {
+						return err
+					}
 					misses++
 					if misses > 10000 {
 						return fmt.Errorf("live: lockstep stalled: actors produced no trajectories after %d attempts", misses)
@@ -133,4 +140,15 @@ func (r *run) runLockstep(loaded *ckpt.Checkpoint) error {
 		}
 	}
 	return nil
+}
+
+// serveReseed re-publishes the weights if a worker asked for them since
+// the last call: lockstep's in-line counterpart of paramLoop's select.
+func (r *run) serveReseed() error {
+	select {
+	case <-r.st.reseed:
+		return r.reseedWeights()
+	default:
+		return nil
+	}
 }

@@ -47,6 +47,7 @@ type liveMetrics struct {
 	trajLag       *obs.Histogram    // live_trajectory_lag
 	drops         *obs.CounterVec   // live_dropped_payloads_total{reason}
 	staleReuse    *obs.Counter      // live_stale_weight_reuses_total
+	reseeds       *obs.Counter      // live_weight_reseeds_total
 	updates       *obs.Counter      // live_updates_total
 
 	// Crash-recovery families.
@@ -83,6 +84,8 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 			"trajectories/gradients shed, by reason", "reason"),
 		staleReuse: reg.Counter("live_stale_weight_reuses_total",
 			"iterations that reused a stale weight vector after a failed fetch"),
+		reseeds: reg.Counter("live_weight_reseeds_total",
+			"current weights re-published because a worker found none in the cache"),
 		updates: reg.Counter("live_updates_total",
 			"policy updates applied"),
 		restarts: reg.CounterVec("live_worker_restarts_total",
@@ -127,11 +130,13 @@ func (m *liveMetrics) iterHist(role string, worker int) *obs.Histogram {
 }
 
 // runState is what every worker shares beyond its own stage: the
-// metrics, and the lineage store (lin; nil when tracing is off), so the
-// shed paths (runState.shed, stage.go) record a drop in both at once.
+// metrics and the lineage store (lin; nil when tracing is off), so the
+// shed paths (runState.shed, stage.go) record a drop in both at once,
+// and reseed, a worker's request for the weights again (weightView.fetch).
 type runState struct {
-	m   *liveMetrics
-	lin *lineage.Store
+	m      *liveMetrics
+	lin    *lineage.Store
+	reseed chan struct{}
 }
 
 // sampleQueues polls channel occupancy into live_queue_depth until done

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -426,11 +427,13 @@ func TestReportSameWithoutRegistry(t *testing.T) {
 	}
 }
 
-// TestChaosPanicsAndCacheBounce is the end-to-end chaos drill from the
-// issue: periodic learner panics AND a full cache-server restart (with
-// durable state) mid-run. The run must complete, the supervisor must
-// have restarted learners, the client must have ridden through the
-// bounce, and learning must not have been destroyed.
+// TestChaosPanicsAndCacheBounce is the end-to-end chaos drill:
+// periodic learner panics AND a full cache-server restart mid-run, onto
+// an empty store. The run must complete, the supervisor must have
+// restarted learners, the client must have ridden through the bounce,
+// and learning must not have been destroyed. What the restart lost is
+// shed or produced again; the weights come back because the parameter
+// worker re-publishes them when a worker finds none.
 func TestChaosPanicsAndCacheBounce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos drill skipped in -short")
@@ -450,22 +453,16 @@ func TestChaosPanicsAndCacheBounce(t *testing.T) {
 	base.BatchSize = 32
 	baseline := train(base)
 
-	dir := t.TempDir()
-	store, err := cache.NewPersistentMemCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := cache.NewServer(store)
+	srv := cache.NewServer(cache.NewMemCache())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Bounce worker: once training is underway (version >= 2 visible in
-	// the cache), hard-restart the server — durable state and all.
+	// the cache), hard-restart the server on an empty store.
 	bounced := make(chan struct{})
 	var srv2 *cache.Server
-	var store2 *cache.MemCache
 	go func() {
 		defer close(bounced)
 		cli, err := cache.DialWith(addr, cache.DialOptions{
@@ -486,14 +483,8 @@ func TestChaosPanicsAndCacheBounce(t *testing.T) {
 		}
 		cli.Close()
 		srv.Close()
-		store.Close()
 		time.Sleep(150 * time.Millisecond)
-		store2, err = cache.NewPersistentMemCache(dir)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		srv2 = cache.NewServer(store2)
+		srv2 = cache.NewServer(cache.NewMemCache())
 		for i := 0; i < 100; i++ {
 			if _, err = srv2.Listen(addr); err == nil {
 				return
@@ -530,9 +521,6 @@ func TestChaosPanicsAndCacheBounce(t *testing.T) {
 	if srv2 != nil {
 		srv2.Close()
 	}
-	if store2 != nil {
-		store2.Close()
-	}
 
 	if rep.Updates < opt.Updates {
 		t.Fatalf("chaos run completed %d/%d updates", rep.Updates, opt.Updates)
@@ -549,5 +537,80 @@ func TestChaosPanicsAndCacheBounce(t *testing.T) {
 	if math.IsNaN(rep.MeanReturn) || rep.MeanReturn < 0.25*baseline.MeanReturn {
 		t.Fatalf("chaos run mean return %v collapsed vs fault-free baseline %v",
 			rep.MeanReturn, baseline.MeanReturn)
+	}
+}
+
+// TestWeightsReseededAfterKeyspaceLoss: the cache loses the weights
+// mid-run, as a server restarted onto an empty store would, and a
+// learner restart leaves a worker with no copy to fall back on. A
+// worker's fetch asks, the parameter worker publishes the current
+// weights again, and the run completes. The run has one learner, and
+// every update of it falls in the warmup round, so each gradient is
+// one update: before it drops the keys the hook waits until the
+// parameter worker has absorbed every gradient produced, and no
+// publish still in flight can put them back before a worker looks.
+func TestWeightsReseededAfterKeyspaceLoss(t *testing.T) {
+	leaktest.Check(t)
+	mem := cache.NewMemCache()
+	srv := cache.NewServer(mem)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	opt := tinyOpts()
+	opt.Learners = 1
+	opt.Updates = 8 // one warmup round at the default UpdatesPerRound
+	opt.CacheAddr = addr
+	opt.restartBackoff = time.Millisecond
+	var r *run
+	var calls, losses atomic.Int64
+	opt.panicHook = func(role string, id int) bool {
+		if role != "learner" {
+			return false
+		}
+		// From the third iteration on, every other one, so that each
+		// restarted learner takes a step, until a re-seed has been seen.
+		n := calls.Add(1)
+		if n < 3 || n%2 == 0 || r.m.reseeds.Value() > 0 {
+			return false
+		}
+		steps := r.m.iterHist("learner", id)
+		for r.m.updates.Value()+r.m.drops.With(dropBackpressure).Value() < steps.Count() {
+			if r.stop.Load() {
+				return false // the last gradient will never be absorbed
+			}
+			runtime.Gosched()
+		}
+		for _, k := range []string{cache.KeyWeightsLatest, cache.KeyWeightsHead} {
+			if err := mem.Delete(k); err != nil {
+				t.Error(err)
+			}
+		}
+		losses.Add(1)
+		return true
+	}
+	opt, err = opt.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err = newRun(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if err := r.runAsync(); err != nil {
+		t.Fatal(err)
+	}
+	rep := r.buildReport()
+	if rep.Updates < opt.Updates {
+		t.Fatalf("completed %d/%d updates", rep.Updates, opt.Updates)
+	}
+	if losses.Load() == 0 || rep.LearnerRestarts != losses.Load() {
+		t.Fatalf("%d keyspace losses, %d learner restarts; want as many, at least one", losses.Load(), rep.LearnerRestarts)
+	}
+	if n := r.m.reseeds.Value(); n == 0 {
+		t.Fatal("the weights were lost and never re-published")
 	}
 }

@@ -113,7 +113,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 	r := &run{
 		opt:       opt,
 		m:         m,
-		st:        &runState{m: m},
+		st:        &runState{m: m, reseed: make(chan struct{}, 1)},
 		paramIter: m.iterHist("param", 0),
 		done:      make(chan struct{}),
 		errCh:     make(chan error, opt.Actors+opt.Learners+2),

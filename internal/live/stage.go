@@ -56,14 +56,23 @@ func (r *run) newWeightView(cli cache.Cache, w []float64, who string) weightView
 // spent its deadline and retry budget, so each one is a bounded wait —
 // degrades to the stale copy together with the version it was fetched
 // under: whatever runs on it runs under that policy, whatever the
-// global counter says. ok is false when there is no copy yet (after a
-// short pause, so a caller that simply retries does not spin); err is
-// non-nil once more than maxFallbacks consecutive fetches have failed.
+// global counter says. A vector the cache no longer holds (a server
+// that restarted empty) also asks the parameter worker to publish the
+// current one again; a request already pending covers this one. ok is
+// false when there is no copy yet (after a short pause, so a caller
+// that simply retries does not spin); err is non-nil once more than
+// maxFallbacks consecutive fetches have failed.
 func (v *weightView) fetch() (w []float64, ver int, ok bool, err error) {
 	w, ver, err = v.sub.Fetch()
 	if err == nil {
 		v.streak = 0
 		return w, ver, true, nil
+	}
+	if errors.As(err, new(cache.ErrNotFound)) {
+		select {
+		case v.st.reseed <- struct{}{}:
+		default:
+		}
 	}
 	v.streak++
 	if v.streak > v.maxFallbacks {

@@ -124,17 +124,18 @@ type Hooks struct {
 	OnDepth func(depth int)
 }
 
-// Options bounds a Store. Zero values select the defaults.
+// Options configures a Store: its hooks, and bounds that only this
+// package's tests lower (a zero bound selects its default).
 type Options struct {
-	// MaxTraces caps distinct traces held; the oldest trace is evicted
+	// maxTraces caps distinct traces held; the oldest trace is evicted
 	// FIFO beyond it (reconstruction then shows a gap). Default 8192.
-	MaxTraces int
-	// MaxEventsPerTrace caps events retained per trace; the final slot
+	maxTraces int
+	// maxEventsPerTrace caps events retained per trace; the final slot
 	// becomes a gap marker when exceeded. Default 64.
-	MaxEventsPerTrace int
-	// RingCapacity sizes the flight-recorder ring of most recent events
+	maxEventsPerTrace int
+	// ringCapacity sizes the flight-recorder ring of most recent events
 	// across all traces. Default 2048.
-	RingCapacity int
+	ringCapacity int
 	// Hooks are the observer callbacks (all optional).
 	Hooks Hooks
 }
@@ -145,7 +146,7 @@ type Stats struct {
 	Events int64
 	// Traces is the number currently held.
 	Traces int
-	// Evicted counts traces dropped to stay under MaxTraces.
+	// Evicted counts traces dropped to stay under maxTraces.
 	Evicted int64
 	// Capped counts events discarded by the per-trace cap.
 	Capped int64
@@ -188,20 +189,20 @@ func New(now func() float64, opt Options) *Store {
 	if now == nil {
 		panic("lineage: nil clock")
 	}
-	if opt.MaxTraces <= 0 {
-		opt.MaxTraces = 8192
+	if opt.maxTraces <= 0 {
+		opt.maxTraces = 8192
 	}
-	if opt.MaxEventsPerTrace <= 0 {
-		opt.MaxEventsPerTrace = 64
+	if opt.maxEventsPerTrace <= 0 {
+		opt.maxEventsPerTrace = 64
 	}
-	if opt.RingCapacity <= 0 {
-		opt.RingCapacity = 2048
+	if opt.ringCapacity <= 0 {
+		opt.ringCapacity = 2048
 	}
 	return &Store{
 		now:    now,
 		opt:    opt,
 		traces: make(map[string]*traceRec),
-		ring:   make([]Event, opt.RingCapacity),
+		ring:   make([]Event, opt.ringCapacity),
 	}
 }
 
@@ -238,7 +239,7 @@ func (s *Store) Record(e Event) {
 		prev = &tr.events[n-1]
 	}
 	switch {
-	case len(tr.events) < s.opt.MaxEventsPerTrace-1:
+	case len(tr.events) < s.opt.maxEventsPerTrace-1:
 		tr.events = append(tr.events, e)
 	case !tr.capped:
 		// Burn the final slot on an explicit marker instead of silently
@@ -282,9 +283,9 @@ func (s *Store) depthLocked(e Event) int {
 	return 1
 }
 
-// evictLocked drops the oldest traces beyond MaxTraces.
+// evictLocked drops the oldest traces beyond maxTraces.
 func (s *Store) evictLocked() {
-	for len(s.traces) > s.opt.MaxTraces && len(s.order) > 0 {
+	for len(s.traces) > s.opt.maxTraces && len(s.order) > 0 {
 		victim := s.order[0]
 		s.order = s.order[1:]
 		if _, ok := s.traces[victim]; ok {

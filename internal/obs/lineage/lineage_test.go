@@ -135,7 +135,7 @@ func TestChainCycleTerminates(t *testing.T) {
 
 func TestEvictionFIFO(t *testing.T) {
 	clock, _ := tick()
-	s := New(clock, Options{MaxTraces: 2})
+	s := New(clock, Options{maxTraces: 2})
 	s.Record(Event{Trace: "t1", Kind: KindTrajectory, Hop: HopProduced})
 	s.Record(Event{Trace: "t2", Kind: KindTrajectory, Hop: HopProduced})
 	s.Record(Event{Trace: "t3", Kind: KindTrajectory, Hop: HopProduced})
@@ -153,7 +153,7 @@ func TestEvictionFIFO(t *testing.T) {
 
 func TestPerTraceEventCap(t *testing.T) {
 	clock, _ := tick()
-	s := New(clock, Options{MaxEventsPerTrace: 3})
+	s := New(clock, Options{maxEventsPerTrace: 3})
 	for i := 0; i < 6; i++ {
 		s.Record(Event{Trace: "t", Kind: KindTrajectory, Hop: HopPut})
 	}
@@ -171,7 +171,7 @@ func TestPerTraceEventCap(t *testing.T) {
 
 func TestFlightRecorderRing(t *testing.T) {
 	clock, _ := tick()
-	s := New(clock, Options{RingCapacity: 4})
+	s := New(clock, Options{ringCapacity: 4})
 	for i := 0; i < 7; i++ {
 		s.Record(Event{Trace: "t", Kind: KindTrajectory, Hop: HopPut})
 	}
@@ -348,7 +348,7 @@ func TestHooksFire(t *testing.T) {
 
 func TestConcurrentRecord(t *testing.T) {
 	clock, _ := tick()
-	s := New(clock, Options{MaxTraces: 16, RingCapacity: 32})
+	s := New(clock, Options{maxTraces: 16, ringCapacity: 32})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -128,9 +128,6 @@ type Stellaris struct {
 	D float64
 	// V is the learning-rate smoothness root factor v (Eq. 4).
 	V int
-	// WarmupRounds is how long the threshold stays disabled while
-	// δ_max is measured (the paper uses the first training round).
-	WarmupRounds int
 	// UpdatesPerRound converts policy-update versions into training
 	// rounds: Eq. 3's round index k is version/UpdatesPerRound
 	// (minimum 1).
@@ -146,10 +143,14 @@ type Stellaris struct {
 	deltaMax float64
 }
 
+// warmupRounds is how long the threshold stays disabled while δ_max is
+// measured: the paper uses the first training round.
+const warmupRounds = 1
+
 // NewStellaris returns the aggregation policy with the paper's defaults
 // d=0.96, v=3 (§VIII-A).
 func NewStellaris() *Stellaris {
-	return &Stellaris{D: 0.96, V: 3, WarmupRounds: 1, UpdatesPerRound: 8, MaxQueue: 16}
+	return &Stellaris{D: 0.96, V: 3, UpdatesPerRound: 8, MaxQueue: 16}
 }
 
 // StellarisState is the serializable adaptive-threshold state: the
@@ -212,7 +213,7 @@ func (s *Stellaris) Beta(round int) float64 {
 
 // Offer implements Policy.
 func (s *Stellaris) Offer(e *Entry, currentVersion int) []*Entry {
-	if s.roundOf(currentVersion) < s.WarmupRounds {
+	if s.roundOf(currentVersion) < warmupRounds {
 		// Threshold disabled: aggregate immediately, measure δ_max.
 		d := float64(e.Staleness(currentVersion))
 		if d > s.deltaMax {

@@ -52,7 +52,6 @@ func TestStellarisBetaDecay(t *testing.T) {
 func TestStellarisDelaysAboveThreshold(t *testing.T) {
 	s := NewStellaris()
 	s.UpdatesPerRound = 1
-	s.WarmupRounds = 1
 	s.D = 0.5
 	s.deltaMax = 2 // β at round 10 = 2·0.5¹⁰ ≈ 0.002
 	version := 10

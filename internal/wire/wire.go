@@ -1,7 +1,7 @@
 // Package wire reads every byte format the repo takes from outside the
-// process — the cache payload codec, the GetN batch blob, mutation
-// records and snapshots, training checkpoints and the lineage meta — with
-// one bounds-checked cursor. All of those formats are little-endian.
+// process — the cache payload codec, the GetN batch blob, replication
+// records, training checkpoints and the lineage meta — with one
+// bounds-checked cursor. All of those formats are little-endian.
 //
 // Reader is error-latching: the first read that the input cannot back
 // latches an error, and every later read returns a zero value, so a
