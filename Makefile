@@ -45,7 +45,8 @@ vet:
 # field access, blocking under a mutex (in the critical section or down
 # a call chain), lock-order deadlock cycles, leaked goroutines, global
 # math/rand, silently dropped cache errors, exported names that only
-# tests or benchmark/ reach, and stale //lint:allow directives. Exits
+# tests or benchmark/ reach, options fields that only they set, and
+# stale //lint:allow directives. Exits
 # non-zero on any finding; the -budget flag fails the run if module
 # analysis outgrows its CI time box.
 lint:

@@ -2,8 +2,9 @@
 // compares Stellaris against (Table I, Figs. 6-10, 12):
 //
 //   - Vanilla PPO / IMPACT — serverful synchronous learners (Fig. 1(b)).
-//   - RLlib-like — industry framework: serverful synchronous
-//     multi-learner data parallelism with asynchronous actors.
+//     It also stands for RLlib-like (Figs. 8-9): Ray RLlib's learner
+//     group is serverful synchronous multi-learner data parallelism with
+//     asynchronous actors, which is this same configuration here.
 //   - MinionsRL-like — serverless actors with one centralized
 //     synchronous learner (Fig. 1(c)).
 //   - PAR-RL-like — HPC synchronous data-parallel training (Fig. 12).
@@ -21,19 +22,9 @@ import (
 )
 
 // Vanilla is the plain distributed algorithm baseline (the "PPO" and
-// "IMPACT" bars of Figs. 6-8): serverful synchronous learners,
-// serverful actors.
+// "IMPACT" bars of Figs. 6-8, and the RLlib-like ones of Figs. 8-9):
+// serverful synchronous learners, serverful actors.
 func Vanilla(base core.Config) core.Config {
-	base.Aggregator = core.AggSync
-	base.ServerlessLearners = false
-	base.ServerlessActors = false
-	base.DisableTruncation = true
-	return base
-}
-
-// RLlibLike models Ray RLlib's synchronous learner group: serverful
-// pre-allocated multi-learners, asynchronous serverful actors.
-func RLlibLike(base core.Config) core.Config {
 	base.Aggregator = core.AggSync
 	base.ServerlessLearners = false
 	base.ServerlessActors = false

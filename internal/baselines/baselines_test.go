@@ -56,7 +56,6 @@ func TestStellarisOnOverridesLearners(t *testing.T) {
 func TestBaselinesTrainEndToEnd(t *testing.T) {
 	for name, mk := range map[string]func(core.Config) core.Config{
 		"vanilla":   Vanilla,
-		"rllib":     RLlibLike,
 		"minionsrl": MinionsRLLike,
 		"parrl":     PARRLLike,
 	} {

@@ -77,9 +77,10 @@ func Fig7(opt Options) error {
 }
 
 // Fig9 reproduces the RLlib-framework integration (up to 1.3x reward,
-// 38% cost reduction in the paper).
+// 38% cost reduction in the paper). The RLlib-like baseline is the
+// vanilla configuration (baselines.Vanilla).
 func Fig9(opt Options) error {
-	return curvesVs(opt, "Fig. 9 — Stellaris improves RLlib-like training (PPO)", "ppo", baselines.RLlibLike)
+	return curvesVs(opt, "Fig. 9 — Stellaris improves RLlib-like training (PPO)", "ppo", baselines.Vanilla)
 }
 
 // Fig10 reproduces the MinionsRL-framework integration (up to 1.6x
@@ -102,7 +103,7 @@ func Fig8(opt Options) error {
 	systems := []system{
 		{"PPO", "ppo", baselines.Vanilla},
 		{"IMPACT", "impact", baselines.Vanilla},
-		{"RLlib", "ppo", baselines.RLlibLike},
+		{"RLlib", "ppo", baselines.Vanilla},
 		{"MinionsRL", "ppo", baselines.MinionsRLLike},
 	}
 	rounds := opt.Rounds

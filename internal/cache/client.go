@@ -54,7 +54,7 @@ type Conn interface {
 type DialOptions struct {
 	// DialTimeout bounds each TCP connect attempt (initial dial and
 	// reconnects). Default 5s.
-	DialTimeout time.Duration
+	DialTimeout time.Duration //lint:allow reach test seam: the cache and live tests shorten it to fail fast on a dead address
 	// OpTimeout is the per-round-trip deadline, applied with
 	// SetDeadline before every request. Default 5s; negative disables
 	// deadlines entirely.
@@ -67,8 +67,8 @@ type DialOptions struct {
 	// BackoffBase is the sleep before the first retry; each further
 	// retry doubles it up to BackoffMax, with ±50% jitter. Defaults
 	// 10ms and 1s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	BackoffBase time.Duration //lint:allow reach test seam: the cache and live tests shorten the retry schedule
+	BackoffMax  time.Duration //lint:allow reach test seam: the cache and live tests shorten the retry schedule
 	// Seed drives the jitter RNG so retry schedules are reproducible.
 	Seed uint64
 	// Obs mirrors the client's fault-tolerance events and per-op

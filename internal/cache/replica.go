@@ -84,27 +84,25 @@ func scanRecord(b []byte) (op byte, key []byte, val []byte, n int) {
 // ErrReplicaClosed reports an operation on a stopped Replica.
 var ErrReplicaClosed = errors.New("cache: replica stopped")
 
+// replicaDialTimeout bounds each connect attempt to the leader.
+const replicaDialTimeout = 5 * time.Second
+
 // ReplicaOptions tunes the follower's reconnect policy. The zero value
 // selects defaults suitable for a LAN deployment.
 type ReplicaOptions struct {
-	// DialTimeout bounds each connect attempt to the leader. Default 5s.
-	DialTimeout time.Duration
 	// ReadTimeout is the longest silence tolerated on the stream before
 	// the leader is declared dead; the leader keepalives every 250ms, so
 	// this is effectively the failure-detection latency. Default 2s.
-	ReadTimeout time.Duration
+	ReadTimeout time.Duration //lint:allow reach test seam: the cache and live replication tests shorten failure detection
 	// BackoffBase/BackoffMax shape the reconnect backoff (exponential
 	// with ±50% jitter). Defaults 50ms and 2s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	BackoffBase time.Duration //lint:allow reach test seam: the cache and live replication tests shorten the reconnect schedule
+	BackoffMax  time.Duration //lint:allow reach test seam: the cache and live replication tests shorten the reconnect schedule
 	// Seed drives the jitter RNG.
 	Seed uint64
 }
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.ReadTimeout <= 0 {
 		o.ReadTimeout = 2 * time.Second
 	}
@@ -258,7 +256,7 @@ func (r *Replica) backoff(attempt int) time.Duration {
 // syncOnce runs one full connect → snapshot → live-feed cycle and
 // returns when the stream breaks (or the replica is stopped).
 func (r *Replica) syncOnce() error {
-	conn, err := net.DialTimeout("tcp", r.leader, r.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", r.leader, replicaDialTimeout)
 	if err != nil {
 		return err
 	}

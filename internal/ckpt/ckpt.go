@@ -39,8 +39,10 @@ import (
 	"sort"
 	"strings"
 
+	"stellaris/internal/istrunc"
 	"stellaris/internal/optim"
 	"stellaris/internal/rng"
+	"stellaris/internal/stale"
 	"stellaris/internal/wire"
 )
 
@@ -189,18 +191,6 @@ type WorkerState struct {
 	Seq int64
 }
 
-// QueuedGrad is a gradient delayed in the staleness aggregation queue at
-// checkpoint time, persisted so the resumed run aggregates the identical
-// group.
-type QueuedGrad struct {
-	LearnerID   int
-	BornVersion int
-	Samples     int
-	MeanRatio   float64
-	KL          float64
-	Grad        []float64
-}
-
 // Checkpoint is the full resumable training state.
 type Checkpoint struct {
 	Mode Mode
@@ -216,19 +206,18 @@ type Checkpoint struct {
 	Weights []float64
 	Opt     optim.State
 
-	// DeltaMax is the warmup-measured δ_max; StaleSum/StaleN accumulate
-	// the MeanStaleness report statistic.
-	DeltaMax float64
+	// Agg is the aggregator's warmup-measured δ_max and the gradients
+	// its threshold delays, persisted so the resumed run aggregates the
+	// identical groups. A queued entry's Enqueued time and Trace are not
+	// persisted.
+	Agg stale.StellarisState
+	// StaleSum/StaleN accumulate the MeanStaleness report statistic.
 	StaleSum float64
 	StaleN   int64
 
-	// GroupMin/GroupCount are the truncation tracker's in-flight group
-	// (Eq. 2). GroupMin is +Inf for an empty group.
-	GroupMin   float64
-	GroupCount int64
-
-	// Queue holds gradients delayed by the staleness threshold.
-	Queue []QueuedGrad
+	// Tracker is the truncation tracker's in-flight group (Eq. 2);
+	// its GroupMin is +Inf for an empty group.
+	Tracker istrunc.TrackerState
 
 	// Episodes and Returns accumulate the episode-return report.
 	Episodes int64
@@ -338,13 +327,13 @@ func Encode(c *Checkpoint) []byte {
 	for _, v := range c.Opt.Vecs {
 		b = appendVec(b, v)
 	}
-	b = le.AppendUint64(b, math.Float64bits(c.DeltaMax))
+	b = le.AppendUint64(b, math.Float64bits(c.Agg.DeltaMax))
 	b = le.AppendUint64(b, math.Float64bits(c.StaleSum))
 	b = le.AppendUint64(b, uint64(c.StaleN))
-	b = le.AppendUint64(b, math.Float64bits(c.GroupMin))
-	b = le.AppendUint64(b, uint64(c.GroupCount))
-	b = le.AppendUint32(b, uint32(len(c.Queue)))
-	for _, q := range c.Queue {
+	b = le.AppendUint64(b, math.Float64bits(c.Tracker.GroupMin))
+	b = le.AppendUint64(b, uint64(c.Tracker.Count))
+	b = le.AppendUint32(b, uint32(len(c.Agg.Queue)))
+	for _, q := range c.Agg.Queue {
 		b = le.AppendUint64(b, uint64(q.LearnerID))
 		b = le.AppendUint64(b, uint64(q.BornVersion))
 		b = le.AppendUint64(b, uint64(q.Samples))
@@ -405,15 +394,16 @@ func Decode(b []byte) (*Checkpoint, error) {
 			c.Opt.Vecs[i] = r.F64s(nil)
 		}
 	}
-	c.DeltaMax = r.F64()
+	c.Agg.DeltaMax = r.F64()
 	c.StaleSum = r.F64()
 	c.StaleN = r.I64()
-	c.GroupMin = r.F64()
-	c.GroupCount = r.I64()
+	c.Tracker.GroupMin = r.F64()
+	c.Tracker.Count = int(r.I64())
 	if n := r.Count(queuedFloor); n > 0 {
-		c.Queue = make([]QueuedGrad, n)
-		for i := range c.Queue {
-			q := &c.Queue[i]
+		c.Agg.Queue = make([]*stale.Entry, n)
+		for i := range c.Agg.Queue {
+			q := &stale.Entry{}
+			c.Agg.Queue[i] = q
 			q.LearnerID = int(r.I64())
 			q.BornVersion = int(r.I64())
 			q.Samples = int(r.I64())

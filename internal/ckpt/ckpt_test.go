@@ -11,8 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"stellaris/internal/istrunc"
 	"stellaris/internal/optim"
 	"stellaris/internal/rng"
+	"stellaris/internal/stale"
 )
 
 func sampleCheckpoint(version int64) *Checkpoint {
@@ -26,17 +28,16 @@ func sampleCheckpoint(version int64) *Checkpoint {
 			ActorSteps: 32, BatchSize: 64, UpdatesPerRound: 8, SmoothV: 3,
 			Seed: 5, DecayD: 0.96, Rho: 1.0, LearningRate: 0.0003,
 		},
-		Version:  version,
-		Round:    version / 8,
-		Weights:  []float64{0.1, -0.2, 0.3, math.Pi},
-		Opt:      optim.State{Name: "adam", Step: 17, Vecs: [][]float64{{1, 2}, {3, 4}}},
-		DeltaMax: 3,
+		Version: version,
+		Round:   version / 8,
+		Weights: []float64{0.1, -0.2, 0.3, math.Pi},
+		Opt:     optim.State{Name: "adam", Step: 17, Vecs: [][]float64{{1, 2}, {3, 4}}},
+		Agg: stale.StellarisState{DeltaMax: 3, Queue: []*stale.Entry{
+			{LearnerID: 1, BornVersion: 3, Samples: 64, MeanRatio: 0.97, KL: 0.01, Grad: []float64{5, 6, 7}},
+		}},
 		StaleSum: 12.5,
 		StaleN:   9,
-		GroupMin: math.Inf(1),
-		Queue: []QueuedGrad{
-			{LearnerID: 1, BornVersion: 3, Samples: 64, MeanRatio: 0.97, KL: 0.01, Grad: []float64{5, 6, 7}},
-		},
+		Tracker:  istrunc.TrackerState{GroupMin: math.Inf(1)},
 		Episodes: 11,
 		Returns:  []float64{20, 35.5},
 		Actors:   []WorkerState{{RNG: r.State(), Seq: 4}},
@@ -66,15 +67,15 @@ func equalCheckpoints(t *testing.T, a, b *Checkpoint) {
 	for i := range a.Opt.Vecs {
 		eqVec("opt vec", a.Opt.Vecs[i], b.Opt.Vecs[i])
 	}
-	if a.DeltaMax != b.DeltaMax || a.StaleSum != b.StaleSum || a.StaleN != b.StaleN ||
-		a.GroupMin != b.GroupMin || a.GroupCount != b.GroupCount {
+	if a.Agg.DeltaMax != b.Agg.DeltaMax || a.StaleSum != b.StaleSum || a.StaleN != b.StaleN ||
+		a.Tracker != b.Tracker {
 		t.Fatal("staleness state mismatch")
 	}
-	if len(a.Queue) != len(b.Queue) {
-		t.Fatalf("queue length %d vs %d", len(a.Queue), len(b.Queue))
+	if len(a.Agg.Queue) != len(b.Agg.Queue) {
+		t.Fatalf("queue length %d vs %d", len(a.Agg.Queue), len(b.Agg.Queue))
 	}
-	for i := range a.Queue {
-		qa, qb := a.Queue[i], b.Queue[i]
+	for i := range a.Agg.Queue {
+		qa, qb := a.Agg.Queue[i], b.Agg.Queue[i]
 		if qa.LearnerID != qb.LearnerID || qa.BornVersion != qb.BornVersion ||
 			qa.Samples != qb.Samples || qa.MeanRatio != qb.MeanRatio || qa.KL != qb.KL {
 			t.Fatalf("queue[%d] mismatch", i)

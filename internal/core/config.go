@@ -12,7 +12,6 @@ import (
 
 	"stellaris/internal/autoscale"
 	"stellaris/internal/obs"
-	"stellaris/internal/serverless"
 )
 
 // AggregatorKind selects a gradient aggregation policy.
@@ -24,7 +23,8 @@ const (
 	AggStellaris AggregatorKind = "stellaris"
 	// AggSoftsync is Zhang et al.'s fixed-group softsync.
 	AggSoftsync AggregatorKind = "softsync"
-	// AggSSP is stale synchronous parallel (dispatch gating).
+	// AggSSP is stale synchronous parallel (dispatch gating, staleness
+	// slack sspBound).
 	AggSSP AggregatorKind = "ssp"
 	// AggAsync is pure asynchronous aggregation (no control).
 	AggAsync AggregatorKind = "async"
@@ -91,10 +91,6 @@ type Config struct {
 	ServerlessLearners bool
 	// ServerlessActors bills actors per invocation.
 	ServerlessActors bool
-	// SoftsyncC is Softsync's group size (default: learner slots).
-	SoftsyncC int
-	// SSPBound is SSP's staleness slack (default 2).
-	SSPBound int
 	// SyncGroup is gradients per synchronous round (default: learner
 	// slots, capped at the batches available per round under
 	// SyncActors).
@@ -108,23 +104,11 @@ type Config struct {
 	// TrackKL records KL(π_k+1 ‖ π_k) per update on a probe batch
 	// (Fig. 3c).
 	TrackKL bool
-	// Latency overrides the latency model (nil = defaults).
-	Latency *serverless.LatencyModel
-	// MaxVirtualHours aborts runaway runs (default 48h of virtual
-	// time).
-	MaxVirtualHours float64
 	// WallBudgetSec stops training gracefully once virtual time reaches
 	// this budget, whichever of it and Rounds comes first (0 = rounds
 	// only). The paper's curves compare systems on a shared wall-clock
 	// axis; equal-time comparisons use this knob.
 	WallBudgetSec float64
-	// CacheOnlyPassing disables §V-B's hierarchical data passing,
-	// forcing every gradient exchange through the distributed cache
-	// (the ablation for the shared-memory/RPC/cache hierarchy).
-	CacheOnlyPassing bool
-	// FailureRate injects serverless invocation crashes with the given
-	// per-invocation probability; the orchestrator retries failed work.
-	FailureRate float64
 	// InitWeights warm-starts training from a previously saved combined
 	// weight vector (nil = fresh initialization). The vector must match
 	// the model architecture implied by Env/Hidden/FrameSize.
@@ -139,7 +123,14 @@ type Config struct {
 	// seconds. A Registry should observe exactly one run. Nil disables
 	// instrumentation.
 	Obs *obs.Registry
+
+	// maxVirtualHours aborts runaway runs (default 48h of virtual
+	// time). Tests shorten it.
+	maxVirtualHours float64
 }
+
+// sspBound is SSP's staleness slack s.
+const sspBound = 2
 
 // Normalize fills defaults and validates; it returns the completed
 // config or an error naming the offending field.
@@ -197,26 +188,14 @@ func (c Config) Normalize() (Config, error) {
 	if c.Rho < 0 {
 		return c, fmt.Errorf("core: truncation threshold rho=%v negative", c.Rho)
 	}
-	if c.SSPBound <= 0 {
-		c.SSPBound = 2
-	}
 	if c.EvalWindow <= 0 {
 		c.EvalWindow = 32
 	}
-	if c.MaxVirtualHours <= 0 {
-		c.MaxVirtualHours = 48
-	}
-	if c.FailureRate < 0 || c.FailureRate >= 1 {
-		if c.FailureRate != 0 {
-			return c, fmt.Errorf("core: failure rate %v outside [0,1)", c.FailureRate)
-		}
-	}
-	slots := c.GPUs * c.LearnersPerGPU
-	if c.SoftsyncC <= 0 {
-		c.SoftsyncC = slots
+	if c.maxVirtualHours <= 0 {
+		c.maxVirtualHours = 48
 	}
 	if c.SyncGroup <= 0 {
-		c.SyncGroup = slots
+		c.SyncGroup = c.LearnerSlots()
 	}
 	return c, nil
 }

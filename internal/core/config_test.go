@@ -17,8 +17,8 @@ func TestNormalizeDefaults(t *testing.T) {
 	if c.GPUs != 1 || c.LearnersPerGPU != 4 || c.LearnerSlots() != 4 {
 		t.Fatalf("capacity defaults wrong: %+v", c)
 	}
-	if c.SoftsyncC != 4 || c.SyncGroup != 4 || c.SSPBound != 2 {
-		t.Fatalf("aggregator sizing defaults wrong: %+v", c)
+	if c.SyncGroup != 4 || c.maxVirtualHours != 48 {
+		t.Fatalf("sizing defaults wrong: %+v", c)
 	}
 }
 
@@ -41,12 +41,12 @@ func TestNormalizeErrors(t *testing.T) {
 func TestNormalizePreservesExplicit(t *testing.T) {
 	c, err := Config{
 		Env: "cartpole", Algo: "impact", Rounds: 7, NumActors: 3,
-		Aggregator: AggSSP, SSPBound: 5, GPUs: 2, LearnersPerGPU: 2,
+		Aggregator: AggSSP, SyncGroup: 5, GPUs: 2, LearnersPerGPU: 2,
 	}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Rounds != 7 || c.NumActors != 3 || c.SSPBound != 5 || c.LearnerSlots() != 4 {
+	if c.Rounds != 7 || c.NumActors != 3 || c.SyncGroup != 5 || c.LearnerSlots() != 4 {
 		t.Fatalf("explicit values clobbered: %+v", c)
 	}
 }

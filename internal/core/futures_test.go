@@ -73,12 +73,6 @@ func TestFuturesDeterministicAcrossPoolWidths(t *testing.T) {
 			c.Rounds, c.UpdatesPerRound = 1, 3
 			return c
 		}},
-		{"failures", func() Config {
-			// Learner retries and actor crash-reschedules.
-			c := tinyConfig()
-			c.FailureRate = 0.15
-			return c
-		}},
 		{"sync-actors", func() Config {
 			c := tinyConfig()
 			c.SyncActors, c.Aggregator = true, AggSync
@@ -87,7 +81,7 @@ func TestFuturesDeterministicAcrossPoolWidths(t *testing.T) {
 		{"ssp", func() Config {
 			// Gated batches are dispatched later, from a completion event.
 			c := tinyConfig()
-			c.Aggregator, c.SSPBound = AggSSP, 1
+			c.Aggregator = AggSSP
 			c.NumActors, c.BatchSize, c.GPUs, c.LearnersPerGPU = 8, 32, 1, 1
 			return c
 		}},
@@ -157,7 +151,7 @@ func TestFuturesDeterministicAcrossPoolWidths(t *testing.T) {
 func TestTrainerRunErrorJoinsFutures(t *testing.T) {
 	leaktest.Check(t)
 	cfg := tinyConfig()
-	cfg.MaxVirtualHours = 1e-9
+	cfg.maxVirtualHours = 1e-9
 	if _, err := runJoined(t, cfg); err == nil {
 		t.Fatal("run past its virtual deadline returned no error")
 	}

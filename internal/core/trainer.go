@@ -74,8 +74,6 @@ type Result struct {
 	LearnerInvocations int
 	// ColdStarts counts cold container starts across pools.
 	ColdStarts int
-	// Failures counts injected invocation crashes across pools.
-	Failures int
 	// Profile summarizes per-function-kind execution statistics
 	// collected by the §VII profiler.
 	Profile []profile.Summary
@@ -200,10 +198,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		hist:        metrics.NewHistogram(),
 		breakdown:   metrics.NewBreakdown(BreakdownComponents...),
 		prof:        profile.NewSet(),
-	}
-	t.lat = cfg.Latency
-	if t.lat == nil {
-		t.lat = serverless.DefaultLatencyModel()
+		lat:         serverless.DefaultLatencyModel(),
 	}
 
 	// Environments: one per actor plus one template for model shapes.
@@ -282,12 +277,12 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		s := stale.NewStellaris()
 		s.D, s.V = cfg.DecayD, cfg.SmoothV
 		s.UpdatesPerRound = cfg.UpdatesPerRound
-		s.MaxQueue = max(8, 2*cfg.LearnerSlots())
+		s.MaxQueue = stale.Backstop(cfg.LearnerSlots())
 		t.aggPol = s
 	case AggSoftsync:
-		t.aggPol = stale.NewSoftsync(cfg.SoftsyncC)
+		t.aggPol = stale.NewSoftsync(cfg.LearnerSlots())
 	case AggSSP:
-		t.aggPol = stale.NewSSP(cfg.SSPBound)
+		t.aggPol = stale.NewSSP(sspBound)
 	case AggAsync:
 		t.aggPol = stale.NewPureAsync()
 	case AggSync:
@@ -337,7 +332,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 			Serverless:       cfg.ServerlessActors,
 		},
 	)
-	t.plat.FailureRate = cfg.FailureRate
 
 	if cfg.Obs != nil {
 		// The registry follows the virtual clock for the rest of the run:
@@ -405,7 +399,7 @@ func (t *Trainer) Run() (*Result, error) {
 	for id := 0; id < t.activeActors; id++ {
 		t.scheduleActor(id)
 	}
-	deadline := t.cfg.MaxVirtualHours * 3600
+	deadline := t.cfg.maxVirtualHours * 3600
 	t.clock.RunUntil(deadline)
 	if t.runErr != nil {
 		return nil, t.runErr
@@ -416,7 +410,7 @@ func (t *Trainer) Run() (*Result, error) {
 				t.version, t.cfg.Rounds, t.aggPol.Name())
 		}
 		return nil, fmt.Errorf("core: exceeded %v virtual hours at round %d/%d",
-			t.cfg.MaxVirtualHours, t.version, t.cfg.Rounds)
+			t.cfg.maxVirtualHours, t.version, t.cfg.Rounds)
 	}
 
 	t.settleEpisodes()
@@ -436,7 +430,6 @@ func (t *Trainer) Run() (*Result, error) {
 		LearnerInvocations: learnerStats.Invocations,
 		ColdStarts:         learnerStats.ColdStarts,
 	}
-	res.Failures = learnerStats.Failures
 	res.Profile = t.prof.Summaries()
 	res.FinalWeights = append([]float64(nil), t.master...)
 	if t.cfg.Obs != nil {
@@ -447,7 +440,6 @@ func (t *Trainer) Run() (*Result, error) {
 		if kind != "learner" {
 			s := t.plat.PoolStats(kind)
 			res.ColdStarts += s.ColdStarts
-			res.Failures += s.Failures
 		}
 	}
 	return res, nil
@@ -570,18 +562,6 @@ func (t *Trainer) scheduleActor(id int) {
 
 	t.plat.InvokeFixed("actor", pull+sample+submit, func(inv serverless.Invocation) {
 		if t.done {
-			return
-		}
-		if inv.Failed {
-			// The sampling burst crashed: its trajectory is lost and
-			// the actor starts over (time and cost already charged).
-			t.lin.Record(lineage.Event{
-				Trace: tid, Kind: lineage.KindTrajectory, Hop: lineage.HopShed,
-				Actor: aname, Detail: "sampling invocation crashed",
-				CostUSD: inv.CostUSD,
-			})
-			<-b.done
-			t.scheduleActor(id)
 			return
 		}
 		<-b.done
@@ -739,9 +719,9 @@ func (t *Trainer) dispatchLearner(batch *replay.Batch, srcs []string) {
 	// Gradient submission uses the hierarchical data-passing tier
 	// (§V-B) selected once the learner's placement is known: shared
 	// memory when co-located with the parameter function (VM 0), RPC
-	// across VMs, or the cache when the hierarchy is disabled.
+	// across VMs.
 	dur := func(inv serverless.Invocation) float64 {
-		submit := t.lat.TierTime(t.submitTier(inv.VM), 8*params, t.timeRng)
+		submit := t.lat.TierTime(submitTier(inv.VM), 8*params, t.timeRng)
 		t.observe(CompGradSubmit, submit)
 		total := pull + load + compute + submit
 		t.learnerTime += total
@@ -756,67 +736,48 @@ func (t *Trainer) dispatchLearner(batch *replay.Batch, srcs []string) {
 		return total
 	}
 
-	// costUSD accumulates across crashed attempts so the trace's produced
-	// hop bills the gradient's true dollar cost, retries included.
-	var costUSD float64
-	var attempt func()
-	attempt = func() {
-		t.plat.Invoke("learner", dur, func(inv serverless.Invocation) {
-			costUSD += inv.CostUSD
-			if t.done {
-				delete(t.outstanding, id)
-				return
-			}
-			if inv.Failed {
-				// The function crashed mid-flight: retry the same work
-				// (the policy ID input is pinned, so the gradient is
-				// unchanged). The staleness cost of the retry is real.
-				attempt()
-				return
-			}
-			delete(t.outstanding, id)
-			<-computed
-			t.lin.Record(lineage.Event{
-				Trace: gid, Kind: lineage.KindGradient, Hop: lineage.HopProduced,
-				Actor: lname, Ref: lineage.WeightsID(born), CostUSD: costUSD,
-			})
-			if g.Stats.Truncated > 0 {
-				t.lin.Record(lineage.Event{
-					Trace: gid, Kind: lineage.KindGradient, Hop: lineage.HopTruncated,
-					Actor: lname, Detail: fmt.Sprintf("%d importance ratios capped", g.Stats.Truncated),
-				})
-			}
-			t.lin.Record(lineage.Event{
-				Trace: gid, Kind: lineage.KindGradient, Hop: lineage.HopPut, Actor: lname,
-			})
-			t.tracker.Observe(g.Stats.MeanRatio)
-			entry := &stale.Entry{
-				LearnerID:   id,
-				BornVersion: born,
-				Grad:        g.Data,
-				Samples:     g.Stats.Samples,
-				MeanRatio:   g.Stats.MeanRatio,
-				KL:          g.Stats.KL,
-				Enqueued:    t.clock.Now(),
-				Trace:       gid,
-			}
-			if group := t.aggPol.Offer(entry, t.version); group != nil {
-				t.tracker.ResetGroup()
-				t.invokeParameter(group)
-			}
-			t.retryGated()
+	t.plat.Invoke("learner", dur, func(inv serverless.Invocation) {
+		delete(t.outstanding, id)
+		if t.done {
+			return
+		}
+		<-computed
+		t.lin.Record(lineage.Event{
+			Trace: gid, Kind: lineage.KindGradient, Hop: lineage.HopProduced,
+			Actor: lname, Ref: lineage.WeightsID(born), CostUSD: inv.CostUSD,
 		})
-	}
-	attempt()
+		if g.Stats.Truncated > 0 {
+			t.lin.Record(lineage.Event{
+				Trace: gid, Kind: lineage.KindGradient, Hop: lineage.HopTruncated,
+				Actor: lname, Detail: fmt.Sprintf("%d importance ratios capped", g.Stats.Truncated),
+			})
+		}
+		t.lin.Record(lineage.Event{
+			Trace: gid, Kind: lineage.KindGradient, Hop: lineage.HopPut, Actor: lname,
+		})
+		t.tracker.Observe(g.Stats.MeanRatio)
+		entry := &stale.Entry{
+			LearnerID:   id,
+			BornVersion: born,
+			Grad:        g.Data,
+			Samples:     g.Stats.Samples,
+			MeanRatio:   g.Stats.MeanRatio,
+			KL:          g.Stats.KL,
+			Enqueued:    t.clock.Now(),
+			Trace:       gid,
+		}
+		if group := t.aggPol.Offer(entry, t.version); group != nil {
+			t.tracker.ResetGroup()
+			t.invokeParameter(group)
+		}
+		t.retryGated()
+	})
 }
 
 // submitTier selects the data-passing tier for a learner on the given
 // VM. The parameter function is hosted on learner VM 0 (§VII runs both
 // function kinds on the same GPU instances).
-func (t *Trainer) submitTier(vm int) serverless.Tier {
-	if t.cfg.CacheOnlyPassing {
-		return serverless.TierCache
-	}
+func submitTier(vm int) serverless.Tier {
 	if vm == 0 {
 		return serverless.TierShm
 	}
@@ -846,26 +807,14 @@ func (t *Trainer) invokeParameter(group []*stale.Entry) {
 	t.observe(CompAggregate, agg)
 	t.observe(CompBroadcast, broadcast)
 	t.prof.For("parameter").Observe(agg+broadcast, t.clock.Now())
-	var costUSD float64
-	var attempt func()
-	attempt = func() {
-		t.plat.InvokeFixed("parameter", agg+broadcast, func(inv serverless.Invocation) {
-			costUSD += inv.CostUSD
-			if inv.Failed {
-				if !t.done {
-					attempt()
-				}
-				return
-			}
-			t.applyUpdate(group, costUSD)
-		})
-	}
-	attempt()
+	t.plat.InvokeFixed("parameter", agg+broadcast, func(inv serverless.Invocation) {
+		t.applyUpdate(group, inv.CostUSD)
+	})
 }
 
 // applyUpdate performs the staleness-weighted aggregation (Eq. 4), the
 // optimizer step, and round bookkeeping. costUSD is the parameter
-// invocation's accumulated bill, attributed to the new weight version.
+// invocation's bill, attributed to the new weight version.
 func (t *Trainer) applyUpdate(group []*stale.Entry, costUSD float64) {
 	if t.done {
 		return

@@ -6,6 +6,7 @@ import (
 
 	"stellaris/internal/autoscale"
 	"stellaris/internal/leaktest"
+	"stellaris/internal/serverless"
 )
 
 // tinyConfig is a fast CartPole training config for integration tests.
@@ -226,41 +227,14 @@ func TestTrainerEqualRowsEpisodesMonotone(t *testing.T) {
 	}
 }
 
-func TestTrainerFailureInjection(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.FailureRate = 0.15
-	res := runCfg(t, cfg)
-	if res.Failures == 0 {
-		t.Fatal("no failures injected at 15% rate")
-	}
-	// Training still completes all rounds despite retries.
-	if len(res.Rounds.Rows) != cfg.Rounds {
-		t.Fatalf("rounds %d with failures", len(res.Rounds.Rows))
-	}
-}
-
-func TestTrainerFailureRateValidation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.FailureRate = 1.5
-	if _, err := NewTrainer(cfg); err == nil {
-		t.Fatal("invalid failure rate accepted")
-	}
-}
-
-func TestTrainerHierarchicalPassingFaster(t *testing.T) {
-	// With multiple learner VMs, hierarchical passing must not be
-	// slower than forcing every gradient through the cache.
-	mk := func(cacheOnly bool) float64 {
-		cfg := tinyConfig()
-		cfg.GPUs = 2
-		cfg.CacheOnlyPassing = cacheOnly
-		res := runCfg(t, cfg)
-		return res.Breakdown.Total(CompGradSubmit)
-	}
-	hier := mk(false)
-	cache := mk(true)
-	if hier > cache {
-		t.Fatalf("hierarchical submit time %v exceeds cache-only %v", hier, cache)
+// TestSubmitTierByPlacement: a learner co-located with the parameter
+// function on VM 0 submits over shared memory, any other over RPC
+// (§V-B's hierarchical data passing).
+func TestSubmitTierByPlacement(t *testing.T) {
+	for vm, want := range []serverless.Tier{serverless.TierShm, serverless.TierRPC, serverless.TierRPC} {
+		if got := submitTier(vm); got != want {
+			t.Errorf("VM %d: tier %v, want %v", vm, got, want)
+		}
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 // name's own package counts only from a reached declaration (main,
 // init and package-level initialisers are); a concrete method is
 // reached when it implements a reached interface method, the standard
-// library's included. The rules are DESIGN.md §7's.
+// library's included. An exported field of an options struct must also
+// be set by product code (fieldWrites). The rules are DESIGN.md §7's.
 func reachCheck() Check {
 	return Check{
 		Name:      "reach",
-		Doc:       "every exported name in internal/ is reached from product code, not only from tests or benchmark/",
+		Doc:       "every exported name in internal/ is reached from product code, not only from tests or benchmark/, and every options field is set by it",
 		runModule: func(g *graph, p *Package) []Finding { return g.moduleFindings("reach", reachFindings, p) },
 	}
 }
@@ -92,6 +93,7 @@ func reachFindings(g *graph) []taggedFinding {
 	}
 
 	var out []taggedFinding
+	written := fieldWrites(product)
 	flag := func(p *Package, o types.Object, name string) bool {
 		dead := o.Exported() && !r.reached[o]
 		if dead {
@@ -116,9 +118,12 @@ func reachFindings(g *graph) []taggedFinding {
 			switch u := named.Underlying().(type) {
 			case *types.Struct:
 				for i := 0; i < u.NumFields(); i++ {
-					if !u.Field(i).Embedded() {
-						flag(p, u.Field(i), name+"."+u.Field(i).Name())
+					f := u.Field(i)
+					if f.Embedded() || flag(p, f, name+"."+f.Name()) || !f.Exported() || !optionsStruct(name) || written[f] {
+						continue
 					}
+					out = append(out, taggedFinding{pkg: p, f: Finding{Pos: p.position(f.Pos()), Check: "reach",
+						Message: name + "." + f.Name() + " is set by no product code, only by tests, benchmark/ or its own defaults if at all: delete it, make it an unexported test hook, or //lint:allow reach <reason>"}})
 				}
 			case *types.Interface:
 				for i := 0; i < u.NumExplicitMethods(); i++ {
@@ -128,6 +133,88 @@ func reachFindings(g *graph) []taggedFinding {
 		}
 	}
 	return out
+}
+
+// optionsStruct reports whether a struct named name is a bag of
+// options, whose fields the reach check also wants set: Config, Hyper,
+// or a name ending in Options or Config.
+func optionsStruct(name string) bool {
+	return name == "Hyper" || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
+}
+
+// fieldWrites returns every struct field product code sets: a key of a
+// keyed composite literal, the target of an assignment or an
+// increment, or an operand of &, the form flag.XxxVar binds through. A
+// write inside a method of the field's own struct does not count, as
+// such a method (Normalize, withDefaults) only fills defaults.
+func fieldWrites(product []*Package) map[types.Object]bool {
+	written := map[types.Object]bool{}
+	for _, p := range product {
+		for _, file := range p.Files {
+			for _, decl := range file.Decls {
+				var own *types.Struct // the receiver's struct, in a method
+				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv != nil {
+					recv := p.Info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
+					if ptr, ok := recv.(*types.Pointer); ok {
+						recv = ptr.Elem()
+					}
+					if named, ok := recv.(*types.Named); ok {
+						own, _ = named.Origin().Underlying().(*types.Struct)
+					}
+				}
+				write := func(f types.Object) {
+					if f, ok := f.(*types.Var); ok && f.IsField() && !structHas(own, f.Origin()) {
+						written[f.Origin()] = true
+					}
+				}
+				// field writes e's field and, as a.B.C = v changes a.B when
+				// a.B is a struct value, each field it is selected from.
+				field := func(e ast.Expr) {
+					for {
+						sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+						if !ok || p.Info.Selections[sel] == nil {
+							return
+						}
+						write(p.Info.Selections[sel].Obj())
+						if _, isStruct := p.Info.TypeOf(sel.X).Underlying().(*types.Struct); !isStruct {
+							return
+						}
+						e = sel.X
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							write(p.Info.Uses[id])
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							field(lhs)
+						}
+					case *ast.IncDecStmt:
+						field(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							field(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return written
+}
+
+// structHas reports whether f is one of s's own fields.
+func structHas(s *types.Struct, f *types.Var) bool {
+	for i := 0; s != nil && i < s.NumFields(); i++ {
+		if s.Field(i) == f {
+			return true
+		}
+	}
+	return false
 }
 
 // index records what each of p's declarations names, reaches what runs

@@ -5,4 +5,7 @@ package benchmark
 import "stellaris/internal/lint/testdata/src/reach"
 
 // Run calls what only the benchmark uses.
-func Run() { reach.OnlyBench() }
+func Run() {
+	reach.OnlyBench()
+	_ = reach.Start(reach.RunOptions{Depth: 3})
+}

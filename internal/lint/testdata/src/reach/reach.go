@@ -92,3 +92,35 @@ func (Ghost) Boo() {}
 //
 //lint:allow reach a stale directive // want "stale directive: //lint:allow reach"
 func Stale() {}
+
+// RunOptions is an options struct: an exported field must also be set
+// by product code, not only read.
+type RunOptions struct {
+	Name    string     // app keys it in a composite literal
+	Workers int        // want "RunOptions.Workers is set by no product code"
+	Quiet   bool       // app binds it through flag.BoolVar(&o.Quiet, ...)
+	Net     NetOptions // app binds &o.Net.Port, which writes Net too
+	Limit   int        // want "RunOptions.Limit is set by no product code"
+	// Depth is set only by the benchmark package.
+	//
+	//lint:allow reach benchmark-only: benchmark.Run sets it
+	Depth int
+	//lint:allow reach a stale directive // want "stale directive: //lint:allow reach"
+	Label string
+}
+
+type NetOptions struct{ Port int }
+
+// withDefaults fills Limit, which does not count as setting it.
+func (o RunOptions) withDefaults() RunOptions {
+	if o.Limit == 0 {
+		o.Limit = 4
+	}
+	return o
+}
+
+// Start reads every option.
+func Start(o RunOptions) string {
+	o = o.withDefaults()
+	return fmt.Sprint(o.Name, o.Workers, o.Quiet, o.Net.Port, o.Limit, o.Depth, o.Label)
+}

@@ -53,7 +53,7 @@ type actor struct {
 // workerRNG is the identity's stream, not the incarnation's: a restarted
 // actor continues where the crashed one stopped.
 func (r *run) newActor(id int, name string, cli cache.Cache, workerRNG *rng.RNG) (*actor, error) {
-	e, err := env.NewSized(r.opt.Env, r.opt.FrameSize)
+	e, err := env.New(r.opt.Env)
 	if err != nil {
 		return nil, err
 	}

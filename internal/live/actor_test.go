@@ -20,7 +20,7 @@ func newTestRun(t *testing.T, opt Options) *run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	template, err := env.NewSized(opt.Env, opt.FrameSize)
+	template, err := env.New(opt.Env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func newTestRun(t *testing.T, opt Options) *run {
 	return &run{
 		opt: opt, m: m, st: &runState{m: m}, template: template,
 		alg:     algo.NewPPO(template.ActionSpace().Continuous),
-		tracker: istrunc.New(opt.Rho, true),
+		tracker: istrunc.New(rho, true),
 	}
 }
 

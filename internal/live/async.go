@@ -110,10 +110,10 @@ func (r *run) runAsync() error {
 	}()
 
 	// Learners. Like actors, RNG streams and the gradient sequence
-	// counter outlive restarts; the chaos stream drives ChaosPanicRate.
+	// counter outlive restarts.
 	for l := 0; l < opt.Learners; l++ {
 		wg.Add(1)
-		go func(id int, workerRNG, chaos *rng.RNG) {
+		go func(id int, workerRNG *rng.RNG) {
 			defer wg.Done()
 			seq := 0
 			incarnation := 0
@@ -128,7 +128,7 @@ func (r *run) runAsync() error {
 				lrn := r.newLearner(id, name, cli, workerRNG, &seq)
 				ready()
 				for !r.stop.Load() {
-					r.injectPanic("learner", id, chaos)
+					r.injectPanic("learner", id)
 					// Idle only while blocked here, and a batch leaves
 					// r.waiting when taken: dying with it strands no count.
 					var keys []string
@@ -161,7 +161,7 @@ func (r *run) runAsync() error {
 				}
 				return nil
 			})
-		}(l, r.root.Split(uint64(200+l)), r.root.Split(uint64(300+l)))
+		}(l, r.root.Split(uint64(200+l)))
 	}
 
 	// Parameter worker: staleness-aware aggregation, policy updates, and
@@ -209,7 +209,7 @@ func (r *run) rollout(act *actor, trajCh chan<- trajNote) error {
 	r.waiting.Add(1)
 	slot := int64(-1)
 	defer func() { r.waiting.Add(slot) }()
-	r.injectPanic("actor", act.id, nil)
+	r.injectPanic("actor", act.id)
 	note, ok, err := act.iterate()
 	if err != nil || !ok {
 		return err

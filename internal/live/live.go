@@ -51,12 +51,11 @@ type Options struct {
 	// run fills Seed, Obs, Lineage and LineageName per connection
 	// (DESIGN.md §11.6).
 	Cache cache.DialOptions
-	// Env names the environment; FrameSize/Hidden as in core.Config.
-	Env       string
-	FrameSize int
-	Hidden    int
+	// Env names the environment; Hidden as in core.Config.
+	Env    string
+	Hidden int
 	// Algo selects "ppo" (default) or "impact".
-	Algo string
+	Algo string //lint:allow reach benchmark-only: benchmark/live.go sets it
 	// Seed drives all random streams.
 	Seed uint64
 	// Actors and Learners size the worker pools (defaults 2 and 2).
@@ -69,11 +68,6 @@ type Options struct {
 	BatchSize  int
 	// LearningRate overrides Table III's α₀ (0 keeps it).
 	LearningRate float64
-	// Stellaris knobs (defaults: d=0.96, v=3, ρ=1.0).
-	DecayD          float64
-	SmoothV         int
-	Rho             float64
-	UpdatesPerRound int
 
 	// CheckpointDir enables crash-safe training: every CheckpointEvery
 	// policy updates the run persists its full state (weights, optimizer
@@ -83,7 +77,7 @@ type Options struct {
 	// disables checkpointing.
 	CheckpointDir string
 	// CheckpointEvery is the update interval between checkpoints;
-	// defaults to UpdatesPerRound when CheckpointDir is set.
+	// defaults to one round of updates when CheckpointDir is set.
 	CheckpointEvery int
 	// Resume loads the newest valid checkpoint before training — from
 	// CheckpointDir first, falling back to the cache mirror — and
@@ -100,10 +94,6 @@ type Options struct {
 	// RestartBudget is how many times one actor or learner may be
 	// restarted after a panic or error before the run fails; default 8.
 	RestartBudget int
-	// ChaosPanicRate injects a seeded panic into learner iterations with
-	// the given probability — a built-in chaos drill for the supervision
-	// layer. Zero (the default) injects nothing.
-	ChaosPanicRate float64
 	// panicHook, when set, is asked before every worker iteration and
 	// triggers a panic on true. Deterministic fault injection for tests.
 	panicHook func(role string, id int) bool
@@ -114,6 +104,9 @@ type Options struct {
 	// fetches a worker tolerates (reusing its stale copy) before the
 	// worker is restarted; default 50. Tests lower it.
 	maxStaleFallbacks int
+	// updatesPerRound is the policy updates in one round of Eq. 3's
+	// schedule; default 8, the DES's. Tests shorten it.
+	updatesPerRound int
 
 	// FlightDir is where the supervisor writes flight-recorder dumps —
 	// JSON postmortems holding the last lineage events recorded before a
@@ -168,23 +161,14 @@ func (o Options) withDefaults() (Options, error) {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 128
 	}
-	if o.DecayD == 0 {
-		o.DecayD = 0.96
-	}
-	if o.SmoothV == 0 {
-		o.SmoothV = 3
-	}
-	if o.Rho == 0 {
-		o.Rho = 1.0
-	}
-	if o.UpdatesPerRound <= 0 {
-		o.UpdatesPerRound = 8
+	if o.updatesPerRound <= 0 {
+		o.updatesPerRound = 8
 	}
 	if o.maxStaleFallbacks <= 0 {
 		o.maxStaleFallbacks = 50
 	}
 	if o.CheckpointDir != "" && o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = o.UpdatesPerRound
+		o.CheckpointEvery = o.updatesPerRound
 	}
 	if o.FlightDir == "" {
 		o.FlightDir = o.CheckpointDir

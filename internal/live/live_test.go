@@ -246,7 +246,7 @@ func TestLiveDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.Env != "cartpole" || o.Algo != "ppo" || o.Actors != 2 ||
-		o.Learners != 2 || o.DecayD != 0.96 || o.SmoothV != 3 || o.Rho != 1.0 {
+		o.Learners != 2 || o.updatesPerRound != 8 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 }

@@ -24,7 +24,7 @@ func lockOpts(dir string) Options {
 		Actors: 2, Learners: 2,
 		Updates: 12, ActorSteps: 16, BatchSize: 32,
 		Hidden: 16, LearningRate: 0.0003,
-		UpdatesPerRound: 4,
+		updatesPerRound: 4,
 		Lockstep:        true,
 		CheckpointDir:   dir,
 		CheckpointEvery: 4,
@@ -132,7 +132,6 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	lk := opt
 	lk.Resume = true
 	lk.Lockstep = true
-	lk.UpdatesPerRound = opt.UpdatesPerRound
 	if _, err := Train(lk); err == nil || !strings.Contains(err.Error(), "lockstep") {
 		t.Fatalf("lockstep resume of async checkpoint: err = %v, want mode error", err)
 	}

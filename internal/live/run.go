@@ -24,6 +24,10 @@ import (
 // the shared topology document for promotions other clients published.
 const topologyWatchEvery = 250 * time.Millisecond
 
+// rho is Eq. 2's truncation threshold: live runs the paper's ρ = 1, as
+// it runs Eq. 3 and 4 at stale.NewStellaris's d and v.
+const rho = 1.0
+
 // run bundles the state shared by a live training run's workers,
 // supervisor, and checkpointer. It is built once by newRun, driven by
 // runAsync or runLockstep, and summarized by buildReport.
@@ -173,7 +177,7 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 		return sc, nil
 	}
 
-	template, err := env.NewSized(opt.Env, opt.FrameSize)
+	template, err := env.New(opt.Env)
 	if err != nil {
 		r.close()
 		return nil, nil, err
@@ -197,11 +201,10 @@ func newRun(opt Options) (*run, *ckpt.Checkpoint, error) {
 	if opt.LearningRate > 0 {
 		r.opti.SetLR(opt.LearningRate)
 	}
-	r.tracker = istrunc.New(opt.Rho, true)
+	r.tracker = istrunc.New(rho, true)
 	r.agg = stale.NewStellaris()
-	r.agg.D, r.agg.V = opt.DecayD, opt.SmoothV
-	r.agg.UpdatesPerRound = opt.UpdatesPerRound
-	r.agg.MaxQueue = 4 * opt.Learners
+	r.agg.UpdatesPerRound = opt.updatesPerRound
+	r.agg.MaxQueue = stale.Backstop(opt.Learners)
 
 	paramCli, err := r.dial("param")
 	if err != nil {
@@ -306,17 +309,19 @@ func (r *run) noteEpisode(ret float64) {
 }
 
 // fingerprint derives the configuration identity embedded in (and
-// validated against) checkpoints.
+// validated against) checkpoints. It still records the Stellaris knobs
+// live no longer takes, at the values live runs, and FrameSize 0 (the
+// default frame), so checkpoints written when they were options resume.
 func (r *run) fingerprint() ckpt.Fingerprint {
-	o := r.opt
+	o, def := r.opt, stale.NewStellaris()
 	return ckpt.Fingerprint{
 		Env: o.Env, Algo: o.Algo,
-		Hidden: o.Hidden, FrameSize: o.FrameSize,
+		Hidden: o.Hidden,
 		Actors: o.Actors, Learners: o.Learners,
 		ActorSteps: o.ActorSteps, BatchSize: o.BatchSize,
-		UpdatesPerRound: o.UpdatesPerRound, SmoothV: o.SmoothV,
+		UpdatesPerRound: o.updatesPerRound, SmoothV: def.V,
 		Seed:   o.Seed,
-		DecayD: o.DecayD, Rho: o.Rho, LearningRate: o.LearningRate,
+		DecayD: def.D, Rho: rho, LearningRate: o.LearningRate,
 	}
 }
 
@@ -329,33 +334,20 @@ func (r *run) ckptEnabled() bool { return r.opt.CheckpointDir != "" }
 // carry per-worker replay state and are nil in async mode.
 func (r *run) buildCheckpoint(mode ckpt.Mode, actors, learners []ckpt.WorkerState) *ckpt.Checkpoint {
 	v := r.version.Load()
-	aggSt := r.agg.ExportState()
-	trSt := r.tracker.ExportState()
 	c := &ckpt.Checkpoint{
-		Mode:       mode,
-		Fp:         r.fingerprint(),
-		Version:    v,
-		Round:      v / int64(r.opt.UpdatesPerRound),
-		Weights:    append([]float64(nil), r.weights...),
-		Opt:        r.opti.State(),
-		DeltaMax:   aggSt.DeltaMax,
-		StaleSum:   r.staleSum,
-		StaleN:     int64(r.staleN),
-		GroupMin:   trSt.GroupMin,
-		GroupCount: int64(trSt.Count),
-		Episodes:   r.episodes.Load(),
-		Actors:     actors,
-		Learners:   learners,
-	}
-	for _, e := range aggSt.Queue {
-		c.Queue = append(c.Queue, ckpt.QueuedGrad{
-			LearnerID:   e.LearnerID,
-			BornVersion: e.BornVersion,
-			Samples:     e.Samples,
-			MeanRatio:   e.MeanRatio,
-			KL:          e.KL,
-			Grad:        e.Grad,
-		})
+		Mode:     mode,
+		Fp:       r.fingerprint(),
+		Version:  v,
+		Round:    v / int64(r.opt.updatesPerRound),
+		Weights:  append([]float64(nil), r.weights...),
+		Opt:      r.opti.State(),
+		Agg:      r.agg.ExportState(),
+		StaleSum: r.staleSum,
+		StaleN:   int64(r.staleN),
+		Tracker:  r.tracker.ExportState(),
+		Episodes: r.episodes.Load(),
+		Actors:   actors,
+		Learners: learners,
 	}
 	r.retMu.Lock()
 	c.Returns = append([]float64(nil), r.returns...)
@@ -433,20 +425,8 @@ func (r *run) applyCheckpoint(c *ckpt.Checkpoint) error {
 	}
 	copy(r.weights, c.Weights)
 	r.version.Store(c.Version)
-	st := stale.StellarisState{DeltaMax: c.DeltaMax}
-	for i := range c.Queue {
-		q := c.Queue[i]
-		st.Queue = append(st.Queue, &stale.Entry{
-			LearnerID:   q.LearnerID,
-			BornVersion: q.BornVersion,
-			Grad:        q.Grad,
-			Samples:     q.Samples,
-			MeanRatio:   q.MeanRatio,
-			KL:          q.KL,
-		})
-	}
-	r.agg.RestoreState(st)
-	r.tracker.RestoreState(istrunc.TrackerState{GroupMin: c.GroupMin, Count: int(c.GroupCount)})
+	r.agg.RestoreState(c.Agg)
+	r.tracker.RestoreState(c.Tracker)
 	r.staleSum, r.staleN = c.StaleSum, int(c.StaleN)
 	r.episodes.Store(c.Episodes)
 	r.returns = append([]float64(nil), c.Returns...)

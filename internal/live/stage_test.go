@@ -632,6 +632,9 @@ func TestSteadyStateStepsAllocateNoParameterVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.close()
+	// Past the warm-up round the backstop sizes this run's groups. Pinned
+	// at 4, one learner's old backstop, 32 gradients make 8 updates.
+	r.agg.MaxQueue = 4
 	store := newReuseStore()
 	r.paramCli, r.pub = store, &cache.WeightsPublisher{C: store}
 	if err := r.publishWeights(0); err != nil {

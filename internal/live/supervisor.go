@@ -3,8 +3,6 @@ package live
 import (
 	"fmt"
 	"time"
-
-	"stellaris/internal/rng"
 )
 
 // supervise runs one worker body under crash supervision: panics are
@@ -86,13 +84,9 @@ func runGuarded(body func(ready func()) error, ready func()) (err error, panicke
 }
 
 // injectPanic is the fault-injection point at the top of every
-// supervised iteration: the tests' deterministic panicHook, and — for
-// workers that pass their chaos stream — the seeded ChaosPanicRate drill.
-func (r *run) injectPanic(role string, id int, chaos *rng.RNG) {
+// supervised iteration: the tests' deterministic panicHook.
+func (r *run) injectPanic(role string, id int) {
 	if hook := r.opt.panicHook; hook != nil && hook(role, id) {
 		panic(fmt.Sprintf("injected %s %d panic", role, id))
-	}
-	if chaos != nil && r.opt.ChaosPanicRate > 0 && chaos.Float64() < r.opt.ChaosPanicRate {
-		panic(fmt.Sprintf("chaos %s %d panic", role, id))
 	}
 }

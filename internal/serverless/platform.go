@@ -50,9 +50,6 @@ type Invocation struct {
 	StartupDelay float64
 	// Cold reports whether this invocation paid a cold start.
 	Cold bool
-	// Failed reports that the invocation crashed (failure injection);
-	// its side effects must be discarded and the work retried.
-	Failed bool
 	// CostUSD is this invocation's bill under the paper's model: zero
 	// until completion (the body sees the final value), and zero forever
 	// on serverful pools, which bill wall time rather than invocations.
@@ -80,7 +77,6 @@ type pool struct {
 	lastT     float64
 	invoked   int
 	coldHits  int
-	failures  int
 	queueWait float64
 }
 
@@ -89,13 +85,9 @@ type pool struct {
 type Platform struct {
 	Clock *simclock.Clock
 	Lat   *LatencyModel
-	// FailureRate injects invocation crashes: each invocation fails
-	// with this probability at completion time (body runs with
-	// inv.Failed set so callers can retry). Zero disables injection.
-	FailureRate float64
-	r           *rng.RNG
-	pools       map[string]*pool
-	m           *platformMetrics
+	r     *rng.RNG
+	pools map[string]*pool
+	m     *platformMetrics
 }
 
 // platformMetrics is the platform's view into an obs registry. All
@@ -104,18 +96,16 @@ type Platform struct {
 type platformMetrics struct {
 	invocations *obs.CounterVec   // serverless_invocations_total{kind}
 	coldStarts  *obs.CounterVec   // serverless_cold_starts_total{kind}
-	failures    *obs.CounterVec   // serverless_failures_total{kind}
 	invSeconds  *obs.HistogramVec // serverless_invocation_seconds{kind}
 	queueWait   *obs.HistogramVec // serverless_queue_wait_seconds{kind}
 }
 
-// Instrument publishes per-pool invocation counts, cold starts, injected
-// failures, and virtual-time latency histograms into reg.
+// Instrument publishes per-pool invocation counts, cold starts and
+// virtual-time latency histograms into reg.
 func (p *Platform) Instrument(reg *obs.Registry) {
 	p.m = &platformMetrics{
 		invocations: reg.CounterVec("serverless_invocations_total", "function invocations by pool", "kind"),
 		coldStarts:  reg.CounterVec("serverless_cold_starts_total", "invocations that paid a cold start", "kind"),
-		failures:    reg.CounterVec("serverless_failures_total", "injected invocation crashes", "kind"),
 		invSeconds:  reg.HistogramVec("serverless_invocation_seconds", "startup+execution time (virtual seconds)", obs.VirtualBuckets, "kind"),
 		queueWait:   reg.HistogramVec("serverless_queue_wait_seconds", "slot queueing delay (virtual seconds)", obs.VirtualBuckets, "kind"),
 	}
@@ -234,11 +224,6 @@ func (p *Platform) start(pl *pool, q queued) {
 		Cold:         cold,
 	}
 	duration := q.duration(inv)
-	if p.FailureRate > 0 && p.r.Float64() < p.FailureRate {
-		inv.Failed = true
-		// Crashes surface partway through execution.
-		duration *= p.r.Float64()
-	}
 	end := now + startup + duration
 	p.Clock.At(end, func() {
 		p.accrueUtil(pl)
@@ -248,16 +233,9 @@ func (p *Platform) start(pl *pool, q queued) {
 		pl.warm = append(pl.warm, p.Clock.Now()+KeepAliveSeconds)
 		if pl.cfg.Serverless {
 			// Billed per resource-second of execution; startup and
-			// keep-alive are free (§VIII-A). Failed invocations are
-			// still billed for the time they ran.
+			// keep-alive are free (§VIII-A).
 			inv.CostUSD = duration * pl.cfg.Instance.SlotRate(pl.cfg.SlotsPerInstance)
 			pl.cost += inv.CostUSD
-		}
-		if inv.Failed {
-			pl.failures++
-			if p.m != nil {
-				p.m.failures.With(pl.cfg.Kind).Inc()
-			}
 		}
 		if p.m != nil {
 			p.m.invSeconds.With(pl.cfg.Kind).Observe(startup + duration)
@@ -333,7 +311,6 @@ type Stats struct {
 	Kind        string
 	Invocations int
 	ColdStarts  int
-	Failures    int
 	MeanQueue   float64
 	CostUSD     float64
 	Utilization float64
@@ -346,7 +323,6 @@ func (p *Platform) PoolStats(kind string) Stats {
 		Kind:        kind,
 		Invocations: pl.invoked,
 		ColdStarts:  pl.coldHits,
-		Failures:    pl.failures,
 		CostUSD:     p.Cost(kind),
 		Utilization: p.Utilization(kind),
 	}

@@ -271,50 +271,6 @@ func TestDurationFnSeesPlacement(t *testing.T) {
 	}
 }
 
-func TestFailureInjection(t *testing.T) {
-	clock, p := newTestPlatform(4, true)
-	p.FailureRate = 0.5
-	failed, ok := 0, 0
-	for i := 0; i < 200; i++ {
-		p.InvokeFixed("learner", 0.1, func(inv Invocation) {
-			if inv.Failed {
-				failed++
-			} else {
-				ok++
-			}
-		})
-	}
-	clock.Run()
-	if failed == 0 || ok == 0 {
-		t.Fatalf("failure injection degenerate: %d failed, %d ok", failed, ok)
-	}
-	if failed < 60 || failed > 140 {
-		t.Fatalf("failure count %d far from expected ~100", failed)
-	}
-	if got := p.PoolStats("learner").Failures; got != failed {
-		t.Fatalf("stats report %d failures, saw %d", got, failed)
-	}
-}
-
-func TestFailedInvocationStillBilled(t *testing.T) {
-	clock, p := newTestPlatform(1, true)
-	p.Prewarm("learner", 1)
-	p.FailureRate = 1.0 // always fails
-	p.InvokeFixed("learner", 10, func(inv Invocation) {
-		if !inv.Failed {
-			t.Error("expected failure")
-		}
-	})
-	clock.Run()
-	if p.Cost("learner") <= 0 {
-		t.Fatal("failed invocation was free")
-	}
-	// Partial execution: cost below the full 10s price.
-	if p.Cost("learner") > 10*P32xlarge.SlotRate(1) {
-		t.Fatal("failed invocation billed more than full duration")
-	}
-}
-
 func TestWarmCountAndQueueDepth(t *testing.T) {
 	clock, p := newTestPlatform(1, true)
 	p.Prewarm("learner", 3)

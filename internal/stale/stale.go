@@ -143,6 +143,11 @@ type Stellaris struct {
 	deltaMax float64
 }
 
+// Backstop is the MaxQueue of a run with the given number of learners
+// in flight: two gradients per learner, and never under 8 (DESIGN.md
+// §5 derives it).
+func Backstop(learners int) int { return max(8, 2*learners) }
+
 // warmupRounds is how long the threshold stays disabled while δ_max is
 // measured: the paper uses the first training round.
 const warmupRounds = 1

@@ -377,3 +377,13 @@ func TestAdmitProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBackstop pins the one backstop rule both modes size MaxQueue by:
+// two gradients per learner, never under 8.
+func TestBackstop(t *testing.T) {
+	for learners, want := range map[int]int{1: 8, 2: 8, 4: 8, 5: 10, 8: 16} {
+		if got := Backstop(learners); got != want {
+			t.Errorf("Backstop(%d) = %d, want %d", learners, got, want)
+		}
+	}
+}
